@@ -22,11 +22,15 @@ treated as stationary in both times, which holds on timescales well above
 the projection spacing.
 
 Numerics: the inner time convolution peels the u^{-1/2} kernel singularity
-off with product-integration weights; the outer integral is evaluated in
-momentum space, where the final free leg is diagonal and nothing is
-singular; the slowly decaying 1/k endpoint tail (a step structure at the
-boundary) is summed analytically via a Fresnel integral so the numeric
-transform only handles an O(1/k^2) remainder.
+off with product-integration weights and is evaluated as a zero-padded FFT
+product; the outer integral is evaluated in momentum space, where the final
+free leg is diagonal and nothing is singular; the slowly decaying 1/k
+endpoint tail (a step structure at the boundary) is summed analytically via
+a Fresnel integral so the numeric transform only handles an O(1/k^2)
+remainder.  The time sum at the frequencies k^2/2m and the transform from
+the uniform k grid to x are both trigonometric sums at non-uniform angles,
+evaluated by a Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of
+dense phase matrices; it agrees with the dense sums to about 1e-12.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ import numpy as np
 
 from .core import BoundaryCurve, ROOT_INV_I, half_power_weights
 from .exact import absorbing_envelope
-from .sawtooth import ProjectionSchedule, oscillation_ratio, sawtooth_envelope
+from .sawtooth import (
+    ProjectionSchedule,
+    calibrate_absorption,
+    oscillation_ratio,
+    sawtooth_envelope,
+)
 
 __all__ = [
     "WavePacket",
@@ -121,20 +130,15 @@ def packet_boundary_derivative(wp: WavePacket, t, spreading: bool = False):
         c = wp.q + wp.p * t / wp.m
         psi0 = wp.norm_factor * np.exp(-(c**2) * a - 1j * wp.energy * t)
         return psi0 * (c / (2 * wp.sigma**2) + 1j * wp.p)
-    ts = np.atleast_1d(t)
-    out = np.empty(ts.shape, dtype=complex)
-    for i, tt in enumerate(ts):
-        if tt == 0:
-            out[i] = free_packet(wp, 0.0, np.array(0.0), spreading=True) * (
-                2 * a * wp.q + 1j * wp.p
-            )
-            continue
-        b = wp.m / (2 * tt)
-        A = a - 1j * b
-        beta0 = 2 * a * wp.q + 1j * wp.p
-        psi0 = free_packet(wp, float(tt), np.array(0.0), spreading=True)
-        out[i] = psi0 * (-1j * b * beta0 / A)
-    return out if np.asarray(t).shape else complex(out[0])
+    beta0 = 2 * a * wp.q + 1j * wp.p
+    at_zero = wp.norm_factor * np.exp(-a * wp.q**2) * beta0
+    ts = np.where(t == 0, 1.0, t)
+    b = wp.m / (2 * ts)
+    A = a - 1j * b
+    pref = ROOT_INV_I * np.sqrt(wp.m / (2 * np.pi * ts)) * wp.norm_factor
+    psi0 = pref * np.sqrt(np.pi / A) * np.exp(-a * wp.q**2 + beta0**2 / (4 * A))
+    out = np.where(t == 0, at_zero, psi0 * (-1j * b * beta0 / A))
+    return out if out.ndim else complex(out)
 
 
 def suppression_factor(wp: WavePacket, eps: float) -> float:
@@ -147,12 +151,9 @@ def suppression_factor(wp: WavePacket, eps: float) -> float:
     period is comparable to the projection spacing and collapses rapidly
     away from it.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if wp.p <= 0:
         raise ValueError("suppression factor defined for right-movers (p > 0)")
-    expo = -((wp.zeno_time / eps) ** 2) * (wp.energy * eps - 1.0) ** 2
-    return float(np.exp(max(expo, -745.0)))
+    return float(np.exp(max(suppression_exponent(wp, eps), -745.0)))
 
 
 def suppression_exponent(wp: WavePacket, eps: float) -> float:
@@ -233,17 +234,61 @@ def stationary_delta_g(
     return BoundaryCurve(t, vals)
 
 
+_STENCIL = 12  # half-width, in grid points, of the NUFFT Gaussian stencil
+
+
+def _pow2_at_least(n: int) -> int:
+    return 1 << max(n - 1, 0).bit_length()
+
+
+def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
+    """sum_j c_j exp(i j theta) for arbitrary real theta, by a type-2
+    non-uniform FFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard &
+    Lee 2004).
+
+    The index is shifted to n = j - N/2, the coefficients are deconvolved by
+    exp(n^2 tau), one zero-padded inverse FFT of power-of-two length M >= 2N
+    samples their Gaussian-smoothed sum on the uniform grid 2 pi l / M, and
+    a 2*12-point Gaussian stencil interpolates at each theta mod 2 pi.  The
+    width tau uses the effective oversampling ratio R = M/N, which balances
+    the stencil-truncation and grid-aliasing errors at exp(-12 pi (R - 0.5)
+    / R) <= 6e-13 each; after the exp(n^2 tau) amplification the result is
+    within about 1e-12 of sum |c_j|.
+    """
+    c = np.asarray(c, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    n_coef = len(c)
+    shift = n_coef // 2
+    n_grid = _pow2_at_least(2 * n_coef)
+    ratio = n_grid / n_coef
+    width = np.pi * _STENCIL / (n_coef**2 * ratio * (ratio - 0.5))
+    n = np.arange(n_coef) - shift
+    padded = np.zeros(n_grid, dtype=complex)
+    padded[n % n_grid] = c * np.exp(n**2 * width)
+    smoothed = np.fft.ifft(padded)
+    step = 2 * np.pi / n_grid
+    reduced = np.mod(theta, 2 * np.pi)[..., None]
+    nodes = np.floor(reduced / step).astype(np.int64) + np.arange(1 - _STENCIL, _STENCIL + 1)
+    gauss = np.exp(-((reduced - nodes * step) ** 2) / (4 * width))
+    interp = np.sqrt(np.pi / width) * np.sum(smoothed[nodes % n_grid] * gauss, axis=-1)
+    return np.exp(1j * shift * theta) * interp
+
+
 def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
     """G(t2) = int_0^t2 u^{-1/2} phi(u) D(t2 - u) du on a uniform grid.
 
     ``phi`` carries the boundary kernel with its inverse-square-root factor
     peeled off (phi(u) = sqrt(u) * kernel(u)), which the product-integration
-    weights then restore exactly panel by panel.
+    weights then restore exactly panel by panel.  The discrete convolution
+    is a zero-padded FFT product.
     """
     if len(phi) != len(deriv):
         raise ValueError("phi and deriv must share the time grid")
-    weights = half_power_weights(len(phi) - 1, dt)
-    return np.convolve(weights * phi, deriv)[: len(phi)]
+    n = len(phi)
+    weights = half_power_weights(n - 1, dt)
+    size = _pow2_at_least(2 * n - 1)
+    spec = np.fft.fft(weights * phi, size) * np.fft.fft(deriv, size)
+    return np.fft.ifft(spec)[:n]
 
 
 def crossing_term(
@@ -254,7 +299,6 @@ def crossing_term(
     m: float,
     kmax: float,
     dk: float,
-    chunk: int = 512,
 ) -> np.ndarray:
     """The crossing part -(1/m^2) int dt2 dgf/dx(x1,tau|0,t2) G(t2).
 
@@ -268,7 +312,9 @@ def crossing_term(
 
     added back in closed form (the Fresnel integral is a cheap 1-d
     cumulative quadrature), leaving an O(1/k^2) remainder for the numeric
-    transform.
+    transform.  Both the time sum at frequencies w_k = k^2/2m and the
+    transform from the uniform k grid to x1 are trigonometric sums at
+    non-uniform angles, w_k dt and x1 dk, evaluated by ``_trig_sum``.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
@@ -278,17 +324,16 @@ def crossing_term(
     g_smooth = G - g_end
 
     k = np.arange(-kmax, kmax + dk, dk)
-    k = k[np.abs(k) > 1e-12]
     wt = np.full(nt + 1, dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5
     gw = g_smooth * wt
-    spectral = np.zeros(len(k), dtype=complex)
-    for i0 in range(0, len(k), chunk):
-        kk = k[i0 : i0 + chunk]
-        phase = np.exp(-1j * (kk[:, None] ** 2 / (2 * m)) * (tau - t[None, :]))
-        spectral[i0 : i0 + chunk] = (-1j * kk / m**2) * (phase @ gw)
-    smooth_part = (np.exp(1j * np.outer(xs, k)) @ (spectral * dk)) / (2 * np.pi)
+    w = k**2 / (2 * m)
+    spectral = (-1j * k / m**2) * np.exp(-1j * w * tau) * _trig_sum(gw, w * dt)
+    spectral[np.abs(k) <= 1e-12] = 0.0
+    smooth_part = (
+        np.exp(1j * xs * k[0]) * _trig_sum(spectral * dk, xs * (k[1] - k[0])) / (2 * np.pi)
+    )
 
     a = tau / (2 * m)
     x_hi = float(np.abs(xs).max()) if xs.size else 0.0
@@ -370,7 +415,7 @@ def delta_norm_scan(
     xs = np.asarray(x1, dtype=float)
     norms, exponents = [], []
     for eps in eps_values:
-        v0 = v0_of_eps(eps) if v0_of_eps is not None else 4.0 / (3.0 * eps)
+        v0 = v0_of_eps(eps) if v0_of_eps is not None else calibrate_absorption(eps)
         dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
         nt = int(np.ceil(tau / dt))
         t_grid = np.linspace(0.0, tau, nt + 1)

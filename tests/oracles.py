@@ -4,7 +4,7 @@ they check."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 
 def spearman_rho(a, b) -> float:
@@ -26,6 +26,8 @@ def crank_nicolson_step_potential(psi0: np.ndarray, x: np.ndarray, v0: float,
 
     Crank-Nicolson with a second-order three-point Laplacian; the boundary
     node at x = 0 carries half the absorption (symmetric step convention).
+    The constant tridiagonal matrix is LU-factorised once (LAPACK zgttrf)
+    and each step is a zgttrs back-substitution.
     """
     dx = x[1] - x[0]
     nx = len(x)
@@ -34,16 +36,19 @@ def crank_nicolson_step_potential(psi0: np.ndarray, x: np.ndarray, v0: float,
     n_steps = int(round(tau / dt))
     dt = tau / n_steps
     r = 1j * dt / (4 * m * dx * dx)
-    bands = np.zeros((3, nx), dtype=complex)
-    bands[0, 1:] = -r
-    bands[1, :] = 1 + 2 * r + 0.5j * dt * pot
-    bands[2, :-1] = -r
+    off = np.full(nx - 1, -r, dtype=complex)
+    lu = zgttrf(off, 1 + 2 * r + 0.5j * dt * pot, off)
+    if lu[-1] != 0:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+    explicit = 1 - 2 * r - 0.5j * dt * pot
     psi = psi0.astype(complex).copy()
     for _ in range(n_steps):
-        rhs = (1 - 2 * r - 0.5j * dt * pot) * psi
+        rhs = explicit * psi
         rhs[1:] += r * psi[:-1]
         rhs[:-1] += r * psi[1:]
-        psi = solve_banded((1, 1), bands, rhs)
+        psi, info = zgttrs(*lu[:-1], rhs, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Crank-Nicolson solve failed")
     return psi
 
 
@@ -73,6 +78,66 @@ def free_evolution_quadrature(psi0_fn, m: float, t: float, x_out: np.ndarray,
     for i, xx in enumerate(x_out):
         out[i] = np.sum(w * psi0 * pref * np.exp(1j * m * (xx - y) ** 2 / (2 * t)))
     return out
+
+
+def dense_crossing_term(
+    x1,
+    tau: float,
+    G: np.ndarray,
+    t_grid: np.ndarray,
+    m: float,
+    kmax: float,
+    dk: float,
+    chunk: int = 512,
+) -> np.ndarray:
+    """The crossing part -(1/m^2) int dt2 dgf/dx(x1,tau|0,t2) G(t2), with
+    the time sum and the k -> x transform as dense phase matrices (the
+    reference for ``zenoprop.wavepacket.crossing_term``).
+
+    Evaluated in momentum space, where the final free leg is
+    exp(-i k^2 (tau - t2) / 2m) and the boundary-derivative kernel is -ik.
+    The t2 endpoint at tau produces a slowly decaying 1/k tail encoding a
+    step at x1 = 0; it is subtracted via G(tau) and its transform
+
+        -(2 G(tau)/m) [ (i/2) sgn(x) - J(x)/(2 pi) ],
+        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2m,
+
+    added back in closed form (the Fresnel integral is a cheap 1-d
+    cumulative quadrature), leaving an O(1/k^2) remainder for the numeric
+    transform.
+    """
+    xs = np.atleast_1d(np.asarray(x1, dtype=float))
+    t = np.asarray(t_grid, dtype=float)
+    nt = len(t) - 1
+    dt = t[1] - t[0]
+    g_end = G[-1]
+    g_smooth = G - g_end
+
+    k = np.arange(-kmax, kmax + dk, dk)
+    k = k[np.abs(k) > 1e-12]
+    wt = np.full(nt + 1, dt)
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    gw = g_smooth * wt
+    spectral = np.zeros(len(k), dtype=complex)
+    for i0 in range(0, len(k), chunk):
+        kk = k[i0 : i0 + chunk]
+        phase = np.exp(-1j * (kk[:, None] ** 2 / (2 * m)) * (tau - t[None, :]))
+        spectral[i0 : i0 + chunk] = (-1j * kk / m**2) * (phase @ gw)
+    smooth_part = (np.exp(1j * np.outer(xs, k)) @ (spectral * dk)) / (2 * np.pi)
+
+    a = tau / (2 * m)
+    x_hi = float(np.abs(xs).max()) if xs.size else 0.0
+    xf = np.linspace(0.0, max(x_hi, 1e-12), 20001)
+    integrand = np.exp(1j * xf**2 / (4 * a))
+    cum = np.concatenate(
+        [[0.0 + 0.0j], np.cumsum((integrand[1:] + integrand[:-1]) / 2 * np.diff(xf))]
+    )
+    fresnel = np.interp(np.abs(xs), xf, cum.real) + 1j * np.interp(np.abs(xs), xf, cum.imag)
+    fresnel = fresnel * np.sign(xs)
+    J = 1j * np.sqrt(np.pi / (1j * a)) * fresnel
+    tail_part = -(2 * g_end / m) * (0.5j * np.sign(xs) - J / (2 * np.pi))
+    return -(smooth_part + tail_part)
 
 
 def validate_table_schema(doc: dict, schema: dict) -> list[str]:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    dense_crossing_term,
     evolve_step_potential_richardson,
     free_evolution_quadrature,
     spearman_rho,
@@ -13,6 +14,7 @@ from zenoprop.core import BoundaryCurve
 from zenoprop.exact import absorbing_envelope
 from zenoprop.wavepacket import (
     WavePacket,
+    _trig_sum,
     crossing_density,
     crossing_term,
     delta_norm_scan,
@@ -100,6 +102,25 @@ class TestBoundaryDerivative:
                 ) / (2 * h)
                 got = packet_boundary_derivative(packet, t, spreading=spreading)
                 assert got == pytest.approx(complex(fd), rel=1e-6)
+
+    def test_spreading_matches_scalar_formula(self, packet):
+        # the vectorised closed form against the per-sample formula, t = 0
+        # taken from the initial packet
+        t = np.linspace(0.0, 2.0, 201)
+        a = 1.0 / (4 * packet.sigma**2)
+        beta0 = 2 * a * packet.q + 1j * packet.p
+        want = np.empty(len(t), dtype=complex)
+        for i, tt in enumerate(t):
+            psi0 = free_packet(packet, float(tt), np.array(0.0), spreading=True)
+            if tt == 0:
+                want[i] = psi0 * beta0
+            else:
+                b = packet.m / (2 * tt)
+                want[i] = psi0 * (-1j * b * beta0 / (a - 1j * b))
+        got = packet_boundary_derivative(packet, t, spreading=True)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        assert packet_boundary_derivative(packet, 0.0, spreading=True) == want[0]
+        assert isinstance(packet_boundary_derivative(packet, 0.5, spreading=True), complex)
 
     def test_crossing_instant_dominated_by_momentum(self, packet):
         # packet centred on the origin: derivative = i p psi exactly for the
@@ -219,6 +240,41 @@ class TestPdxDeltaPsi:
         eps_values = np.array([0.2, 0.4]) / packet.energy
         norms, _ = delta_norm_scan(packet, eps_values, tau, xs)
         assert norms[0] < norms[1]
+
+
+class TestTrigSum:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 1000])
+    def test_matches_direct_sum(self, n):
+        # odd and even lengths; angles up to 9 rad, beyond pi and 2 pi
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        theta = np.concatenate([rng.uniform(-9.0, 9.0, 40), [0.0, np.pi, 4.0, -5.0]])
+        want = np.exp(1j * np.outer(theta, np.arange(n))) @ c
+        got = _trig_sum(c, theta)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(c))
+
+
+class TestCrossingTermOracle:
+    """The NUFFT crossing term against the dense phase-matrix sums."""
+
+    @pytest.mark.parametrize(
+        "nt, kmax",
+        [
+            (400, 30.0),  # k = 0 on the grid, w_k dt up to 1.7
+            (150, 30.02),  # k = 0 off the grid, w_k dt up to 4.5 > pi
+        ],
+    )
+    def test_matches_dense(self, packet, nt, kmax):
+        tau = 1.5
+        t = np.linspace(0.0, tau, nt + 1)
+        deriv = packet_boundary_derivative(packet, t)
+        phi = np.sqrt(packet.m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
+        phi[1:] *= absorbing_envelope(2.0, t[1:])
+        G = inner_boundary_convolution(phi, deriv, tau / nt)
+        xs = np.linspace(0.05, 25.0, 90)
+        got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
+        want = dense_crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestFreeReconstruction:
