@@ -10,25 +10,19 @@ from .core import (
     BoundaryCurve,
     Grid1D,
     NumericalFailure,
-    QuadratureRule,
     ROOT_INV_I,
     free_propagator,
     half_power_weights,
     heat_kernel,
-    integrate,
-    quadrature_nodes,
 )
 from .exact import (
     absorbing_boundary_propagator,
     absorbing_envelope,
-    chain_integral,
-    chain_plus_minus,
-    chain_plus_plus,
+    bridge_orthant,
     final_gap_ratio,
     half_value_ratio,
     projected_boundary_exact,
     projected_envelope_exact,
-    reconstructed_triple_plus,
     restricted_propagator,
     time_averaged_envelope,
     time_averaged_product,
@@ -36,7 +30,6 @@ from .exact import (
 from .lattice import (
     LatticeConfig,
     LatticeSweep,
-    brute_force_walk_probability,
     constrained_walk_probability,
     continuum_peak_estimate,
 )

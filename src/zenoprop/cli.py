@@ -9,7 +9,7 @@ Output is deterministic for a fixed configuration: floats are written with
 17 significant digits, comma separated, LF line endings.  Exit codes:
 0 success, 2 usage error, 3 numerical failure.  Every flag can also be set
 through a ``ZENOPROP_<SUBCOMMAND>_<FLAG>`` environment variable, and a JSON
-config file supplies values at lower precedence than flags.
+config file keyed by flag name supplies values beneath both.
 """
 
 from __future__ import annotations
@@ -51,67 +51,88 @@ def _write_table(path: str, fmt: str, command: str, params: dict, columns, rows)
         raise click.UsageError(f"cannot write {path}: {err}") from err
 
 
-def _load_config(ctx: click.Context, config_path: str | None) -> None:
-    """Apply config-file values beneath flag/env values (flags win)."""
-    if not config_path:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Put a JSON config file into ``ctx.default_map``, where Click ranks it
+    beneath flags and environment variables.  Keys are flag names
+    (``n-max``, ``format``) or parameter names (``n_max``, ``fmt``)."""
+    if not path:
         return
     try:
-        with open(config_path) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise click.UsageError(f"cannot read config file {config_path}: {err}")
+        raise click.UsageError(f"cannot read config file {path}: {err}")
     if not isinstance(data, dict):
         raise click.UsageError("config file must hold a JSON object")
-    from click.core import ParameterSource
-
-    for key, value in data.items():
-        name = key.replace("-", "_")
-        if name not in ctx.params:
+    names = {key: p.name for p in ctx.command.params if p.expose_value
+             for key in (p.name, *(opt.lstrip("-") for opt in p.opts))}
+    for key in data:
+        if key not in names:
             raise click.UsageError(f"unknown config key {key!r}")
-        source = ctx.get_parameter_source(name)
-        if source in (ParameterSource.DEFAULT, ParameterSource.DEFAULT_MAP):
-            ctx.params[name] = value
+    ctx.default_map = {**(ctx.default_map or {}), **{names[k]: v for k, v in data.items()}}
+
+
+class _FinitePositive(click.ParamType):
+    """A finite float > 0 (``click.FloatRange`` would let NaN through)."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx) -> float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            self.fail(f"{value!r} is not a valid float", param, ctx)
+        if not 0 < number < float("inf"):
+            self.fail(f"{value!r} is not a finite positive number", param, ctx)
+        return number
+
+
+POSITIVE = _FinitePositive()
 
 
 def _numerical_guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from err
     except (NumericalFailure, FloatingPointError) as err:
         click.echo(f"numerical failure: {err}", err=True)
         sys.exit(3)
 
 
 common_options = [
-    click.option("--m", type=float, default=1.0, show_default=True, help="Particle mass."),
-    click.option("--eps", type=float, default=1.0, show_default=True, help="Projection spacing."),
-    click.option("--v0", type=float, default=None, help="Absorption strength (default 4/(3 eps))."),
+    click.option("--m", type=POSITIVE, default=1.0, show_default=True, help="Particle mass."),
+    click.option("--eps", type=POSITIVE, default=1.0, show_default=True,
+                 help="Projection spacing."),
+    click.option("--v0", type=POSITIVE, default=None,
+                 help="Absorption strength (default 4/(3 eps))."),
     click.option("--out", required=True, type=click.Path(dir_okay=False, writable=False),
                  help="Output file path."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                  show_default=True, help="Output format."),
     click.option("--config", "config_path", type=click.Path(exists=False), default=None,
-                 help="JSON config file (flags take precedence)."),
+                 is_eager=True, expose_value=False, callback=_load_config,
+                 help="JSON config file keyed by flag name (flags and env vars take precedence)."),
+]
+
+recursion_options = [
+    click.option("--n-max", type=int, default=20, show_default=True, help="Number of projections."),
+    click.option("--grid-points", type=int, default=None, help="Override slice-grid size."),
+    click.option("--samples-per-interval", type=int, default=16, show_default=True,
+                 help="Envelope samples per projection interval."),
 ]
 
 
-def _with_common(fn):
-    for opt in reversed(common_options):
-        fn = opt(fn)
-    return fn
+def _with(options):
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return decorate
 
 
 def _resolve_v0(v0: float | None, eps: float) -> float:
-    if v0 is None:
-        return sawtooth.calibrate_absorption(eps)
-    if v0 <= 0:
-        raise click.UsageError("--v0 must be positive")
-    return v0
-
-
-def _check_positive(**named) -> None:
-    for name, value in named.items():
-        if value is not None and value <= 0:
-            raise click.UsageError(f"--{name.replace('_', '-')} must be positive")
+    return sawtooth.calibrate_absorption(eps) if v0 is None else v0
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -120,14 +141,9 @@ def main() -> None:
 
 
 @main.command()
-@_with_common
-@click.pass_context
-def fv(ctx, m, eps, v0, out, fmt, config_path) -> None:
+@_with(common_options)
+def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
-    _load_config(ctx, config_path)
-    m, eps, v0 = ctx.params["m"], ctx.params["eps"], ctx.params["v0"]
-    out, fmt = ctx.params["out"], ctx.params["fmt"]
-    _check_positive(m=m, eps=eps)
     v0 = _resolve_v0(v0, eps)
     t = np.arange(1, 2101) * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, v0, t)
@@ -139,8 +155,6 @@ def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
     cfg = recursion.default_config(m=m, eps=eps, n_max=n_max,
                                    samples_per_interval=samples_per_interval)
     if grid_points is not None:
-        if grid_points < 2:
-            raise click.UsageError("--grid-points must be >= 2")
         grid = recursion.Grid1D(0.0, cfg.grid.x_max, grid_points)
         cfg = recursion.RecursionConfig(m, eps, n_max, grid, samples_per_interval)
     curve = recursion.run_recursion(cfg)
@@ -157,24 +171,9 @@ def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
 
 
 @main.command()
-@_with_common
-@click.option("--n-max", type=int, default=20, show_default=True, help="Number of projections.")
-@click.option("--grid-points", type=int, default=None, help="Override slice-grid size.")
-@click.option("--samples-per-interval", type=int, default=16, show_default=True,
-              help="Envelope samples per projection interval.")
-@click.pass_context
-def fp(ctx, m, eps, v0, out, fmt, config_path, n_max, grid_points, samples_per_interval) -> None:
+@_with(common_options + recursion_options)
+def fp(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
-    _load_config(ctx, config_path)
-    p = ctx.params
-    m, eps, v0, out, fmt = p["m"], p["eps"], p["v0"], p["out"], p["fmt"]
-    n_max, grid_points = p["n_max"], p["grid_points"]
-    samples_per_interval = p["samples_per_interval"]
-    _check_positive(m=m, eps=eps)
-    if n_max < 1:
-        raise click.UsageError("--n-max must be >= 1")
-    if samples_per_interval < 2:
-        raise click.UsageError("--samples-per-interval must be >= 2")
     v0 = _resolve_v0(v0, eps)
     curve, model, fvv, s = _numerical_guard(
         _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
@@ -193,30 +192,26 @@ def fp(ctx, m, eps, v0, out, fmt, config_path, n_max, grid_points, samples_per_i
 
 
 @main.command(name="exact")
-@_with_common
-@click.pass_context
-def exact_cmd(ctx, m, eps, v0, out, fmt, config_path) -> None:
+@_with(common_options)
+def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
-    _load_config(ctx, config_path)
-    p = ctx.params
-    m, eps, v0, out, fmt = p["m"], p["eps"], p["v0"], p["out"], p["fmt"]
-    _check_positive(m=m, eps=eps)
     v0 = _resolve_v0(v0, eps)
 
     def build():
-        rows = [
+        orthant = exact.bridge_orthant
+        return [
             ("envelope_no_projection", exact.projected_envelope_exact(eps, 0.5 * eps, 0)),
             ("envelope_one_projection", exact.projected_envelope_exact(eps, 1.5 * eps, 1)),
             ("envelope_two_projection_peak", exact.projected_envelope_exact(eps, 3 * eps, 2)),
             ("envelope_three_projection", exact.projected_envelope_exact(eps, 4 * eps, 3)),
-            ("chain_pp_equal", exact.chain_plus_plus(eps, eps, eps)),
-            ("chain_pm_equal", exact.chain_plus_minus(eps, eps, eps)),
-            ("chain_ppp_reconstructed", exact.reconstructed_triple_plus(eps)),
+            ("chain_pp_equal", orthant((eps, 2 * eps), 3 * eps) / np.sqrt(3 * eps)),
+            ("chain_pm_equal", orthant((eps, 2 * eps), 3 * eps, (1, -1)) / np.sqrt(3 * eps)),
+            ("chain_ppp_reconstructed",
+             orthant((eps, 2 * eps, 3 * eps), 4 * eps) / np.sqrt(4 * eps)),
             ("time_averaged_one", exact.time_averaged_envelope(1, 3 * eps)),
             ("time_averaged_two", exact.time_averaged_envelope(2, 3 * eps)),
             ("absorbing_envelope_at_eps", exact.absorbing_envelope(v0, eps)),
         ]
-        return rows
 
     rows = _numerical_guard(build)
     _write_table(out, fmt, "exact", {"m": m, "eps": eps, "v0": v0},
@@ -224,19 +219,13 @@ def exact_cmd(ctx, m, eps, v0, out, fmt, config_path) -> None:
 
 
 @main.command(name="lattice")
-@_with_common
-@click.option("--tau", type=float, default=4.0, show_default=True,
+@_with(common_options)
+@click.option("--tau", type=POSITIVE, default=4.0, show_default=True,
               help="Total walk duration (multiple of eps).")
 @click.option("--levels", type=int, default=4, show_default=True,
               help="Number of refinement levels (quadrupling).")
-@click.pass_context
-def lattice_cmd(ctx, m, eps, v0, out, fmt, config_path, tau, levels) -> None:
+def lattice_cmd(m, eps, v0, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
-    _load_config(ctx, config_path)
-    p = ctx.params
-    m, eps, out, fmt = p["m"], p["eps"], p["out"], p["fmt"]
-    tau, levels = p["tau"], p["levels"]
-    _check_positive(m=m, eps=eps, tau=tau)
     if levels < 1:
         raise click.UsageError("--levels must be >= 1")
     level_list = tuple(4**j for j in range(1, levels + 1))
@@ -256,18 +245,13 @@ def lattice_cmd(ctx, m, eps, v0, out, fmt, config_path, tau, levels) -> None:
 
 
 @main.command()
-@_with_common
-@click.option("--p-sigma", type=float, default=10.0, show_default=True,
+@_with(common_options)
+@click.option("--p-sigma", type=POSITIVE, default=10.0, show_default=True,
               help="Dimensionless packet momentum p*sigma.")
-@click.pass_context
-def pdx(ctx, m, eps, v0, out, fmt, config_path, p_sigma) -> None:
+def pdx(m, eps, v0, out, fmt, p_sigma) -> None:
     """Wave-packet perturbation scan against the suppression predictor."""
-    _load_config(ctx, config_path)
-    p = ctx.params
-    m, out, fmt, p_sigma = p["m"], p["out"], p["fmt"], p["p_sigma"]
-    if p["v0"] is not None:
+    if v0 is not None:
         raise click.UsageError("pdx calibrates v0 from each scan eps; --v0 is not accepted")
-    _check_positive(m=m, p_sigma=p_sigma)
     sigma = 1.0
     mom = p_sigma / sigma
     wp = wavepacket.WavePacket(q=-10 * sigma, p=mom, sigma=sigma, m=m)
@@ -279,10 +263,8 @@ def pdx(ctx, m, eps, v0, out, fmt, config_path, p_sigma) -> None:
 
     def build():
         norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
-        rows = []
-        for ev, ee, nn in zip(eps_values, scan, norms):
-            rows.append((ev, ee, wavepacket.suppression_factor(wp, ev), nn))
-        return rows
+        return [(ev, ee, wavepacket.suppression_factor(wp, ev), nn)
+                for ev, ee, nn in zip(eps_values, scan, norms)]
 
     rows = _numerical_guard(build)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": tau},
@@ -290,22 +272,9 @@ def pdx(ctx, m, eps, v0, out, fmt, config_path, p_sigma) -> None:
 
 
 @main.command()
-@_with_common
-@click.option("--n-max", type=int, default=20, show_default=True, help="Number of projections.")
-@click.option("--grid-points", type=int, default=None, help="Override slice-grid size.")
-@click.option("--samples-per-interval", type=int, default=16, show_default=True,
-              help="Envelope samples per projection interval.")
-@click.pass_context
-def compare(ctx, m, eps, v0, out, fmt, config_path, n_max, grid_points, samples_per_interval) -> None:
+@_with(common_options + recursion_options)
+def compare(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
-    _load_config(ctx, config_path)
-    p = ctx.params
-    m, eps, v0, out, fmt = p["m"], p["eps"], p["v0"], p["out"], p["fmt"]
-    n_max, grid_points = p["n_max"], p["grid_points"]
-    samples_per_interval = p["samples_per_interval"]
-    _check_positive(m=m, eps=eps)
-    if n_max < 1:
-        raise click.UsageError("--n-max must be >= 1")
     v0 = _resolve_v0(v0, eps)
     curve, _, _, _ = _numerical_guard(
         _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval

@@ -1,4 +1,4 @@
-"""Shared numerical substrate: grids, quadrature rules and free-particle kernels.
+"""Shared numerical substrate: grids, free-particle kernels, integration weights.
 
 Conventions used throughout the package:
 
@@ -48,59 +48,6 @@ class Grid1D:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
-
-
-_QUAD_KINDS = ("midpoint", "trapezoid")
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite quadrature rule on a single interval.
-
-    ``midpoint`` places its nodes at panel centres (the rule used by the
-    slice recursion and the brute-force chain integrals); ``trapezoid`` uses
-    the ``n_panels + 1`` inclusive endpoints and serves as the cross-check.
-    """
-
-    kind: str
-    n_panels: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _QUAD_KINDS:
-            raise ValueError(f"kind must be one of {_QUAD_KINDS}, got {self.kind!r}")
-        if self.n_panels < 1:
-            raise ValueError("n_panels must be >= 1")
-
-
-def quadrature_nodes(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
-    """Sample positions at which ``integrate`` expects the integrand values."""
-    h = (b - a) / rule.n_panels
-    if rule.kind == "midpoint":
-        return a + (np.arange(rule.n_panels) + 0.5) * h
-    return np.linspace(a, b, rule.n_panels + 1)
-
-
-def integrate(values: np.ndarray, rule: QuadratureRule, a: float, b: float) -> float:
-    """Quadrature of samples taken at ``quadrature_nodes(rule, a, b)``.
-
-    Exact for constants with either rule and for linear integrands with both
-    rules (midpoint by symmetry, trapezoid by construction).
-    """
-    values = np.asarray(values, dtype=float)
-    h = (b - a) / rule.n_panels
-    if rule.kind == "midpoint":
-        if len(values) != rule.n_panels:
-            raise ValueError(
-                f"midpoint rule with {rule.n_panels} panels needs "
-                f"{rule.n_panels} samples, got {len(values)}"
-            )
-        return float(values.sum() * h)
-    if len(values) != rule.n_panels + 1:
-        raise ValueError(
-            f"trapezoid rule with {rule.n_panels} panels needs "
-            f"{rule.n_panels + 1} samples, got {len(values)}"
-        )
-    return float((values.sum() - 0.5 * (values[0] + values[-1])) * h)
 
 
 def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:

@@ -1,31 +1,37 @@
 """Closed-form propagators and exact few-projection boundary amplitudes.
 
-The central objects are the constrained Gaussian "chain" integrals
+With projections onto x > 0 at instants 0 < t_1 < ... < t_n <= t, the
+Wick-rotated boundary propagator is the free heat kernel times the
+probability that a Brownian bridge on [0, t], pinned to the origin at both
+ends, is positive at every t_i: in imaginary time each projection only
+restricts one Gaussian integration to the half-line.  That probability is
+the dimensionless envelope of the real-time amplitude; the analytic
+continuation touches nothing but the (m / 2 pi i t)^{1/2} prefactor, so no
+oscillatory quadrature is needed.
 
-    T_signs(e_1, ..., e_{n+1}) =
-        pi^{-n/2} (prod_i e_i)^{-1/2} *
-        int_C dy_1 ... dy_n exp(-y_1^2/e_1
-                                - sum_k (y_k - y_{k+1})^2 / e_{k+1}
-                                - y_n^2 / e_{n+1})
+The bridge values at the t_i are jointly Gaussian with correlations
 
-where the sign string C over {+, -, 0} restricts each intermediate point to
-the positive half-line, the negative half-line, or leaves it free.  These
-arise from Wick-rotating the time-sliced boundary propagator of a free
-particle whose position is projected onto x > 0 at the slice instants; the
-dimensionless envelope of the real-time amplitude is sqrt(t) * T.  Working
-in the Euclidean signature avoids oscillatory quadrature entirely, and the
-analytic continuation only touches the (m / 2 pi i t)^{1/2} prefactor.
+    rho_ij = sqrt(t_i (t - t_j) / (t_j (t - t_i))),    i < j,
 
-Closed forms are implemented for up to two constrained points (plus the
-three-equal-interval reconstruction); a brute-force tensor-product midpoint
-quadrature covers arbitrary strings of length <= 3 as an independent oracle.
+so the envelope is a Gaussian orthant probability.  For n <= 3 and sign
+pattern s (+1 for x > 0, -1 for x < 0 at each instant) it has the closed
+form (Sheppard 1899; Plackett 1954, Biometrika 41:351)
+
+    2^-n + sum_{i<j} s_i s_j asin(rho_ij) / (2^{n-1} pi).
+
+``bridge_orthant`` evaluates it, and the equally spaced envelopes, the
+half-value drop across a final projection and the time-averaged identity
+are all built on it.  The test suite checks it against brute-force
+quadrature of the constrained Gaussian chain integrals.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from .core import ROOT_INV_I, free_propagator
+from .core import free_propagator
 
 __all__ = [
     "restricted_propagator",
@@ -33,10 +39,7 @@ __all__ = [
     "restricted_propagator_boundary_derivative",
     "absorbing_envelope",
     "absorbing_boundary_propagator",
-    "chain_plus_plus",
-    "chain_plus_minus",
-    "chain_integral",
-    "reconstructed_triple_plus",
+    "bridge_orthant",
     "projected_envelope_exact",
     "projected_boundary_exact",
     "final_gap_ratio",
@@ -111,161 +114,51 @@ def absorbing_boundary_propagator(m: float, v0: float, t: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# chain integrals: closed forms
+# Brownian-bridge orthant: the envelope with up to three projections
 # ---------------------------------------------------------------------------
 
-def _check_intervals(intervals) -> np.ndarray:
-    iv = np.asarray(intervals, dtype=float)
-    if np.any(iv <= 0):
-        raise ValueError("all intervals must be positive")
-    return iv
+def bridge_orthant(times, t, signs=None) -> np.ndarray | float:
+    """Probability that a Brownian bridge on [0, t] has sign ``signs[i]``
+    (+1 or -1, all +1 by default) at every ``times[i]``, for up to three
+    instants 0 < t_1 < ... < t_n <= t.
 
-
-def chain_plus_plus(e1: float, e2: float, e3: float) -> float:
-    """Two constrained points, both positive:
-
-    [pi + 2 arctan(sqrt(e1 e3 / (e2 (e1+e2+e3))))] / (4 pi sqrt(e1+e2+e3)).
-
-    Symmetric under e1 <-> e3.
+    With all signs positive this is the boundary envelope after
+    projections at the t_i.  At t_n = t the last correlation vanishes and
+    the value is half the (n-1)-instant one: the coincidence right limit.
+    Array entries of ``times`` broadcast against each other and against
+    ``t``.
     """
-    e1, e2, e3 = _check_intervals((e1, e2, e3))
-    total = e1 + e2 + e3
-    arg = np.sqrt(e1 * e3 / (e2 * total))
-    return float((np.pi + 2 * np.arctan(arg)) / (4 * np.pi * np.sqrt(total)))
+    ts = [np.asarray(ti, dtype=float) for ti in times]
+    t = np.asarray(t, dtype=float)
+    n = len(ts)
+    if n > 3:
+        raise ValueError(f"closed-form orthant needs at most 3 instants, got {n}")
+    signs = (1,) * n if signs is None else tuple(signs)
+    if len(signs) != n:
+        raise ValueError(f"need one sign per instant, got {len(signs)} for {n}")
+    edges = [0.0, *ts]
+    if not (np.all(t > 0) and all(np.all(a < b) for a, b in zip(edges, edges[1:]))
+            and np.all(edges[-1] <= t)):
+        raise ValueError("bridge orthant needs 0 < t_1 < ... < t_n <= t")
+    value = np.full(np.broadcast(t, *ts).shape, 2.0**-n)
+    for i, j in combinations(range(n), 2):
+        rho = np.sqrt(ts[i] * (t - ts[j]) / (ts[j] * (t - ts[i])))
+        value += signs[i] * signs[j] * np.arcsin(rho) / (2.0 ** (n - 1) * np.pi)
+    return value if value.ndim else float(value)
 
-
-def chain_plus_minus(e1: float, e2: float, e3: float) -> float:
-    """Two constrained points of opposite sign; same form as the ++ case
-    with pi - 2 arctan(...).  Together they satisfy
-    chain_plus_plus + chain_plus_minus = 1 / (2 sqrt(e1+e2+e3))."""
-    e1, e2, e3 = _check_intervals((e1, e2, e3))
-    total = e1 + e2 + e3
-    arg = np.sqrt(e1 * e3 / (e2 * total))
-    return float((np.pi - 2 * np.arctan(arg)) / (4 * np.pi * np.sqrt(total)))
-
-
-def reconstructed_triple_plus(eps: float) -> float:
-    """T_{+++} at equal intervals, reconstructed from the length-2 closed
-    forms through the marginalisation and reflection identities:
-
-        2 T_{+++} = T_{+0+} + T_{++0} - T_{0+-}
-
-    where each right-hand object reduces to a length-2 chain once the free
-    middle integral is carried out.  Equals 1 / (4 sqrt(4 eps)).
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    t_p0p = chain_plus_plus(eps, 2 * eps, eps)
-    t_pp0 = chain_plus_plus(eps, eps, 2 * eps)
-    t_0pm = chain_plus_minus(2 * eps, eps, eps)
-    return 0.5 * (t_p0p + t_pp0 - t_0pm)
-
-
-# ---------------------------------------------------------------------------
-# chain integrals: brute-force quadrature oracle (n <= 3)
-# ---------------------------------------------------------------------------
-
-def chain_integral(
-    signs: str,
-    intervals,
-    panels: int | None = None,
-    span: float = 10.0,
-    refine: bool = False,
-) -> float:
-    """Brute-force tensor-product midpoint quadrature of T_signs.
-
-    The integration box extends ``span * sqrt(max(intervals))`` along every
-    constrained axis, where the Gaussian mass is far below the quadrature
-    error.  ``panels`` defaults to 2048 per axis for n <= 2 and 256 for
-    n = 3.  With ``refine=True`` the rule is re-run at doubled resolution
-    and Richardson-extrapolated in the step size (the composite midpoint
-    error is quadratic), which is required to reach ~1e-9 in three
-    dimensions where 256 panels alone leave ~1e-5.
-    """
-    n = len(signs)
-    if n < 1 or n > 3:
-        raise ValueError("brute-force chain integral supports 1 <= n <= 3")
-    if any(s not in "+-0" for s in signs):
-        raise ValueError(f"sign string may contain only '+', '-', '0': {signs!r}")
-    iv = _check_intervals(intervals)
-    if len(iv) != n + 1:
-        raise ValueError(f"need {n + 1} intervals for {n} constrained points")
-    if panels is None:
-        panels = 2048 if n <= 2 else 256
-    if refine:
-        coarse = chain_integral(signs, iv, panels=panels, span=span)
-        fine = chain_integral(signs, iv, panels=2 * panels, span=span)
-        return (4.0 * fine - coarse) / 3.0
-
-    half = span * float(np.sqrt(iv.max()))
-    h = half / panels
-    pos = (np.arange(panels) + 0.5) * h
-    axes = []
-    for s in signs:
-        if s == "+":
-            axes.append(pos)
-        elif s == "-":
-            axes.append(-pos)
-        else:
-            axes.append(np.concatenate([-pos[::-1], pos]))
-    norm = np.pi ** (-n / 2.0) / np.sqrt(np.prod(iv))
-
-    if n == 1:
-        y1 = axes[0]
-        total = np.exp(-y1**2 / iv[0] - y1**2 / iv[1]).sum()
-        return float(norm * total * h)
-    if n == 2:
-        y1 = axes[0][:, None]
-        y2 = axes[1][None, :]
-        total = np.exp(
-            -y1**2 / iv[0] - (y1 - y2) ** 2 / iv[1] - y2**2 / iv[2]
-        ).sum()
-        return float(norm * total * h * h)
-    # n == 3: loop the outer axis to bound memory
-    y2 = axes[1][:, None]
-    y3 = axes[2][None, :]
-    inner = np.exp(-(y2 - y3) ** 2 / iv[2] - y3**2 / iv[3])
-    total = 0.0
-    for y1 in axes[0]:
-        outer = np.exp(-y1**2 / iv[0] - (y1 - y2) ** 2 / iv[1])
-        total += float((outer * inner).sum())
-    return float(norm * total * h**3)
-
-
-# ---------------------------------------------------------------------------
-# exact boundary envelopes for 0..3 projections
-# ---------------------------------------------------------------------------
 
 def projected_envelope_exact(eps: float, t: float, n_proj: int) -> float:
-    """Dimensionless boundary envelope for n_proj in {0, 1, 2, 3} equally
-    spaced projections (first gap = interior gap = eps).
-
-    Valid domains (the value at the right endpoint is the left limit):
-
-    * n_proj = 0: 0 < t <= eps        -> 1
-    * n_proj = 1: eps <= t <= 2 eps   -> 1/2
-    * n_proj = 2: 2 eps <= t <= 3 eps -> (1/4)(1 + (2/pi) arctan sqrt((t-2eps)/t))
-    * n_proj = 3: t = 4 eps only      -> 1/4
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if n_proj == 0:
-        if not 0 < t <= eps:
-            raise ValueError(f"no-projection envelope needs 0 < t <= eps, got t={t}")
-        return 1.0
-    if n_proj == 1:
-        if not eps <= t <= 2 * eps:
-            raise ValueError(f"one-projection envelope needs eps <= t <= 2 eps, got t={t}")
-        return 0.5
-    if n_proj == 2:
-        if not 2 * eps <= t <= 3 * eps:
-            raise ValueError(f"two-projection envelope needs 2 eps <= t <= 3 eps, got t={t}")
-        return float(0.25 * (1 + (2 / np.pi) * np.arctan(np.sqrt((t - 2 * eps) / t))))
-    if n_proj == 3:
-        if not np.isclose(t, 4 * eps):
-            raise ValueError("three-projection value is available only at t = 4 eps")
-        return 0.25
-    raise ValueError(f"closed forms exist for 0 <= n_proj <= 3, got {n_proj}")
+    """Dimensionless boundary envelope after n_proj in {0, 1, 2, 3} equally
+    spaced projections at eps, 2 eps, ..., valid on n_proj eps <= t <=
+    (n_proj + 1) eps (t > 0); the value at the right endpoint is the left
+    limit of the next drop.  Cases: 1, then 1/2, then
+    (1/4)(1 + (2/pi) arctan sqrt((t - 2 eps)/t)), peaking at 1/3."""
+    if not (0 <= n_proj <= 3 and t > 0 and n_proj * eps <= t <= (n_proj + 1) * eps):
+        raise ValueError(
+            f"closed forms need 0 <= n_proj <= 3 and n_proj eps <= t <= (n_proj+1) eps "
+            f"with t > 0, got eps={eps}, n_proj={n_proj}, t={t}"
+        )
+    return bridge_orthant(eps * np.arange(1, n_proj + 1), t)
 
 
 def projected_boundary_exact(m: float, eps: float, t: float, n_proj: int) -> complex:
@@ -279,29 +172,20 @@ def projected_boundary_exact(m: float, eps: float, t: float, n_proj: int) -> com
 # ---------------------------------------------------------------------------
 
 def final_gap_ratio(eps: float, n_proj: int, gap: float) -> float:
-    """Envelope ratio with/without the last of n_proj projections, both
-    evolved a further time ``gap`` after the final projection instant.
+    """Envelope ratio with/without the last of n_proj in {1, 2, 3}
+    projections, both evolved a further time ``gap`` after the final
+    projection instant.
 
     As gap -> 0 the ratio tends to 1/2: the final projection removes exactly
-    half of the boundary amplitude in the coincidence limit.  Closed forms
-    cover n_proj in {1, 2}; n_proj = 3 falls back to the quadrature oracle.
+    half of the boundary amplitude in the coincidence limit.
     """
     if not eps > 0 or not gap > 0:
         raise ValueError("eps and gap must be positive")
+    if n_proj not in (1, 2, 3):
+        raise ValueError("final-gap ratio implemented for n_proj in {1, 2, 3}")
+    times = eps * np.arange(1, n_proj + 1)
     total = n_proj * eps + gap
-    if n_proj == 1:
-        # with: sqrt(T) T_+(eps, gap) = 1/2;  without: free evolution = 1
-        return 0.5
-    if n_proj == 2:
-        with_env = np.sqrt(total) * chain_plus_plus(eps, eps, gap)
-        return float(2.0 * with_env)  # without-envelope is exactly 1/2
-    if n_proj == 3:
-        with_env = np.sqrt(total) * chain_integral(
-            "+++", (eps, eps, eps, gap), refine=True
-        )
-        without_env = np.sqrt(total) * chain_plus_plus(eps, eps, eps + gap)
-        return float(with_env / without_env)
-    raise ValueError("final-gap ratio implemented for n_proj in {1, 2, 3}")
+    return bridge_orthant(times, total) / bridge_orthant(times[:-1], total)
 
 
 def half_value_ratio(eps: float, n_proj: int, n_halvings: int = 8) -> tuple[np.ndarray, float]:
@@ -328,11 +212,12 @@ def time_averaged_envelope(n: int, tau: float, panels: int = 1024) -> float:
     projection times in [0, tau]:
 
         (n!/tau^n) int_0^tau dt_n ... int_0^{t_2} dt_1
-            sqrt(tau) T_{+...+}(t_1, t_2 - t_1, ..., tau - t_n)
+            bridge_orthant((t_1, ..., t_n), tau)
 
     which equals 1/(n+1) exactly.  n = 1 is pointwise constant (each single
     projection contributes exactly one half by reflection symmetry); n = 2
-    is evaluated by nested midpoint quadrature of the closed form.
+    is evaluated by nested midpoint quadrature of the closed form, one row
+    of inner nodes at a time.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -342,15 +227,10 @@ def time_averaged_envelope(n: int, tau: float, panels: int = 1024) -> float:
     if n != 2:
         raise ValueError("time-averaged envelope implemented for n in {1, 2}")
     h = tau / panels
-    t2 = (np.arange(panels) + 0.5) * h
     total = 0.0
-    for t in t2:
+    for t in (np.arange(panels) + 0.5) * h:
         h1 = t / panels
-        t1 = (np.arange(panels) + 0.5) * h1
-        s = tau
-        arg = np.sqrt(t1 * (tau - t) / ((t - t1) * s))
-        vals = np.sqrt(tau) * (np.pi + 2 * np.arctan(arg)) / (4 * np.pi * np.sqrt(s))
-        total += vals.sum() * h1
+        total += bridge_orthant(((np.arange(panels) + 0.5) * h1, t), tau).sum() * h1
     return float(2.0 / tau**2 * total * h)
 
 

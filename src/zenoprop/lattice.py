@@ -29,7 +29,6 @@ O(eta) term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .core import NumericalFailure
 __all__ = [
     "LatticeConfig",
     "constrained_walk_probability",
-    "brute_force_walk_probability",
-    "unconstrained_return_probability",
-    "catalan_number",
     "LatticeSweep",
     "continuum_peak_estimate",
 ]
@@ -102,37 +98,6 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
             else:
                 v[:center] = 0.0
     return float(v[center])
-
-
-def brute_force_walk_probability(cfg: LatticeConfig) -> float:
-    """Enumerate all 2**n_steps walks (n_steps <= 20)."""
-    n = cfg.n_steps
-    if n > 20:
-        raise ValueError("brute force capped at 20 steps")
-    codes = np.arange(2**n, dtype=np.uint32)
-    steps = np.where(
-        (codes[:, None] >> np.arange(n)[None, :]) & 1, 1, -1
-    ).astype(np.int32)
-    pos = np.cumsum(steps, axis=1)
-    ok = pos[:, -1] == 0
-    for step in range(cfg.steps_per_projection, n, cfg.steps_per_projection):
-        if cfg.boundary == "strict":
-            ok &= pos[:, step - 1] > 0
-        else:
-            ok &= pos[:, step - 1] >= 0
-    return float(ok.sum()) / 2.0**n
-
-
-def unconstrained_return_probability(n_steps: int) -> float:
-    """C(2k, k) / 4**k for n_steps = 2k (zero for odd step counts)."""
-    if n_steps % 2:
-        return 0.0
-    k = n_steps // 2
-    return comb(2 * k, k) / 4.0**k
-
-
-def catalan_number(k: int) -> int:
-    return comb(2 * k, k) // (k + 1)
 
 
 @dataclass

@@ -104,6 +104,8 @@ def default_grid(
     """Grid spanning q_trunc thermal widths of the total duration with
     spacing ``spacing_scale * sqrt(eps/m)``; at the defaults the Gaussian
     tails beyond x_max are below 1e-20."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     tau_total = (n_max + 1) * eps
     h = spacing_scale * np.sqrt(eps / m)
     x_max = q_trunc * np.sqrt(tau_total / m)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import spearman_rho
+from oracles import brute_force_walk_probability, chain_integral, spearman_rho
 from zenoprop import exact, lattice, recursion, sawtooth, wavepacket
 
 
@@ -60,16 +60,16 @@ class TestCriterion2:
         brute-force quadrature oracle: 1e-10 and 1e-6, under 60 seconds."""
         start = time.monotonic()
         eps = 1.0
-        pp = exact.chain_plus_plus(eps, eps, eps)
-        pm = exact.chain_plus_minus(eps, eps, eps)
-        ppp = exact.reconstructed_triple_plus(eps)
+        pp = exact.bridge_orthant((eps, 2 * eps), 3 * eps) / np.sqrt(3 * eps)
+        pm = exact.bridge_orthant((eps, 2 * eps), 3 * eps, (1, -1)) / np.sqrt(3 * eps)
+        ppp = exact.bridge_orthant((eps, 2 * eps, 3 * eps), 4 * eps) / np.sqrt(4 * eps)
         assert abs(pp - 1 / (3 * np.sqrt(3 * eps))) < 1e-10
         assert abs(pm - 1 / (6 * np.sqrt(3 * eps))) < 1e-10
         assert abs(ppp - 1 / (4 * np.sqrt(4 * eps))) < 1e-10
 
-        oracle_pp = exact.chain_integral("++", (eps, eps, eps))
-        oracle_pm = exact.chain_integral("+-", (eps, eps, eps))
-        oracle_ppp = exact.chain_integral("+++", (eps,) * 4, refine=True)
+        oracle_pp = chain_integral("++", (eps, eps, eps))
+        oracle_pm = chain_integral("+-", (eps, eps, eps))
+        oracle_ppp = chain_integral("+++", (eps,) * 4, refine=True)
         assert abs(pp - oracle_pp) < 1e-6
         assert abs(pm - oracle_pm) < 1e-6
         assert abs(ppp - oracle_ppp) < 1e-6
@@ -162,12 +162,12 @@ class TestCriterion5:
         two = lattice.LatticeConfig(2, 1, 1.0, 1.0)
         assert lattice.constrained_walk_probability(two) == 0.25
         assert lattice.constrained_walk_probability(two) == (
-            lattice.brute_force_walk_probability(two)
+            brute_force_walk_probability(two)
         )
         for n_steps, r in [(8, 1), (12, 2), (16, 4)]:
             c = lattice.LatticeConfig(n_steps, r, 1.0, 1.0)
             assert lattice.constrained_walk_probability(c) == (
-                lattice.brute_force_walk_probability(c)
+                brute_force_walk_probability(c)
             )
         report(5, f"lattice continuum limit (extrapolated {sweep.extrapolated:.4f})")
 

@@ -147,8 +147,12 @@ class TestConfigPrecedence:
 
     def test_env_var_override(self, runner, tmp_path):
         out = tmp_path / "fv.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 3.0}))
+        # the environment sits above the config file
         res = runner.invoke(
-            main, ["fv", "--out", str(out)], env={"ZENOPROP_FV_EPS": "2.0"}
+            main, ["fv", "--out", str(out), "--config", str(cfg)],
+            env={"ZENOPROP_FV_EPS": "2.0"},
         )
         assert res.exit_code == 0
         _, rows = read_rows(out)
@@ -161,6 +165,57 @@ class TestConfigPrecedence:
             main, ["fv", "--out", str(tmp_path / "x.csv"), "--config", str(cfg)]
         )
         assert res.exit_code == 2
+
+
+    def test_config_values_pass_through_option_types(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": "abc"}))
+        out = tmp_path / "fv.json"
+        res = runner.invoke(main, ["fv", "--out", str(out), "--config", str(cfg)])
+        assert res.exit_code == 2
+        cfg.write_text(json.dumps({"eps": 2}))
+        res = runner.invoke(main, ["fv", "--out", str(out), "--format", "json",
+                                   "--config", str(cfg)])
+        assert res.exit_code == 0, result_output(res)
+        eps = json.loads(out.read_text())["meta"]["params"]["eps"]
+        assert isinstance(eps, float) and eps == 2.0
+
+    def test_flag_and_parameter_name_keys(self, runner, tmp_path):
+        args = {"grid-points": 2001, "samples-per-interval": 2}
+        outputs = []
+        for keys in ({"format": "json", "n-max": 1}, {"fmt": "json", "n_max": 1}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**keys, **args}))
+            out = tmp_path / f"fp{len(outputs)}.json"
+            res = runner.invoke(main, ["fp", "--out", str(out), "--config", str(cfg)])
+            assert res.exit_code == 0, result_output(res)
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["meta"]["params"]["n_max"] == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["fv", "--eps", "nan"],
+        ["fv", "--v0", "nan"],
+        ["exact", "--eps", "inf"],
+        ["pdx", "--p-sigma", "nan"],
+    ])
+    def test_non_finite_inputs(self, runner, tmp_path, args):
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "is not a finite positive number" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["lattice", "--tau", "3.5"],
+        ["compare", "--samples-per-interval", "1", "--grid-points", "2001"],
+        ["fp", "--samples-per-interval", "1", "--grid-points", "2001"],
+    ])
+    def test_library_value_errors(self, runner, tmp_path, args):
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
 
 
 class TestCompare:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import QuadratureRule, integrate, quadrature_nodes
 from zenoprop.core import (
     BoundaryCurve,
     Grid1D,
-    QuadratureRule,
     ROOT_INV_I,
     free_propagator,
     half_power_weights,
     heat_kernel,
-    integrate,
-    quadrature_nodes,
 )
 
 

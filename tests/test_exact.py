@@ -1,20 +1,22 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import chain_integral
 from zenoprop.core import free_propagator
 from zenoprop.exact import (
     absorbing_boundary_propagator,
     absorbing_envelope,
-    chain_integral,
-    chain_plus_minus,
-    chain_plus_plus,
+    bridge_orthant,
     final_gap_ratio,
     free_propagator_boundary_derivative,
     half_value_ratio,
     projected_boundary_exact,
     projected_envelope_exact,
-    reconstructed_triple_plus,
     restricted_propagator,
     restricted_propagator_boundary_derivative,
     time_averaged_envelope,
@@ -116,13 +118,24 @@ class TestAbsorbingBoundary:
             absorbing_envelope(1.0, -1.0)
 
 
+def chain(signs: str, intervals) -> float:
+    """T_signs in closed form: the bridge orthant over the constrained
+    instants (a '0' leaves its instant free), divided by sqrt(total)."""
+    times = np.cumsum(intervals[:-1])
+    total = float(np.sum(intervals))
+    kept = [i for i, sign in enumerate(signs) if sign != "0"]
+    return bridge_orthant(
+        times[kept], total, [1 if signs[i] == "+" else -1 for i in kept]
+    ) / np.sqrt(total)
+
+
 class TestChainClosedForms:
     def test_equal_interval_values(self):
         eps = 1.7
-        assert chain_plus_plus(eps, eps, eps) == pytest.approx(
+        assert chain("++", (eps, eps, eps)) == pytest.approx(
             1 / (3 * np.sqrt(3 * eps)), rel=1e-14
         )
-        assert chain_plus_minus(eps, eps, eps) == pytest.approx(
+        assert chain("+-", (eps, eps, eps)) == pytest.approx(
             1 / (6 * np.sqrt(3 * eps)), rel=1e-14
         )
 
@@ -130,8 +143,8 @@ class TestChainClosedForms:
         rng = np.random.default_rng(5)
         for _ in range(30):
             e1, e2, e3 = rng.uniform(0.2, 3.0, 3)
-            assert chain_plus_plus(e1, e2, e3) == pytest.approx(
-                chain_plus_plus(e3, e2, e1), rel=1e-14
+            assert chain("++", (e1, e2, e3)) == pytest.approx(
+                chain("++", (e3, e2, e1)), rel=1e-14
             )
 
     def test_marginalisation_sum(self):
@@ -140,33 +153,104 @@ class TestChainClosedForms:
         for _ in range(30):
             e = rng.uniform(0.2, 3.0, 3)
             total = e.sum()
-            got = chain_plus_plus(*e) + chain_plus_minus(*e)
+            got = chain("++", e) + chain("+-", e)
             assert got == pytest.approx(1 / (2 * np.sqrt(total)), abs=1e-10)
-        assert chain_plus_plus(1, 2, 3) + chain_plus_minus(1, 2, 3) == pytest.approx(
+        assert chain("++", (1, 2, 3)) + chain("+-", (1, 2, 3)) == pytest.approx(
             1 / (2 * np.sqrt(6)), rel=1e-13
         )
 
     def test_wide_middle_decoupling(self):
         # e2 -> inf: the two half-line integrals decouple to 1/(4 sqrt(e2))
         big = 1e8
-        assert chain_plus_plus(1.0, big, 1.0) == pytest.approx(
+        assert chain("++", (1.0, big, 1.0)) == pytest.approx(
             1 / (4 * np.sqrt(big)), rel=1e-6
         )
         # quadrature oracle confirms the closed form on the way out
         mid = 25.0
         assert chain_integral("++", (1.0, mid, 1.0)) == pytest.approx(
-            chain_plus_plus(1.0, mid, 1.0), abs=1e-6
+            chain("++", (1.0, mid, 1.0)), abs=1e-6
         )
 
     def test_reconstructed_triple(self):
+        # Sheppard's n = 3 form against n = 2 through the marginalisation and
+        # reflection identity 2 T_+++ = T_+0+ + T_++0 - T_0+-
         for eps in (0.5, 1.0, 2.3):
-            assert reconstructed_triple_plus(eps) == pytest.approx(
-                1 / (4 * np.sqrt(4 * eps)), abs=1e-12
+            e = (eps,) * 4
+            ppp = chain("+++", e)
+            assert 2 * ppp == pytest.approx(
+                chain("+0+", e) + chain("++0", e) - chain("0+-", e), abs=1e-14
             )
+            assert ppp == pytest.approx(1 / (4 * np.sqrt(4 * eps)), abs=1e-12)
 
     def test_rejects_nonpositive_intervals(self):
         with pytest.raises(ValueError):
-            chain_plus_plus(1.0, 0.0, 1.0)
+            chain("++", (1.0, 0.0, 1.0))
+        for times, t in [((0.0, 1.0), 2.0), ((1.0, 3.0), 2.0), ((), 0.0)]:
+            with pytest.raises(ValueError):
+                bridge_orthant(times, t)
+        with pytest.raises(ValueError):
+            bridge_orthant((1.0, 2.0, 3.0, 4.0), 5.0)
+        with pytest.raises(ValueError):
+            bridge_orthant((1.0, 2.0), 3.0, (1,))
+
+    def test_coincidence_right_limit(self):
+        # a last instant at t halves the envelope without it
+        assert bridge_orthant((1.0,), 1.0) == 0.5
+        assert bridge_orthant((1.0, 2.0), 2.0) == pytest.approx(0.25, abs=1e-16)
+        assert bridge_orthant((1.0, 2.0, 3.0), 3.0) == pytest.approx(1 / 6, abs=1e-16)
+
+    def test_broadcasting(self):
+        t1 = np.linspace(0.1, 0.9, 5)
+        t = np.array([[1.5], [2.5]])
+        got = bridge_orthant((t1, 1.0), t, (1, -1))
+        assert got.shape == (2, 5)
+        for (i, j), value in np.ndenumerate(got):
+            assert value == bridge_orthant((t1[j], 1.0), t[i, 0], (1, -1))
+        assert bridge_orthant((), np.ones(3)).tolist() == [1.0, 1.0, 1.0]
+
+
+ordered_instants = st.lists(
+    st.floats(0.01, 10.0, allow_nan=False), min_size=2, max_size=4
+).map(lambda gaps: (np.cumsum(gaps[:-1]), float(np.sum(gaps))))
+
+
+class TestBridgeOrthantProperties:
+    """Gaussian-orthant identities over random ordered instants, n <= 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_instants)
+    def test_sign_strings_sum_to_one(self, instants):
+        times, t = instants
+        total = sum(bridge_orthant(times, t, s) for s in product((1, -1), repeat=len(times)))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_instants, st.data())
+    def test_global_sign_flip(self, instants, data):
+        times, t = instants
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(times),
+                                   max_size=len(times)))
+        assert bridge_orthant(times, t, signs) == bridge_orthant(times, t, [-s for s in signs])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_instants, st.data())
+    def test_time_reversal(self, instants, data):
+        times, t = instants
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(times),
+                                   max_size=len(times)))
+        reversed_value = bridge_orthant(t - times[::-1], t, signs[::-1])
+        assert bridge_orthant(times, t, signs) == pytest.approx(reversed_value, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_instants, st.data())
+    def test_marginalising_one_instant(self, instants, data):
+        times, t = instants
+        n = len(times)
+        k = data.draw(st.integers(0, n - 1))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        both = sum(bridge_orthant(times, t, signs[:k] + [s] + signs[k + 1:]) for s in (1, -1))
+        without = bridge_orthant(np.delete(times, k), t, signs[:k] + signs[k + 1:])
+        assert both == pytest.approx(without, abs=1e-12)
 
 
 class TestChainBruteForce:
@@ -177,7 +261,14 @@ class TestChainBruteForce:
 
     def test_matches_closed_form_pp(self):
         got = chain_integral("++", (1.0, 1.0, 1.0))
-        assert got == pytest.approx(chain_plus_plus(1, 1, 1), abs=1e-6)
+        assert got == pytest.approx(chain("++", (1, 1, 1)), abs=1e-6)
+
+    def test_matches_closed_form_mixed_triple(self):
+        # unequal intervals and mixed signs: Sheppard's n = 3 form
+        e = (0.7, 1.3, 0.4, 0.9)
+        assert chain_integral("+-+", e, refine=True) == pytest.approx(
+            chain("+-+", e), abs=1e-7
+        )
 
     def test_matches_closed_form_pm_unequal(self):
         # frozen from the arctan closed form
@@ -187,7 +278,7 @@ class TestChainBruteForce:
     def test_middle_marginal_equals_merged(self):
         # "0" in the middle merges the adjacent intervals
         got = chain_integral("+0+", (1.0, 1.0, 1.0, 1.0), panels=256, refine=True)
-        assert got == pytest.approx(chain_plus_plus(1.0, 2.0, 1.0), abs=2e-6)
+        assert got == pytest.approx(chain("++", (1.0, 2.0, 1.0)), abs=2e-6)
 
     def test_equal_time_unequal_probe(self):
         got = chain_integral("++", (1.0, 2.0, 1.0))
@@ -235,12 +326,18 @@ class TestExactEnvelopes:
         assert projected_envelope_exact(eps, 3.0, 2) == pytest.approx(1 / 3, rel=1e-14)
         assert projected_envelope_exact(eps, 2.0, 2) == pytest.approx(0.25, rel=1e-14)
         assert projected_envelope_exact(eps, 4.0, 3) == 0.25
+        # three projections cover all of [3 eps, 4 eps]: 1/6 just after the drop
+        assert projected_envelope_exact(eps, 3.0, 3) == pytest.approx(1 / 6, rel=1e-14)
+        assert 1 / 6 < projected_envelope_exact(eps, 3.5, 3) < 0.25
 
     def test_matches_chain_language(self):
-        # two projections at 2 eps <= t < 3 eps equal sqrt(t) T_++(eps, eps, t-2eps)
+        # two projections at 2 eps <= t < 3 eps equal sqrt(t) T_++(eps, eps, t-2eps),
+        # whose arctan form is (1/4)(1 + (2/pi) arctan sqrt((t - 2 eps)/t))
         eps, t = 1.0, 2.6
-        want = np.sqrt(t) * chain_plus_plus(eps, eps, t - 2 * eps)
-        assert projected_envelope_exact(eps, t, 2) == pytest.approx(want, rel=1e-13)
+        arctan_form = 0.25 * (1 + (2 / np.pi) * np.arctan(np.sqrt((t - 2 * eps) / t)))
+        assert projected_envelope_exact(eps, t, 2) == pytest.approx(arctan_form, rel=1e-13)
+        oracle = np.sqrt(t) * chain_integral("++", (eps, eps, t - 2 * eps))
+        assert projected_envelope_exact(eps, t, 2) == pytest.approx(oracle, abs=1e-6)
 
     def test_full_amplitude(self):
         got = projected_boundary_exact(1.0, 1.0, 3.0, 2)
@@ -251,9 +348,13 @@ class TestExactEnvelopes:
         with pytest.raises(ValueError):
             projected_envelope_exact(1.0, 2.5, 1)
         with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 3.5, 3)
+            projected_envelope_exact(1.0, 4.5, 3)
         with pytest.raises(ValueError):
             projected_envelope_exact(1.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            projected_envelope_exact(1.0, 4.5, 4)
+        with pytest.raises(ValueError):
+            projected_envelope_exact(1.0, 0.5, -1)
 
 
 class TestHalfValueDrop:
@@ -263,12 +364,19 @@ class TestHalfValueDrop:
             assert final_gap_ratio(1.0, 1, gap) == 0.5
 
     def test_two_projection_sweep_extrapolates_to_half(self):
-        ratios, limit = half_value_ratio(1.0, 2)
-        assert np.all(np.diff(ratios) < 0)  # monotone approach from above
-        assert limit == pytest.approx(0.5, abs=1e-3)
+        for n_proj in (2, 3):
+            ratios, limit = half_value_ratio(1.0, n_proj)
+            assert np.all(np.diff(ratios) < 0)  # monotone approach from above
+            assert limit == pytest.approx(0.5, abs=1e-3)
 
     def test_three_projection_ratio_approaches_half(self):
-        assert final_gap_ratio(1.0, 3, 1.0 / 64) == pytest.approx(0.5, abs=0.04)
+        gap = 1.0 / 64
+        got = final_gap_ratio(1.0, 3, gap)
+        assert got == pytest.approx(0.5, abs=0.04)
+        oracle = chain_integral("+++", (1.0, 1.0, 1.0, gap), refine=True) / chain_integral(
+            "++", (1.0, 1.0, 1.0 + gap)
+        )
+        assert got == pytest.approx(oracle, abs=1e-5)
 
     def test_case_table_drops(self):
         # analytic drops across projections: 1 -> 1/2 and 1/3 -> 1/6

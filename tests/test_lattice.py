@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_walk_probability, catalan_number, unconstrained_return_probability
 from zenoprop.core import NumericalFailure, heat_kernel
-from zenoprop.lattice import (
-    LatticeConfig,
-    brute_force_walk_probability,
-    catalan_number,
-    constrained_walk_probability,
-    continuum_peak_estimate,
-    unconstrained_return_probability,
-)
+from zenoprop.lattice import LatticeConfig, constrained_walk_probability, continuum_peak_estimate
 
 
 def cfg(n_steps, r, boundary="strict"):

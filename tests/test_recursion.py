@@ -155,6 +155,16 @@ class TestRunRecursion:
                 continue
             assert v == pytest.approx(want, abs=1e-4), (t, side)
 
+    def test_three_projection_segment(self):
+        # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
+        # (the error falls 4x per halving of the spacing; 7.5e-7 at small_cfg's)
+        cfg = default_config(n_max=3)
+        curve = run_recursion(cfg)
+        sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
+        assert sel.sum() == cfg.samples_per_interval
+        for t, v in zip(curve.times[sel], curve.values[sel]):
+            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-7), t
+
     def test_row_structure(self, small_cfg):
         curve = run_recursion(small_cfg)
         spi, n_max = small_cfg.samples_per_interval, small_cfg.n_max

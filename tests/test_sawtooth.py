@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zenoprop.core import NumericalFailure, QuadratureRule, integrate, quadrature_nodes
+from oracles import QuadratureRule, integrate, quadrature_nodes
+from zenoprop.core import NumericalFailure
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import (
     ProjectionSchedule,
