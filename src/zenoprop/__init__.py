@@ -45,12 +45,9 @@ from .recursion import (
     run_recursion,
 )
 from .sawtooth import (
-    ProjectionSchedule,
     calibrate_absorption,
-    default_schedule,
     oscillation_ratio,
     peak_value,
-    sample_model_curves,
     sawtooth_envelope,
     trough_value,
 )

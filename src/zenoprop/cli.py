@@ -158,8 +158,7 @@ def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
         grid = recursion.Grid1D(0.0, cfg.grid.x_max, grid_points)
         cfg = recursion.RecursionConfig(m, eps, n_max, grid, samples_per_interval)
     curve = recursion.run_recursion(cfg)
-    schedule = sawtooth.ProjectionSchedule(eps0=eps, eps=eps, eps_n=eps, n=n_max)
-    model = np.atleast_1d(sawtooth.sawtooth_envelope(schedule, curve.times))
+    model = np.atleast_1d(sawtooth.sawtooth_envelope(eps, curve.times))
     # model is right-continuous; report the peak branch on '-' rows
     minus = curve.sides == "-"
     if minus.any():
@@ -226,8 +225,6 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
               help="Number of refinement levels (quadrupling).")
 def lattice_cmd(m, eps, v0, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
-    if levels < 1:
-        raise click.UsageError("--levels must be >= 1")
     level_list = tuple(4**j for j in range(1, levels + 1))
 
     def build():

@@ -32,14 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalFailure
-
 __all__ = [
     "LatticeConfig",
     "constrained_walk_probability",
     "LatticeSweep",
     "continuum_peak_estimate",
 ]
+
+
+# Longest walk a refinement sweep may run.  The DP makes about 2 n^2 site
+# updates for n steps; 32,768 steps, the finest walk the benchmark runs,
+# take about 14 s on a 2-vCPU VM, so the cap holds a sweep to about a minute.
+MAX_WALK_STEPS = 65_536
 
 
 @dataclass(frozen=True)
@@ -125,19 +129,27 @@ def continuum_peak_estimate(
 
     at each level, and removes the O(eta) and O(eta^2) errors by two
     Richardson stages.  The extrapolated ratio is 1 to a few parts in 1e3
-    at the default levels.
+    at the default levels.  Fewer than three levels, levels that do not
+    quadruple, and a finest walk of more than ``MAX_WALK_STEPS`` steps are
+    rejected with ``ValueError``.
     """
     if not tau > 0 or not eps > 0:
         raise ValueError("tau and eps must be positive")
-    n_intervals = tau / eps
-    if abs(n_intervals - round(n_intervals)) > 1e-9:
-        raise ValueError("tau must be an integer multiple of eps")
-    n_intervals = int(round(n_intervals))
     if len(levels) < 3:
-        raise NumericalFailure("refinement sweep too short to extrapolate")
+        raise ValueError("refinement sweep needs at least three levels to extrapolate")
     for a, b in zip(levels, levels[1:]):
         if b != 4 * a:
             raise ValueError("levels must quadruple so that eta halves")
+    n_intervals = tau / eps
+    # the first test keeps a huge level from overflowing the float product
+    if levels[-1] > MAX_WALK_STEPS or not n_intervals * levels[-1] <= MAX_WALK_STEPS:
+        raise ValueError(
+            f"finest walk too long: tau/eps = {n_intervals:.6g} intervals at levels "
+            f"{levels[0]}..{levels[-1]} steps per interval exceed {MAX_WALK_STEPS} steps"
+        )
+    if abs(n_intervals - round(n_intervals)) > 1e-9:
+        raise ValueError("tau must be an integer multiple of eps")
+    n_intervals = int(round(n_intervals))
 
     target = np.sqrt(m / (2 * np.pi * tau)) * (eps / tau)
     etas, ratios = [], []

@@ -1,10 +1,9 @@
 """Piecewise-linear saw-tooth model of the pulsed-measurement boundary envelope.
 
-With projections applied at ``eps0, eps0 + eps, eps0 + 2 eps, ...`` the
-boundary envelope drops by exactly a factor of two at every projection and
-recovers linearly in between.  Writing ``t_k = eps0 + k * eps`` for the drop
-instants (k = 0, 1, 2, ...; ``t_0 = eps0`` is the first projection), the
-model is
+With projections every ``eps`` (at eps, 2 eps, 3 eps, ...) the boundary
+envelope drops by exactly a factor of two at every projection and recovers
+linearly in between.  Writing ``t_k = (k + 1) eps`` for the drop instants
+(k = 0, 1, 2, ...), the model is
 
     f(t) = 1                                       on [0, t_0)
     f(t) = (t - t_{k-1}) / ((k+1) eps)
@@ -23,65 +22,17 @@ between peaks and troughs at large k fixes the absorption strength at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import BoundaryCurve, NumericalFailure
-from .exact import absorbing_envelope
+from .core import NumericalFailure
 
 __all__ = [
-    "ProjectionSchedule",
     "sawtooth_envelope",
     "peak_value",
     "trough_value",
-    "drop_time",
     "oscillation_ratio",
     "calibrate_absorption",
-    "sample_model_curves",
 ]
-
-
-@dataclass(frozen=True)
-class ProjectionSchedule:
-    """Projection timing: first gap ``eps0``, interior gap ``eps``, final gap
-    ``eps_n``, and the number of projections ``n``.
-
-    For n >= 1 the total time is ``(n - 1) eps + eps0 + eps_n`` and the
-    projections act at ``eps0 + (j - 1) eps`` for j = 1..n.
-    """
-
-    eps0: float
-    eps: float
-    eps_n: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.eps0 <= 0 or self.eps <= 0 or self.eps_n <= 0:
-            raise ValueError("all gaps must be positive")
-        if self.n < 0:
-            raise ValueError("projection count must be >= 0")
-
-    @property
-    def total_time(self) -> float:
-        if self.n == 0:
-            return self.eps_n
-        return (self.n - 1) * self.eps + self.eps0 + self.eps_n
-
-    def projection_times(self) -> np.ndarray:
-        return self.eps0 + self.eps * np.arange(self.n)
-
-
-def default_schedule(eps: float = 1.0, n: int = 20) -> ProjectionSchedule:
-    """Equal-gap schedule eps0 = eps = eps_n used by the numerics."""
-    return ProjectionSchedule(eps0=eps, eps=eps, eps_n=eps, n=n)
-
-
-def drop_time(schedule: ProjectionSchedule, k: int) -> float:
-    """Instant of the (k+1)-th envelope drop, t_k = eps0 + k eps (k >= 0)."""
-    if k < 0:
-        raise ValueError("drop index must be >= 0")
-    return schedule.eps0 + k * schedule.eps
 
 
 def peak_value(k: int) -> float:
@@ -97,19 +48,21 @@ def trough_value(k: int) -> float:
     return 0.5 * peak_value(k)
 
 
-def sawtooth_envelope(schedule: ProjectionSchedule, t) -> np.ndarray | float:
-    """Model envelope f(t) for t >= 0, right-continuous at the drops (the
-    value at t_k itself is the trough, as the half-open branches dictate)."""
+def sawtooth_envelope(eps: float, t) -> np.ndarray | float:
+    """Model envelope f(t) for t >= 0 with projections every eps,
+    right-continuous at the drops (the value at t_k itself is the trough, as
+    the half-open branches dictate)."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("envelope is defined for t >= 0")
-    eps0, eps = schedule.eps0, schedule.eps
     out = np.ones_like(t)
-    past = t >= eps0
+    past = t >= eps
     # k = number of projections already applied at time t (>= 1 where past)
-    k = np.floor((t[past] - eps0) / eps).astype(int) + 1
-    t_lo = eps0 + (k - 1) * eps
-    t_hi = eps0 + k * eps
+    k = np.floor((t[past] - eps) / eps).astype(int) + 1
+    t_lo = eps + (k - 1) * eps
+    t_hi = eps + k * eps
     out[past] = (t[past] - t_lo) / ((k + 1) * eps) + (t_hi - t[past]) / (2 * k * eps)
     return out if out.shape else float(out)
 
@@ -131,21 +84,3 @@ def calibrate_absorption(eps: float) -> float:
     if not eps > 0:
         raise ValueError("eps must be positive")
     return 4.0 / (3.0 * eps)
-
-
-def sample_model_curves(
-    schedule: ProjectionSchedule, v0: float, t_grid
-) -> tuple[BoundaryCurve, BoundaryCurve, BoundaryCurve]:
-    """Aligned model curves (saw-tooth envelope, absorbing envelope, their
-    oscillation ratio) on a common positive time grid."""
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t_grid must be strictly positive")
-    fp = np.atleast_1d(sawtooth_envelope(schedule, t))
-    fv = np.atleast_1d(absorbing_envelope(v0, t))
-    s = np.atleast_1d(oscillation_ratio(fp, fv))
-    return (
-        BoundaryCurve(t, fp),
-        BoundaryCurve(t, fv),
-        BoundaryCurve(t, s),
-    )

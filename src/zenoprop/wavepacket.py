@@ -41,12 +41,7 @@ import numpy as np
 
 from .core import BoundaryCurve, ROOT_INV_I, half_power_weights
 from .exact import absorbing_envelope
-from .sawtooth import (
-    ProjectionSchedule,
-    calibrate_absorption,
-    oscillation_ratio,
-    sawtooth_envelope,
-)
+from .sawtooth import calibrate_absorption, oscillation_ratio, sawtooth_envelope
 
 __all__ = [
     "WavePacket",
@@ -194,41 +189,18 @@ def normalized_crossing_density(wp: WavePacket, tau, spreading: bool = False):
 # boundary-difference curve and the crossing machinery
 # ---------------------------------------------------------------------------
 
-def stationary_delta_g(
-    t_grid,
-    eps: float,
-    v0: float,
-    m: float = 1.0,
-    source: str = "model",
-    numeric_s: BoundaryCurve | None = None,
-) -> BoundaryCurve:
+def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> BoundaryCurve:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
-    sampled on ``t_grid`` (u = 0 maps to 0: both envelopes start at one).
-
-    ``source`` selects the oscillation ratio: "model" uses the saw-tooth
-    envelope, "numeric" interpolates a supplied numeric S curve, and
-    "complex_potential" returns the null difference.
+    sampled on ``t_grid``, with S the oscillation ratio of the saw-tooth
+    envelope around the absorbing one (u = 0 maps to 0: both envelopes
+    start at one).
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0):
         raise ValueError("t_grid must be non-negative")
     vals = np.zeros(len(t), dtype=complex)
     pos = t > 0
-    if source == "complex_potential":
-        return BoundaryCurve(t, vals)
-    if source == "model":
-        schedule = ProjectionSchedule(eps0=eps, eps=eps, eps_n=eps, n=1)
-        s_vals = oscillation_ratio(
-            sawtooth_envelope(schedule, t[pos]), absorbing_envelope(v0, t[pos])
-        )
-    elif source == "numeric":
-        if numeric_s is None:
-            raise ValueError("source='numeric' needs a numeric_s curve")
-        if t[pos].max() > numeric_s.times.max() + 1e-12:
-            raise ValueError("numeric S curve does not cover the requested times")
-        s_vals = np.interp(t[pos], numeric_s.times, numeric_s.values)
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    s_vals = oscillation_ratio(sawtooth_envelope(eps, t[pos]), absorbing_envelope(v0, t[pos]))
     gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * t[pos])) * absorbing_envelope(v0, t[pos])
     vals[pos] = s_vals * gv
     return BoundaryCurve(t, vals)
@@ -354,17 +326,14 @@ def pdx_delta_psi(
     boundary_delta: BoundaryCurve,
     tau: float,
     x1,
-    eps: float | None = None,
-    kmax: float | None = None,
-    dk: float | None = None,
-    spreading: bool = False,
+    eps: float,
 ) -> np.ndarray:
     """Change of the evolved wave function at (x1, tau) caused by swapping
     the absorbing boundary propagator for the pulsed-measurement one.
 
     ``boundary_delta`` holds delta_g(u) = S(u) g_absorbing(u) on a uniform
-    grid from zero to at least tau (at least 16 samples per projection gap,
-    enforced when ``eps`` is given).  A null difference returns zeros.
+    grid from zero to at least tau, with at least 16 samples per projection
+    gap eps.  A null difference returns zeros.
     """
     t_in = boundary_delta.times
     if len(t_in) < 2:
@@ -372,7 +341,7 @@ def pdx_delta_psi(
     dt = t_in[1] - t_in[0]
     if not np.allclose(np.diff(t_in), dt, rtol=1e-9, atol=1e-12) or t_in[0] != 0.0:
         raise ValueError("boundary_delta must be sampled uniformly from t = 0")
-    if eps is not None and dt > eps / 16 + 1e-15:
+    if dt > eps / 16 + 1e-15:
         raise ValueError(
             f"delta_g resolution too coarse: dt={dt:.3e} exceeds eps/16={eps / 16:.3e}"
         )
@@ -387,40 +356,29 @@ def pdx_delta_psi(
     with np.errstate(invalid="ignore"):
         phi = np.sqrt(t) * dvals
     phi[0] = 0.0
-    deriv = packet_boundary_derivative(wp, t, spreading=spreading)
+    deriv = packet_boundary_derivative(wp, t)
     G = inner_boundary_convolution(phi, deriv, dt)
 
-    if kmax is None:
-        osc = 2 * np.pi / eps if eps is not None else 0.0
-        kmax = float(np.sqrt(2 * wp.m * (wp.energy + 2 * osc)) + abs(wp.p) + 8 / wp.sigma)
-    if dk is None:
-        span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma
-        dk = float(np.pi / (2 * span))
-    return crossing_term(x1, tau, G, t, wp.m, kmax, dk)
+    kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
+    span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma
+    return crossing_term(x1, tau, G, t, wp.m, kmax, np.pi / (2 * span))
 
 
-def delta_norm_scan(
-    wp: WavePacket,
-    eps_values,
-    tau: float,
-    x1,
-    v0_of_eps=None,
-    source: str = "model",
-):
+def delta_norm_scan(wp: WavePacket, eps_values, tau: float, x1):
     """L2 norm of the boundary perturbation over the x1 grid for each eps.
 
-    Returns (norms, suppression exponents).  The absorption strength
-    defaults to the calibrated 4/(3 eps) at every scan point.
+    Returns (norms, suppression exponents).  The absorption strength is the
+    calibrated 4/(3 eps) at every scan point.
     """
     xs = np.asarray(x1, dtype=float)
     norms, exponents = [], []
     for eps in eps_values:
-        v0 = v0_of_eps(eps) if v0_of_eps is not None else calibrate_absorption(eps)
+        v0 = calibrate_absorption(eps)
         dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
         nt = int(np.ceil(tau / dt))
         t_grid = np.linspace(0.0, tau, nt + 1)
-        curve = stationary_delta_g(t_grid, eps, v0, wp.m, source=source)
-        dpsi = pdx_delta_psi(wp, curve, tau, xs, eps=eps)
+        curve = stationary_delta_g(t_grid, eps, v0, wp.m)
+        dpsi = pdx_delta_psi(wp, curve, tau, xs, eps)
         norms.append(float(np.sqrt(np.trapezoid(np.abs(dpsi) ** 2, xs))))
         exponents.append(suppression_exponent(wp, eps))
     return np.array(norms), np.array(exponents)

@@ -9,6 +9,9 @@ from math import comb
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
+from zenoprop.core import heat_kernel
+from zenoprop.recursion import boundary_amplitude
+
 
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation (no ties expected in our scans)."""
@@ -343,3 +346,16 @@ def unconstrained_return_probability(n_steps: int) -> float:
 
 def catalan_number(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
+    """Right limit of the envelope just after the projection at the integer
+    s of the pre-projection slice ``prev``, without the coincidence formula:
+    the envelope at rescaled-time offsets ``offset`` and ``offset / 4``
+    past the projection, extrapolated in sqrt(offset), the order of the
+    leading correction."""
+    def envelope(d: float) -> float:
+        s = prev.s + d
+        return boundary_amplitude(prev, cfg, s) / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
+
+    return 2.0 * envelope(offset / 4) - envelope(offset)

@@ -211,6 +211,11 @@ class TestUsageErrors:
         ["lattice", "--tau", "3.5"],
         ["compare", "--samples-per-interval", "1", "--grid-points", "2001"],
         ["fp", "--samples-per-interval", "1", "--grid-points", "2001"],
+        ["fp", "--n-max", "3", "--grid-points", "3"],
+        ["compare", "--n-max", "3", "--grid-points", "3"],
+        ["lattice", "--levels", "2"],
+        ["lattice", "--eps", "1e-300"],
+        ["lattice", "--eps", "1e-4"],
     ])
     def test_library_value_errors(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_walk_probability, catalan_number, unconstrained_return_probability
-from zenoprop.core import NumericalFailure, heat_kernel
+from zenoprop.core import heat_kernel
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability, continuum_peak_estimate
 
 
@@ -119,8 +119,10 @@ class TestContinuumSweep:
             continuum_peak_estimate(4.3, 1.0)
         with pytest.raises(ValueError):
             continuum_peak_estimate(4.0, 1.0, levels=(4, 8, 16, 32))
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(ValueError, match="three levels"):
             continuum_peak_estimate(4.0, 1.0, levels=(4, 16))
+        with pytest.raises(ValueError, match=r"tau/eps = 40000 .* levels 4\.\.256"):
+            continuum_peak_estimate(4.0, 1e-4)
 
 
 class TestConfigValidation:

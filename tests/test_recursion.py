@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import richardson_right_limit
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
@@ -41,6 +42,10 @@ class TestConfig:
             RecursionConfig(1.0, 1.0, 3, g, samples_per_interval=1)
         with pytest.raises(ValueError):
             RecursionConfig(-1.0, 1.0, 3, g)
+        # the narrowest kernel, of width sqrt(eps / (16 m)) = 0.25, needs 4 spacings
+        RecursionConfig(1.0, 1.0, 3, Grid1D(0.0, 10.0, 161))
+        with pytest.raises(ValueError, match="too coarse"):
+            RecursionConfig(1.0, 1.0, 3, Grid1D(0.0, 10.0, 160))
 
 
 class TestInitialSlice:
@@ -92,6 +97,13 @@ class TestAdvance:
             want = projected_envelope_exact(small_cfg.eps, s * small_cfg.eps, 2)
             assert env == pytest.approx(want, abs=1e-4)
 
+    def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
+        # both share one truncated kernel; only the summation order differs
+        prev = advance_slice(initial_slice(small_cfg, 1.0), small_cfg, 2.0)
+        for s in (2.001, 2.3, 3.0):
+            want = advance_slice(prev, small_cfg, s).values[0]
+            assert boundary_amplitude(prev, small_cfg, s) == pytest.approx(want, rel=1e-13)
+
     def test_positivity_preserved(self, small_cfg):
         prev = initial_slice(small_cfg, 1.0)
         for n in (2.0, 3.0):
@@ -128,14 +140,7 @@ class TestRightLimit:
         prev = initial_slice(small_cfg, 1.0)
         prev = advance_slice(prev, small_cfg, 2.0)
         direct = projection_right_limit(prev, small_cfg)
-        d1 = small_cfg.limit_offset
-        e1 = boundary_amplitude(prev, small_cfg, 2 + d1) / heat_kernel(
-            small_cfg.m, (2 + d1) * small_cfg.eps, 0.0, 0.0
-        )
-        e2 = boundary_amplitude(prev, small_cfg, 2 + d1 / 4) / heat_kernel(
-            small_cfg.m, (2 + d1 / 4) * small_cfg.eps, 0.0, 0.0
-        )
-        assert 2 * e2 - e1 == pytest.approx(direct, rel=1e-3)
+        assert richardson_right_limit(prev, small_cfg) == pytest.approx(direct, rel=1e-3)
 
 
 class TestRunRecursion:
@@ -183,12 +188,15 @@ class TestRunRecursion:
         assert np.all(np.diff(masses) < 0)
 
     def test_half_value_at_breakpoints(self, coarse_run):
-        cfg, curve = coarse_run
+        # the '+' rows are the coincidence limit, exactly half the '-' rows;
+        # the sqrt(offset)-extrapolated right limit confirms the half drop
+        cfg, curve, slices = coarse_run
         for k in range(1, cfg.n_max + 1):
             at_k = np.isclose(curve.times, k * cfg.eps)
             peak = curve.values[at_k & (curve.sides == "-")][0]
             trough = curve.values[at_k & (curve.sides == "+")][0]
-            assert trough == pytest.approx(peak / 2, rel=1e-3)
+            assert trough == projection_right_limit(slices[k - 1], cfg) == peak / 2
+            assert richardson_right_limit(slices[k - 1], cfg) == pytest.approx(peak / 2, rel=1e-3)
 
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
@@ -211,7 +219,7 @@ class TestRunRecursion:
 
 class TestOscillationCurve:
     def test_matches_definition(self, coarse_run):
-        cfg, curve = coarse_run
+        cfg, curve, _ = coarse_run
         v0 = calibrate_absorption(cfg.eps)
         s_curve = numeric_oscillation_curve(curve, v0)
         k = 12
@@ -221,6 +229,6 @@ class TestOscillationCurve:
         assert s_curve.values[k] == pytest.approx(want, rel=1e-12)
 
     def test_guard(self, coarse_run):
-        _, curve = coarse_run
+        _, curve, _ = coarse_run
         with pytest.raises(NumericalFailure):
             numeric_oscillation_curve(curve, 1e14)

@@ -6,71 +6,70 @@ from oracles import QuadratureRule, integrate, quadrature_nodes
 from zenoprop.core import NumericalFailure
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import (
-    ProjectionSchedule,
     calibrate_absorption,
-    default_schedule,
-    drop_time,
     oscillation_ratio,
     peak_value,
-    sample_model_curves,
     sawtooth_envelope,
     trough_value,
 )
 
+EPS = 1.0
 
-@pytest.fixture
-def schedule():
-    return default_schedule(eps=1.0, n=20)
+
+def drop(k):
+    """Instant t_k = (k + 1) eps of the drop after peak k."""
+    return (k + 1) * EPS
 
 
 class TestSchedule:
-    def test_total_time(self):
-        s = ProjectionSchedule(eps0=0.5, eps=1.0, eps_n=0.25, n=4)
-        assert s.total_time == pytest.approx(3 * 1.0 + 0.5 + 0.25)
-
     def test_projection_times(self):
-        s = ProjectionSchedule(eps0=0.5, eps=1.0, eps_n=1.0, n=3)
-        assert_allclose(s.projection_times(), [0.5, 1.5, 2.5])
+        # drops at every multiple of eps, whatever eps is
+        eps = 0.5
+        assert sawtooth_envelope(eps, eps - 1e-12) == 1.0
+        for k in range(1, 6):
+            above = sawtooth_envelope(eps, k * eps)
+            below = sawtooth_envelope(eps, k * eps - 1e-12)
+            assert below == pytest.approx(1 / k, abs=1e-10)
+            assert above / below == pytest.approx(0.5, abs=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProjectionSchedule(eps0=0.0, eps=1.0, eps_n=1.0, n=1)
-        with pytest.raises(ValueError):
-            ProjectionSchedule(eps0=1.0, eps=1.0, eps_n=1.0, n=-1)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                sawtooth_envelope(bad, 1.0)
 
 
 class TestEnvelope:
-    def test_unity_before_first_projection(self, schedule):
+    def test_unity_before_first_projection(self):
         t = np.array([0.0, 0.3, 0.999])
-        assert_allclose(sawtooth_envelope(schedule, t), 1.0)
+        assert_allclose(sawtooth_envelope(EPS, t), 1.0)
 
-    def test_constant_half_on_first_interval(self, schedule):
+    def test_constant_half_on_first_interval(self):
         # the k = 1 branch collapses to the exact one-projection value
         t = np.linspace(1.0, 2.0, 50, endpoint=False)
-        assert_allclose(sawtooth_envelope(schedule, t), 0.5, rtol=1e-14)
+        assert_allclose(sawtooth_envelope(EPS, t), 0.5, rtol=1e-14)
 
-    def test_peaks_and_troughs(self, schedule):
+    def test_peaks_and_troughs(self):
         for k in range(1, 15):
-            tk = drop_time(schedule, k)
-            assert sawtooth_envelope(schedule, tk - 1e-12) == pytest.approx(
+            tk = drop(k)
+            assert sawtooth_envelope(EPS, tk - 1e-12) == pytest.approx(
                 peak_value(k), abs=1e-10
             )
             # right-continuity: the value at the drop is the trough
-            assert sawtooth_envelope(schedule, tk) == pytest.approx(
+            assert sawtooth_envelope(EPS, tk) == pytest.approx(
                 trough_value(k), rel=1e-12
             )
 
-    def test_jump_ratio_exactly_half(self, schedule):
+    def test_jump_ratio_exactly_half(self):
         for k in range(1, 12):
-            tk = drop_time(schedule, k)
-            above = sawtooth_envelope(schedule, tk)
-            below = sawtooth_envelope(schedule, tk - 1e-13)
+            tk = drop(k)
+            above = sawtooth_envelope(EPS, tk)
+            below = sawtooth_envelope(EPS, tk - 1e-13)
             assert above / below == pytest.approx(0.5, abs=1e-9)
 
-    def test_linear_between_drops(self, schedule):
+    def test_linear_between_drops(self):
         # second differences vanish inside every branch
         t = np.linspace(3.05, 3.95, 41)
-        vals = sawtooth_envelope(schedule, t)
+        vals = sawtooth_envelope(EPS, t)
         assert np.max(np.abs(np.diff(vals, 2))) < 1e-13
 
     def test_peak_sequences_decreasing(self):
@@ -80,15 +79,9 @@ class TestEnvelope:
         assert np.all(np.diff(troughs) < 0)
         assert_allclose(troughs, np.array(peaks) / 2)
 
-    def test_general_first_gap(self):
-        s = ProjectionSchedule(eps0=0.5, eps=1.0, eps_n=1.0, n=5)
-        assert sawtooth_envelope(s, 0.49) == 1.0
-        assert sawtooth_envelope(s, 0.5) == pytest.approx(0.5)  # first trough
-        assert sawtooth_envelope(s, 1.5 - 1e-12) == pytest.approx(0.5)
-
-    def test_negative_time_rejected(self, schedule):
+    def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            sawtooth_envelope(schedule, -0.1)
+            sawtooth_envelope(EPS, -0.1)
 
 
 class TestCalibration:
@@ -103,10 +96,10 @@ class TestCalibration:
         k = 20
         assert 1 / (2 * k) < 1 / (v0 * k * eps) < 1 / k
 
-    def test_absorbing_envelope_between_trough_and_peak(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
+    def test_absorbing_envelope_between_trough_and_peak(self):
+        v0 = calibrate_absorption(EPS)
         for k in range(1, 21):
-            tk = drop_time(schedule, k)
+            tk = drop(k)
             fv = absorbing_envelope(v0, tk)
             assert trough_value(k) < fv < peak_value(k)
 
@@ -115,27 +108,27 @@ class TestOscillationRatio:
     def test_identity_case(self):
         assert oscillation_ratio(0.37, 0.37) == pytest.approx(0.0, abs=1e-15)
 
-    def test_large_k_band(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
+    def test_large_k_band(self):
+        v0 = calibrate_absorption(EPS)
         for k in range(8, 20):
-            tk = drop_time(schedule, k)
+            tk = drop(k)
             fv = absorbing_envelope(v0, tk)
             s_peak = oscillation_ratio(peak_value(k), fv)
             s_trough = oscillation_ratio(trough_value(k), fv)
             assert s_peak == pytest.approx(1 / 3, abs=0.02)
             assert s_trough == pytest.approx(-1 / 3, abs=0.02)
 
-    def test_small_time_limit(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
+    def test_small_time_limit(self):
+        v0 = calibrate_absorption(EPS)
         t = 1e-6
-        s = oscillation_ratio(sawtooth_envelope(schedule, t), absorbing_envelope(v0, t))
+        s = oscillation_ratio(sawtooth_envelope(EPS, t), absorbing_envelope(v0, t))
         assert s == pytest.approx(0.0, abs=1e-5)
 
-    def test_band_bound_from_three_eps(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
+    def test_band_bound_from_three_eps(self):
+        v0 = calibrate_absorption(EPS)
         t = np.linspace(3.0, 30.0, 9000)
         s = oscillation_ratio(
-            sawtooth_envelope(schedule, t), absorbing_envelope(v0, t)
+            sawtooth_envelope(EPS, t), absorbing_envelope(v0, t)
         )
         assert np.all(np.abs(s) <= 0.4)
 
@@ -145,31 +138,26 @@ class TestOscillationRatio:
 
 
 class TestModelCurves:
-    def test_single_point_flat_region(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
-        t = np.array([schedule.eps0 / 2])
-        fp, fv, s = sample_model_curves(schedule, v0, t)
-        assert fp.values[0] == 1.0
-        assert fv.values[0] == pytest.approx(absorbing_envelope(v0, t[0]))
-        assert s.values[0] == pytest.approx(1 / fv.values[0] - 1)
+    def test_single_point_flat_region(self):
+        v0 = calibrate_absorption(EPS)
+        t = EPS / 2
+        fp = sawtooth_envelope(EPS, t)
+        fv = absorbing_envelope(v0, t)
+        assert fp == 1.0
+        assert oscillation_ratio(fp, fv) == pytest.approx(1 / fv - 1)
 
-    def test_one_period_has_one_extreme_pair(self, schedule):
-        v0 = calibrate_absorption(schedule.eps)
+    def test_one_period_has_one_extreme_pair(self):
         t = np.linspace(5.0, 6.0 - 1e-9, 400)
-        fp, _, _ = sample_model_curves(schedule, v0, t)
+        fp = sawtooth_envelope(EPS, t)
         # strictly increasing within the branch: min at left end, max at right
-        assert np.argmin(fp.values) == 0
-        assert np.argmax(fp.values) == len(t) - 1
+        assert np.argmin(fp) == 0
+        assert np.argmax(fp) == len(t) - 1
 
-    def test_time_average_of_s_small(self, schedule):
+    def test_time_average_of_s_small(self):
         # quadrature over the model curves on [5 eps, 20 eps]
-        v0 = calibrate_absorption(schedule.eps)
+        v0 = calibrate_absorption(EPS)
         rule = QuadratureRule("midpoint", 6000)
         nodes = quadrature_nodes(rule, 5.0, 20.0)
-        _, _, s = sample_model_curves(schedule, v0, nodes)
-        avg = integrate(s.values, rule, 5.0, 20.0) / 15.0
+        s = oscillation_ratio(sawtooth_envelope(EPS, nodes), absorbing_envelope(v0, nodes))
+        avg = integrate(s, rule, 5.0, 20.0) / 15.0
         assert abs(avg) <= 0.05
-
-    def test_rejects_nonpositive_grid(self, schedule):
-        with pytest.raises(ValueError):
-            sample_model_curves(schedule, 1.0, np.array([0.0, 1.0]))

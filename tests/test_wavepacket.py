@@ -187,36 +187,29 @@ class TestCrossingDistributions:
 
 
 class TestDeltaG:
-    def test_null_source(self):
-        t = np.linspace(0.0, 2.0, 101)
-        curve = stationary_delta_g(t, 0.5, 8 / 3, source="complex_potential")
-        assert not np.any(curve.values)
-
     def test_model_values(self):
         eps, v0, m = 0.5, 8 / 3, 1.0
         t = np.linspace(0.0, 2.0, 201)
         curve = stationary_delta_g(t, eps, v0, m)
         # spot check one interior point against the definition
         u = t[150]
-        from zenoprop.sawtooth import default_schedule, sawtooth_envelope
+        from zenoprop.sawtooth import sawtooth_envelope
 
-        s = sawtooth_envelope(default_schedule(eps), u) / absorbing_envelope(v0, u) - 1
+        s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
         gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
         assert curve.values[150] == pytest.approx(s * gv, rel=1e-12)
         assert curve.values[0] == 0
 
-    def test_requires_numeric_curve(self):
+    def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
-            stationary_delta_g(np.linspace(0, 1, 11), 0.5, 1.0, source="numeric")
-        with pytest.raises(ValueError):
-            stationary_delta_g(np.linspace(0, 1, 11), 0.5, 1.0, source="bogus")
+            stationary_delta_g(np.linspace(-0.1, 1, 12), 0.5, 1.0)
 
 
 class TestPdxDeltaPsi:
     def test_null_difference_gives_zero(self, packet):
         tau = 1.0
         t = np.linspace(0.0, tau, 1025)
-        curve = stationary_delta_g(t, 0.02, 4 / (3 * 0.02), source="complex_potential")
+        curve = BoundaryCurve(t, np.zeros(len(t), dtype=complex))
         out = pdx_delta_psi(packet, curve, tau, np.linspace(0.1, 5, 20), eps=0.02)
         assert_allclose(out, 0.0)
 
@@ -231,7 +224,7 @@ class TestPdxDeltaPsi:
         t = np.sqrt(np.linspace(0.0, 1.0, 129))
         curve = BoundaryCurve(t, np.zeros(129, dtype=complex))
         with pytest.raises(ValueError):
-            pdx_delta_psi(packet, curve, 1.0, np.array([1.0]))
+            pdx_delta_psi(packet, curve, 1.0, np.array([1.0]), eps=0.1)
 
     def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
         t_c = -packet.q * packet.m / packet.p
