@@ -11,21 +11,14 @@ from .core import (
     Grid1D,
     NumericalFailure,
     ROOT_INV_I,
-    free_propagator,
     half_power_weights,
     heat_kernel,
 )
 from .exact import (
-    absorbing_boundary_propagator,
     absorbing_envelope,
     bridge_orthant,
-    final_gap_ratio,
-    half_value_ratio,
-    projected_boundary_exact,
     projected_envelope_exact,
-    restricted_propagator,
     time_averaged_envelope,
-    time_averaged_product,
 )
 from .lattice import (
     LatticeConfig,
@@ -55,7 +48,6 @@ from .wavepacket import (
     WavePacket,
     crossing_density,
     delta_norm_scan,
-    free_packet,
     normalized_crossing_density,
     packet_boundary_derivative,
     pdx_delta_psi,

@@ -131,6 +131,11 @@ def _with(options):
     return decorate
 
 
+# Most refinement levels whose finest walk, 4**levels steps per interval,
+# fits the walk cap; checked on the integer, before any level is formed.
+_MAX_LEVELS = (lattice.MAX_WALK_STEPS.bit_length() - 1) // 2
+
+
 def _resolve_v0(v0: float | None, eps: float) -> float:
     return sawtooth.calibrate_absorption(eps) if v0 is None else v0
 
@@ -221,7 +226,7 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 @_with(common_options)
 @click.option("--tau", type=POSITIVE, default=4.0, show_default=True,
               help="Total walk duration (multiple of eps).")
-@click.option("--levels", type=int, default=4, show_default=True,
+@click.option("--levels", type=click.IntRange(max=_MAX_LEVELS), default=4, show_default=True,
               help="Number of refinement levels (quadrupling).")
 def lattice_cmd(m, eps, v0, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
@@ -277,11 +282,12 @@ def compare(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> N
         _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
     )
 
+    # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max
+    peaks = curve.values[curve.sides == "-"][1:]
+    troughs = curve.values[curve.sides == "+"]
     rows = []
-    for k in range(1, n_max + 1):
+    for k, (peak_n, trough_n) in enumerate(zip(peaks, troughs), start=1):
         t_k = (k + 1) * eps
-        peak_n = curve.values[(np.isclose(curve.times, t_k)) & (curve.sides == "-")][0]
-        trough_n = curve.values[(np.isclose(curve.times, k * eps)) & (curve.sides == "+")][0]
         fv_k = exact.absorbing_envelope(v0, t_k)
         rows.append(
             (float(k), t_k, peak_n, sawtooth.peak_value(k),

@@ -62,22 +62,6 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
     return np.sqrt(m / (2 * np.pi * t)) * np.exp(-m * dx * dx / (2 * t))
 
 
-def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:
-    """Free-particle propagator ``<x| exp(-i p^2 t / 2m) |y>`` for t != 0.
-
-    For t > 0 this is ``sqrt(m / 2 pi t) exp(-i pi/4) exp(i m (x-y)^2 / 2t)``;
-    negative times return the complex conjugate of the reversed evolution.
-    The kernel is distributional at t = 0, which is rejected.
-    """
-    if t == 0:
-        raise ValueError("free propagator is distributional at t = 0")
-    if t < 0:
-        return np.conjugate(free_propagator(m, -t, x, y))
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    pref = ROOT_INV_I * np.sqrt(m / (2 * np.pi * t))
-    return pref * np.exp(1j * m * dx * dx / (2 * t))
-
-
 def half_power_weights(n_panels: int, dt: float) -> np.ndarray:
     """Product-integration weights for ``int_0^{n dt} u^{-1/2} phi(u) du``.
 

@@ -16,14 +16,13 @@ the peak law, with m = dtau / eta^2.  The leading finite-lattice error is
 O(eta) from the site-based boundary cutoff, so a short refinement sweep
 extrapolates cleanly.
 
-With a constraint at every step the walk instead probes the restricted
-(absorbing-boundary) propagator through an O(eta) boundary layer: the
-strictly-positive convention behaves like an absorbing wall half a site
-above the origin and (1/2 eta) u tends to one HALF of the expression above,
-while the non-strict convention (sites >= 0 allowed) tends to twice it.
-Both conventions are available; the refinement sweep is therefore performed
-at fixed physical constraint spacing, where the convention only shifts the
-O(eta) term.
+A site counts as positive only when it lies above the origin.  With a
+constraint at every step the walk therefore probes the restricted
+(absorbing-boundary) propagator through an O(eta) boundary layer, as if an
+absorbing wall stood half a site above the origin, and (1/2 eta) u tends to
+one HALF of the expression above.  With many steps per projection interval
+the convention only shifts the O(eta) term, which the refinement sweep at
+fixed physical constraint spacing removes.
 """
 
 from __future__ import annotations
@@ -48,34 +47,18 @@ MAX_WALK_STEPS = 65_536
 
 @dataclass(frozen=True)
 class LatticeConfig:
+    """A walk of ``n_steps`` unit steps, constrained after every
+    ``steps_per_projection`` steps; the lattice spacings enter only the
+    continuum map of ``continuum_peak_estimate``."""
+
     n_steps: int
     steps_per_projection: int
-    eta: float
-    dtau: float
-    boundary: str = "strict"   # "strict": site > 0; "nonneg": site >= 0
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.steps_per_projection < 1:
             raise ValueError("steps_per_projection must be >= 1")
-        if self.eta <= 0 or self.dtau <= 0:
-            raise ValueError("lattice spacings must be positive")
-        if self.boundary not in ("strict", "nonneg"):
-            raise ValueError("boundary must be 'strict' or 'nonneg'")
-
-    @property
-    def mass(self) -> float:
-        """Mass implied by the diffusive continuum map, m = dtau / eta^2."""
-        return self.dtau / self.eta**2
-
-    @property
-    def tau(self) -> float:
-        return self.n_steps * self.dtau
-
-    @property
-    def eps(self) -> float:
-        return self.steps_per_projection * self.dtau
 
 
 def constrained_walk_probability(cfg: LatticeConfig) -> float:
@@ -97,10 +80,7 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
         shifted[:-1] += 0.5 * v[1:]
         v = shifted
         if step < n and step % cfg.steps_per_projection == 0:
-            if cfg.boundary == "strict":
-                v[: center + 1] = 0.0
-            else:
-                v[:center] = 0.0
+            v[: center + 1] = 0.0
     return float(v[center])
 
 
@@ -117,7 +97,6 @@ def continuum_peak_estimate(
     eps: float,
     m: float = 1.0,
     levels: tuple[int, ...] = (4, 16, 64, 256),
-    boundary: str = "strict",
 ) -> LatticeSweep:
     """Refinement sweep of the walk toward the continuum peak law.
 
@@ -154,16 +133,8 @@ def continuum_peak_estimate(
     target = np.sqrt(m / (2 * np.pi * tau)) * (eps / tau)
     etas, ratios = [], []
     for r in levels:
-        dtau = eps / r
-        eta = np.sqrt(dtau / m)
-        cfg = LatticeConfig(
-            n_steps=n_intervals * r,
-            steps_per_projection=r,
-            eta=eta,
-            dtau=dtau,
-            boundary=boundary,
-        )
-        u = constrained_walk_probability(cfg)
+        eta = np.sqrt(eps / r / m)
+        u = constrained_walk_probability(LatticeConfig(n_intervals * r, r))
         etas.append(eta)
         ratios.append(u / (2 * eta) / target)
 

@@ -22,7 +22,9 @@ ten thermal widths of the total duration; the y-integral uses uniform
 weights with halved endpoints (interior nodes are midpoints of their
 panels), making every advance a discrete convolution with the heat kernel
 cut at ``kernel_span`` widths, evaluated by ``np.convolve`` in a fixed
-summation order, so results are deterministic.  The grid must resolve the
+summation order, so results are deterministic.  On the free interval
+0 < s <= 1 the slice is the heat kernel itself and the envelope is exactly
+one, so only the slice at s = 1 is built.  The grid must resolve the
 narrowest kernel used, that of the step eps / samples_per_interval, by at
 least four spacings.  One-sided limits at the projection instants: the
 left limit is the ordinary sample at the end of an interval; the right
@@ -33,6 +35,7 @@ the origin (``projection_right_limit``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,7 +52,6 @@ __all__ = [
     "advance_slice",
     "boundary_amplitude",
     "projection_right_limit",
-    "slice_mass",
     "run_recursion",
     "numeric_oscillation_curve",
 ]
@@ -85,7 +87,7 @@ class RecursionConfig:
     n_max: int
     grid: Grid1D
     samples_per_interval: int = 16
-    kernel_span: float = 10.0    # kernel truncated at this many std widths
+    kernel_span: ClassVar[float] = 10.0    # kernel truncated at this many std widths
 
     def __post_init__(self) -> None:
         if self.m <= 0 or self.eps <= 0:
@@ -107,16 +109,15 @@ def default_grid(
     eps: float = 1.0,
     n_max: int = 20,
     spacing_scale: float = 1e-3,
-    q_trunc: float = 10.0,
 ) -> Grid1D:
-    """Grid spanning q_trunc thermal widths of the total duration with
+    """Grid spanning ten thermal widths of the total duration with
     spacing ``spacing_scale * sqrt(eps/m)``; at the defaults the Gaussian
     tails beyond x_max are below 1e-20."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tau_total = (n_max + 1) * eps
     h = spacing_scale * np.sqrt(eps / m)
-    x_max = q_trunc * np.sqrt(tau_total / m)
+    x_max = 10.0 * np.sqrt(tau_total / m)
     n_points = int(np.ceil(x_max / h)) + 1
     return Grid1D(0.0, h * (n_points - 1), n_points)
 
@@ -126,10 +127,9 @@ def default_config(
     eps: float = 1.0,
     n_max: int = 20,
     spacing_scale: float = 1e-3,
-    q_trunc: float = 10.0,
     samples_per_interval: int = 16,
 ) -> RecursionConfig:
-    grid = default_grid(m, eps, n_max, spacing_scale, q_trunc)
+    grid = default_grid(m, eps, n_max, spacing_scale)
     return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
 
 
@@ -198,20 +198,15 @@ def _envelope(cfg: RecursionConfig, amplitude: float, s: float) -> float:
     return amplitude / float(heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0))
 
 
-def slice_mass(sl: EuclideanSlice) -> float:
-    """Trapezoid integral of the slice over the half-line."""
-    w = _quad_weights(sl.grid)
-    return float(np.dot(w, sl.values))
-
-
 def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
     """Boundary envelope curve for n_max projections.
 
     Sampling per interval (n, n+1]: the exact right limit at s = n (side
     '+', half the '-' row before it), ``samples_per_interval - 1`` interior
     points, and the sample at s = n + 1, which is the peak / left limit at
-    the next projection (side '-').  The first interval starts from the exact initial slice,
-    where the envelope is identically one.
+    the next projection (side '-').  On the free interval (0, 1] the
+    envelope is identically one: every sample there is emitted as 1.0, and
+    only the initial slice at s = 1 is built.
 
     Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps);
     with ``collect_slices=True`` also returns the list of pre-projection
@@ -227,13 +222,11 @@ def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
         vals.append(value)
         sides.append(side)
 
-    # interval (0, 1]: free spreading, envelope identically 1
+    # interval (0, 1]: free spreading, envelope exactly 1
     for j in range(1, spi):
-        s = j / spi
-        sl = initial_slice(cfg, s)
-        emit(s, _envelope(cfg, sl.values[0], s), "")
+        emit(j / spi, 1.0, "")
+    emit(1.0, 1.0, "-")
     prev = initial_slice(cfg, 1.0)
-    emit(1.0, _envelope(cfg, prev.values[0], 1.0), "-")
     slices = [prev]
 
     for n in range(1, cfg.n_max + 1):

@@ -45,7 +45,6 @@ from .sawtooth import calibrate_absorption, oscillation_ratio, sawtooth_envelope
 
 __all__ = [
     "WavePacket",
-    "free_packet",
     "packet_boundary_derivative",
     "suppression_factor",
     "crossing_density",
@@ -90,35 +89,13 @@ class WavePacket:
         return (2 * np.pi * self.sigma**2) ** (-0.25)
 
 
-def free_packet(wp: WavePacket, t: float, x, spreading: bool = False):
-    """Freely evolved packet.
-
-    The default drags the envelope along the classical trajectory without
-    spreading (adequate for times short against m sigma^2); with
-    ``spreading=True`` the exact free evolution of the initial Gaussian is
-    returned (used wherever the reconstruction identities are checked at
-    full accuracy).
-    """
-    x = np.asarray(x, dtype=float)
-    a = 1.0 / (4 * wp.sigma**2)
-    if not spreading:
-        c = wp.q + wp.p * t / wp.m
-        return wp.norm_factor * np.exp(
-            -((x - c) ** 2) * a + 1j * wp.p * x - 1j * wp.energy * t
-        )
-    if t == 0:
-        return wp.norm_factor * np.exp(-a * (x - wp.q) ** 2 + 1j * wp.p * x)
-    b = wp.m / (2 * t)
-    A = a - 1j * b
-    beta = 2 * a * wp.q + 1j * wp.p - 2j * b * x
-    pref = ROOT_INV_I * np.sqrt(wp.m / (2 * np.pi * t)) * wp.norm_factor
-    return pref * np.sqrt(np.pi / A) * np.exp(
-        1j * b * x**2 - a * wp.q**2 + beta**2 / (4 * A)
-    )
-
-
 def packet_boundary_derivative(wp: WavePacket, t, spreading: bool = False):
-    """d psi / dx at x = 0 of the freely evolved packet (analytic)."""
+    """d psi / dx at x = 0 of the freely evolved packet (analytic).
+
+    The default drags the envelope rigidly along the classical trajectory
+    (adequate for times short against m sigma^2); ``spreading=True`` uses
+    the exact free evolution of the initial Gaussian.
+    """
     t = np.asarray(t, dtype=float)
     a = 1.0 / (4 * wp.sigma**2)
     if not spreading:

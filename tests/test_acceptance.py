@@ -163,13 +163,13 @@ class TestCriterion5:
         sweep = lattice.continuum_peak_estimate(4.0, 1.0, m=1.0)
         assert abs(sweep.extrapolated - 1.0) <= 0.02, sweep.extrapolated
 
-        two = lattice.LatticeConfig(2, 1, 1.0, 1.0)
+        two = lattice.LatticeConfig(2, 1)
         assert lattice.constrained_walk_probability(two) == 0.25
         assert lattice.constrained_walk_probability(two) == (
             brute_force_walk_probability(two)
         )
         for n_steps, r in [(8, 1), (12, 2), (16, 4)]:
-            c = lattice.LatticeConfig(n_steps, r, 1.0, 1.0)
+            c = lattice.LatticeConfig(n_steps, r)
             assert lattice.constrained_walk_probability(c) == (
                 brute_force_walk_probability(c)
             )

@@ -216,11 +216,13 @@ class TestUsageErrors:
         ["lattice", "--levels", "2"],
         ["lattice", "--eps", "1e-300"],
         ["lattice", "--eps", "1e-4"],
+        ["lattice", "--levels", "600"],
     ])
     def test_library_value_errors(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
+        assert len(res.output.splitlines()[-1]) < 200
 
 
 class TestCompare:

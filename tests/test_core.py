@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import QuadratureRule, integrate, quadrature_nodes
-from zenoprop.core import (
-    BoundaryCurve,
-    Grid1D,
-    ROOT_INV_I,
-    free_propagator,
-    half_power_weights,
-    heat_kernel,
-)
+from oracles import QuadratureRule, free_propagator, integrate, quadrature_nodes
+from zenoprop.core import BoundaryCurve, Grid1D, ROOT_INV_I, half_power_weights, heat_kernel
 
 
 class TestGrid:

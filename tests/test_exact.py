@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import chain_integral
-from zenoprop.core import free_propagator
-from zenoprop.exact import (
-    absorbing_boundary_propagator,
-    absorbing_envelope,
-    bridge_orthant,
+from oracles import (
+    chain_integral,
     final_gap_ratio,
+    free_propagator,
     free_propagator_boundary_derivative,
     half_value_ratio,
-    projected_boundary_exact,
-    projected_envelope_exact,
     restricted_propagator,
-    restricted_propagator_boundary_derivative,
+)
+from zenoprop.exact import (
+    absorbing_envelope,
+    bridge_orthant,
+    projected_envelope_exact,
     time_averaged_envelope,
-    time_averaged_product,
 )
 
 
@@ -57,22 +55,22 @@ class TestRestrictedPropagator:
             restricted_propagator(1.0, 0.0, 1.0, 1.0)
 
     def test_boundary_derivative_is_twice_free(self):
-        # the image term doubles the normal derivative on the boundary
+        # the image term doubles the normal derivative on the boundary; the
+        # restricted propagator is odd in x0, so its one-sided difference
+        # quotient at x0 = 0 is a central one
         rng = np.random.default_rng(3)
+        h = 1e-6
         for _ in range(20):
             m, t = rng.uniform(0.5, 2.0, 2)
             x1 = rng.uniform(0.1, 4.0)
-            got = restricted_propagator_boundary_derivative(m, t, x1)
+            fd = (restricted_propagator(m, t, x1, h) - restricted_propagator(m, t, x1, 0.0)) / h
             want = 2 * free_propagator_boundary_derivative(m, t, x1)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert fd == pytest.approx(want, rel=1e-8)
 
     def test_boundary_derivative_matches_finite_difference(self):
         m, t, x1, h = 1.0, 0.7, 1.1, 1e-6
-        fd = (restricted_propagator(m, t, x1, h)
-              - restricted_propagator(m, t, x1, 0.0)) / h
-        assert restricted_propagator_boundary_derivative(m, t, x1) == pytest.approx(
-            fd, rel=1e-4
-        )
+        fd = (free_propagator(m, t, x1, h) - free_propagator(m, t, x1, -h)) / (2 * h)
+        assert free_propagator_boundary_derivative(m, t, x1) == pytest.approx(fd, rel=1e-8)
 
 
 class TestAbsorbingBoundary:
@@ -96,19 +94,18 @@ class TestAbsorbingBoundary:
         assert np.all((vals > 0) & (vals <= 1))
 
     def test_propagator_limits(self):
-        m, t = 1.0, 1.0
-        free = free_propagator(m, t, 0.0, 0.0)
-        assert abs(absorbing_boundary_propagator(m, 1e9, t)) < 1e-8
-        assert absorbing_boundary_propagator(m, 1e-9, t) == pytest.approx(free, rel=1e-8)
+        # total absorption kills the boundary amplitude, none leaves it free
+        assert absorbing_envelope(1e9, 1.0) < 1e-8
+        assert absorbing_envelope(1e-9, 1.0) == pytest.approx(1.0, rel=1e-8)
 
     def test_frozen_modulus(self):
         # m=1, v0=4/3, t=1: (2 pi)^(-1/2) (1-e^(-4/3))/(4/3), frozen at 64-bit
-        got = abs(absorbing_boundary_propagator(1.0, 4 / 3, 1.0))
+        got = abs(free_propagator(1.0, 1.0, 0.0, 0.0)) * absorbing_envelope(4 / 3, 1.0)
         assert got == pytest.approx(0.2203366777606899, rel=1e-14)
 
     def test_modulus_monotone_in_time(self):
         t = np.linspace(0.05, 20, 500)
-        mods = [abs(absorbing_boundary_propagator(1.0, 4 / 3, tt)) for tt in t]
+        mods = [abs(free_propagator(1.0, tt, 0.0, 0.0)) * absorbing_envelope(4 / 3, tt) for tt in t]
         assert np.all(np.diff(mods) < 0)
 
     def test_domain_errors(self):
@@ -340,9 +337,9 @@ class TestExactEnvelopes:
         assert projected_envelope_exact(eps, t, 2) == pytest.approx(oracle, abs=1e-6)
 
     def test_full_amplitude(self):
-        got = projected_boundary_exact(1.0, 1.0, 3.0, 2)
-        want = free_propagator(1.0, 3.0, 0.0, 0.0) / 3
-        assert got == pytest.approx(want, rel=1e-12)
+        # the real-time amplitude is the envelope times (m / 2 pi i t)^(1/2)
+        got = free_propagator(1.0, 3.0, 0.0, 0.0) * projected_envelope_exact(1.0, 3.0, 2)
+        assert got == pytest.approx(np.sqrt(1 / (2j * np.pi * 3.0)) / 3, rel=1e-12)
 
     def test_unsupported_combinations(self):
         with pytest.raises(ValueError):
@@ -404,8 +401,8 @@ class TestTimeAveraged:
 
     def test_full_amplitude_form(self):
         m, tau = 1.0, 3.0
-        got = time_averaged_product(m, tau, 2)
-        want = free_propagator(m, tau, 0.0, 0.0) / 3
+        got = free_propagator(m, tau, 0.0, 0.0) * time_averaged_envelope(2, tau)
+        want = np.sqrt(m / (2j * np.pi * tau)) / 3
         assert got == pytest.approx(want, abs=1e-4 * abs(want))
 
     def test_simplex_mean_times(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import richardson_right_limit
@@ -16,9 +18,13 @@ from zenoprop.recursion import (
     numeric_oscillation_curve,
     projection_right_limit,
     run_recursion,
-    slice_mass,
 )
 from zenoprop.sawtooth import calibrate_absorption
+
+
+@pytest.fixture(scope="module")
+def unit_run():
+    return run_recursion(default_config(n_max=4, spacing_scale=4e-3))
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +62,7 @@ class TestInitialSlice:
 
     def test_half_line_mass(self, small_cfg):
         sl = initial_slice(small_cfg, 0.7)
-        assert slice_mass(sl) == pytest.approx(0.5, abs=1e-8)
+        assert np.trapezoid(sl.values, small_cfg.grid.points()) == pytest.approx(0.5, abs=1e-8)
 
     def test_gaussian_tail(self, small_cfg):
         sl = initial_slice(small_cfg, 0.9)
@@ -184,7 +190,7 @@ class TestRunRecursion:
 
     def test_monotone_mass_loss(self, small_cfg):
         _, slices = run_recursion(small_cfg, collect_slices=True)
-        masses = [slice_mass(sl) for sl in slices]
+        masses = [np.trapezoid(sl.values, sl.grid.points()) for sl in slices]
         assert np.all(np.diff(masses) < 0)
 
     def test_half_value_at_breakpoints(self, coarse_run):
@@ -208,13 +214,20 @@ class TestRunRecursion:
             peaks.append(curve.values[sel][0])
         assert abs(peaks[1] - peaks[0]) < 1e-4
 
-    def test_mass_and_units_scale_out(self):
-        # envelopes are dimensionless: m and eps rescalings leave them intact
-        base = default_config(n_max=2, spacing_scale=8e-3)
-        scaled = default_config(m=2.0, eps=0.5, n_max=2, spacing_scale=8e-3)
-        c1 = run_recursion(base)
-        c2 = run_recursion(scaled)
-        assert_allclose(c1.values, c2.values, atol=1e-6)
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+    @example(3.0, 1.0)
+    @example(1.0, 3.0)
+    @example(0.3, 1.0)
+    @example(1.0, 0.3)
+    @example(0.7, 2.5)
+    def test_mass_and_units_scale_out(self, unit_run, m, eps):
+        # the envelope depends on t / eps only: the default grid scales with
+        # sqrt(eps / m), so every (m, eps) repeats the m = eps = 1 arithmetic
+        curve = run_recursion(default_config(m=m, eps=eps, n_max=4, spacing_scale=4e-3))
+        assert np.array_equal(curve.sides, unit_run.sides)
+        assert_allclose(curve.times / eps, unit_run.times, rtol=1e-15)
+        assert np.max(np.abs(curve.values - unit_run.values)) <= 1e-13
 
 
 class TestOscillationCurve:

@@ -8,6 +8,7 @@ from oracles import (
     dense_crossing_term,
     evolve_step_potential_richardson,
     free_evolution_quadrature,
+    free_packet,
     spearman_rho,
 )
 from zenoprop.core import BoundaryCurve
@@ -18,7 +19,6 @@ from zenoprop.wavepacket import (
     crossing_density,
     crossing_term,
     delta_norm_scan,
-    free_packet,
     inner_boundary_convolution,
     normalized_crossing_density,
     packet_boundary_derivative,
