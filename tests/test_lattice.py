@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_walk_probability, catalan_number, unconstrained_return_probability
@@ -31,17 +31,22 @@ class TestSmallCases:
         assert constrained_walk_probability(LatticeConfig(5, 2)) == 0.0
 
 
+# (n_steps, steps_per_projection) cases, labelled by the strict site > 0 convention
+STRICT_CASES = [(6, 1), (8, 2), (10, 3), (12, 4), (14, 7), (16, 5)]
+
+
 class TestAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "n_steps, r", STRICT_CASES, ids=[f"strict-{n}-{r}" for n, r in STRICT_CASES]
+    )
+    def test_exact_match(self, n_steps, r):
+        # dyadic probabilities: DP and enumeration agree bit for bit
+        c = LatticeConfig(n_steps, r)
+        assert constrained_walk_probability(c) == brute_force_walk_probability(c)
+
     @settings(max_examples=60, deadline=None)
     @given(small_walks)
-    @example((6, 1))
-    @example((8, 2))
-    @example((10, 3))
-    @example((12, 4))
-    @example((14, 7))
-    @example((16, 5))
-    def test_exact_match(self, walk):
-        # dyadic probabilities: DP and enumeration agree bit for bit
+    def test_exact_match_random_walks(self, walk):
         c = LatticeConfig(*walk)
         assert constrained_walk_probability(c) == brute_force_walk_probability(c)
 
