@@ -32,7 +32,6 @@ from .recursion import (
     advance_slice,
     boundary_amplitude,
     default_config,
-    default_grid,
     initial_slice,
     numeric_oscillation_curve,
     run_recursion,

@@ -5,17 +5,23 @@ envelopes and their oscillation ratio), ``exact`` (closed-form boundary
 values and chain-integral identities), ``lattice`` (walk refinement sweep),
 ``pdx`` (wave-packet perturbation scan), ``compare`` (peak/trough summary).
 
+Each subcommand declares only the flags it reads or records in its JSON
+meta.
+
 Output is deterministic for a fixed configuration: floats are written with
 17 significant digits, comma separated, LF line endings.  Exit codes:
-0 success, 2 usage error, 3 numerical failure.  Every flag can also be set
-through a ``ZENOPROP_<SUBCOMMAND>_<FLAG>`` environment variable, and a JSON
-config file keyed by flag name supplies values beneath both.
+0 success, 2 usage error, 3 numerical failure (including any non-finite
+value about to be written).  Every flag can also be set through a
+``ZENOPROP_<SUBCOMMAND>_<FLAG>`` environment variable, and a JSON config
+file keyed by flag name supplies values beneath both.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -32,7 +38,14 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _fail(message: str) -> NoReturn:
+    click.echo(f"numerical failure: {message}", err=True)
+    sys.exit(3)
+
+
 def _write_table(path: str, fmt: str, command: str, params: dict, columns, rows) -> None:
+    if not all(math.isfinite(v) for row in rows for v in row if not isinstance(v, str)):
+        _fail(f"non-finite value in the {command} table")
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -95,17 +108,18 @@ def _numerical_guard(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as err:
         raise click.UsageError(str(err)) from err
-    except (NumericalFailure, FloatingPointError) as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        sys.exit(3)
+    except (NumericalFailure, ArithmeticError) as err:
+        _fail(str(err))
 
 
-common_options = [
-    click.option("--m", type=POSITIVE, default=1.0, show_default=True, help="Particle mass."),
-    click.option("--eps", type=POSITIVE, default=1.0, show_default=True,
-                 help="Projection spacing."),
-    click.option("--v0", type=POSITIVE, default=None,
-                 help="Absorption strength (default 4/(3 eps))."),
+mass_option = click.option("--m", type=POSITIVE, default=1.0, show_default=True,
+                           help="Particle mass.")
+spacing_option = click.option("--eps", type=POSITIVE, default=1.0, show_default=True,
+                              help="Projection spacing.")
+absorption_option = click.option("--v0", type=POSITIVE, default=None,
+                                 help="Absorption strength (default 4/(3 eps)).")
+
+output_options = [
     click.option("--out", required=True, type=click.Path(dir_okay=False, writable=False),
                  help="Output file path."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -115,9 +129,12 @@ common_options = [
                  help="JSON config file keyed by flag name (flags and env vars take precedence)."),
 ]
 
+envelope_options = [mass_option, spacing_option, absorption_option, *output_options]
+
 recursion_options = [
     click.option("--n-max", type=int, default=20, show_default=True, help="Number of projections."),
-    click.option("--grid-points", type=int, default=None, help="Override slice-grid size."),
+    click.option("--grid-points", type=int, default=None,
+                 help="Slice-grid points over the default extent."),
     click.option("--samples-per-interval", type=int, default=16, show_default=True,
                  help="Envelope samples per projection interval."),
 ]
@@ -146,7 +163,7 @@ def main() -> None:
 
 
 @main.command()
-@_with(common_options)
+@_with(envelope_options)
 def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
     v0 = _resolve_v0(v0, eps)
@@ -157,11 +174,7 @@ def fv(m, eps, v0, out, fmt) -> None:
 
 
 def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
-    cfg = recursion.default_config(m=m, eps=eps, n_max=n_max,
-                                   samples_per_interval=samples_per_interval)
-    if grid_points is not None:
-        grid = recursion.Grid1D(0.0, cfg.grid.x_max, grid_points)
-        cfg = recursion.RecursionConfig(m, eps, n_max, grid, samples_per_interval)
+    cfg = recursion.default_config(m, eps, n_max, samples_per_interval, grid_points)
     curve = recursion.run_recursion(cfg)
     model = np.atleast_1d(sawtooth.sawtooth_envelope(eps, curve.times))
     # model is right-continuous; report the peak branch on '-' rows
@@ -175,7 +188,7 @@ def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
 
 
 @main.command()
-@_with(common_options + recursion_options)
+@_with(envelope_options + recursion_options)
 def fp(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
     v0 = _resolve_v0(v0, eps)
@@ -196,7 +209,7 @@ def fp(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
 
 
 @main.command(name="exact")
-@_with(common_options)
+@_with(envelope_options)
 def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
     v0 = _resolve_v0(v0, eps)
@@ -212,8 +225,8 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
             ("chain_pm_equal", orthant((eps, 2 * eps), 3 * eps, (1, -1)) / np.sqrt(3 * eps)),
             ("chain_ppp_reconstructed",
              orthant((eps, 2 * eps, 3 * eps), 4 * eps) / np.sqrt(4 * eps)),
-            ("time_averaged_one", exact.time_averaged_envelope(1, 3 * eps)),
-            ("time_averaged_two", exact.time_averaged_envelope(2, 3 * eps)),
+            ("time_averaged_one", exact.time_averaged_envelope(1)),
+            ("time_averaged_two", exact.time_averaged_envelope(2)),
             ("absorbing_envelope_at_eps", exact.absorbing_envelope(v0, eps)),
         ]
 
@@ -223,12 +236,12 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 
 
 @main.command(name="lattice")
-@_with(common_options)
+@_with([mass_option, spacing_option, *output_options])
 @click.option("--tau", type=POSITIVE, default=4.0, show_default=True,
               help="Total walk duration (multiple of eps).")
 @click.option("--levels", type=click.IntRange(max=_MAX_LEVELS), default=4, show_default=True,
               help="Number of refinement levels (quadrupling).")
-def lattice_cmd(m, eps, v0, out, fmt, tau, levels) -> None:
+def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
     level_list = tuple(4**j for j in range(1, levels + 1))
 
@@ -247,13 +260,12 @@ def lattice_cmd(m, eps, v0, out, fmt, tau, levels) -> None:
 
 
 @main.command()
-@_with(common_options)
+@_with([mass_option, *output_options])
 @click.option("--p-sigma", type=POSITIVE, default=10.0, show_default=True,
               help="Dimensionless packet momentum p*sigma.")
-def pdx(m, eps, v0, out, fmt, p_sigma) -> None:
-    """Wave-packet perturbation scan against the suppression predictor."""
-    if v0 is not None:
-        raise click.UsageError("pdx calibrates v0 from each scan eps; --v0 is not accepted")
+def pdx(m, out, fmt, p_sigma) -> None:
+    """Wave-packet perturbation scan against the suppression predictor; it
+    scans its own eps values and calibrates v0 from each."""
     sigma = 1.0
     mom = p_sigma / sigma
     wp = wavepacket.WavePacket(q=-10 * sigma, p=mom, sigma=sigma, m=m)
@@ -274,25 +286,24 @@ def pdx(m, eps, v0, out, fmt, p_sigma) -> None:
 
 
 @main.command()
-@_with(common_options + recursion_options)
+@_with(envelope_options + recursion_options)
 def compare(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
     v0 = _resolve_v0(v0, eps)
-    curve, _, _, _ = _numerical_guard(
+    curve, model, fvv, s = _numerical_guard(
         _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
     )
 
-    # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max
-    peaks = curve.values[curve.sides == "-"][1:]
+    # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max; the peak
+    # of drop k is the '-' row at s = k + 1
+    minus = curve.sides == "-"
+    peaks = zip(*(col[minus][1:] for col in (curve.times, curve.values, model, fvv, s)))
     troughs = curve.values[curve.sides == "+"]
-    rows = []
-    for k, (peak_n, trough_n) in enumerate(zip(peaks, troughs), start=1):
-        t_k = (k + 1) * eps
-        fv_k = exact.absorbing_envelope(v0, t_k)
-        rows.append(
-            (float(k), t_k, peak_n, sawtooth.peak_value(k),
-             trough_n, sawtooth.trough_value(k - 1), fv_k, peak_n / fv_k - 1.0)
-        )
+    rows = [
+        (float(k), t_k, peak_n, peak_m, trough_n, sawtooth.trough_value(k - 1), fv_k, s_k)
+        for k, ((t_k, peak_n, peak_m, fv_k, s_k), trough_n)
+        in enumerate(zip(peaks, troughs), start=1)
+    ]
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "grid_points": grid_points or 0, "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,

@@ -30,24 +30,23 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform spatial grid with inclusive endpoints."""
+    """Uniform half-line grid over [0, x_max] with inclusive endpoints."""
 
-    x_min: float
     x_max: float
     n_points: int
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        if not self.x_max > 0:
+            raise ValueError("x_max must be positive")
 
     @property
     def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
+        return self.x_max / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        return np.linspace(0.0, self.x_max, self.n_points)
 
 
 def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:

@@ -14,7 +14,10 @@ The bridge values at the t_i are jointly Gaussian with correlations
 
     rho_ij = sqrt(t_i (t - t_j) / (t_j (t - t_i))),    i < j,
 
-so the envelope is a Gaussian orthant probability.  For n <= 3 and sign
+so the envelope is a Gaussian orthant probability.  The correlations
+depend on the instants only through their ratios to one another and to t,
+and are formed from those ratios, so the envelope is scale-free and finite
+for any duration a float can hold.  For n <= 3 and sign
 pattern s (+1 for x > 0, -1 for x < 0 at each instant) it has the closed
 form (Sheppard 1899; Plackett 1954, Biometrika 41:351)
 
@@ -23,9 +26,10 @@ form (Sheppard 1899; Plackett 1954, Biometrika 41:351)
 ``bridge_orthant`` evaluates it.  A last instant at t_n = t gives the
 coincidence right limit, exactly half the value without that instant: the
 half-value drop at a projection.  The equally spaced envelopes and the
-average over projection instants (1/(n+1) for n projections) are built on
-it.  Only the dimensionless envelopes live here; the real-time amplitude is
-the envelope times the free prefactor.  The test suite checks the orthant
+average over projection instants (1/(n+1) for n projections, taken on the
+unit interval because it is the same for every duration) are built on it.
+Only the dimensionless envelopes live here; the real-time amplitude is the
+envelope times the free prefactor.  The test suite checks the orthant
 against brute-force quadrature of the constrained Gaussian chain integrals.
 """
 
@@ -88,7 +92,7 @@ def bridge_orthant(times, t, signs=None) -> np.ndarray | float:
         raise ValueError("bridge orthant needs 0 < t_1 < ... < t_n <= t")
     value = np.full(np.broadcast(t, *ts).shape, 2.0**-n)
     for i, j in combinations(range(n), 2):
-        rho = np.sqrt(ts[i] * (t - ts[j]) / (ts[j] * (t - ts[i])))
+        rho = np.sqrt((ts[i] / ts[j]) * ((t - ts[j]) / (t - ts[i])))
         value += signs[i] * signs[j] * np.arcsin(rho) / (2.0 ** (n - 1) * np.pi)
     return value if value.ndim else float(value)
 
@@ -111,28 +115,30 @@ def projected_envelope_exact(eps: float, t: float, n_proj: int) -> float:
 # time-averaged boundary identity
 # ---------------------------------------------------------------------------
 
-def time_averaged_envelope(n: int, tau: float, panels: int = 1024) -> float:
-    """Average of the n-projection boundary envelope over all ordered
-    projection times in [0, tau]:
+# Midpoint panels per axis of the two-projection simplex average.
+_PANELS = 1024
 
-        (n!/tau^n) int_0^tau dt_n ... int_0^{t_2} dt_1
-            bridge_orthant((t_1, ..., t_n), tau)
+
+def time_averaged_envelope(n: int) -> float:
+    """Average of the n-projection boundary envelope over all ordered
+    projection times, on the unit interval (the envelope depends on the
+    instants only through their ratios to the duration, so this is the
+    average for every duration):
+
+        n! int_0^1 dt_n ... int_0^{t_2} dt_1 bridge_orthant((t_1, ..., t_n), 1)
 
     which equals 1/(n+1) exactly.  n = 1 is pointwise constant (each single
     projection contributes exactly one half by reflection symmetry); n = 2
     is evaluated by nested midpoint quadrature of the closed form, one row
     of inner nodes at a time.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
     if n == 1:
-        # sqrt(tau) T_+(t1, tau - t1) = 1/2 for every t1; the average is exact.
         return 0.5
     if n != 2:
         raise ValueError("time-averaged envelope implemented for n in {1, 2}")
-    h = tau / panels
+    h = 1.0 / _PANELS
     total = 0.0
-    for t in (np.arange(panels) + 0.5) * h:
-        h1 = t / panels
-        total += bridge_orthant(((np.arange(panels) + 0.5) * h1, t), tau).sum() * h1
-    return float(2.0 / tau**2 * total * h)
+    for t in (np.arange(_PANELS) + 0.5) * h:
+        h1 = t / _PANELS
+        total += bridge_orthant(((np.arange(_PANELS) + 0.5) * h1, t), 1.0).sum() * h1
+    return float(2.0 * total * h)

@@ -18,8 +18,9 @@ which equals one for free evolution and continues to real time untouched
 (only the square-root prefactor rotates).
 
 Numerics: slices live on a uniform grid over [0, x_max] with x_max about
-ten thermal widths of the total duration; the y-integral uses uniform
-weights with halved endpoints (interior nodes are midpoints of their
+ten thermal widths of the total duration and spacing 1e-3 sqrt(eps/m)
+unless a point count is given (``default_config``); the y-integral uses
+uniform weights with halved endpoints (interior nodes are midpoints of their
 panels), making every advance a discrete convolution with the heat kernel
 cut at ``kernel_span`` widths, evaluated by ``np.convolve`` in a fixed
 summation order, so results are deterministic.  On the free interval
@@ -28,8 +29,7 @@ one, so only the slice at s = 1 is built.  The grid must resolve the
 narrowest kernel used, that of the step eps / samples_per_interval, by at
 least four spacings.  One-sided limits at the projection instants: the
 left limit is the ordinary sample at the end of an interval; the right
-limit is the exact coincidence value, half the left-limit slice value at
-the origin (``projection_right_limit``).
+limit is the exact coincidence value, half the left limit.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ from .sawtooth import oscillation_ratio
 __all__ = [
     "EuclideanSlice",
     "RecursionConfig",
-    "default_grid",
     "default_config",
     "initial_slice",
     "advance_slice",
     "boundary_amplitude",
-    "projection_right_limit",
     "run_recursion",
     "numeric_oscillation_curve",
 ]
@@ -59,9 +57,8 @@ __all__ = [
 
 @dataclass
 class EuclideanSlice:
-    """Slice F(s, x) at rescaled time s on a half-line grid (grid.x_min = 0).
-    Values are real and non-negative: the kernel is positive and the initial
-    slice is."""
+    """Slice F(s, x) at rescaled time s on the half-line grid.  Values are
+    real and non-negative: the kernel is positive and the initial slice is."""
 
     s: float
     grid: Grid1D
@@ -71,8 +68,6 @@ class EuclideanSlice:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.values) != self.grid.n_points:
             raise ValueError("slice values must match the grid size")
-        if self.grid.x_min != 0.0:
-            raise ValueError("slice grids start at x = 0")
 
 
 # Fewest grid spacings the narrowest heat kernel may span: the n_max = 3 peak
@@ -104,32 +99,20 @@ class RecursionConfig:
             )
 
 
-def default_grid(
-    m: float = 1.0,
-    eps: float = 1.0,
-    n_max: int = 20,
-    spacing_scale: float = 1e-3,
-) -> Grid1D:
-    """Grid spanning ten thermal widths of the total duration with
-    spacing ``spacing_scale * sqrt(eps/m)``; at the defaults the Gaussian
-    tails beyond x_max are below 1e-20."""
+def default_config(
+    m: float, eps: float, n_max: int, samples_per_interval: int, grid_points: int | None = None
+) -> RecursionConfig:
+    """Recursion settings on a grid spanning ten thermal widths of the total
+    duration, at spacing ``1e-3 sqrt(eps/m)`` or with ``grid_points`` points
+    over the same extent.  At the default spacing the Gaussian tails beyond
+    x_max are below 1e-20."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tau_total = (n_max + 1) * eps
-    h = spacing_scale * np.sqrt(eps / m)
+    h = 1e-3 * np.sqrt(eps / m)
     x_max = 10.0 * np.sqrt(tau_total / m)
     n_points = int(np.ceil(x_max / h)) + 1
-    return Grid1D(0.0, h * (n_points - 1), n_points)
-
-
-def default_config(
-    m: float = 1.0,
-    eps: float = 1.0,
-    n_max: int = 20,
-    spacing_scale: float = 1e-3,
-    samples_per_interval: int = 16,
-) -> RecursionConfig:
-    grid = default_grid(m, eps, n_max, spacing_scale)
+    grid = Grid1D(h * (n_points - 1), n_points if grid_points is None else grid_points)
     return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
 
 
@@ -140,12 +123,11 @@ def _quad_weights(grid: Grid1D) -> np.ndarray:
     return w
 
 
-def initial_slice(cfg: RecursionConfig, s: float) -> EuclideanSlice:
-    """F_0(s, x): heat-kernel spreading from the origin, 0 < s <= 1."""
-    if not 0 < s <= 1:
-        raise ValueError(f"initial slice needs 0 < s <= 1, got s={s}")
+def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
+    """F_0(1, x): the heat kernel spread from the origin over the free
+    interval, the slice just before the first projection."""
     x = cfg.grid.points()
-    return EuclideanSlice(s, cfg.grid, heat_kernel(cfg.m, s * cfg.eps, x, 0.0))
+    return EuclideanSlice(1.0, cfg.grid, heat_kernel(cfg.m, cfg.eps, x, 0.0))
 
 
 def _integer_index(s: float) -> int:
@@ -185,15 +167,6 @@ def boundary_amplitude(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float
     return float(np.dot(half, (prev.values * _quad_weights(cfg.grid))[: len(half)]))
 
 
-def projection_right_limit(prev: EuclideanSlice, cfg: RecursionConfig) -> float:
-    """Exact coincidence limit of the envelope just after the projection at
-    integer s: half the pre-projection slice value at the origin, normalised
-    by the free kernel."""
-    n = _integer_index(prev.s)
-    t = n * cfg.eps
-    return float(0.5 * prev.values[0] / heat_kernel(cfg.m, t, 0.0, 0.0))
-
-
 def _envelope(cfg: RecursionConfig, amplitude: float, s: float) -> float:
     return amplitude / float(heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0))
 
@@ -226,11 +199,11 @@ def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
     for j in range(1, spi):
         emit(j / spi, 1.0, "")
     emit(1.0, 1.0, "-")
-    prev = initial_slice(cfg, 1.0)
+    prev = initial_slice(cfg)
     slices = [prev]
 
     for n in range(1, cfg.n_max + 1):
-        emit(float(n), projection_right_limit(prev, cfg), "+")
+        emit(float(n), 0.5 * vals[-1], "+")
         for j in range(1, spi):
             s = n + j / spi
             emit(s, _envelope(cfg, boundary_amplitude(prev, cfg, s), s), "")

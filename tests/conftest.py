@@ -16,7 +16,7 @@ def default_run():
     saw-tooth acceptance checks (it is the expensive fixture of the suite).
     Yields (config, envelope curve, pre-projection slices at s = 1..n_max+1,
     wall-clock seconds of the run)."""
-    cfg = recursion.default_config()
+    cfg = recursion.default_config(1.0, 1.0, 20, 16)
     start = time.monotonic()
     curve, slices = recursion.run_recursion(cfg, collect_slices=True)
     elapsed = time.monotonic() - start
@@ -27,5 +27,5 @@ def default_run():
 def coarse_run():
     """A budget recursion for unit-level checks: coarser grid, 6 projections.
     Yields (config, envelope curve, pre-projection slices at s = 1..7)."""
-    cfg = recursion.default_config(n_max=6, spacing_scale=4e-3)
+    cfg = recursion.default_config(1.0, 1.0, 6, 16, 6616)  # spacing 4e-3
     return (cfg, *recursion.run_recursion(cfg, collect_slices=True))

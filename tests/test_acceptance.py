@@ -29,7 +29,7 @@ class TestCriterion1:
         """Numeric recursion reproduces the closed-form envelopes for 0..3
         projections within 1e-4 absolute, in under 10 seconds."""
         start = time.monotonic()
-        cfg = recursion.default_config(n_max=3)
+        cfg = recursion.default_config(1.0, 1.0, 3, 16)
         curve = recursion.run_recursion(cfg)
         worst = 0.0
         for t, v, side in zip(curve.times, curve.values, curve.sides):
@@ -180,8 +180,8 @@ class TestCriterion6:
     def test_time_averaged_identity(self):
         """Averaging projection instants: exactly 1/2 for one projection,
         1/3 within 1e-4 for two."""
-        assert exact.time_averaged_envelope(1, 3.0) == 0.5
-        two = exact.time_averaged_envelope(2, 3.0, panels=1024)
+        assert exact.time_averaged_envelope(1) == 0.5
+        two = exact.time_averaged_envelope(2)
         assert abs(two - 1 / 3) < 1e-4, two
         report(6, f"time-averaged identity (n=2 error {two - 1 / 3:+.1e})")
 

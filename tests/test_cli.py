@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import textwrap
 from importlib import resources
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import validate_table_schema
+from perfbench.checks import exact_closed_forms
 from zenoprop.cli import main
 
 
@@ -116,6 +120,20 @@ class TestExact:
         assert table["chain_ppp_reconstructed"] == pytest.approx(0.125, rel=1e-10)
         assert table["time_averaged_two"] == pytest.approx(1 / 3, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-200", "1e-160", "1e160", "1e300"])
+    def test_scale_free_at_extreme_eps(self, runner, tmp_path, eps):
+        # the closed forms depend on ratios of instants only, so no eps a
+        # float can hold overflows, underflows or warns
+        out = tmp_path / "exact.csv"
+        res = runner.invoke(main, ["exact", "--eps", eps, "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        _, rows = read_rows(out)
+        want = exact_closed_forms(float(eps))
+        assert [r[0] for r in rows] == list(want)
+        for name, value in rows:
+            assert float(value) == pytest.approx(want[name], rel=1e-6), name
+
 
 class TestLattice:
     def test_refinement_table(self, runner, tmp_path):
@@ -217,6 +235,11 @@ class TestUsageErrors:
         ["lattice", "--eps", "1e-300"],
         ["lattice", "--eps", "1e-4"],
         ["lattice", "--levels", "600"],
+        ["pdx", "--eps", "1"],
+        ["pdx", "--v0", "1"],
+        ["lattice", "--v0", "1"],
+        ["fp", "--grid-points", "0"],
+        ["fp", "--grid-points", "1"],
     ])
     def test_library_value_errors(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
@@ -250,6 +273,16 @@ class TestPdxCommand:
         res = runner.invoke(main, ["pdx", "--out", str(tmp_path / "x.csv"), "--v0", "2.0"])
         assert res.exit_code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", ["1e-300", "1e300"])
+    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, m):
+        # m**2 underflows to NaN norms at 1e-300 and overflows at 1e300
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", "--m", m, "--out", str(out)])
+        assert res.exit_code == 3, result_output(res)
+        assert res.output.splitlines()[-1].startswith("numerical failure: ")
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_scan_table(self, runner, tmp_path):
         out = tmp_path / "pdx.csv"
@@ -261,3 +294,18 @@ class TestPdxCommand:
         norms = np.array([float(r[3]) for r in rows])
         assert np.all(norms > 0)
         assert norms[0] < norms[-1]  # suppression deepens as eps shrinks
+
+
+def names_read(fn) -> set[str]:
+    """Names loaded anywhere in the body of ``fn``, nested functions included."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.id for statement in tree.body[0].body for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_every_option_is_read(name):
+    # a subcommand declares only the options it uses or records in its meta
+    command = main.commands[name]
+    declared = {p.name for p in command.params if p.expose_value}
+    assert sorted(declared - names_read(command.callback)) == []

@@ -394,14 +394,14 @@ class TestHalfValueDrop:
 
 class TestTimeAveraged:
     def test_single_projection_exact_half(self):
-        assert time_averaged_envelope(1, 3.0) == 0.5
+        assert time_averaged_envelope(1) == 0.5
 
     def test_two_projections_third(self):
-        assert time_averaged_envelope(2, 3.0) == pytest.approx(1 / 3, abs=1e-4)
+        assert time_averaged_envelope(2) == pytest.approx(1 / 3, abs=1e-4)
 
     def test_full_amplitude_form(self):
         m, tau = 1.0, 3.0
-        got = free_propagator(m, tau, 0.0, 0.0) * time_averaged_envelope(2, tau)
+        got = free_propagator(m, tau, 0.0, 0.0) * time_averaged_envelope(2)
         want = np.sqrt(m / (2j * np.pi * tau)) / 3
         assert got == pytest.approx(want, abs=1e-4 * abs(want))
 
@@ -425,4 +425,4 @@ class TestTimeAveraged:
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
-            time_averaged_envelope(3, 1.0)
+            time_averaged_envelope(3)

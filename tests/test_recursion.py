@@ -13,35 +13,39 @@ from zenoprop.recursion import (
     advance_slice,
     boundary_amplitude,
     default_config,
-    default_grid,
     initial_slice,
     numeric_oscillation_curve,
-    projection_right_limit,
     run_recursion,
 )
 from zenoprop.sawtooth import calibrate_absorption
 
 
+# grid points at spacing 4e-3 sqrt(eps/m) over the default extent, for n = 4
+UNIT_RUN_POINTS = 5592
+
+
 @pytest.fixture(scope="module")
 def unit_run():
-    return run_recursion(default_config(n_max=4, spacing_scale=4e-3))
+    return run_recursion(default_config(1.0, 1.0, 4, 16, UNIT_RUN_POINTS))
 
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    # fast configuration for unit checks; tolerances stay far below targets
-    return default_config(n_max=3, spacing_scale=4e-3)
+    # fast configuration for unit checks (spacing 4e-3); tolerances stay far
+    # below targets
+    return default_config(1.0, 1.0, 3, 16, 5001)
 
 
 class TestConfig:
     def test_default_grid_geometry(self):
-        g = default_grid(m=1.0, eps=1.0, n_max=20)
-        assert g.x_min == 0.0
+        g = default_config(1.0, 1.0, 20, 16).grid
         assert g.x_max >= 10 * np.sqrt(21.0)
         assert g.spacing == pytest.approx(1e-3, rel=1e-6)
+        # a point count keeps the default extent
+        assert default_config(1.0, 1.0, 20, 16, 1001).grid == Grid1D(g.x_max, 1001)
 
     def test_validation(self):
-        g = Grid1D(0.0, 10.0, 1001)
+        g = Grid1D(10.0, 1001)
         with pytest.raises(ValueError):
             RecursionConfig(1.0, 1.0, 0, g)
         with pytest.raises(ValueError):
@@ -49,51 +53,47 @@ class TestConfig:
         with pytest.raises(ValueError):
             RecursionConfig(-1.0, 1.0, 3, g)
         # the narrowest kernel, of width sqrt(eps / (16 m)) = 0.25, needs 4 spacings
-        RecursionConfig(1.0, 1.0, 3, Grid1D(0.0, 10.0, 161))
+        RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 161))
         with pytest.raises(ValueError, match="too coarse"):
-            RecursionConfig(1.0, 1.0, 3, Grid1D(0.0, 10.0, 160))
+            RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 160))
 
 
 class TestInitialSlice:
     def test_origin_value(self, small_cfg):
-        sl = initial_slice(small_cfg, 0.5)
-        want = np.sqrt(small_cfg.m / (2 * np.pi * 0.5 * small_cfg.eps))
+        sl = initial_slice(small_cfg)
+        assert sl.s == 1.0
+        want = np.sqrt(small_cfg.m / (2 * np.pi * small_cfg.eps))
         assert sl.values[0] == pytest.approx(want, rel=1e-14)
 
     def test_half_line_mass(self, small_cfg):
-        sl = initial_slice(small_cfg, 0.7)
+        sl = initial_slice(small_cfg)
         assert np.trapezoid(sl.values, small_cfg.grid.points()) == pytest.approx(0.5, abs=1e-8)
 
     def test_gaussian_tail(self, small_cfg):
-        sl = initial_slice(small_cfg, 0.9)
+        sl = initial_slice(small_cfg)
         x = small_cfg.grid.points()
-        width = np.sqrt(0.9 * small_cfg.eps / small_cfg.m)
+        width = np.sqrt(small_cfg.eps / small_cfg.m)
         assert np.all(sl.values[x > 10 * width] < 1e-20)
-
-    def test_domain(self, small_cfg):
-        for bad in (0.0, 1.2, -0.1):
-            with pytest.raises(ValueError):
-                initial_slice(small_cfg, bad)
 
 
 class TestAdvance:
     def test_delta_kernel_limit(self, small_cfg):
         # a tiny step leaves the slice nearly unchanged in the interior
-        prev = initial_slice(small_cfg, 1.0)
+        prev = initial_slice(small_cfg)
         nxt = advance_slice(prev, small_cfg, 1.0 + 1e-4)
         x = small_cfg.grid.points()
         sel = (x > 0.5) & (x < 3.0)
         assert np.max(np.abs(nxt.values[sel] / prev.values[sel] - 1)) < 0.01
 
     def test_one_projection_constant_half(self, small_cfg):
-        prev = initial_slice(small_cfg, 1.0)
+        prev = initial_slice(small_cfg)
         for s in (1.25, 1.5, 1.99):
             amp = boundary_amplitude(prev, small_cfg, s)
             env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
             assert env == pytest.approx(0.5, abs=1e-4)
 
     def test_two_projection_arctan_curve(self, small_cfg):
-        prev = initial_slice(small_cfg, 1.0)
+        prev = initial_slice(small_cfg)
         prev = advance_slice(prev, small_cfg, 2.0)
         for s in (2.2, 2.5, 2.8, 3.0):
             amp = boundary_amplitude(prev, small_cfg, s) if s < 3 else advance_slice(
@@ -105,22 +105,22 @@ class TestAdvance:
 
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
-        prev = advance_slice(initial_slice(small_cfg, 1.0), small_cfg, 2.0)
+        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
         for s in (2.001, 2.3, 3.0):
             want = advance_slice(prev, small_cfg, s).values[0]
             assert boundary_amplitude(prev, small_cfg, s) == pytest.approx(want, rel=1e-13)
 
     def test_positivity_preserved(self, small_cfg):
-        prev = initial_slice(small_cfg, 1.0)
+        prev = initial_slice(small_cfg)
         for n in (2.0, 3.0):
             prev = advance_slice(prev, small_cfg, n)
             assert np.all(prev.values >= 0)
 
     def test_slice_alignment_required(self, small_cfg):
-        prev = initial_slice(small_cfg, 0.5)
+        prev = advance_slice(initial_slice(small_cfg), small_cfg, 1.5)
         with pytest.raises(ValueError):
-            advance_slice(prev, small_cfg, 1.0)  # not at integer s
-        prev = initial_slice(small_cfg, 1.0)
+            advance_slice(prev, small_cfg, 2.0)  # not at integer s
+        prev = initial_slice(small_cfg)
         with pytest.raises(ValueError):
             advance_slice(prev, small_cfg, 2.5)  # beyond next projection
         with pytest.raises(ValueError):
@@ -132,20 +132,13 @@ class TestAdvance:
 
 
 class TestRightLimit:
-    def test_half_of_left_limit(self, small_cfg):
-        prev = initial_slice(small_cfg, 1.0)
-        prev = advance_slice(prev, small_cfg, 2.0)
-        left = prev.values[0] / heat_kernel(small_cfg.m, 2 * small_cfg.eps, 0.0, 0.0)
-        right = projection_right_limit(prev, small_cfg)
-        assert right == pytest.approx(left / 2, rel=1e-12)
-
     def test_extrapolated_matches_direct(self, small_cfg):
         # the sqrt(offset)-Richardson limit agrees with the exact coincidence
-        # value inside 1e-3 even on this coarse grid (the tiny-offset kernel
-        # is the least-resolved object in the module)
-        prev = initial_slice(small_cfg, 1.0)
+        # value, half the left limit, inside 1e-3 even on this coarse grid
+        # (the tiny-offset kernel is the least-resolved object in the module)
+        prev = initial_slice(small_cfg)
         prev = advance_slice(prev, small_cfg, 2.0)
-        direct = projection_right_limit(prev, small_cfg)
+        direct = 0.5 * prev.values[0] / heat_kernel(small_cfg.m, 2 * small_cfg.eps, 0.0, 0.0)
         assert richardson_right_limit(prev, small_cfg) == pytest.approx(direct, rel=1e-3)
 
 
@@ -169,7 +162,7 @@ class TestRunRecursion:
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
         # (the error falls 4x per halving of the spacing; 7.5e-7 at small_cfg's)
-        cfg = default_config(n_max=3)
+        cfg = default_config(1.0, 1.0, 3, 16)
         curve = run_recursion(cfg)
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
@@ -201,14 +194,14 @@ class TestRunRecursion:
             at_k = np.isclose(curve.times, k * cfg.eps)
             peak = curve.values[at_k & (curve.sides == "-")][0]
             trough = curve.values[at_k & (curve.sides == "+")][0]
-            assert trough == projection_right_limit(slices[k - 1], cfg) == peak / 2
+            assert trough == peak / 2
             assert richardson_right_limit(slices[k - 1], cfg) == pytest.approx(peak / 2, rel=1e-3)
 
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
         peaks = []
-        for scale in (4e-3, 2e-3):
-            cfg = default_config(n_max=10, spacing_scale=scale)
+        for grid_points in (8293, 16585):  # spacings 4e-3 and 2e-3
+            cfg = default_config(1.0, 1.0, 10, 16, grid_points)
             curve = run_recursion(cfg)
             sel = np.isclose(curve.times, 11 * cfg.eps) & (curve.sides == "-")
             peaks.append(curve.values[sel][0])
@@ -224,7 +217,7 @@ class TestRunRecursion:
     def test_mass_and_units_scale_out(self, unit_run, m, eps):
         # the envelope depends on t / eps only: the default grid scales with
         # sqrt(eps / m), so every (m, eps) repeats the m = eps = 1 arithmetic
-        curve = run_recursion(default_config(m=m, eps=eps, n_max=4, spacing_scale=4e-3))
+        curve = run_recursion(default_config(m, eps, 4, 16, UNIT_RUN_POINTS))
         assert np.array_equal(curve.sides, unit_run.sides)
         assert_allclose(curve.times / eps, unit_run.times, rtol=1e-15)
         assert np.max(np.abs(curve.values - unit_run.values)) <= 1e-13
