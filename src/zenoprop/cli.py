@@ -105,7 +105,8 @@ POSITIVE = _FinitePositive()
 
 def _numerical_guard(fn, *args, **kwargs):
     try:
-        return fn(*args, **kwargs)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return fn(*args, **kwargs)
     except ValueError as err:
         raise click.UsageError(str(err)) from err
     except (NumericalFailure, ArithmeticError) as err:

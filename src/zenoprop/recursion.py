@@ -108,10 +108,10 @@ def default_config(
     x_max are below 1e-20."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tau_total = (n_max + 1) * eps
     h = 1e-3 * np.sqrt(eps / m)
-    x_max = 10.0 * np.sqrt(tau_total / m)
-    n_points = int(np.ceil(x_max / h)) + 1
+    # ten thermal widths, 10 sqrt((n_max + 1) eps/m), are 1e4 sqrt(n_max + 1)
+    # spacings for every (m, eps), so the point count depends on n_max alone
+    n_points = int(np.ceil(10.0 * np.sqrt(n_max + 1) / 1e-3)) + 1
     grid = Grid1D(h * (n_points - 1), n_points if grid_points is None else grid_points)
     return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
 

@@ -14,23 +14,27 @@ through the boundary:
 with both boundary factors written through free quantities (the restricted
 derivative is exactly twice the free one, absorbing a factor 4 and leaving
 an overall i^2/m^2 = -1/m^2; the sign convention is pinned by reproducing
-exact free evolution, see the tests).  Replacing the absorbing boundary
-propagator by the pulsed-measurement one therefore perturbs the wave
-function by the same double integral with the boundary difference
-``delta_g(u) = S(u) g_absorbing(u)`` in the middle slot; the difference is
-treated as stationary in both times, which holds on timescales well above
-the projection spacing.
+exact free evolution, see the tests).  The packet enters only through
+dpsi_free/dx(0, t1) of the exactly evolved Gaussian, spreading included.
+Replacing the absorbing boundary propagator by the pulsed-measurement one
+therefore perturbs the wave function by the same double integral with the
+boundary difference ``delta_g(u) = S(u) g_absorbing(u)`` in the middle slot,
+S the relative oscillation of the saw-tooth envelope around the absorbing
+one; the difference is treated as stationary in both times, which holds on
+timescales well above the projection spacing.
 
-Numerics: the inner time convolution peels the u^{-1/2} kernel singularity
-off with product-integration weights and is evaluated as a zero-padded FFT
-product; the outer integral is evaluated in momentum space, where the final
-free leg is diagonal and nothing is singular; the slowly decaying 1/k
-endpoint tail (a step structure at the boundary) is summed analytically via
-a Fresnel integral so the numeric transform only handles an O(1/k^2)
-remainder.  The time sum at the frequencies k^2/2m and the transform from
-the uniform k grid to x are both trigonometric sums at non-uniform angles,
-evaluated by a Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of
-dense phase matrices; it agrees with the dense sums to about 1e-12.
+Numerics: the boundary difference is built with its u^{-1/2} singularity
+already peeled off, sqrt(u) delta_g(u) = (m/2 pi i)^{1/2} (f_p - f_v)(u);
+the inner time convolution restores it with product-integration weights
+and is evaluated as a zero-padded FFT product; the outer integral is
+evaluated in momentum space, where the final free leg is diagonal and
+nothing is singular; the slowly decaying 1/k endpoint tail (a step
+structure at the boundary) is summed analytically via a Fresnel integral
+so the numeric transform only handles an O(1/k^2) remainder.  The time sum
+at the frequencies k^2/2m and the transform from the uniform k grid to x
+are both trigonometric sums at non-uniform angles, evaluated by a
+Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of dense phase
+matrices; it agrees with the dense sums to about 1e-12.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryCurve, ROOT_INV_I, half_power_weights
+from .core import ROOT_INV_I, half_power_weights
 from .exact import absorbing_envelope
-from .sawtooth import calibrate_absorption, oscillation_ratio, sawtooth_envelope
+from .sawtooth import calibrate_absorption, sawtooth_envelope
 
 __all__ = [
     "WavePacket",
@@ -89,19 +93,11 @@ class WavePacket:
         return (2 * np.pi * self.sigma**2) ** (-0.25)
 
 
-def packet_boundary_derivative(wp: WavePacket, t, spreading: bool = False):
-    """d psi / dx at x = 0 of the freely evolved packet (analytic).
-
-    The default drags the envelope rigidly along the classical trajectory
-    (adequate for times short against m sigma^2); ``spreading=True`` uses
-    the exact free evolution of the initial Gaussian.
-    """
+def packet_boundary_derivative(wp: WavePacket, t):
+    """d psi / dx at x = 0 of the initial Gaussian under exact free
+    evolution (analytic; the t = 0 value is that of the initial packet)."""
     t = np.asarray(t, dtype=float)
     a = 1.0 / (4 * wp.sigma**2)
-    if not spreading:
-        c = wp.q + wp.p * t / wp.m
-        psi0 = wp.norm_factor * np.exp(-(c**2) * a - 1j * wp.energy * t)
-        return psi0 * (c / (2 * wp.sigma**2) + 1j * wp.p)
     beta0 = 2 * a * wp.q + 1j * wp.p
     at_zero = wp.norm_factor * np.exp(-a * wp.q**2) * beta0
     ts = np.where(t == 0, 1.0, t)
@@ -139,7 +135,7 @@ def suppression_exponent(wp: WavePacket, eps: float) -> float:
 # crossing distributions
 # ---------------------------------------------------------------------------
 
-def crossing_density(wp: WavePacket, v0: float, tau, spreading: bool = False):
+def crossing_density(wp: WavePacket, v0: float, tau):
     """Unnormalised crossing-time density in the strong-absorption regime,
 
         (2 / (m^{3/2} sqrt(v0))) |d psi_free/dx (0, tau)|^2,
@@ -148,39 +144,38 @@ def crossing_density(wp: WavePacket, v0: float, tau, spreading: bool = False):
     v0 -> inf (total reflection) and scales exactly as v0^{-1/2}."""
     if not v0 > 0:
         raise ValueError("v0 must be positive")
-    d = packet_boundary_derivative(wp, tau, spreading)
+    d = packet_boundary_derivative(wp, tau)
     return 2.0 / (wp.m**1.5 * np.sqrt(v0)) * np.abs(d) ** 2
 
 
-def normalized_crossing_density(wp: WavePacket, tau, spreading: bool = False):
+def normalized_crossing_density(wp: WavePacket, tau):
     """Normalised crossing-time density |d psi/dx(0, tau)|^2 / (m p):
     independent of the absorption strength by construction and integrating
     to one for a packet that fully crosses."""
     if wp.p <= 0:
         raise ValueError("normalised crossing density needs mean momentum p > 0")
-    d = packet_boundary_derivative(wp, tau, spreading)
+    d = packet_boundary_derivative(wp, tau)
     return np.abs(d) ** 2 / (wp.m * wp.p)
 
 
 # ---------------------------------------------------------------------------
-# boundary-difference curve and the crossing machinery
+# boundary difference and the crossing machinery
 # ---------------------------------------------------------------------------
 
-def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> BoundaryCurve:
+def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndarray:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
-    sampled on ``t_grid``, with S the oscillation ratio of the saw-tooth
-    envelope around the absorbing one (u = 0 maps to 0: both envelopes
-    start at one).
+    on ``t_grid`` with its u^{-1/2} factor peeled off:
+
+        sqrt(u) delta_g(u) = (m / 2 pi i)^{1/2} (f_p(u) - f_v(u)),
+
+    f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
+    at one, so the value at u = 0 is exactly zero.
     """
     t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t_grid must be non-negative")
-    vals = np.zeros(len(t), dtype=complex)
+    fv = np.ones_like(t)
     pos = t > 0
-    s_vals = oscillation_ratio(sawtooth_envelope(eps, t[pos]), absorbing_envelope(v0, t[pos]))
-    gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * t[pos])) * absorbing_envelope(v0, t[pos])
-    vals[pos] = s_vals * gv
-    return BoundaryCurve(t, vals)
+    fv[pos] = absorbing_envelope(v0, t[pos])
+    return ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (sawtooth_envelope(eps, t) - fv)
 
 
 _STENCIL = 12  # half-width, in grid points, of the NUFFT Gaussian stencil
@@ -298,43 +293,19 @@ def crossing_term(
     return -(smooth_part + tail_part)
 
 
-def pdx_delta_psi(
-    wp: WavePacket,
-    boundary_delta: BoundaryCurve,
-    tau: float,
-    x1,
-    eps: float,
-) -> np.ndarray:
+def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1) -> np.ndarray:
     """Change of the evolved wave function at (x1, tau) caused by swapping
-    the absorbing boundary propagator for the pulsed-measurement one.
+    the absorbing boundary propagator (v0 = 4/(3 eps)) for the
+    pulsed-measurement one with projections every eps.
 
-    ``boundary_delta`` holds delta_g(u) = S(u) g_absorbing(u) on a uniform
-    grid from zero to at least tau, with at least 16 samples per projection
-    gap eps.  A null difference returns zeros.
+    The time grid is uniform from 0 to tau with step at most eps/16, 1/32
+    of the packet's oscillation period 2 pi/E and tau/1024.
     """
-    t_in = boundary_delta.times
-    if len(t_in) < 2:
-        raise ValueError("boundary_delta needs at least two samples")
-    dt = t_in[1] - t_in[0]
-    if not np.allclose(np.diff(t_in), dt, rtol=1e-9, atol=1e-12) or t_in[0] != 0.0:
-        raise ValueError("boundary_delta must be sampled uniformly from t = 0")
-    if dt > eps / 16 + 1e-15:
-        raise ValueError(
-            f"delta_g resolution too coarse: dt={dt:.3e} exceeds eps/16={eps / 16:.3e}"
-        )
-    nt = int(round(tau / dt))
-    if abs(nt * dt - tau) > 1e-9 * max(tau, 1.0) or nt + 1 > len(t_in):
-        raise ValueError("boundary_delta grid must cover [0, tau] with dt | tau")
-    t = t_in[: nt + 1]
-    dvals = np.asarray(boundary_delta.values[: nt + 1], dtype=complex)
-    if not np.any(dvals):
-        return np.zeros(np.atleast_1d(np.asarray(x1, dtype=float)).shape, dtype=complex)
-
-    with np.errstate(invalid="ignore"):
-        phi = np.sqrt(t) * dvals
-    phi[0] = 0.0
-    deriv = packet_boundary_derivative(wp, t)
-    G = inner_boundary_convolution(phi, deriv, dt)
+    v0 = calibrate_absorption(eps)
+    dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
+    t = np.linspace(0.0, tau, int(np.ceil(tau / dt)) + 1)
+    phi = stationary_delta_g(t, eps, v0, wp.m)
+    G = inner_boundary_convolution(phi, packet_boundary_derivative(wp, t), t[1])
 
     kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
     span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma
@@ -344,18 +315,9 @@ def pdx_delta_psi(
 def delta_norm_scan(wp: WavePacket, eps_values, tau: float, x1):
     """L2 norm of the boundary perturbation over the x1 grid for each eps.
 
-    Returns (norms, suppression exponents).  The absorption strength is the
-    calibrated 4/(3 eps) at every scan point.
+    Returns (norms, suppression exponents).
     """
     xs = np.asarray(x1, dtype=float)
-    norms, exponents = [], []
-    for eps in eps_values:
-        v0 = calibrate_absorption(eps)
-        dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
-        nt = int(np.ceil(tau / dt))
-        t_grid = np.linspace(0.0, tau, nt + 1)
-        curve = stationary_delta_g(t_grid, eps, v0, wp.m)
-        dpsi = pdx_delta_psi(wp, curve, tau, xs, eps)
-        norms.append(float(np.sqrt(np.trapezoid(np.abs(dpsi) ** 2, xs))))
-        exponents.append(suppression_exponent(wp, eps))
-    return np.array(norms), np.array(exponents)
+    norms = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(wp, eps, tau, xs)) ** 2, xs))
+             for eps in eps_values]
+    return np.array(norms), np.array([suppression_exponent(wp, eps) for eps in eps_values])

@@ -273,14 +273,16 @@ class TestPdxCommand:
         res = runner.invoke(main, ["pdx", "--out", str(tmp_path / "x.csv"), "--v0", "2.0"])
         assert res.exit_code == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", ["1e-300", "1e300"])
     def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, m):
-        # m**2 underflows to NaN norms at 1e-300 and overflows at 1e300
+        # m**2 underflows at 1e-300 and overflows at 1e300; numpy raises
+        # instead of warning, so the failure is one line
         out = tmp_path / "pdx.csv"
         res = runner.invoke(main, ["pdx", "--m", m, "--out", str(out)])
         assert res.exit_code == 3, result_output(res)
-        assert res.output.splitlines()[-1].startswith("numerical failure: ")
+        assert len(res.output.splitlines()) == 1, res.output
+        assert res.output.startswith("numerical failure: ")
         assert not out.exists()
 
     @pytest.mark.slow

@@ -44,6 +44,16 @@ class TestConfig:
         # a point count keeps the default extent
         assert default_config(1.0, 1.0, 20, 16, 1001).grid == Grid1D(g.x_max, 1001)
 
+    @pytest.mark.parametrize("n_max, points", [(3, 20001), (8, 30001), (15, 40001), (24, 50001)])
+    def test_default_point_count_is_scale_free(self, n_max, points):
+        # the extent is a fixed number of spacings, so no (m, eps) rounds
+        # the count differently (n_max + 1 a perfect square is the edge case)
+        scales = (0.1, 0.3, 0.7, 1.0, 2.0, 2.5, 3.0, 5.0)
+        counts = {
+            default_config(m, eps, n_max, 16).grid.n_points for m in scales for eps in scales
+        }
+        assert counts == {points}
+
     def test_validation(self):
         g = Grid1D(10.0, 1001)
         with pytest.raises(ValueError):

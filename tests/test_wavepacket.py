@@ -11,8 +11,8 @@ from oracles import (
     free_packet,
     spearman_rho,
 )
-from zenoprop.core import BoundaryCurve
 from zenoprop.exact import absorbing_envelope
+from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
     WavePacket,
     _trig_sum,
@@ -22,7 +22,6 @@ from zenoprop.wavepacket import (
     inner_boundary_convolution,
     normalized_crossing_density,
     packet_boundary_derivative,
-    pdx_delta_psi,
     stationary_delta_g,
     suppression_factor,
 )
@@ -95,13 +94,12 @@ class TestBoundaryDerivative:
     def test_matches_finite_difference(self, packet):
         h = 1e-6
         for t in (0.3, 1.0, 1.4):
-            for spreading in (False, True):
-                fd = (
-                    free_packet(packet, t, np.array(h), spreading=spreading)
-                    - free_packet(packet, t, np.array(-h), spreading=spreading)
-                ) / (2 * h)
-                got = packet_boundary_derivative(packet, t, spreading=spreading)
-                assert got == pytest.approx(complex(fd), rel=1e-6)
+            fd = (
+                free_packet(packet, t, np.array(h), spreading=True)
+                - free_packet(packet, t, np.array(-h), spreading=True)
+            ) / (2 * h)
+            got = packet_boundary_derivative(packet, t)
+            assert got == pytest.approx(complex(fd), rel=1e-6)
 
     def test_spreading_matches_scalar_formula(self, packet):
         # the vectorised closed form against the per-sample formula, t = 0
@@ -117,18 +115,18 @@ class TestBoundaryDerivative:
             else:
                 b = packet.m / (2 * tt)
                 want[i] = psi0 * (-1j * b * beta0 / (a - 1j * b))
-        got = packet_boundary_derivative(packet, t, spreading=True)
+        got = packet_boundary_derivative(packet, t)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-        assert packet_boundary_derivative(packet, 0.0, spreading=True) == want[0]
-        assert isinstance(packet_boundary_derivative(packet, 0.5, spreading=True), complex)
+        assert packet_boundary_derivative(packet, 0.0) == want[0]
+        assert isinstance(packet_boundary_derivative(packet, 0.5), complex)
 
     def test_crossing_instant_dominated_by_momentum(self, packet):
-        # packet centred on the origin: derivative = i p psi exactly for the
-        # rigid envelope, comfortably inside the 10 percent bound
+        # packet centred on the origin: its envelope is stationary there, so
+        # the derivative is exactly i p psi, spreading included
         t_c = -packet.q * packet.m / packet.p
         d = packet_boundary_derivative(packet, t_c)
-        psi0 = free_packet(packet, t_c, np.array(0.0))
-        assert abs(d) == pytest.approx(abs(packet.p) * abs(psi0), rel=0.1)
+        psi0 = free_packet(packet, t_c, np.array(0.0), spreading=True)
+        assert d == pytest.approx(1j * packet.p * complex(psi0), rel=1e-12)
 
     def test_zeno_time(self, packet):
         assert packet.zeno_time == pytest.approx(0.1)
@@ -158,7 +156,7 @@ class TestCrossingDistributions:
         tau = np.linspace(1e-6, 2.5 * t_c, 4000)
         pn = normalized_crossing_density(packet, tau)
         assert np.all(pn >= 0)
-        assert np.trapezoid(pn, tau) == pytest.approx(1.0, abs=0.02)
+        assert np.trapezoid(pn, tau) == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_near_classical_arrival(self, packet):
         t_c = -packet.q * packet.m / packet.p
@@ -190,15 +188,14 @@ class TestDeltaG:
     def test_model_values(self):
         eps, v0, m = 0.5, 8 / 3, 1.0
         t = np.linspace(0.0, 2.0, 201)
-        curve = stationary_delta_g(t, eps, v0, m)
-        # spot check one interior point against the definition
+        phi = stationary_delta_g(t, eps, v0, m)
+        # spot check one interior point against the definition, with the
+        # u^{-1/2} of g_absorbing peeled off: sqrt(u) S(u) g_absorbing(u)
         u = t[150]
-        from zenoprop.sawtooth import sawtooth_envelope
-
         s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
         gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
-        assert curve.values[150] == pytest.approx(s * gv, rel=1e-12)
-        assert curve.values[0] == 0
+        assert phi[150] == pytest.approx(np.sqrt(u) * s * gv, rel=1e-12)
+        assert phi[0] == 0
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
@@ -206,26 +203,6 @@ class TestDeltaG:
 
 
 class TestPdxDeltaPsi:
-    def test_null_difference_gives_zero(self, packet):
-        tau = 1.0
-        t = np.linspace(0.0, tau, 1025)
-        curve = BoundaryCurve(t, np.zeros(len(t), dtype=complex))
-        out = pdx_delta_psi(packet, curve, tau, np.linspace(0.1, 5, 20), eps=0.02)
-        assert_allclose(out, 0.0)
-
-    def test_resolution_guard(self, packet):
-        tau = 1.0
-        t = np.linspace(0.0, tau, 65)  # dt ~ 0.0156 > eps/16
-        curve = stationary_delta_g(t, 0.1, 4 / 0.3)
-        with pytest.raises(ValueError):
-            pdx_delta_psi(packet, curve, tau, np.array([1.0]), eps=0.1)
-
-    def test_nonuniform_grid_rejected(self, packet):
-        t = np.sqrt(np.linspace(0.0, 1.0, 129))
-        curve = BoundaryCurve(t, np.zeros(129, dtype=complex))
-        with pytest.raises(ValueError):
-            pdx_delta_psi(packet, curve, 1.0, np.array([1.0]), eps=0.1)
-
     def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
         t_c = -packet.q * packet.m / packet.p
         tau = 1.4 * t_c
@@ -280,7 +257,7 @@ class TestFreeReconstruction:
         dt = 2e-4
         nt = int(round(tau / dt))
         t = np.linspace(0.0, tau, nt + 1)
-        deriv = packet_boundary_derivative(wp, t, spreading=True)
+        deriv = packet_boundary_derivative(wp, t)
         phi = np.full(nt + 1, np.sqrt(wp.m / (2 * np.pi)) * ROOT_INV_I)
         inner = inner_boundary_convolution(phi, deriv, dt)
         xg = np.linspace(0.01, 30, 600)
@@ -310,7 +287,7 @@ class TestAbsorbingReconstruction:
         dt = 2e-4
         nt = int(round(tau / dt))
         t = np.linspace(0.0, tau, nt + 1)
-        deriv = packet_boundary_derivative(wp, t, spreading=True)
+        deriv = packet_boundary_derivative(wp, t)
         phi = np.sqrt(m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(v0, t[1:])
         inner = inner_boundary_convolution(phi, deriv, dt)
