@@ -53,12 +53,21 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
     """Euclidean free kernel ``sqrt(m / 2 pi t) exp(-m (x-y)^2 / 2t)``, t > 0.
 
     Symmetric in (x, y), positive, and normalised to unit integral over the
-    whole line; the semigroup property is exercised by the tests.
+    whole line; the semigroup property is exercised by the tests.  Array
+    input is evaluated in place, in the scalar operation order.
     """
     if not t > 0:
         raise ValueError(f"heat kernel needs t > 0, got t={t}")
     dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return np.sqrt(m / (2 * np.pi * t)) * np.exp(-m * dx * dx / (2 * t))
+    prefactor = np.sqrt(m / (2 * np.pi * t))
+    if np.ndim(dx) == 0:
+        return prefactor * np.exp(-m * dx * dx / (2 * t))
+    out = np.multiply(-m, dx)
+    out *= dx
+    out /= 2 * t
+    np.exp(out, out=out)
+    out *= prefactor
+    return out
 
 
 def half_power_weights(n_panels: int, dt: float) -> np.ndarray:

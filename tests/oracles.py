@@ -11,7 +11,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from zenoprop.core import ROOT_INV_I, heat_kernel
 from zenoprop.exact import bridge_orthant
-from zenoprop.recursion import boundary_amplitude
+from zenoprop.recursion import EuclideanSlice, _half_kernel, boundary_amplitude
 
 
 def spearman_rho(a, b) -> float:
@@ -357,6 +357,19 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
         return boundary_amplitude(prev, cfg, s) / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
 
     return 2.0 * envelope(offset / 4) - envelope(offset)
+
+
+def direct_advance(prev, cfg, s_next: float) -> EuclideanSlice:
+    """The slice advance as a direct ``np.convolve`` of the quadrature-weighted
+    slice (spacing, halved at both grid ends) with the same truncated kernel
+    the recursion uses: the reference for its FFT convolution."""
+    half = _half_kernel(prev, cfg, s_next)
+    taps = len(half) - 1
+    weights = np.full(cfg.grid.n_points, cfg.grid.spacing)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    full = np.convolve(prev.values * weights, np.concatenate([half[:0:-1], half]))
+    return EuclideanSlice(s_next, cfg.grid, full[taps : taps + cfg.grid.n_points])
 
 
 def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:

@@ -95,6 +95,17 @@ class TestHeatKernel:
             with pytest.raises(ValueError):
                 heat_kernel(1.0, bad_t, 0.0, 0.0)
 
+    def test_array_matches_scalar_bit_for_bit(self):
+        # array input is evaluated in place in the scalar operation order
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 3.0, 257)
+        for m, t, y in [(1.0, 1.0, 0.0), (1.7, 0.3, 0.4), (40.0, 2.5, -1.1)]:
+            got = heat_kernel(m, t, x, y)
+            want = np.array([heat_kernel(m, t, xi, y) for xi in x])
+            assert np.array_equal(got, want)
+            assert np.array_equal(heat_kernel(m, t, y, x), want)
+        assert isinstance(heat_kernel(1.0, 1.0, 0.5, 0.0), np.float64)
+
 
 class TestFreePropagator:
     def test_phase_convention(self):

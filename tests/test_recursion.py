@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import richardson_right_limit
+from oracles import direct_advance, richardson_right_limit
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
+    _half_kernel,
     advance_slice,
     boundary_amplitude,
     default_config,
@@ -27,6 +28,15 @@ UNIT_RUN_POINTS = 5592
 @pytest.fixture(scope="module")
 def unit_run():
     return run_recursion(default_config(1.0, 1.0, 4, 16, UNIT_RUN_POINTS))
+
+
+def assert_matches_direct(prev, cfg, s_next):
+    # FFT roundoff against the direct convolution: 1e-14 of the slice maximum
+    # everywhere, 1e-14 relative at the origin
+    got = advance_slice(prev, cfg, s_next).values
+    want = direct_advance(prev, cfg, s_next).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want), s_next
+    assert got[0] == pytest.approx(want[0], rel=1e-14), s_next
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +122,32 @@ class TestAdvance:
             env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
             want = projected_envelope_exact(small_cfg.eps, s * small_cfg.eps, 2)
             assert env == pytest.approx(want, abs=1e-4)
+
+    def test_matches_direct_convolution_on_default_grid(self, default_run):
+        # the 20-projection default grid over its first three advances
+        cfg, _, slices, _ = default_run
+        for prev in slices[:3]:
+            assert_matches_direct(prev, cfg, prev.s + 1.0)
+
+    def test_matches_direct_convolution_at_fractional_steps(self):
+        # an odd (prime) point count and partial steps, so shorter kernels
+        cfg = default_config(1.0, 1.0, 3, 16, 1237)
+        prev = initial_slice(cfg)
+        for s in (1.0625, 1.37, 1.9):
+            assert_matches_direct(prev, cfg, s)
+        prev = direct_advance(prev, cfg, 2.0)
+        for s in (2.25, 2.61, 3.0):
+            assert_matches_direct(prev, cfg, s)
+
+    def test_matches_direct_convolution_with_clamped_kernel(self):
+        # the grid is shorter than kernel_span widths: the kernel is cut at
+        # n_points - 1 taps and reaches across the whole grid
+        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3.0, 301))
+        prev = initial_slice(cfg)
+        for s in (1.5, 2.0):
+            assert len(_half_kernel(prev, cfg, s)) == cfg.grid.n_points
+            assert_matches_direct(prev, cfg, s)
+        assert_matches_direct(direct_advance(prev, cfg, 2.0), cfg, 3.0)
 
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
