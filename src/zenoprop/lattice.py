@@ -3,12 +3,12 @@
 A walker starts at the origin, takes steps of +-eta with probability 1/2
 each per time slice dtau, and must sit strictly on the positive axis at the
 intermediate constraint instants (every ``steps_per_projection`` slices).
-The exact return probability u(0, tau | 0, 0) under these constraints comes
-from a dynamic program over site occupancies; mapped to a density through
-the factor 1/(2 eta) (reachable sites alternate parity, so the effective
-site spacing is 2 eta) it converges, as the lattice under each projection
-interval is refined at fixed physical tau and eps, to the continuum
-boundary amplitude with that many projections:
+The return probability u(0, tau | 0, 0) under these constraints comes from
+a dynamic program over site occupancies, exact up to rounding; mapped to a
+density through the factor 1/(2 eta) (reachable sites alternate parity, so
+the effective site spacing is 2 eta) it converges, as the lattice under
+each projection interval is refined at fixed physical tau and eps, to the
+continuum boundary amplitude with that many projections:
 
     (1/2 eta) u  ->  sqrt(m / 2 pi tau) * eps / tau,
 
@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 
-# Longest walk a refinement sweep may run.  The DP makes about 2 n^2 site
-# updates for n steps; 32,768 steps, the finest walk the benchmark runs,
-# take about 14 s on a 2-vCPU VM, so the cap holds a sweep to about a minute.
+# Longest walk a refinement sweep may run.  The DP updates at most
+# n^2 / 4 + n sites for n steps (0.15 n^2 with 8 projection intervals);
+# 32,768 steps, the finest walk the benchmark runs, take about 0.2 s on a
+# 2-vCPU VM and a walk at the cap about 0.6 s, so the cap holds a sweep to
+# about a second.
 MAX_WALK_STEPS = 65_536
 
 
@@ -62,26 +64,42 @@ class LatticeConfig:
 
 
 def constrained_walk_probability(cfg: LatticeConfig) -> float:
-    """Exact probability of returning to the origin after n_steps while
+    """Probability of returning to the origin after n_steps while
     satisfying the positivity constraint at every intermediate multiple of
     steps_per_projection.
 
-    Dynamic programming over site occupancies; every intermediate value is
-    a dyadic rational exactly representable in binary floating point, so the
-    result matches brute-force enumeration bit for bit on small lattices.
+    Dynamic programming over site occupancies, updating only live sites.
+    After ``step`` steps only sites of that parity are occupied, so site
+    x = 2j - step is stored at ``w[j + 1]`` (``w[0]`` stays zero) and one
+    step is ``w[j] = h[j - 1] + h[j]`` with ``h = 0.5 w``.  Only sites with
+    |x| <= n_steps - step can still return to the origin, and after a
+    projection nothing at or left of it survives, so each step updates
+    that window alone.
+
+    Through step 53 every value is k / 2^step with k <= 2^step, exact in
+    binary floating point, so the result matches brute-force enumeration
+    bit for bit on small lattices.  Longer walks round, to at most about
+    n_steps * 2^-53 relative.  Every live site goes through the same two
+    halvings and one sum, in the same order, as a DP over all 2n + 1 sites,
+    so the result is bit-identical to it.
     """
     n = cfg.n_steps
-    center = n  # site index offset; reachable sites stay within +-n
-    v = np.zeros(2 * n + 1)
-    v[center] = 1.0
+    if n % 2:
+        return 0.0  # the origin has the parity of even step counts only
+    half = n // 2
+    w = np.zeros(half + 2)  # j = 0 .. n/2, the sites with |x| <= n - step
+    h = np.empty_like(w)
+    w[1] = 1.0
+    lo = 1  # lowest index still occupied (right of the origin after a projection)
     for step in range(1, n + 1):
-        shifted = np.zeros_like(v)
-        shifted[1:] += 0.5 * v[:-1]
-        shifted[:-1] += 0.5 * v[1:]
-        v = shifted
+        a = max(lo, step - half + 1)
+        b = min(step, half) + 2
+        np.multiply(w[a - 1 : b], 0.5, out=h[a - 1 : b])
+        np.add(h[a - 1 : b - 1], h[a:b], out=w[a:b])
         if step < n and step % cfg.steps_per_projection == 0:
-            v[: center + 1] = 0.0
-    return float(v[center])
+            lo = step // 2 + 2
+            w[lo - 1] = 0.0
+    return float(w[half + 1])
 
 
 @dataclass

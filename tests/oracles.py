@@ -4,6 +4,7 @@ code paths they check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from zenoprop.core import ROOT_INV_I, heat_kernel
 from zenoprop.exact import bridge_orthant
+from zenoprop.lattice import LatticeConfig, constrained_walk_probability
 from zenoprop.recursion import EuclideanSlice, _half_kernel, boundary_amplitude
 
 
@@ -332,6 +334,61 @@ def brute_force_walk_probability(cfg: LatticeConfig) -> float:
     for step in range(cfg.steps_per_projection, n, cfg.steps_per_projection):
         ok &= pos[:, step - 1] > 0
     return float(ok.sum()) / 2.0**n
+
+
+def full_width_walk_probability(cfg: LatticeConfig) -> float:
+    """The walk DP over all 2 n_steps + 1 sites at every step, allocating a
+    new array per step: the reference for the live-window DP."""
+    n = cfg.n_steps
+    center = n  # site index offset; reachable sites stay within +-n
+    v = np.zeros(2 * n + 1)
+    v[center] = 1.0
+    for step in range(1, n + 1):
+        shifted = np.zeros_like(v)
+        shifted[1:] += 0.5 * v[:-1]
+        shifted[:-1] += 0.5 * v[1:]
+        v = shifted
+        if step < n and step % cfg.steps_per_projection == 0:
+            v[: center + 1] = 0.0
+    return float(v[center])
+
+
+def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
+    """The return probability as an exact fraction: the same DP in integer
+    walk counts, divided by 2**n_steps at the end."""
+    n = cfg.n_steps
+    counts = np.zeros(2 * n + 1, dtype=object)  # Python ints, no overflow
+    counts[n] = 1
+    for step in range(1, n + 1):
+        counts = np.concatenate(([0], counts[:-1])) + np.concatenate((counts[1:], [0]))
+        if step < n and step % cfg.steps_per_projection == 0:
+            counts[: n + 1] = 0
+    return Fraction(int(counts[n]), 2**n)
+
+
+def lattice_envelope(t: float, eps: float, m: float = 1.0,
+                     levels: tuple[int, ...] = (16, 64, 256, 1024, 4096)) -> float:
+    """Walk estimate of the projected envelope at any t > 0, projections
+    every eps, the last interval possibly partial.
+
+    The refinement sweep of ``continuum_peak_estimate`` with the free
+    return density ``heat_kernel(m, t, 0, 0)`` as the target, so the ratio
+    tends to the envelope itself; the same two Richardson stages remove the
+    O(eta) and O(eta^2) errors.  t / eps times every level must be an
+    integer step count.
+    """
+    ratios = []
+    for r in levels:
+        steps = t / eps * r
+        n_steps = int(round(steps))
+        if abs(steps - n_steps) > 1e-9:
+            raise ValueError(f"t = {t} is not a whole number of steps at level {r}")
+        eta = np.sqrt(eps / r / m)
+        u = constrained_walk_probability(LatticeConfig(n_steps, r))
+        ratios.append(u / (2 * eta) / heat_kernel(m, t, 0.0, 0.0))
+    first = [2 * b - a for a, b in zip(ratios, ratios[1:])]
+    second = [(4 * b - a) / 3 for a, b in zip(first, first[1:])]
+    return float(second[-1])
 
 
 def unconstrained_return_probability(n_steps: int) -> float:

@@ -1,14 +1,33 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_walk_probability, catalan_number, unconstrained_return_probability
+from oracles import (
+    brute_force_walk_probability,
+    catalan_number,
+    exact_walk_probability,
+    full_width_walk_probability,
+    lattice_envelope,
+    unconstrained_return_probability,
+)
 from zenoprop.core import heat_kernel
+from zenoprop.exact import absorbing_envelope
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability, continuum_peak_estimate
+from zenoprop.sawtooth import calibrate_absorption, oscillation_ratio
+
+
+def walks(max_steps: int, r_past_n: int = 0):
+    """(n_steps, r) pairs with 1 <= n_steps <= max_steps, 1 <= r <= n_steps + r_past_n."""
+    return st.integers(1, max_steps).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n + r_past_n))
+    )
+
 
 # walks of n_steps <= 16 (brute force enumerates 2**n_steps) and 1 <= r <= n_steps
-small_walks = st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+small_walks = walks(16)
 
 
 class TestSmallCases:
@@ -62,6 +81,55 @@ class TestAgainstBruteForce:
                 assert constrained_walk_probability(LatticeConfig(n, dense)) <= (
                     constrained_walk_probability(LatticeConfig(n, sparse))
                 )
+
+
+class TestLiveWindow:
+    """The live-window DP against the full-width DP it replaced: the same
+    floating-point operations on every live site, so equal bit for bit."""
+
+    @pytest.mark.parametrize("r", (4, 16, 64, 256, 1024))
+    def test_bit_identical_at_sweep_levels(self, r):
+        # the benchmark's sweep: 8 intervals at r steps each
+        c = LatticeConfig(8 * r, r)
+        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+
+    # brute force stops at 16 steps, before the window edges cut anything
+    # that matters; these walks reach 300 steps and constraints past the end
+    @settings(max_examples=150, deadline=None)
+    @given(walks(300, r_past_n=5))
+    @example((299, 1))
+    @example((300, 1))
+    @example((300, 305))
+    @example((298, 149))
+    def test_bit_identical_random_walks(self, walk):
+        c = LatticeConfig(*walk)
+        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+
+
+class TestExactness:
+    """Against exact integer walk counts: exact through step 53, rounded
+    by at most about one unit in the last place per step beyond."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(walks(53, r_past_n=5))
+    @example((52, 1))
+    @example((52, 3))
+    @example((52, 52))
+    def test_exact_through_53_steps(self, walk):
+        c = LatticeConfig(*walk)
+        assert constrained_walk_probability(c) == exact_walk_probability(c)
+
+    @pytest.mark.parametrize("r", (1, 7, 20, 400))
+    def test_rounding_bounded_at_400_steps(self, r):
+        c = LatticeConfig(400, r)
+        exact = exact_walk_probability(c)
+        got = Fraction(constrained_walk_probability(c))
+        assert abs(got - exact) <= exact * 400 * Fraction(1, 2**53)
+
+    def test_long_walk_is_not_exact(self):
+        # numerators of k / 2^400 outgrow the 53-bit significand
+        c = LatticeConfig(400, 20)
+        assert constrained_walk_probability(c) != exact_walk_probability(c)
 
 
 class TestBallotStructure:
@@ -130,3 +198,37 @@ class TestConfigValidation:
     def test_brute_force_cap(self):
         with pytest.raises(ValueError):
             brute_force_walk_probability(LatticeConfig(22, 1))
+
+
+def interior_values(curve) -> dict[float, float]:
+    """The recursion's envelope at its interior samples, keyed by time."""
+    inside = curve.sides == ""
+    return dict(zip(curve.times[inside], curve.values[inside]))
+
+
+class TestInteriorEnvelope:
+    """The walk as an oracle for the recursion's envelope between the drops,
+    where only the recursion computed it before."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("s", (5.25, 5.5, 10.25, 10.5, 10.75, 15.5))
+    def test_matches_recursion_between_drops(self, default_run, s):
+        cfg, curve, _, _ = default_run
+        want = interior_values(curve)[s * cfg.eps]
+        got = lattice_envelope(s * cfg.eps, cfg.eps, cfg.m)
+        assert got == pytest.approx(want, rel=1e-4)  # measured at most 3.0e-5
+
+    @pytest.mark.slow
+    def test_positive_mean_of_s_is_not_a_recursion_artefact(self, default_run):
+        # the criterion 4b finding from the walk: the 60-point midpoint mean
+        # of S over [5 eps, 20 eps] is positive, as the recursion says
+        cfg, curve, _, _ = default_run
+        t = cfg.eps * (5 + (np.arange(60) + 0.5) * 0.25)
+        fv = absorbing_envelope(calibrate_absorption(cfg.eps), t)
+        interior = interior_values(curve)
+        rec = np.array([interior[ti] for ti in t])
+        lat = np.array([lattice_envelope(ti, cfg.eps, cfg.m, levels=(16, 64, 256)) for ti in t])
+        rec_mean = float(np.mean(oscillation_ratio(rec, fv)))
+        lat_mean = float(np.mean(oscillation_ratio(lat, fv)))
+        assert lat_mean > 0.05
+        assert abs(lat_mean - rec_mean) <= 0.005
