@@ -267,21 +267,22 @@ def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
 def pdx(m, out, fmt, p_sigma) -> None:
     """Wave-packet perturbation scan against the suppression predictor; it
     scans its own eps values and calibrates v0 from each."""
-    sigma = 1.0
-    mom = p_sigma / sigma
-    wp = wavepacket.WavePacket(q=-10 * sigma, p=mom, sigma=sigma, m=m)
-    energy = wp.energy
-    tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
-    scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
-    eps_values = scan / energy
-    x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
 
     def build():
+        sigma = 1.0
+        wp = wavepacket.WavePacket(q=-10 * sigma, p=p_sigma / sigma, sigma=sigma, m=m)
+        energy = wp.energy
+        if not 0 < energy < math.inf:
+            raise NumericalFailure(f"packet energy {energy:.6g} is not finite and positive")
+        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
+        scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
+        eps_values = scan / energy
+        x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
         norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
-        return [(ev, ee, wavepacket.suppression_factor(wp, ev), nn)
-                for ev, ee, nn in zip(eps_values, scan, norms)]
+        return tau, [(ev, ee, wavepacket.suppression_factor(wp, ev), nn)
+                     for ev, ee, nn in zip(eps_values, scan, norms)]
 
-    rows = _numerical_guard(build)
+    tau, rows = _numerical_guard(build)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": tau},
                  ["eps", "E_eps", "predictor", "delta_norm"], rows)
 

@@ -144,6 +144,8 @@ def continuum_peak_estimate(
             f"finest walk too long: tau/eps = {n_intervals:.6g} intervals at levels "
             f"{levels[0]}..{levels[-1]} steps per interval exceed {MAX_WALK_STEPS} steps"
         )
+    if round(n_intervals) < 1:
+        raise ValueError("tau must be at least eps")
     if abs(n_intervals - round(n_intervals)) > 1e-9:
         raise ValueError("tau must be an integer multiple of eps")
     n_intervals = int(round(n_intervals))

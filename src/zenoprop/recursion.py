@@ -213,7 +213,7 @@ def _envelope(cfg: RecursionConfig, amplitude: float, s: float) -> float:
     return amplitude / float(heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0))
 
 
-def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
+def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     """Boundary envelope curve for n_max projections.
 
     Sampling per interval (n, n+1]: the exact right limit at s = n (side
@@ -223,9 +223,7 @@ def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
     envelope is identically one: every sample there is emitted as 1.0, and
     only the initial slice at s = 1 is built.
 
-    Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps);
-    with ``collect_slices=True`` also returns the list of pre-projection
-    slices at integer s = 1..n_max+1 for diagnostics.
+    Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps).
     """
     spi = cfg.samples_per_interval
     times: list[float] = []
@@ -242,7 +240,6 @@ def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
         emit(j / spi, 1.0, "")
     emit(1.0, 1.0, "-")
     prev = initial_slice(cfg)
-    slices = [prev]
 
     for n in range(1, cfg.n_max + 1):
         emit(float(n), 0.5 * vals[-1], "+")
@@ -251,13 +248,8 @@ def run_recursion(cfg: RecursionConfig, collect_slices: bool = False):
             emit(s, _envelope(cfg, boundary_amplitude(prev, cfg, s), s), "")
         prev = advance_slice(prev, cfg, float(n + 1))
         emit(float(n + 1), _envelope(cfg, prev.values[0], n + 1.0), "-")
-        if collect_slices:
-            slices.append(prev)
 
-    curve = BoundaryCurve(np.array(times), np.array(vals), np.array(sides))
-    if collect_slices:
-        return curve, slices
-    return curve
+    return BoundaryCurve(np.array(times), np.array(vals), np.array(sides))
 
 
 def numeric_oscillation_curve(curve: BoundaryCurve, v0: float) -> BoundaryCurve:

@@ -8,7 +8,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from zenoprop.core import ROOT_INV_I, heat_kernel
 from zenoprop.exact import bridge_orthant
@@ -27,50 +26,6 @@ def spearman_rho(a, b) -> float:
     rb[np.argsort(b)] = np.arange(n)
     d2 = float(((ra - rb) ** 2).sum())
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
-
-
-def crank_nicolson_step_potential(psi0: np.ndarray, x: np.ndarray, v0: float,
-                                  m: float, tau: float, dt: float) -> np.ndarray:
-    """Direct evolution under i psi_t = -psi_xx / 2m - i v0 theta(-x) psi.
-
-    Crank-Nicolson with a second-order three-point Laplacian; the boundary
-    node at x = 0 carries half the absorption (symmetric step convention).
-    The constant tridiagonal matrix is LU-factorised once (LAPACK zgttrf)
-    and each step is a zgttrs back-substitution.
-    """
-    dx = x[1] - x[0]
-    nx = len(x)
-    pot = np.where(x < 0, -1j * v0, 0.0).astype(complex)
-    pot[np.isclose(x, 0.0)] = -1j * v0 / 2.0
-    n_steps = int(round(tau / dt))
-    dt = tau / n_steps
-    r = 1j * dt / (4 * m * dx * dx)
-    off = np.full(nx - 1, -r, dtype=complex)
-    lu = zgttrf(off, 1 + 2 * r + 0.5j * dt * pot, off)
-    if lu[-1] != 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    explicit = 1 - 2 * r - 0.5j * dt * pot
-    psi = psi0.astype(complex).copy()
-    for _ in range(n_steps):
-        rhs = explicit * psi
-        rhs[1:] += r * psi[:-1]
-        rhs[:-1] += r * psi[1:]
-        psi, info = zgttrs(*lu[:-1], rhs, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Crank-Nicolson solve failed")
-    return psi
-
-
-def evolve_step_potential_richardson(psi0_fn, v0: float, m: float, tau: float,
-                                     x_coarse: np.ndarray, dt: float) -> np.ndarray:
-    """CN solution extrapolated over a (dx, dt) -> (dx/2, dt/2) pair; the
-    scheme is second order in both, so the combination removes the leading
-    error on the coarse grid."""
-    nx = len(x_coarse)
-    x_fine = np.linspace(x_coarse[0], x_coarse[-1], 2 * nx - 1)
-    coarse = crank_nicolson_step_potential(psi0_fn(x_coarse), x_coarse, v0, m, tau, dt)
-    fine = crank_nicolson_step_potential(psi0_fn(x_fine), x_fine, v0, m, tau, dt / 2)
-    return (4 * fine[::2] - coarse) / 3
 
 
 def free_evolution_quadrature(psi0_fn, m: float, t: float, x_out: np.ndarray,
@@ -527,3 +482,32 @@ def free_packet(wp: WavePacket, t: float, x, spreading: bool = False):
     return pref * np.sqrt(np.pi / A) * np.exp(
         1j * b * x**2 - a * wp.q**2 + beta**2 / (4 * A)
     )
+
+
+def step_reflection(k, m: float, v0: float):
+    """Plane-wave reflection amplitude R(k) = (k - q) / (k + q) of the
+    complex step -i v0 theta(-x), q = sqrt(k^2 + 2 i m v0) on the principal
+    branch (Im q > 0: the transmitted wave decays into x < 0)."""
+    q = np.sqrt(k**2 + 2j * m * v0)
+    return (k - q) / (k + q)
+
+
+def absorbing_step_packet(wp: WavePacket, v0: float, tau: float, x) -> np.ndarray:
+    """Exact evolution of a Gaussian packet in x > 0 under the complex step
+    potential -i v0 theta(-x), at x > 0 (Allcock 1969; Muga et al. 2004):
+
+        psi(x, tau) = psi_free(x, tau)
+                      + int dk/2pi phi(k) R(|k|) exp(-i k x - i k^2 tau / 2m),
+
+    phi(k) = N sqrt(4 pi sigma^2) exp(-sigma^2 (k-p)^2 - i (k-p) q) the
+    packet's transform.  The k integral is a plain sum over p +- 8/sigma,
+    where phi falls to exp(-64); 257 nodes already converge it to roundoff.
+    """
+    x = np.asarray(x, dtype=float)
+    k, dk = np.linspace(wp.p - 8 / wp.sigma, wp.p + 8 / wp.sigma, 257, retstep=True)
+    phi = wp.norm_factor * np.sqrt(4 * np.pi * wp.sigma**2) * np.exp(
+        -(wp.sigma * (k - wp.p)) ** 2 - 1j * (k - wp.p) * wp.q
+    )
+    spectral = phi * step_reflection(np.abs(k), wp.m, v0) * np.exp(-1j * k**2 * tau / (2 * wp.m))
+    reflected = np.exp(-1j * np.outer(x, k)) @ spectral * (dk / (2 * np.pi))
+    return free_packet(wp, tau, x, spreading=True) + reflected

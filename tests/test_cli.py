@@ -240,6 +240,8 @@ class TestUsageErrors:
         ["lattice", "--v0", "1"],
         ["fp", "--grid-points", "0"],
         ["fp", "--grid-points", "1"],
+        ["lattice", "--tau", "1e-300"],
+        ["lattice", "--tau", "1e-12"],
     ])
     def test_library_value_errors(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
@@ -274,12 +276,19 @@ class TestPdxCommand:
         assert res.exit_code == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("m", ["1e-300", "1e300"])
-    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, m):
+    @pytest.mark.parametrize("args", [
         # m**2 underflows at 1e-300 and overflows at 1e300; numpy raises
         # instead of warning, so the failure is one line
+        pytest.param(["--m", "1e-300"], id="1e-300"),
+        pytest.param(["--m", "1e300"], id="1e300"),
+        # the packet energy p^2/2m overflows while the scan is set up
+        pytest.param(["--p-sigma", "1e200"], id="p-sigma-1e200"),
+        pytest.param(["--p-sigma", "1e300"], id="p-sigma-1e300"),
+        pytest.param(["--m", "1e-300", "--p-sigma", "1e10"], id="m-1e-300-p-sigma-1e10"),
+    ])
+    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, args):
         out = tmp_path / "pdx.csv"
-        res = runner.invoke(main, ["pdx", "--m", m, "--out", str(out)])
+        res = runner.invoke(main, ["pdx", *args, "--out", str(out)])
         assert res.exit_code == 3, result_output(res)
         assert len(res.output.splitlines()) == 1, res.output
         assert res.output.startswith("numerical failure: ")

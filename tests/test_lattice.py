@@ -186,6 +186,9 @@ class TestContinuumSweep:
             continuum_peak_estimate(4.0, 1.0, levels=(4, 16))
         with pytest.raises(ValueError, match=r"tau/eps = 40000 .* levels 4\.\.256"):
             continuum_peak_estimate(4.0, 1e-4)
+        for tau in (1e-300, 1e-12):
+            with pytest.raises(ValueError, match="tau must be at least eps"):
+                continuum_peak_estimate(tau, 1.0)
 
 
 class TestConfigValidation:

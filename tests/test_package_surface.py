@@ -1,11 +1,17 @@
 """The package holds what its own modules, its command line and the science
 use.  Test oracles belong in ``tests/oracles.py``: every name ``zenoprop``
 exports must have a caller in ``src/zenoprop/``, be a layer the benchmark
-traces (``perfbench/spans.py``), or be one of the science results below."""
+traces (``perfbench/spans.py``), or be one of the science results below.
+Every third-party module the code imports must be declared in
+``pyproject.toml``."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import zenoprop
 from perfbench.spans import LAYERS
@@ -47,3 +53,29 @@ def test_every_export_has_a_use():
     assert set(SCIENCE) <= exported
     layers = {fn for fns in LAYERS.values() for fn in fns}
     assert sorted(exported - called_names() - layers - set(SCIENCE)) == []
+
+
+def imported_top_level(root: Path) -> set[str]:
+    """Top-level names of every absolute import in the ``.py`` files under
+    ``root``."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    repo = Path(__file__).parent.parent
+    project = tomllib.loads((repo / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    local = {"zenoprop", "perfbench"} | {path.stem for path in (repo / "tests").glob("*.py")}
+    imported = set().union(*(imported_top_level(repo / d) for d in ("src", "tests", "perfbench")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert sorted(third_party - declared) == []

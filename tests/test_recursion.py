@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import pre_projection_slices
 from oracles import direct_advance, richardson_right_limit
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
@@ -228,8 +229,8 @@ class TestRunRecursion:
         assert np.all(np.diff(curve.times) >= 0)
 
     def test_monotone_mass_loss(self, small_cfg):
-        _, slices = run_recursion(small_cfg, collect_slices=True)
-        masses = [np.trapezoid(sl.values, sl.grid.points()) for sl in slices]
+        masses = [np.trapezoid(sl.values, sl.grid.points())
+                  for sl in pre_projection_slices(small_cfg)]
         assert np.all(np.diff(masses) < 0)
 
     def test_half_value_at_breakpoints(self, coarse_run):

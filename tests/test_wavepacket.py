@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    absorbing_step_packet,
     dense_crossing_term,
-    evolve_step_potential_richardson,
     free_evolution_quadrature,
     free_packet,
     spearman_rho,
+    step_reflection,
 )
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import sawtooth_envelope
@@ -271,18 +272,48 @@ class TestFreeReconstruction:
         assert err < 5e-4
 
 
+class TestAbsorbingStepOracle:
+    """The exact complex-step solution against its two closed-form limits
+    and the branch of q that makes the step absorb."""
+
+    wp = WavePacket(q=8.0, p=-6.0, sigma=1.0, m=1.0)
+    x = np.linspace(0.005, 30.0, 6000)
+
+    def l2(self, values):
+        return np.sqrt(np.trapezoid(np.abs(values) ** 2, self.x))
+
+    def test_free_limit(self):
+        got = absorbing_step_packet(self.wp, 1e-12, 2.0, self.x)
+        want = free_packet(self.wp, 2.0, self.x, spreading=True)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_hard_wall_limit(self):
+        image = free_packet(self.wp, 2.0, self.x, spreading=True) - free_packet(
+            self.wp, 2.0, -self.x, spreading=True
+        )
+        gaps = [self.l2(absorbing_step_packet(self.wp, v0, 2.0, self.x) - image)
+                for v0 in (1e6, 1e10, 1e14)]
+        # R(k) = -1 + 2k/q + ..., |q| ~ sqrt(2 m v0): the gap falls as v0^(-1/2)
+        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.01)
+        assert gaps[1] / gaps[2] == pytest.approx(100.0, rel=0.01)
+        assert gaps[2] < 1e-6
+
+    @pytest.mark.parametrize("v0", [1e-3, 2.0, 1e6])
+    def test_reflection_below_one(self, v0):
+        k = np.linspace(0.0, 50.0, 5001)[1:]
+        assert np.all(np.abs(step_reflection(k, 1.0, v0)) < 1.0)
+
+
 class TestAbsorbingReconstruction:
     """Feeding the absorbing boundary propagator through the decomposition
-    must reproduce direct evolution under the complex step potential."""
+    must reproduce exact evolution under the complex step potential."""
 
-    @pytest.mark.slow
-    def test_matches_crank_nicolson(self):
+    def test_matches_exact_step_solution(self):
         wp = WavePacket(q=8.0, p=-6.0, sigma=1.0, m=1.0)
         v0, tau, m = 2.0, 2.0, 1.0
         x = np.linspace(-30.0, 30.0, 12001)
-        reference = evolve_step_potential_richardson(
-            lambda xx: free_packet(wp, 0.0, xx, spreading=True), v0, m, tau, x, dt=4e-4
-        )
+        x = x[x > 0]
+        reference = absorbing_step_packet(wp, v0, tau, x)
 
         dt = 2e-4
         nt = int(round(tau / dt))
@@ -291,14 +322,13 @@ class TestAbsorbingReconstruction:
         phi = np.sqrt(m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(v0, t[1:])
         inner = inner_boundary_convolution(phi, deriv, dt)
-        sel = x > 0
-        cross = crossing_term(x[sel], tau, inner, t, m, kmax=40.0, dk=0.02)
-        restricted = free_packet(wp, tau, x[sel], spreading=True) - free_packet(
-            wp, tau, -x[sel], spreading=True
+        cross = crossing_term(x, tau, inner, t, m, kmax=40.0, dk=0.02)
+        restricted = free_packet(wp, tau, x, spreading=True) - free_packet(
+            wp, tau, -x, spreading=True
         )
         recon = restricted + cross
 
-        diff = np.sqrt(np.trapezoid(np.abs(recon - reference[sel]) ** 2, x[sel]))
+        diff = np.sqrt(np.trapezoid(np.abs(recon - reference) ** 2, x))
         assert diff < 1e-3
 
 
