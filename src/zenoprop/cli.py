@@ -44,22 +44,22 @@ def _fail(message: str) -> NoReturn:
 
 
 def _write_table(path: str, fmt: str, command: str, params: dict, columns, rows) -> None:
+    """Check every value is finite, then write the table; CSV lines are
+    streamed to the file one row at a time."""
     if not all(math.isfinite(v) for row in rows for v in row if not isinstance(v, str)):
         _fail(f"non-finite value in the {command} table")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        payload = "\n".join(lines) + "\n"
+        lines = (",".join(map(_fmt, row)) + "\n" for row in [columns, *rows])
     else:
         doc = {
             "meta": {"command": command, "params": params},
             "columns": list(columns),
             "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in rows],
         }
-        payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        lines = [json.dumps(doc, indent=1, sort_keys=True) + "\n"]
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(lines)
     except OSError as err:
         raise click.UsageError(f"cannot write {path}: {err}") from err
 
@@ -170,7 +170,7 @@ def fv(m, eps, v0, out, fmt) -> None:
     v0 = _resolve_v0(v0, eps)
     t = np.arange(1, 2101) * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, v0, t)
-    rows = [(tt, vv) for tt, vv in zip(t, vals)]
+    rows = list(zip(t.tolist(), vals.tolist()))
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], rows)
 
 
@@ -197,10 +197,8 @@ def fp(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
         _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
     )
     sides = ["minus" if sd == "-" else "plus" if sd == "+" else "" for sd in curve.sides]
-    rows = [
-        (t, fm, fn, fv_, sv, sd)
-        for t, fm, fn, fv_, sv, sd in zip(curve.times, model, curve.values, fvv, s, sides)
-    ]
+    columns = (curve.times, model, curve.values, fvv, s)
+    rows = list(zip(*(col.tolist() for col in columns), sides))
     params = {
         "m": m, "eps": eps, "v0": v0, "n_max": n_max,
         "grid_points": grid_points or 0, "samples_per_interval": samples_per_interval,
@@ -271,7 +269,10 @@ def pdx(m, out, fmt, p_sigma) -> None:
     def build():
         sigma = 1.0
         wp = wavepacket.WavePacket(q=-10 * sigma, p=p_sigma / sigma, sigma=sigma, m=m)
-        energy = wp.energy
+        try:
+            energy = wp.energy
+        except OverflowError:   # p**2 of a Python float raises instead of giving inf
+            energy = math.inf
         if not 0 < energy < math.inf:
             raise NumericalFailure(f"packet energy {energy:.6g} is not finite and positive")
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time

@@ -54,9 +54,10 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
 
     Symmetric in (x, y), positive, and normalised to unit integral over the
     whole line; the semigroup property is exercised by the tests.  Array
-    input is evaluated in place, in the scalar operation order.
+    input is evaluated in place, in the scalar operation order; ``t`` may be
+    an array when ``x - y`` is a scalar.
     """
-    if not t > 0:
+    if not np.all(np.asarray(t) > 0):
         raise ValueError(f"heat kernel needs t > 0, got t={t}")
     dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     prefactor = np.sqrt(m / (2 * np.pi * t))

@@ -18,6 +18,14 @@ def pre_projection_slices(cfg):
     return slices
 
 
+def fine_config(n_max):
+    """The default extent for n_max projections at 16 samples per interval,
+    at spacing about 1e-3 sqrt(eps/m): fine enough for the right-limit
+    oracle, whose smallest offset kernel then spans five spacings."""
+    x_max = recursion.default_config(1.0, 1.0, n_max, 16).grid.x_max
+    return recursion.default_config(1.0, 1.0, n_max, 16, round(x_max / 1e-3) + 1)
+
+
 @pytest.fixture(scope="session")
 def default_run():
     """The full 20-projection recursion at the default grid, shared by the
@@ -35,5 +43,5 @@ def default_run():
 def coarse_run():
     """A budget recursion for unit-level checks: coarser grid, 6 projections.
     Yields (config, envelope curve, pre-projection slices at s = 1..7)."""
-    cfg = recursion.default_config(1.0, 1.0, 6, 16, 6616)  # spacing 4e-3
+    cfg = recursion.default_config(1.0, 1.0, 6, 16, 6616)  # spacing 4.0e-3
     return cfg, recursion.run_recursion(cfg), pre_projection_slices(cfg)

@@ -363,7 +363,10 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     s of the pre-projection slice ``prev``, without the coincidence formula:
     the envelope at rescaled-time offsets ``offset`` and ``offset / 4``
     past the projection, extrapolated in sqrt(offset), the order of the
-    leading correction."""
+    leading correction.  The quadrature resolves the kernels of those
+    offsets only on fine grids: at spacing 1e-3 sqrt(eps/m) the trough error
+    is about 3e-5, at the default spacing ``boundary_amplitude`` refuses them
+    (see ``conftest.fine_config``)."""
     def envelope(d: float) -> float:
         s = prev.s + d
         return boundary_amplitude(prev, cfg, s) / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
@@ -371,17 +374,32 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     return 2.0 * envelope(offset / 4) - envelope(offset)
 
 
+def quadrature_weights(cfg) -> np.ndarray:
+    """The slice quadrature weights written out: the spacing, times Gregory's
+    end corrections (95/288, 317/240, 23/30, 793/720, 157/160) over the first
+    five nodes and halved at the far end of the grid."""
+    weights = np.full(cfg.grid.n_points, cfg.grid.spacing)
+    weights[:5] *= (95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160)
+    weights[-1] *= 0.5
+    return weights
+
+
 def direct_advance(prev, cfg, s_next: float) -> EuclideanSlice:
     """The slice advance as a direct ``np.convolve`` of the quadrature-weighted
-    slice (spacing, halved at both grid ends) with the same truncated kernel
-    the recursion uses: the reference for its FFT convolution."""
+    slice with the same truncated kernel the recursion uses: the reference
+    for its FFT convolution."""
     half = _half_kernel(prev, cfg, s_next)
     taps = len(half) - 1
-    weights = np.full(cfg.grid.n_points, cfg.grid.spacing)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    full = np.convolve(prev.values * weights, np.concatenate([half[:0:-1], half]))
+    full = np.convolve(prev.values * quadrature_weights(cfg), np.concatenate([half[:0:-1], half]))
     return EuclideanSlice(s_next, cfg.grid, full[taps : taps + cfg.grid.n_points])
+
+
+def direct_boundary_amplitude(prev, cfg, s_next: float) -> float:
+    """F(s_next, 0) for one s_next as the ``np.dot`` of the truncated kernel
+    with the weighted slice: the per-sample reference for the batched
+    ``boundary_amplitude``."""
+    half = _half_kernel(prev, cfg, s_next)
+    return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
 
 
 def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:

@@ -276,22 +276,24 @@ class TestPdxCommand:
         assert res.exit_code == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("args", [
+    @pytest.mark.parametrize("args, message", [
         # m**2 underflows at 1e-300 and overflows at 1e300; numpy raises
         # instead of warning, so the failure is one line
-        pytest.param(["--m", "1e-300"], id="1e-300"),
-        pytest.param(["--m", "1e300"], id="1e300"),
+        pytest.param(["--m", "1e-300"], "divide by zero", id="1e-300"),
+        pytest.param(["--m", "1e300"], "overflow", id="1e300"),
         # the packet energy p^2/2m overflows while the scan is set up
-        pytest.param(["--p-sigma", "1e200"], id="p-sigma-1e200"),
-        pytest.param(["--p-sigma", "1e300"], id="p-sigma-1e300"),
-        pytest.param(["--m", "1e-300", "--p-sigma", "1e10"], id="m-1e-300-p-sigma-1e10"),
+        pytest.param(["--p-sigma", "1e200"], "packet energy inf", id="p-sigma-1e200"),
+        pytest.param(["--p-sigma", "1e300"], "packet energy inf", id="p-sigma-1e300"),
+        pytest.param(["--m", "1e-300", "--p-sigma", "1e10"], "packet energy inf",
+                     id="m-1e-300-p-sigma-1e10"),
     ])
-    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, args):
+    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, args, message):
         out = tmp_path / "pdx.csv"
         res = runner.invoke(main, ["pdx", *args, "--out", str(out)])
         assert res.exit_code == 3, result_output(res)
         assert len(res.output.splitlines()) == 1, res.output
         assert res.output.startswith("numerical failure: ")
+        assert message in res.output, res.output
         assert not out.exists()
 
     @pytest.mark.slow

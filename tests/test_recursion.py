@@ -4,14 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import pre_projection_slices
-from oracles import direct_advance, richardson_right_limit
+from conftest import fine_config, pre_projection_slices
+from oracles import direct_advance, direct_boundary_amplitude, richardson_right_limit
+from zenoprop import recursion
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
     _half_kernel,
+    _kernel_blocks,
     advance_slice,
     boundary_amplitude,
     default_config,
@@ -22,13 +24,9 @@ from zenoprop.recursion import (
 from zenoprop.sawtooth import calibrate_absorption
 
 
-# grid points at spacing 4e-3 sqrt(eps/m) over the default extent, for n = 4
-UNIT_RUN_POINTS = 5592
-
-
 @pytest.fixture(scope="module")
 def unit_run():
-    return run_recursion(default_config(1.0, 1.0, 4, 16, UNIT_RUN_POINTS))
+    return run_recursion(default_config(1.0, 1.0, 4, 16))
 
 
 def assert_matches_direct(prev, cfg, s_next):
@@ -49,19 +47,31 @@ def small_cfg():
 
 class TestConfig:
     def test_default_grid_geometry(self):
+        # the narrowest kernel, of width sqrt(eps / (16 m)), spans 16 spacings
         g = default_config(1.0, 1.0, 20, 16).grid
         assert g.x_max >= 10 * np.sqrt(21.0)
-        assert g.spacing == pytest.approx(1e-3, rel=1e-6)
+        assert g.spacing == 1 / 64
+        assert g.n_points == 2934
+        # at 4096 samples per interval the spacing follows the kernel down
+        dense = default_config(1.0, 1.0, 3, 4096).grid
+        assert dense.spacing == 1 / 1024
+        assert dense.n_points == 20481
+        # below 16 samples per interval the spacing stays at 1/64
+        assert default_config(1.0, 1.0, 20, 2).grid == g
         # a point count keeps the default extent
         assert default_config(1.0, 1.0, 20, 16, 1001).grid == Grid1D(g.x_max, 1001)
 
-    @pytest.mark.parametrize("n_max, points", [(3, 20001), (8, 30001), (15, 40001), (24, 50001)])
-    def test_default_point_count_is_scale_free(self, n_max, points):
+    @pytest.mark.parametrize("n_max, spi, points", [
+        (3, 16, 1281), (8, 16, 1921), (15, 16, 2561), (24, 16, 3201), (20, 16, 2934),
+        (3, 4096, 20481), (3, 100, 3201), (1, 32, 1281),
+    ])
+    def test_default_point_count_is_scale_free(self, n_max, spi, points):
         # the extent is a fixed number of spacings, so no (m, eps) rounds
-        # the count differently (n_max + 1 a perfect square is the edge case)
+        # the count differently ((n_max + 1) spi a perfect square is the
+        # edge case)
         scales = (0.1, 0.3, 0.7, 1.0, 2.0, 2.5, 3.0, 5.0)
         counts = {
-            default_config(m, eps, n_max, 16).grid.n_points for m in scales for eps in scales
+            default_config(m, eps, n_max, spi).grid.n_points for m in scales for eps in scales
         }
         assert counts == {points}
 
@@ -77,6 +87,10 @@ class TestConfig:
         RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 161))
         with pytest.raises(ValueError, match="too coarse"):
             RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 160))
+        # the end-corrected weights span five nodes, and the far end is one more
+        RecursionConfig(1.0, 1.0, 3, Grid1D(0.1, 6))
+        with pytest.raises(ValueError, match="more than 5 points"):
+            RecursionConfig(1.0, 1.0, 3, Grid1D(0.1, 5))
 
 
 class TestInitialSlice:
@@ -178,15 +192,104 @@ class TestAdvance:
             EuclideanSlice(1.0, small_cfg.grid, np.ones(7))
 
 
-class TestRightLimit:
-    def test_extrapolated_matches_direct(self, small_cfg):
-        # the sqrt(offset)-Richardson limit agrees with the exact coincidence
-        # value, half the left limit, inside 1e-3 even on this coarse grid
-        # (the tiny-offset kernel is the least-resolved object in the module)
+class TestBoundaryAmplitude:
+    """The batched boundary samples against the per-sample ``np.dot``
+    oracle, to 1e-14 relative."""
+
+    @staticmethod
+    def assert_matches_oracle(prev, cfg, s_values):
+        got = boundary_amplitude(prev, cfg, s_values)
+        assert got.shape == np.shape(s_values)
+        want = [direct_boundary_amplitude(prev, cfg, s) for s in np.ravel(s_values)]
+        assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+
+    def test_matches_per_sample_oracle(self, small_cfg):
+        # unsorted samples, a repeated one and the interval end
+        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
+        s = 2.0 + np.array([0.7, 0.01, 0.3, 1.0, 0.3, 0.55, 0.002])
+        self.assert_matches_oracle(prev, small_cfg, s)
+        self.assert_matches_oracle(prev, small_cfg, s.reshape(7, 1))
+        self.assert_matches_oracle(prev, small_cfg, s[:0])
+        scalar = boundary_amplitude(prev, small_cfg, 2.3)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(direct_boundary_amplitude(prev, small_cfg, 2.3), rel=1e-14)
+
+    def test_block_edges_and_one_row_blocks(self, small_cfg, monkeypatch):
+        # a small budget puts the 255 samples into many blocks: several rows
+        # at first, then one row per block, then rows split into columns
+        monkeypatch.setattr(recursion, "_BLOCK_ENTRIES", 600)
+        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
+        s = 2.0 + np.arange(1, 256) / 256
+        dt = np.arange(1, 256) / 256 * small_cfg.eps
+        rows = [(r.start, r.stop, c.start) for r, c, _ in
+                _kernel_blocks(small_cfg, dt, recursion._taps(small_cfg, dt))]
+        assert any(stop - start > 1 for start, stop, _ in rows)
+        assert any(stop - start == 1 and lo == 0 for start, stop, lo in rows)
+        assert any(lo > 0 for _, _, lo in rows)
+        self.assert_matches_oracle(prev, small_cfg, s)
+
+    def test_clamped_kernel(self):
+        # the grid is shorter than kernel_span widths: the wider kernels are
+        # cut at n_points - 1 taps and reach across the whole grid
+        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3.0, 301))
+        prev = advance_slice(initial_slice(cfg), cfg, 2.0)
+        s = 2.0 + np.arange(1, 17) / 16
+        taps = recursion._taps(cfg, (s - 2.0) * cfg.eps)
+        assert taps.min() < cfg.grid.n_points - 1 == taps.max()
+        self.assert_matches_oracle(prev, cfg, s)
+
+    def test_blocks_stay_within_budget(self):
+        # fp3_dense's samples at the default grid, and rows wider than the
+        # budget: every block holds at most 2^16 entries, and together the
+        # blocks cover every row out to its taps
+        dense = default_config(1.0, 1.0, 3, 4096)
+        cases = [(dense, np.arange(1, 4096) / 4096 * dense.eps)]
+        wide = RecursionConfig(1.0, 1.0, 3, Grid1D(40.0, 400001))
+        assert recursion._taps(wide, 1.0) + 1 > 1 << 16
+        cases.append((wide, np.array([0.01, 0.5, 0.9, 1.0])))
+        for cfg, dt in cases:
+            taps = recursion._taps(cfg, dt)
+            reach = np.zeros(len(dt), dtype=int)
+            for rows, cols, block in _kernel_blocks(cfg, dt, taps):
+                assert block.size <= 1 << 16
+                assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
+                assert np.all(reach[rows] == cols.start)
+                reach[rows] = cols.stop
+            assert np.all(reach >= taps + 1)
+
+    def test_recursion_runs_at_the_resolution_limit(self):
+        # the narrowest kernel spans exactly MIN_KERNEL_SPACINGS spacings,
+        # and at n = 5 the step (5 + 1/10) - 5 rounds below eps / 10: the
+        # recursion's own samples still pass the refusal below
+        width = np.sqrt(0.1)
+        cfg = RecursionConfig(1.0, 1.0, 5, Grid1D(width / 4 * 49, 50), samples_per_interval=10)
+        assert 4 * cfg.grid.spacing == width
+        assert np.sqrt((5 + 0.1) - 5) < width
+        curve = run_recursion(cfg)
+        assert np.all((curve.values > 0) & (curve.values <= 1))
+
+    def test_refuses_unresolved_kernels(self, small_cfg):
+        # at spacing 4e-3 a step of 1e-4 eps has a kernel of width 0.01,
+        # fewer than MIN_KERNEL_SPACINGS = 4 spacings; one such sample in a
+        # batch refuses the batch
         prev = initial_slice(small_cfg)
-        prev = advance_slice(prev, small_cfg, 2.0)
-        direct = 0.5 * prev.values[0] / heat_kernel(small_cfg.m, 2 * small_cfg.eps, 0.0, 0.0)
-        assert richardson_right_limit(prev, small_cfg) == pytest.approx(direct, rel=1e-3)
+        with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
+            boundary_amplitude(prev, small_cfg, 1.0 + 1e-4)
+        with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
+            boundary_amplitude(prev, small_cfg, np.array([1.5, 1.0 + 1e-4, 1.9]))
+        # a step of 2.56e-4 eps spans exactly four spacings
+        boundary_amplitude(prev, small_cfg, 1.0 + 4 * 4 * 16e-6)
+
+
+class TestRightLimit:
+    def test_extrapolated_matches_direct(self):
+        # the sqrt(offset)-Richardson limit agrees with the exact coincidence
+        # value, half the left limit, inside 1e-3 on a grid that resolves its
+        # offsets' kernels (the least-resolved objects in the module)
+        cfg = fine_config(3)
+        prev = advance_slice(initial_slice(cfg), cfg, 2.0)
+        direct = 0.5 * prev.values[0] / heat_kernel(cfg.m, 2 * cfg.eps, 0.0, 0.0)
+        assert richardson_right_limit(prev, cfg) == pytest.approx(direct, rel=1e-3)
 
 
 class TestRunRecursion:
@@ -208,13 +311,13 @@ class TestRunRecursion:
 
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
-        # (the error falls 4x per halving of the spacing; 7.5e-7 at small_cfg's)
+        # (1.4e-10 measured)
         cfg = default_config(1.0, 1.0, 3, 16)
         curve = run_recursion(cfg)
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
         for t, v in zip(curve.times[sel], curve.values[sel]):
-            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-7), t
+            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-8), t
 
     def test_row_structure(self, small_cfg):
         curve = run_recursion(small_cfg)
@@ -235,14 +338,17 @@ class TestRunRecursion:
 
     def test_half_value_at_breakpoints(self, coarse_run):
         # the '+' rows are the coincidence limit, exactly half the '-' rows;
-        # the sqrt(offset)-extrapolated right limit confirms the half drop
-        cfg, curve, slices = coarse_run
+        # the sqrt(offset)-extrapolated right limit, from slices on a grid
+        # fine enough for its offsets, confirms the half drop
+        cfg, curve, _ = coarse_run
+        fine = fine_config(cfg.n_max)
+        slices = pre_projection_slices(fine)
         for k in range(1, cfg.n_max + 1):
             at_k = np.isclose(curve.times, k * cfg.eps)
             peak = curve.values[at_k & (curve.sides == "-")][0]
             trough = curve.values[at_k & (curve.sides == "+")][0]
             assert trough == peak / 2
-            assert richardson_right_limit(slices[k - 1], cfg) == pytest.approx(peak / 2, rel=1e-3)
+            assert richardson_right_limit(slices[k - 1], fine) == pytest.approx(peak / 2, rel=1e-3)
 
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
@@ -264,7 +370,7 @@ class TestRunRecursion:
     def test_mass_and_units_scale_out(self, unit_run, m, eps):
         # the envelope depends on t / eps only: the default grid scales with
         # sqrt(eps / m), so every (m, eps) repeats the m = eps = 1 arithmetic
-        curve = run_recursion(default_config(m, eps, 4, 16, UNIT_RUN_POINTS))
+        curve = run_recursion(default_config(m, eps, 4, 16))
         assert np.array_equal(curve.sides, unit_run.sides)
         assert_allclose(curve.times / eps, unit_run.times, rtol=1e-15)
         assert np.max(np.abs(curve.values - unit_run.values)) <= 1e-13
