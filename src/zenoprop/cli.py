@@ -18,6 +18,7 @@ file keyed by flag name supplies values beneath both.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -32,12 +33,6 @@ from .core import NumericalFailure
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "ZENOPROP", "help_option_names": ["-h", "--help"]}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
-
-
 def _fail(message: str) -> NoReturn:
     click.echo(f"numerical failure: {message}", err=True)
     sys.exit(3)
@@ -45,11 +40,13 @@ def _fail(message: str) -> NoReturn:
 
 def _write_table(path: str, fmt: str, command: str, params: dict, columns, rows) -> None:
     """Check every value is finite, then write the table; CSV lines are
-    streamed to the file one row at a time."""
+    streamed to the file one row at a time, each through one ``%`` template
+    that writes strings as they are and numbers with 17 significant digits."""
     if not all(math.isfinite(v) for row in rows for v in row if not isinstance(v, str)):
         _fail(f"non-finite value in the {command} table")
     if fmt == "csv":
-        lines = (",".join(map(_fmt, row)) + "\n" for row in [columns, *rows])
+        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        lines = itertools.chain([",".join(columns) + "\n"], (template % row for row in rows))
     else:
         doc = {
             "meta": {"command": command, "params": params},
@@ -134,8 +131,6 @@ envelope_options = [mass_option, spacing_option, absorption_option, *output_opti
 
 recursion_options = [
     click.option("--n-max", type=int, default=20, show_default=True, help="Number of projections."),
-    click.option("--grid-points", type=int, default=None,
-                 help="Slice-grid points over the default extent."),
     click.option("--samples-per-interval", type=int, default=16, show_default=True,
                  help="Envelope samples per projection interval."),
 ]
@@ -174,8 +169,8 @@ def fv(m, eps, v0, out, fmt) -> None:
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], rows)
 
 
-def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
-    cfg = recursion.default_config(m, eps, n_max, samples_per_interval, grid_points)
+def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
+    cfg = recursion.default_config(m, eps, n_max, samples_per_interval)
     curve = recursion.run_recursion(cfg)
     model = np.atleast_1d(sawtooth.sawtooth_envelope(eps, curve.times))
     # model is right-continuous; report the peak branch on '-' rows
@@ -190,19 +185,16 @@ def _recursion_tables(m, eps, v0, n_max, grid_points, samples_per_interval):
 
 @main.command()
 @_with(envelope_options + recursion_options)
-def fp(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
+def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
     v0 = _resolve_v0(v0, eps)
-    curve, model, fvv, s = _numerical_guard(
-        _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
-    )
+    curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
+                                            samples_per_interval)
     sides = ["minus" if sd == "-" else "plus" if sd == "+" else "" for sd in curve.sides]
     columns = (curve.times, model, curve.values, fvv, s)
     rows = list(zip(*(col.tolist() for col in columns), sides))
-    params = {
-        "m": m, "eps": eps, "v0": v0, "n_max": n_max,
-        "grid_points": grid_points or 0, "samples_per_interval": samples_per_interval,
-    }
+    params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
+              "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "fp", params,
                  ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"], rows)
 
@@ -269,15 +261,11 @@ def pdx(m, out, fmt, p_sigma) -> None:
     def build():
         sigma = 1.0
         wp = wavepacket.WavePacket(q=-10 * sigma, p=p_sigma / sigma, sigma=sigma, m=m)
-        try:
-            energy = wp.energy
-        except OverflowError:   # p**2 of a Python float raises instead of giving inf
-            energy = math.inf
-        if not 0 < energy < math.inf:
-            raise NumericalFailure(f"packet energy {energy:.6g} is not finite and positive")
+        if not 0 < wp.energy < math.inf:
+            raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
         scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
-        eps_values = scan / energy
+        eps_values = scan / wp.energy
         x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
         norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
         return tau, [(ev, ee, wavepacket.suppression_factor(wp, ev), nn)
@@ -290,12 +278,11 @@ def pdx(m, out, fmt, p_sigma) -> None:
 
 @main.command()
 @_with(envelope_options + recursion_options)
-def compare(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> None:
+def compare(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
     v0 = _resolve_v0(v0, eps)
-    curve, model, fvv, s = _numerical_guard(
-        _recursion_tables, m, eps, v0, n_max, grid_points, samples_per_interval
-    )
+    curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
+                                            samples_per_interval)
 
     # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max; the peak
     # of drop k is the '-' row at s = k + 1
@@ -308,7 +295,7 @@ def compare(m, eps, v0, out, fmt, n_max, grid_points, samples_per_interval) -> N
         in enumerate(zip(peaks, troughs), start=1)
     ]
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
-              "grid_points": grid_points or 0, "samples_per_interval": samples_per_interval}
+              "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,
                  ["k", "t_peak", "peak_numeric", "peak_model",
                   "trough_numeric", "trough_model", "f_v_peak", "s_peak"], rows)

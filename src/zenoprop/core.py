@@ -53,22 +53,20 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
     """Euclidean free kernel ``sqrt(m / 2 pi t) exp(-m (x-y)^2 / 2t)``, t > 0.
 
     Symmetric in (x, y), positive, and normalised to unit integral over the
-    whole line; the semigroup property is exercised by the tests.  Array
-    input is evaluated in place, in the scalar operation order; ``t`` may be
-    an array when ``x - y`` is a scalar.
+    whole line; the semigroup property is exercised by the tests.  ``t`` may
+    be an array when ``x - y`` is a scalar.
     """
     if not np.all(np.asarray(t) > 0):
         raise ValueError(f"heat kernel needs t > 0, got t={t}")
     dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     prefactor = np.sqrt(m / (2 * np.pi * t))
-    if np.ndim(dx) == 0:
-        return prefactor * np.exp(-m * dx * dx / (2 * t))
-    out = np.multiply(-m, dx)
-    out *= dx
-    out /= 2 * t
-    np.exp(out, out=out)
-    out *= prefactor
-    return out
+    return prefactor * np.exp(-m * dx * dx / (2 * t))
+
+
+def pow2_at_least(n: int) -> int:
+    """Smallest power of two >= n: the FFT length of every zero-padded
+    convolution in the package."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def half_power_weights(n_panels: int, dt: float) -> np.ndarray:

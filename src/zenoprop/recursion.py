@@ -19,18 +19,17 @@ which equals one for free evolution and continues to real time untouched
 
 Numerics: slices live on a uniform grid over [0, x_max] with x_max about
 ten thermal widths of the total duration and a spacing tied to the
-narrowest kernel, which spans 16 spacings, unless a point count is given
-(``default_config``).  The y-integral is the trapezoid rule with Gregory's
-end corrections over the first five nodes at y = 0.  The integrand is
-smooth on y >= 0, so the O(h^2) end term that the corrections cancel is
-the plain trapezoid's whole error; the far end, where the slice is
-negligible, keeps its half weight.  At the default grids the peaks are
-exact to about 1e-11 and the envelope with up to three projections matches
-its closed forms to about 1e-9.
+narrowest kernel, which spans 16 spacings (``default_config``).  The
+y-integral is the trapezoid rule with Gregory's end corrections over the
+first five nodes at y = 0.  The integrand is smooth on y >= 0, so the
+O(h^2) end term that the corrections cancel is the plain trapezoid's whole
+error; the far end, where the slice is negligible, keeps its half weight.
+At the default grids the peaks are exact to about 1e-11 and the envelope
+with up to three projections matches its closed forms to about 1e-9.
 
 Every advance is a discrete convolution with the heat kernel cut at
 ``kernel_span`` widths, evaluated as one real FFT product at the smallest
-2^a 3^b 5^c length that holds it without wrap-around; the transforms run in
+power-of-two length that holds it without wrap-around; the transforms run in
 a fixed order, so results are deterministic, and they agree with a direct
 summation to ~1e-15 of the slice maximum (negative roundoff tails are
 clipped to zero, since the exact slice is non-negative).  The boundary
@@ -53,7 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BoundaryCurve, Grid1D, heat_kernel
+from .core import BoundaryCurve, Grid1D, heat_kernel, pow2_at_least
 from .exact import absorbing_envelope
 from .sawtooth import oscillation_ratio
 
@@ -123,16 +122,14 @@ class RecursionConfig:
             )
 
 
-def default_config(
-    m: float, eps: float, n_max: int, samples_per_interval: int, grid_points: int | None = None
-) -> RecursionConfig:
+def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) -> RecursionConfig:
     """Recursion settings on a grid spanning ten thermal widths of the total
     duration, at spacing ``h = sqrt(eps/m) / (16 sqrt(max(samples_per_interval,
-    16)))`` or with ``grid_points`` points over the same extent.  The spacing
-    is tied to the narrowest kernel, of width sqrt(eps / (samples_per_interval
-    m)), which spans 16 spacings (more below 16 samples per interval): h is
-    sqrt(eps/m) / 64 at 16 samples and sqrt(eps/m) / 1024 at 4096.  At the
-    default spacing the Gaussian tails beyond x_max are below 1e-20."""
+    16)))``.  The spacing is tied to the narrowest kernel, of width
+    sqrt(eps / (samples_per_interval m)), which spans 16 spacings (more below
+    16 samples per interval): h is sqrt(eps/m) / 64 at 16 samples and
+    sqrt(eps/m) / 1024 at 4096.  The Gaussian tails beyond x_max are below
+    1e-20.  Other grids go through ``RecursionConfig`` directly."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     samples = max(samples_per_interval, 16)
@@ -141,7 +138,7 @@ def default_config(
     # samples) spacings for every (m, eps), so the point count does not depend
     # on the scales
     n_points = int(np.ceil(160.0 * np.sqrt((n_max + 1) * samples))) + 1
-    grid = Grid1D(h * (n_points - 1), n_points if grid_points is None else grid_points)
+    grid = Grid1D(h * (n_points - 1), n_points)
     return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
 
 
@@ -184,31 +181,15 @@ def _half_kernel(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> n
     return heat_kernel(cfg.m, dt, np.arange(_taps(cfg, dt) + 1) * cfg.grid.spacing, 0.0)
 
 
-def _weighted(prev: EuclideanSlice, cfg: RecursionConfig, count: int, out=None) -> np.ndarray:
+def _weighted(prev: EuclideanSlice, cfg: RecursionConfig, count: int) -> np.ndarray:
     """The first ``count`` slice values times their quadrature weights: the
     spacing, end-corrected over the first five nodes and halved at the far
     end of the grid, where the slice is negligible."""
-    w = np.multiply(prev.values[:count], cfg.grid.spacing, out=out)
+    w = prev.values[:count] * cfg.grid.spacing
     w[: len(_END_WEIGHTS)] *= _END_WEIGHTS
     if count == cfg.grid.n_points:
         w[-1] *= 0.5
     return w
-
-
-def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms quickly."""
-    best = 1 << (n - 1).bit_length()
-    power5 = 1
-    while power5 < best:
-        odd = power5   # 3^b 5^c
-        while odd < best:
-            length = odd
-            while length < n:
-                length *= 2
-            best = min(best, length)
-            odd *= 3
-        power5 *= 5
-    return best
 
 
 def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> EuclideanSlice:
@@ -216,29 +197,19 @@ def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> 
 
     The projection at s = n is enacted by the half-line integration range;
     the output slice is evaluated on the full grid (including x = 0).  The
-    linear convolution is one circular FFT convolution over at least
-    n_points + taps points, with the symmetric kernel centred on index 0, so
-    the kernel's spectrum is real and no output offset is needed."""
+    linear convolution is one circular FFT convolution over the power of two
+    at or above n_points + taps, with the symmetric kernel centred on index
+    0, so the kernel's spectrum is real and no output offset is needed."""
     half = _half_kernel(prev, cfg, s_next)
     taps = len(half) - 1
     n = cfg.grid.n_points
-    length = _fft_length(n + taps)
-    # one real buffer takes the kernel, the weighted slice and the result;
-    # each spectrum is dropped once used, as at the default grid these
-    # arrays set the run's peak memory
-    buf = np.zeros(length)
-    buf[: taps + 1] = half
-    buf[length - taps :] = half[:0:-1]
-    del half
-    kernel_spectrum = np.fft.rfft(buf).real.copy()   # real: the kernel is even
-    buf.fill(0.0)
-    _weighted(prev, cfg, n, out=buf[:n])
-    spectrum = np.fft.rfft(buf)
-    spectrum *= kernel_spectrum
-    del kernel_spectrum
-    np.fft.irfft(spectrum, length, out=buf)
+    length = pow2_at_least(n + taps)
+    kernel = np.zeros(length)
+    kernel[: taps + 1] = half
+    kernel[length - taps :] = half[:0:-1]
+    spectrum = np.fft.rfft(_weighted(prev, cfg, n), length) * np.fft.rfft(kernel).real
     # the exact slice is non-negative; clip the FFT roundoff tails
-    return EuclideanSlice(s_next, cfg.grid, np.maximum(buf[:n], 0.0))
+    return EuclideanSlice(s_next, cfg.grid, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
 # Largest block of kernel values the batched boundary samples hold at once
@@ -247,29 +218,26 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _kernel_blocks(cfg: RecursionConfig, dt: np.ndarray, taps: np.ndarray):
-    """Yield ``(rows, cols, block)``: ``block[i, j]`` is exp(-m x^2 / 2 dt)
-    for the step ``dt[rows.start + i]`` at grid offset ``x = (cols.start +
-    j) h``.  ``dt`` is ascending, so a block of consecutive rows is as wide
-    as its widest (last) row: it takes as many rows as fit in
-    ``_BLOCK_ENTRIES`` entries, and a row wider than that alone is split into
-    column ranges.  The narrower rows of a block run past their own taps,
-    where the kernel is below exp(-kernel_span^2 / 2) of its peak.  Every
-    block is a view of one buffer, overwritten by the next block."""
+    """Yield ``(rows, block)``: ``block[i, j]`` is exp(-m x^2 / 2 dt) for the
+    step ``dt[rows.start + i]`` at grid offset ``x = j h``.  ``dt`` is
+    ascending, so a block of consecutive rows is as wide as its widest
+    (last) row: it takes as many rows as fit in ``_BLOCK_ENTRIES`` entries,
+    and a row wider than that is a block of its own.  The narrower rows of a
+    block run past their own taps, where the kernel is below
+    exp(-kernel_span^2 / 2) of its peak.  Every block is a view of one
+    buffer, overwritten by the next block."""
     x = np.arange(taps[-1] + 1) * cfg.grid.spacing
     minus_x2 = -x * x
-    buffer = np.empty(_BLOCK_ENTRIES)
+    buffer = np.empty(max(_BLOCK_ENTRIES, taps[-1] + 1))
     start = 0
     while start < len(dt):
         entries = np.arange(1, len(dt) - start + 1) * (taps[start:] + 1)
         stop = start + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
         rows = slice(start, stop)
         width = taps[stop - 1] + 1
-        step = _BLOCK_ENTRIES // (stop - start)
-        for lo in range(0, width, step):
-            cols = slice(lo, min(lo + step, width))
-            block = buffer[: (stop - start) * (cols.stop - lo)].reshape(stop - start, -1)
-            np.multiply(minus_x2[cols], cfg.m / (2 * dt[rows, None]), out=block)
-            yield rows, cols, np.exp(block, out=block)
+        block = buffer[: (stop - start) * width].reshape(stop - start, width)
+        np.multiply(minus_x2[:width], cfg.m / (2 * dt[rows, None]), out=block)
+        yield rows, np.exp(block, out=block)
         start = stop
 
 
@@ -298,9 +266,9 @@ def boundary_amplitude(prev: EuclideanSlice, cfg: RecursionConfig, s_next):
         )
     taps = _taps(cfg, dt_sorted)
     weighted = _weighted(prev, cfg, taps[-1] + 1)
-    sums = np.zeros(len(dt_sorted))
-    for rows, cols, block in _kernel_blocks(cfg, dt_sorted, taps):
-        sums[rows] += block @ weighted[cols]
+    sums = np.empty(len(dt_sorted))
+    for rows, block in _kernel_blocks(cfg, dt_sorted, taps):
+        sums[rows] = block @ weighted[: block.shape[1]]
     amplitude = np.empty_like(sums)
     amplitude[order] = sums * heat_kernel(cfg.m, dt_sorted, 0.0, 0.0)
     return amplitude.reshape(dt.shape)[()]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROOT_INV_I, half_power_weights
+from .core import ROOT_INV_I, half_power_weights, pow2_at_least
 from .exact import absorbing_envelope
 from .sawtooth import calibrate_absorption, sawtooth_envelope
 
@@ -80,7 +80,7 @@ class WavePacket:
 
     @property
     def energy(self) -> float:
-        return self.p**2 / (2 * self.m)
+        return self.p * self.p / (2 * self.m)
 
     @property
     def zeno_time(self) -> float:
@@ -181,10 +181,6 @@ def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndar
 _STENCIL = 12  # half-width, in grid points, of the NUFFT Gaussian stencil
 
 
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(n - 1, 0).bit_length()
-
-
 def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     """sum_j c_j exp(i j theta) for arbitrary real theta, by a type-2
     non-uniform FFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard &
@@ -203,7 +199,7 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     n_coef = len(c)
     shift = n_coef // 2
-    n_grid = _pow2_at_least(2 * n_coef)
+    n_grid = pow2_at_least(2 * n_coef)
     ratio = n_grid / n_coef
     width = np.pi * _STENCIL / (n_coef**2 * ratio * (ratio - 0.5))
     n = np.arange(n_coef) - shift
@@ -230,7 +226,7 @@ def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) ->
         raise ValueError("phi and deriv must share the time grid")
     n = len(phi)
     weights = half_power_weights(n - 1, dt)
-    size = _pow2_at_least(2 * n - 1)
+    size = pow2_at_least(2 * n - 1)
     spec = np.fft.fft(weights * phi, size) * np.fft.fft(deriv, size)
     return np.fft.ifft(spec)[:n]
 

@@ -8,7 +8,7 @@ from perfbench import spans
 from zenoprop.cli import main
 
 RUNS = (
-    ["fp", "--n-max", "2", "--grid-points", "2001", "--samples-per-interval", "4"],
+    ["fp", "--n-max", "2", "--samples-per-interval", "4"],
     ["pdx"],
     ["lattice", "--levels", "3"],
 )

@@ -71,8 +71,7 @@ class TestFp:
         out = tmp_path / "fp.csv"
         res = runner.invoke(
             main,
-            ["fp", "--out", str(out), "--n-max", "3", "--grid-points", "4001",
-             "--samples-per-interval", "8"],
+            ["fp", "--out", str(out), "--n-max", "3", "--samples-per-interval", "8"],
         )
         assert res.exit_code == 0, result_output(res)
         header, rows = read_rows(out)
@@ -91,8 +90,7 @@ class TestFp:
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         res = runner.invoke(
             main,
-            ["fp", "--out", str(tmp_path / "x.csv"), "--n-max", "2",
-             "--grid-points", "2001", "--v0", "1e14"],
+            ["fp", "--out", str(tmp_path / "x.csv"), "--n-max", "2", "--v0", "1e14"],
         )
         assert res.exit_code == 3
 
@@ -199,7 +197,7 @@ class TestConfigPrecedence:
         assert isinstance(eps, float) and eps == 2.0
 
     def test_flag_and_parameter_name_keys(self, runner, tmp_path):
-        args = {"grid-points": 2001, "samples-per-interval": 2}
+        args = {"samples-per-interval": 2}
         outputs = []
         for keys in ({"format": "json", "n-max": 1}, {"fmt": "json", "n_max": 1}):
             cfg = tmp_path / "cfg.json"
@@ -227,10 +225,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args", [
         ["lattice", "--tau", "3.5"],
-        ["compare", "--samples-per-interval", "1", "--grid-points", "2001"],
-        ["fp", "--samples-per-interval", "1", "--grid-points", "2001"],
-        ["fp", "--n-max", "3", "--grid-points", "3"],
-        ["compare", "--n-max", "3", "--grid-points", "3"],
+        ["compare", "--samples-per-interval", "1"],
+        ["fp", "--samples-per-interval", "1"],
+        ["fp", "--grid-points", "2001"],
+        ["compare", "--grid-points", "2001"],
         ["lattice", "--levels", "2"],
         ["lattice", "--eps", "1e-300"],
         ["lattice", "--eps", "1e-4"],
@@ -238,8 +236,8 @@ class TestUsageErrors:
         ["pdx", "--eps", "1"],
         ["pdx", "--v0", "1"],
         ["lattice", "--v0", "1"],
-        ["fp", "--grid-points", "0"],
-        ["fp", "--grid-points", "1"],
+        ["compare", "--n-max", "0"],
+        ["fp", "--n-max", "-1"],
         ["lattice", "--tau", "1e-300"],
         ["lattice", "--tau", "1e-12"],
     ])
@@ -255,8 +253,7 @@ class TestCompare:
         out = tmp_path / "cmp.csv"
         res = runner.invoke(
             main,
-            ["compare", "--out", str(out), "--n-max", "4", "--grid-points", "5001",
-             "--samples-per-interval", "4"],
+            ["compare", "--out", str(out), "--n-max", "4", "--samples-per-interval", "4"],
         )
         assert res.exit_code == 0, result_output(res)
         header, rows = read_rows(out)

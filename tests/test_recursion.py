@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import fine_config, pre_projection_slices
+from conftest import extent_config, fine_config, pre_projection_slices
 from oracles import direct_advance, direct_boundary_amplitude, richardson_right_limit
 from zenoprop import recursion
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
@@ -42,7 +42,7 @@ def assert_matches_direct(prev, cfg, s_next):
 def small_cfg():
     # fast configuration for unit checks (spacing 4e-3); tolerances stay far
     # below targets
-    return default_config(1.0, 1.0, 3, 16, 5001)
+    return extent_config(3, 5001)
 
 
 class TestConfig:
@@ -58,8 +58,6 @@ class TestConfig:
         assert dense.n_points == 20481
         # below 16 samples per interval the spacing stays at 1/64
         assert default_config(1.0, 1.0, 20, 2).grid == g
-        # a point count keeps the default extent
-        assert default_config(1.0, 1.0, 20, 16, 1001).grid == Grid1D(g.x_max, 1001)
 
     @pytest.mark.parametrize("n_max, spi, points", [
         (3, 16, 1281), (8, 16, 1921), (15, 16, 2561), (24, 16, 3201), (20, 16, 2934),
@@ -146,7 +144,7 @@ class TestAdvance:
 
     def test_matches_direct_convolution_at_fractional_steps(self):
         # an odd (prime) point count and partial steps, so shorter kernels
-        cfg = default_config(1.0, 1.0, 3, 16, 1237)
+        cfg = extent_config(3, 1237)
         prev = initial_slice(cfg)
         for s in (1.0625, 1.37, 1.9):
             assert_matches_direct(prev, cfg, s)
@@ -163,6 +161,16 @@ class TestAdvance:
             assert len(_half_kernel(prev, cfg, s)) == cfg.grid.n_points
             assert_matches_direct(prev, cfg, s)
         assert_matches_direct(direct_advance(prev, cfg, 2.0), cfg, 3.0)
+
+    def test_matches_direct_convolution_at_exact_fft_length(self):
+        # n_points + taps is exactly 4096, a power of two: the FFT length
+        # leaves no padding, the edge of wrap-around.  The slice grows
+        # toward the far end, so a wrapped tail would show near x = 0
+        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3095 / 256, 3096))
+        prev = EuclideanSlice(1.0, cfg.grid, 1.0 + cfg.grid.points())
+        s = 1.0 + 625 / 4096   # a kernel of exactly 1000 taps at spacing 1/256
+        assert cfg.grid.n_points + len(_half_kernel(prev, cfg, s)) - 1 == 4096
+        assert_matches_direct(prev, cfg, s)
 
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
@@ -216,16 +224,17 @@ class TestBoundaryAmplitude:
 
     def test_block_edges_and_one_row_blocks(self, small_cfg, monkeypatch):
         # a small budget puts the 255 samples into many blocks: several rows
-        # at first, then one row per block, then rows split into columns
+        # at first, then one row per block, then rows wider than the budget
         monkeypatch.setattr(recursion, "_BLOCK_ENTRIES", 600)
         prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
         s = 2.0 + np.arange(1, 256) / 256
         dt = np.arange(1, 256) / 256 * small_cfg.eps
-        rows = [(r.start, r.stop, c.start) for r, c, _ in
-                _kernel_blocks(small_cfg, dt, recursion._taps(small_cfg, dt))]
-        assert any(stop - start > 1 for start, stop, _ in rows)
-        assert any(stop - start == 1 and lo == 0 for start, stop, lo in rows)
-        assert any(lo > 0 for _, _, lo in rows)
+        shapes = [block.shape for _, block in
+                  _kernel_blocks(small_cfg, dt, recursion._taps(small_cfg, dt))]
+        assert any(rows > 1 for rows, _ in shapes)
+        assert any(rows == 1 and width <= 600 for rows, width in shapes)
+        assert any(width > 600 for _, width in shapes)
+        assert all(rows == 1 for rows, width in shapes if rows * width > 600)
         self.assert_matches_oracle(prev, small_cfg, s)
 
     def test_clamped_kernel(self):
@@ -240,22 +249,27 @@ class TestBoundaryAmplitude:
 
     def test_blocks_stay_within_budget(self):
         # fp3_dense's samples at the default grid, and rows wider than the
-        # budget: every block holds at most 2^16 entries, and together the
-        # blocks cover every row out to its taps
+        # budget: a row wider than 2^16 entries is a block of its own, every
+        # other block holds at most 2^16 entries, and the blocks cover every
+        # row, in order, out to its taps
         dense = default_config(1.0, 1.0, 3, 4096)
         cases = [(dense, np.arange(1, 4096) / 4096 * dense.eps)]
         wide = RecursionConfig(1.0, 1.0, 3, Grid1D(40.0, 400001))
-        assert recursion._taps(wide, 1.0) + 1 > 1 << 16
+        assert recursion._taps(wide, 0.5) + 1 > 1 << 16
         cases.append((wide, np.array([0.01, 0.5, 0.9, 1.0])))
         for cfg, dt in cases:
             taps = recursion._taps(cfg, dt)
-            reach = np.zeros(len(dt), dtype=int)
-            for rows, cols, block in _kernel_blocks(cfg, dt, taps):
-                assert block.size <= 1 << 16
-                assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
-                assert np.all(reach[rows] == cols.start)
-                reach[rows] = cols.stop
-            assert np.all(reach >= taps + 1)
+            covered = 0
+            for rows, block in _kernel_blocks(cfg, dt, taps):
+                assert rows.start == covered
+                covered = rows.stop
+                assert block.shape[0] == rows.stop - rows.start
+                assert np.all(block.shape[1] >= taps[rows] + 1)
+                if taps[rows.start] + 1 > 1 << 16:
+                    assert block.shape == (1, taps[rows.start] + 1)
+                else:
+                    assert block.size <= 1 << 16
+            assert covered == len(dt)
 
     def test_recursion_runs_at_the_resolution_limit(self):
         # the narrowest kernel spans exactly MIN_KERNEL_SPACINGS spacings,
@@ -353,8 +367,8 @@ class TestRunRecursion:
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
         peaks = []
-        for grid_points in (8293, 16585):  # spacings 4e-3 and 2e-3
-            cfg = default_config(1.0, 1.0, 10, 16, grid_points)
+        for n_points in (8293, 16585):  # spacings 4e-3 and 2e-3
+            cfg = extent_config(10, n_points)
             curve = run_recursion(cfg)
             sel = np.isclose(curve.times, 11 * cfg.eps) & (curve.sides == "-")
             peaks.append(curve.values[sel][0])

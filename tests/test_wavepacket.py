@@ -86,6 +86,11 @@ class TestFreePacket:
         with pytest.raises(ValueError):
             WavePacket(q=0.0, p=1.0, sigma=0.0)
 
+    def test_energy_overflows_to_inf(self):
+        # p^2 / 2m of a huge momentum is inf, not an OverflowError
+        assert WavePacket(-10.0, 1e200, 1.0).energy == np.inf
+        assert WavePacket(-10.0, 10.0, 1.0, m=2.0).energy == 25.0
+
 
 class TestBoundaryDerivative:
     def test_far_packet_negligible(self):
