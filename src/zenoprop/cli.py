@@ -38,20 +38,25 @@ def _fail(message: str) -> NoReturn:
     sys.exit(3)
 
 
-def _write_table(path: str, fmt: str, command: str, params: dict, columns, rows) -> None:
-    """Check every value is finite, then write the table; CSV lines are
-    streamed to the file one row at a time, each through one ``%`` template
-    that writes strings as they are and numbers with 17 significant digits."""
-    if not all(math.isfinite(v) for row in rows for v in row if not isinstance(v, str)):
+def _write_table(path: str, fmt: str, command: str, params: dict, names, columns) -> None:
+    """Check every numeric column is finite, then write the table; CSV lines
+    are zipped from the columns and streamed to the file one row at a time,
+    each through one ``%`` template that writes strings as they are and
+    numbers with 17 significant digits."""
+    columns = [np.asarray(col) for col in columns]
+    text = [col.dtype.kind == "U" for col in columns]
+    if not all(np.isfinite(col).all() for col, is_text in zip(columns, text) if not is_text):
         _fail(f"non-finite value in the {command} table")
+    rows = zip(*(col.tolist() if is_text else col.astype(float, copy=False).tolist()
+                 for col, is_text in zip(columns, text)))
     if fmt == "csv":
-        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-        lines = itertools.chain([",".join(columns) + "\n"], (template % row for row in rows))
+        template = ",".join("%s" if is_text else "%.17g" for is_text in text) + "\n"
+        lines = itertools.chain([",".join(names) + "\n"], (template % row for row in rows))
     else:
         doc = {
             "meta": {"command": command, "params": params},
-            "columns": list(columns),
-            "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in rows],
+            "columns": list(names),
+            "rows": [list(row) for row in rows],
         }
         lines = [json.dumps(doc, indent=1, sort_keys=True) + "\n"]
     try:
@@ -165,8 +170,7 @@ def fv(m, eps, v0, out, fmt) -> None:
     v0 = _resolve_v0(v0, eps)
     t = np.arange(1, 2101) * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, v0, t)
-    rows = list(zip(t.tolist(), vals.tolist()))
-    _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], rows)
+    _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
 
 
 def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
@@ -191,12 +195,11 @@ def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
                                             samples_per_interval)
     sides = ["minus" if sd == "-" else "plus" if sd == "+" else "" for sd in curve.sides]
-    columns = (curve.times, model, curve.values, fvv, s)
-    rows = list(zip(*(col.tolist() for col in columns), sides))
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "fp", params,
-                 ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"], rows)
+                 ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"],
+                 (curve.times, model, curve.values, fvv, s, sides))
 
 
 @main.command(name="exact")
@@ -223,7 +226,7 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 
     rows = _numerical_guard(build)
     _write_table(out, fmt, "exact", {"m": m, "eps": eps, "v0": v0},
-                 ["name", "value"], rows)
+                 ["name", "value"], zip(*rows))
 
 
 @main.command(name="lattice")
@@ -236,18 +239,13 @@ def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
     level_list = tuple(4**j for j in range(1, levels + 1))
 
-    def build():
-        sweep = lattice.continuum_peak_estimate(tau, eps, m=m, levels=level_list)
-        rows = [
-            (float(r), e, eps / float(r), ratio)
-            for r, e, ratio in zip(sweep.steps_per_projection, sweep.etas, sweep.ratios)
-        ]
-        rows.append((0.0, 0.0, 0.0, sweep.extrapolated))
-        return rows
-
-    rows = _numerical_guard(build)
+    sweep = _numerical_guard(lattice.continuum_peak_estimate, tau, eps, m=m, levels=level_list)
+    # one row per level, then the extrapolated ratio on a row of zeros
+    r = sweep.steps_per_projection.astype(float)
+    columns = [np.append(col, last) for col, last in
+               ((r, 0.0), (sweep.etas, 0.0), (eps / r, 0.0), (sweep.ratios, sweep.extrapolated))]
     _write_table(out, fmt, "lattice", {"m": m, "eps": eps, "tau": tau, "levels": levels},
-                 ["steps_per_projection", "eta", "dtau", "ratio"], rows)
+                 ["steps_per_projection", "eta", "dtau", "ratio"], columns)
 
 
 @main.command()
@@ -268,12 +266,12 @@ def pdx(m, out, fmt, p_sigma) -> None:
         eps_values = scan / wp.energy
         x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
         norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
-        return tau, [(ev, ee, wavepacket.suppression_factor(wp, ev), nn)
-                     for ev, ee, nn in zip(eps_values, scan, norms)]
+        predictor = [wavepacket.suppression_factor(wp, ev) for ev in eps_values]
+        return tau, (eps_values, scan, predictor, norms)
 
-    tau, rows = _numerical_guard(build)
+    tau, columns = _numerical_guard(build)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": tau},
-                 ["eps", "E_eps", "predictor", "delta_norm"], rows)
+                 ["eps", "E_eps", "predictor", "delta_norm"], columns)
 
 
 @main.command()
@@ -287,18 +285,17 @@ def compare(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max; the peak
     # of drop k is the '-' row at s = k + 1
     minus = curve.sides == "-"
-    peaks = zip(*(col[minus][1:] for col in (curve.times, curve.values, model, fvv, s)))
+    t_k, peak_n, peak_m, fv_k, s_k = (col[minus][1:] for col in
+                                      (curve.times, curve.values, model, fvv, s))
     troughs = curve.values[curve.sides == "+"]
-    rows = [
-        (float(k), t_k, peak_n, peak_m, trough_n, sawtooth.trough_value(k - 1), fv_k, s_k)
-        for k, ((t_k, peak_n, peak_m, fv_k, s_k), trough_n)
-        in enumerate(zip(peaks, troughs), start=1)
-    ]
+    k = np.arange(1, len(troughs) + 1)
+    trough_m = [sawtooth.trough_value(kk - 1) for kk in k]
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,
                  ["k", "t_peak", "peak_numeric", "peak_model",
-                  "trough_numeric", "trough_model", "f_v_peak", "s_peak"], rows)
+                  "trough_numeric", "trough_model", "f_v_peak", "s_peak"],
+                 (k, t_k, peak_n, peak_m, troughs, trough_m, fv_k, s_k))
 
 
 if __name__ == "__main__":

@@ -115,8 +115,11 @@ def projected_envelope_exact(eps: float, t: float, n_proj: int) -> float:
 # time-averaged boundary identity
 # ---------------------------------------------------------------------------
 
-# Midpoint panels per axis of the two-projection simplex average.
+# Midpoint panels per axis of the two-projection simplex average, and the
+# outer rows evaluated per call (small blocks keep the temporaries, and the
+# peak memory, small).
 _PANELS = 1024
+_BLOCK_ROWS = 8
 
 
 def time_averaged_envelope(n: int) -> float:
@@ -129,16 +132,22 @@ def time_averaged_envelope(n: int) -> float:
 
     which equals 1/(n+1) exactly.  n = 1 is pointwise constant (each single
     projection contributes exactly one half by reflection symmetry); n = 2
-    is evaluated by nested midpoint quadrature of the closed form, one row
-    of inner nodes at a time.
+    is evaluated by nested midpoint quadrature of the closed form, in
+    blocks of outer rows: each row of inner nodes is summed along its
+    contiguous axis and the row totals are added in outer-node order, so
+    the value is bit-identical to summing one row at a time.
     """
     if n == 1:
         return 0.5
     if n != 2:
         raise ValueError("time-averaged envelope implemented for n in {1, 2}")
     h = 1.0 / _PANELS
+    nodes = np.arange(_PANELS) + 0.5
     total = 0.0
-    for t in (np.arange(_PANELS) + 0.5) * h:
+    for start in range(0, _PANELS, _BLOCK_ROWS):
+        t = nodes[start : start + _BLOCK_ROWS, None] * h
         h1 = t / _PANELS
-        total += bridge_orthant(((np.arange(_PANELS) + 0.5) * h1, t), 1.0).sum() * h1
+        rows = bridge_orthant((nodes * h1, t), 1.0).sum(axis=1) * h1[:, 0]
+        for row in rows.tolist():
+            total += row
     return float(2.0 * total * h)

@@ -4,7 +4,7 @@ A walker starts at the origin, takes steps of +-eta with probability 1/2
 each per time slice dtau, and must sit strictly on the positive axis at the
 intermediate constraint instants (every ``steps_per_projection`` slices).
 The return probability u(0, tau | 0, 0) under these constraints comes from
-a dynamic program over site occupancies, exact up to rounding; mapped to a
+a dynamic program over walk counts, exact up to rounding; mapped to a
 density through the factor 1/(2 eta) (reachable sites alternate parity, so
 the effective site spacing is 2 eta) it converges, as the lattice under
 each projection interval is refined at fixed physical tau and eps, to the
@@ -27,6 +27,7 @@ fixed physical constraint spacing removes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,17 @@ __all__ = [
 ]
 
 
-# Longest walk a refinement sweep may run.  The DP updates at most
-# n^2 / 4 + n sites for n steps (0.15 n^2 with 8 projection intervals);
-# 32,768 steps, the finest walk the benchmark runs, take about 0.2 s on a
-# 2-vCPU VM and a walk at the cap about 0.6 s, so the cap holds a sweep to
-# about a second.
+# Longest walk a refinement sweep may run.  The DP makes at most
+# n^2 / 4 + n site additions for n steps (0.15 n^2 with 8 projection
+# intervals); on a 2-vCPU VM 32,768 steps, the finest walk the benchmark
+# runs, take about 0.23 s and a walk at the cap about 0.7 s, so the cap
+# holds a sweep to about a second.
 MAX_WALK_STEPS = 65_536
+
+# Steps between rescales of the walk counts: a count after k steps is at
+# most 2^k, so 960 steps keep every count below 2^960, short of the float
+# limit 2^1024.
+_RESCALE_STEPS = 960
 
 
 @dataclass(frozen=True)
@@ -68,38 +74,47 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     satisfying the positivity constraint at every intermediate multiple of
     steps_per_projection.
 
-    Dynamic programming over site occupancies, updating only live sites.
-    After ``step`` steps only sites of that parity are occupied, so site
-    x = 2j - step is stored at ``w[j + 1]`` (``w[0]`` stays zero) and one
-    step is ``w[j] = h[j - 1] + h[j]`` with ``h = 0.5 w``.  Only sites with
-    |x| <= n_steps - step can still return to the origin, and after a
-    projection nothing at or left of it survives, so each step updates
-    that window alone.
+    Dynamic programming over walk counts, the probabilities times 2^step,
+    updating only live sites.  After ``step`` steps only sites of that
+    parity are occupied, so site x = 2j - step is stored at ``w[j + 1]``
+    (``w[0]`` stays zero) and one step is one sum, ``v[j] = w[j - 1] +
+    w[j]``, into a second buffer that then takes the place of the first.
+    Only sites with |x| <= n_steps - step can still return to the origin,
+    and after a projection nothing at or left of it survives, so each step
+    updates that window alone.  Every ``_RESCALE_STEPS`` steps the live
+    counts are multiplied by the exact power of two 2^-960, so no count
+    reaches the float limit 2^1024; the result is the final count times
+    2^(rescaled - n_steps).
 
-    Through step 53 every value is k / 2^step with k <= 2^step, exact in
+    Through step 53 every count is an integer of at most 2^step, exact in
     binary floating point, so the result matches brute-force enumeration
     bit for bit on small lattices.  Longer walks round, to at most about
-    n_steps * 2^-53 relative.  Every live site goes through the same two
-    halvings and one sum, in the same order, as a DP over all 2n + 1 sites,
-    so the result is bit-identical to it.
+    n_steps * 2^-53 relative.  Halving is exact in the normal float range,
+    so each sum equals 2^step times the sum of halved probabilities that a
+    DP over all 2n + 1 sites forms, bit for bit; only values below about
+    2^-1022, deep in the tails, can round differently.
     """
     n = cfg.n_steps
     if n % 2:
         return 0.0  # the origin has the parity of even step counts only
     half = n // 2
     w = np.zeros(half + 2)  # j = 0 .. n/2, the sites with |x| <= n - step
-    h = np.empty_like(w)
+    v = np.zeros_like(w)
     w[1] = 1.0
     lo = 1  # lowest index still occupied (right of the origin after a projection)
+    rescaled = 0  # binary exponent taken out of the counts so far
     for step in range(1, n + 1):
         a = max(lo, step - half + 1)
         b = min(step, half) + 2
-        np.multiply(w[a - 1 : b], 0.5, out=h[a - 1 : b])
-        np.add(h[a - 1 : b - 1], h[a:b], out=w[a:b])
+        np.add(w[a - 1 : b - 1], w[a:b], out=v[a:b])
+        w, v = v, w
+        if step % _RESCALE_STEPS == 0:
+            w[a:b] *= 2.0**-_RESCALE_STEPS
+            rescaled += _RESCALE_STEPS
         if step < n and step % cfg.steps_per_projection == 0:
             lo = step // 2 + 2
-            w[lo - 1] = 0.0
-    return float(w[half + 1])
+            w[lo - 1] = v[lo - 1] = 0.0  # neither buffer writes below lo again
+    return math.ldexp(float(w[half + 1]), rescaled - n)
 
 
 @dataclass

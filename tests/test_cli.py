@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
-from zenoprop.cli import main
+from zenoprop.cli import _write_table, main
 
 
 @pytest.fixture
@@ -304,6 +304,33 @@ class TestPdxCommand:
         norms = np.array([float(r[3]) for r in rows])
         assert np.all(norms > 0)
         assert norms[0] < norms[-1]  # suppression deepens as eps shrinks
+
+
+class TestWriteTable:
+    NAMES = ["x", "label", "y"]
+    COLUMNS = (np.array([0.1, 2.0]), ["a", ""], [1 / 3, np.float64(4.0)])
+
+    def test_csv_rows_zipped_from_columns(self, tmp_path):
+        out = tmp_path / "t.csv"
+        _write_table(str(out), "csv", "t", {}, self.NAMES, self.COLUMNS)
+        assert out.read_text() == "x,label,y\n0.10000000000000001,a,0.33333333333333331\n2,,4\n"
+
+    def test_json_rows_zipped_from_columns(self, tmp_path):
+        out = tmp_path / "t.json"
+        _write_table(str(out), "json", "t", {"k": 1}, self.NAMES, self.COLUMNS)
+        doc = json.loads(out.read_text())
+        assert doc["meta"] == {"command": "t", "params": {"k": 1}}
+        assert doc["columns"] == self.NAMES
+        assert doc["rows"] == [[0.1, "a", 1 / 3], [2.0, "", 4.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_numerical_failure(self, tmp_path, capsys, bad):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            _write_table(str(out), "csv", "t", {}, ["x", "label"], ([1.0, bad], ["a", "b"]))
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite value in the t table\n"
+        assert not out.exists()
 
 
 def names_read(fn) -> set[str]:

@@ -13,6 +13,7 @@ from oracles import (
     free_propagator_boundary_derivative,
     half_value_ratio,
     restricted_propagator,
+    row_by_row_time_average,
 )
 from zenoprop.exact import (
     absorbing_envelope,
@@ -398,6 +399,10 @@ class TestTimeAveraged:
 
     def test_two_projections_third(self):
         assert time_averaged_envelope(2) == pytest.approx(1 / 3, abs=1e-4)
+
+    def test_blocks_sum_like_single_rows(self):
+        # row totals are added in the same order as one row at a time
+        assert time_averaged_envelope(2) == row_by_row_time_average()
 
     def test_full_amplitude_form(self):
         m, tau = 1.0, 3.0

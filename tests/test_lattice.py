@@ -15,6 +15,7 @@ from oracles import (
 )
 from zenoprop.core import heat_kernel
 from zenoprop.exact import absorbing_envelope
+from zenoprop import lattice
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability, continuum_peak_estimate
 from zenoprop.sawtooth import calibrate_absorption, oscillation_ratio
 
@@ -104,6 +105,42 @@ class TestLiveWindow:
     def test_bit_identical_random_walks(self, walk):
         c = LatticeConfig(*walk)
         assert constrained_walk_probability(c) == full_width_walk_probability(c)
+
+
+class TestRescaledCounts:
+    """The counts DP takes 2^-960 out of its counts every 960 steps; each
+    rescale is exact, so the result stays bit-identical to the full-width
+    DP over probabilities."""
+
+    @pytest.mark.parametrize("r", (960, 480, 1280))
+    def test_bit_identical_across_rescales(self, r):
+        # 3,840 steps, four rescales: each on a projection step at r = 960,
+        # with projections between them at r = 480, between projections at
+        # r = 1280
+        c = LatticeConfig(3840, r)
+        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walks(300, r_past_n=5), st.integers(1, 9))
+    @example((300, 4), 1)
+    @example((298, 149), 2)
+    def test_bit_identical_with_frequent_rescales(self, walk, every):
+        # a rescale every few steps puts one at every window position
+        c = LatticeConfig(*walk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_RESCALE_STEPS", every)
+            got = constrained_walk_probability(c)
+        assert got == full_width_walk_probability(c)
+
+    def test_finest_benchmark_walk(self):
+        # the full-width DP's value, recorded when the live window replaced it
+        c = LatticeConfig(32768, 4096)
+        assert constrained_walk_probability(c) == float.fromhex("0x1.18919d74e9a40p-11")
+
+    def test_walk_at_the_cap(self):
+        # the probability DP's value at MAX_WALK_STEPS
+        c = LatticeConfig(lattice.MAX_WALK_STEPS, 8192)
+        assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
 
 
 class TestExactness:
