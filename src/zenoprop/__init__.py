@@ -45,9 +45,7 @@ from .sawtooth import (
 )
 from .wavepacket import (
     WavePacket,
-    crossing_density,
     delta_norm_scan,
-    normalized_crossing_density,
     packet_boundary_derivative,
     pdx_delta_psi,
     stationary_delta_g,

@@ -183,7 +183,7 @@ def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
         k = np.rint((curve.times[minus] - eps) / eps).astype(int)
         model[minus] = [sawtooth.peak_value(int(kk)) for kk in k]
     fvv = exact.absorbing_envelope(v0, curve.times)
-    s = sawtooth.oscillation_ratio(curve.values, fvv)
+    s = recursion.numeric_oscillation_curve(curve, v0).values
     return curve, model, fvv, s
 
 

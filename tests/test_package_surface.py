@@ -1,9 +1,8 @@
-"""The package holds what its own modules, its command line and the science
-use.  Test oracles belong in ``tests/oracles.py``: every name ``zenoprop``
-exports must have a caller in ``src/zenoprop/``, be a layer the benchmark
-traces (``perfbench/spans.py``), or be one of the science results below.
-Every third-party module the code imports must be declared in
-``pyproject.toml``."""
+"""The package holds what its own modules and its command line use.  Test
+oracles belong in ``tests/oracles.py``: every name ``zenoprop`` exports must
+have a caller in ``src/zenoprop/`` or be a layer the benchmark traces
+(``perfbench/spans.py``).  Every third-party module the code imports must be
+declared in ``pyproject.toml``."""
 
 import ast
 import re
@@ -15,11 +14,6 @@ import pytest
 
 import zenoprop
 from perfbench.spans import LAYERS
-
-# Results the acceptance criteria test as science although nothing in the
-# package calls them: the numeric oscillation curve (criterion 4) and the
-# crossing-time densities (criterion 8).
-SCIENCE = ("numeric_oscillation_curve", "crossing_density", "normalized_crossing_density")
 
 
 def exported_names() -> set[str]:
@@ -49,10 +43,8 @@ def called_names() -> set[str]:
 
 
 def test_every_export_has_a_use():
-    exported = exported_names()
-    assert set(SCIENCE) <= exported
     layers = {fn for fns in LAYERS.values() for fn in fns}
-    assert sorted(exported - called_names() - layers - set(SCIENCE)) == []
+    assert sorted(exported_names() - called_names() - layers) == []
 
 
 def imported_top_level(root: Path) -> set[str]:

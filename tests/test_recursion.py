@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import extent_config, fine_config, pre_projection_slices
-from oracles import direct_advance, direct_boundary_amplitude, richardson_right_limit
+from oracles import (
+    direct_advance,
+    direct_boundary_amplitude,
+    interval_by_interval_recursion,
+    richardson_right_limit,
+)
 from zenoprop import recursion
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
@@ -120,18 +125,18 @@ class TestAdvance:
 
     def test_one_projection_constant_half(self, small_cfg):
         prev = initial_slice(small_cfg)
-        for s in (1.25, 1.5, 1.99):
-            amp = boundary_amplitude(prev, small_cfg, s)
-            env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
-            assert env == pytest.approx(0.5, abs=1e-4)
+        u = np.array([0.25, 0.5, 0.99])
+        amp = boundary_amplitude([prev.values], small_cfg, u)[0]
+        env = amp / heat_kernel(small_cfg.m, (1 + u) * small_cfg.eps, 0.0, 0.0)
+        assert_allclose(env, 0.5, atol=1e-4)
 
     def test_two_projection_arctan_curve(self, small_cfg):
         prev = initial_slice(small_cfg)
         prev = advance_slice(prev, small_cfg, 2.0)
         for s in (2.2, 2.5, 2.8, 3.0):
-            amp = boundary_amplitude(prev, small_cfg, s) if s < 3 else advance_slice(
-                prev, small_cfg, s
-            ).values[0]
+            amp = boundary_amplitude([prev.values], small_cfg, s - 2)[0] if s < 3 else (
+                advance_slice(prev, small_cfg, s).values[0]
+            )
             env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
             want = projected_envelope_exact(small_cfg.eps, s * small_cfg.eps, 2)
             assert env == pytest.approx(want, abs=1e-4)
@@ -175,9 +180,10 @@ class TestAdvance:
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
         prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
-        for s in (2.001, 2.3, 3.0):
-            want = advance_slice(prev, small_cfg, s).values[0]
-            assert boundary_amplitude(prev, small_cfg, s) == pytest.approx(want, rel=1e-13)
+        for u in (0.001, 0.3, 1.0):
+            want = advance_slice(prev, small_cfg, 2.0 + u).values[0]
+            got = boundary_amplitude([prev.values], small_cfg, u)[0]
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_positivity_preserved(self, small_cfg):
         prev = initial_slice(small_cfg)
@@ -192,8 +198,6 @@ class TestAdvance:
         prev = initial_slice(small_cfg)
         with pytest.raises(ValueError):
             advance_slice(prev, small_cfg, 2.5)  # beyond next projection
-        with pytest.raises(ValueError):
-            boundary_amplitude(prev, small_cfg, 1.0)
 
     def test_values_must_match_grid(self, small_cfg):
         with pytest.raises(ValueError):
@@ -201,51 +205,81 @@ class TestAdvance:
 
 
 class TestBoundaryAmplitude:
-    """The batched boundary samples against the per-sample ``np.dot``
-    oracle, to 1e-14 relative."""
+    """The one-pass boundary samples of several slices against the
+    per-sample ``np.dot`` oracle, every slice row to 1e-14 relative."""
 
     @staticmethod
-    def assert_matches_oracle(prev, cfg, s_values):
-        got = boundary_amplitude(prev, cfg, s_values)
-        assert got.shape == np.shape(s_values)
-        want = [direct_boundary_amplitude(prev, cfg, s) for s in np.ravel(s_values)]
-        assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+    def assert_matches_oracle(slices, cfg, u):
+        got = boundary_amplitude([sl.values for sl in slices], cfg, u)
+        assert got.shape == (len(slices),) + np.shape(u)
+        for sl, row in zip(slices, got):
+            want = [direct_boundary_amplitude(sl, cfg, sl.s + d) for d in np.ravel(u)]
+            assert_allclose(row.ravel(), want, rtol=1e-14, atol=0.0)
 
     def test_matches_per_sample_oracle(self, small_cfg):
-        # unsorted samples, a repeated one and the interval end
-        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
-        s = 2.0 + np.array([0.7, 0.01, 0.3, 1.0, 0.3, 0.55, 0.002])
-        self.assert_matches_oracle(prev, small_cfg, s)
-        self.assert_matches_oracle(prev, small_cfg, s.reshape(7, 1))
-        self.assert_matches_oracle(prev, small_cfg, s[:0])
-        scalar = boundary_amplitude(prev, small_cfg, 2.3)
-        assert isinstance(scalar, float)
-        assert scalar == pytest.approx(direct_boundary_amplitude(prev, small_cfg, 2.3), rel=1e-14)
+        # the slices at s = 1..4; unsorted offsets, a repeated one and the
+        # interval end
+        slices = pre_projection_slices(small_cfg)
+        u = np.array([0.7, 0.01, 0.3, 1.0, 0.3, 0.55, 0.002])
+        self.assert_matches_oracle(slices, small_cfg, u)
+        self.assert_matches_oracle(slices, small_cfg, u.reshape(7, 1))
+        self.assert_matches_oracle(slices, small_cfg, u[:0])
+        self.assert_matches_oracle(slices, small_cfg, 0.3)
+
+    def test_rows_need_only_the_widest_reach(self, small_cfg):
+        # a prefix out to the widest kernel's reach gives the bits of the
+        # whole slice; one point less is refused
+        slices = pre_projection_slices(small_cfg)[:2]
+        u = np.array([0.2, 0.9])
+        reach = recursion._taps(small_cfg, 0.9 * small_cfg.eps) + 1
+        assert reach < small_cfg.grid.n_points
+        whole = boundary_amplitude([sl.values for sl in slices], small_cfg, u)
+        prefix = boundary_amplitude([sl.values[:reach] for sl in slices], small_cfg, u)
+        assert np.array_equal(prefix, whole)
+        with pytest.raises(ValueError, match="fall short"):
+            boundary_amplitude([sl.values[: reach - 1] for sl in slices], small_cfg, u)
+
+    def test_refuses_rows_off_the_grid(self, small_cfg):
+        values = initial_slice(small_cfg).values
+        with pytest.raises(ValueError, match="rows on the first points"):
+            boundary_amplitude(values, small_cfg, 0.5)
+        with pytest.raises(ValueError, match="rows on the first points"):
+            boundary_amplitude([np.append(values, 0.0)], small_cfg, 0.5)
+
+    @pytest.mark.parametrize("u", [0.0, -0.25, 1.0 + 1e-12, 1.5, np.nan])
+    def test_refuses_offsets_outside_the_interval(self, small_cfg, u):
+        values = [initial_slice(small_cfg).values]
+        with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
+            boundary_amplitude(values, small_cfg, u)
+        with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
+            boundary_amplitude(values, small_cfg, np.array([0.5, u, 1.0]))
 
     def test_block_edges_and_one_row_blocks(self, small_cfg, monkeypatch):
         # a small budget puts the 255 samples into many blocks: several rows
-        # at first, then one row per block, then rows wider than the budget
+        # at first, then one row per block, then rows wider than the budget;
+        # every block is dotted with each of the four slices
         monkeypatch.setattr(recursion, "_BLOCK_ENTRIES", 600)
-        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
-        s = 2.0 + np.arange(1, 256) / 256
-        dt = np.arange(1, 256) / 256 * small_cfg.eps
+        slices = pre_projection_slices(small_cfg)
+        u = np.arange(1, 256) / 256
+        dt = u * small_cfg.eps
         shapes = [block.shape for _, block in
                   _kernel_blocks(small_cfg, dt, recursion._taps(small_cfg, dt))]
         assert any(rows > 1 for rows, _ in shapes)
         assert any(rows == 1 and width <= 600 for rows, width in shapes)
         assert any(width > 600 for _, width in shapes)
         assert all(rows == 1 for rows, width in shapes if rows * width > 600)
-        self.assert_matches_oracle(prev, small_cfg, s)
+        self.assert_matches_oracle(slices, small_cfg, u)
 
     def test_clamped_kernel(self):
         # the grid is shorter than kernel_span widths: the wider kernels are
-        # cut at n_points - 1 taps and reach across the whole grid
+        # cut at n_points - 1 taps and reach across the whole grid, whose
+        # far end is half-weighted
         cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3.0, 301))
-        prev = advance_slice(initial_slice(cfg), cfg, 2.0)
-        s = 2.0 + np.arange(1, 17) / 16
-        taps = recursion._taps(cfg, (s - 2.0) * cfg.eps)
+        slices = pre_projection_slices(cfg)
+        u = np.arange(1, 17) / 16
+        taps = recursion._taps(cfg, u * cfg.eps)
         assert taps.min() < cfg.grid.n_points - 1 == taps.max()
-        self.assert_matches_oracle(prev, cfg, s)
+        self.assert_matches_oracle(slices, cfg, u)
 
     def test_blocks_stay_within_budget(self):
         # fp3_dense's samples at the default grid, and rows wider than the
@@ -272,27 +306,29 @@ class TestBoundaryAmplitude:
             assert covered == len(dt)
 
     def test_recursion_runs_at_the_resolution_limit(self):
-        # the narrowest kernel spans exactly MIN_KERNEL_SPACINGS spacings,
-        # and at n = 5 the step (5 + 1/10) - 5 rounds below eps / 10: the
-        # recursion's own samples still pass the refusal below
-        width = np.sqrt(0.1)
-        cfg = RecursionConfig(1.0, 1.0, 5, Grid1D(width / 4 * 49, 50), samples_per_interval=10)
+        # the narrowest kernel, of width sqrt(eps / 3) at eps = 2.5, spans
+        # exactly MIN_KERNEL_SPACINGS spacings, and the recursion's own
+        # narrowest step, (1/3) eps, rounds below eps / 3: its samples still
+        # pass the refusal below
+        eps = 2.5
+        width = np.sqrt(eps / 3)
+        cfg = RecursionConfig(1.0, eps, 5, Grid1D(width / 4 * 49, 50), samples_per_interval=3)
         assert 4 * cfg.grid.spacing == width
-        assert np.sqrt((5 + 0.1) - 5) < width
+        assert np.sqrt(1 / 3 * eps) < width
         curve = run_recursion(cfg)
         assert np.all((curve.values > 0) & (curve.values <= 1))
 
     def test_refuses_unresolved_kernels(self, small_cfg):
         # at spacing 4e-3 a step of 1e-4 eps has a kernel of width 0.01,
         # fewer than MIN_KERNEL_SPACINGS = 4 spacings; one such sample in a
-        # batch refuses the batch
-        prev = initial_slice(small_cfg)
+        # batch refuses the batch for every slice
+        values = [sl.values for sl in pre_projection_slices(small_cfg)[:2]]
         with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(prev, small_cfg, 1.0 + 1e-4)
+            boundary_amplitude(values, small_cfg, 1e-4)
         with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(prev, small_cfg, np.array([1.5, 1.0 + 1e-4, 1.9]))
+            boundary_amplitude(values, small_cfg, np.array([0.5, 1e-4, 0.9]))
         # a step of 2.56e-4 eps spans exactly four spacings
-        boundary_amplitude(prev, small_cfg, 1.0 + 4 * 4 * 16e-6)
+        boundary_amplitude(values, small_cfg, 4 * 4 * 16e-6)
 
 
 class TestRightLimit:
@@ -307,6 +343,38 @@ class TestRightLimit:
 
 
 class TestRunRecursion:
+    # Advancing every slice first and sampling all intervals in one pass of
+    # kernel rows keeps the interval-by-interval summation order: the bits
+    # match wherever n + j / samples_per_interval - n is exactly
+    # j / samples_per_interval, which holds at a power of two
+    def test_matches_interval_by_interval_fp20(self, default_run):
+        cfg, curve, _, _ = default_run
+        self.assert_identical(curve, interval_by_interval_recursion(cfg))
+
+    def test_matches_interval_by_interval_dense(self):
+        cfg = default_config(1.0, 1.0, 3, 4096)
+        self.assert_identical(run_recursion(cfg), interval_by_interval_recursion(cfg))
+
+    def test_matches_interval_by_interval_coarse(self, coarse_run):
+        cfg, curve, _ = coarse_run
+        self.assert_identical(curve, interval_by_interval_recursion(cfg))
+
+    @pytest.mark.parametrize("m, eps, n_max, spi", [(0.3, 2.5, 7, 37), (7.0, 0.11, 4, 100)])
+    def test_matches_interval_by_interval_elsewhere(self, m, eps, n_max, spi):
+        # other sample counts: the step is u eps instead of (s - n) eps, which
+        # moves the envelope by 6.0e-16 and 1.04e-15 relative
+        cfg = default_config(m, eps, n_max, spi)
+        got, want = run_recursion(cfg), interval_by_interval_recursion(cfg)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.sides, want.sides)
+        assert_allclose(got.values, want.values, rtol=2e-15, atol=0.0)
+
+    @staticmethod
+    def assert_identical(got, want):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.sides, want.sides)
+        assert np.array_equal(got.values, want.values)
+
     def test_exact_agreement_first_intervals(self, small_cfg):
         curve = run_recursion(small_cfg)
         for t, v, side in zip(curve.times, curve.values, curve.sides):

@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     absorbing_step_packet,
+    crossing_density,
     dense_crossing_term,
     free_evolution_quadrature,
     free_packet,
+    normalized_crossing_density,
     spearman_rho,
     step_reflection,
 )
@@ -17,11 +19,9 @@ from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
     WavePacket,
     _trig_sum,
-    crossing_density,
     crossing_term,
     delta_norm_scan,
     inner_boundary_convolution,
-    normalized_crossing_density,
     packet_boundary_derivative,
     stationary_delta_g,
     suppression_factor,
