@@ -264,6 +264,10 @@ def pdx(m, out, fmt, p_sigma) -> None:
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
         scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
         eps_values = scan / wp.energy
+        try:  # the smallest eps has the finest time grid
+            wavepacket.time_points(wp, eps_values[0], tau)
+        except ValueError as err:
+            raise click.BadParameter(str(err), param_hint="'--p-sigma'") from err
         x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
         norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
         predictor = [wavepacket.suppression_factor(wp, ev) for ev in eps_values]

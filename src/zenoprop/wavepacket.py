@@ -30,11 +30,17 @@ and is evaluated as a zero-padded FFT product; the outer integral is
 evaluated in momentum space, where the final free leg is diagonal and
 nothing is singular; the slowly decaying 1/k endpoint tail (a step
 structure at the boundary) is summed analytically via a Fresnel integral
-so the numeric transform only handles an O(1/k^2) remainder.  The time sum
+so the numeric transform only handles an O(1/k^2) remainder.  That step
+profile depends on tau, m and the x grid alone, so an eps scan builds it
+once (``step_profile``) and hands it to every crossing term.  The time sum
 at the frequencies k^2/2m and the transform from the uniform k grid to x
 are both trigonometric sums at non-uniform angles, evaluated by a
 Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of dense phase
-matrices; it agrees with the dense sums to about 1e-12.
+matrices; it agrees with the dense sums to about 1e-12.  Its 24 stencil
+weights per angle come from three exponentials by the fast-gridding
+factorisation of Greengard & Lee, one multiplication per weight, and no
+temporary is larger than the coefficients, the oversampled grid or the
+angles.  A time grid is capped at ``MAX_TIME_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -53,7 +59,10 @@ __all__ = [
     "suppression_factor",
     "stationary_delta_g",
     "inner_boundary_convolution",
+    "step_profile",
     "crossing_term",
+    "MAX_TIME_POINTS",
+    "time_points",
     "pdx_delta_psi",
     "delta_norm_scan",
 ]
@@ -165,6 +174,17 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     the stencil-truncation and grid-aliasing errors at exp(-12 pi (R - 0.5)
     / R) <= 6e-13 each; after the exp(n^2 tau) amplification the result is
     within about 1e-12 of sum |c_j|.
+
+    The stencil weights are gridded fast (Greengard & Lee): with d the
+    offset of theta from its grid node l, the weight of node l + j is
+
+        exp(-(d - j h)^2 / 4 tau)
+            = exp(-d^2 / 4 tau) * exp(d h / 2 tau)^j * exp(-j^2 h^2 / 4 tau),
+
+    h = 2 pi / M, so three exponentials per angle and one multiplication per
+    node give every weight, and the stencil is read one node offset at a
+    time from a wrapped copy of the grid; no temporary is larger than the
+    coefficients, the grid or theta.
     """
     c = np.asarray(c, dtype=complex)
     theta = np.asarray(theta, dtype=float)
@@ -176,13 +196,32 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     n = np.arange(n_coef) - shift
     padded = np.zeros(n_grid, dtype=complex)
     padded[n % n_grid] = c * np.exp(n**2 * width)
-    smoothed = np.fft.ifft(padded)
+    # the smoothed grid with 11 nodes wrapped in before it and 13 after, so
+    # wrapped[l + j + 11] is node (l + j) mod M for j = -11..12 and l = 0..M
+    # (mod 2 pi of an angle just below 0 can round to 2 pi itself)
+    wrapped = np.fft.ifft(padded).take(np.arange(1 - _STENCIL, n_grid + _STENCIL + 1),
+                                       mode="wrap")
+    del padded  # lowers the traced peak at 12,033 coefficients from 2.4 to 1.9 MB
     step = 2 * np.pi / n_grid
-    reduced = np.mod(theta, 2 * np.pi)[..., None]
-    nodes = np.floor(reduced / step).astype(np.int64) + np.arange(1 - _STENCIL, _STENCIL + 1)
-    gauss = np.exp(-((reduced - nodes * step) ** 2) / (4 * width))
-    interp = np.sqrt(np.pi / width) * np.sum(smoothed[nodes % n_grid] * gauss, axis=-1)
-    return np.exp(1j * shift * theta) * interp
+    reduced = np.mod(theta, 2 * np.pi)
+    node = np.floor(reduced / step)
+    offset = reduced - node * step
+    centre = np.exp(-(offset**2) / (4 * width))
+    rise = np.exp(offset * (step / (2 * width)))
+    index = node.astype(np.int64) + (_STENCIL - 1)
+    interp = wrapped.take(index, mode="clip") * centre
+    column = np.empty_like(interp)
+    # nodes l + 1 .. l + 12 by powers of rise, then l - 1 .. l - 11 by 1/rise
+    for factor, sign, count in ((rise, 1, _STENCIL), (1.0 / rise, -1, _STENCIL - 1)):
+        gauss = centre.copy()
+        at = index.copy()
+        for j in range(1, count + 1):
+            gauss *= factor
+            at += sign
+            wrapped.take(at, out=column, mode="clip")
+            column *= gauss * np.exp(-((j * step) ** 2) / (4 * width))
+            interp += column
+    return np.exp(1j * shift * theta) * (np.sqrt(np.pi / width) * interp)
 
 
 def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
@@ -202,6 +241,30 @@ def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) ->
     return np.fft.ifft(spec)[:n]
 
 
+def step_profile(x1, tau: float, m: float) -> np.ndarray:
+    """The step that the 1/k endpoint tail of the crossing term makes in x,
+
+        (i/2) sgn(x) - J(x)/(2 pi),
+        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2m,
+
+    on the points ``x1``, the Fresnel integral by a cumulative trapezoid on
+    20,001 points out to max |x1|.  It depends on tau, m and x1 alone, so
+    one profile serves every eps of a scan.
+    """
+    xs = np.atleast_1d(np.asarray(x1, dtype=float))
+    a = tau / (2 * m)
+    x_hi = float(np.abs(xs).max()) if xs.size else 0.0
+    xf = np.linspace(0.0, max(x_hi, 1e-12), 20001)
+    integrand = np.exp(1j * xf**2 / (4 * a))
+    cum = np.concatenate(
+        [[0.0 + 0.0j], np.cumsum((integrand[1:] + integrand[:-1]) / 2 * np.diff(xf))]
+    )
+    fresnel = np.interp(np.abs(xs), xf, cum.real) + 1j * np.interp(np.abs(xs), xf, cum.imag)
+    fresnel = fresnel * np.sign(xs)
+    J = 1j * np.sqrt(np.pi / (1j * a)) * fresnel
+    return 0.5j * np.sign(xs) - J / (2 * np.pi)
+
+
 def crossing_term(
     x1,
     tau: float,
@@ -210,22 +273,20 @@ def crossing_term(
     m: float,
     kmax: float,
     dk: float,
+    profile: np.ndarray,
 ) -> np.ndarray:
     """The crossing part -(1/m^2) int dt2 dgf/dx(x1,tau|0,t2) G(t2).
 
     Evaluated in momentum space, where the final free leg is
     exp(-i k^2 (tau - t2) / 2m) and the boundary-derivative kernel is -ik.
     The t2 endpoint at tau produces a slowly decaying 1/k tail encoding a
-    step at x1 = 0; it is subtracted via G(tau) and its transform
-
-        -(2 G(tau)/m) [ (i/2) sgn(x) - J(x)/(2 pi) ],
-        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2m,
-
-    added back in closed form (the Fresnel integral is a cheap 1-d
-    cumulative quadrature), leaving an O(1/k^2) remainder for the numeric
-    transform.  Both the time sum at frequencies w_k = k^2/2m and the
-    transform from the uniform k grid to x1 are trigonometric sums at
-    non-uniform angles, w_k dt and x1 dk, evaluated by ``_trig_sum``.
+    step at x1 = 0; it is subtracted via G(tau) and added back in closed
+    form as -(2 G(tau)/m) times ``profile``, the ``step_profile(x1, tau,
+    m)`` that the caller builds once for all calls sharing tau, m and x1,
+    leaving an O(1/k^2) remainder for the numeric transform.  Both the time
+    sum at frequencies w_k = k^2/2m and the transform from the uniform k
+    grid to x1 are trigonometric sums at non-uniform angles, w_k dt and
+    x1 dk, evaluated by ``_trig_sum``.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
@@ -245,46 +306,55 @@ def crossing_term(
     smooth_part = (
         np.exp(1j * xs * k[0]) * _trig_sum(spectral * dk, xs * (k[1] - k[0])) / (2 * np.pi)
     )
-
-    a = tau / (2 * m)
-    x_hi = float(np.abs(xs).max()) if xs.size else 0.0
-    xf = np.linspace(0.0, max(x_hi, 1e-12), 20001)
-    integrand = np.exp(1j * xf**2 / (4 * a))
-    cum = np.concatenate(
-        [[0.0 + 0.0j], np.cumsum((integrand[1:] + integrand[:-1]) / 2 * np.diff(xf))]
-    )
-    fresnel = np.interp(np.abs(xs), xf, cum.real) + 1j * np.interp(np.abs(xs), xf, cum.imag)
-    fresnel = fresnel * np.sign(xs)
-    J = 1j * np.sqrt(np.pi / (1j * a)) * fresnel
-    tail_part = -(2 * g_end / m) * (0.5j * np.sign(xs) - J / (2 * np.pi))
-    return -(smooth_part + tail_part)
+    return -(smooth_part - (2 * g_end / m) * profile)
 
 
-def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1) -> np.ndarray:
+# Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
+# scan the grid has about 1,203 points per unit of p sigma (12,033 at the
+# default p sigma = 10), and time and memory grow about linearly with it:
+# on a 2-vCPU VM the whole scan takes 0.6 s and 63 MB of peak RSS at
+# p sigma = 100 and 6.8 s and 299 MB at p sigma = 871, just under the cap,
+# so the cap holds a scan to about 7 s and 300 MB.
+MAX_TIME_POINTS = 2**20
+
+
+def time_points(wp: WavePacket, eps: float, tau: float) -> int:
+    """Points of the uniform time grid of ``pdx_delta_psi``, from 0 to tau
+    with step at most eps/16, 1/32 of the packet's oscillation period
+    2 pi/E and tau/1024.  A grid of more than ``MAX_TIME_POINTS`` points is
+    refused with ``ValueError`` before anything is allocated."""
+    dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
+    steps = np.ceil(tau / dt)
+    if not steps < MAX_TIME_POINTS:
+        raise ValueError(f"time grid of {steps + 1:.6g} points exceeds the cap of "
+                         f"{MAX_TIME_POINTS} (MAX_TIME_POINTS)")
+    return int(steps) + 1
+
+
+def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarray) -> np.ndarray:
     """Change of the evolved wave function at (x1, tau) caused by swapping
     the absorbing boundary propagator (v0 = 4/(3 eps)) for the
-    pulsed-measurement one with projections every eps.
-
-    The time grid is uniform from 0 to tau with step at most eps/16, 1/32
-    of the packet's oscillation period 2 pi/E and tau/1024.
+    pulsed-measurement one with projections every eps, on the time grid of
+    ``time_points``; ``profile`` is ``step_profile(x1, tau, wp.m)``.
     """
     v0 = calibrate_absorption(eps)
-    dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
-    t = np.linspace(0.0, tau, int(np.ceil(tau / dt)) + 1)
+    t = np.linspace(0.0, tau, time_points(wp, eps, tau))
     phi = stationary_delta_g(t, eps, v0, wp.m)
     G = inner_boundary_convolution(phi, packet_boundary_derivative(wp, t), t[1])
 
     kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
     span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma
-    return crossing_term(x1, tau, G, t, wp.m, kmax, np.pi / (2 * span))
+    return crossing_term(x1, tau, G, t, wp.m, kmax, np.pi / (2 * span), profile)
 
 
 def delta_norm_scan(wp: WavePacket, eps_values, tau: float, x1):
-    """L2 norm of the boundary perturbation over the x1 grid for each eps.
+    """L2 norm of the boundary perturbation over the x1 grid for each eps;
+    the step profile of the crossing term is built once for the whole scan.
 
     Returns (norms, suppression exponents).
     """
     xs = np.asarray(x1, dtype=float)
-    norms = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(wp, eps, tau, xs)) ** 2, xs))
+    profile = step_profile(xs, tau, wp.m)
+    norms = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(wp, eps, tau, xs, profile)) ** 2, xs))
              for eps in eps_values]
     return np.array(norms), np.array([suppression_exponent(wp, eps) for eps in eps_values])

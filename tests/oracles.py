@@ -115,6 +115,26 @@ def dense_crossing_term(
     return -(smooth_part + tail_part)
 
 
+def direct_trig_sum(c: np.ndarray, theta) -> np.ndarray:
+    """sum_j c_j exp(i j theta) summed term by term (the reference for
+    ``zenoprop.wavepacket._trig_sum``).
+
+    The index is split as j = 128 a + b, so each phase is the product of
+    the two exponentials exp(i 128 a theta) exp(i b theta), and the sum
+    over b is one matrix product: the phase tables have len(theta)
+    (128 + len(c)/128) entries instead of len(theta) len(c).
+    """
+    block = 128
+    c = np.asarray(c, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    rows = -(-len(c) // block)
+    table = np.zeros(rows * block, dtype=complex)
+    table[: len(c)] = c
+    inner = np.exp(1j * np.outer(theta, np.arange(block))) @ table.reshape(rows, block).T
+    outer = np.exp(1j * np.outer(theta, block * np.arange(rows)))
+    return np.sum(inner * outer, axis=1)
+
+
 def validate_table_schema(doc: dict, schema: dict) -> list[str]:
     """Minimal structural validation of a table document against the shipped
     schema (object/required/properties/array-items subset; enough to pin the

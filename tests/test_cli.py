@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
+from zenoprop import wavepacket
 from zenoprop.cli import _write_table, main
 
 
@@ -292,6 +293,30 @@ class TestPdxCommand:
         assert res.output.startswith("numerical failure: ")
         assert message in res.output, res.output
         assert not out.exists()
+
+    # the finest pdx time grid has tau / (eps / 16) = 1203.2 p sigma steps
+    # (tau = 18.8 m sigma / p, eps = 0.125 / E), so this p sigma needs one
+    # point more than the cap allows
+    OVER_CAP = wavepacket.MAX_TIME_POINTS / 1203.2
+
+    @pytest.mark.parametrize("p_sigma, code", [("10", 0), (repr(OVER_CAP), 2)],
+                             ids=["default", "just-over-cap"])
+    def test_time_point_cap(self, runner, tmp_path, p_sigma, code):
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", "--p-sigma", p_sigma, "--out", str(out)])
+        assert res.exit_code == code, result_output(res)
+        assert out.exists() == (code == 0)
+        if code:
+            last = res.output.splitlines()[-1]
+            assert last.startswith("Error: Invalid value for '--p-sigma': time grid of ")
+            assert len(last) < 200
+
+    def test_cap_admits_grid_just_below(self):
+        # half a step short of a grid one point over the cap
+        wp = wavepacket.WavePacket(q=-10.0, p=(wavepacket.MAX_TIME_POINTS - 1.5) / 1203.2,
+                                   sigma=1.0)
+        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
+        assert wavepacket.time_points(wp, 0.125 / wp.energy, tau) == wavepacket.MAX_TIME_POINTS
 
     @pytest.mark.slow
     def test_scan_table(self, runner, tmp_path):

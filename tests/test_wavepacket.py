@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from oracles import (
     absorbing_step_packet,
     crossing_density,
     dense_crossing_term,
+    direct_trig_sum,
     free_evolution_quadrature,
     free_packet,
     normalized_crossing_density,
     spearman_rho,
     step_reflection,
 )
+from zenoprop.core import pow2_at_least
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
@@ -23,7 +26,9 @@ from zenoprop.wavepacket import (
     delta_norm_scan,
     inner_boundary_convolution,
     packet_boundary_derivative,
+    pdx_delta_psi,
     stationary_delta_g,
+    step_profile,
     suppression_factor,
 )
 
@@ -217,6 +222,18 @@ class TestPdxDeltaPsi:
         norms, _ = delta_norm_scan(packet, eps_values, tau, xs)
         assert norms[0] < norms[1]
 
+    def test_scan_profile_is_bit_exact(self, packet):
+        # one step profile for the whole scan gives the same bits as a
+        # profile built afresh for every eps
+        tau = 1.4
+        xs = np.linspace(0.05, 25.0, 240)
+        eps_values = np.array([0.2, 0.5, 1.0]) / packet.energy
+        norms, _ = delta_norm_scan(packet, eps_values, tau, xs)
+        fresh = [np.sqrt(np.trapezoid(
+            np.abs(pdx_delta_psi(packet, eps, tau, xs, step_profile(xs, tau, packet.m))) ** 2,
+            xs)) for eps in eps_values]
+        assert norms.tolist() == fresh
+
 
 class TestTrigSum:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 1000])
@@ -228,6 +245,46 @@ class TestTrigSum:
         want = np.exp(1j * np.outer(theta, np.arange(n))) @ c
         got = _trig_sum(c, theta)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("n_coef, n_angles", [(12_033, 8_288), (8_288, 400)])
+    def test_matches_direct_sum_at_pdx_sizes(self, n_coef, n_angles):
+        # the default pdx scan's time sum and k -> x transform
+        rng = np.random.default_rng(n_coef)
+        c = rng.normal(size=n_coef) + 1j * rng.normal(size=n_coef)
+        theta = rng.uniform(-9.0, 9.0, n_angles)
+        got = _trig_sum(c, theta)
+        assert np.max(np.abs(got - direct_trig_sum(c, theta))) <= 1e-11 * np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("n", [1024, 1025])  # oversampling R = 2 and R = 4096/1025
+    def test_edge_angles(self, n):
+        # grid nodes, +-2 pi, and angles whose remainder mod 2 pi is, or
+        # rounds to, 2 pi itself, so that floor(theta / step) reaches M
+        n_grid = pow2_at_least(2 * n)
+        step = 2 * np.pi / n_grid
+        nodes = np.array([0, 1, 2, n_grid // 2, n_grid - 2, n_grid - 1]) * step
+        below = np.nextafter(2 * np.pi, 0.0)
+        theta = np.concatenate([nodes, -nodes, [2 * np.pi, -2 * np.pi, below, -below,
+                                                4 * np.pi, -1e-300, -1e-17]])
+        assert (np.floor(np.mod(theta, 2 * np.pi) / step) == n_grid).any()
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = np.exp(1j * np.outer(theta, np.arange(n))) @ c
+        assert np.max(np.abs(_trig_sum(c, theta) - want)) <= 1e-11 * np.sum(np.abs(c))
+
+    def test_peak_memory_at_pdx_size(self):
+        # the stencil is gridded one node offset at a time: apart from the
+        # 32,768-point grid no temporary outgrows the angles (an N x 24
+        # stencil matrix would peak near 9 MB here)
+        rng = np.random.default_rng(1)
+        c = rng.normal(size=12_033) + 1j * rng.normal(size=12_033)
+        theta = rng.uniform(0.0, 4.5, 8_288)
+        tracemalloc.start()
+        try:
+            _trig_sum(c, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestCrossingTermOracle:
@@ -248,7 +305,8 @@ class TestCrossingTermOracle:
         phi[1:] *= absorbing_envelope(2.0, t[1:])
         G = inner_boundary_convolution(phi, deriv, tau / nt)
         xs = np.linspace(0.05, 25.0, 90)
-        got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
+        got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05,
+                            profile=step_profile(xs, tau, packet.m))
         want = dense_crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -267,7 +325,8 @@ class TestFreeReconstruction:
         phi = np.full(nt + 1, np.sqrt(wp.m / (2 * np.pi)) * ROOT_INV_I)
         inner = inner_boundary_convolution(phi, deriv, dt)
         xg = np.linspace(0.01, 30, 600)
-        cross = crossing_term(xg, tau, inner, t, wp.m, kmax=40.0, dk=0.02)
+        cross = crossing_term(xg, tau, inner, t, wp.m, kmax=40.0, dk=0.02,
+                              profile=step_profile(xg, tau, wp.m))
         restricted = free_packet(wp, tau, xg, spreading=True) - free_packet(
             wp, tau, -xg, spreading=True
         )
@@ -327,7 +386,8 @@ class TestAbsorbingReconstruction:
         phi = np.sqrt(m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(v0, t[1:])
         inner = inner_boundary_convolution(phi, deriv, dt)
-        cross = crossing_term(x, tau, inner, t, m, kmax=40.0, dk=0.02)
+        cross = crossing_term(x, tau, inner, t, m, kmax=40.0, dk=0.02,
+                              profile=step_profile(x, tau, m))
         restricted = free_packet(wp, tau, x, spreading=True) - free_packet(
             wp, tau, -x, spreading=True
         )
