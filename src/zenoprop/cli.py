@@ -269,9 +269,8 @@ def pdx(m, out, fmt, p_sigma) -> None:
         except ValueError as err:
             raise click.BadParameter(str(err), param_hint="'--p-sigma'") from err
         x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
-        norms, _ = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
-        predictor = [wavepacket.suppression_factor(wp, ev) for ev in eps_values]
-        return tau, (eps_values, scan, predictor, norms)
+        norms, exponents = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
+        return tau, (eps_values, scan, wavepacket.suppression_factor(exponents), norms)
 
     tau, columns = _numerical_guard(build)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": tau},

@@ -116,26 +116,21 @@ def packet_boundary_derivative(wp: WavePacket, t):
     return out if out.ndim else complex(out)
 
 
-def suppression_factor(wp: WavePacket, eps: float) -> float:
-    """Order-of-magnitude suppression of the boundary perturbation,
-
-        exp(-(t_Z^2 / eps^2) (E eps - 1)^2),
-
-    with t_Z = m sigma / p and E = p^2/2m.  Used only to rank an eps scan:
-    the Gaussian is not suppressed where the packet's internal oscillation
-    period is comparable to the projection spacing and collapses rapidly
-    away from it.
-    """
-    if wp.p <= 0:
-        raise ValueError("suppression factor defined for right-movers (p > 0)")
-    return float(np.exp(max(suppression_exponent(wp, eps), -745.0)))
-
-
 def suppression_exponent(wp: WavePacket, eps: float) -> float:
-    """log of ``suppression_factor`` without underflow; monotone in it."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    """Log of the order-of-magnitude suppression of the boundary
+    perturbation, -(t_Z / eps)^2 (E eps - 1)^2 with t_Z = m sigma / p and
+    E = p^2/2m.  Used only to rank an eps scan: the perturbation is not
+    suppressed where the packet's internal oscillation period is comparable
+    to the projection spacing and collapses rapidly away from it."""
+    if not (wp.p > 0 and eps > 0):
+        raise ValueError("suppression needs a right-mover (p > 0) and eps > 0")
     return float(-((wp.zeno_time / eps) ** 2) * (wp.energy * eps - 1.0) ** 2)
+
+
+def suppression_factor(exponents) -> np.ndarray:
+    """exp of suppression exponents, held at exp(-745), the least subnormal
+    double, so that no suppression underflows to zero."""
+    return np.exp(np.maximum(exponents, -745.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel
-from zenoprop.exact import _PANELS, bridge_orthant
+from zenoprop.exact import bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
 from zenoprop.recursion import (
     EuclideanSlice,
@@ -542,17 +542,6 @@ def half_value_ratio(eps: float, n_proj: int, n_halvings: int = 8) -> tuple[np.n
     design = np.column_stack([gaps ** (j / 2.0) for j in range(4)])
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)
     return ratios, float(coef[0])
-
-
-def row_by_row_time_average() -> float:
-    """The two-projection time average summed one row of inner nodes at a
-    time: the reference for the blocked ``time_averaged_envelope(2)``."""
-    h = 1.0 / _PANELS
-    total = 0.0
-    for t in (np.arange(_PANELS) + 0.5) * h:
-        h1 = t / _PANELS
-        total += bridge_orthant(((np.arange(_PANELS) + 0.5) * h1, t), 1.0).sum() * h1
-    return float(2.0 * total * h)
 
 
 def free_packet(wp: WavePacket, t: float, x, spreading: bool = False):

@@ -189,10 +189,10 @@ class TestCriterion5:
 class TestCriterion6:
     def test_time_averaged_identity(self):
         """Averaging projection instants: exactly 1/2 for one projection,
-        1/3 within 1e-4 for two."""
+        1/3 within 1e-13 for two."""
         assert exact.time_averaged_envelope(1) == 0.5
         two = exact.time_averaged_envelope(2)
-        assert abs(two - 1 / 3) < 1e-4, two
+        assert abs(two - 1 / 3) < 1e-13, two
         report(6, f"time-averaged identity (n=2 error {two - 1 / 3:+.1e})")
 
 

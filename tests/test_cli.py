@@ -117,7 +117,7 @@ class TestExact:
         assert table["envelope_two_projection_peak"] == pytest.approx(1 / 3, rel=1e-12)
         assert table["chain_pp_equal"] == pytest.approx(1 / (3 * np.sqrt(3)), rel=1e-12)
         assert table["chain_ppp_reconstructed"] == pytest.approx(0.125, rel=1e-10)
-        assert table["time_averaged_two"] == pytest.approx(1 / 3, abs=1e-4)
+        assert table["time_averaged_two"] == pytest.approx(1 / 3, abs=1e-13)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps", ["1e-300", "1e-200", "1e-160", "1e160", "1e300"])

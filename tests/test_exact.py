@@ -13,9 +13,9 @@ from oracles import (
     free_propagator_boundary_derivative,
     half_value_ratio,
     restricted_propagator,
-    row_by_row_time_average,
 )
 from zenoprop.exact import (
+    _tanh_sinh_rule,
     absorbing_envelope,
     bridge_orthant,
     projected_envelope_exact,
@@ -398,17 +398,28 @@ class TestTimeAveraged:
         assert time_averaged_envelope(1) == 0.5
 
     def test_two_projections_third(self):
-        assert time_averaged_envelope(2) == pytest.approx(1 / 3, abs=1e-4)
+        assert time_averaged_envelope(2) == pytest.approx(1 / 3, abs=1e-13)
 
-    def test_blocks_sum_like_single_rows(self):
-        # row totals are added in the same order as one row at a time
-        assert time_averaged_envelope(2) == row_by_row_time_average()
+    def test_rule_nodes_strictly_inside_the_simplex(self):
+        x, w = _tanh_sinh_rule()
+        t, t1 = x[:, None], x * x[:, None]
+        assert np.all(x > 0) and np.all(x < 1)
+        assert np.all(t1 > 0) and np.all(t1 < t)
+        assert np.all(w > 0)
+        # the rule integrates 1 and x on (0, 1) to rounding
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert w @ x == pytest.approx(0.5, abs=1e-15)
+
+    def test_no_floating_point_exception(self):
+        with np.errstate(all="raise"):
+            _tanh_sinh_rule()
+            time_averaged_envelope(2)
 
     def test_full_amplitude_form(self):
         m, tau = 1.0, 3.0
         got = free_propagator(m, tau, 0.0, 0.0) * time_averaged_envelope(2)
         want = np.sqrt(m / (2j * np.pi * tau)) / 3
-        assert got == pytest.approx(want, abs=1e-4 * abs(want))
+        assert got == pytest.approx(want, abs=1e-13 * abs(want))
 
     def test_simplex_mean_times(self):
         # ordered uniform times average to k tau/(n+1); the linear term of an

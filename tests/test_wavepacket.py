@@ -29,6 +29,7 @@ from zenoprop.wavepacket import (
     pdx_delta_psi,
     stationary_delta_g,
     step_profile,
+    suppression_exponent,
     suppression_factor,
 )
 
@@ -147,18 +148,24 @@ class TestBoundaryDerivative:
 class TestSuppressionFactor:
     def test_resonance_point_unsuppressed(self, packet):
         eps = 1.0 / packet.energy
-        assert suppression_factor(packet, eps) == pytest.approx(1.0)
+        assert suppression_factor(suppression_exponent(packet, eps)) == pytest.approx(1.0)
 
     def test_small_eps_substitution(self, packet):
         expo = -((packet.zeno_time / 0.01) ** 2) * (packet.energy * 0.01 - 1) ** 2
-        assert suppression_factor(packet, 0.01) == pytest.approx(np.exp(expo), rel=1e-12)
+        assert suppression_exponent(packet, 0.01) == pytest.approx(expo, rel=1e-12)
+        assert suppression_factor(suppression_exponent(packet, 0.01)) == pytest.approx(
+            np.exp(expo), rel=1e-12)
         # slow packet where E eps << 1 at eps = t_Z/10: essentially e^(-100)
         slow = WavePacket(q=-10.0, p=0.6, sigma=1.0)
-        assert suppression_factor(slow, slow.zeno_time / 10) < 1e-40
+        assert suppression_factor(suppression_exponent(slow, slow.zeno_time / 10)) < 1e-40
+        # held at the least subnormal instead of underflowing to zero
+        assert suppression_factor(np.array([-1e4, -745.0])).tolist() == [5e-324, 5e-324]
 
     def test_validation(self, packet):
         with pytest.raises(ValueError):
-            suppression_factor(packet, 0.0)
+            suppression_exponent(packet, 0.0)
+        with pytest.raises(ValueError):
+            suppression_exponent(WavePacket(q=10.0, p=-1.0, sigma=1.0), 0.1)
 
 
 class TestCrossingDistributions:
