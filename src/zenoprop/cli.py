@@ -155,7 +155,15 @@ _MAX_LEVELS = (lattice.MAX_WALK_STEPS.bit_length() - 1) // 2
 
 
 def _resolve_v0(v0: float | None, eps: float) -> float:
-    return sawtooth.calibrate_absorption(eps) if v0 is None else v0
+    """``v0``, or the calibrated default 4/(3 eps), which overflows for eps
+    below 4/(3 DBL_MAX), about 7.4e-309: a usage error, not a table."""
+    if v0 is not None:
+        return v0
+    v0 = sawtooth.calibrate_absorption(eps)
+    if not math.isfinite(v0):
+        raise click.BadParameter(f"{eps!r} is too small: the default v0 = 4/(3 eps) "
+                                 "overflows", param_hint="'--eps'")
+    return v0
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -174,7 +182,11 @@ def fv(m, eps, v0, out, fmt) -> None:
 
 
 def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
-    cfg = recursion.default_config(m, eps, n_max, samples_per_interval)
+    try:  # refused on the sizes alone, before anything is allocated
+        cfg = recursion.default_config(m, eps, n_max, samples_per_interval)
+    except (ValueError, OverflowError) as err:
+        raise click.BadParameter(str(err),
+                                 param_hint=["--n-max", "--samples-per-interval"]) from err
     curve = recursion.run_recursion(cfg)
     model = np.atleast_1d(sawtooth.sawtooth_envelope(eps, curve.times))
     # model is right-continuous; report the peak branch on '-' rows

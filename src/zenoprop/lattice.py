@@ -4,7 +4,10 @@ A walker starts at the origin, takes steps of +-eta with probability 1/2
 each per time slice dtau, and must sit strictly on the positive axis at the
 intermediate constraint instants (every ``steps_per_projection`` slices).
 The return probability u(0, tau | 0, 0) under these constraints comes from
-a dynamic program over walk counts, exact up to rounding; mapped to a
+a dynamic program over walk counts, exact up to rounding, which sums only
+the sites that can still return, builds its add operands once per segment
+between projections and rescales, and trims its window at each rescale to
+the counts that survive it (``constrained_walk_probability``); mapped to a
 density through the factor 1/(2 eta) (reachable sites alternate parity, so
 the effective site spacing is 2 eta) it converges, as the lattice under
 each projection interval is refined at fixed physical tau and eps, to the
@@ -40,11 +43,13 @@ __all__ = [
 ]
 
 
-# Longest walk a refinement sweep may run.  The DP makes at most
-# n^2 / 4 + n site additions for n steps (0.15 n^2 with 8 projection
+# Longest walk a refinement sweep may run.  The DP sums at most n/2 + 1
+# sites a step, and once the rescales trim the underflowed tails about
+# 0.1 n^2 in all (107,071,360 at 32,768 steps with 8 projection
 # intervals); on a 2-vCPU VM 32,768 steps, the finest walk the benchmark
-# runs, take about 0.07 s and a walk at the cap about 0.21 s, so the cap
-# holds a sweep to about 0.3 s.
+# runs, take about 0.05 s and a walk at the cap 0.1-0.2 s with at least
+# 4 steps per interval (0.35 s with a projection at every step), so the
+# cap holds a sweep to about 0.3 s.
 MAX_WALK_STEPS = 65_536
 
 # Steps between rescales of the walk counts: a count after k steps is at
@@ -81,13 +86,24 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     w[j]``, into a second buffer that then takes the place of the first.
     Only sites with |x| <= n_steps - step can still return to the origin,
     and after a projection nothing at or left of it survives, so each step
-    updates that window alone.  The steps run in segments that end at the
-    next projection, rescale or the last step, so a step is only its window
-    bounds and one sum, and the rescale and the projection are applied once
-    at a segment's end.  Every ``_RESCALE_STEPS`` steps the live
-    counts are multiplied by the exact power of two 2^-960, so no count
-    reaches the float limit 2^1024; the result is the final count times
+    needs only that window.  Every ``_RESCALE_STEPS`` steps all counts are
+    multiplied by the exact power of two 2^-960, so no count reaches the
+    float limit 2^1024; the result is the final count times
     2^(rescaled - n_steps).
+
+    The steps run in segments that end at the next projection, rescale or
+    the last step.  A segment builds its two sets of add operands once,
+    over the union of its steps' windows (its first step's left edge, its
+    last step's right edge), and alternates them, so a step is one
+    ``np.add`` call.  The extra entries it sums are zeros right of the
+    support, 0 + 0 = +0, and dead sites left of the return cutoff, which
+    feed only dead sites; scaling both whole buffers at a rescale keeps
+    those finite too.  At a rescale the window is trimmed to the counts
+    that survive it: the tails that the factor 2^-960 takes below the
+    smallest subnormal become exact zeros, and as a step never moves a
+    nonzero count to a lower j and moves the highest one up by at most
+    one, the window's low end rises to the first nonzero count (rounded
+    down to a cache line) and its top end tracks the last one.
 
     Through step 53 every count is an integer of at most 2^step, exact in
     binary floating point, so the result matches brute-force enumeration
@@ -104,35 +120,55 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     # j = 0 .. n/2, the sites with |x| <= n - step, in two buffers cut from
     # one allocation so that w[2] and v[2] start 64-byte cache lines.  numpy's
     # SIMD sum runs fastest into an aligned output (on a 2-vCPU AVX-512 VM
-    # the finest benchmark walk takes 0.067 s aligned so, 0.085-0.12 s as
-    # the allocator places the buffers), and after a projection at a step
-    # divisible by 16 a window that starts at lo = step / 2 + 2 is aligned.
+    # the finest benchmark walk took 0.067 s aligned so, 0.085-0.12 s as
+    # the allocator placed the buffers).  After a projection at a step
+    # divisible by 16 a window that starts at lo = step / 2 + 2 is aligned,
+    # and a trim rounds lo down to an aligned index (the benchmark's sweep
+    # takes 0.068 s so, 0.092 s with lo at the first nonzero count).
     size = -(-(half + 2) // 8) * 8
     buf = np.zeros(2 * size + 8)
     first = -(buf.ctypes.data + 16) % 64 // 8
     w = buf[first : first + half + 2]
     v = buf[first + size : first + size + half + 2]
     w[1] = 1.0
-    lo = 1  # lowest index still occupied (right of the origin after a projection)
+    lo = 1  # lowest index that may hold a live nonzero count; w[lo - 1] = v[lo - 1] = 0
+    top = 1  # highest index that may hold a nonzero count
     rescaled = 0  # binary exponent taken out of the counts so far
     spp, every = cfg.steps_per_projection, _RESCALE_STEPS
+    add = np.add
     step = 0
     while step < n:
         # one segment: up to the next projection, rescale or the last step
         end = min(n, (step // spp + 1) * spp, (step // every + 1) * every)
-        for step in range(step + 1, end + 1):
-            a = step - half + 1
-            if a < lo:
-                a = lo
-            b = half + 2 if step > half else step + 2
-            np.add(w[a - 1 : b - 1], w[a:b], v[a:b])
+        a = max(lo, step + 2 - half)
+        b = min(half + 2, top + end - step + 1)
+        x = (w[a - 1 : b - 1], w[a:b], v[a:b])
+        y = (v[a - 1 : b - 1], v[a:b], w[a:b])
+        for _ in range((end - step) // 2):
+            add(*x)
+            add(*y)
+        if (end - step) % 2:
+            add(*x)
             w, v = v, w
+        top = b - 1
         if end % every == 0:
-            w[a:b] *= 2.0**-every
+            # The whole allocation, dead entries too, so none can overflow.
+            # Then trim, writing no zeros: w[top + 1 : b] is zero as top is
+            # w's last nonzero count, and an entry of v (step end - 1) is at
+            # most the two entries of w it was added into, at its own index
+            # and one up, so it scales to zero wherever either does; v[lo - 1]
+            # is thus zero whenever it can still reach a live site.
+            buf *= 2.0**-every
             rescaled += every
+            a = max(lo, end + 1 - half)
+            nonzero = w[a:b] != 0
+            low = a + int(nonzero.argmax())
+            top = b - 1 - int(nonzero[::-1].argmax())
+            lo = max(lo, low - (low - 2) % 8)
         if end < n and end % spp == 0:
             lo = end // 2 + 2
             w[lo - 1] = v[lo - 1] = 0.0  # neither buffer writes below lo again
+        step = end
     return math.ldexp(float(w[half + 1]), rescaled - n)
 
 

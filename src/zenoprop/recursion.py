@@ -50,6 +50,7 @@ value, half the left limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -62,6 +63,8 @@ from .sawtooth import oscillation_ratio
 __all__ = [
     "EuclideanSlice",
     "RecursionConfig",
+    "MAX_WORK",
+    "predicted_work",
     "default_config",
     "initial_slice",
     "advance_slice",
@@ -99,6 +102,14 @@ MIN_KERNEL_SPACINGS = 4
 _END_WEIGHTS = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
 
+# Most work a run may take (``predicted_work``), in units of about one
+# nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, whether the
+# advances, the boundary kernel or the table rows dominate, took 4.1-6.5 s
+# and at most 256 MB of peak RSS there, written as JSON; the benchmark's
+# shapes predict 2.1e7 (fp20) and 8.6e8 (fp3_dense).
+MAX_WORK = 10**10
+
+
 @dataclass(frozen=True)
 class RecursionConfig:
     m: float
@@ -123,6 +134,28 @@ class RecursionConfig:
                 f"grid spacing {self.grid.spacing:.3g} too coarse: the narrowest kernel, "
                 f"of width {narrowest:.3g}, spans fewer than {MIN_KERNEL_SPACINGS} spacings"
             )
+        work = predicted_work(self)
+        if not work <= MAX_WORK:
+            raise ValueError(f"predicted work {work:.3g} exceeds the cap of {MAX_WORK:.3g} "
+                             "(MAX_WORK): use fewer projections or samples per interval")
+
+
+def predicted_work(cfg: RecursionConfig) -> float:
+    """Work of ``run_recursion(cfg)`` and of writing its table, from the
+    config alone, in units of about one nanosecond: each of the n_max
+    advances counts 80 per point of its FFT length, each boundary kernel
+    value n_max + 4 (it is built once and dotted with every slice), and each
+    row of the envelope curve 40,000.  A row written as JSON takes about
+    18 us but also 1.1 KB, and its weight holds a table at the cap to
+    250,000 rows.  Nothing is allocated."""
+    # the widest kernel's taps, as _taps counts them, in Python ints, which
+    # hold any size a config can be given
+    taps = min(math.ceil(cfg.kernel_span * math.sqrt(cfg.eps / cfg.m) / cfg.grid.spacing),
+               cfg.grid.n_points - 1)
+    fft_points = cfg.n_max * pow2_at_least(cfg.grid.n_points + taps)
+    kernel_values = cfg.samples_per_interval * (2 * taps / 3 + 1)
+    rows = cfg.samples_per_interval + cfg.n_max * (cfg.samples_per_interval + 1)
+    return 80.0 * fft_points + (cfg.n_max + 4) * kernel_values + 40_000.0 * rows
 
 
 def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) -> RecursionConfig:
@@ -136,11 +169,11 @@ def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     samples = max(samples_per_interval, 16)
-    h = np.sqrt(eps / m) / (16.0 * np.sqrt(samples))
+    h = np.sqrt(eps / m) / (16.0 * np.sqrt(float(samples)))
     # ten thermal widths, 10 sqrt((n_max + 1) eps/m), are 160 sqrt((n_max + 1)
     # samples) spacings for every (m, eps), so the point count does not depend
     # on the scales
-    n_points = int(np.ceil(160.0 * np.sqrt((n_max + 1) * samples))) + 1
+    n_points = int(np.ceil(160.0 * np.sqrt(float((n_max + 1) * samples)))) + 1
     grid = Grid1D(h * (n_points - 1), n_points)
     return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
 

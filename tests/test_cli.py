@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
-from zenoprop import wavepacket
+from zenoprop import recursion, wavepacket
 from zenoprop.cli import _write_table, main
 
 
@@ -122,8 +122,10 @@ class TestExact:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps", ["1e-300", "1e-200", "1e-160", "1e160", "1e300"])
     def test_scale_free_at_extreme_eps(self, runner, tmp_path, eps):
-        # the closed forms depend on ratios of instants only, so no eps a
-        # float can hold overflows, underflows or warns
+        # the closed forms depend on ratios of instants only, so no eps
+        # overflows, underflows or warns down to 4/(3 DBL_MAX), about
+        # 7.4e-309, below which the default v0 = 4/(3 eps) overflows
+        # (TestUsageErrors)
         out = tmp_path / "exact.csv"
         res = runner.invoke(main, ["exact", "--eps", eps, "--out", str(out)])
         assert res.exit_code == 0, result_output(res)
@@ -247,6 +249,40 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert len(res.output.splitlines()[-1]) < 200
+
+    @pytest.mark.parametrize("command", ["fv", "exact", "fp", "compare"])
+    def test_overflowing_default_absorption(self, runner, tmp_path, command):
+        # the default v0 = 4/(3 eps) is inf below eps = 4/(3 DBL_MAX)
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [command, "--eps", "1e-320", "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert isinstance(res.exception, SystemExit)
+        last = res.output.splitlines()[-1]
+        assert last.startswith("Error: Invalid value for '--eps': 1e-320 is too small")
+        assert len(last) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fp", "compare"])
+    @pytest.mark.parametrize("args", [
+        ["--n-max", "2519"],
+        ["--n-max", "1", "--samples-per-interval", "50102"],
+        ["--n-max", "1" + "0" * 40],
+        ["--samples-per-interval", "1" + "0" * 400],
+    ], ids=["n-max-over-cap", "samples-over-cap", "n-max-1e40", "samples-1e400"])
+    def test_work_cap_refuses_before_running(self, runner, tmp_path, monkeypatch,
+                                             command, args):
+        def refuse(cfg):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr(recursion, "run_recursion", refuse)
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert isinstance(res.exception, SystemExit)
+        last = res.output.splitlines()[-1]
+        assert last.startswith("Error: Invalid value for '--n-max' / '--samples-per-interval': ")
+        assert len(last) < 200
+        assert not out.exists()
 
 
 class TestCompare:

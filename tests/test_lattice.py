@@ -143,6 +143,54 @@ class TestRescaledCounts:
         assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
 
 
+class TestTrimmedWindow:
+    """Past about 1,100 steps a walk's tail probabilities fall below the
+    smallest subnormal; the counts DP meets them at its 2^-960 rescales and
+    trims its window to the counts that survive each one, still
+    bit-identical to the full-width DP.  With rescales 960 steps apart the
+    first trim comes at step 1,920, in walks of about 3,500 steps or more."""
+
+    # even step counts (an odd walk returns 0.0 at once), constrained every
+    # r <= n + 5 steps
+    long_walks = st.integers(550, 2000).flatmap(
+        lambda k: st.tuples(st.just(2 * k), st.integers(1, 2 * k + 5))
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(long_walks)
+    @example((3840, 960))  # the trim at 1,920 falls on a projection
+    @example((3602, 333))  # 333-step segments and a 39-step one, 960 to 999; trim at 1,920
+    @example((4000, 4005))  # no projection, both tails trimmed
+    @example((4000, 1))  # a projection at every step, the top trimmed
+    def test_bit_identical_long_walks(self, walk):
+        c = LatticeConfig(*walk)
+        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1100, 2000).flatmap(
+        lambda k: st.tuples(st.just(2 * k), st.integers(1, 2 * k + 5))), st.integers(1, 9))
+    @example((4000, 4005), 1)
+    @example((4000, 7), 3)
+    def test_bit_identical_with_frequent_trims(self, walk, every):
+        # with a rescale every few steps the tails fall below the subnormals
+        # from about step 1,080 on, and walks of 2,200 steps or more trim
+        # their window at hundreds of rescales
+        c = LatticeConfig(*walk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_RESCALE_STEPS", every)
+            got = constrained_walk_probability(c)
+        assert got == full_width_walk_probability(c)
+
+    def test_unconstrained_walk_at_the_cap(self):
+        # both tails trimmed at every rescale from 1,920 steps on; value
+        # recorded from the untrimmed DP; no entry, dead or live, overflows
+        with np.errstate(over="raise", invalid="raise"):
+            got = constrained_walk_probability(LatticeConfig(65536, 65536))
+            cap = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, 8192))
+        assert got == float.fromhex("0x1.9883ed1c3b5b0p-9")
+        assert cap == float.fromhex("0x1.9030c2cc5e5cfp-12")
+
+
 class TestExactness:
     """Against exact integer walk counts: exact through step 53, rounded
     by at most about one unit in the last place per step beyond."""

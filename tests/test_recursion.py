@@ -96,6 +96,30 @@ class TestConfig:
             RecursionConfig(1.0, 1.0, 3, Grid1D(0.1, 5))
 
 
+class TestWorkCap:
+    """Sizes are refused from the config alone when their predicted work
+    exceeds MAX_WORK."""
+
+    # 2,518 projections at 16 samples per interval advance over FFTs of
+    # length 32,768 and 2,519 over 65,536; one projection takes 50,101
+    # samples per interval but not 50,102
+    @pytest.mark.parametrize("n_max, spi, grown", [
+        (2518, 16, (2519, 16)),
+        (1, 50101, (1, 50102)),
+    ])
+    def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
+        assert recursion.predicted_work(default_config(1.0, 1.0, n_max, spi)) <= recursion.MAX_WORK
+        with pytest.raises(ValueError, match=r"exceeds the cap of 1e\+10 \(MAX_WORK\)"):
+            default_config(1.0, 1.0, *grown)
+
+    def test_benchmark_and_test_shapes_far_below(self):
+        # fp20, fp3_dense, the finest test grid and the widest hand-built one
+        configs = [default_config(1.0, 1.0, 20, 16), default_config(1.0, 1.0, 3, 4096),
+                   fine_config(20), RecursionConfig(1.0, 1.0, 3, Grid1D(40.0, 400001))]
+        for cfg in configs:
+            assert recursion.predicted_work(cfg) < recursion.MAX_WORK / 10
+
+
 class TestInitialSlice:
     def test_origin_value(self, small_cfg):
         sl = initial_slice(small_cfg)
