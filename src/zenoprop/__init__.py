@@ -33,7 +33,6 @@ from .recursion import (
     boundary_amplitude,
     default_config,
     initial_slice,
-    numeric_oscillation_curve,
     run_recursion,
 )
 from .sawtooth import (

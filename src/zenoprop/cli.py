@@ -42,7 +42,8 @@ def _write_table(path: str, fmt: str, command: str, params: dict, names, columns
     """Check every numeric column is finite, then write the table; CSV lines
     are zipped from the columns and streamed to the file one row at a time,
     each through one ``%`` template that writes strings as they are and
-    numbers with 17 significant digits."""
+    numbers with 17 significant digits.  A JSON document is streamed as the
+    encoder's chunks, which ``json.dumps`` would join into one string."""
     columns = [np.asarray(col) for col in columns]
     text = [col.dtype.kind == "U" for col in columns]
     if not all(np.isfinite(col).all() for col, is_text in zip(columns, text) if not is_text):
@@ -58,7 +59,8 @@ def _write_table(path: str, fmt: str, command: str, params: dict, names, columns
             "columns": list(names),
             "rows": [list(row) for row in rows],
         }
-        lines = [json.dumps(doc, indent=1, sort_keys=True) + "\n"]
+        lines = itertools.chain(json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc),
+                                ["\n"])
     try:
         with open(path, "w", newline="\n") as fh:
             fh.writelines(lines)
@@ -182,8 +184,10 @@ def fv(m, eps, v0, out, fmt) -> None:
 
 
 def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
-    try:  # refused on the sizes alone, before anything is allocated
+    try:  # refused on the scales and sizes alone, before anything is allocated
         cfg = recursion.default_config(m, eps, n_max, samples_per_interval)
+    except recursion.ScaleError as err:
+        raise click.BadParameter(str(err), param_hint=["--m", "--eps"]) from err
     except (ValueError, OverflowError) as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
@@ -195,8 +199,7 @@ def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
         k = np.rint((curve.times[minus] - eps) / eps).astype(int)
         model[minus] = [sawtooth.peak_value(int(kk)) for kk in k]
     fvv = exact.absorbing_envelope(v0, curve.times)
-    s = recursion.numeric_oscillation_curve(curve, v0).values
-    return curve, model, fvv, s
+    return curve, model, fvv, sawtooth.oscillation_ratio(curve.values, fvv)
 
 
 @main.command()
@@ -206,7 +209,7 @@ def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     v0 = _resolve_v0(v0, eps)
     curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
                                             samples_per_interval)
-    sides = ["minus" if sd == "-" else "plus" if sd == "+" else "" for sd in curve.sides]
+    sides = np.select([curve.sides == "-", curve.sides == "+"], ["minus", "plus"], "")
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "fp", params,

@@ -32,7 +32,9 @@ Every advance is a discrete convolution with the heat kernel cut at
 power-of-two length that holds it without wrap-around; the transforms run in
 a fixed order, so results are deterministic, and they agree with a direct
 summation to ~1e-15 of the slice maximum (negative roundoff tails are
-clipped to zero, since the exact slice is non-negative).  The boundary
+clipped to zero, since the exact slice is non-negative).  Every advance of a
+run spans one whole interval, a step of eps, so a run builds that kernel's
+spectrum once and hands it to each advance.  The boundary
 samples need only F(n + u, 0), and the kernel of a sample depends on its
 offset u alone, not on n.  So the recursion advances every slice first,
 keeping each only out to the widest kernel's reach, and then takes the
@@ -57,20 +59,18 @@ from typing import ClassVar
 import numpy as np
 
 from .core import BoundaryCurve, Grid1D, heat_kernel, pow2_at_least
-from .exact import absorbing_envelope
-from .sawtooth import oscillation_ratio
 
 __all__ = [
     "EuclideanSlice",
     "RecursionConfig",
     "MAX_WORK",
     "predicted_work",
+    "ScaleError",
     "default_config",
     "initial_slice",
     "advance_slice",
     "boundary_amplitude",
     "run_recursion",
-    "numeric_oscillation_curve",
 ]
 
 
@@ -122,10 +122,7 @@ class RecursionConfig:
     def __post_init__(self) -> None:
         if self.m <= 0 or self.eps <= 0:
             raise ValueError("mass and eps must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.samples_per_interval < 2:
-            raise ValueError("samples_per_interval must be >= 2")
+        _check_sizes(self.n_max, self.samples_per_interval)
         if self.grid.n_points <= len(_END_WEIGHTS):
             raise ValueError(f"the slice grid needs more than {len(_END_WEIGHTS)} points")
         narrowest = np.sqrt(self.eps / (self.samples_per_interval * self.m))
@@ -158,6 +155,42 @@ def predicted_work(cfg: RecursionConfig) -> float:
     return 80.0 * fft_points + (cfg.n_max + 4) * kernel_values + 40_000.0 * rows
 
 
+def _check_sizes(n_max: int, samples_per_interval: int) -> None:
+    """The projection and sample counts every config needs."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if samples_per_interval < 2:
+        raise ValueError("samples_per_interval must be >= 2")
+
+
+class ScaleError(ValueError):
+    """A mass and spacing whose scales the default recursion cannot hold in
+    floats (``_check_scales``)."""
+
+
+def _check_scales(m: float, eps: float, n_max: int, samples_per_interval: int) -> None:
+    """Raise ``ScaleError`` unless every scale that ``default_config`` and
+    the recursion form from m and eps is a positive finite float:
+    101 eps/m, which bounds the squared offsets x^2 of the widest kernel
+    (kernel_span widths of sqrt(eps/m)); the shortest step
+    eps/samples_per_interval and twice its kernel's rate,
+    m samples_per_interval / eps; the squared kernel prefactor m / (2 pi t)
+    at the last time t = (n_max + 1) eps; and 101 (n_max + 1) eps, which
+    bounds m x^2 over the grid.  The envelope depends on t/eps alone, but
+    the recursion works in physical units, so these bound the (m, eps) it
+    can take.  The sizes must be valid."""
+    last = (n_max + 1) * eps
+    scales = (("101 eps/m", 101 * (eps / m)),
+              ("eps/samples_per_interval", eps / samples_per_interval),
+              ("m samples_per_interval / eps", m * samples_per_interval / eps),
+              ("m / (2 pi (n_max + 1) eps)", m / (2 * math.pi * last)),
+              ("101 (n_max + 1) eps", 101 * last))
+    for name, value in scales:
+        if not 0 < value < math.inf:
+            raise ScaleError(f"m = {m:.3g} and eps = {eps:.3g} put {name} at {value:.3g}, "
+                             "outside the positive finite floats")
+
+
 def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) -> RecursionConfig:
     """Recursion settings on a grid spanning ten thermal widths of the total
     duration, at spacing ``h = sqrt(eps/m) / (16 sqrt(max(samples_per_interval,
@@ -165,9 +198,10 @@ def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) 
     sqrt(eps / (samples_per_interval m)), which spans 16 spacings (more below
     16 samples per interval): h is sqrt(eps/m) / 64 at 16 samples and
     sqrt(eps/m) / 1024 at 4096.  The Gaussian tails beyond x_max are below
-    1e-20.  Other grids go through ``RecursionConfig`` directly."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    1e-20.  Other grids go through ``RecursionConfig`` directly.  Raises
+    ``ScaleError`` for an (m, eps) that ``_check_scales`` refuses."""
+    _check_sizes(n_max, samples_per_interval)
+    _check_scales(m, eps, n_max, samples_per_interval)
     samples = max(samples_per_interval, 16)
     h = np.sqrt(eps / m) / (16.0 * np.sqrt(float(samples)))
     # ten thermal widths, 10 sqrt((n_max + 1) eps/m), are 160 sqrt((n_max + 1)
@@ -229,23 +263,38 @@ def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
     return w
 
 
-def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> EuclideanSlice:
+def _kernel_spectrum(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> np.ndarray:
+    """Spectrum of the truncated kernel of the step from prev.s to s_next,
+    zero-padded to the power of two at or above n_points + taps.  The
+    symmetric kernel is centred on index 0, so the spectrum is real and the
+    convolution needs no output offset."""
+    half = _half_kernel(prev, cfg, s_next)
+    taps = len(half) - 1
+    length = pow2_at_least(cfg.grid.n_points + taps)
+    kernel = np.zeros(length)
+    kernel[: taps + 1] = half
+    kernel[length - taps :] = half[:0:-1]
+    return np.fft.rfft(kernel).real
+
+
+def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float, *,
+                  kernel_spectrum: np.ndarray | None = None) -> EuclideanSlice:
     """Propagate a slice taken at integer s = n to s_next in (n, n+1].
 
     The projection at s = n is enacted by the half-line integration range;
     the output slice is evaluated on the full grid (including x = 0).  The
-    linear convolution is one circular FFT convolution over the power of two
-    at or above n_points + taps, with the symmetric kernel centred on index
-    0, so the kernel's spectrum is real and no output offset is needed."""
-    half = _half_kernel(prev, cfg, s_next)
-    taps = len(half) - 1
-    n = cfg.grid.n_points
-    length = pow2_at_least(n + taps)
-    kernel = np.zeros(length)
-    kernel[: taps + 1] = half
-    kernel[length - taps :] = half[:0:-1]
-    spectrum = np.fft.rfft(_weighted(prev.values, cfg), length) * np.fft.rfft(kernel).real
+    linear convolution is one circular FFT convolution with the step's
+    ``_kernel_spectrum``, built here unless the caller passes the one it
+    built for the same step, as ``run_recursion`` does for its whole-interval
+    steps."""
+    if kernel_spectrum is None:
+        kernel_spectrum = _kernel_spectrum(prev, cfg, s_next)
+    else:
+        _steps(prev, cfg, s_next)  # s_next must still lie in (n, n+1]
+    length = 2 * (len(kernel_spectrum) - 1)
+    spectrum = np.fft.rfft(_weighted(prev.values, cfg), length) * kernel_spectrum
     # the exact slice is non-negative; clip the FFT roundoff tails
+    n = cfg.grid.n_points
     return EuclideanSlice(s_next, cfg.grid, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
@@ -338,10 +387,17 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     every sample there is emitted as 1.0, and only the initial slice at
     s = 1 is built.
 
-    The slices are advanced first, one ``advance_slice`` per interval; each
-    pre-projection slice is kept only out to the widest interior kernel's
-    reach.  One ``boundary_amplitude`` call then takes every interval's
-    interior samples, building each kernel row once for all intervals.
+    The slices are advanced first, one ``advance_slice`` per interval.  Each
+    advance is a step of one whole interval, so the run builds that step's
+    kernel spectrum once, for this run only, and passes it to every advance.
+    Each pre-projection slice is kept only out to the widest interior
+    kernel's reach.  One ``boundary_amplitude`` call then takes every
+    interval's interior samples, building each kernel row once for all
+    intervals.  The table is filled as one row of samples_per_interval + 1
+    columns per interval, s = n, the interior offsets and s = n + 1, with the
+    free interval as row 0 less its first column, and the samples are
+    divided by the heat kernel at the origin in two array calls, one for the
+    peaks and one for the interior.
 
     Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps).
     """
@@ -349,28 +405,20 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     interior = np.arange(1, spi) / spi
     reach = _taps(cfg, interior[-1] * cfg.eps) + 1
     prefixes = np.empty((cfg.n_max, reach))
-    peaks = np.empty(cfg.n_max)
+    origins = np.empty(cfg.n_max)
     prev = initial_slice(cfg)
+    kernel_spectrum = _kernel_spectrum(prev, cfg, 2.0)
     for n in range(1, cfg.n_max + 1):
         prefixes[n - 1] = prev.values[:reach]
-        prev = advance_slice(prev, cfg, float(n + 1))
-        peaks[n - 1] = prev.values[0] / heat_kernel(cfg.m, (n + 1) * cfg.eps, 0.0, 0.0)
+        prev = advance_slice(prev, cfg, float(n + 1), kernel_spectrum=kernel_spectrum)
+        origins[n - 1] = prev.values[0]
     amplitude = boundary_amplitude(prefixes, cfg, interior)
-    s_parts = [np.append(interior, 1.0)]
-    env_parts = [np.ones(spi)]
-    for n in range(1, cfg.n_max + 1):
-        s = n + interior
-        inner = amplitude[n - 1] / heat_kernel(cfg.m, s * cfg.eps, 0.0, 0.0)
-        s_parts.append(np.concatenate(([n], s, [n + 1])))
-        env_parts.append(np.concatenate(([0.5 * env_parts[-1][-1]], inner, [peaks[n - 1]])))
-    sides = np.array(([""] * (spi - 1) + ["-"]) + (["+"] + [""] * (spi - 1) + ["-"]) * cfg.n_max)
-    times = np.concatenate(s_parts) * cfg.eps
-    return BoundaryCurve(times, np.concatenate(env_parts), sides)
-
-
-def numeric_oscillation_curve(curve: BoundaryCurve, v0: float) -> BoundaryCurve:
-    """Oscillation ratio S(t) = f(t)/f_absorbing(t) - 1 of a numeric envelope
-    curve against the absorbing envelope at strength v0."""
-    fv = absorbing_envelope(v0, curve.times)
-    s = oscillation_ratio(curve.values, fv)
-    return BoundaryCurve(curve.times, np.atleast_1d(s), curve.sides)
+    s = np.arange(cfg.n_max + 1)[:, None] + np.concatenate(([0.0], interior, [1.0]))
+    times = s * cfg.eps
+    envelope = np.ones_like(times)
+    envelope[1:, -1] = origins / heat_kernel(cfg.m, times[1:, -1], 0.0, 0.0)
+    envelope[1:, 0] = 0.5 * envelope[:-1, -1]
+    envelope[1:, 1:-1] = amplitude / heat_kernel(cfg.m, times[1:, 1:-1], 0.0, 0.0)
+    sides = np.full(times.shape, "")
+    sides[:, 0], sides[:, -1] = "+", "-"
+    return BoundaryCurve(times.ravel()[1:], envelope.ravel()[1:], sides.ravel()[1:])

@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel
-from zenoprop.exact import bridge_orthant
+from zenoprop.exact import absorbing_envelope, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
 from zenoprop.recursion import (
     EuclideanSlice,
@@ -23,6 +23,7 @@ from zenoprop.recursion import (
     boundary_amplitude,
     initial_slice,
 )
+from zenoprop.sawtooth import oscillation_ratio
 from zenoprop.wavepacket import packet_boundary_derivative
 
 
@@ -469,6 +470,15 @@ def interval_by_interval_recursion(cfg) -> BoundaryCurve:
     sides = np.array(([""] * (spi - 1) + ["-"]) + (["+"] + [""] * (spi - 1) + ["-"]) * cfg.n_max)
     times = np.concatenate(s_parts) * cfg.eps
     return BoundaryCurve(times, np.concatenate(env_parts), sides)
+
+
+def numeric_oscillation_curve(curve: BoundaryCurve, v0: float) -> BoundaryCurve:
+    """Oscillation ratio S(t) = f(t)/f_absorbing(t) - 1 of a numeric envelope
+    curve against the absorbing envelope at strength v0, as a curve that
+    keeps the sides, so the tests can window it."""
+    fv = absorbing_envelope(v0, curve.times)
+    s = oscillation_ratio(curve.values, fv)
+    return BoundaryCurve(curve.times, np.atleast_1d(s), curve.sides)
 
 
 def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:

@@ -17,6 +17,7 @@ from oracles import (
     chain_integral,
     crossing_density,
     normalized_crossing_density,
+    numeric_oscillation_curve,
     richardson_right_limit,
     spearman_rho,
 )
@@ -125,7 +126,7 @@ class TestCriterion4:
         for t >= 5 eps."""
         cfg, curve, _, _ = default_run
         v0 = sawtooth.calibrate_absorption(cfg.eps)
-        s_curve = recursion.numeric_oscillation_curve(curve, v0)
+        s_curve = numeric_oscillation_curve(curve, v0)
         late = s_curve.window(5 * cfg.eps, (cfg.n_max + 1) * cfg.eps)
         assert np.all(np.abs(late.values) <= 0.40), (
             f"S range [{late.values.min():.3f}, {late.values.max():.3f}]"
@@ -152,7 +153,7 @@ class TestCriterion4:
         """
         cfg, curve, _, _ = default_run
         v0 = sawtooth.calibrate_absorption(cfg.eps)
-        s_curve = recursion.numeric_oscillation_curve(curve, v0)
+        s_curve = numeric_oscillation_curve(curve, v0)
         win = s_curve.window(5 * cfg.eps, 20 * cfg.eps)
         avg = np.trapezoid(win.values, win.times) / (15 * cfg.eps)
         ok = abs(avg) <= 0.05

@@ -284,6 +284,37 @@ class TestUsageErrors:
         assert len(last) < 200
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["fp", "--eps", "1e-320", "--v0", "1"],
+        ["compare", "--eps", "1e-310", "--v0", "1"],
+        ["fp", "--m", "1e-300", "--eps", "1e300"],
+        ["fp", "--m", "1e300", "--eps", "1e-300"],
+        ["fp", "--eps", "1e-308"],
+        ["compare", "--eps", "1e305"],
+        ["fp", "--m", "1e-300", "--eps", "1e8"],
+    ], ids=["eps-1e-320", "eps-1e-310", "eps-over-m-inf", "eps-over-m-0", "rate-inf",
+            "reach-inf", "kernel-x2-inf"])
+    def test_out_of_range_scales_name_mass_and_eps(self, runner, tmp_path, args):
+        # the envelope depends on t/eps alone, but the recursion forms
+        # sqrt(eps/m), m/eps and (n_max + 1) eps, which leave the floats here
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert isinstance(res.exception, SystemExit)
+        last = res.output.splitlines()[-1]
+        assert last.startswith("Error: Invalid value for '--m' / '--eps': "), last
+        assert "outside the positive finite floats" in last
+        assert len(last) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, eps", [("1", "1e-307"), ("1e300", "1"), ("1e-300", "1e-300"),
+                                        ("1e-300", "1e5")])
+    def test_extreme_scales_in_range_still_run(self, runner, tmp_path, m, eps):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["fp", "--m", m, "--eps", eps, "--n-max", "3",
+                                   "--samples-per-interval", "4", "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+
 
 class TestCompare:
     def test_summary_rows(self, runner, tmp_path):
@@ -383,6 +414,24 @@ class TestWriteTable:
         assert doc["meta"] == {"command": "t", "params": {"k": 1}}
         assert doc["columns"] == self.NAMES
         assert doc["rows"] == [[0.1, "a", 1 / 3], [2.0, "", 4.0]]
+
+    def test_json_is_the_bytes_of_json_dumps(self, tmp_path):
+        out = tmp_path / "t.json"
+        _write_table(str(out), "json", "t", {"k": 1}, self.NAMES, self.COLUMNS)
+        doc = {"meta": {"command": "t", "params": {"k": 1}}, "columns": self.NAMES,
+               "rows": [[0.1, "a", 1 / 3], [2.0, "", 4.0]]}
+        assert out.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+    def test_streamed_fp_json_is_the_bytes_of_json_dumps(self, runner, tmp_path):
+        # floats survive a JSON round trip exactly, so the document can be
+        # dumped again from what was written
+        out = tmp_path / "fp.json"
+        res = runner.invoke(main, ["fp", "--n-max", "3", "--samples-per-interval", "8",
+                                   "--format", "json", "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        written = out.read_bytes()
+        doc = json.loads(written)
+        assert written == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_is_numerical_failure(self, tmp_path, capsys, bad):

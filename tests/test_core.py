@@ -105,6 +105,11 @@ class TestHeatKernel:
             assert np.array_equal(got, want)
             assert np.array_equal(heat_kernel(m, t, y, x), want)
         assert isinstance(heat_kernel(1.0, 1.0, 0.5, 0.0), np.float64)
+        # and an array of times at one offset, as the recursion divides by it
+        t = rng.uniform(0.01, 30.0, (3, 7))
+        for m, y in [(1.0, 0.0), (1.7, 0.4)]:
+            want = np.array([[heat_kernel(m, float(ti), y, 0.0) for ti in row] for row in t])
+            assert np.array_equal(heat_kernel(m, t, y, 0.0), want)
 
 
 class TestFreePropagator:

@@ -9,21 +9,24 @@ from oracles import (
     direct_advance,
     direct_boundary_amplitude,
     interval_by_interval_recursion,
+    numeric_oscillation_curve,
     richardson_right_limit,
 )
+from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
+    ScaleError,
     _half_kernel,
     _kernel_blocks,
+    _kernel_spectrum,
     advance_slice,
     boundary_amplitude,
     default_config,
     initial_slice,
-    numeric_oscillation_curve,
     run_recursion,
 )
 from zenoprop.sawtooth import calibrate_absorption
@@ -77,6 +80,18 @@ class TestConfig:
             default_config(m, eps, n_max, spi).grid.n_points for m in scales for eps in scales
         }
         assert counts == {points}
+
+    @pytest.mark.parametrize("m, eps", SEED_PAIRS)
+    def test_seed_pairs_are_in_range(self, m, eps):
+        for n_max, spi in ((20, 16), (3, 4096)):
+            assert default_config(m, eps, n_max, spi).n_max == n_max
+
+    @pytest.mark.parametrize("m, eps", [(1.0, 1e-320), (1e300, 1e-300), (1e-300, 1e300),
+                                        (1.0, 1e305), (1e-300, 1e8)])
+    def test_out_of_range_scales(self, m, eps):
+        with pytest.raises(ScaleError, match="outside the positive finite floats"):
+            default_config(m, eps, 20, 16)
+        assert issubclass(ScaleError, ValueError)
 
     def test_validation(self):
         g = Grid1D(10.0, 1001)
@@ -214,6 +229,18 @@ class TestAdvance:
         for n in (2.0, 3.0):
             prev = advance_slice(prev, small_cfg, n)
             assert np.all(prev.values >= 0)
+
+    def test_shared_spectrum_matches_own(self, small_cfg):
+        # a run builds its whole-interval spectrum once; any whole-interval
+        # advance given it is bit for bit the advance that builds its own
+        first = initial_slice(small_cfg)
+        spectrum = _kernel_spectrum(first, small_cfg, 2.0)
+        for prev in (first, advance_slice(first, small_cfg, 2.0)):
+            s_next = prev.s + 1.0
+            got = advance_slice(prev, small_cfg, s_next, kernel_spectrum=spectrum)
+            assert np.array_equal(got.values, advance_slice(prev, small_cfg, s_next).values)
+        with pytest.raises(ValueError):
+            advance_slice(first, small_cfg, 2.5, kernel_spectrum=spectrum)
 
     def test_slice_alignment_required(self, small_cfg):
         prev = advance_slice(initial_slice(small_cfg), small_cfg, 1.5)
@@ -392,6 +419,19 @@ class TestRunRecursion:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.sides, want.sides)
         assert_allclose(got.values, want.values, rtol=2e-15, atol=0.0)
+
+    def test_one_kernel_spectrum_per_run(self, monkeypatch):
+        # the fp20 run builds its step kernel once and advances once per
+        # interval, through the module attribute the benchmark traces
+        cfg = default_config(1.0, 1.0, 20, 16)
+        calls = {"_half_kernel": 0, "advance_slice": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(recursion, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(recursion, name, counted)
+        run_recursion(cfg)
+        assert calls == {"_half_kernel": 1, "advance_slice": cfg.n_max}
 
     @staticmethod
     def assert_identical(got, want):
