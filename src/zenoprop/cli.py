@@ -183,23 +183,31 @@ def fv(m, eps, v0, out, fmt) -> None:
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
 
 
-def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
-    try:  # refused on the scales and sizes alone, before anything is allocated
-        cfg = recursion.default_config(m, eps, n_max, samples_per_interval)
-    except recursion.ScaleError as err:
-        raise click.BadParameter(str(err), param_hint=["--m", "--eps"]) from err
+def _recursion_tables(eps, v0, n_max, samples_per_interval):
+    """The columns of an envelope table, built from the unit recursion in
+    s = t/eps (``recursion``): times t = s eps, the model saw-tooth, the
+    numeric envelope, the absorbing envelope at strength v0 eps, and their
+    oscillation ratio."""
+    try:  # refused on the sizes and eps alone, before anything is allocated
+        cfg = recursion.default_config(n_max, samples_per_interval)
     except (ValueError, OverflowError) as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
+    first, last = eps / samples_per_interval, (n_max + 1) * eps
+    if not (first >= sys.float_info.min and last <= sys.float_info.max):
+        raise click.BadParameter(f"{eps!r} puts the times t = s eps, from {first:.3g} to "
+                                 f"{last:.3g}, outside the normal floats", param_hint="'--eps'")
+    if not 0 < v0 * eps < math.inf:
+        raise click.BadParameter(f"{v0!r} puts v0 eps at {v0 * eps:.3g}, outside the positive "
+                                 "finite floats", param_hint="'--v0'")
     curve = recursion.run_recursion(cfg)
-    model = np.atleast_1d(sawtooth.sawtooth_envelope(eps, curve.times))
+    s = curve.times
+    model = sawtooth.sawtooth_envelope(1.0, s)
     # model is right-continuous; report the peak branch on '-' rows
     minus = curve.sides == "-"
-    if minus.any():
-        k = np.rint((curve.times[minus] - eps) / eps).astype(int)
-        model[minus] = [sawtooth.peak_value(int(kk)) for kk in k]
-    fvv = exact.absorbing_envelope(v0, curve.times)
-    return curve, model, fvv, sawtooth.oscillation_ratio(curve.values, fvv)
+    model[minus] = sawtooth.peak_value(s[minus] - 1)
+    fvv = exact.absorbing_envelope(v0 * eps, s)
+    return s * eps, curve, model, fvv, sawtooth.oscillation_ratio(curve.values, fvv)
 
 
 @main.command()
@@ -207,14 +215,14 @@ def _recursion_tables(m, eps, v0, n_max, samples_per_interval):
 def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
     v0 = _resolve_v0(v0, eps)
-    curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
-                                            samples_per_interval)
+    t, curve, model, fvv, s = _numerical_guard(_recursion_tables, eps, v0, n_max,
+                                               samples_per_interval)
     sides = np.select([curve.sides == "-", curve.sides == "+"], ["minus", "plus"], "")
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "fp", params,
                  ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"],
-                 (curve.times, model, curve.values, fvv, s, sides))
+                 (t, model, curve.values, fvv, s, sides))
 
 
 @main.command(name="exact")
@@ -297,17 +305,17 @@ def pdx(m, out, fmt, p_sigma) -> None:
 def compare(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
     v0 = _resolve_v0(v0, eps)
-    curve, model, fvv, s = _numerical_guard(_recursion_tables, m, eps, v0, n_max,
-                                            samples_per_interval)
+    t, curve, model, fvv, s = _numerical_guard(_recursion_tables, eps, v0, n_max,
+                                               samples_per_interval)
 
     # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max; the peak
     # of drop k is the '-' row at s = k + 1
     minus = curve.sides == "-"
     t_k, peak_n, peak_m, fv_k, s_k = (col[minus][1:] for col in
-                                      (curve.times, curve.values, model, fvv, s))
+                                      (t, curve.values, model, fvv, s))
     troughs = curve.values[curve.sides == "+"]
     k = np.arange(1, len(troughs) + 1)
-    trough_m = [sawtooth.trough_value(kk - 1) for kk in k]
+    trough_m = sawtooth.trough_value(k - 1)
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,

@@ -17,6 +17,14 @@ envelope
 which equals one for free evolution and continues to real time untouched
 (only the square-root prefactor rotates).
 
+The envelope depends on t/eps alone, never on m, so the recursion works at
+m = eps = 1, in units of eps and of the thermal width sqrt(eps/m).  Its
+times are s, no physical (m, eps) reaches its arithmetic, and callers
+multiply the times by eps.  ``m`` and ``eps`` stay as unit class constants
+of ``RecursionConfig``, so the formulas keep their physical form and code
+that reads ``cfg.m`` and ``cfg.eps`` (the benchmark sizes the advances'
+kernels that way) still works.
+
 Numerics: slices live on a uniform grid over [0, x_max] with x_max about
 ten thermal widths of the total duration and a spacing tied to the
 narrowest kernel, which spans 16 spacings (``default_config``).  The
@@ -65,7 +73,6 @@ __all__ = [
     "RecursionConfig",
     "MAX_WORK",
     "predicted_work",
-    "ScaleError",
     "default_config",
     "initial_slice",
     "advance_slice",
@@ -112,16 +119,14 @@ MAX_WORK = 10**10
 
 @dataclass(frozen=True)
 class RecursionConfig:
-    m: float
-    eps: float
     n_max: int
     grid: Grid1D
     samples_per_interval: int = 16
+    m: ClassVar[float] = 1.0               # the units: mass and spacing are one
+    eps: ClassVar[float] = 1.0
     kernel_span: ClassVar[float] = 10.0    # kernel truncated at this many std widths
 
     def __post_init__(self) -> None:
-        if self.m <= 0 or self.eps <= 0:
-            raise ValueError("mass and eps must be positive")
         _check_sizes(self.n_max, self.samples_per_interval)
         if self.grid.n_points <= len(_END_WEIGHTS):
             raise ValueError(f"the slice grid needs more than {len(_END_WEIGHTS)} points")
@@ -163,53 +168,24 @@ def _check_sizes(n_max: int, samples_per_interval: int) -> None:
         raise ValueError("samples_per_interval must be >= 2")
 
 
-class ScaleError(ValueError):
-    """A mass and spacing whose scales the default recursion cannot hold in
-    floats (``_check_scales``)."""
-
-
-def _check_scales(m: float, eps: float, n_max: int, samples_per_interval: int) -> None:
-    """Raise ``ScaleError`` unless every scale that ``default_config`` and
-    the recursion form from m and eps is a positive finite float:
-    101 eps/m, which bounds the squared offsets x^2 of the widest kernel
-    (kernel_span widths of sqrt(eps/m)); the shortest step
-    eps/samples_per_interval and twice its kernel's rate,
-    m samples_per_interval / eps; the squared kernel prefactor m / (2 pi t)
-    at the last time t = (n_max + 1) eps; and 101 (n_max + 1) eps, which
-    bounds m x^2 over the grid.  The envelope depends on t/eps alone, but
-    the recursion works in physical units, so these bound the (m, eps) it
-    can take.  The sizes must be valid."""
-    last = (n_max + 1) * eps
-    scales = (("101 eps/m", 101 * (eps / m)),
-              ("eps/samples_per_interval", eps / samples_per_interval),
-              ("m samples_per_interval / eps", m * samples_per_interval / eps),
-              ("m / (2 pi (n_max + 1) eps)", m / (2 * math.pi * last)),
-              ("101 (n_max + 1) eps", 101 * last))
-    for name, value in scales:
-        if not 0 < value < math.inf:
-            raise ScaleError(f"m = {m:.3g} and eps = {eps:.3g} put {name} at {value:.3g}, "
-                             "outside the positive finite floats")
-
-
-def default_config(m: float, eps: float, n_max: int, samples_per_interval: int) -> RecursionConfig:
-    """Recursion settings on a grid spanning ten thermal widths of the total
-    duration, at spacing ``h = sqrt(eps/m) / (16 sqrt(max(samples_per_interval,
-    16)))``.  The spacing is tied to the narrowest kernel, of width
-    sqrt(eps / (samples_per_interval m)), which spans 16 spacings (more below
-    16 samples per interval): h is sqrt(eps/m) / 64 at 16 samples and
-    sqrt(eps/m) / 1024 at 4096.  The Gaussian tails beyond x_max are below
-    1e-20.  Other grids go through ``RecursionConfig`` directly.  Raises
-    ``ScaleError`` for an (m, eps) that ``_check_scales`` refuses."""
+def default_config(n_max: int, samples_per_interval: int) -> RecursionConfig:
+    """Recursion settings at m = eps = 1 (the module's units, which serve
+    every physical (m, eps) because the envelope depends on t/eps alone), on
+    a grid spanning ten thermal widths of the total duration, at spacing
+    ``h = 1 / (16 sqrt(max(samples_per_interval, 16)))`` thermal widths
+    sqrt(eps/m).  The spacing is tied to the narrowest kernel, of width
+    sqrt(1 / samples_per_interval), which spans 16 spacings (more below 16
+    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.  The
+    Gaussian tails beyond x_max are below 1e-20.  Other grids go through
+    ``RecursionConfig`` directly."""
     _check_sizes(n_max, samples_per_interval)
-    _check_scales(m, eps, n_max, samples_per_interval)
     samples = max(samples_per_interval, 16)
-    h = np.sqrt(eps / m) / (16.0 * np.sqrt(float(samples)))
-    # ten thermal widths, 10 sqrt((n_max + 1) eps/m), are 160 sqrt((n_max + 1)
-    # samples) spacings for every (m, eps), so the point count does not depend
-    # on the scales
+    h = 1.0 / (16.0 * np.sqrt(float(samples)))
+    # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
+    # spacings
     n_points = int(np.ceil(160.0 * np.sqrt(float((n_max + 1) * samples)))) + 1
     grid = Grid1D(h * (n_points - 1), n_points)
-    return RecursionConfig(m, eps, n_max, grid, samples_per_interval)
+    return RecursionConfig(n_max, grid, samples_per_interval)
 
 
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
@@ -353,9 +329,7 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
     order = np.argsort(u, axis=None, kind="stable")
     dt = u.ravel()[order] * cfg.eps
     h = cfg.grid.spacing
-    # the slack lets the recursion's own narrowest step, eps divided by
-    # samples_per_interval up to rounding, through whenever the config is valid
-    if np.sqrt(dt[0] / cfg.m) < (1 - 1e-9) * MIN_KERNEL_SPACINGS * h:
+    if np.sqrt(dt[0] / cfg.m) < MIN_KERNEL_SPACINGS * h:
         raise ValueError(
             f"a step of {dt[0] / cfg.eps:.3g} eps has a kernel narrower than "
             f"{MIN_KERNEL_SPACINGS} grid spacings of {h:.3g}"
@@ -399,7 +373,7 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     divided by the heat kernel at the origin in two array calls, one for the
     peaks and one for the interior.
 
-    Returns the envelope ``BoundaryCurve`` (times are physical, t = s eps).
+    Returns the envelope ``BoundaryCurve``; its times are s = t/eps.
     """
     spi = cfg.samples_per_interval
     interior = np.arange(1, spi) / spi

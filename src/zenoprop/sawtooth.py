@@ -35,14 +35,17 @@ __all__ = [
 ]
 
 
-def peak_value(k: int) -> float:
-    """Envelope peak 1/(k+1) approached from below at the drop t_k."""
-    if k < 0:
+def peak_value(k) -> np.ndarray | float:
+    """Envelope peak 1/(k+1) approached from below at the drop t_k; ``k``
+    may be an array."""
+    k = np.asarray(k)
+    if np.any(k < 0):
         raise ValueError("drop index must be >= 0")
-    return 1.0 / (k + 1)
+    out = 1.0 / (k + 1)
+    return out if out.shape else float(out)
 
 
-def trough_value(k: int) -> float:
+def trough_value(k) -> np.ndarray | float:
     """Envelope trough 1/(2(k+1)) immediately after the drop t_k; exactly
     half the corresponding peak."""
     return 0.5 * peak_value(k)

@@ -3,12 +3,25 @@ import time
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(1, str(Path(__file__).parent.parent))  # the benchmark package
 
 from zenoprop import recursion
+from zenoprop.cli import main
 from zenoprop.core import Grid1D
+
+
+def fp_column(out, m, eps, *args):
+    """The f_p_numeric column of the ``fp`` table at (m, eps), as the
+    strings written to ``out``; ``args`` are further flags."""
+    res = CliRunner().invoke(main, ["fp", "--m", repr(m), "--eps", repr(eps), *args,
+                                    "--out", str(out)])
+    assert res.exit_code == 0, (res.output, res.exception)
+    header, *rows = out.read_text().splitlines()
+    j = header.split(",").index("f_p_numeric")
+    return [row.split(",")[j] for row in rows]
 
 
 def pre_projection_slices(cfg):
@@ -22,15 +35,15 @@ def pre_projection_slices(cfg):
 def extent_config(n_max, n_points):
     """m = eps = 1 with n_max projections at 16 samples per interval, on
     ``n_points`` points over the default grid's extent."""
-    x_max = recursion.default_config(1.0, 1.0, n_max, 16).grid.x_max
-    return recursion.RecursionConfig(1.0, 1.0, n_max, Grid1D(x_max, n_points))
+    x_max = recursion.default_config(n_max, 16).grid.x_max
+    return recursion.RecursionConfig(n_max, Grid1D(x_max, n_points))
 
 
 def fine_config(n_max):
     """The default extent for n_max projections at 16 samples per interval,
     at spacing about 1e-3 sqrt(eps/m): fine enough for the right-limit
     oracle, whose smallest offset kernel then spans five spacings."""
-    x_max = recursion.default_config(1.0, 1.0, n_max, 16).grid.x_max
+    x_max = recursion.default_config(n_max, 16).grid.x_max
     return extent_config(n_max, round(x_max / 1e-3) + 1)
 
 
@@ -40,7 +53,7 @@ def default_run():
     saw-tooth acceptance checks (it is the expensive fixture of the suite).
     Yields (config, envelope curve, pre-projection slices at s = 1..n_max+1,
     wall-clock seconds of the run)."""
-    cfg = recursion.default_config(1.0, 1.0, 20, 16)
+    cfg = recursion.default_config(20, 16)
     start = time.monotonic()
     curve = recursion.run_recursion(cfg)
     elapsed = time.monotonic() - start

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import textwrap
 from importlib import resources
@@ -87,6 +88,19 @@ class TestFp:
         assert float(peak[2]) == pytest.approx(0.5, abs=2e-3)
         trough = next(r for r in rows if r[5] == "plus" and float(r[0]) == 2.0)
         assert float(trough[1]) == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", ["0.1", "0.3", "0.7"])
+    def test_model_rows_at_every_drop(self, runner, tmp_path, eps):
+        # at the k-th projection, t = k eps, the model's minus row is its
+        # peak 1/k and its plus row the trough 1/(2k), whatever eps
+        out = tmp_path / "fp.csv"
+        res = runner.invoke(main, ["fp", "--eps", eps, "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        _, rows = read_rows(out)
+        drops = [(round(float(r[0]) / float(eps)), r[5], float(r[1])) for r in rows if r[5]]
+        assert len(drops) == 2 * 20 + 1
+        for k, side, model in drops:
+            assert model == (1 / k if side == "minus" else 0.5 / k), (k, side)
 
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         res = runner.invoke(
@@ -213,6 +227,9 @@ class TestConfigPrecedence:
         assert json.loads(outputs[0])["meta"]["params"]["n_max"] == 1
 
 
+SMALL = ["--n-max", "3", "--samples-per-interval", "4"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["fv", "--eps", "nan"],
@@ -243,6 +260,8 @@ class TestUsageErrors:
         ["fp", "--n-max", "-1"],
         ["lattice", "--tau", "1e-300"],
         ["lattice", "--tau", "1e-12"],
+        ["fp", "--v0", "1e-300", "--eps", "1e-300"],
+        ["compare", "--v0", "1e300", "--eps", "1e300"],
     ])
     def test_library_value_errors(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
@@ -287,33 +306,74 @@ class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["fp", "--eps", "1e-320", "--v0", "1"],
         ["compare", "--eps", "1e-310", "--v0", "1"],
-        ["fp", "--m", "1e-300", "--eps", "1e300"],
-        ["fp", "--m", "1e300", "--eps", "1e-300"],
         ["fp", "--eps", "1e-308"],
-        ["compare", "--eps", "1e305"],
-        ["fp", "--m", "1e-300", "--eps", "1e8"],
-    ], ids=["eps-1e-320", "eps-1e-310", "eps-over-m-inf", "eps-over-m-0", "rate-inf",
-            "reach-inf", "kernel-x2-inf"])
-    def test_out_of_range_scales_name_mass_and_eps(self, runner, tmp_path, args):
-        # the envelope depends on t/eps alone, but the recursion forms
-        # sqrt(eps/m), m/eps and (n_max + 1) eps, which leave the floats here
+        ["fp", "--eps", "3.5e-307"],
+        ["fp", "--eps", "1e307"],
+        ["compare", "--eps", "1e307", "--n-max", "17"],
+    ], ids=["eps-1e-320", "eps-1e-310", "eps-1e-308", "eps-3.5e-307", "eps-1e307",
+            "compare-eps-1e307-n-max-17"])
+    def test_out_of_range_eps_is_refused(self, runner, tmp_path, monkeypatch, args):
+        # the recursion runs in units of eps, so only the times t = s eps
+        # meet the float limits: eps / samples_per_interval must be a normal
+        # float and (n_max + 1) eps finite; refused before the recursion runs
+        def refuse(cfg):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr(recursion, "run_recursion", refuse)
         out = tmp_path / "x.csv"
         res = runner.invoke(main, [*args, "--out", str(out)])
         assert res.exit_code == 2, result_output(res)
         assert isinstance(res.exception, SystemExit)
         last = res.output.splitlines()[-1]
-        assert last.startswith("Error: Invalid value for '--m' / '--eps': "), last
-        assert "outside the positive finite floats" in last
+        assert last.startswith("Error: Invalid value for '--eps': "), last
+        assert "outside the normal floats" in last
         assert len(last) < 200
         assert not out.exists()
 
-    @pytest.mark.parametrize("m, eps", [("1", "1e-307"), ("1e300", "1"), ("1e-300", "1e-300"),
-                                        ("1e-300", "1e5")])
-    def test_extreme_scales_in_range_still_run(self, runner, tmp_path, m, eps):
+    def test_no_scale_gives_a_traceback(self, runner, tmp_path):
+        # across the floats every (m, eps) either writes a finite table or
+        # is a one-line usage error naming --eps
+        scales = ["1e-320", "1e-308", "2e-307", "1e-300", "1e-150", "1", "1e150", "1e300",
+                  "1e307", "1.7e308"]
         out = tmp_path / "x.csv"
-        res = runner.invoke(main, ["fp", "--m", m, "--eps", eps, "--n-max", "3",
-                                   "--samples-per-interval", "4", "--out", str(out)])
-        assert res.exit_code == 0, result_output(res)
+        for m, eps in itertools.product(scales, scales):
+            args = ["fp", "--m", m, "--eps", eps, "--n-max", "1", "--samples-per-interval", "2"]
+            res = runner.invoke(main, [*args, "--out", str(out)])
+            if res.exit_code == 0:
+                _, rows = read_rows(out)
+                assert np.isfinite([[float(x) for x in r[:5]] for r in rows]).all(), args
+            else:
+                assert res.exit_code == 2 and isinstance(res.exception, SystemExit), args
+                assert res.output.splitlines()[-1].startswith(
+                    "Error: Invalid value for '--eps': "), args
+            out.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("command, m, eps, sizes", [
+        ("fp", "1", "1e-307", SMALL),
+        ("fp", "1e300", "1", SMALL),
+        ("fp", "1e-300", "1e-300", SMALL),
+        ("fp", "1e-300", "1e5", SMALL),
+        ("fp", "1e-300", "1e300", []),
+        ("fp", "1e300", "1e-300", []),
+        ("fp", "1e-300", "1e8", []),
+        ("fp", "1", "8e306", []),
+        ("fp", "1", "3.6e-307", []),
+        ("compare", "1", "1e305", []),
+        ("compare", "1", "1e307", ["--n-max", "16"]),
+    ], ids=["1-1e-307", "1e300-1", "1e-300-1e-300", "1e-300-1e5", "1e-300-1e300", "1e300-1e-300",
+            "1e-300-1e8", "1-8e306", "1-3.6e-307", "compare-1-1e305", "compare-1-1e307-n-max-16"])
+    def test_extreme_scales_in_range_still_run(self, runner, tmp_path, command, m, eps, sizes):
+        # every (m, eps) whose times are normal floats runs the m = eps = 1
+        # recursion and writes its numeric columns byte for byte
+        def numeric_columns(scales):
+            out = tmp_path / "x.csv"
+            res = runner.invoke(main, [command, *scales, *sizes, "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            header, rows = read_rows(out)
+            return {name: [row[j] for row in rows] for j, name in enumerate(header)
+                    if name.endswith("_numeric")}
+
+        assert numeric_columns(["--m", m, "--eps", eps]) == numeric_columns([])
 
 
 class TestCompare:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    baxter_envelope,
     chain_integral,
+    dawson,
     final_gap_ratio,
     free_propagator,
     free_propagator_boundary_derivative,
@@ -353,6 +355,42 @@ class TestExactEnvelopes:
             projected_envelope_exact(1.0, 4.5, 4)
         with pytest.raises(ValueError):
             projected_envelope_exact(1.0, 0.5, -1)
+
+
+class TestBaxterEnvelope:
+    """The grid-free Spitzer-Baxter envelope against what is known exactly:
+    Dawson's function at both ends, the peaks 1/(k+1) and the closed forms
+    of up to three projections."""
+
+    def test_dawson_series(self):
+        # Maclaurin sum_n (-2)^n x^(2n+1) / (2n+1)!! below 0.5, and the
+        # asymptotic sum_n (2n-1)!! / (2^(n+1) x^(2n+1)) above 50
+        x = np.linspace(0.0, 0.5, 101)
+        maclaurin = sum((-2.0) ** n * x ** (2 * n + 1) / np.prod(np.arange(1, 2 * n + 2, 2))
+                        for n in range(30))
+        assert_allclose(dawson(x), maclaurin, rtol=0, atol=5e-16)
+        x = np.geomspace(50.0, 1e4, 50)
+        asymptotic = sum(np.prod(np.arange(1, 2 * n, 2)) / (2 ** (n + 1) * x ** (2 * n + 1))
+                         for n in range(8))
+        assert_allclose(dawson(x), asymptotic, rtol=2e-15)
+
+    def test_peaks(self):
+        k = np.arange(101)
+        peaks = baxter_envelope(100, 1.0)[:, 0]
+        assert np.max(np.abs(peaks - 1 / (k + 1))) < 1e-13
+
+    def test_closed_forms(self):
+        # f(k + theta) for k <= 3 is the Brownian-bridge orthant
+        theta = np.arange(1, 65) / 64
+        got = baxter_envelope(3, theta)
+        for k in range(4):
+            want = [projected_envelope_exact(1.0, k + th, k) for th in theta]
+            assert_allclose(got[k], want, rtol=0, atol=1e-14)
+
+    def test_offsets_must_lie_in_the_interval(self):
+        for theta in (0.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
+                baxter_envelope(2, [0.5, theta])
 
 
 class TestHalfValueDrop:

@@ -4,22 +4,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import extent_config, fine_config, pre_projection_slices
+from conftest import extent_config, fine_config, fp_column, pre_projection_slices
 from oracles import (
+    baxter_envelope,
     direct_advance,
     direct_boundary_amplitude,
     interval_by_interval_recursion,
     numeric_oscillation_curve,
     richardson_right_limit,
 )
-from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
-    ScaleError,
     _half_kernel,
     _kernel_blocks,
     _kernel_spectrum,
@@ -30,11 +29,6 @@ from zenoprop.recursion import (
     run_recursion,
 )
 from zenoprop.sawtooth import calibrate_absorption
-
-
-@pytest.fixture(scope="module")
-def unit_run():
-    return run_recursion(default_config(1.0, 1.0, 4, 16))
 
 
 def assert_matches_direct(prev, cfg, s_next):
@@ -56,59 +50,48 @@ def small_cfg():
 class TestConfig:
     def test_default_grid_geometry(self):
         # the narrowest kernel, of width sqrt(eps / (16 m)), spans 16 spacings
-        g = default_config(1.0, 1.0, 20, 16).grid
+        g = default_config(20, 16).grid
         assert g.x_max >= 10 * np.sqrt(21.0)
         assert g.spacing == 1 / 64
         assert g.n_points == 2934
         # at 4096 samples per interval the spacing follows the kernel down
-        dense = default_config(1.0, 1.0, 3, 4096).grid
+        dense = default_config(3, 4096).grid
         assert dense.spacing == 1 / 1024
         assert dense.n_points == 20481
         # below 16 samples per interval the spacing stays at 1/64
-        assert default_config(1.0, 1.0, 20, 2).grid == g
+        assert default_config(20, 2).grid == g
 
     @pytest.mark.parametrize("n_max, spi, points", [
         (3, 16, 1281), (8, 16, 1921), (15, 16, 2561), (24, 16, 3201), (20, 16, 2934),
         (3, 4096, 20481), (3, 100, 3201), (1, 32, 1281),
     ])
     def test_default_point_count_is_scale_free(self, n_max, spi, points):
-        # the extent is a fixed number of spacings, so no (m, eps) rounds
-        # the count differently ((n_max + 1) spi a perfect square is the
-        # edge case)
-        scales = (0.1, 0.3, 0.7, 1.0, 2.0, 2.5, 3.0, 5.0)
-        counts = {
-            default_config(m, eps, n_max, spi).grid.n_points for m in scales for eps in scales
-        }
-        assert counts == {points}
+        # the extent is a fixed number of spacings, 160 sqrt((n_max + 1) spi)
+        # rounded up ((n_max + 1) spi a perfect square is the edge case)
+        assert default_config(n_max, spi).grid.n_points == points
 
-    @pytest.mark.parametrize("m, eps", SEED_PAIRS)
-    def test_seed_pairs_are_in_range(self, m, eps):
-        for n_max, spi in ((20, 16), (3, 4096)):
-            assert default_config(m, eps, n_max, spi).n_max == n_max
-
-    @pytest.mark.parametrize("m, eps", [(1.0, 1e-320), (1e300, 1e-300), (1e-300, 1e300),
-                                        (1.0, 1e305), (1e-300, 1e8)])
-    def test_out_of_range_scales(self, m, eps):
-        with pytest.raises(ScaleError, match="outside the positive finite floats"):
-            default_config(m, eps, 20, 16)
-        assert issubclass(ScaleError, ValueError)
+    def test_units_are_class_constants(self):
+        # the recursion works at m = eps = 1; the names stay readable on a
+        # config but are not fields
+        cfg = default_config(3, 16)
+        assert (cfg.m, cfg.eps, RecursionConfig.m, RecursionConfig.eps) == (1.0,) * 4
+        with pytest.raises(TypeError):
+            RecursionConfig(3, cfg.grid, 16, 2.0)
 
     def test_validation(self):
         g = Grid1D(10.0, 1001)
         with pytest.raises(ValueError):
-            RecursionConfig(1.0, 1.0, 0, g)
+            RecursionConfig(0, g)
         with pytest.raises(ValueError):
-            RecursionConfig(1.0, 1.0, 3, g, samples_per_interval=1)
-        with pytest.raises(ValueError):
-            RecursionConfig(-1.0, 1.0, 3, g)
+            RecursionConfig(3, g, samples_per_interval=1)
         # the narrowest kernel, of width sqrt(eps / (16 m)) = 0.25, needs 4 spacings
-        RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 161))
+        RecursionConfig(3, Grid1D(10.0, 161))
         with pytest.raises(ValueError, match="too coarse"):
-            RecursionConfig(1.0, 1.0, 3, Grid1D(10.0, 160))
+            RecursionConfig(3, Grid1D(10.0, 160))
         # the end-corrected weights span five nodes, and the far end is one more
-        RecursionConfig(1.0, 1.0, 3, Grid1D(0.1, 6))
+        RecursionConfig(3, Grid1D(0.1, 6))
         with pytest.raises(ValueError, match="more than 5 points"):
-            RecursionConfig(1.0, 1.0, 3, Grid1D(0.1, 5))
+            RecursionConfig(3, Grid1D(0.1, 5))
 
 
 class TestWorkCap:
@@ -123,14 +106,14 @@ class TestWorkCap:
         (1, 50101, (1, 50102)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
-        assert recursion.predicted_work(default_config(1.0, 1.0, n_max, spi)) <= recursion.MAX_WORK
+        assert recursion.predicted_work(default_config(n_max, spi)) <= recursion.MAX_WORK
         with pytest.raises(ValueError, match=r"exceeds the cap of 1e\+10 \(MAX_WORK\)"):
-            default_config(1.0, 1.0, *grown)
+            default_config(*grown)
 
     def test_benchmark_and_test_shapes_far_below(self):
         # fp20, fp3_dense, the finest test grid and the widest hand-built one
-        configs = [default_config(1.0, 1.0, 20, 16), default_config(1.0, 1.0, 3, 4096),
-                   fine_config(20), RecursionConfig(1.0, 1.0, 3, Grid1D(40.0, 400001))]
+        configs = [default_config(20, 16), default_config(3, 4096),
+                   fine_config(20), RecursionConfig(3, Grid1D(40.0, 400001))]
         for cfg in configs:
             assert recursion.predicted_work(cfg) < recursion.MAX_WORK / 10
 
@@ -199,7 +182,7 @@ class TestAdvance:
     def test_matches_direct_convolution_with_clamped_kernel(self):
         # the grid is shorter than kernel_span widths: the kernel is cut at
         # n_points - 1 taps and reaches across the whole grid
-        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3.0, 301))
+        cfg = RecursionConfig(2, Grid1D(3.0, 301))
         prev = initial_slice(cfg)
         for s in (1.5, 2.0):
             assert len(_half_kernel(prev, cfg, s)) == cfg.grid.n_points
@@ -210,7 +193,7 @@ class TestAdvance:
         # n_points + taps is exactly 4096, a power of two: the FFT length
         # leaves no padding, the edge of wrap-around.  The slice grows
         # toward the far end, so a wrapped tail would show near x = 0
-        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3095 / 256, 3096))
+        cfg = RecursionConfig(2, Grid1D(3095 / 256, 3096))
         prev = EuclideanSlice(1.0, cfg.grid, 1.0 + cfg.grid.points())
         s = 1.0 + 625 / 4096   # a kernel of exactly 1000 taps at spacing 1/256
         assert cfg.grid.n_points + len(_half_kernel(prev, cfg, s)) - 1 == 4096
@@ -325,7 +308,7 @@ class TestBoundaryAmplitude:
         # the grid is shorter than kernel_span widths: the wider kernels are
         # cut at n_points - 1 taps and reach across the whole grid, whose
         # far end is half-weighted
-        cfg = RecursionConfig(1.0, 1.0, 2, Grid1D(3.0, 301))
+        cfg = RecursionConfig(2, Grid1D(3.0, 301))
         slices = pre_projection_slices(cfg)
         u = np.arange(1, 17) / 16
         taps = recursion._taps(cfg, u * cfg.eps)
@@ -337,9 +320,9 @@ class TestBoundaryAmplitude:
         # budget: a row wider than 2^16 entries is a block of its own, every
         # other block holds at most 2^16 entries, and the blocks cover every
         # row, in order, out to its taps
-        dense = default_config(1.0, 1.0, 3, 4096)
+        dense = default_config(3, 4096)
         cases = [(dense, np.arange(1, 4096) / 4096 * dense.eps)]
-        wide = RecursionConfig(1.0, 1.0, 3, Grid1D(40.0, 400001))
+        wide = RecursionConfig(3, Grid1D(40.0, 400001))
         assert recursion._taps(wide, 0.5) + 1 > 1 << 16
         cases.append((wide, np.array([0.01, 0.5, 0.9, 1.0])))
         for cfg, dt in cases:
@@ -357,15 +340,15 @@ class TestBoundaryAmplitude:
             assert covered == len(dt)
 
     def test_recursion_runs_at_the_resolution_limit(self):
-        # the narrowest kernel, of width sqrt(eps / 3) at eps = 2.5, spans
-        # exactly MIN_KERNEL_SPACINGS spacings, and the recursion's own
-        # narrowest step, (1/3) eps, rounds below eps / 3: its samples still
-        # pass the refusal below
-        eps = 2.5
-        width = np.sqrt(eps / 3)
-        cfg = RecursionConfig(1.0, eps, 5, Grid1D(width / 4 * 49, 50), samples_per_interval=3)
+        # the narrowest kernel, of width sqrt(1 / 3), spans exactly
+        # MIN_KERNEL_SPACINGS spacings: the config and the samples of the
+        # recursion's own narrowest step, 1/3, both pass their refusals,
+        # and one point fewer is refused
+        width = np.sqrt(1 / 3)
+        cfg = RecursionConfig(5, Grid1D(width / 4 * 49, 50), samples_per_interval=3)
         assert 4 * cfg.grid.spacing == width
-        assert np.sqrt(1 / 3 * eps) < width
+        with pytest.raises(ValueError, match="too coarse"):
+            RecursionConfig(5, Grid1D(width / 4 * 49, 49), samples_per_interval=3)
         curve = run_recursion(cfg)
         assert np.all((curve.values > 0) & (curve.values <= 1))
 
@@ -403,27 +386,47 @@ class TestRunRecursion:
         self.assert_identical(curve, interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_dense(self):
-        cfg = default_config(1.0, 1.0, 3, 4096)
+        cfg = default_config(3, 4096)
         self.assert_identical(run_recursion(cfg), interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_coarse(self, coarse_run):
         cfg, curve, _ = coarse_run
         self.assert_identical(curve, interval_by_interval_recursion(cfg))
 
-    @pytest.mark.parametrize("m, eps, n_max, spi", [(0.3, 2.5, 7, 37), (7.0, 0.11, 4, 100)])
-    def test_matches_interval_by_interval_elsewhere(self, m, eps, n_max, spi):
-        # other sample counts: the step is u eps instead of (s - n) eps, which
-        # moves the envelope by 6.0e-16 and 1.04e-15 relative
-        cfg = default_config(m, eps, n_max, spi)
+    @pytest.mark.parametrize("n_max, spi", [(7, 37), (4, 100)])
+    def test_matches_interval_by_interval_elsewhere(self, n_max, spi):
+        # other sample counts: the step is u instead of (s - n), which may
+        # differ in the last bit and move the envelope by up to 2e-15
+        cfg = default_config(n_max, spi)
         got, want = run_recursion(cfg), interval_by_interval_recursion(cfg)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.sides, want.sides)
         assert_allclose(got.values, want.values, rtol=2e-15, atol=0.0)
 
+    @staticmethod
+    def assert_matches_exact_envelope(curve, spi, tol):
+        # every row against the grid-free envelope: the interior samples and
+        # the '-' rows are f(k + j/spi), a '+' row half the '-' row before it
+        s, plus = curve.times, curve.sides == "+"
+        k = np.where(curve.sides == "-", s - 1, np.floor(s)).astype(int)
+        j = np.rint((s - k) * spi).astype(int)
+        exact = baxter_envelope(k.max(), np.arange(1, spi + 1) / spi)
+        want = np.where(plus, 0.5 * exact[k - 1, -1], exact[k, j - 1])
+        assert np.max(np.abs(curve.values - want)) < tol
+
+    def test_every_fp20_row_is_exact(self, default_run):
+        # 6.58e-10 at k = 1, theta = 1/16, the narrowest kernel's sample
+        _, curve, _, _ = default_run
+        self.assert_matches_exact_envelope(curve, 16, 1e-9)
+
+    def test_every_dense_row_is_exact(self):
+        # three projections at 256 samples per interval: 5.40e-10
+        self.assert_matches_exact_envelope(run_recursion(default_config(3, 256)), 256, 1e-9)
+
     def test_one_kernel_spectrum_per_run(self, monkeypatch):
         # the fp20 run builds its step kernel once and advances once per
         # interval, through the module attribute the benchmark traces
-        cfg = default_config(1.0, 1.0, 20, 16)
+        cfg = default_config(20, 16)
         calls = {"_half_kernel": 0, "advance_slice": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(recursion, name), **kwargs):
@@ -458,7 +461,7 @@ class TestRunRecursion:
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
         # (1.4e-10 measured)
-        cfg = default_config(1.0, 1.0, 3, 16)
+        cfg = default_config(3, 16)
         curve = run_recursion(cfg)
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
@@ -513,13 +516,18 @@ class TestRunRecursion:
     @example(0.3, 1.0)
     @example(1.0, 0.3)
     @example(0.7, 2.5)
-    def test_mass_and_units_scale_out(self, unit_run, m, eps):
-        # the envelope depends on t / eps only: the default grid scales with
-        # sqrt(eps / m), so every (m, eps) repeats the m = eps = 1 arithmetic
-        curve = run_recursion(default_config(m, eps, 4, 16))
-        assert np.array_equal(curve.sides, unit_run.sides)
-        assert_allclose(curve.times / eps, unit_run.times, rtol=1e-15)
-        assert np.max(np.abs(curve.values - unit_run.values)) <= 1e-13
+    @example(4.0, 1.0)   # the benchmark's other seed pairs
+    @example(1.0, 4.0)
+    @example(4.0, 0.25)
+    @example(0.25, 1.0)
+    @example(16.0, 4.0)
+    def test_mass_and_units_scale_out(self, tmp_path_factory, m, eps):
+        # the envelope depends on t / eps only, and the recursion runs at
+        # m = eps = 1 whatever the (m, eps) of the table: fp writes the unit
+        # run's f_p_numeric column byte for byte
+        out = tmp_path_factory.mktemp("fp") / "fp.csv"
+        args = ["--n-max", "4"]
+        assert fp_column(out, m, eps, *args) == fp_column(out, 1.0, 1.0, *args)
 
 
 class TestOscillationCurve:
