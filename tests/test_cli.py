@@ -303,19 +303,9 @@ class TestUsageErrors:
         assert len(last) < 200
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["fp", "--eps", "1e-320", "--v0", "1"],
-        ["compare", "--eps", "1e-310", "--v0", "1"],
-        ["fp", "--eps", "1e-308"],
-        ["fp", "--eps", "3.5e-307"],
-        ["fp", "--eps", "1e307"],
-        ["compare", "--eps", "1e307", "--n-max", "17"],
-    ], ids=["eps-1e-320", "eps-1e-310", "eps-1e-308", "eps-3.5e-307", "eps-1e307",
-            "compare-eps-1e307-n-max-17"])
-    def test_out_of_range_eps_is_refused(self, runner, tmp_path, monkeypatch, args):
-        # the recursion runs in units of eps, so only the times t = s eps
-        # meet the float limits: eps / samples_per_interval must be a normal
-        # float and (n_max + 1) eps finite; refused before the recursion runs
+    @staticmethod
+    def assert_eps_refused(runner, tmp_path, monkeypatch, args):
+        # refused with one line naming --eps alone, before the recursion runs
         def refuse(cfg):
             raise AssertionError("the recursion ran")
 
@@ -329,6 +319,53 @@ class TestUsageErrors:
         assert "outside the normal floats" in last
         assert len(last) < 200
         assert not out.exists()
+
+    @staticmethod
+    def assert_unit_numeric_columns(runner, tmp_path, command, scales, sizes):
+        # runs the m = eps = 1 recursion and writes its numeric columns byte
+        # for byte
+        def numeric_columns(scales):
+            out = tmp_path / "x.csv"
+            res = runner.invoke(main, [command, *scales, *sizes, "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            header, rows = read_rows(out)
+            return {name: [row[j] for row in rows] for j, name in enumerate(header)
+                    if name.endswith("_numeric")}
+
+        assert numeric_columns(scales) == numeric_columns([])
+
+    @pytest.mark.parametrize("args, refused", [
+        (["fp", "--eps", "1e-320", "--v0", "1"], True),
+        (["compare", "--eps", "1e-310", "--v0", "1"], True),
+        (["fp", "--m", "1e-300", "--eps", "1e300"], False),
+        (["fp", "--m", "1e300", "--eps", "1e-300"], False),
+        (["fp", "--eps", "1e-308"], True),
+        (["compare", "--eps", "1e305"], False),
+        (["fp", "--m", "1e-300", "--eps", "1e8"], False),
+    ], ids=["eps-1e-320", "eps-1e-310", "eps-over-m-inf", "eps-over-m-0", "rate-inf",
+            "reach-inf", "kernel-x2-inf"])
+    def test_out_of_range_scales_name_mass_and_eps(self, runner, tmp_path, monkeypatch, args,
+                                                   refused):
+        # scales at which sqrt(eps/m), m/eps or (n_max + 1) eps leave the
+        # floats.  The recursion runs in units of eps, so m never reaches it
+        # and no message names --m: an eps whose times t = s eps leave the
+        # normal floats is refused naming --eps alone, and every other pair
+        # writes the unit run's numeric columns
+        if refused:
+            self.assert_eps_refused(runner, tmp_path, monkeypatch, args)
+        else:
+            self.assert_unit_numeric_columns(runner, tmp_path, args[0], args[1:], [])
+
+    @pytest.mark.parametrize("args", [
+        ["fp", "--eps", "3.5e-307"],
+        ["fp", "--eps", "1e307"],
+        ["compare", "--eps", "1e307", "--n-max", "17"],
+    ], ids=["eps-3.5e-307", "eps-1e307", "compare-eps-1e307-n-max-17"])
+    def test_out_of_range_eps_is_refused(self, runner, tmp_path, monkeypatch, args):
+        # the recursion runs in units of eps, so only the times t = s eps
+        # meet the float limits: eps / samples_per_interval must be a normal
+        # float and (n_max + 1) eps finite
+        self.assert_eps_refused(runner, tmp_path, monkeypatch, args)
 
     def test_no_scale_gives_a_traceback(self, runner, tmp_path):
         # across the floats every (m, eps) either writes a finite table or
@@ -353,27 +390,16 @@ class TestUsageErrors:
         ("fp", "1e300", "1", SMALL),
         ("fp", "1e-300", "1e-300", SMALL),
         ("fp", "1e-300", "1e5", SMALL),
-        ("fp", "1e-300", "1e300", []),
-        ("fp", "1e300", "1e-300", []),
-        ("fp", "1e-300", "1e8", []),
         ("fp", "1", "8e306", []),
         ("fp", "1", "3.6e-307", []),
-        ("compare", "1", "1e305", []),
         ("compare", "1", "1e307", ["--n-max", "16"]),
-    ], ids=["1-1e-307", "1e300-1", "1e-300-1e-300", "1e-300-1e5", "1e-300-1e300", "1e300-1e-300",
-            "1e-300-1e8", "1-8e306", "1-3.6e-307", "compare-1-1e305", "compare-1-1e307-n-max-16"])
+    ], ids=["1-1e-307", "1e300-1", "1e-300-1e-300", "1e-300-1e5", "1-8e306", "1-3.6e-307",
+            "compare-1-1e307-n-max-16"])
     def test_extreme_scales_in_range_still_run(self, runner, tmp_path, command, m, eps, sizes):
-        # every (m, eps) whose times are normal floats runs the m = eps = 1
-        # recursion and writes its numeric columns byte for byte
-        def numeric_columns(scales):
-            out = tmp_path / "x.csv"
-            res = runner.invoke(main, [command, *scales, *sizes, "--out", str(out)])
-            assert res.exit_code == 0, result_output(res)
-            header, rows = read_rows(out)
-            return {name: [row[j] for row in rows] for j, name in enumerate(header)
-                    if name.endswith("_numeric")}
-
-        assert numeric_columns(["--m", m, "--eps", eps]) == numeric_columns([])
+        # every (m, eps) whose times are normal floats runs, at the edges of
+        # the --eps rule too
+        self.assert_unit_numeric_columns(runner, tmp_path, command, ["--m", m, "--eps", eps],
+                                         sizes)
 
 
 class TestCompare:

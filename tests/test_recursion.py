@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -13,7 +16,9 @@ from oracles import (
     numeric_oscillation_curve,
     richardson_right_limit,
 )
+from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
+from zenoprop.cli import main
 from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
@@ -69,6 +74,44 @@ class TestConfig:
         # the extent is a fixed number of spacings, 160 sqrt((n_max + 1) spi)
         # rounded up ((n_max + 1) spi a perfect square is the edge case)
         assert default_config(n_max, spi).grid.n_points == points
+
+    @staticmethod
+    def configs_run_by_fp(monkeypatch, tmp_path, m, eps, n_max, spi):
+        # the exit code of the fp table at (m, eps) and the recursion
+        # configs it ran.  v0 eps is held at 1 where 1/eps is finite, and v0
+        # at 1 where it is not, so that only the --eps rule can refuse: the
+        # default v0 = 4/(3 eps) overflows at the tiniest eps
+        seen, run = [], recursion.run_recursion
+        v0 = 1 / eps if np.isfinite(1 / eps) else 1.0
+
+        def record(cfg):
+            seen.append(cfg)
+            return run(cfg)
+
+        monkeypatch.setattr(recursion, "run_recursion", record)
+        args = ["fp", "--m", repr(m), "--eps", repr(eps), "--v0", repr(v0), "--n-max", str(n_max),
+                "--samples-per-interval", str(spi), "--out", str(tmp_path / "fp.csv")]
+        return CliRunner().invoke(main, args).exit_code, seen
+
+    @pytest.mark.parametrize("m, eps", SEED_PAIRS)
+    def test_seed_pairs_are_in_range(self, monkeypatch, tmp_path, m, eps):
+        # at both benchmark shapes every seed pair runs the unit config
+        for n_max, spi in ((20, 16), (3, 4096)):
+            code, seen = self.configs_run_by_fp(monkeypatch, tmp_path, m, eps, n_max, spi)
+            assert (code, seen) == (0, [default_config(n_max, spi)])
+
+    @pytest.mark.parametrize("m, eps", [(1.0, 1e-320), (1e300, 1e-300), (1e-300, 1e300),
+                                        (1.0, 1e305), (1e-300, 1e8)])
+    def test_out_of_range_scales(self, monkeypatch, tmp_path, m, eps):
+        # scales at which sqrt(eps/m), m/eps or (n_max + 1) eps leave the
+        # floats never reach the recursion: an eps whose times t = s eps
+        # leave the normal floats is refused before it runs, and every other
+        # pair runs the unit config
+        code, seen = self.configs_run_by_fp(monkeypatch, tmp_path, m, eps, 20, 16)
+        if eps / 16 >= sys.float_info.min and 21 * eps <= sys.float_info.max:
+            assert (code, seen) == (0, [default_config(20, 16)])
+        else:
+            assert (code, seen) == (2, [])
 
     def test_units_are_class_constants(self):
         # the recursion works at m = eps = 1; the names stay readable on a
