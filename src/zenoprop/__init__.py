@@ -31,7 +31,6 @@ from .recursion import (
     RecursionConfig,
     advance_slice,
     boundary_amplitude,
-    default_config,
     initial_slice,
     run_recursion,
 )

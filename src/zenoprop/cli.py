@@ -189,7 +189,7 @@ def _recursion_tables(eps, v0, n_max, samples_per_interval):
     numeric envelope, the absorbing envelope at strength v0 eps, and their
     oscillation ratio."""
     try:  # refused on the sizes and eps alone, before anything is allocated
-        cfg = recursion.default_config(n_max, samples_per_interval)
+        cfg = recursion.RecursionConfig(n_max, samples_per_interval)
     except (ValueError, OverflowError) as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err

@@ -114,9 +114,3 @@ class BoundaryCurve:
                 raise ValueError("sides must match times in length")
         if len(self.times) > 1 and np.any(np.diff(self.times) < 0):
             raise ValueError("times must be non-decreasing")
-
-    def window(self, t_min: float, t_max: float) -> "BoundaryCurve":
-        """Subset of samples with t_min <= t <= t_max."""
-        sel = (self.times >= t_min) & (self.times <= t_max)
-        sides = self.sides[sel] if self.sides is not None else None
-        return BoundaryCurve(self.times[sel], self.values[sel], sides)

@@ -25,15 +25,16 @@ of ``RecursionConfig``, so the formulas keep their physical form and code
 that reads ``cfg.m`` and ``cfg.eps`` (the benchmark sizes the advances'
 kernels that way) still works.
 
-Numerics: slices live on a uniform grid over [0, x_max] with x_max about
-ten thermal widths of the total duration and a spacing tied to the
-narrowest kernel, which spans 16 spacings (``default_config``).  The
-y-integral is the trapezoid rule with Gregory's end corrections over the
-first five nodes at y = 0.  The integrand is smooth on y >= 0, so the
-O(h^2) end term that the corrections cancel is the plain trapezoid's whole
-error; the far end, where the slice is negligible, keeps its half weight.
-At the default grids the peaks are exact to about 1e-11 and the envelope
-with up to three projections matches its closed forms to about 1e-9.
+Numerics: slices live on a uniform grid over [0, x_max], derived from
+n_max and samples_per_interval alone (``RecursionConfig``), with x_max
+about ten thermal widths of the total duration and a spacing tied to the
+narrowest kernel, which spans 16 spacings.  The y-integral is the
+trapezoid rule with Gregory's end corrections over the first five nodes at
+y = 0.  The integrand is smooth on y >= 0, so the O(h^2) end term that the
+corrections cancel is the plain trapezoid's whole error; the far end, where
+the slice is negligible, keeps its half weight.  At these grids the peaks
+are exact to about 1e-11 and the envelope with up to three projections
+matches its closed forms to about 1e-9.
 
 Every advance is a discrete convolution with the heat kernel cut at
 ``kernel_span`` widths, evaluated as one real FFT product at the smallest
@@ -50,8 +51,9 @@ samples of all intervals in one pass over blocks of kernel rows, each
 block built once and dotted with every slice near the origin
 (``boundary_amplitude``).  On the free interval 0 < s <= 1 the slice is the
 heat kernel itself and the envelope is exactly one, so only the slice at
-s = 1 is built.  The grid must resolve the narrowest kernel used, that of
-the step eps / samples_per_interval, by at least four spacings.
+s = 1 is built.  Samples at offsets whose kernels span fewer than four
+spacings are refused; the recursion's own narrowest step, eps /
+samples_per_interval, spans at least 16.
 
 One-sided limits at the projection instants: the left limit is the ordinary
 sample at the end of an interval; the right limit is the exact coincidence
@@ -61,7 +63,7 @@ value, half the left limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +75,6 @@ __all__ = [
     "RecursionConfig",
     "MAX_WORK",
     "predicted_work",
-    "default_config",
     "initial_slice",
     "advance_slice",
     "boundary_amplitude",
@@ -119,23 +120,37 @@ MAX_WORK = 10**10
 
 @dataclass(frozen=True)
 class RecursionConfig:
+    """Recursion settings at m = eps = 1 (the module's units, which serve
+    every physical (m, eps) because the envelope depends on t/eps alone):
+    n_max projections, each interval sampled at ``samples_per_interval``
+    offsets.  The slice grid is derived from the two, once: it spans ten
+    thermal widths of the total duration at spacing
+    ``h = 1 / (16 sqrt(max(samples_per_interval, 16)))`` thermal widths
+    sqrt(eps/m).  The spacing is tied to the narrowest kernel, of width
+    sqrt(1 / samples_per_interval), which spans 16 spacings (more below 16
+    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.  The
+    Gaussian tails beyond x_max are below 1e-20.  So every grid has at least
+    907 points, and the widest kernel, a step of one interval, ends at least
+    266 points short of the grid's far end."""
+
     n_max: int
-    grid: Grid1D
-    samples_per_interval: int = 16
+    samples_per_interval: int
+    grid: Grid1D = field(init=False, compare=False, repr=False)
     m: ClassVar[float] = 1.0               # the units: mass and spacing are one
     eps: ClassVar[float] = 1.0
     kernel_span: ClassVar[float] = 10.0    # kernel truncated at this many std widths
 
     def __post_init__(self) -> None:
-        _check_sizes(self.n_max, self.samples_per_interval)
-        if self.grid.n_points <= len(_END_WEIGHTS):
-            raise ValueError(f"the slice grid needs more than {len(_END_WEIGHTS)} points")
-        narrowest = np.sqrt(self.eps / (self.samples_per_interval * self.m))
-        if narrowest < MIN_KERNEL_SPACINGS * self.grid.spacing:
-            raise ValueError(
-                f"grid spacing {self.grid.spacing:.3g} too coarse: the narrowest kernel, "
-                f"of width {narrowest:.3g}, spans fewer than {MIN_KERNEL_SPACINGS} spacings"
-            )
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
+        if self.samples_per_interval < 2:
+            raise ValueError("samples_per_interval must be >= 2")
+        samples = max(self.samples_per_interval, 16)
+        h = 1.0 / (16.0 * np.sqrt(float(samples)))
+        # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
+        # spacings
+        n_points = int(np.ceil(160.0 * np.sqrt(float((self.n_max + 1) * samples)))) + 1
+        object.__setattr__(self, "grid", Grid1D(h * (n_points - 1), n_points))
         work = predicted_work(self)
         if not work <= MAX_WORK:
             raise ValueError(f"predicted work {work:.3g} exceeds the cap of {MAX_WORK:.3g} "
@@ -152,40 +167,11 @@ def predicted_work(cfg: RecursionConfig) -> float:
     250,000 rows.  Nothing is allocated."""
     # the widest kernel's taps, as _taps counts them, in Python ints, which
     # hold any size a config can be given
-    taps = min(math.ceil(cfg.kernel_span * math.sqrt(cfg.eps / cfg.m) / cfg.grid.spacing),
-               cfg.grid.n_points - 1)
+    taps = math.ceil(cfg.kernel_span * math.sqrt(cfg.eps / cfg.m) / cfg.grid.spacing)
     fft_points = cfg.n_max * pow2_at_least(cfg.grid.n_points + taps)
     kernel_values = cfg.samples_per_interval * (2 * taps / 3 + 1)
     rows = cfg.samples_per_interval + cfg.n_max * (cfg.samples_per_interval + 1)
     return 80.0 * fft_points + (cfg.n_max + 4) * kernel_values + 40_000.0 * rows
-
-
-def _check_sizes(n_max: int, samples_per_interval: int) -> None:
-    """The projection and sample counts every config needs."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if samples_per_interval < 2:
-        raise ValueError("samples_per_interval must be >= 2")
-
-
-def default_config(n_max: int, samples_per_interval: int) -> RecursionConfig:
-    """Recursion settings at m = eps = 1 (the module's units, which serve
-    every physical (m, eps) because the envelope depends on t/eps alone), on
-    a grid spanning ten thermal widths of the total duration, at spacing
-    ``h = 1 / (16 sqrt(max(samples_per_interval, 16)))`` thermal widths
-    sqrt(eps/m).  The spacing is tied to the narrowest kernel, of width
-    sqrt(1 / samples_per_interval), which spans 16 spacings (more below 16
-    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.  The
-    Gaussian tails beyond x_max are below 1e-20.  Other grids go through
-    ``RecursionConfig`` directly."""
-    _check_sizes(n_max, samples_per_interval)
-    samples = max(samples_per_interval, 16)
-    h = 1.0 / (16.0 * np.sqrt(float(samples)))
-    # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
-    # spacings
-    n_points = int(np.ceil(160.0 * np.sqrt(float((n_max + 1) * samples)))) + 1
-    grid = Grid1D(h * (n_points - 1), n_points)
-    return RecursionConfig(n_max, grid, samples_per_interval)
 
 
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
@@ -214,15 +200,14 @@ def _steps(prev: EuclideanSlice, cfg: RecursionConfig, s_next) -> np.ndarray:
 
 
 def _taps(cfg: RecursionConfig, dt):
-    """Kernel points past the origin for steps dt: kernel_span widths, cut
-    at the grid length."""
-    taps = np.ceil(cfg.kernel_span * np.sqrt(dt / cfg.m) / cfg.grid.spacing)
-    return np.minimum(taps, cfg.grid.n_points - 1).astype(int)
+    """Kernel points past the origin for steps dt: kernel_span widths.  A
+    step of at most one interval ends inside the grid (``RecursionConfig``)."""
+    return np.ceil(cfg.kernel_span * np.sqrt(dt / cfg.m) / cfg.grid.spacing).astype(int)
 
 
 def _half_kernel(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> np.ndarray:
     """Heat kernel of the step from integer s = n to s_next in (n, n+1] at
-    grid offsets 0, h, ..., cut at kernel_span widths and at the grid length."""
+    grid offsets 0, h, ..., cut at kernel_span widths."""
     dt = float(_steps(prev, cfg, s_next))
     return heat_kernel(cfg.m, dt, np.arange(_taps(cfg, dt) + 1) * cfg.grid.spacing, 0.0)
 

@@ -34,6 +34,12 @@ __all__ = [
     "calibrate_absorption",
 ]
 
+# Relative distance of t/eps from a drop index within which t counts as the
+# drop: eight roundings.  A time grid's drop instants t = k eps sit within one
+# rounding of k (the default pdx scan's grids); a probe 1e-13 eps before the
+# drop at k = 12 is 37 roundings away and stays on the peak branch.
+_SNAP = 8 * np.finfo(float).eps
+
 
 def peak_value(k) -> np.ndarray | float:
     """Envelope peak 1/(k+1) approached from below at the drop t_k; ``k``
@@ -54,16 +60,20 @@ def trough_value(k) -> np.ndarray | float:
 def sawtooth_envelope(eps: float, t) -> np.ndarray | float:
     """Model envelope f(t) for t >= 0 with projections every eps,
     right-continuous at the drops (the value at t_k itself is the trough, as
-    the half-open branches dictate)."""
+    the half-open branches dictate; a t within rounding of a drop counts as
+    the drop)."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("envelope is defined for t >= 0")
     out = np.ones_like(t)
-    past = t >= eps
+    s = t / eps
+    drop = np.rint(s)
+    s = np.where(np.abs(s - drop) <= _SNAP * drop, drop, s)
+    past = s >= 1
     # k = number of projections already applied at time t (>= 1 where past)
-    k = np.floor((t[past] - eps) / eps).astype(int) + 1
+    k = np.floor(s[past]).astype(int)
     t_lo = eps + (k - 1) * eps
     t_hi = eps + k * eps
     out[past] = (t[past] - t_lo) / ((k + 1) * eps) + (t_hi - t[past]) / (2 * k * eps)

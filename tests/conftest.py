@@ -10,7 +10,6 @@ sys.path.insert(1, str(Path(__file__).parent.parent))  # the benchmark package
 
 from zenoprop import recursion
 from zenoprop.cli import main
-from zenoprop.core import Grid1D
 
 
 def fp_column(out, m, eps, *args):
@@ -32,19 +31,11 @@ def pre_projection_slices(cfg):
     return slices
 
 
-def extent_config(n_max, n_points):
-    """m = eps = 1 with n_max projections at 16 samples per interval, on
-    ``n_points`` points over the default grid's extent."""
-    x_max = recursion.default_config(n_max, 16).grid.x_max
-    return recursion.RecursionConfig(n_max, Grid1D(x_max, n_points))
-
-
 def fine_config(n_max):
-    """The default extent for n_max projections at 16 samples per interval,
-    at spacing about 1e-3 sqrt(eps/m): fine enough for the right-limit
-    oracle, whose smallest offset kernel then spans five spacings."""
-    x_max = recursion.default_config(n_max, 16).grid.x_max
-    return extent_config(n_max, round(x_max / 1e-3) + 1)
+    """n_max projections at 4096 samples per interval, at spacing 1/1024
+    sqrt(eps/m): fine enough for the right-limit oracle, whose smallest
+    offset kernel then spans five spacings."""
+    return recursion.RecursionConfig(n_max, 4096)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +44,7 @@ def default_run():
     saw-tooth acceptance checks (it is the expensive fixture of the suite).
     Yields (config, envelope curve, pre-projection slices at s = 1..n_max+1,
     wall-clock seconds of the run)."""
-    cfg = recursion.default_config(20, 16)
+    cfg = recursion.RecursionConfig(20, 16)
     start = time.monotonic()
     curve = recursion.run_recursion(cfg)
     elapsed = time.monotonic() - start
@@ -62,7 +53,8 @@ def default_run():
 
 @pytest.fixture(scope="session")
 def coarse_run():
-    """A budget recursion for unit-level checks: coarser grid, 6 projections.
-    Yields (config, envelope curve, pre-projection slices at s = 1..7)."""
-    cfg = extent_config(6, 6616)  # spacing 4.0e-3
+    """A budget recursion for unit-level checks: 6 projections at 256
+    samples per interval (spacing 1/256).  Yields (config, envelope curve,
+    pre-projection slices at s = 1..7)."""
+    cfg = recursion.RecursionConfig(6, 256)
     return cfg, recursion.run_recursion(cfg), pre_projection_slices(cfg)

@@ -396,9 +396,9 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     the envelope at rescaled-time offsets ``offset`` and ``offset / 4``
     past the projection, extrapolated in sqrt(offset), the order of the
     leading correction.  The quadrature resolves the kernels of those
-    offsets only on fine grids: at spacing 1e-3 sqrt(eps/m) the trough error
-    is about 3e-5, at the default spacing ``boundary_amplitude`` refuses them
-    (see ``conftest.fine_config``)."""
+    offsets only on fine grids: at spacing 1/1024 sqrt(eps/m) the trough
+    error is about 6e-6 (``conftest.fine_config``), at the default spacing
+    ``boundary_amplitude`` refuses them."""
     d = np.array([offset / 4, offset])
     s = prev.s + d
     near, far = boundary_amplitude([prev.values], cfg, d)[0] / heat_kernel(
@@ -545,7 +545,7 @@ def baxter_envelope(k_max: int, theta) -> np.ndarray:
 def numeric_oscillation_curve(curve: BoundaryCurve, v0: float) -> BoundaryCurve:
     """Oscillation ratio S(t) = f(t)/f_absorbing(t) - 1 of a numeric envelope
     curve against the absorbing envelope at strength v0, as a curve that
-    keeps the sides, so the tests can window it."""
+    keeps the times and sides of ``curve``."""
     fv = absorbing_envelope(v0, curve.times)
     s = oscillation_ratio(curve.values, fv)
     return BoundaryCurve(curve.times, np.atleast_1d(s), curve.sides)

@@ -159,8 +159,3 @@ class TestBoundaryCurve:
             BoundaryCurve(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             BoundaryCurve(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
-
-    def test_window(self):
-        c = BoundaryCurve(np.array([0.0, 1.0, 2.0, 3.0]), np.arange(4.0))
-        w = c.window(0.5, 2.5)
-        assert_allclose(w.times, [1.0, 2.0])

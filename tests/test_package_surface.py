@@ -2,7 +2,8 @@
 oracles belong in ``tests/oracles.py``: every name ``zenoprop`` exports must
 have a caller in ``src/zenoprop/`` or be a layer the benchmark traces
 (``perfbench/spans.py``).  Every third-party module the code imports must be
-declared in ``pyproject.toml``."""
+declared in ``pyproject.toml``.  The slice grid is built in one place,
+``recursion.RecursionConfig``."""
 
 import ast
 import re
@@ -71,3 +72,24 @@ def test_every_third_party_import_is_declared():
     imported = set().union(*(imported_top_level(repo / d) for d in ("src", "tests", "perfbench")))
     third_party = imported - set(sys.stdlib_module_names) - local
     assert sorted(third_party - declared) == []
+
+
+def grid_builders() -> list[str]:
+    """``module.Class`` (or ``module``) of every ``Grid1D(...)`` call in the
+    package."""
+    found = []
+    for path in sorted(Path(zenoprop.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            owner = path.stem
+            if isinstance(statement, ast.ClassDef):
+                owner += "." + statement.name
+            found += [owner for node in ast.walk(statement)
+                      if isinstance(node, ast.Call) and (
+                          getattr(node.func, "id", None) == "Grid1D"
+                          or getattr(node.func, "attr", None) == "Grid1D")]
+    return found
+
+
+def test_the_slice_grid_is_built_in_one_place():
+    # the grid follows from the recursion's sizes alone
+    assert grid_builders() == ["recursion.RecursionConfig"]

@@ -1,13 +1,14 @@
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import extent_config, fine_config, fp_column, pre_projection_slices
+from conftest import fine_config, fp_column, pre_projection_slices
 from oracles import (
     baxter_envelope,
     direct_advance,
@@ -19,7 +20,7 @@ from oracles import (
 from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
 from zenoprop.cli import main
-from zenoprop.core import Grid1D, NumericalFailure, heat_kernel
+from zenoprop.core import NumericalFailure, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
@@ -29,7 +30,6 @@ from zenoprop.recursion import (
     _kernel_spectrum,
     advance_slice,
     boundary_amplitude,
-    default_config,
     initial_slice,
     run_recursion,
 )
@@ -47,24 +47,24 @@ def assert_matches_direct(prev, cfg, s_next):
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    # fast configuration for unit checks (spacing 4e-3); tolerances stay far
+    # fast configuration for unit checks (spacing 1/256); tolerances stay far
     # below targets
-    return extent_config(3, 5001)
+    return RecursionConfig(3, 256)
 
 
 class TestConfig:
     def test_default_grid_geometry(self):
         # the narrowest kernel, of width sqrt(eps / (16 m)), spans 16 spacings
-        g = default_config(20, 16).grid
+        g = RecursionConfig(20, 16).grid
         assert g.x_max >= 10 * np.sqrt(21.0)
         assert g.spacing == 1 / 64
         assert g.n_points == 2934
         # at 4096 samples per interval the spacing follows the kernel down
-        dense = default_config(3, 4096).grid
+        dense = RecursionConfig(3, 4096).grid
         assert dense.spacing == 1 / 1024
         assert dense.n_points == 20481
         # below 16 samples per interval the spacing stays at 1/64
-        assert default_config(20, 2).grid == g
+        assert RecursionConfig(20, 2).grid == g
 
     @pytest.mark.parametrize("n_max, spi, points", [
         (3, 16, 1281), (8, 16, 1921), (15, 16, 2561), (24, 16, 3201), (20, 16, 2934),
@@ -73,7 +73,7 @@ class TestConfig:
     def test_default_point_count_is_scale_free(self, n_max, spi, points):
         # the extent is a fixed number of spacings, 160 sqrt((n_max + 1) spi)
         # rounded up ((n_max + 1) spi a perfect square is the edge case)
-        assert default_config(n_max, spi).grid.n_points == points
+        assert RecursionConfig(n_max, spi).grid.n_points == points
 
     @staticmethod
     def configs_run_by_fp(monkeypatch, tmp_path, m, eps, n_max, spi):
@@ -98,7 +98,7 @@ class TestConfig:
         # at both benchmark shapes every seed pair runs the unit config
         for n_max, spi in ((20, 16), (3, 4096)):
             code, seen = self.configs_run_by_fp(monkeypatch, tmp_path, m, eps, n_max, spi)
-            assert (code, seen) == (0, [default_config(n_max, spi)])
+            assert (code, seen) == (0, [RecursionConfig(n_max, spi)])
 
     @pytest.mark.parametrize("m, eps", [(1.0, 1e-320), (1e300, 1e-300), (1e-300, 1e300),
                                         (1.0, 1e305), (1e-300, 1e8)])
@@ -109,32 +109,44 @@ class TestConfig:
         # pair runs the unit config
         code, seen = self.configs_run_by_fp(monkeypatch, tmp_path, m, eps, 20, 16)
         if eps / 16 >= sys.float_info.min and 21 * eps <= sys.float_info.max:
-            assert (code, seen) == (0, [default_config(20, 16)])
+            assert (code, seen) == (0, [RecursionConfig(20, 16)])
         else:
             assert (code, seen) == (2, [])
 
     def test_units_are_class_constants(self):
         # the recursion works at m = eps = 1; the names stay readable on a
-        # config but are not fields
-        cfg = default_config(3, 16)
+        # config but are not fields, and the grid is derived, not given
+        cfg = RecursionConfig(3, 16)
         assert (cfg.m, cfg.eps, RecursionConfig.m, RecursionConfig.eps) == (1.0,) * 4
+        assert [f.name for f in fields(cfg) if f.init] == ["n_max", "samples_per_interval"]
         with pytest.raises(TypeError):
-            RecursionConfig(3, cfg.grid, 16, 2.0)
+            RecursionConfig(3, 16, 2.0)
+        with pytest.raises(TypeError):
+            RecursionConfig(3, 16, grid=cfg.grid)
 
     def test_validation(self):
-        g = Grid1D(10.0, 1001)
-        with pytest.raises(ValueError):
-            RecursionConfig(0, g)
-        with pytest.raises(ValueError):
-            RecursionConfig(3, g, samples_per_interval=1)
-        # the narrowest kernel, of width sqrt(eps / (16 m)) = 0.25, needs 4 spacings
-        RecursionConfig(3, Grid1D(10.0, 161))
-        with pytest.raises(ValueError, match="too coarse"):
-            RecursionConfig(3, Grid1D(10.0, 160))
-        # the end-corrected weights span five nodes, and the far end is one more
-        RecursionConfig(3, Grid1D(0.1, 6))
-        with pytest.raises(ValueError, match="more than 5 points"):
-            RecursionConfig(3, Grid1D(0.1, 5))
+        with pytest.raises(ValueError, match="n_max"):
+            RecursionConfig(0, 16)
+        with pytest.raises(ValueError, match="samples_per_interval"):
+            RecursionConfig(3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2000), st.integers(2, 50_000))
+    @example(1, 2)        # the smallest grid, 907 points
+    @example(1, 16)
+    @example(1, 50101)    # the largest accepted sizes
+    @example(2518, 16)
+    def test_derived_grids_need_no_refusal(self, n_max, spi):
+        # every accepted config resolves its narrowest kernel by at least
+        # MIN_KERNEL_SPACINGS spacings, and its widest kernel, a step of one
+        # interval, ends inside the grid, so no kernel needs cutting there
+        try:
+            cfg = RecursionConfig(n_max, spi)
+        except ValueError as err:
+            assert "MAX_WORK" in str(err)
+            assume(False)
+        assert np.sqrt(1 / spi) >= recursion.MIN_KERNEL_SPACINGS * cfg.grid.spacing
+        assert recursion._taps(cfg, 1.0) + 1 < cfg.grid.n_points
 
 
 class TestWorkCap:
@@ -149,16 +161,16 @@ class TestWorkCap:
         (1, 50101, (1, 50102)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
-        assert recursion.predicted_work(default_config(n_max, spi)) <= recursion.MAX_WORK
+        assert recursion.predicted_work(RecursionConfig(n_max, spi)) <= recursion.MAX_WORK
         with pytest.raises(ValueError, match=r"exceeds the cap of 1e\+10 \(MAX_WORK\)"):
-            default_config(*grown)
+            RecursionConfig(*grown)
 
     def test_benchmark_and_test_shapes_far_below(self):
-        # fp20, fp3_dense, the finest test grid and the widest hand-built one
-        configs = [default_config(20, 16), default_config(3, 4096),
-                   fine_config(20), RecursionConfig(3, Grid1D(40.0, 400001))]
-        for cfg in configs:
+        # fp20 and fp3_dense sit far below the cap; the finest test grid,
+        # 20 projections at 4096 samples per interval (4.2e9), is accepted
+        for cfg in (RecursionConfig(20, 16), RecursionConfig(3, 4096)):
             assert recursion.predicted_work(cfg) < recursion.MAX_WORK / 10
+        fine_config(20)
 
 
 class TestInitialSlice:
@@ -213,8 +225,9 @@ class TestAdvance:
             assert_matches_direct(prev, cfg, prev.s + 1.0)
 
     def test_matches_direct_convolution_at_fractional_steps(self):
-        # an odd (prime) point count and partial steps, so shorter kernels
-        cfg = extent_config(3, 1237)
+        # an odd (prime) point count, 1321, at an irrational spacing, and
+        # partial steps, so shorter kernels
+        cfg = RecursionConfig(3, 17)
         prev = initial_slice(cfg)
         for s in (1.0625, 1.37, 1.9):
             assert_matches_direct(prev, cfg, s)
@@ -222,24 +235,14 @@ class TestAdvance:
         for s in (2.25, 2.61, 3.0):
             assert_matches_direct(prev, cfg, s)
 
-    def test_matches_direct_convolution_with_clamped_kernel(self):
-        # the grid is shorter than kernel_span widths: the kernel is cut at
-        # n_points - 1 taps and reaches across the whole grid
-        cfg = RecursionConfig(2, Grid1D(3.0, 301))
-        prev = initial_slice(cfg)
-        for s in (1.5, 2.0):
-            assert len(_half_kernel(prev, cfg, s)) == cfg.grid.n_points
-            assert_matches_direct(prev, cfg, s)
-        assert_matches_direct(direct_advance(prev, cfg, 2.0), cfg, 3.0)
-
     def test_matches_direct_convolution_at_exact_fft_length(self):
-        # n_points + taps is exactly 4096, a power of two: the FFT length
+        # n_points + taps is exactly 1024, a power of two: the FFT length
         # leaves no padding, the edge of wrap-around.  The slice grows
         # toward the far end, so a wrapped tail would show near x = 0
-        cfg = RecursionConfig(2, Grid1D(3095 / 256, 3096))
+        cfg = RecursionConfig(1, 16)   # 907 points at spacing 1/64
         prev = EuclideanSlice(1.0, cfg.grid, 1.0 + cfg.grid.points())
-        s = 1.0 + 625 / 4096   # a kernel of exactly 1000 taps at spacing 1/256
-        assert cfg.grid.n_points + len(_half_kernel(prev, cfg, s)) - 1 == 4096
+        s = 1.0 + (116.5 / 640) ** 2   # a kernel of 117 taps
+        assert cfg.grid.n_points + len(_half_kernel(prev, cfg, s)) - 1 == 1024
         assert_matches_direct(prev, cfg, s)
 
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
@@ -347,56 +350,24 @@ class TestBoundaryAmplitude:
         assert all(rows == 1 for rows, width in shapes if rows * width > 600)
         self.assert_matches_oracle(slices, small_cfg, u)
 
-    def test_clamped_kernel(self):
-        # the grid is shorter than kernel_span widths: the wider kernels are
-        # cut at n_points - 1 taps and reach across the whole grid, whose
-        # far end is half-weighted
-        cfg = RecursionConfig(2, Grid1D(3.0, 301))
-        slices = pre_projection_slices(cfg)
-        u = np.arange(1, 17) / 16
-        taps = recursion._taps(cfg, u * cfg.eps)
-        assert taps.min() < cfg.grid.n_points - 1 == taps.max()
-        self.assert_matches_oracle(slices, cfg, u)
-
     def test_blocks_stay_within_budget(self):
-        # fp3_dense's samples at the default grid, and rows wider than the
-        # budget: a row wider than 2^16 entries is a block of its own, every
-        # other block holds at most 2^16 entries, and the blocks cover every
-        # row, in order, out to its taps
-        dense = default_config(3, 4096)
-        cases = [(dense, np.arange(1, 4096) / 4096 * dense.eps)]
-        wide = RecursionConfig(3, Grid1D(40.0, 400001))
-        assert recursion._taps(wide, 0.5) + 1 > 1 << 16
-        cases.append((wide, np.array([0.01, 0.5, 0.9, 1.0])))
-        for cfg, dt in cases:
-            taps = recursion._taps(cfg, dt)
-            covered = 0
-            for rows, block in _kernel_blocks(cfg, dt, taps):
-                assert rows.start == covered
-                covered = rows.stop
-                assert block.shape[0] == rows.stop - rows.start
-                assert np.all(block.shape[1] >= taps[rows] + 1)
-                if taps[rows.start] + 1 > 1 << 16:
-                    assert block.shape == (1, taps[rows.start] + 1)
-                else:
-                    assert block.size <= 1 << 16
-            assert covered == len(dt)
-
-    def test_recursion_runs_at_the_resolution_limit(self):
-        # the narrowest kernel, of width sqrt(1 / 3), spans exactly
-        # MIN_KERNEL_SPACINGS spacings: the config and the samples of the
-        # recursion's own narrowest step, 1/3, both pass their refusals,
-        # and one point fewer is refused
-        width = np.sqrt(1 / 3)
-        cfg = RecursionConfig(5, Grid1D(width / 4 * 49, 50), samples_per_interval=3)
-        assert 4 * cfg.grid.spacing == width
-        with pytest.raises(ValueError, match="too coarse"):
-            RecursionConfig(5, Grid1D(width / 4 * 49, 49), samples_per_interval=3)
-        curve = run_recursion(cfg)
-        assert np.all((curve.values > 0) & (curve.values <= 1))
+        # fp3_dense's samples: every block holds at most 2^16 entries, and
+        # the blocks cover every row, in order, out to its taps (rows wider
+        # than the budget: test_block_edges_and_one_row_blocks)
+        cfg = RecursionConfig(3, 4096)
+        dt = np.arange(1, 4096) / 4096 * cfg.eps
+        taps = recursion._taps(cfg, dt)
+        covered = 0
+        for rows, block in _kernel_blocks(cfg, dt, taps):
+            assert rows.start == covered
+            covered = rows.stop
+            assert block.shape[0] == rows.stop - rows.start
+            assert np.all(block.shape[1] >= taps[rows] + 1)
+            assert block.size <= 1 << 16
+        assert covered == len(dt)
 
     def test_refuses_unresolved_kernels(self, small_cfg):
-        # at spacing 4e-3 a step of 1e-4 eps has a kernel of width 0.01,
+        # at spacing 1/256 a step of 1e-4 eps has a kernel of width 0.01,
         # fewer than MIN_KERNEL_SPACINGS = 4 spacings; one such sample in a
         # batch refuses the batch for every slice
         values = [sl.values for sl in pre_projection_slices(small_cfg)[:2]]
@@ -404,8 +375,8 @@ class TestBoundaryAmplitude:
             boundary_amplitude(values, small_cfg, 1e-4)
         with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
             boundary_amplitude(values, small_cfg, np.array([0.5, 1e-4, 0.9]))
-        # a step of 2.56e-4 eps spans exactly four spacings
-        boundary_amplitude(values, small_cfg, 4 * 4 * 16e-6)
+        # a step of 2^-12 eps, of width 1/64, spans exactly four spacings
+        boundary_amplitude(values, small_cfg, 2.0**-12)
 
 
 class TestRightLimit:
@@ -429,7 +400,7 @@ class TestRunRecursion:
         self.assert_identical(curve, interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_dense(self):
-        cfg = default_config(3, 4096)
+        cfg = RecursionConfig(3, 4096)
         self.assert_identical(run_recursion(cfg), interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_coarse(self, coarse_run):
@@ -440,7 +411,7 @@ class TestRunRecursion:
     def test_matches_interval_by_interval_elsewhere(self, n_max, spi):
         # other sample counts: the step is u instead of (s - n), which may
         # differ in the last bit and move the envelope by up to 2e-15
-        cfg = default_config(n_max, spi)
+        cfg = RecursionConfig(n_max, spi)
         got, want = run_recursion(cfg), interval_by_interval_recursion(cfg)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.sides, want.sides)
@@ -464,12 +435,12 @@ class TestRunRecursion:
 
     def test_every_dense_row_is_exact(self):
         # three projections at 256 samples per interval: 5.40e-10
-        self.assert_matches_exact_envelope(run_recursion(default_config(3, 256)), 256, 1e-9)
+        self.assert_matches_exact_envelope(run_recursion(RecursionConfig(3, 256)), 256, 1e-9)
 
     def test_one_kernel_spectrum_per_run(self, monkeypatch):
         # the fp20 run builds its step kernel once and advances once per
         # interval, through the module attribute the benchmark traces
-        cfg = default_config(20, 16)
+        cfg = RecursionConfig(20, 16)
         calls = {"_half_kernel": 0, "advance_slice": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(recursion, name), **kwargs):
@@ -504,7 +475,7 @@ class TestRunRecursion:
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
         # (1.4e-10 measured)
-        cfg = default_config(3, 16)
+        cfg = RecursionConfig(3, 16)
         curve = run_recursion(cfg)
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
@@ -545,8 +516,8 @@ class TestRunRecursion:
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
         peaks = []
-        for n_points in (8293, 16585):  # spacings 4e-3 and 2e-3
-            cfg = extent_config(10, n_points)
+        for spi in (256, 1024):  # spacings 1/256 and 1/512
+            cfg = RecursionConfig(10, spi)
             curve = run_recursion(cfg)
             sel = np.isclose(curve.times, 11 * cfg.eps) & (curve.sides == "-")
             peaks.append(curve.values[sel][0])

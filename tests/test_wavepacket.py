@@ -31,6 +31,7 @@ from zenoprop.wavepacket import (
     step_profile,
     suppression_exponent,
     suppression_factor,
+    time_points,
 )
 
 ROOT_INV_I = np.exp(-1j * np.pi / 4)
@@ -218,6 +219,20 @@ class TestDeltaG:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             stationary_delta_g(np.linspace(-0.1, 1, 12), 0.5, 1.0)
+
+    def test_troughs_at_every_drop_of_the_pdx_grids(self, packet):
+        # the default pdx scan's time grids put points at the drops k eps up
+        # to rounding; each takes the trough 1/(2k), not the peak 1/k
+        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
+        scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
+        drops = 0
+        for eps in scan / packet.energy:
+            t = np.linspace(0.0, tau, time_points(packet, eps, tau))
+            k = np.rint(t / eps)
+            at = (k >= 1) & (np.abs(t / eps - k) <= 1e-9)
+            drops += at.sum()
+            assert_allclose(sawtooth_envelope(eps, t[at]), 1 / (2 * k[at]), rtol=1e-8)
+        assert drops > 1000
 
 
 class TestPdxDeltaPsi:
