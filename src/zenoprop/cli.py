@@ -168,6 +168,20 @@ def _resolve_v0(v0: float | None, eps: float) -> float:
     return v0
 
 
+def _check_scales(eps: float, v0: float, s_first: float, s_last: float) -> None:
+    """Refuse an ``--eps`` whose times t = s eps, s from s_first to s_last,
+    leave the normal floats, or a ``--v0`` whose v0 t at either end leaves
+    the positive finite floats: a usage error naming the flag."""
+    first, last = s_first * eps, s_last * eps
+    if not (first >= sys.float_info.min and last <= sys.float_info.max):
+        raise click.BadParameter(f"{eps!r} puts the times t = s eps, from {first:.3g} to "
+                                 f"{last:.3g}, outside the normal floats", param_hint="'--eps'")
+    low, high = v0 * eps * s_first, v0 * eps * s_last
+    if not (0 < low and high < math.inf):
+        raise click.BadParameter(f"{v0!r} puts v0 t, from {low:.3g} to {high:.3g}, outside "
+                                 "the positive finite floats", param_hint="'--v0'")
+
+
 @click.group(context_settings=CONTEXT_SETTINGS)
 def main() -> None:
     """Boundary propagators for pulsed position measurements."""
@@ -178,6 +192,7 @@ def main() -> None:
 def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
     v0 = _resolve_v0(v0, eps)
+    _check_scales(eps, v0, 0.01, 21.0)
     t = np.arange(1, 2101) * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, v0, t)
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
@@ -193,13 +208,7 @@ def _recursion_tables(eps, v0, n_max, samples_per_interval):
     except (ValueError, OverflowError) as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
-    first, last = eps / samples_per_interval, (n_max + 1) * eps
-    if not (first >= sys.float_info.min and last <= sys.float_info.max):
-        raise click.BadParameter(f"{eps!r} puts the times t = s eps, from {first:.3g} to "
-                                 f"{last:.3g}, outside the normal floats", param_hint="'--eps'")
-    if not 0 < v0 * eps < math.inf:
-        raise click.BadParameter(f"{v0!r} puts v0 eps at {v0 * eps:.3g}, outside the positive "
-                                 "finite floats", param_hint="'--v0'")
+    _check_scales(eps, v0, 1 / samples_per_interval, n_max + 1)
     curve = recursion.run_recursion(cfg)
     s = curve.times
     model = sawtooth.sawtooth_envelope(1.0, s)
@@ -230,6 +239,7 @@ def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
 def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
     v0 = _resolve_v0(v0, eps)
+    _check_scales(eps, v0, 0.5, 4.0)
 
     def build():
         orthant = exact.bridge_orthant

@@ -195,8 +195,10 @@ def continuum_peak_estimate(
         [(1/2 eta) u] / [sqrt(m / 2 pi tau) * eps / tau]
 
     at each level, and removes the O(eta) and O(eta^2) errors by two
-    Richardson stages.  The extrapolated ratio is 1 to a few parts in 1e3
-    at the default levels.  Fewer than three levels, levels that do not
+    Richardson stages.  The ratio is scale-free, so it is formed from the
+    unit walk, m = eps = 1 over N = tau/eps intervals, which no (m, eps)
+    can overflow; the physical eta is reported alongside.  The
+    extrapolated ratio is 1 to a few parts in 1e3 at the default levels.  Fewer than three levels, levels that do not
     quadruple, and a finest walk of more than ``MAX_WALK_STEPS`` steps are
     rejected with ``ValueError``.
     """
@@ -220,13 +222,12 @@ def continuum_peak_estimate(
         raise ValueError("tau must be an integer multiple of eps")
     n_intervals = int(round(n_intervals))
 
-    target = np.sqrt(m / (2 * np.pi * tau)) * (eps / tau)
+    target = np.sqrt(1 / (2 * np.pi * n_intervals)) * (1 / n_intervals)
     etas, ratios = [], []
     for r in levels:
-        eta = np.sqrt(eps / r / m)
         u = constrained_walk_probability(LatticeConfig(n_intervals * r, r))
-        etas.append(eta)
-        ratios.append(u / (2 * eta) / target)
+        etas.append(np.sqrt(eps / r / m))
+        ratios.append(u / (2 * np.sqrt(1 / r)) / target)
 
     first = [2 * b - a for a, b in zip(ratios, ratios[1:])]
     second = [(4 * b - a) / 3 for a, b in zip(first, first[1:])]

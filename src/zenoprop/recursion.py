@@ -36,14 +36,15 @@ the slice is negligible, keeps its half weight.  At these grids the peaks
 are exact to about 1e-11 and the envelope with up to three projections
 matches its closed forms to about 1e-9.
 
-Every advance is a discrete convolution with the heat kernel cut at
-``kernel_span`` widths, evaluated as one real FFT product at the smallest
-power-of-two length that holds it without wrap-around; the transforms run in
-a fixed order, so results are deterministic, and they agree with a direct
-summation to ~1e-15 of the slice maximum (negative roundoff tails are
-clipped to zero, since the exact slice is non-negative).  Every advance of a
-run spans one whole interval, a step of eps, so a run builds that kernel's
-spectrum once and hands it to each advance.  The boundary
+Every advance spans one whole interval, a step of eps, and is a discrete
+convolution with the heat kernel of that step cut at ``kernel_span``
+widths, evaluated as one real FFT product at the smallest power-of-two
+length that holds it without wrap-around.  The kernel's spectrum belongs to
+the config (``RecursionConfig.kernel_spectrum``): it is built on first use
+and shared by every advance of every run on that config.  The transforms
+run in a fixed order, so results are deterministic, and they agree with a
+direct summation to ~1e-15 of the slice maximum (negative roundoff tails
+are clipped to zero, since the exact slice is non-negative).  The boundary
 samples need only F(n + u, 0), and the kernel of a sample depends on its
 offset u alone, not on n.  So the recursion advances every slice first,
 keeping each only out to the widest kernel's reach, and then takes the
@@ -62,6 +63,7 @@ value, half the left limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -84,17 +86,12 @@ __all__ = [
 
 @dataclass
 class EuclideanSlice:
-    """Slice F(s, x) at rescaled time s on the half-line grid.  Values are
-    real and non-negative: the kernel is positive and the initial slice is."""
+    """Slice F(s, x) at rescaled time s, one value per point of its config's
+    grid (``RecursionConfig.grid``).  Values are real and non-negative: the
+    kernel is positive and the initial slice is."""
 
     s: float
-    grid: Grid1D
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != self.grid.n_points:
-            raise ValueError("slice values must match the grid size")
 
 
 # Fewest grid spacings the narrowest heat kernel may span.  With n_max = 3
@@ -156,6 +153,22 @@ class RecursionConfig:
             raise ValueError(f"predicted work {work:.3g} exceeds the cap of {MAX_WORK:.3g} "
                              "(MAX_WORK): use fewer projections or samples per interval")
 
+    @functools.cached_property
+    def kernel_spectrum(self) -> np.ndarray:
+        """Spectrum of the kernel of every advance, a step of eps, cut at
+        kernel_span widths, centred on index 0 (so real, with no output
+        offset) and zero-padded to the power of two at or above n_points +
+        taps; built on first use and read-only, as every run shares it."""
+        taps = int(_taps(self, self.eps))
+        half = heat_kernel(self.m, self.eps, np.arange(taps + 1) * self.grid.spacing, 0.0)
+        length = pow2_at_least(self.grid.n_points + taps)
+        kernel = np.zeros(length)
+        kernel[: taps + 1] = half
+        kernel[length - taps :] = half[:0:-1]
+        spectrum = np.fft.rfft(kernel).real
+        spectrum.flags.writeable = False
+        return spectrum
+
 
 def predicted_work(cfg: RecursionConfig) -> float:
     """Work of ``run_recursion(cfg)`` and of writing its table, from the
@@ -177,39 +190,13 @@ def predicted_work(cfg: RecursionConfig) -> float:
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
     """F_0(1, x): the heat kernel spread from the origin over the free
     interval, the slice just before the first projection."""
-    x = cfg.grid.points()
-    return EuclideanSlice(1.0, cfg.grid, heat_kernel(cfg.m, cfg.eps, x, 0.0))
-
-
-def _integer_index(s: float) -> int:
-    n = int(round(s))
-    if abs(s - n) > 1e-9:
-        raise ValueError(f"slice must sit at an integer rescaled time, got s={s}")
-    return n
-
-
-def _steps(prev: EuclideanSlice, cfg: RecursionConfig, s_next) -> np.ndarray:
-    """Imaginary-time steps (s_next - n) eps from the slice at integer s = n
-    to each s_next, which must lie in (n, n+1]."""
-    n = _integer_index(prev.s)
-    s = np.asarray(s_next, dtype=float)
-    outside = ~((n < s) & (s <= n + 1))
-    if outside.any():
-        raise ValueError(f"s_next must lie in ({n}, {n + 1}], got {s[outside].flat[0]}")
-    return (s - n) * cfg.eps
+    return EuclideanSlice(1.0, heat_kernel(cfg.m, cfg.eps, cfg.grid.points(), 0.0))
 
 
 def _taps(cfg: RecursionConfig, dt):
     """Kernel points past the origin for steps dt: kernel_span widths.  A
     step of at most one interval ends inside the grid (``RecursionConfig``)."""
     return np.ceil(cfg.kernel_span * np.sqrt(dt / cfg.m) / cfg.grid.spacing).astype(int)
-
-
-def _half_kernel(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> np.ndarray:
-    """Heat kernel of the step from integer s = n to s_next in (n, n+1] at
-    grid offsets 0, h, ..., cut at kernel_span widths."""
-    dt = float(_steps(prev, cfg, s_next))
-    return heat_kernel(cfg.m, dt, np.arange(_taps(cfg, dt) + 1) * cfg.grid.spacing, 0.0)
 
 
 def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
@@ -224,39 +211,22 @@ def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
     return w
 
 
-def _kernel_spectrum(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> np.ndarray:
-    """Spectrum of the truncated kernel of the step from prev.s to s_next,
-    zero-padded to the power of two at or above n_points + taps.  The
-    symmetric kernel is centred on index 0, so the spectrum is real and the
-    convolution needs no output offset."""
-    half = _half_kernel(prev, cfg, s_next)
-    taps = len(half) - 1
-    length = pow2_at_least(cfg.grid.n_points + taps)
-    kernel = np.zeros(length)
-    kernel[: taps + 1] = half
-    kernel[length - taps :] = half[:0:-1]
-    return np.fft.rfft(kernel).real
-
-
-def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float, *,
-                  kernel_spectrum: np.ndarray | None = None) -> EuclideanSlice:
-    """Propagate a slice taken at integer s = n to s_next in (n, n+1].
+def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> EuclideanSlice:
+    """Propagate the slice taken at a projection, s = n, over one whole
+    interval to s_next = n + 1; any other s_next raises ``ValueError``.
 
     The projection at s = n is enacted by the half-line integration range;
     the output slice is evaluated on the full grid (including x = 0).  The
-    linear convolution is one circular FFT convolution with the step's
-    ``_kernel_spectrum``, built here unless the caller passes the one it
-    built for the same step, as ``run_recursion`` does for its whole-interval
-    steps."""
-    if kernel_spectrum is None:
-        kernel_spectrum = _kernel_spectrum(prev, cfg, s_next)
-    else:
-        _steps(prev, cfg, s_next)  # s_next must still lie in (n, n+1]
-    length = 2 * (len(kernel_spectrum) - 1)
-    spectrum = np.fft.rfft(_weighted(prev.values, cfg), length) * kernel_spectrum
+    linear convolution is one circular FFT convolution with the config's
+    ``kernel_spectrum``."""
+    if s_next != prev.s + 1:
+        raise ValueError(f"an advance spans one whole interval, from s = {prev.s} to "
+                         f"{prev.s + 1}, got s_next = {s_next}")
+    length = 2 * (len(cfg.kernel_spectrum) - 1)
+    spectrum = np.fft.rfft(_weighted(prev.values, cfg), length) * cfg.kernel_spectrum
     # the exact slice is non-negative; clip the FFT roundoff tails
     n = cfg.grid.n_points
-    return EuclideanSlice(s_next, cfg.grid, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
+    return EuclideanSlice(s_next, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
 # Largest block of kernel values the boundary samples hold at once (512 KiB
@@ -289,19 +259,19 @@ def _kernel_blocks(cfg: RecursionConfig, dt: np.ndarray, taps: np.ndarray):
 
 
 def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
-    """F(n + u, 0) for every slice taken at an integer s = n and every
-    offset u in (0, 1], without forming the advanced slices; the result has
-    shape ``(rows,) + shape(u)``.
+    """F(n + u, 0), one row per slice taken at a projection, s = n, and one
+    column per offset in ``u``, a non-empty ascending 1-D array in (0, 1],
+    without forming the advanced slices.
 
     ``values`` holds one slice per row on the first points of the grid, out
     to at least the widest kernel's reach (the whole grid will do).  Each
-    sample is its truncated kernel, as ``advance_slice`` cuts it, dotted with
-    the weighted slice.  The kernel depends on the offset alone, so each
-    block of kernel rows (``_kernel_blocks``, in order of step) is built once
-    and dotted with every slice, one matrix-vector product per slice.
-    Raises ``ValueError`` for an offset outside (0, 1], a row shorter than
-    the widest kernel's reach, or a step whose kernel spans fewer than
-    ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does not resolve."""
+    sample is the kernel of its step u eps, cut at kernel_span widths, dotted
+    with the weighted slice.  The kernel depends on the offset alone, so each
+    block of kernel rows (``_kernel_blocks``) is built once and dotted with
+    every slice.  Raises ``ValueError`` for offsets outside (0, 1] or of
+    another shape or order, a row shorter than the widest kernel's reach, or
+    a kernel spanning fewer than ``MIN_KERNEL_SPACINGS`` spacings, which the
+    quadrature does not resolve."""
     values = np.asarray(values, dtype=float)
     u = np.asarray(u, dtype=float)
     outside = ~((0 < u) & (u <= 1))
@@ -309,10 +279,9 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
         raise ValueError(f"offsets must lie in (0, 1], got {u[outside].flat[0]}")
     if values.ndim != 2 or values.shape[1] > cfg.grid.n_points:
         raise ValueError("slice values must be rows on the first points of the grid")
-    if not u.size:
-        return np.zeros((len(values),) + u.shape)
-    order = np.argsort(u, axis=None, kind="stable")
-    dt = u.ravel()[order] * cfg.eps
+    if u.ndim != 1 or not u.size or np.any(u[1:] < u[:-1]):
+        raise ValueError("offsets must be a non-empty ascending 1-D array")
+    dt = u * cfg.eps
     h = cfg.grid.spacing
     if np.sqrt(dt[0] / cfg.m) < MIN_KERNEL_SPACINGS * h:
         raise ValueError(
@@ -330,9 +299,7 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
     for rows, block in _kernel_blocks(cfg, dt, taps):
         for row, prefix in zip(sums, weighted):
             row[rows] = block @ prefix[: block.shape[1]]
-    amplitude = np.empty_like(sums)
-    amplitude[:, order] = sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
-    return amplitude.reshape((len(values),) + u.shape)
+    return sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
 
 
 def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
@@ -346,13 +313,10 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     every sample there is emitted as 1.0, and only the initial slice at
     s = 1 is built.
 
-    The slices are advanced first, one ``advance_slice`` per interval.  Each
-    advance is a step of one whole interval, so the run builds that step's
-    kernel spectrum once, for this run only, and passes it to every advance.
-    Each pre-projection slice is kept only out to the widest interior
-    kernel's reach.  One ``boundary_amplitude`` call then takes every
-    interval's interior samples, building each kernel row once for all
-    intervals.  The table is filled as one row of samples_per_interval + 1
+    The slices are advanced first, one ``advance_slice`` per interval, each
+    kept only out to the widest interior kernel's reach.  One
+    ``boundary_amplitude`` call then takes every interval's interior
+    samples, building each kernel row once for all intervals.  The table is filled as one row of samples_per_interval + 1
     columns per interval, s = n, the interior offsets and s = n + 1, with the
     free interval as row 0 less its first column, and the samples are
     divided by the heat kernel at the origin in two array calls, one for the
@@ -366,10 +330,9 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     prefixes = np.empty((cfg.n_max, reach))
     origins = np.empty(cfg.n_max)
     prev = initial_slice(cfg)
-    kernel_spectrum = _kernel_spectrum(prev, cfg, 2.0)
     for n in range(1, cfg.n_max + 1):
         prefixes[n - 1] = prev.values[:reach]
-        prev = advance_slice(prev, cfg, float(n + 1), kernel_spectrum=kernel_spectrum)
+        prev = advance_slice(prev, cfg, float(n + 1))
         origins[n - 1] = prev.values[0]
     amplitude = boundary_amplitude(prefixes, cfg, interior)
     s = np.arange(cfg.n_max + 1)[:, None] + np.concatenate(([0.0], interior, [1.0]))

@@ -12,17 +12,7 @@ import numpy as np
 from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel
 from zenoprop.exact import absorbing_envelope, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
-from zenoprop.recursion import (
-    EuclideanSlice,
-    _half_kernel,
-    _kernel_blocks,
-    _steps,
-    _taps,
-    _weighted,
-    advance_slice,
-    boundary_amplitude,
-    initial_slice,
-)
+from zenoprop.recursion import advance_slice, boundary_amplitude, initial_slice
 from zenoprop.sawtooth import oscillation_ratio
 from zenoprop.wavepacket import packet_boundary_derivative
 
@@ -417,35 +407,38 @@ def quadrature_weights(cfg) -> np.ndarray:
     return weights
 
 
-def direct_advance(prev, cfg, s_next: float) -> EuclideanSlice:
-    """The slice advance as a direct ``np.convolve`` of the quadrature-weighted
-    slice with the same truncated kernel the recursion uses: the reference
-    for its FFT convolution."""
-    half = _half_kernel(prev, cfg, s_next)
+def truncated_kernel(cfg, dt: float) -> np.ndarray:
+    """The heat kernel of a step dt written out, sqrt(m / 2 pi dt)
+    exp(-m x^2 / 2 dt), at grid offsets x = 0, h, 2h, ... out to ten widths
+    sqrt(dt / m), rounded up to a whole spacing."""
+    h = cfg.grid.spacing
+    x = np.arange(int(np.ceil(10 * np.sqrt(dt / cfg.m) / h)) + 1) * h
+    return np.sqrt(cfg.m / (2 * np.pi * dt)) * np.exp(-cfg.m * x * x / (2 * dt))
+
+
+def direct_advance(prev, cfg) -> np.ndarray:
+    """The slice one whole interval past ``prev``, as a direct ``np.convolve``
+    of the quadrature-weighted slice with the truncated kernel of a step of
+    eps: the reference for the recursion's FFT convolution."""
+    half = truncated_kernel(cfg, cfg.eps)
     taps = len(half) - 1
     full = np.convolve(prev.values * quadrature_weights(cfg), np.concatenate([half[:0:-1], half]))
-    return EuclideanSlice(s_next, cfg.grid, full[taps : taps + cfg.grid.n_points])
+    return full[taps : taps + cfg.grid.n_points]
 
 
-def direct_boundary_amplitude(prev, cfg, s_next: float) -> float:
-    """F(s_next, 0) for one s_next as the ``np.dot`` of the truncated kernel
-    with the weighted slice: the per-sample reference for the batched
-    ``boundary_amplitude``."""
-    half = _half_kernel(prev, cfg, s_next)
+def direct_boundary_amplitude(prev, cfg, u: float) -> float:
+    """F(prev.s + u, 0) for one offset u as the ``np.dot`` of the truncated
+    kernel with the weighted slice: the per-sample reference for the
+    batched ``boundary_amplitude``."""
+    half = truncated_kernel(cfg, u * cfg.eps)
     return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
 
 
 def interval_boundary_amplitude(prev, cfg, s_next: np.ndarray) -> np.ndarray:
-    """F(s_next, 0) from one slice at integer s = n for ascending s_next in
-    (n, n+1], with its own pass of kernel blocks: the boundary samples as
-    they were taken one interval at a time, at steps (s_next - n) eps."""
-    dt = _steps(prev, cfg, s_next)
-    taps = _taps(cfg, dt)
-    weighted = _weighted(prev.values[: taps[-1] + 1], cfg)
-    sums = np.empty(len(dt))
-    for rows, block in _kernel_blocks(cfg, dt, taps):
-        sums[rows] = block @ weighted[: block.shape[1]]
-    return sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
+    """F(s_next, 0) from the one slice at integer s = n for ascending s_next
+    in (n, n+1]: the boundary samples as they were taken one interval at a
+    time, at offsets s_next - n."""
+    return boundary_amplitude([prev.values], cfg, s_next - prev.s)[0]
 
 
 def interval_by_interval_recursion(cfg) -> BoundaryCurve:

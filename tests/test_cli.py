@@ -162,6 +162,21 @@ class TestLattice:
         ratios = [float(r[3]) for r in rows[:-1]]
         assert ratios == sorted(ratios)  # monotone convergence recorded
 
+    @pytest.mark.parametrize("m, eps", [(2.5, 0.3), (1e300, 1e-10), (1.0, 1e-310)])
+    def test_ratio_is_the_unit_walks(self, runner, tmp_path, m, eps):
+        # the ratio is scale-free: at every (m, eps) the ratio column, the
+        # extrapolated row too, is the unit table's (m = eps = 1, tau = 4),
+        # byte for byte, where m / tau or eps / tau would leave the floats
+        def ratios(*args):
+            out = tmp_path / "lat.csv"
+            res = runner.invoke(main, ["lattice", *args, "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            _, rows = read_rows(out)
+            return [r[3] for r in rows]
+
+        scaled = ratios("--m", repr(m), "--eps", repr(eps), "--tau", repr(4 * eps))
+        assert scaled == ratios("--tau", "4")
+
 
 class TestConfigPrecedence:
     def test_file_beneath_flags(self, runner, tmp_path):
@@ -400,6 +415,42 @@ class TestUsageErrors:
         # the --eps rule too
         self.assert_unit_numeric_columns(runner, tmp_path, command, ["--m", m, "--eps", eps],
                                          sizes)
+
+    @pytest.mark.parametrize("args, flag", [
+        (["fv", "--eps", "1e307"], "--eps"),
+        (["exact", "--eps", "5e307"], "--eps"),
+        (["fv", "--v0", "1e308", "--eps", "10"], "--v0"),
+        (["exact", "--v0", "1e308", "--eps", "10"], "--v0"),
+        (["fp", "--v0", "1e308", "--n-max", "2"], "--v0"),
+        (["fv", "--v0", "1e-300", "--eps", "1e-300"], "--v0"),
+        (["fv", "--eps", "1e-323", "--v0", "1"], "--eps"),
+    ], ids=["fv-eps-1e307", "exact-eps-5e307", "fv-v0-1e308", "exact-v0-1e308",
+            "fp-v0-1e308-n-max-2", "fv-v0-eps-1e-300", "fv-eps-1e-323"])
+    def test_scales_outside_the_floats_name_their_flag(self, runner, tmp_path, args, flag):
+        # every envelope subcommand refuses an eps whose times t = s eps leave
+        # the normal floats, and a v0 whose v0 t leaves the positive finite
+        # floats at either end of the table, as one line naming the flag
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert isinstance(res.exception, SystemExit)
+        last = res.output.splitlines()[-1]
+        assert last.startswith(f"Error: Invalid value for '{flag}': "), last
+        assert "outside the" in last and len(last) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["fv", "--eps", "8e306"],
+        ["fv", "--eps", "2.3e-306"],
+        ["exact", "--eps", "4e307"],
+        ["exact", "--eps", "4.5e-308"],
+        ["exact", "--v0", "1e300", "--eps", "4e7"],
+        ["fv", "--v0", "1e-300", "--eps", "1e-6"],
+    ])
+    def test_scales_at_the_edges_still_run(self, runner, tmp_path, args):
+        # the times and v0 t of these tables stay inside the floats
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 0, result_output(res)
 
 
 class TestCompare:

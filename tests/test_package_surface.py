@@ -3,7 +3,8 @@ oracles belong in ``tests/oracles.py``: every name ``zenoprop`` exports must
 have a caller in ``src/zenoprop/`` or be a layer the benchmark traces
 (``perfbench/spans.py``).  Every third-party module the code imports must be
 declared in ``pyproject.toml``.  The slice grid is built in one place,
-``recursion.RecursionConfig``."""
+``recursion.RecursionConfig``.  The oracles borrow no private name of the
+package."""
 
 import ast
 import re
@@ -93,3 +94,13 @@ def grid_builders() -> list[str]:
 def test_the_slice_grid_is_built_in_one_place():
     # the grid follows from the recursion's sizes alone
     assert grid_builders() == ["recursion.RecursionConfig"]
+
+
+def test_oracles_import_no_private_names():
+    # an oracle built from the internals it checks would agree with them by
+    # construction
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zenoprop")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

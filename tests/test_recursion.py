@@ -1,3 +1,4 @@
+import functools
 import sys
 from dataclasses import fields
 
@@ -16,6 +17,7 @@ from oracles import (
     interval_by_interval_recursion,
     numeric_oscillation_curve,
     richardson_right_limit,
+    truncated_kernel,
 )
 from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
@@ -25,9 +27,7 @@ from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
-    _half_kernel,
     _kernel_blocks,
-    _kernel_spectrum,
     advance_slice,
     boundary_amplitude,
     initial_slice,
@@ -36,13 +36,13 @@ from zenoprop.recursion import (
 from zenoprop.sawtooth import calibrate_absorption
 
 
-def assert_matches_direct(prev, cfg, s_next):
+def assert_matches_direct(prev, cfg):
     # FFT roundoff against the direct convolution: 1e-14 of the slice maximum
     # everywhere, 1e-14 relative at the origin
-    got = advance_slice(prev, cfg, s_next).values
-    want = direct_advance(prev, cfg, s_next).values
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want), s_next
-    assert got[0] == pytest.approx(want[0], rel=1e-14), s_next
+    got = advance_slice(prev, cfg, prev.s + 1).values
+    want = direct_advance(prev, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want), prev.s
+    assert got[0] == pytest.approx(want[0], rel=1e-14), prev.s
 
 
 @pytest.fixture(scope="module")
@@ -192,14 +192,6 @@ class TestInitialSlice:
 
 
 class TestAdvance:
-    def test_delta_kernel_limit(self, small_cfg):
-        # a tiny step leaves the slice nearly unchanged in the interior
-        prev = initial_slice(small_cfg)
-        nxt = advance_slice(prev, small_cfg, 1.0 + 1e-4)
-        x = small_cfg.grid.points()
-        sel = (x > 0.5) & (x < 3.0)
-        assert np.max(np.abs(nxt.values[sel] / prev.values[sel] - 1)) < 0.01
-
     def test_one_projection_constant_half(self, small_cfg):
         prev = initial_slice(small_cfg)
         u = np.array([0.25, 0.5, 0.99])
@@ -211,7 +203,7 @@ class TestAdvance:
         prev = initial_slice(small_cfg)
         prev = advance_slice(prev, small_cfg, 2.0)
         for s in (2.2, 2.5, 2.8, 3.0):
-            amp = boundary_amplitude([prev.values], small_cfg, s - 2)[0] if s < 3 else (
+            amp = boundary_amplitude([prev.values], small_cfg, [s - 2])[0, 0] if s < 3 else (
                 advance_slice(prev, small_cfg, s).values[0]
             )
             env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
@@ -222,36 +214,24 @@ class TestAdvance:
         # the 20-projection default grid over its first three advances
         cfg, _, slices, _ = default_run
         for prev in slices[:3]:
-            assert_matches_direct(prev, cfg, prev.s + 1.0)
-
-    def test_matches_direct_convolution_at_fractional_steps(self):
-        # an odd (prime) point count, 1321, at an irrational spacing, and
-        # partial steps, so shorter kernels
-        cfg = RecursionConfig(3, 17)
-        prev = initial_slice(cfg)
-        for s in (1.0625, 1.37, 1.9):
-            assert_matches_direct(prev, cfg, s)
-        prev = direct_advance(prev, cfg, 2.0)
-        for s in (2.25, 2.61, 3.0):
-            assert_matches_direct(prev, cfg, s)
+            assert_matches_direct(prev, cfg)
 
     def test_matches_direct_convolution_at_exact_fft_length(self):
-        # n_points + taps is exactly 1024, a power of two: the FFT length
+        # n_points + taps is exactly 8192, a power of two: the FFT length
         # leaves no padding, the edge of wrap-around.  The slice grows
         # toward the far end, so a wrapped tail would show near x = 0
-        cfg = RecursionConfig(1, 16)   # 907 points at spacing 1/64
-        prev = EuclideanSlice(1.0, cfg.grid, 1.0 + cfg.grid.points())
-        s = 1.0 + (116.5 / 640) ** 2   # a kernel of 117 taps
-        assert cfg.grid.n_points + len(_half_kernel(prev, cfg, s)) - 1 == 1024
-        assert_matches_direct(prev, cfg, s)
+        cfg = RecursionConfig(22, 78)   # 6778 points and a kernel of 1414 taps
+        prev = EuclideanSlice(1.0, 1.0 + cfg.grid.points())
+        assert cfg.grid.n_points + len(truncated_kernel(cfg, cfg.eps)) - 1 == 8192
+        assert 2 * (len(cfg.kernel_spectrum) - 1) == 8192
+        assert_matches_direct(prev, cfg)
 
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
         prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
-        for u in (0.001, 0.3, 1.0):
-            want = advance_slice(prev, small_cfg, 2.0 + u).values[0]
-            got = boundary_amplitude([prev.values], small_cfg, u)[0]
-            assert got == pytest.approx(want, rel=1e-13)
+        want = advance_slice(prev, small_cfg, 3.0).values[0]
+        got = boundary_amplitude([prev.values], small_cfg, [1.0])[0, 0]
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_positivity_preserved(self, small_cfg):
         prev = initial_slice(small_cfg)
@@ -259,29 +239,13 @@ class TestAdvance:
             prev = advance_slice(prev, small_cfg, n)
             assert np.all(prev.values >= 0)
 
-    def test_shared_spectrum_matches_own(self, small_cfg):
-        # a run builds its whole-interval spectrum once; any whole-interval
-        # advance given it is bit for bit the advance that builds its own
-        first = initial_slice(small_cfg)
-        spectrum = _kernel_spectrum(first, small_cfg, 2.0)
-        for prev in (first, advance_slice(first, small_cfg, 2.0)):
-            s_next = prev.s + 1.0
-            got = advance_slice(prev, small_cfg, s_next, kernel_spectrum=spectrum)
-            assert np.array_equal(got.values, advance_slice(prev, small_cfg, s_next).values)
-        with pytest.raises(ValueError):
-            advance_slice(first, small_cfg, 2.5, kernel_spectrum=spectrum)
-
     def test_slice_alignment_required(self, small_cfg):
-        prev = advance_slice(initial_slice(small_cfg), small_cfg, 1.5)
-        with pytest.raises(ValueError):
-            advance_slice(prev, small_cfg, 2.0)  # not at integer s
+        # an advance spans exactly one whole interval, from prev.s to prev.s + 1
         prev = initial_slice(small_cfg)
-        with pytest.raises(ValueError):
-            advance_slice(prev, small_cfg, 2.5)  # beyond next projection
-
-    def test_values_must_match_grid(self, small_cfg):
-        with pytest.raises(ValueError):
-            EuclideanSlice(1.0, small_cfg.grid, np.ones(7))
+        for s_next in (1.0, 1.5, 2.0 - 1e-12, 2.0 + 1e-12, 2.5, 3.0, np.nan):
+            with pytest.raises(ValueError, match="one whole interval"):
+                advance_slice(prev, small_cfg, s_next)
+        assert advance_slice(prev, small_cfg, 2.0).s == 2.0
 
 
 class TestBoundaryAmplitude:
@@ -291,20 +255,29 @@ class TestBoundaryAmplitude:
     @staticmethod
     def assert_matches_oracle(slices, cfg, u):
         got = boundary_amplitude([sl.values for sl in slices], cfg, u)
-        assert got.shape == (len(slices),) + np.shape(u)
+        assert got.shape == (len(slices), len(u))
         for sl, row in zip(slices, got):
-            want = [direct_boundary_amplitude(sl, cfg, sl.s + d) for d in np.ravel(u)]
-            assert_allclose(row.ravel(), want, rtol=1e-14, atol=0.0)
+            want = [direct_boundary_amplitude(sl, cfg, d) for d in u]
+            assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
     def test_matches_per_sample_oracle(self, small_cfg):
-        # the slices at s = 1..4; unsorted offsets, a repeated one and the
+        # the slices at s = 1..4; ascending offsets, a repeated one and the
         # interval end
         slices = pre_projection_slices(small_cfg)
-        u = np.array([0.7, 0.01, 0.3, 1.0, 0.3, 0.55, 0.002])
+        u = np.array([0.002, 0.01, 0.3, 0.3, 0.55, 0.7, 1.0])
         self.assert_matches_oracle(slices, small_cfg, u)
-        self.assert_matches_oracle(slices, small_cfg, u.reshape(7, 1))
-        self.assert_matches_oracle(slices, small_cfg, u[:0])
-        self.assert_matches_oracle(slices, small_cfg, 0.3)
+        self.assert_matches_oracle(slices, small_cfg, u[3:4])
+
+    @pytest.mark.parametrize("u", [
+        [0.7, 0.01, 0.3],        # unsorted
+        [[0.3], [0.7]],          # 2-D
+        np.zeros(0),             # empty
+        0.3,                     # scalar
+    ], ids=["unsorted", "2d", "empty", "scalar"])
+    def test_refuses_offsets_of_another_shape_or_order(self, small_cfg, u):
+        values = [initial_slice(small_cfg).values]
+        with pytest.raises(ValueError, match="non-empty ascending 1-D"):
+            boundary_amplitude(values, small_cfg, u)
 
     def test_rows_need_only_the_widest_reach(self, small_cfg):
         # a prefix out to the widest kernel's reach gives the bits of the
@@ -372,11 +345,11 @@ class TestBoundaryAmplitude:
         # batch refuses the batch for every slice
         values = [sl.values for sl in pre_projection_slices(small_cfg)[:2]]
         with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(values, small_cfg, 1e-4)
+            boundary_amplitude(values, small_cfg, [1e-4])
         with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(values, small_cfg, np.array([0.5, 1e-4, 0.9]))
+            boundary_amplitude(values, small_cfg, np.array([1e-4, 0.5, 0.9]))
         # a step of 2^-12 eps, of width 1/64, spans exactly four spacings
-        boundary_amplitude(values, small_cfg, 2.0**-12)
+        boundary_amplitude(values, small_cfg, [2.0**-12])
 
 
 class TestRightLimit:
@@ -438,17 +411,26 @@ class TestRunRecursion:
         self.assert_matches_exact_envelope(run_recursion(RecursionConfig(3, 256)), 256, 1e-9)
 
     def test_one_kernel_spectrum_per_run(self, monkeypatch):
-        # the fp20 run builds its step kernel once and advances once per
+        # a config builds its one-interval kernel spectrum once, whatever
+        # the number of runs on it, and every run advances once per
         # interval, through the module attribute the benchmark traces
+        built, advances = [], []
+        build = RecursionConfig.kernel_spectrum.func
+        spectrum = functools.cached_property(lambda cfg: built.append(cfg) or build(cfg))
+        spectrum.__set_name__(RecursionConfig, "kernel_spectrum")
+        monkeypatch.setattr(RecursionConfig, "kernel_spectrum", spectrum)
+        advance = recursion.advance_slice
+        monkeypatch.setattr(recursion, "advance_slice",
+                            lambda *args: advances.append(args[2]) or advance(*args))
         cfg = RecursionConfig(20, 16)
-        calls = {"_half_kernel": 0, "advance_slice": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(recursion, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(recursion, name, counted)
-        run_recursion(cfg)
-        assert calls == {"_half_kernel": 1, "advance_slice": cfg.n_max}
+        for runs in (1, 2):
+            run_recursion(cfg)
+            assert built == [cfg]
+            assert advances == list(np.arange(2.0, cfg.n_max + 2)) * runs
+        assert not cfg.kernel_spectrum.flags.writeable   # shared by every run
+        other = RecursionConfig(3, 16)
+        run_recursion(other)
+        assert built == [cfg, other]
 
     @staticmethod
     def assert_identical(got, want):
@@ -495,7 +477,7 @@ class TestRunRecursion:
         assert np.all(np.diff(curve.times) >= 0)
 
     def test_monotone_mass_loss(self, small_cfg):
-        masses = [np.trapezoid(sl.values, sl.grid.points())
+        masses = [np.trapezoid(sl.values, small_cfg.grid.points())
                   for sl in pre_projection_slices(small_cfg)]
         assert np.all(np.diff(masses) < 0)
 
