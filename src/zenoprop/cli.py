@@ -182,6 +182,25 @@ def _check_scales(eps: float, v0: float, s_first: float, s_last: float) -> None:
                                  "the positive finite floats", param_hint="'--v0'")
 
 
+def _check_walk_scales(m: float, eps: float, levels: tuple[int, ...]) -> None:
+    """Refuse an ``--eps`` whose time step dtau = eps/r, or an ``--eps`` and
+    ``--m`` whose site spacing eta = sqrt(eps)/sqrt(m)/sqrt(r), leaves the
+    normal floats at one of the steps per interval r in ``levels``: a usage
+    error naming the flags.  Both fall as r grows, so the first and last
+    levels bound them."""
+    if not levels:
+        return  # continuum_peak_estimate refuses an empty sweep
+    coarse, fine = levels[0], levels[-1]
+    if not eps / fine >= sys.float_info.min:
+        raise click.BadParameter(f"{eps!r} puts dtau = eps/r at {eps / fine:.3g} for r = "
+                                 f"{fine}, below the normal floats", param_hint="'--eps'")
+    high, low = (math.sqrt(eps) / math.sqrt(m) / math.sqrt(r) for r in (coarse, fine))
+    if not (sys.float_info.min <= low and high <= sys.float_info.max):
+        raise click.BadParameter(f"eta = sqrt(eps)/sqrt(m)/sqrt(r), from {high:.3g} to "
+                                 f"{low:.3g}, leaves the normal floats",
+                                 param_hint=["--eps", "--m"])
+
+
 @click.group(context_settings=CONTEXT_SETTINGS)
 def main() -> None:
     """Boundary propagators for pulsed position measurements."""
@@ -271,6 +290,7 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
     level_list = tuple(4**j for j in range(1, levels + 1))
+    _check_walk_scales(m, eps, level_list)
 
     sweep = _numerical_guard(lattice.continuum_peak_estimate, tau, eps, m=m, levels=level_list)
     # one row per level, then the extrapolated ratio on a row of zeros

@@ -22,6 +22,11 @@ import numpy as np
 ROOT_INV_I = complex(np.exp(-1j * np.pi / 4))
 
 
+#: Relative distance from a whole number within which a computed ratio
+#: counts as that number: eight roundings (see ``snap_to_integer``).
+SNAP = 8 * np.finfo(float).eps
+
+
 class NumericalFailure(RuntimeError):
     """A computation could not produce a trustworthy number (guards, overflow,
     failed extrapolation).  Distinct from argument/contract errors, which
@@ -61,6 +66,17 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
     dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     prefactor = np.sqrt(m / (2 * np.pi * t))
     return prefactor * np.exp(-m * dx * dx / (2 * t))
+
+
+def snap_to_integer(x) -> np.ndarray:
+    """``x`` with each entry that lies within ``SNAP`` (relative) of a whole
+    number replaced by that number.  A ratio that is whole in exact
+    arithmetic, such as a drop instant over its spacing or a duration over
+    its time step, lands within a few roundings of it; one that is not lands
+    many roundings away."""
+    x = np.asarray(x, dtype=float)
+    nearest = np.rint(x)
+    return np.where(np.abs(x - nearest) <= SNAP * nearest, nearest, x)
 
 
 def pow2_at_least(n: int) -> int:

@@ -197,7 +197,9 @@ def continuum_peak_estimate(
     at each level, and removes the O(eta) and O(eta^2) errors by two
     Richardson stages.  The ratio is scale-free, so it is formed from the
     unit walk, m = eps = 1 over N = tau/eps intervals, which no (m, eps)
-    can overflow; the physical eta is reported alongside.  The
+    can overflow; the physical eta = sqrt(eps)/sqrt(m)/sqrt(r) is reported
+    alongside, formed from the three roots so that it leaves the floats only
+    where its value does.  The
     extrapolated ratio is 1 to a few parts in 1e3 at the default levels.  Fewer than three levels, levels that do not
     quadruple, and a finest walk of more than ``MAX_WALK_STEPS`` steps are
     rejected with ``ValueError``.
@@ -226,7 +228,7 @@ def continuum_peak_estimate(
     etas, ratios = [], []
     for r in levels:
         u = constrained_walk_probability(LatticeConfig(n_intervals * r, r))
-        etas.append(np.sqrt(eps / r / m))
+        etas.append(np.sqrt(eps) / np.sqrt(m) / np.sqrt(r))
         ratios.append(u / (2 * np.sqrt(1 / r)) / target)
 
     first = [2 * b - a for a, b in zip(ratios, ratios[1:])]

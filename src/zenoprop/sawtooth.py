@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NumericalFailure
+from .core import NumericalFailure, snap_to_integer
 
 __all__ = [
     "sawtooth_envelope",
@@ -33,12 +33,6 @@ __all__ = [
     "oscillation_ratio",
     "calibrate_absorption",
 ]
-
-# Relative distance of t/eps from a drop index within which t counts as the
-# drop: eight roundings.  A time grid's drop instants t = k eps sit within one
-# rounding of k (the default pdx scan's grids); a probe 1e-13 eps before the
-# drop at k = 12 is 37 roundings away and stays on the peak branch.
-_SNAP = 8 * np.finfo(float).eps
 
 
 def peak_value(k) -> np.ndarray | float:
@@ -68,9 +62,11 @@ def sawtooth_envelope(eps: float, t) -> np.ndarray | float:
     if np.any(t < 0):
         raise ValueError("envelope is defined for t >= 0")
     out = np.ones_like(t)
-    s = t / eps
-    drop = np.rint(s)
-    s = np.where(np.abs(s - drop) <= _SNAP * drop, drop, s)
+    # t counts as a drop within core.SNAP: a time grid's drop instants t = k
+    # eps sit within one rounding of k (the default pdx scan's grids), while
+    # a probe 1e-13 eps before the drop at k = 12 is 37 roundings away and
+    # stays on the peak branch
+    s = snap_to_integer(t / eps)
     past = s >= 1
     # k = number of projections already applied at time t (>= 1 where past)
     k = np.floor(s[past]).astype(int)

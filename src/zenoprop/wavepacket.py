@@ -38,8 +38,9 @@ are both trigonometric sums at non-uniform angles, evaluated by a
 Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of dense phase
 matrices; it agrees with the dense sums to about 1e-12.  Its 24 stencil
 weights per angle come from three exponentials by the fast-gridding
-factorisation of Greengard & Lee, one multiplication per weight, and no
-temporary is larger than the coefficients, the oversampled grid or the
+factorisation of Greengard & Lee, one multiplication per weight; the
+oversampled grid is transformed in place in one buffer with its stencil
+margins, and no other temporary is larger than the coefficients or the
 angles.  A time grid is capped at ``MAX_TIME_POINTS`` points.
 """
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROOT_INV_I, half_power_weights, pow2_at_least
+from .core import ROOT_INV_I, half_power_weights, pow2_at_least, snap_to_integer
 from .exact import absorbing_envelope
 from .sawtooth import calibrate_absorption, sawtooth_envelope
 
@@ -178,8 +179,9 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
 
     h = 2 pi / M, so three exponentials per angle and one multiplication per
     node give every weight, and the stencil is read one node offset at a
-    time from a wrapped copy of the grid; no temporary is larger than the
-    coefficients, the grid or theta.
+    time.  The grid is transformed in place in one buffer of M + 24 points
+    that also holds its wrapped stencil margins, so no other temporary is
+    larger than the coefficients or theta.
     """
     c = np.asarray(c, dtype=complex)
     theta = np.asarray(theta, dtype=float)
@@ -189,34 +191,47 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     ratio = n_grid / n_coef
     width = np.pi * _STENCIL / (n_coef**2 * ratio * (ratio - 0.5))
     n = np.arange(n_coef) - shift
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[n % n_grid] = c * np.exp(n**2 * width)
     # the smoothed grid with 11 nodes wrapped in before it and 13 after, so
     # wrapped[l + j + 11] is node (l + j) mod M for j = -11..12 and l = 0..M
-    # (mod 2 pi of an angle just below 0 can round to 2 pi itself)
-    wrapped = np.fft.ifft(padded).take(np.arange(1 - _STENCIL, n_grid + _STENCIL + 1),
-                                       mode="wrap")
-    del padded  # lowers the traced peak at 12,033 coefficients from 2.4 to 1.9 MB
+    # (mod 2 pi of an angle just below 0 can round to 2 pi itself); the
+    # deconvolved coefficients are transformed in place in the middle
+    wrapped = np.zeros(n_grid + 2 * _STENCIL, dtype=complex)
+    grid = wrapped[_STENCIL - 1 : n_grid + _STENCIL - 1]
+    grid[n % n_grid] = c * np.exp(n**2 * width)
+    np.fft.ifft(grid, out=grid)
+    # the margins by wrapped indices, which go round a grid of fewer than 13
+    # nodes more than once
+    wrapped[: _STENCIL - 1] = grid.take(np.arange(1 - _STENCIL, 0), mode="wrap")
+    wrapped[n_grid + _STENCIL - 1 :] = grid.take(np.arange(_STENCIL + 1), mode="wrap")
     step = 2 * np.pi / n_grid
-    reduced = np.mod(theta, 2 * np.pi)
-    node = np.floor(reduced / step)
-    offset = reduced - node * step
+    offset = np.mod(theta, 2 * np.pi)
+    node = np.floor(offset / step)
+    offset -= node * step
+    index = node.astype(np.int64)
+    del node
+    index += _STENCIL - 1
     centre = np.exp(-(offset**2) / (4 * width))
     rise = np.exp(offset * (step / (2 * width)))
-    index = node.astype(np.int64) + (_STENCIL - 1)
-    interp = wrapped.take(index, mode="clip") * centre
+    del offset
+    interp = wrapped.take(index, mode="clip")
+    interp *= centre
     column = np.empty_like(interp)
     # nodes l + 1 .. l + 12 by powers of rise, then l - 1 .. l - 11 by 1/rise
-    for factor, sign, count in ((rise, 1, _STENCIL), (1.0 / rise, -1, _STENCIL - 1)):
-        gauss = centre.copy()
-        at = index.copy()
+    gauss = centre.copy()
+    for sign, count in ((1, _STENCIL), (-1, _STENCIL - 1)):
+        if sign < 0:  # back to node l and its weight, stepping by 1/rise
+            index -= _STENCIL
+            gauss = centre
+            np.divide(1.0, rise, out=rise)
         for j in range(1, count + 1):
-            gauss *= factor
-            at += sign
-            wrapped.take(at, out=column, mode="clip")
+            gauss *= rise
+            index += sign
+            wrapped.take(index, out=column, mode="clip")
             column *= gauss * np.exp(-((j * step) ** 2) / (4 * width))
             interp += column
-    return np.exp(1j * shift * theta) * (np.sqrt(np.pi / width) * interp)
+    del column, gauss, centre, rise, index
+    interp *= np.sqrt(np.pi / width)
+    return np.multiply(np.exp(1j * shift * theta), interp, out=interp)
 
 
 def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
@@ -225,15 +240,18 @@ def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) ->
     ``phi`` carries the boundary kernel with its inverse-square-root factor
     peeled off (phi(u) = sqrt(u) * kernel(u)), which the product-integration
     weights then restore exactly panel by panel.  The discrete convolution
-    is a zero-padded FFT product.
+    is a zero-padded FFT product, multiplied and inverted in place in the
+    first spectrum; the result is a copy of its first n entries.
     """
     if len(phi) != len(deriv):
         raise ValueError("phi and deriv must share the time grid")
     n = len(phi)
     weights = half_power_weights(n - 1, dt)
     size = pow2_at_least(2 * n - 1)
-    spec = np.fft.fft(weights * phi, size) * np.fft.fft(deriv, size)
-    return np.fft.ifft(spec)[:n]
+    spec = np.fft.fft(weights * phi, size)
+    spec *= np.fft.fft(deriv, size)
+    np.fft.ifft(spec, out=spec)
+    return spec[:n].copy()  # a view would keep the whole spectrum alive
 
 
 def step_profile(x1, tau: float, m: float) -> np.ndarray:
@@ -285,16 +303,15 @@ def crossing_term(
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
-    nt = len(t) - 1
     dt = t[1] - t[0]
     g_end = G[-1]
-    g_smooth = G - g_end
+    # G - G(tau) with trapezoid weights; halving the end weights is exact
+    gw = G - g_end
+    gw *= dt
+    gw[0] *= 0.5
+    gw[-1] *= 0.5
 
     k = np.arange(-kmax, kmax + dk, dk)
-    wt = np.full(nt + 1, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-    gw = g_smooth * wt
     w = k**2 / (2 * m)
     spectral = (-1j * k / m**2) * np.exp(-1j * w * tau) * _trig_sum(gw, w * dt)
     spectral[np.abs(k) <= 1e-12] = 0.0
@@ -307,9 +324,9 @@ def crossing_term(
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
 # scan the grid has about 1,203 points per unit of p sigma (12,033 at the
 # default p sigma = 10), and time and memory grow about linearly with it:
-# on a 2-vCPU VM the whole scan takes 0.6 s and 63 MB of peak RSS at
-# p sigma = 100 and 6.8 s and 299 MB at p sigma = 871, just under the cap,
-# so the cap holds a scan to about 7 s and 300 MB.
+# on a 2-vCPU VM the whole scan takes 0.5 s and 56 MB of peak RSS at
+# p sigma = 100 and 5.3 s and 240 MB at p sigma = 871, just under the cap,
+# so the cap holds a scan to about 6 s and 250 MB.
 MAX_TIME_POINTS = 2**20
 
 
@@ -319,7 +336,9 @@ def time_points(wp: WavePacket, eps: float, tau: float) -> int:
     2 pi/E and tau/1024.  A grid of more than ``MAX_TIME_POINTS`` points is
     refused with ``ValueError`` before anything is allocated."""
     dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
-    steps = np.ceil(tau / dt)
+    # tau/dt is the same for every m in exact arithmetic, so a quotient
+    # rounded just past a whole number counts as that number
+    steps = np.ceil(snap_to_integer(tau / dt))
     if not steps < MAX_TIME_POINTS:
         raise ValueError(f"time grid of {steps + 1:.6g} points exceeds the cap of "
                          f"{MAX_TIME_POINTS} (MAX_TIME_POINTS)")
@@ -334,8 +353,10 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
     """
     v0 = calibrate_absorption(eps)
     t = np.linspace(0.0, tau, time_points(wp, eps, tau))
-    phi = stationary_delta_g(t, eps, v0, wp.m)
-    G = inner_boundary_convolution(phi, packet_boundary_derivative(wp, t), t[1])
+    # the peeled boundary difference and the packet derivative are freed
+    # once the convolution returns
+    G = inner_boundary_convolution(stationary_delta_g(t, eps, v0, wp.m),
+                                   packet_boundary_derivative(wp, t), t[1])
 
     kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
     span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma

@@ -162,7 +162,7 @@ class TestLattice:
         ratios = [float(r[3]) for r in rows[:-1]]
         assert ratios == sorted(ratios)  # monotone convergence recorded
 
-    @pytest.mark.parametrize("m, eps", [(2.5, 0.3), (1e300, 1e-10), (1.0, 1e-310)])
+    @pytest.mark.parametrize("m, eps", [(2.5, 0.3), (1e300, 1e-10), (1.0, 1e-300)])
     def test_ratio_is_the_unit_walks(self, runner, tmp_path, m, eps):
         # the ratio is scale-free: at every (m, eps) the ratio column, the
         # extrapolated row too, is the unit table's (m = eps = 1, tau = 4),
@@ -176,6 +176,37 @@ class TestLattice:
 
         scaled = ratios("--m", repr(m), "--eps", repr(eps), "--tau", repr(4 * eps))
         assert scaled == ratios("--tau", "4")
+
+    @pytest.mark.parametrize("m, eps", [(1e300, 1e-100), (1e-300, 1e100)])
+    def test_eta_where_eps_over_m_leaves_the_floats(self, runner, tmp_path, m, eps):
+        # eps/m is 1e-400 or 1e400, but eta = sqrt(eps/m)/sqrt(r) is 1e-200
+        # or 1e200 over sqrt(r), written to the last digit
+        out = tmp_path / "lat.csv"
+        args = ["--m", repr(m), "--eps", repr(eps), "--tau", repr(4 * eps)]
+        res = runner.invoke(main, ["lattice", *args, "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        _, rows = read_rows(out)
+        root = 1e-200 if m > 1 else 1e200
+        for row in rows[:-1]:
+            assert float(row[1]) == pytest.approx(root / np.sqrt(float(row[0])), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("args, flags", [
+        # dtau = eps / 256 is subnormal at the finest level
+        (["--eps", "1e-310", "--tau", "4e-310"], "'--eps'"),
+        # eta = sqrt(1e300) / sqrt(5e-324) / 2 overflows
+        (["--m", "5e-324", "--eps", "1e300", "--tau", "4e300"], "'--eps' / '--m'"),
+        # eta = sqrt(1.6e-307) / sqrt(1.7e308) / 2 is subnormal, dtau is not
+        (["--m", "1.7e308", "--eps", "1.6e-307", "--tau", "6.4e-307", "--levels", "1"],
+         "'--eps' / '--m'"),
+    ], ids=["dtau-subnormal", "eta-overflows", "eta-subnormal"])
+    def test_scales_outside_the_normal_floats_are_refused(self, runner, tmp_path, args, flags):
+        out = tmp_path / "lat.csv"
+        res = runner.invoke(main, ["lattice", *args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        last = res.output.splitlines()[-1]
+        assert last.startswith(f"Error: Invalid value for {flags}: ")
+        assert len(last) < 200
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
@@ -521,6 +552,19 @@ class TestPdxCommand:
                                    sigma=1.0)
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
         assert wavepacket.time_points(wp, 0.125 / wp.energy, tau) == wavepacket.MAX_TIME_POINTS
+
+    def test_delta_norm_is_independent_of_mass(self, runner, tmp_path):
+        # the scan is the same physics at every m; a time grid that gains a
+        # point at some m misses every drop and moves delta_norm by up to 16%
+        def norms(m):
+            out = tmp_path / "pdx.csv"
+            res = runner.invoke(main, ["pdx", "--m", m, "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            return np.array([float(r[3]) for r in read_rows(out)[1]])
+
+        unit = norms("1")
+        for m in ["1e-150", "3e-7", "3", "16", "1e50"]:
+            np.testing.assert_allclose(norms(m), unit, rtol=1e-11, err_msg=f"m = {m}")
 
     @pytest.mark.slow
     def test_scan_table(self, runner, tmp_path):

@@ -235,7 +235,28 @@ class TestDeltaG:
         assert drops > 1000
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPdxDeltaPsi:
+    def test_peak_memory_at_finest_eps(self, packet):
+        # the default pdx scan's finest eps: 12,033 time points, a 32,768-point
+        # convolution spectrum multiplied and inverted in place and not held
+        # past the convolution, 2.29 MB (3.7 MB with the spectrum pinned)
+        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
+        eps = 0.125 / packet.energy
+        xs = np.linspace(0.05, abs(packet.q) + packet.p * tau / packet.m + 6.0, 400)
+        profile = step_profile(xs, tau, packet.m)
+        assert time_points(packet, eps, tau) == 12_033
+        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 2.5e6
+
     def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
         t_c = -packet.q * packet.m / packet.p
         tau = 1.4 * t_c
@@ -294,19 +315,14 @@ class TestTrigSum:
         assert np.max(np.abs(_trig_sum(c, theta) - want)) <= 1e-11 * np.sum(np.abs(c))
 
     def test_peak_memory_at_pdx_size(self):
-        # the stencil is gridded one node offset at a time: apart from the
-        # 32,768-point grid no temporary outgrows the angles (an N x 24
-        # stencil matrix would peak near 9 MB here)
+        # the 32,768-point grid is transformed in place in one buffer with its
+        # stencil margins, and the stencil is gridded one node offset at a
+        # time: 1.35 MB (an N x 24 stencil matrix would peak near 9 MB here,
+        # a separate FFT output, index array and wrapped copy at 1.9 MB)
         rng = np.random.default_rng(1)
         c = rng.normal(size=12_033) + 1j * rng.normal(size=12_033)
         theta = rng.uniform(0.0, 4.5, 8_288)
-        tracemalloc.start()
-        try:
-            _trig_sum(c, theta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(_trig_sum, c, theta) < 1.5e6
 
 
 class TestCrossingTermOracle:
