@@ -80,9 +80,24 @@ def snap_to_integer(x) -> np.ndarray:
 
 
 def pow2_at_least(n: int) -> int:
-    """Smallest power of two >= n: the FFT length of every zero-padded
-    convolution in the package."""
+    """Smallest power of two >= n: the FFT length of the slice recursion's
+    zero-padded convolutions."""
     return 1 << max(n - 1, 0).bit_length()
+
+
+def five_smooth_at_least(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, never above ``pow2_at_least(n)``: the
+    transform length of the wave-packet convolution and non-uniform FFT,
+    which pocketfft runs about as fast per point as a power of two."""
+    best = pow2_at_least(n)
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:  # odd = 3^b 5^c; the least odd 2^a >= n
+            best = min(best, odd * pow2_at_least(-(-n // odd)))
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def half_power_weights(n_panels: int, dt: float) -> np.ndarray:

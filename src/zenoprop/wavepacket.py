@@ -32,12 +32,15 @@ nothing is singular; the slowly decaying 1/k endpoint tail (a step
 structure at the boundary) is summed analytically via a Fresnel integral
 so the numeric transform only handles an O(1/k^2) remainder.  That step
 profile depends on tau, m and the x grid alone, so an eps scan builds it
-once (``step_profile``) and hands it to every crossing term.  The time sum
+once (``step_profile``) and hands it to every crossing term.  The
+momentum integrand is odd in k, so only k > 0 is sampled.  The time sum
 at the frequencies k^2/2m and the transform from the uniform k grid to x
 are both trigonometric sums at non-uniform angles, evaluated by a
 Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of dense phase
-matrices; it agrees with the dense sums to about 1e-12.  Its 24 stencil
-weights per angle come from three exponentials by the fast-gridding
+matrices; it agrees with the dense sums to about 1e-12.  The convolution
+and the non-uniform FFT run at the smallest 2^a 3^b 5^c length they
+need rather than the next power of two.  The non-uniform FFT's 24
+stencil weights per angle come from three exponentials by the fast-gridding
 factorisation of Greengard & Lee, one multiplication per weight; the
 oversampled grid is transformed in place in one buffer with its stencil
 margins, and no other temporary is larger than the coefficients or the
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROOT_INV_I, half_power_weights, pow2_at_least, snap_to_integer
+from .core import ROOT_INV_I, five_smooth_at_least, half_power_weights, snap_to_integer
 from .exact import absorbing_envelope
 from .sawtooth import calibrate_absorption, sawtooth_envelope
 
@@ -103,18 +106,33 @@ class WavePacket:
 
 def packet_boundary_derivative(wp: WavePacket, t):
     """d psi / dx at x = 0 of the initial Gaussian under exact free
-    evolution (analytic; the t = 0 value is that of the initial packet)."""
+    evolution (analytic; the t = 0 value is that of the initial packet).
+
+    With A = a - i b, a = 1/4 sigma^2 and b = m/2t, the free propagator's
+    sqrt(m/2 pi t) and the Gaussian integral's sqrt(pi/A) combine into
+    sqrt(b/A), so one complex reciprocal 1/A serves every factor, and the
+    factors are multiplied in place into three complex arrays of the grid.
+    """
     t = np.asarray(t, dtype=float)
     a = 1.0 / (4 * wp.sigma**2)
     beta0 = 2 * a * wp.q + 1j * wp.p
-    at_zero = wp.norm_factor * np.exp(-a * wp.q**2) * beta0
-    ts = np.where(t == 0, 1.0, t)
-    b = wp.m / (2 * ts)
-    A = a - 1j * b
-    pref = ROOT_INV_I * np.sqrt(wp.m / (2 * np.pi * ts)) * wp.norm_factor
-    psi0 = pref * np.sqrt(np.pi / A) * np.exp(-a * wp.q**2 + beta0**2 / (4 * A))
-    out = np.where(t == 0, at_zero, psi0 * (-1j * b * beta0 / A))
-    return out if out.ndim else complex(out)
+    at_zero = np.atleast_1d(t == 0)
+    b = np.divide(wp.m / 2, np.where(at_zero, 1.0, t))
+    inv_a = b * -1j
+    inv_a += a
+    np.reciprocal(inv_a, out=inv_a)
+    out = inv_a * b
+    np.sqrt(out, out=out)
+    gauss = inv_a * (beta0**2 / 4)
+    gauss -= a * wp.q**2
+    out *= np.exp(gauss, out=gauss)
+    del gauss
+    inv_a *= b
+    del b
+    out *= inv_a
+    out *= ROOT_INV_I * wp.norm_factor * -1j * beta0
+    out[at_zero] = wp.norm_factor * np.exp(-a * wp.q**2) * beta0
+    return out if t.ndim else complex(out[0])
 
 
 def suppression_exponent(wp: WavePacket, eps: float) -> float:
@@ -163,13 +181,14 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     Lee 2004).
 
     The index is shifted to n = j - N/2, the coefficients are deconvolved by
-    exp(n^2 tau), one zero-padded inverse FFT of power-of-two length M >= 2N
-    samples their Gaussian-smoothed sum on the uniform grid 2 pi l / M, and
+    exp(n^2 tau), one zero-padded inverse FFT of the smallest 2^a 3^b 5^c
+    length M >= 2N (``five_smooth_at_least``) samples their
+    Gaussian-smoothed sum on the uniform grid 2 pi l / M, and
     a 2*12-point Gaussian stencil interpolates at each theta mod 2 pi.  The
     width tau uses the effective oversampling ratio R = M/N, which balances
     the stencil-truncation and grid-aliasing errors at exp(-12 pi (R - 0.5)
-    / R) <= 6e-13 each; after the exp(n^2 tau) amplification the result is
-    within about 1e-12 of sum |c_j|.
+    / R) <= 6e-13 each at R >= 2; after the exp(n^2 tau) amplification the
+    result is within about 1e-12 of sum |c_j|.
 
     The stencil weights are gridded fast (Greengard & Lee): with d the
     offset of theta from its grid node l, the weight of node l + j is
@@ -187,7 +206,7 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     n_coef = len(c)
     shift = n_coef // 2
-    n_grid = pow2_at_least(2 * n_coef)
+    n_grid = five_smooth_at_least(2 * n_coef)
     ratio = n_grid / n_coef
     width = np.pi * _STENCIL / (n_coef**2 * ratio * (ratio - 0.5))
     n = np.arange(n_coef) - shift
@@ -198,6 +217,7 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     wrapped = np.zeros(n_grid + 2 * _STENCIL, dtype=complex)
     grid = wrapped[_STENCIL - 1 : n_grid + _STENCIL - 1]
     grid[n % n_grid] = c * np.exp(n**2 * width)
+    del n
     np.fft.ifft(grid, out=grid)
     # the margins by wrapped indices, which go round a grid of fewer than 13
     # nodes more than once
@@ -240,16 +260,29 @@ def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) ->
     ``phi`` carries the boundary kernel with its inverse-square-root factor
     peeled off (phi(u) = sqrt(u) * kernel(u)), which the product-integration
     weights then restore exactly panel by panel.  The discrete convolution
-    is a zero-padded FFT product, multiplied and inverted in place in the
-    first spectrum; the result is a copy of its first n entries.
+    is a zero-padded FFT product of the smallest 2^a 3^b 5^c length at or
+    above 2n - 1.  Each factor is written into its own zero-padded buffer
+    and transformed in place, the product and its inverse are formed in
+    the first, and the result is a copy of its first n entries.  ``phi``
+    and ``deriv`` are dropped once copied, so arrays that the caller does
+    not hold are freed before the transforms.
     """
     if len(phi) != len(deriv):
         raise ValueError("phi and deriv must share the time grid")
     n = len(phi)
+    # the weights first, so that their temporaries do not add to the buffers
     weights = half_power_weights(n - 1, dt)
-    size = pow2_at_least(2 * n - 1)
-    spec = np.fft.fft(weights * phi, size)
-    spec *= np.fft.fft(deriv, size)
+    size = five_smooth_at_least(2 * n - 1)
+    spec = np.zeros(size, dtype=complex)
+    np.multiply(weights, phi, out=spec[:n])
+    del weights, phi
+    np.fft.fft(spec, out=spec)
+    other = np.zeros(size, dtype=complex)
+    other[:n] = deriv
+    del deriv
+    np.fft.fft(other, out=other)
+    spec *= other
+    del other
     np.fft.ifft(spec, out=spec)
     return spec[:n].copy()  # a view would keep the whole spectrum alive
 
@@ -296,10 +329,15 @@ def crossing_term(
     step at x1 = 0; it is subtracted via G(tau) and added back in closed
     form as -(2 G(tau)/m) times ``profile``, the ``step_profile(x1, tau,
     m)`` that the caller builds once for all calls sharing tau, m and x1,
-    leaving an O(1/k^2) remainder for the numeric transform.  Both the time
-    sum at frequencies w_k = k^2/2m and the transform from the uniform k
-    grid to x1 are trigonometric sums at non-uniform angles, w_k dt and
-    x1 dk, evaluated by ``_trig_sum``.
+    leaving an O(1/k^2) remainder for the numeric transform.
+
+    The momenta are k = j dk for j = -J..J without j = 0, J = kmax/dk
+    rounded up.  The integrand (-i k/m^2) exp(-i w tau) T(w), w = k^2/2m
+    and T the time sum, is odd in k, so only j = 1..J is computed: the
+    time sum at the frequencies w_k, angles w_k dt, and the transform to
+    x1 as sum_j c_j (exp(i j x1 dk) - exp(-i j x1 dk)), one sum over J
+    coefficients at the angles +x1 dk and -x1 dk.  Both are trigonometric
+    sums at non-uniform angles, evaluated by ``_trig_sum``.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
@@ -311,22 +349,35 @@ def crossing_term(
     gw[0] *= 0.5
     gw[-1] *= 0.5
 
-    k = np.arange(-kmax, kmax + dk, dk)
+    # k = j dk for j = 1..J; kmax/dk is the same at every m in exact
+    # arithmetic, so a quotient rounded just past a whole number counts as
+    # that number
+    n_k = int(np.ceil(snap_to_integer(kmax / dk)))
+    if n_k < 1:
+        raise ValueError("kmax and dk must be positive")
+    k = np.arange(1, n_k + 1) * dk
     w = k**2 / (2 * m)
-    spectral = (-1j * k / m**2) * np.exp(-1j * w * tau) * _trig_sum(gw, w * dt)
-    spectral[np.abs(k) <= 1e-12] = 0.0
-    smooth_part = (
-        np.exp(1j * xs * k[0]) * _trig_sum(spectral * dk, xs * (k[1] - k[0])) / (2 * np.pi)
-    )
+    spectral = _trig_sum(gw, w * dt)
+    del gw
+    spectral *= np.exp(-1j * tau * w)
+    del w
+    spectral *= k * (-1j * dk) / m**2  # with the dk of the k -> x sum
+    # sum_j c_j (e^{i j theta} - e^{-i j theta}) over j = 1..J, theta = x dk,
+    # from one sum over j - 1 at +theta and -theta
+    theta = xs * dk
+    angles = np.concatenate([theta, -theta])
+    both = np.exp(1j * angles) * _trig_sum(spectral, angles)
+    smooth_part = (both[: len(xs)] - both[len(xs) :]) / (2 * np.pi)
     return -(smooth_part - (2 * g_end / m) * profile)
 
 
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
 # scan the grid has about 1,203 points per unit of p sigma (12,033 at the
 # default p sigma = 10), and time and memory grow about linearly with it:
-# on a 2-vCPU VM the whole scan takes 0.5 s and 56 MB of peak RSS at
-# p sigma = 100 and 5.3 s and 240 MB at p sigma = 871, just under the cap,
-# so the cap holds a scan to about 6 s and 250 MB.
+# on a 2-vCPU VM the whole scan takes 0.3 s and 49 MiB of peak RSS
+# (ru_maxrss / 1024) at p sigma = 100 and 3.0 s and 207 MiB at
+# p sigma = 871, just under the cap, so the cap holds a scan to about 3.5 s
+# and 220 MiB.
 MAX_TIME_POINTS = 2**20
 
 
@@ -353,8 +404,8 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
     """
     v0 = calibrate_absorption(eps)
     t = np.linspace(0.0, tau, time_points(wp, eps, tau))
-    # the peeled boundary difference and the packet derivative are freed
-    # once the convolution returns
+    # the peeled boundary difference and the packet derivative are held only
+    # by the convolution, which frees them once it has copied them
     G = inner_boundary_convolution(stationary_delta_g(t, eps, v0, wp.m),
                                    packet_boundary_derivative(wp, t), t[1])
 

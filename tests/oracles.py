@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel
+from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel, snap_to_integer
 from zenoprop.exact import absorbing_envelope, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
 from zenoprop.recursion import advance_slice, boundary_amplitude, initial_slice
@@ -70,7 +70,9 @@ def dense_crossing_term(
 
     added back in closed form (the Fresnel integral is a cheap 1-d
     cumulative quadrature), leaving an O(1/k^2) remainder for the numeric
-    transform.
+    transform.  The momenta are k = j dk for j = -J..J without j = 0,
+    J = kmax/dk rounded up, summed over both signs of k as they stand,
+    without using that the integrand is odd in k.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
@@ -79,8 +81,9 @@ def dense_crossing_term(
     g_end = G[-1]
     g_smooth = G - g_end
 
-    k = np.arange(-kmax, kmax + dk, dk)
-    k = k[np.abs(k) > 1e-12]
+    n_k = int(np.ceil(snap_to_integer(kmax / dk)))
+    j = np.arange(-n_k, n_k + 1)
+    k = j[j != 0] * dk
     wt = np.full(nt + 1, dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5

@@ -566,6 +566,23 @@ class TestPdxCommand:
         for m in ["1e-150", "3e-7", "3", "16", "1e50"]:
             np.testing.assert_allclose(norms(m), unit, rtol=1e-11, err_msg=f"m = {m}")
 
+    # delta_norm of the default scan on the two-sided momentum grid
+    # -kmax..kmax with k = 0 dropped and power-of-two transform lengths
+    PINNED_DELTA_NORM = [0.070581152534225977, 0.09022217005360926, 0.12488359905101681,
+                         0.12885840022502643, 0.14375289047627202, 0.18219274981410921,
+                         0.19585540877415339, 0.19222637469749199, 0.21897297109756728]
+
+    def test_delta_norm_is_pinned(self, runner, tmp_path):
+        # sampling k > 0 only, on the grid k = j dk, moves delta_norm by at
+        # most 1.1e-9 relative (at E eps = 0.7); on the two-sided grid,
+        # kmax x 1.5 moves it by up to 2.2e-9 and dk / 2 by up to 9.2e-10,
+        # so the move is within the momentum discretisation error
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        norms = [float(r[3]) for r in read_rows(out)[1]]
+        np.testing.assert_allclose(norms, self.PINNED_DELTA_NORM, rtol=2e-9, atol=0)
+
     @pytest.mark.slow
     def test_scan_table(self, runner, tmp_path):
         out = tmp_path / "pdx.csv"

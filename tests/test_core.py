@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import QuadratureRule, free_propagator, integrate, quadrature_nodes
-from zenoprop.core import BoundaryCurve, Grid1D, ROOT_INV_I, half_power_weights, heat_kernel
+from zenoprop.core import (
+    BoundaryCurve,
+    Grid1D,
+    ROOT_INV_I,
+    five_smooth_at_least,
+    half_power_weights,
+    heat_kernel,
+    pow2_at_least,
+)
 
 
 class TestGrid:
@@ -151,6 +160,21 @@ class TestHalfPowerWeights:
         w = half_power_weights(n, dt)
         u = np.arange(n + 1) * dt
         assert np.dot(w, np.cos(u)) == pytest.approx(target, abs=1e-6)
+
+
+class TestTransformLengths:
+    def test_five_smooth_against_brute_force(self):
+        # every 2^a 3^b 5^c up to 2^15, and the least one at or above each n
+        smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10)
+                        for c in range(7) if 2**a * 3**b * 5**c <= 2**15)
+        for n in range(10_001):
+            want = smooth[bisect.bisect_left(smooth, n)]
+            assert five_smooth_at_least(n) == want, n
+            assert want <= pow2_at_least(n)
+
+    def test_five_smooth_at_pdx_sizes(self):
+        assert five_smooth_at_least(2 * 12_033 - 1) == 24_300
+        assert five_smooth_at_least(2**21) == 2**21
 
 
 class TestBoundaryCurve:

@@ -16,7 +16,7 @@ from oracles import (
     spearman_rho,
     step_reflection,
 )
-from zenoprop.core import pow2_at_least
+from zenoprop.core import five_smooth_at_least
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
@@ -133,6 +133,15 @@ class TestBoundaryDerivative:
         assert packet_boundary_derivative(packet, 0.0) == want[0]
         assert isinstance(packet_boundary_derivative(packet, 0.5), complex)
 
+    def test_peak_memory_at_finest_eps(self, packet):
+        # the default pdx scan's finest time grid: one reciprocal 1/A and the
+        # factors multiplied in place into three complex arrays, 0.69 MB
+        # (1.17 MB with about six complex arrays alive)
+        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
+        t = np.linspace(0.0, tau, time_points(packet, 0.125 / packet.energy, tau))
+        assert len(t) == 12_033
+        assert traced_peak(packet_boundary_derivative, packet, t) < 0.8e6
+
     def test_crossing_instant_dominated_by_momentum(self, packet):
         # packet centred on the origin: its envelope is stationary there, so
         # the derivative is exactly i p psi, spreading included
@@ -247,15 +256,17 @@ def traced_peak(fn, *args) -> int:
 
 class TestPdxDeltaPsi:
     def test_peak_memory_at_finest_eps(self, packet):
-        # the default pdx scan's finest eps: 12,033 time points, a 32,768-point
+        # the default pdx scan's finest eps: 12,033 time points, a 24,300-point
         # convolution spectrum multiplied and inverted in place and not held
-        # past the convolution, 2.29 MB (3.7 MB with the spectrum pinned)
+        # past the convolution, and the crossing term's momenta at k > 0
+        # only, 1.61 MB (2.29 MB with 32,768-point spectra and both signs of
+        # k, 3.7 MB with the spectrum pinned as well)
         tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
         eps = 0.125 / packet.energy
         xs = np.linspace(0.05, abs(packet.q) + packet.p * tau / packet.m + 6.0, 400)
         profile = step_profile(xs, tau, packet.m)
         assert time_points(packet, eps, tau) == 12_033
-        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 2.5e6
+        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 1.7e6
 
     def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
         t_c = -packet.q * packet.m / packet.p
@@ -289,20 +300,22 @@ class TestTrigSum:
         got = _trig_sum(c, theta)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(c))
 
-    @pytest.mark.parametrize("n_coef, n_angles", [(12_033, 8_288), (8_288, 400)])
+    @pytest.mark.parametrize("n_coef, n_angles", [(12_033, 8_288), (8_288, 400), (4_144, 800)])
     def test_matches_direct_sum_at_pdx_sizes(self, n_coef, n_angles):
-        # the default pdx scan's time sum and k -> x transform
+        # the default pdx scan's time sum (12,033 coefficients at 4,144
+        # angles; 8,288 on a grid of both signs of k) and k -> x transform
+        # (4,144 coefficients at 800 angles; 8,288 at 400 on both signs)
         rng = np.random.default_rng(n_coef)
         c = rng.normal(size=n_coef) + 1j * rng.normal(size=n_coef)
         theta = rng.uniform(-9.0, 9.0, n_angles)
         got = _trig_sum(c, theta)
         assert np.max(np.abs(got - direct_trig_sum(c, theta))) <= 1e-11 * np.sum(np.abs(c))
 
-    @pytest.mark.parametrize("n", [1024, 1025])  # oversampling R = 2 and R = 4096/1025
+    @pytest.mark.parametrize("n", [1024, 1025])  # oversampling R = 2 and R = 2160/1025
     def test_edge_angles(self, n):
         # grid nodes, +-2 pi, and angles whose remainder mod 2 pi is, or
         # rounds to, 2 pi itself, so that floor(theta / step) reaches M
-        n_grid = pow2_at_least(2 * n)
+        n_grid = five_smooth_at_least(2 * n)
         step = 2 * np.pi / n_grid
         nodes = np.array([0, 1, 2, n_grid // 2, n_grid - 2, n_grid - 1]) * step
         below = np.nextafter(2 * np.pi, 0.0)
@@ -315,14 +328,15 @@ class TestTrigSum:
         assert np.max(np.abs(_trig_sum(c, theta) - want)) <= 1e-11 * np.sum(np.abs(c))
 
     def test_peak_memory_at_pdx_size(self):
-        # the 32,768-point grid is transformed in place in one buffer with its
-        # stencil margins, and the stencil is gridded one node offset at a
-        # time: 1.35 MB (an N x 24 stencil matrix would peak near 9 MB here,
-        # a separate FFT output, index array and wrapped copy at 1.9 MB)
+        # the 24,300-point grid is transformed in place in one buffer with its
+        # stencil margins, the index array is dropped once gridded, and the
+        # stencil is gridded one node offset at a time: 1.12 MB (1.35 MB on
+        # a 32,768-point grid; an N x 24 stencil matrix would peak near 9 MB
+        # here, a separate FFT output, index array and wrapped copy at 1.9 MB)
         rng = np.random.default_rng(1)
         c = rng.normal(size=12_033) + 1j * rng.normal(size=12_033)
         theta = rng.uniform(0.0, 4.5, 8_288)
-        assert traced_peak(_trig_sum, c, theta) < 1.5e6
+        assert traced_peak(_trig_sum, c, theta) < 1.15e6
 
 
 class TestCrossingTermOracle:
@@ -331,8 +345,8 @@ class TestCrossingTermOracle:
     @pytest.mark.parametrize(
         "nt, kmax",
         [
-            (400, 30.0),  # k = 0 on the grid, w_k dt up to 1.7
-            (150, 30.02),  # k = 0 off the grid, w_k dt up to 4.5 > pi
+            (400, 30.0),  # kmax a multiple of dk, w_k dt up to 1.7
+            (150, 30.02),  # kmax not a multiple of dk, w_k dt up to 4.5 > pi
         ],
     )
     def test_matches_dense(self, packet, nt, kmax):
@@ -347,6 +361,14 @@ class TestCrossingTermOracle:
                             profile=step_profile(xs, tau, packet.m))
         want = dense_crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kmax, dk", [(0.0, 0.05), (30.0, -0.05)])
+    def test_rejects_empty_momentum_grid(self, packet, kmax, dk):
+        t = np.linspace(0.0, 1.5, 11)
+        xs = np.linspace(0.05, 25.0, 9)
+        with pytest.raises(ValueError, match="kmax and dk must be positive"):
+            crossing_term(xs, 1.5, np.ones(11, dtype=complex), t, packet.m, kmax, dk,
+                          step_profile(xs, 1.5, packet.m))
 
 
 class TestFreeReconstruction:
