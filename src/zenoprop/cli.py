@@ -307,11 +307,11 @@ def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
               help="Dimensionless packet momentum p*sigma.")
 def pdx(m, out, fmt, p_sigma) -> None:
     """Wave-packet perturbation scan against the suppression predictor; it
-    scans its own eps values and calibrates v0 from each."""
+    scans its own eps values and calibrates v0 from each, at m = 1 (the
+    scan is scale-free), reporting eps and tau in units of m, times --m."""
 
-    def build():
-        sigma = 1.0
-        wp = wavepacket.WavePacket(q=-10 * sigma, p=p_sigma / sigma, sigma=sigma, m=m)
+    def build():  # in units of sigma
+        wp = wavepacket.WavePacket(q=-10.0, p=p_sigma, sigma=1.0, m=1.0)
         if not 0 < wp.energy < math.inf:
             raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
@@ -321,13 +321,17 @@ def pdx(m, out, fmt, p_sigma) -> None:
             wavepacket.time_points(wp, eps_values[0], tau)
         except ValueError as err:
             raise click.BadParameter(str(err), param_hint="'--p-sigma'") from err
-        x_grid = np.linspace(0.05 * sigma, abs(wp.q) + wp.p * tau / wp.m + 6 * sigma, 400)
+        x_grid = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
         norms, exponents = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
         return tau, (eps_values, scan, wavepacket.suppression_factor(exponents), norms)
 
-    tau, columns = _numerical_guard(build)
-    _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": tau},
-                 ["eps", "E_eps", "predictor", "delta_norm"], columns)
+    tau, (eps_values, *columns) = _numerical_guard(build)
+    low, high = m * float(eps_values[0]), m * max(float(eps_values[-1]), tau)  # inf, no error
+    if not (sys.float_info.min <= low and high <= sys.float_info.max):
+        raise click.BadParameter(f"eps and tau in units of m, from {low:.3g} to {high:.3g}, "
+                                 "leave the normal floats", param_hint=["--m", "--p-sigma"])
+    _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": m * tau},
+                 ["eps", "E_eps", "predictor", "delta_norm"], (m * eps_values, *columns))
 
 
 @main.command()

@@ -5,7 +5,7 @@ each per time slice dtau, and must sit strictly on the positive axis at the
 intermediate constraint instants (every ``steps_per_projection`` slices).
 The return probability u(0, tau | 0, 0) under these constraints comes from
 a dynamic program over walk counts, exact up to rounding, which sums only
-the sites that can still return, builds its add operands once per segment
+the sites that can still survive, builds its add operands once per segment
 between projections and rescales, and trims its window at each rescale to
 the counts that survive it (``constrained_walk_probability``); mapped to a
 density through the factor 1/(2 eta) (reachable sites alternate parity, so
@@ -45,7 +45,7 @@ __all__ = [
 
 # Longest walk a refinement sweep may run.  The DP sums at most n/2 + 1
 # sites a step, and once the rescales trim the underflowed tails about
-# 0.1 n^2 in all (107,071,360 at 32,768 steps with 8 projection
+# 0.1 n^2 in all (102,916,480 at 32,768 steps with 8 projection
 # intervals); on a 2-vCPU VM 32,768 steps, the finest walk the benchmark
 # runs, take about 0.05 s and a walk at the cap 0.1-0.2 s with at least
 # 4 steps per interval (0.35 s with a projection at every step), so the
@@ -84,19 +84,19 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     parity are occupied, so site x = 2j - step is stored at ``w[j + 1]``
     (``w[0]`` stays zero) and one step is one sum, ``v[j] = w[j - 1] +
     w[j]``, into a second buffer that then takes the place of the first.
-    Only sites with |x| <= n_steps - step can still return to the origin,
-    and after a projection nothing at or left of it survives, so each step
-    needs only that window.  Every ``_RESCALE_STEPS`` steps all counts are
-    multiplied by the exact power of two 2^-960, so no count reaches the
-    float limit 2^1024; the result is the final count times
-    2^(rescaled - n_steps).
+    A step writes only the sites that can still reach the next checkpoint's
+    surviving range (x > 0 at a projection, the origin at the last step),
+    and after a projection nothing at or left of it survives.  Every
+    ``_RESCALE_STEPS`` steps all counts are multiplied by the exact power
+    of two 2^-960, so no count reaches the float limit 2^1024; the result
+    is the final count times 2^(rescaled - n_steps).
 
     The steps run in segments that end at the next projection, rescale or
     the last step.  A segment builds its two sets of add operands once,
     over the union of its steps' windows (its first step's left edge, its
     last step's right edge), and alternates them, so a step is one
     ``np.add`` call.  The extra entries it sums are zeros right of the
-    support, 0 + 0 = +0, and dead sites left of the return cutoff, which
+    support, 0 + 0 = +0, and dead sites left of the reach cutoff, which
     feed only dead sites; scaling both whole buffers at a rescale keeps
     those finite too.  At a rescale the window is trimmed to the counts
     that survive it: the tails that the factor 2^-960 takes below the
@@ -138,9 +138,10 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     add = np.add
     step = 0
     while step < n:
-        # one segment: up to the next projection, rescale or the last step
-        end = min(n, (step // spp + 1) * spp, (step // every + 1) * every)
-        a = max(lo, step + 2 - half)
+        # one segment, to the next checkpoint (projection or last step) or rescale
+        nxt = min(n, (step // spp + 1) * spp)
+        end = min(nxt, (step // every + 1) * every)
+        a = max(lo, step + 2 - nxt // 2)  # only sites that can still survive nxt
         b = min(half + 2, top + end - step + 1)
         x = (w[a - 1 : b - 1], w[a:b], v[a:b])
         y = (v[a - 1 : b - 1], v[a:b], w[a:b])

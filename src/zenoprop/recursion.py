@@ -36,15 +36,14 @@ the slice is negligible, keeps its half weight.  At these grids the peaks
 are exact to about 1e-11 and the envelope with up to three projections
 matches its closed forms to about 1e-9.
 
-Every advance spans one whole interval, a step of eps, and is a discrete
-convolution with the heat kernel of that step cut at ``kernel_span``
-widths, evaluated as one real FFT product at the smallest power-of-two
-length that holds it without wrap-around.  The kernel's spectrum belongs to
-the config (``RecursionConfig.kernel_spectrum``): it is built on first use
-and shared by every advance of every run on that config.  The transforms
-run in a fixed order, so results are deterministic, and they agree with a
-direct summation to ~1e-15 of the slice maximum (negative roundoff tails
-are clipped to zero, since the exact slice is non-negative).  The boundary
+Every advance spans one whole interval, a step of eps: the weighted slice's
+spectrum times the heat kernel's, exp(-(eps / 2m) k^2) / h in closed form
+(``RecursionConfig.kernel_spectrum``), at the smallest power-of-two length
+that puts the kernel's first periodic image kernel_span widths past the
+grid.  The transforms run in a fixed order, so results are deterministic,
+and agree with a direct sum over the kernel cut at kernel_span widths to
+~1e-15 of the slice maximum (negative roundoff tails are clipped to zero,
+since the exact slice is non-negative).  The boundary
 samples need only F(n + u, 0), and the kernel of a sample depends on its
 offset u alone, not on n.  So the recursion advances every slice first,
 keeping each only out to the widest kernel's reach, and then takes the
@@ -135,7 +134,7 @@ class RecursionConfig:
     grid: Grid1D = field(init=False, compare=False, repr=False)
     m: ClassVar[float] = 1.0               # the units: mass and spacing are one
     eps: ClassVar[float] = 1.0
-    kernel_span: ClassVar[float] = 10.0    # kernel truncated at this many std widths
+    kernel_span: ClassVar[float] = 10.0    # kernel reach in std widths (taps, padding)
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
@@ -155,17 +154,13 @@ class RecursionConfig:
 
     @functools.cached_property
     def kernel_spectrum(self) -> np.ndarray:
-        """Spectrum of the kernel of every advance, a step of eps, cut at
-        kernel_span widths, centred on index 0 (so real, with no output
-        offset) and zero-padded to the power of two at or above n_points +
-        taps; built on first use and read-only, as every run shares it."""
-        taps = int(_taps(self, self.eps))
-        half = heat_kernel(self.m, self.eps, np.arange(taps + 1) * self.grid.spacing, 0.0)
-        length = pow2_at_least(self.grid.n_points + taps)
-        kernel = np.zeros(length)
-        kernel[: taps + 1] = half
-        kernel[length - taps :] = half[:0:-1]
-        spectrum = np.fft.rfft(kernel).real
+        """exp(-(eps / 2m) k_j^2) / h at k_j = 2 pi j / (L h), j = 0 .. L/2:
+        by Poisson summation the rfft of the heat kernel of a step of eps,
+        sampled at spacing h and periodised on the power of two L at or above
+        n_points + taps.  Built on first use and read-only, as runs share it."""
+        length = pow2_at_least(self.grid.n_points + int(_taps(self, self.eps)))
+        k = 2 * np.pi / (length * self.grid.spacing) * np.arange(length // 2 + 1)
+        spectrum = np.exp(-self.eps / (2 * self.m) * k * k) / self.grid.spacing
         spectrum.flags.writeable = False
         return spectrum
 
@@ -216,9 +211,8 @@ def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> 
     interval to s_next = n + 1; any other s_next raises ``ValueError``.
 
     The projection at s = n is enacted by the half-line integration range;
-    the output slice is evaluated on the full grid (including x = 0).  The
-    linear convolution is one circular FFT convolution with the config's
-    ``kernel_spectrum``."""
+    the output slice is evaluated on the full grid (including x = 0), from
+    the weighted slice's spectrum times ``cfg.kernel_spectrum``."""
     if s_next != prev.s + 1:
         raise ValueError(f"an advance spans one whole interval, from s = {prev.s} to "
                          f"{prev.s + 1}, got s_next = {s_next}")

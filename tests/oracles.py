@@ -9,7 +9,13 @@ from math import comb
 
 import numpy as np
 
-from zenoprop.core import ROOT_INV_I, BoundaryCurve, heat_kernel, snap_to_integer
+from zenoprop.core import (
+    ROOT_INV_I,
+    BoundaryCurve,
+    five_smooth_at_least,
+    heat_kernel,
+    snap_to_integer,
+)
 from zenoprop.exact import absorbing_envelope, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability
 from zenoprop.recursion import advance_slice, boundary_amplitude, initial_slice
@@ -435,6 +441,36 @@ def direct_boundary_amplitude(prev, cfg, u: float) -> float:
     batched ``boundary_amplitude``."""
     half = truncated_kernel(cfg, u * cfg.eps)
     return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
+
+
+def spectral_boundary_amplitude(values, cfg, u) -> np.ndarray:
+    """F(n + u, 0) for rows of slice values and ascending offsets u, as
+    ``boundary_amplitude`` takes them, summed over the weighted slice's
+    spectrum instead of kernel rows (Poisson summation).
+
+    The rows are weighted out to the widest kernel's reach R, and C is the
+    real part of their rfft at L = ``five_smooth_at_least(2R - 1)``, so the
+    kernel's periodic images at +-L h lie past every row.  The kernel of a
+    step u eps has the spectrum exp(-u eps k^2 / 2m), so each sample is
+    (C_0 + 2 sum_{1 <= j <= J_u} C_j exp(-u eps k_j^2 / 2m)) / (L h) at
+    k_j = 2 pi j / (L h), with J_u the modes out to ten widths of that
+    spectrum, 10 sqrt(m / u eps): the modes past it weigh below exp(-50),
+    as the kernels cut at ten widths drop.  The sum over offsets is one
+    ragged array of every offset's modes."""
+    u = np.asarray(u, dtype=float)
+    reach = len(truncated_kernel(cfg, u[-1] * cfg.eps))
+    weighted = np.asarray(values, dtype=float)[:, :reach] * quadrature_weights(cfg)[:reach]
+    length = five_smooth_at_least(2 * reach - 1)
+    c = np.fft.rfft(weighted, length).real
+    dk = 2 * np.pi / (length * cfg.grid.spacing)
+    modes = np.floor(10 * np.sqrt(cfg.m / (u * cfg.eps)) / dk).astype(int)
+    starts = np.concatenate(([0], np.cumsum(modes)[:-1]))
+    j = np.ones(modes.sum(), dtype=int)   # 1 .. J_u for each offset in turn
+    j[starts[1:]] -= modes[:-1]
+    j = np.cumsum(j)
+    decay = np.exp(-np.repeat(u * cfg.eps / (2 * cfg.m), modes) * (j * dk) ** 2)
+    sums = np.add.reduceat(np.take(c, j, axis=1) * decay, starts, axis=1)
+    return (c[:, :1] + 2 * sums) / (length * cfg.grid.spacing)
 
 
 def interval_boundary_amplitude(prev, cfg, s_next: np.ndarray) -> np.ndarray:

@@ -510,15 +510,9 @@ class TestPdxCommand:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, message", [
-        # m**2 underflows at 1e-300 and overflows at 1e300; numpy raises
-        # instead of warning, so the failure is one line
-        pytest.param(["--m", "1e-300"], "divide by zero", id="1e-300"),
-        pytest.param(["--m", "1e300"], "overflow", id="1e300"),
-        # the packet energy p^2/2m overflows while the scan is set up
+        # the packet energy p^2/2 overflows while the scan is set up
         pytest.param(["--p-sigma", "1e200"], "packet energy inf", id="p-sigma-1e200"),
         pytest.param(["--p-sigma", "1e300"], "packet energy inf", id="p-sigma-1e300"),
-        pytest.param(["--m", "1e-300", "--p-sigma", "1e10"], "packet energy inf",
-                     id="m-1e-300-p-sigma-1e10"),
     ])
     def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, args, message):
         out = tmp_path / "pdx.csv"
@@ -527,6 +521,24 @@ class TestPdxCommand:
         assert len(res.output.splitlines()) == 1, res.output
         assert res.output.startswith("numerical failure: ")
         assert message in res.output, res.output
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, flags", [
+        # eps from 2.5e-309 to 2.5e-308 at m = 1e-306: subnormal at the start
+        (["--m", "1e-306"], "'--m' / '--p-sigma'"),
+        # tau = 1.88 m overflows at m = 1e308
+        (["--m", "1e308"], "'--m' / '--p-sigma'"),
+        # the scan runs at m = 1, where p sigma = 1e10 needs 1.2e13 time points
+        (["--m", "1e-300", "--p-sigma", "1e10"], "'--p-sigma'"),
+    ], ids=["eps-subnormal", "tau-overflows", "m-1e-300-p-sigma-1e10"])
+    def test_extreme_mass_is_usage_error(self, runner, tmp_path, args, flags):
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", *args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        last = res.output.splitlines()[-1]
+        assert last.startswith(f"Error: Invalid value for {flags}: ")
+        assert len(last) < 200
         assert not out.exists()
 
     # the finest pdx time grid has tau / (eps / 16) = 1203.2 p sigma steps
@@ -554,17 +566,21 @@ class TestPdxCommand:
         assert wavepacket.time_points(wp, 0.125 / wp.energy, tau) == wavepacket.MAX_TIME_POINTS
 
     def test_delta_norm_is_independent_of_mass(self, runner, tmp_path):
-        # the scan is the same physics at every m; a time grid that gains a
-        # point at some m misses every drop and moves delta_norm by up to 16%
-        def norms(m):
-            out = tmp_path / "pdx.csv"
-            res = runner.invoke(main, ["pdx", "--m", m, "--out", str(out)])
+        # the scan is the same physics at every m, so it runs at m = 1: every
+        # mass writes m = 1's E_eps, predictor and delta_norm bytes, and eps
+        # and tau in units of m
+        def table(m, fmt="csv"):
+            out = tmp_path / f"pdx.{fmt}"
+            res = runner.invoke(main, ["pdx", "--m", m, "--format", fmt, "--out", str(out)])
             assert res.exit_code == 0, result_output(res)
-            return np.array([float(r[3]) for r in read_rows(out)[1]])
+            return read_rows(out)[1] if fmt == "csv" else json.loads(out.read_text())
 
-        unit = norms("1")
-        for m in ["1e-150", "3e-7", "3", "16", "1e50"]:
-            np.testing.assert_allclose(norms(m), unit, rtol=1e-11, err_msg=f"m = {m}")
+        unit, unit_tau = table("1"), table("1", "json")["meta"]["params"]["tau"]
+        for m in ["1e-300", "1e-200", "1e-10", "0.25", "16", "1e10", "1e200", "1e300"]:
+            rows = table(m)
+            assert [r[1:] for r in rows] == [r[1:] for r in unit], m
+            assert [float(r[0]) for r in rows] == [float(m) * float(r[0]) for r in unit], m
+            assert table(m, "json")["meta"]["params"]["tau"] == float(m) * unit_tau, m
 
     # delta_norm of the default scan on the two-sided momentum grid
     # -kmax..kmax with k = 0 dropped and power-of-two transform lengths

@@ -17,6 +17,7 @@ from oracles import (
     interval_by_interval_recursion,
     numeric_oscillation_curve,
     richardson_right_limit,
+    spectral_boundary_amplitude,
     truncated_kernel,
 )
 from perfbench.workloads import SEED_PAIRS
@@ -226,6 +227,17 @@ class TestAdvance:
         assert 2 * (len(cfg.kernel_spectrum) - 1) == 8192
         assert_matches_direct(prev, cfg)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 100), st.integers(0, 2**32 - 1))
+    def test_matches_direct_convolution_on_derived_grids(self, n_max, spi, seed):
+        # the closed-form spectrum is the sampled kernel's, periodised on the
+        # transform: on every derived grid one advance matches the direct
+        # sum against the kernel cut at ten widths.  A random positive slice
+        # that grows toward the far end shows any periodic image near x = 0
+        cfg = RecursionConfig(n_max, spi)
+        noise = np.random.default_rng(seed).random(cfg.grid.n_points)
+        assert_matches_direct(EuclideanSlice(1.0, (1.0 + cfg.grid.points()) * noise), cfg)
+
     def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
         # both share one truncated kernel; only the summation order differs
         prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
@@ -267,6 +279,19 @@ class TestBoundaryAmplitude:
         u = np.array([0.002, 0.01, 0.3, 0.3, 0.55, 0.7, 1.0])
         self.assert_matches_oracle(slices, small_cfg, u)
         self.assert_matches_oracle(slices, small_cfg, u[3:4])
+
+    @pytest.mark.parametrize("n_max, spi, u", [
+        (3, 256, 2.0 ** np.arange(-12, 1)),                # small_cfg, 2^-12 .. 1
+        (20, 16, np.arange(1, 16) / 16),                   # fp20's samples
+        (3, 4096, np.arange(1, 4096) / 4096),              # fp3_dense's samples
+    ], ids=["small", "fp20", "fp3_dense"])
+    def test_matches_spectral_oracle(self, n_max, spi, u):
+        # the samples summed over the weighted slices' spectrum instead of
+        # kernel rows, on the prefixes run_recursion takes
+        cfg = RecursionConfig(n_max, spi)
+        values = [sl.values for sl in pre_projection_slices(cfg)[:n_max]]
+        assert_allclose(spectral_boundary_amplitude(values, cfg, u),
+                        boundary_amplitude(values, cfg, u), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("u", [
         [0.7, 0.01, 0.3],        # unsorted
