@@ -14,6 +14,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,17 @@ def snap_to_integer(x) -> np.ndarray:
 
 
 def pow2_at_least(n: int) -> int:
-    """Smallest power of two >= n: the FFT length of the slice recursion's
-    zero-padded convolutions."""
-    return 1 << max(n - 1, 0).bit_length()
+    """Smallest power of two >= n, for any integer n, numpy's too: the FFT
+    length of the slice recursion's zero-padded convolutions."""
+    return 1 << max(operator.index(n) - 1, 0).bit_length()
 
 
 def five_smooth_at_least(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, never above ``pow2_at_least(n)``: the
-    transform length of the wave-packet convolution and non-uniform FFT,
-    which pocketfft runs about as fast per point as a power of two."""
+    """Smallest 2^a 3^b 5^c >= n, for any integer n, never above
+    ``pow2_at_least(n)``: the transform length of the slice recursion's
+    boundary samples and of the wave-packet convolution and non-uniform
+    FFT, which pocketfft runs about as fast per point as a power of two."""
+    n = operator.index(n)
     best = pow2_at_least(n)
     odd5 = 1
     while odd5 < best:

@@ -44,14 +44,14 @@ grid.  The transforms run in a fixed order, so results are deterministic,
 and agree with a direct sum over the kernel cut at kernel_span widths to
 ~1e-15 of the slice maximum (negative roundoff tails are clipped to zero,
 since the exact slice is non-negative).  The boundary
-samples need only F(n + u, 0), and the kernel of a sample depends on its
-offset u alone, not on n.  So the recursion advances every slice first,
-keeping each only out to the widest kernel's reach, and then takes the
-samples of all intervals in one pass over blocks of kernel rows, each
-block built once and dotted with every slice near the origin
-(``boundary_amplitude``).  On the free interval 0 < s <= 1 the slice is the
-heat kernel itself and the envelope is exactly one, so only the slice at
-s = 1 is built.  Samples at offsets whose kernels span fewer than four
+samples need only F(n + u, 0), the same kernel applied at the origin alone:
+the recursion advances every slice first, keeping each only out to the
+widest kernel's reach, and then takes the samples of all intervals in one
+call (``boundary_amplitude``), which transforms each weighted slice once
+and sums its spectrum times the kernel's, exp(-(u eps / 2m) k^2), out to
+kernel_span widths of that spectrum.  On the free interval 0 < s <= 1 the
+slice is the heat kernel itself and the envelope is exactly one, so only
+the slice at s = 1 is built.  Samples at offsets whose kernels span fewer than four
 spacings are refused; the recursion's own narrowest step, eps /
 samples_per_interval, spans at least 16.
 
@@ -69,7 +69,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BoundaryCurve, Grid1D, heat_kernel, pow2_at_least
+from .core import BoundaryCurve, Grid1D, five_smooth_at_least, heat_kernel, pow2_at_least
 
 __all__ = [
     "EuclideanSlice",
@@ -107,10 +107,11 @@ _END_WEIGHTS = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
 
 # Most work a run may take (``predicted_work``), in units of about one
-# nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, whether the
-# advances, the boundary kernel or the table rows dominate, took 4.1-6.5 s
-# and at most 256 MB of peak RSS there, written as JSON; the benchmark's
-# shapes predict 2.1e7 (fp20) and 8.6e8 (fp3_dense).
+# nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, 2,518
+# projections at 16 samples per interval, where the advances dominate, and
+# one projection at 117,939, where the table rows do, took 1.4-4.9 s and at
+# most 130 MB of peak RSS there, as CSV or JSON; the benchmark's shapes
+# predict 2.1e7 (fp20) and 6.9e8 (fp3_dense).
 MAX_WORK = 10**10
 
 
@@ -134,7 +135,7 @@ class RecursionConfig:
     grid: Grid1D = field(init=False, compare=False, repr=False)
     m: ClassVar[float] = 1.0               # the units: mass and spacing are one
     eps: ClassVar[float] = 1.0
-    kernel_span: ClassVar[float] = 10.0    # kernel reach in std widths (taps, padding)
+    kernel_span: ClassVar[float] = 10.0    # kernel reach in std widths (taps, padding, modes)
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
@@ -158,7 +159,7 @@ class RecursionConfig:
         by Poisson summation the rfft of the heat kernel of a step of eps,
         sampled at spacing h and periodised on the power of two L at or above
         n_points + taps.  Built on first use and read-only, as runs share it."""
-        length = pow2_at_least(self.grid.n_points + int(_taps(self, self.eps)))
+        length = _advance_length(self)
         k = 2 * np.pi / (length * self.grid.spacing) * np.arange(length // 2 + 1)
         spectrum = np.exp(-self.eps / (2 * self.m) * k * k) / self.grid.spacing
         spectrum.flags.writeable = False
@@ -168,18 +169,23 @@ class RecursionConfig:
 def predicted_work(cfg: RecursionConfig) -> float:
     """Work of ``run_recursion(cfg)`` and of writing its table, from the
     config alone, in units of about one nanosecond: each of the n_max
-    advances counts 80 per point of its FFT length, each boundary kernel
-    value n_max + 4 (it is built once and dotted with every slice), and each
-    row of the envelope curve 40,000.  A row written as JSON takes about
-    18 us but also 1.1 KB, and its weight holds a table at the cap to
-    250,000 rows.  Nothing is allocated."""
-    # the widest kernel's taps, as _taps counts them, in Python ints, which
-    # hold any size a config can be given
-    taps = math.ceil(cfg.kernel_span * math.sqrt(cfg.eps / cfg.m) / cfg.grid.spacing)
-    fft_points = cfg.n_max * pow2_at_least(cfg.grid.n_points + taps)
-    kernel_values = cfg.samples_per_interval * (2 * taps / 3 + 1)
-    rows = cfg.samples_per_interval + cfg.n_max * (cfg.samples_per_interval + 1)
-    return 80.0 * fft_points + (cfg.n_max + 4) * kernel_values + 40_000.0 * rows
+    advances counts 80 per point of its FFT length; the boundary samples
+    (``boundary_amplitude``) 10 per point of the n_max rows they transform,
+    3,000 per offset and 5 (n_max + 4) per spectral mode, which is summed
+    over the n_max slices after its decay is formed at about four times a
+    slice's cost; and each row of the envelope curve 40,000.  A row written as JSON takes about 18 us but also 1.1 KB, and
+    its weight holds a table at the cap to 250,000 rows.  Nothing is
+    allocated."""
+    spi = cfg.samples_per_interval
+    # the boundary samples' transform length, set by the widest kernel's
+    # reach, and their modes per slice, sum_u J_u over u = j / spi with
+    # J_u = kernel_span sqrt(m / u eps) L h / 2 pi and sum_j sqrt(spi / j) < 2 spi
+    reach = _taps(cfg, (spi - 1) / spi * cfg.eps) + 1
+    length = five_smooth_at_least(2 * reach - 1)
+    modes = cfg.kernel_span * math.sqrt(cfg.m / cfg.eps) * length * cfg.grid.spacing / math.pi * spi
+    sampling = 10.0 * cfg.n_max * length + 3000.0 * spi + 5.0 * (cfg.n_max + 4) * modes
+    rows = spi + cfg.n_max * (spi + 1)
+    return 80.0 * cfg.n_max * _advance_length(cfg) + sampling + 40_000.0 * rows
 
 
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
@@ -188,10 +194,18 @@ def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
     return EuclideanSlice(1.0, heat_kernel(cfg.m, cfg.eps, cfg.grid.points(), 0.0))
 
 
-def _taps(cfg: RecursionConfig, dt):
-    """Kernel points past the origin for steps dt: kernel_span widths.  A
-    step of at most one interval ends inside the grid (``RecursionConfig``)."""
-    return np.ceil(cfg.kernel_span * np.sqrt(dt / cfg.m) / cfg.grid.spacing).astype(int)
+def _taps(cfg: RecursionConfig, dt: float) -> int:
+    """Kernel points past the origin for a step dt: kernel_span widths, as
+    a Python int, which holds any size a config can be given.  A step of at
+    most one interval ends inside the grid (``RecursionConfig``)."""
+    return math.ceil(cfg.kernel_span * math.sqrt(dt / cfg.m) / cfg.grid.spacing)
+
+
+def _advance_length(cfg: RecursionConfig) -> int:
+    """FFT length of an advance: the power of two at or above n_points plus
+    the taps of a step of eps, which puts the kernel's first periodic image
+    kernel_span widths past the grid."""
+    return pow2_at_least(cfg.grid.n_points + _taps(cfg, cfg.eps))
 
 
 def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
@@ -223,49 +237,30 @@ def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> 
     return EuclideanSlice(s_next, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
-# Largest block of kernel values the boundary samples hold at once (512 KiB
-# of float64, which stays in cache while every slice is dotted with it).
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _kernel_blocks(cfg: RecursionConfig, dt: np.ndarray, taps: np.ndarray):
-    """Yield ``(rows, block)``: ``block[i, j]`` is exp(-m x^2 / 2 dt) for the
-    step ``dt[rows.start + i]`` at grid offset ``x = j h``.  ``dt`` is
-    ascending, so a block of consecutive rows is as wide as its widest
-    (last) row: it takes as many rows as fit in ``_BLOCK_ENTRIES`` entries,
-    and a row wider than that is a block of its own.  The narrower rows of a
-    block run past their own taps, where the kernel is below
-    exp(-kernel_span^2 / 2) of its peak.  Every block is a view of one
-    buffer, overwritten by the next block."""
-    x = np.arange(taps[-1] + 1) * cfg.grid.spacing
-    minus_x2 = -x * x
-    buffer = np.empty(max(_BLOCK_ENTRIES, taps[-1] + 1))
-    start = 0
-    while start < len(dt):
-        entries = np.arange(1, len(dt) - start + 1) * (taps[start:] + 1)
-        stop = start + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
-        rows = slice(start, stop)
-        width = taps[stop - 1] + 1
-        block = buffer[: (stop - start) * width].reshape(stop - start, width)
-        np.multiply(minus_x2[:width], cfg.m / (2 * dt[rows, None]), out=block)
-        yield rows, np.exp(block, out=block)
-        start = stop
-
-
 def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
     """F(n + u, 0), one row per slice taken at a projection, s = n, and one
     column per offset in ``u``, a non-empty ascending 1-D array in (0, 1],
     without forming the advanced slices.
 
     ``values`` holds one slice per row on the first points of the grid, out
-    to at least the widest kernel's reach (the whole grid will do).  Each
-    sample is the kernel of its step u eps, cut at kernel_span widths, dotted
-    with the weighted slice.  The kernel depends on the offset alone, so each
-    block of kernel rows (``_kernel_blocks``) is built once and dotted with
-    every slice.  Raises ``ValueError`` for offsets outside (0, 1] or of
-    another shape or order, a row shorter than the widest kernel's reach, or
-    a kernel spanning fewer than ``MIN_KERNEL_SPACINGS`` spacings, which the
-    quadrature does not resolve."""
+    to at least the widest kernel's reach R (the whole grid will do).  Each
+    sample is the heat kernel of its step u eps dotted with the weighted
+    slice, summed over the slice's spectrum (Poisson summation): with C the
+    real part of the rfft of the weighted rows, cut at R, at the length
+    L = ``five_smooth_at_least(2R - 1)``, whose periodic images of the
+    kernel lie past every row, the sample is
+
+        (C_0 + 2 sum_{1 <= j <= J_u} C_j exp(-u eps k_j^2 / 2m)) / (L h),
+
+    k_j = 2 pi j / (L h), with J_u the modes out to kernel_span widths of
+    the kernel's spectrum, kernel_span sqrt(m / u eps): past them the
+    spectrum is below exp(-kernel_span^2 / 2) of its peak, as the kernel
+    is at its reach.  Each offset's modes are summed row by row, so a row
+    gives the same bits alone as in a batch.  Raises ``ValueError`` for
+    offsets outside (0, 1] or of another shape or order, a row shorter than
+    the widest kernel's reach, or a kernel spanning fewer than
+    ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does not
+    resolve."""
     values = np.asarray(values, dtype=float)
     u = np.asarray(u, dtype=float)
     outside = ~((0 < u) & (u <= 1))
@@ -282,18 +277,21 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
             f"a step of {dt[0] / cfg.eps:.3g} eps has a kernel narrower than "
             f"{MIN_KERNEL_SPACINGS} grid spacings of {h:.3g}"
         )
-    taps = _taps(cfg, dt)
-    if values.shape[1] <= taps[-1]:
+    reach = _taps(cfg, dt[-1]) + 1
+    if values.shape[1] < reach:
         raise ValueError(
             f"slice rows of {values.shape[1]} points fall short of the widest "
-            f"kernel's reach of {taps[-1] + 1}"
+            f"kernel's reach of {reach}"
         )
-    weighted = _weighted(values[:, : taps[-1] + 1], cfg)
-    sums = np.empty((len(weighted), len(dt)))
-    for rows, block in _kernel_blocks(cfg, dt, taps):
-        for row, prefix in zip(sums, weighted):
-            row[rows] = block @ prefix[: block.shape[1]]
-    return sums * heat_kernel(cfg.m, dt, 0.0, 0.0)
+    length = five_smooth_at_least(2 * reach - 1)
+    c = np.fft.rfft(_weighted(values[:, :reach], cfg), length).real
+    dk = 2 * np.pi / (length * h)
+    modes = np.floor(cfg.kernel_span * np.sqrt(cfg.m / dt) / dk).astype(int)  # descending
+    minus_k2 = -(dk * np.arange(1, modes[0] + 1)) ** 2 / (2 * cfg.m)
+    sums = np.empty((len(c), len(dt)))
+    for i, (step, top) in enumerate(zip(dt, modes)):
+        sums[:, i] = (c[:, 1 : top + 1] * np.exp(step * minus_k2[:top])).sum(axis=1)
+    return (c[:, :1] + 2 * sums) / (length * h)
 
 
 def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
@@ -310,7 +308,7 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
     The slices are advanced first, one ``advance_slice`` per interval, each
     kept only out to the widest interior kernel's reach.  One
     ``boundary_amplitude`` call then takes every interval's interior
-    samples, building each kernel row once for all intervals.  The table is filled as one row of samples_per_interval + 1
+    samples.  The table is filled as one row of samples_per_interval + 1
     columns per interval, s = n, the interior offsets and s = n + 1, with the
     free interval as row 0 less its first column, and the samples are
     divided by the heat kernel at the origin in two array calls, one for the

@@ -176,6 +176,16 @@ class TestTransformLengths:
         assert five_smooth_at_least(2 * 12_033 - 1) == 24_300
         assert five_smooth_at_least(2**21) == 2**21
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers(self, kind):
+        # numpy integers have no bit_length; both lengths take any integer
+        # and return a Python int
+        assert pow2_at_least(kind(1241)) == 2048
+        assert five_smooth_at_least(kind(1241)) == 1250
+        assert type(pow2_at_least(kind(1241))) is type(five_smooth_at_least(kind(1241))) is int
+        with pytest.raises(TypeError):
+            five_smooth_at_least(1241.0)
+
 
 class TestBoundaryCurve:
     def test_validation(self):

@@ -1,5 +1,6 @@
 import functools
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,18 +18,16 @@ from oracles import (
     interval_by_interval_recursion,
     numeric_oscillation_curve,
     richardson_right_limit,
-    spectral_boundary_amplitude,
     truncated_kernel,
 )
 from perfbench.workloads import SEED_PAIRS
 from zenoprop import recursion
 from zenoprop.cli import main
-from zenoprop.core import NumericalFailure, heat_kernel
+from zenoprop.core import NumericalFailure, five_smooth_at_least, heat_kernel
 from zenoprop.exact import projected_envelope_exact
 from zenoprop.recursion import (
     EuclideanSlice,
     RecursionConfig,
-    _kernel_blocks,
     advance_slice,
     boundary_amplitude,
     initial_slice,
@@ -135,7 +134,7 @@ class TestConfig:
     @given(st.integers(1, 2000), st.integers(2, 50_000))
     @example(1, 2)        # the smallest grid, 907 points
     @example(1, 16)
-    @example(1, 50101)    # the largest accepted sizes
+    @example(1, 117_939)  # the largest accepted sizes
     @example(2518, 16)
     def test_derived_grids_need_no_refusal(self, n_max, spi):
         # every accepted config resolves its narrowest kernel by at least
@@ -148,6 +147,17 @@ class TestConfig:
             assume(False)
         assert np.sqrt(1 / spi) >= recursion.MIN_KERNEL_SPACINGS * cfg.grid.spacing
         assert recursion._taps(cfg, 1.0) + 1 < cfg.grid.n_points
+        # the boundary samples sum the spectrum of their narrowest kernel,
+        # u = 1 / spi, out to J = kernel_span sqrt(spi) / dk modes,
+        # dk = 2 pi / (L h), on the transform of length L that the widest
+        # kernel's reach sets: a kernel of MIN_KERNEL_SPACINGS spacings or more
+        # keeps J <= 10 L / (8 pi), inside the rfft's L / 2 + 1 modes
+        reach = recursion._taps(cfg, (spi - 1) / spi) + 1
+        length = five_smooth_at_least(2 * reach - 1)
+        dk = 2 * np.pi / (length * cfg.grid.spacing)
+        modes = int(np.floor(cfg.kernel_span * np.sqrt(spi) / dk))
+        assert modes <= 10 * length / (8 * np.pi)
+        assert modes <= length // 2 - 1
 
 
 class TestWorkCap:
@@ -155,11 +165,11 @@ class TestWorkCap:
     exceeds MAX_WORK."""
 
     # 2,518 projections at 16 samples per interval advance over FFTs of
-    # length 32,768 and 2,519 over 65,536; one projection takes 50,101
-    # samples per interval but not 50,102
+    # length 32,768 and 2,519 over 65,536; one projection takes 117,939
+    # samples per interval but not 117,940
     @pytest.mark.parametrize("n_max, spi, grown", [
         (2518, 16, (2519, 16)),
-        (1, 50101, (1, 50102)),
+        (1, 117_939, (1, 117_940)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
         assert recursion.predicted_work(RecursionConfig(n_max, spi)) <= recursion.MAX_WORK
@@ -168,7 +178,7 @@ class TestWorkCap:
 
     def test_benchmark_and_test_shapes_far_below(self):
         # fp20 and fp3_dense sit far below the cap; the finest test grid,
-        # 20 projections at 4096 samples per interval (4.2e9), is accepted
+        # 20 projections at 4096 samples per interval (3.6e9), is accepted
         for cfg in (RecursionConfig(20, 16), RecursionConfig(3, 4096)):
             assert recursion.predicted_work(cfg) < recursion.MAX_WORK / 10
         fine_config(20)
@@ -261,7 +271,7 @@ class TestAdvance:
 
 
 class TestBoundaryAmplitude:
-    """The one-pass boundary samples of several slices against the
+    """The batched boundary samples of several slices against the
     per-sample ``np.dot`` oracle, every slice row to 1e-14 relative."""
 
     @staticmethod
@@ -282,16 +292,16 @@ class TestBoundaryAmplitude:
 
     @pytest.mark.parametrize("n_max, spi, u", [
         (3, 256, 2.0 ** np.arange(-12, 1)),                # small_cfg, 2^-12 .. 1
-        (20, 16, np.arange(1, 16) / 16),                   # fp20's samples
-        (3, 4096, np.arange(1, 4096) / 4096),              # fp3_dense's samples
+        (20, 16, np.arange(1, 16) / 16),                   # all of fp20's offsets
+        (3, 4096, np.array([1, 2, 3, 17, 64, 255, 1000, 2048, 3333, 4000, 4094, 4095]) / 4096),
     ], ids=["small", "fp20", "fp3_dense"])
-    def test_matches_spectral_oracle(self, n_max, spi, u):
-        # the samples summed over the weighted slices' spectrum instead of
-        # kernel rows, on the prefixes run_recursion takes
+    def test_matches_per_sample_oracle_at_run_offsets(self, n_max, spi, u):
+        # the slices run_recursion samples, summed over their spectrum,
+        # against the kernel cut at ten widths in real space; on fp3_dense
+        # its narrowest offset, 1/4096, its widest, 4095/4096, which sets the
+        # transform length, and a spread between
         cfg = RecursionConfig(n_max, spi)
-        values = [sl.values for sl in pre_projection_slices(cfg)[:n_max]]
-        assert_allclose(spectral_boundary_amplitude(values, cfg, u),
-                        boundary_amplitude(values, cfg, u), rtol=1e-14, atol=0.0)
+        self.assert_matches_oracle(pre_projection_slices(cfg)[:n_max], cfg, u)
 
     @pytest.mark.parametrize("u", [
         [0.7, 0.01, 0.3],        # unsorted
@@ -332,37 +342,22 @@ class TestBoundaryAmplitude:
         with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
             boundary_amplitude(values, small_cfg, np.array([0.5, u, 1.0]))
 
-    def test_block_edges_and_one_row_blocks(self, small_cfg, monkeypatch):
-        # a small budget puts the 255 samples into many blocks: several rows
-        # at first, then one row per block, then rows wider than the budget;
-        # every block is dotted with each of the four slices
-        monkeypatch.setattr(recursion, "_BLOCK_ENTRIES", 600)
-        slices = pre_projection_slices(small_cfg)
-        u = np.arange(1, 256) / 256
-        dt = u * small_cfg.eps
-        shapes = [block.shape for _, block in
-                  _kernel_blocks(small_cfg, dt, recursion._taps(small_cfg, dt))]
-        assert any(rows > 1 for rows, _ in shapes)
-        assert any(rows == 1 and width <= 600 for rows, width in shapes)
-        assert any(width > 600 for _, width in shapes)
-        assert all(rows == 1 for rows, width in shapes if rows * width > 600)
-        self.assert_matches_oracle(slices, small_cfg, u)
-
-    def test_blocks_stay_within_budget(self):
-        # fp3_dense's samples: every block holds at most 2^16 entries, and
-        # the blocks cover every row, in order, out to its taps (rows wider
-        # than the budget: test_block_edges_and_one_row_blocks)
+    def test_peak_memory_on_fp3_dense(self):
+        # the samples hold the weighted rows, their spectrum and one offset's
+        # modes at a time, never a rows x modes array: fp3_dense's 3 x 4,095
+        # samples trace 0.94 MB of numpy allocations at their peak, where
+        # gathering every offset's modes into one array would take 17 MB
         cfg = RecursionConfig(3, 4096)
-        dt = np.arange(1, 4096) / 4096 * cfg.eps
-        taps = recursion._taps(cfg, dt)
-        covered = 0
-        for rows, block in _kernel_blocks(cfg, dt, taps):
-            assert rows.start == covered
-            covered = rows.stop
-            assert block.shape[0] == rows.stop - rows.start
-            assert np.all(block.shape[1] >= taps[rows] + 1)
-            assert block.size <= 1 << 16
-        assert covered == len(dt)
+        reach = recursion._taps(cfg, 4095 / 4096) + 1
+        prefixes = np.array([sl.values[:reach] for sl in pre_projection_slices(cfg)[:3]])
+        u = np.arange(1, 4096) / 4096
+        tracemalloc.start()
+        try:
+            boundary_amplitude(prefixes, cfg, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
 
     def test_refuses_unresolved_kernels(self, small_cfg):
         # at spacing 1/256 a step of 1e-4 eps has a kernel of width 0.01,
@@ -389,8 +384,8 @@ class TestRightLimit:
 
 
 class TestRunRecursion:
-    # Advancing every slice first and sampling all intervals in one pass of
-    # kernel rows keeps the interval-by-interval summation order: the bits
+    # Advancing every slice first and sampling all intervals in one batch
+    # keeps the interval-by-interval summation order, row by row: the bits
     # match wherever n + j / samples_per_interval - n is exactly
     # j / samples_per_interval, which holds at a power of two
     def test_matches_interval_by_interval_fp20(self, default_run):
