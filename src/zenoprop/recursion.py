@@ -49,7 +49,8 @@ the recursion advances every slice first, keeping each only out to the
 widest kernel's reach, and then takes the samples of all intervals in one
 call (``boundary_amplitude``), which transforms each weighted slice once
 and sums its spectrum times the kernel's, exp(-(u eps / 2m) k^2), out to
-kernel_span widths of that spectrum.  On the free interval 0 < s <= 1 the
+kernel_span widths of that spectrum, for a block of consecutive offsets
+and a chunk of slices at a time.  On the free interval 0 < s <= 1 the
 slice is the heat kernel itself and the envelope is exactly one, so only
 the slice at s = 1 is built.  Samples at offsets whose kernels span fewer than four
 spacings are refused; the recursion's own narrowest step, eps /
@@ -106,12 +107,18 @@ MIN_KERNEL_SPACINGS = 4
 _END_WEIGHTS = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
 
+# Entries of the boundary samples' working arrays (128 KiB of floats): the
+# decay factors of a block of offsets, each chunk of rows times them, and
+# each chunk of rows transformed, at least one offset and one row.
+_SUM_ENTRIES = 2**14
+
+
 # Most work a run may take (``predicted_work``), in units of about one
 # nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, 2,518
 # projections at 16 samples per interval, where the advances dominate, and
-# one projection at 117,939, where the table rows do, took 1.4-4.9 s and at
-# most 130 MB of peak RSS there, as CSV or JSON; the benchmark's shapes
-# predict 2.1e7 (fp20) and 6.9e8 (fp3_dense).
+# one projection at 124,008, where the table rows do, took 1.1-4.3 s and at
+# most 128 MB of peak RSS there, as CSV or JSON; the benchmark's shapes
+# predict 2.1e7 (fp20) and 6.7e8 (fp3_dense).
 MAX_WORK = 10**10
 
 
@@ -170,22 +177,36 @@ def predicted_work(cfg: RecursionConfig) -> float:
     """Work of ``run_recursion(cfg)`` and of writing its table, from the
     config alone, in units of about one nanosecond: each of the n_max
     advances counts 80 per point of its FFT length; the boundary samples
-    (``boundary_amplitude``) 10 per point of the n_max rows they transform,
-    3,000 per offset and 5 (n_max + 4) per spectral mode, which is summed
-    over the n_max slices after its decay is formed at about four times a
-    slice's cost; and each row of the envelope curve 40,000.  A row written as JSON takes about 18 us but also 1.1 KB, and
-    its weight holds a table at the cap to 250,000 rows.  Nothing is
-    allocated."""
+    (``boundary_amplitude``) 10 per point of the n_max rows they transform
+    and 5 + 2 n_max per mode that their blocks of offsets sum, padding
+    included (``_padded_modes``): 5 to form its decay and 2 for each row's
+    product and sum; and each row of the envelope curve 40,000.  A row
+    written as JSON takes about 18 us but also 1.1 KB, and its weight holds
+    a table at the cap to 250,000 rows.  Nothing is allocated."""
     spi = cfg.samples_per_interval
-    # the boundary samples' transform length, set by the widest kernel's
-    # reach, and their modes per slice, sum_u J_u over u = j / spi with
-    # J_u = kernel_span sqrt(m / u eps) L h / 2 pi and sum_j sqrt(spi / j) < 2 spi
+    # the boundary samples' transform length, set by the widest kernel's reach
     reach = _taps(cfg, (spi - 1) / spi * cfg.eps) + 1
     length = five_smooth_at_least(2 * reach - 1)
-    modes = cfg.kernel_span * math.sqrt(cfg.m / cfg.eps) * length * cfg.grid.spacing / math.pi * spi
-    sampling = 10.0 * cfg.n_max * length + 3000.0 * spi + 5.0 * (cfg.n_max + 4) * modes
+    sampling = 10.0 * cfg.n_max * length + (5.0 + 2.0 * cfg.n_max) * _padded_modes(cfg, length)
     rows = spi + cfg.n_max * (spi + 1)
     return 80.0 * cfg.n_max * _advance_length(cfg) + sampling + 40_000.0 * rows
+
+
+def _padded_modes(cfg: RecursionConfig, length: int) -> float:
+    """Bound on the modes per row that ``boundary_amplitude`` sums at
+    ``run_recursion``'s offsets u = j / spi on a transform of ``length``,
+    padding included.  Offset u has J_u = a / sqrt(u) modes, a =
+    kernel_span sqrt(m / eps) L h / 2 pi, and sum_j sqrt(spi / j) < 2 spi,
+    so the modes themselves are fewer than 2 a spi.  A block pads its w
+    offsets to its first one's J_b modes, w <= _SUM_ENTRIES / J_b, so it
+    sums at most w (J_b - J_b') more than their own modes, J_b' the next
+    block's first (or the last offset's): at most _SUM_ENTRIES ln(J_b /
+    J_b'), and over all blocks _SUM_ENTRIES ln(J_{1/spi} / J_1), about
+    _SUM_ENTRIES ln(spi) / 2.  No block sums more than the first offset's
+    modes, a sqrt(spi), at each of the spi - 1 offsets."""
+    spi = cfg.samples_per_interval
+    a = cfg.kernel_span * math.sqrt(cfg.m / cfg.eps) * length * cfg.grid.spacing / (2 * math.pi)
+    return min((spi - 1) * a * math.sqrt(spi), 2 * a * spi + _SUM_ENTRIES * math.log(spi) / 2)
 
 
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
@@ -255,12 +276,18 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
     k_j = 2 pi j / (L h), with J_u the modes out to kernel_span widths of
     the kernel's spectrum, kernel_span sqrt(m / u eps): past them the
     spectrum is below exp(-kernel_span^2 / 2) of its peak, as the kernel
-    is at its reach.  Each offset's modes are summed row by row, so a row
-    gives the same bits alone as in a batch.  Raises ``ValueError`` for
-    offsets outside (0, 1] or of another shape or order, a row shorter than
-    the widest kernel's reach, or a kernel spanning fewer than
-    ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does not
-    resolve."""
+    is at its reach.  The offsets are summed in blocks of consecutive ones,
+    each block out to its first offset's modes with every mode past an
+    offset's own J_u weighted zero, and the rows are transformed and summed
+    a chunk at a time: each block's decay factors, each chunk's product
+    with them and each chunk's transform take ``_SUM_ENTRIES`` entries or
+    fewer, or one offset's or one row's where that alone is more.  The
+    blocks depend on ``u`` and ``cfg`` alone, and each sample is one row's
+    sum, so a row gives the same bits alone as in a batch.  Raises
+    ``ValueError`` for offsets outside (0, 1] or of another shape or order,
+    a row shorter than the widest kernel's reach, or a kernel spanning
+    fewer than ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does
+    not resolve."""
     values = np.asarray(values, dtype=float)
     u = np.asarray(u, dtype=float)
     outside = ~((0 < u) & (u <= 1))
@@ -284,13 +311,26 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
             f"kernel's reach of {reach}"
         )
     length = five_smooth_at_least(2 * reach - 1)
-    c = np.fft.rfft(_weighted(values[:, :reach], cfg), length).real
     dk = 2 * np.pi / (length * h)
     modes = np.floor(cfg.kernel_span * np.sqrt(cfg.m / dt) / dk).astype(int)  # descending
+    c = np.empty((len(values), modes[0] + 1))
+    chunk = max(1, _SUM_ENTRIES // length)
+    for r in range(0, len(c), chunk):
+        rows = slice(r, r + chunk)
+        c[rows] = np.fft.rfft(_weighted(values[rows, :reach], cfg), length)[:, : c.shape[1]].real
     minus_k2 = -(dk * np.arange(1, modes[0] + 1)) ** 2 / (2 * cfg.m)
     sums = np.empty((len(c), len(dt)))
-    for i, (step, top) in enumerate(zip(dt, modes)):
-        sums[:, i] = (c[:, 1 : top + 1] * np.exp(step * minus_k2[:top])).sum(axis=1)
+    start = 0
+    while start < len(dt):
+        top = modes[start]
+        block = slice(start, start + max(1, _SUM_ENTRIES // top))
+        decay = np.exp(dt[block, None] * minus_k2[:top])
+        decay[np.arange(top) >= modes[block, None]] = 0.0   # past each offset's own J_u
+        chunk = max(1, _SUM_ENTRIES // decay.size)
+        for r in range(0, len(c), chunk):
+            rows = slice(r, r + chunk)
+            sums[rows, block] = (c[rows, None, 1 : top + 1] * decay).sum(axis=2)
+        start = block.stop
     return (c[:, :1] + 2 * sums) / (length * h)
 
 

@@ -45,6 +45,23 @@ def assert_matches_direct(prev, cfg):
     assert got[0] == pytest.approx(want[0], rel=1e-14), prev.s
 
 
+def offset_blocks(cfg, u):
+    """The modes J_u and the [start, stop) index ranges of the blocks of
+    consecutive offsets that ``boundary_amplitude`` sums at the ascending
+    offsets u: each block sums its first offset's J modes for
+    _SUM_ENTRIES // J offsets."""
+    reach = recursion._taps(cfg, u[-1] * cfg.eps) + 1
+    length = five_smooth_at_least(2 * reach - 1)
+    dk = 2 * np.pi / (length * cfg.grid.spacing)
+    modes = np.floor(cfg.kernel_span * np.sqrt(cfg.m / (u * cfg.eps)) / dk).astype(int)
+    blocks, start = [], 0
+    while start < len(u):
+        stop = min(start + max(1, recursion._SUM_ENTRIES // modes[start]), len(u))
+        blocks.append((start, stop))
+        start = stop
+    return modes, blocks
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     # fast configuration for unit checks (spacing 1/256); tolerances stay far
@@ -134,7 +151,7 @@ class TestConfig:
     @given(st.integers(1, 2000), st.integers(2, 50_000))
     @example(1, 2)        # the smallest grid, 907 points
     @example(1, 16)
-    @example(1, 117_939)  # the largest accepted sizes
+    @example(1, 124_008)  # the largest accepted sizes
     @example(2518, 16)
     def test_derived_grids_need_no_refusal(self, n_max, spi):
         # every accepted config resolves its narrowest kernel by at least
@@ -158,6 +175,28 @@ class TestConfig:
         modes = int(np.floor(cfg.kernel_span * np.sqrt(spi) / dk))
         assert modes <= 10 * length / (8 * np.pi)
         assert modes <= length // 2 - 1
+        # predicted_work counts at least the modes that the blocks of the
+        # run's offsets sum, zero padding included
+        sampled, blocks = offset_blocks(cfg, np.arange(1, spi) / spi)
+        padded = sum((stop - start) * sampled[start] for start, stop in blocks)
+        assert padded <= recursion._padded_modes(cfg, length)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 20), st.integers(60, 3000), st.integers(2, 12),
+           st.integers(0, 2**32 - 1))
+    def test_rows_alone_and_in_a_batch(self, n_max, spi, rows, seed):
+        # wherever the run's offsets span two or more blocks, every row of a
+        # batch of positive rows gives the bits it gives alone: the blocks
+        # and the order of each sample's sum depend on the offsets and the
+        # config alone, not on the number of rows
+        cfg = RecursionConfig(n_max, spi)
+        u = np.arange(1, spi) / spi
+        assume(len(offset_blocks(cfg, u)[1]) >= 2)
+        reach = recursion._taps(cfg, u[-1] * cfg.eps) + 1
+        values = np.random.default_rng(seed).random((rows, reach))
+        batch = boundary_amplitude(values, cfg, u)
+        for row, got in zip(values, batch):
+            assert np.array_equal(got, boundary_amplitude([row], cfg, u)[0])
 
 
 class TestWorkCap:
@@ -165,11 +204,11 @@ class TestWorkCap:
     exceeds MAX_WORK."""
 
     # 2,518 projections at 16 samples per interval advance over FFTs of
-    # length 32,768 and 2,519 over 65,536; one projection takes 117,939
-    # samples per interval but not 117,940
+    # length 32,768 and 2,519 over 65,536; one projection takes 124,008
+    # samples per interval but not 124,009
     @pytest.mark.parametrize("n_max, spi, grown", [
         (2518, 16, (2519, 16)),
-        (1, 117_939, (1, 117_940)),
+        (1, 124_008, (1, 124_009)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
         assert recursion.predicted_work(RecursionConfig(n_max, spi)) <= recursion.MAX_WORK
@@ -342,22 +381,53 @@ class TestBoundaryAmplitude:
         with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
             boundary_amplitude(values, small_cfg, np.array([0.5, u, 1.0]))
 
-    def test_peak_memory_on_fp3_dense(self):
-        # the samples hold the weighted rows, their spectrum and one offset's
-        # modes at a time, never a rows x modes array: fp3_dense's 3 x 4,095
-        # samples trace 0.94 MB of numpy allocations at their peak, where
-        # gathering every offset's modes into one array would take 17 MB
-        cfg = RecursionConfig(3, 4096)
-        reach = recursion._taps(cfg, 4095 / 4096) + 1
-        prefixes = np.array([sl.values[:reach] for sl in pre_projection_slices(cfg)[:3]])
-        u = np.arange(1, 4096) / 4096
+    @staticmethod
+    def traced_peak(values, cfg, u):
         tracemalloc.start()
         try:
-            boundary_amplitude(prefixes, cfg, u)
+            boundary_amplitude(values, cfg, u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2e6
+        return peak
+
+    def test_peak_memory_on_fp3_dense(self):
+        # the samples keep only the real parts of the modes they sum, and
+        # transform one row and sum one block of offsets for one row at a
+        # time: fp3_dense's 3 x 4,095 samples trace 0.63 MB of numpy
+        # allocations at their peak.  Holding one row's complex spectrum
+        # through the sums reads 0.79 MB, and one offset at a time against
+        # all rows' complex spectra 0.94 MB
+        cfg = RecursionConfig(3, 4096)
+        reach = recursion._taps(cfg, 4095 / 4096) + 1
+        prefixes = np.array([sl.values[:reach] for sl in pre_projection_slices(cfg)[:3]])
+        assert self.traced_peak(prefixes, cfg, np.arange(1, 4096) / 4096) <= 0.8e6
+
+    def test_peak_memory_of_many_rows(self):
+        # the largest accepted projection count, 2,518 rows at 16 samples
+        # per interval, is transformed 13 rows at a time: 3.5 MB traced,
+        # where transforming every row at once holds 25 MB of complex
+        # spectra and reads 38 MB
+        cfg = RecursionConfig(2518, 16)
+        reach = recursion._taps(cfg, 15 / 16) + 1
+        rows = np.random.default_rng(2518).random((2518, reach))
+        assert self.traced_peak(rows, cfg, np.arange(1, 16) / 16) <= 5e6
+
+    def test_matches_per_sample_oracle_at_fp3_dense_block_edges(self):
+        # the whole 4,095-offset batch that run_recursion takes on
+        # fp3_dense, against the kernel cut at ten widths at the first and
+        # last offset of each of its blocks and at every 64th offset
+        cfg = RecursionConfig(3, 4096)
+        u = np.arange(1, 4096) / 4096
+        _, blocks = offset_blocks(cfg, u)
+        assert len(blocks) >= 10
+        picks = sorted({i for start, stop in blocks for i in (start, stop - 1)}
+                       | set(range(0, len(u), 64)))
+        slices = pre_projection_slices(cfg)[:3]
+        got = boundary_amplitude([sl.values for sl in slices], cfg, u)
+        for sl, row in zip(slices, got):
+            want = [direct_boundary_amplitude(sl, cfg, u[i]) for i in picks]
+            assert_allclose(row[picks], want, rtol=1e-14, atol=0.0)
 
     def test_refuses_unresolved_kernels(self, small_cfg):
         # at spacing 1/256 a step of 1e-4 eps has a kernel of width 0.01,
