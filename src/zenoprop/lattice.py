@@ -7,7 +7,9 @@ The return probability u(0, tau | 0, 0) under these constraints comes from
 a dynamic program over walk counts, exact up to rounding, which sums only
 the sites that can still survive, builds its add operands once per segment
 between projections and rescales, and trims its window at each rescale to
-the counts that survive it (``constrained_walk_probability``); mapped to a
+the counts that survive it; a stretch of 128 or more free steps between
+checkpoints advances instead by one product with the closed-form spectrum
+of the binomial kernel (``constrained_walk_probability``).  Mapped to a
 density through the factor 1/(2 eta) (reachable sites alternate parity, so
 the effective site spacing is 2 eta) it converges, as the lattice under
 each projection interval is refined at fixed physical tau and eps, to the
@@ -35,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import five_smooth_at_least
+
 __all__ = [
     "LatticeConfig",
     "constrained_walk_probability",
@@ -43,19 +47,46 @@ __all__ = [
 ]
 
 
-# Longest walk a refinement sweep may run.  The DP sums at most n/2 + 1
-# sites a step, and once the rescales trim the underflowed tails about
-# 0.1 n^2 in all (102,916,480 at 32,768 steps with 8 projection
-# intervals); on a 2-vCPU VM 32,768 steps, the finest walk the benchmark
-# runs, take about 0.05 s and a walk at the cap 0.1-0.2 s with at least
-# 4 steps per interval (0.35 s with a projection at every step), so the
-# cap holds a sweep to about 0.3 s.
+# Longest walk a refinement sweep may run.  A walk constrained every
+# _SPECTRAL_STEPS steps or more advances by one transform of its live
+# window per interval: 32,768 steps at 4,096 per interval, the finest walk
+# the benchmark runs, take 0.5-1 ms, and 65,536 steps at 128 per interval
+# 30-50 ms.  So the cap's worst case is a walk on the counts DP, which sums
+# at most n/2 + 1 sites a step, about 0.1 n^2 in all once its rescales trim
+# the underflowed tails: at the cap about 0.26-0.31 s with a projection at
+# every step and 0.13 s at 127 steps per interval, on a 2-vCPU VM.  A
+# sweep's finest level has at least 16 steps per interval, so the cap holds
+# a sweep to about 0.2 s.
 MAX_WALK_STEPS = 65_536
 
 # Steps between rescales of the walk counts: a count after k steps is at
 # most 2^k, so 960 steps keep every count below 2^960, short of the float
 # limit 2^1024.
 _RESCALE_STEPS = 960
+
+# Shortest segment between checkpoints that advances by one product with the
+# binomial kernel's spectrum rather than one DP step at a time.  On a
+# 2-vCPU VM the product costs about as much as 100 DP steps, and up to 1.5x
+# as much as 64 on small windows.
+_SPECTRAL_STEPS = 128
+
+
+def _binomial_spectrum(steps: int, length: int) -> np.ndarray:
+    """The rfft of the ``steps``-step pmf C(steps, i) 2^-steps centred on
+    i = steps // 2 and periodised over ``length`` points: cos(pi k / length)
+    to the power ``steps``, times exp(-i pi k / length) for odd ``steps``.
+
+    The power is formed as exp(steps log1p(-2 sin^2(pi k / 2 length))),
+    which keeps each mode to a few ulp where cos(.)**steps loses about
+    ``steps`` ulp.  Only the modes above exp(-745), the smallest subnormal,
+    are formed; the rest, the Nyquist mode among them, are zero.
+    """
+    keep = int(length / math.pi * math.acos(math.exp(-745.0 / steps))) + 1
+    theta = np.arange(keep) * (math.pi / length)
+    modes = np.exp(steps * np.log1p(-2.0 * np.sin(0.5 * theta) ** 2))
+    spectrum = np.zeros(length // 2 + 1, complex)
+    spectrum[:keep] = modes * np.exp(-1j * theta) if steps % 2 else modes
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -79,24 +110,30 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     satisfying the positivity constraint at every intermediate multiple of
     steps_per_projection.
 
-    Dynamic programming over walk counts, the probabilities times 2^step,
-    updating only live sites.  After ``step`` steps only sites of that
-    parity are occupied, so site x = 2j - step is stored at ``w[j + 1]``
-    (``w[0]`` stays zero) and one step is one sum, ``v[j] = w[j - 1] +
-    w[j]``, into a second buffer that then takes the place of the first.
-    A step writes only the sites that can still reach the next checkpoint's
-    surviving range (x > 0 at a projection, the origin at the last step),
-    and after a projection nothing at or left of it survives.  Every
-    ``_RESCALE_STEPS`` steps all counts are multiplied by the exact power
-    of two 2^-960, so no count reaches the float limit 2^1024; the result
-    is the final count times 2^(rescaled - n_steps).
+    The walk runs in segments that end at the next checkpoint (projection
+    or last step).  A segment of ``_SPECTRAL_STEPS`` = 128 steps or more
+    advances by one spectral product; shorter ones run the counts DP step
+    by step, so a walk constrained at least every 127 steps, or shorter
+    than 128 steps, never leaves the DP.  The choice depends only on the
+    segment's length.
 
-    The steps run in segments that end at the next projection, rescale or
-    the last step.  A segment builds its two sets of add operands once,
-    over the union of its steps' windows (its first step's left edge, its
-    last step's right edge), and alternates them, so a step is one
-    ``np.add`` call.  The extra entries it sums are zeros right of the
-    support, 0 + 0 = +0, and dead sites left of the reach cutoff, which
+    The counts DP: dynamic programming over walk counts, the probabilities
+    times 2^step, updating only live sites.  After ``step`` steps only
+    sites of that parity are occupied, so site x = 2j - step is stored at
+    ``w[j + 1]`` (``w[0]`` stays zero) and one step is one sum, ``v[j] =
+    w[j - 1] + w[j]``, into a second buffer that then takes the place of
+    the first.  A step writes only the sites that can still reach the next
+    checkpoint's surviving range (x > 0 at a projection, the origin at the
+    last step), and after a projection nothing at or left of it survives.
+    After every ``_RESCALE_STEPS`` DP steps all counts are multiplied by
+    the exact power of two 2^-960, so no count reaches the float limit
+    2^1024; the result is the final value times 2^(rescaled - n_steps).
+
+    A DP segment also ends at a rescale.  It builds its two sets of add
+    operands once, over the union of its steps' windows (its first step's
+    left edge, its last step's right edge), and alternates them, so a step
+    is one ``np.add`` call.  The extra entries it sums are zeros right of
+    the support, 0 + 0 = +0, and dead sites left of the reach cutoff, which
     feed only dead sites; scaling both whole buffers at a rescale keeps
     those finite too.  At a rescale the window is trimmed to the counts
     that survive it: the tails that the factor 2^-960 takes below the
@@ -105,13 +142,27 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     one, the window's low end rises to the first nonzero count (rounded
     down to a cache line) and its top end tracks the last one.
 
+    The spectral product: a free segment of l steps convolves the window
+    with the binomial pmf C(l, i) 2^-l, whose spectrum, centred and
+    periodised, has a closed form (``_binomial_spectrum``).  So the segment
+    is one rfft of the window, padded by the kernel's reach ceil(sqrt(21
+    l)) + 2 (past it the pmf is below 2^-60 of its centre), one product
+    and one irfft, at a 2^a 3^b 5^c length at which no image within that
+    reach wraps.  The pmf carries no factor 2^l, so l joins ``rescaled``,
+    and the output is trimmed to the entries above 2^-50 of its peak,
+    beneath which lies the transform's rounding noise.
+
     Through step 53 every count is an integer of at most 2^step, exact in
     binary floating point, so the result matches brute-force enumeration
-    bit for bit on small lattices.  Longer walks round, to at most about
-    n_steps * 2^-53 relative.  Halving is exact in the normal float range,
-    so each sum equals 2^step times the sum of halved probabilities that a
-    DP over all 2n + 1 sites forms, bit for bit; only values below about
-    2^-1022, deep in the tails, can round differently.
+    bit for bit on small lattices.  On the DP longer walks round, to at
+    most about n_steps * 2^-53 relative.  Halving is exact in the normal
+    float range, so each sum equals 2^step times the sum of halved
+    probabilities that a DP over all 2n + 1 sites forms, bit for bit; only
+    values below about 2^-1022, deep in the tails, can round differently.
+    A spectral segment instead rounds each entry to a few units of 2^-53
+    of the window's peak: against exact counts the result stays within
+    1e-15 relative through 1,200 steps, and at 32,768 steps it is closer
+    to a long-double DP than the counts DP is.
     """
     n = cfg.n_steps
     if n % 2:
@@ -134,25 +185,51 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     lo = 1  # lowest index that may hold a live nonzero count; w[lo - 1] = v[lo - 1] = 0
     top = 1  # highest index that may hold a nonzero count
     rescaled = 0  # binary exponent taken out of the counts so far
-    spp, every = cfg.steps_per_projection, _RESCALE_STEPS
+    spp, every, spectral = cfg.steps_per_projection, _RESCALE_STEPS, _SPECTRAL_STEPS
+    due = every  # the step of the next rescale: `every` DP steps after the last
     add = np.add
     step = 0
     while step < n:
-        # one segment, to the next checkpoint (projection or last step) or rescale
+        # one segment, to the next checkpoint (projection or last step) or,
+        # on the DP, to the next rescale
         nxt = min(n, (step // spp + 1) * spp)
-        end = min(nxt, (step // every + 1) * every)
         a = max(lo, step + 2 - nxt // 2)  # only sites that can still survive nxt
-        b = min(half + 2, top + end - step + 1)
-        x = (w[a - 1 : b - 1], w[a:b], v[a:b])
-        y = (v[a - 1 : b - 1], v[a:b], w[a:b])
-        for _ in range((end - step) // 2):
-            add(*x)
-            add(*y)
-        if (end - step) % 2:
-            add(*x)
-            w, v = v, w
-        top = b - 1
-        if end % every == 0:
+        if nxt - step >= spectral:
+            # w[a - 1 : top + 1] sits `reach` points into the transform and
+            # out[p] lands at index off + p; the trimmed output replaces the
+            # window.  v is next read only by a DP tail, at v[lo - 1], zeroed
+            # at the projection, and at entries that tail has written.
+            end = nxt
+            steps = end - step
+            b = min(half + 2, top + steps + 1)
+            reach = min(math.isqrt(21 * steps - 1) + 3, steps // 2 + 1)
+            length = five_smooth_at_least(top + 4 - a + 2 * reach)
+            padded = np.zeros(length)
+            padded[reach : reach + top + 2 - a] = w[a - 1 : top + 1]
+            spectrum = np.fft.rfft(padded) * _binomial_spectrum(steps, length)
+            out = np.fft.irfft(spectrum, length)
+            off = a - 1 - reach + steps // 2
+            out = out[max(0, a - off) : b - off]
+            base = max(a, off)  # the index of out[0]
+            kept = np.flatnonzero(out > out.max() * 2.0**-50)
+            w[a - 1 : b] = 0.0
+            w[base + kept[0] : base + kept[-1] + 1] = out[kept[0] : kept[-1] + 1]
+            top = base + kept[-1]
+            rescaled += steps
+            due += steps  # the pmf does not grow the counts
+        else:
+            end = min(nxt, due)
+            b = min(half + 2, top + end - step + 1)
+            x = (w[a - 1 : b - 1], w[a:b], v[a:b])
+            y = (v[a - 1 : b - 1], v[a:b], w[a:b])
+            for _ in range((end - step) // 2):
+                add(*x)
+                add(*y)
+            if (end - step) % 2:
+                add(*x)
+                w, v = v, w
+            top = b - 1
+        if end == due:
             # The whole allocation, dead entries too, so none can overflow.
             # Then trim, writing no zeros: w[top + 1 : b] is zero as top is
             # w's last nonzero count, and an entry of v (step end - 1) is at
@@ -161,6 +238,7 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
             # is thus zero whenever it can still reach a live site.
             buf *= 2.0**-every
             rescaled += every
+            due = end + every
             a = max(lo, end + 1 - half)
             nonzero = w[a:b] != 0
             low = a + int(nonzero.argmax())

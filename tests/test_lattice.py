@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,15 @@ def walks(max_steps: int, r_past_n: int = 0):
     return st.integers(1, max_steps).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, n + r_past_n))
     )
+
+
+@contextmanager
+def counts_dp_only():
+    """Switch the spectral segments off, so every walk runs the counts DP
+    step by step; yields the MonkeyPatch for further patches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_SPECTRAL_STEPS", lattice.MAX_WALK_STEPS + 1)
+        yield mp
 
 
 # walks of n_steps <= 16 (brute force enumerates 2**n_steps) and 1 <= r <= n_steps
@@ -86,13 +97,16 @@ class TestAgainstBruteForce:
 
 class TestLiveWindow:
     """The live-window DP against the full-width DP it replaced: the same
-    floating-point operations on every live site, so equal bit for bit."""
+    floating-point operations on every live site, so equal bit for bit.
+    Here and in the two classes below the spectral segments are switched
+    off, so that every walk runs the DP."""
 
     @pytest.mark.parametrize("r", (4, 16, 64, 256, 1024))
     def test_bit_identical_at_sweep_levels(self, r):
         # the benchmark's sweep: 8 intervals at r steps each
         c = LatticeConfig(8 * r, r)
-        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == full_width_walk_probability(c)
 
     # brute force stops at 16 steps, before the window edges cut anything
     # that matters; these walks reach 300 steps and constraints past the end
@@ -104,7 +118,8 @@ class TestLiveWindow:
     @example((298, 149))
     def test_bit_identical_random_walks(self, walk):
         c = LatticeConfig(*walk)
-        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == full_width_walk_probability(c)
 
 
 class TestRescaledCounts:
@@ -118,7 +133,8 @@ class TestRescaledCounts:
         # with projections between them at r = 480, between projections at
         # r = 1280
         c = LatticeConfig(3840, r)
-        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == full_width_walk_probability(c)
 
     @settings(max_examples=60, deadline=None)
     @given(walks(300, r_past_n=5), st.integers(1, 9))
@@ -127,7 +143,7 @@ class TestRescaledCounts:
     def test_bit_identical_with_frequent_rescales(self, walk, every):
         # a rescale every few steps puts one at every window position
         c = LatticeConfig(*walk)
-        with pytest.MonkeyPatch.context() as mp:
+        with counts_dp_only() as mp:
             mp.setattr(lattice, "_RESCALE_STEPS", every)
             got = constrained_walk_probability(c)
         assert got == full_width_walk_probability(c)
@@ -135,12 +151,14 @@ class TestRescaledCounts:
     def test_finest_benchmark_walk(self):
         # the full-width DP's value, recorded when the live window replaced it
         c = LatticeConfig(32768, 4096)
-        assert constrained_walk_probability(c) == float.fromhex("0x1.18919d74e9a40p-11")
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == float.fromhex("0x1.18919d74e9a40p-11")
 
     def test_walk_at_the_cap(self):
         # the probability DP's value at MAX_WALK_STEPS
         c = LatticeConfig(lattice.MAX_WALK_STEPS, 8192)
-        assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
 
 
 class TestTrimmedWindow:
@@ -164,7 +182,8 @@ class TestTrimmedWindow:
     @example((4000, 1))  # a projection at every step, the top trimmed
     def test_bit_identical_long_walks(self, walk):
         c = LatticeConfig(*walk)
-        assert constrained_walk_probability(c) == full_width_walk_probability(c)
+        with counts_dp_only():
+            assert constrained_walk_probability(c) == full_width_walk_probability(c)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1100, 2000).flatmap(
@@ -176,7 +195,7 @@ class TestTrimmedWindow:
         # from about step 1,080 on, and walks of 2,200 steps or more trim
         # their window at hundreds of rescales
         c = LatticeConfig(*walk)
-        with pytest.MonkeyPatch.context() as mp:
+        with counts_dp_only() as mp:
             mp.setattr(lattice, "_RESCALE_STEPS", every)
             got = constrained_walk_probability(c)
         assert got == full_width_walk_probability(c)
@@ -184,11 +203,68 @@ class TestTrimmedWindow:
     def test_unconstrained_walk_at_the_cap(self):
         # both tails trimmed at every rescale from 1,920 steps on; value
         # recorded from the untrimmed DP; no entry, dead or live, overflows
-        with np.errstate(over="raise", invalid="raise"):
+        with counts_dp_only(), np.errstate(over="raise", invalid="raise"):
             got = constrained_walk_probability(LatticeConfig(65536, 65536))
             cap = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, 8192))
         assert got == float.fromhex("0x1.9883ed1c3b5b0p-9")
         assert cap == float.fromhex("0x1.9030c2cc5e5cfp-12")
+
+
+class TestSpectralSegments:
+    """Segments of _SPECTRAL_STEPS or more between checkpoints advance by one
+    product with the binomial kernel's closed-form spectrum; shorter ones,
+    and every walk when they are switched off, run the counts DP."""
+
+    # even step counts, constrained every r >= 128 steps, r <= n + 5
+    spectral_walks = st.integers(64, 600).flatmap(
+        lambda k: st.tuples(st.just(2 * k), st.integers(128, 2 * k + 5))
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectral_walks)
+    @example((1200, 128))  # nine spectral segments, then a 48-step DP tail
+    @example((1200, 1205))  # one segment, no projection
+    @example((1000, 300))  # the DP tail from step 900 crosses step 960
+    @example((256, 128))
+    @example((258, 129))  # odd segments
+    def test_against_exact_counts(self, walk):
+        c = LatticeConfig(*walk)
+        exact = exact_walk_probability(c)
+        got = Fraction(constrained_walk_probability(c))
+        assert abs(got - exact) <= exact * Fraction(2e-15)  # measured at most 7e-16
+
+    @pytest.mark.parametrize("walk", [
+        (32768, 4096), (65536, 8192), (65536, 65536),
+        # a 32-step DP tail after 31 spectral segments, and a 100-step one
+        # after three, which crosses step 960 with no rescale due
+        (4000, 128), (1000, 300),
+    ], ids=lambda w: f"{w[0]}-{w[1]}")
+    def test_against_the_dp(self, walk):
+        c = LatticeConfig(*walk)
+        with counts_dp_only():
+            dp = constrained_walk_probability(c)
+        assert constrained_walk_probability(c) == pytest.approx(dp, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "walk", [(4000, 127), (3602, 111), (65536, 127)], ids=lambda w: f"{w[0]}-{w[1]}"
+    )
+    def test_short_segments_stay_on_the_dp(self, walk):
+        c = LatticeConfig(*walk)
+        with counts_dp_only():
+            dp = constrained_walk_probability(c)
+        assert constrained_walk_probability(c) == dp
+
+    def test_sweep_memory(self):
+        # the benchmark's sweep, after a first call has imported numpy.fft
+        sweep = lambda: continuum_peak_estimate(8.0, 1.0, levels=(4, 16, 64, 256, 1024, 4096))
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4e6  # measured 0.34 MB; 0.27 MB on the DP alone
 
 
 class TestExactness:
