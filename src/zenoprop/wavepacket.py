@@ -26,7 +26,12 @@ timescales well above the projection spacing.
 Numerics: the boundary difference is built with its u^{-1/2} singularity
 already peeled off, sqrt(u) delta_g(u) = (m/2 pi i)^{1/2} (f_p - f_v)(u);
 the inner time convolution restores it with product-integration weights
-and is evaluated as a zero-padded FFT product; the outer integral is
+and is evaluated as a zero-padded FFT product.  Each panel that holds a
+drop of the saw-tooth is split there and takes the one-sided values on
+either side, with the weights this moves folded into the convolved values
+(``stationary_delta_g``), so the time quadrature is second order in its
+step at every E eps, whether or not the grid meets the drops; a step of
+eps/4 leaves delta_norm within 1.5e-2 of its limit.  The outer integral is
 evaluated in momentum space, where the final free leg is diagonal and
 nothing is singular; the slowly decaying 1/k endpoint tail (a step
 structure at the boundary) is summed analytically via a Fresnel integral
@@ -53,7 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROOT_INV_I, five_smooth_at_least, half_power_weights, snap_to_integer
+from .core import (
+    ROOT_INV_I,
+    five_smooth_at_least,
+    half_power_weights,
+    panel_weights,
+    snap_to_integer,
+)
 from .exact import absorbing_envelope
 from .sawtooth import calibrate_absorption, sawtooth_envelope
 
@@ -158,18 +169,59 @@ def suppression_factor(exponents) -> np.ndarray:
 
 def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndarray:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
-    on ``t_grid`` with its u^{-1/2} factor peeled off:
+    on the uniform grid ``t_grid`` from 0, with its u^{-1/2} factor peeled
+    off, as ``inner_boundary_convolution``'s product rule is to see it:
 
         sqrt(u) delta_g(u) = (m / 2 pi i)^{1/2} (f_p(u) - f_v(u)),
 
     f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
     at one, so the value at u = 0 is exactly zero.
+
+    The saw-tooth drops from 1/k to 1/(2k) at u = k eps, and a panel rule
+    that drew a line across the drop would err by half the jump over a
+    panel, a first-order error in the time step.  So each panel that holds
+    a drop, or ends at one, is split there: before the drop the rule takes
+    the left value 1/k, after it the trough 1/(2k), and the convolved
+    factor at the drop is taken linearly between the panel's nodes.  Every
+    such panel thus moves weight onto its two nodes, which are returned as
+    the values whose ``half_power_weights`` products carry it; all other
+    nodes hold the plain difference.  A drop on a node (up to rounding)
+    ends the panel before it.  The step may not exceed eps, so that no
+    panel holds two drops.
     """
     t = np.asarray(t_grid, dtype=float)
+    scale = ROOT_INV_I * np.sqrt(m / (2 * np.pi))
     fv = np.ones_like(t)
     pos = t > 0
     fv[pos] = absorbing_envelope(v0, t[pos])
-    return ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (sawtooth_envelope(eps, t) - fv)
+    phi = scale * (sawtooth_envelope(eps, t) - fv)
+    del fv, pos
+    n_drops = int(snap_to_integer(t[-1] / eps)) if len(t) > 1 else 0
+    if n_drops < 1:
+        return phi
+    dt = t[1]
+    if not dt <= eps:
+        raise ValueError(f"time step {dt:.6g} above eps {eps:.6g}: a panel holds two drops")
+    k = np.arange(1, n_drops + 1)
+    at = snap_to_integer(k * (eps / dt))  # the drops in steps, whole on a node
+    j = np.ceil(at).astype(np.int64) - 1  # the panel [j dt, (j + 1) dt] of each drop
+    lam = at - j  # its share of the panel before it, in (0, 1]
+    lo, drop, hi = j * dt, k * eps, (j + 1) * dt
+    fv_drop = absorbing_envelope(v0, drop)
+    left, right = panel_weights(lo, hi)
+    before_left, before_right = panel_weights(lo, drop)
+    after_left, after_right = panel_weights(drop, hi)
+    # the drop's weight on its one-sided values, split between the nodes as
+    # the convolved factor is interpolated there
+    at_drop = scale * (before_right * (1 / k - fv_drop) + after_left * (0.5 / k - fv_drop))
+    weights = half_power_weights(len(t) - 1, dt)
+    # both nodes' shares from the plain values, before either is moved (a
+    # node may end one drop's panel and start the next one's)
+    first = ((before_left - left) * phi[j] + (1 - lam) * at_drop) / weights[j]
+    second = ((after_right - right) * phi[j + 1] + lam * at_drop) / weights[j + 1]
+    np.add.at(phi, j, first)
+    np.add.at(phi, j + 1, second)
+    return phi
 
 
 _STENCIL = 12  # half-width, in grid points, of the NUFFT Gaussian stencil
@@ -372,21 +424,25 @@ def crossing_term(
 
 
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
-# scan the grid has about 1,203 points per unit of p sigma (12,033 at the
+# scan the grid has about 300.8 points per unit of p sigma (3,009 at the
 # default p sigma = 10), and time and memory grow about linearly with it:
-# on a 2-vCPU VM the whole scan takes 0.3 s and 49 MiB of peak RSS
-# (ru_maxrss / 1024) at p sigma = 100 and 3.0 s and 207 MiB at
-# p sigma = 871, just under the cap, so the cap holds a scan to about 3.5 s
-# and 220 MiB.
-MAX_TIME_POINTS = 2**20
+# on a 2-vCPU VM the whole scan takes 0.13-0.16 s and 39 MiB of peak RSS
+# (ru_maxrss / 1024) at p sigma = 100 and 1.2-1.5 s and 93 MiB at
+# p sigma = 871, just under the cap, so the cap holds a scan to about 1.5 s
+# and 100 MiB.
+MAX_TIME_POINTS = 2**18
 
 
 def time_points(wp: WavePacket, eps: float, tau: float) -> int:
     """Points of the uniform time grid of ``pdx_delta_psi``, from 0 to tau
-    with step at most eps/16, 1/32 of the packet's oscillation period
-    2 pi/E and tau/1024.  A grid of more than ``MAX_TIME_POINTS`` points is
-    refused with ``ValueError`` before anything is allocated."""
-    dt = min(eps / 16.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
+    with step at most eps/4, 1/32 of the packet's oscillation period
+    2 pi/E and tau/1024.  The quadrature is second order in the step
+    (``stationary_delta_g`` takes the saw-tooth's drops one-sidedly): on the
+    default scan the column lies within 1.5e-2 of its limit, and each
+    halving of the step cuts that about fourfold.  A grid of more than
+    ``MAX_TIME_POINTS`` points is refused with ``ValueError`` before
+    anything is allocated."""
+    dt = min(eps / 4.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
     # tau/dt is the same for every m in exact arithmetic, so a quotient
     # rounded just past a whole number counts as that number
     steps = np.ceil(snap_to_integer(tau / dt))

@@ -529,7 +529,7 @@ class TestPdxCommand:
         (["--m", "1e-306"], "'--m' / '--p-sigma'"),
         # tau = 1.88 m overflows at m = 1e308
         (["--m", "1e308"], "'--m' / '--p-sigma'"),
-        # the scan runs at m = 1, where p sigma = 1e10 needs 1.2e13 time points
+        # the scan runs at m = 1, where p sigma = 1e10 needs 3.0e12 time points
         (["--m", "1e-300", "--p-sigma", "1e10"], "'--p-sigma'"),
     ], ids=["eps-subnormal", "tau-overflows", "m-1e-300-p-sigma-1e10"])
     def test_extreme_mass_is_usage_error(self, runner, tmp_path, args, flags):
@@ -541,10 +541,10 @@ class TestPdxCommand:
         assert len(last) < 200
         assert not out.exists()
 
-    # the finest pdx time grid has tau / (eps / 16) = 1203.2 p sigma steps
+    # the finest pdx time grid has tau / (eps / 4) = 300.8 p sigma steps
     # (tau = 18.8 m sigma / p, eps = 0.125 / E), so this p sigma needs one
     # point more than the cap allows
-    OVER_CAP = wavepacket.MAX_TIME_POINTS / 1203.2
+    OVER_CAP = wavepacket.MAX_TIME_POINTS / 300.8
 
     @pytest.mark.parametrize("p_sigma, code", [("10", 0), (repr(OVER_CAP), 2)],
                              ids=["default", "just-over-cap"])
@@ -560,7 +560,7 @@ class TestPdxCommand:
 
     def test_cap_admits_grid_just_below(self):
         # half a step short of a grid one point over the cap
-        wp = wavepacket.WavePacket(q=-10.0, p=(wavepacket.MAX_TIME_POINTS - 1.5) / 1203.2,
+        wp = wavepacket.WavePacket(q=-10.0, p=(wavepacket.MAX_TIME_POINTS - 1.5) / 300.8,
                                    sigma=1.0)
         tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
         assert wavepacket.time_points(wp, 0.125 / wp.energy, tau) == wavepacket.MAX_TIME_POINTS
@@ -582,17 +582,17 @@ class TestPdxCommand:
             assert [float(r[0]) for r in rows] == [float(m) * float(r[0]) for r in unit], m
             assert table(m, "json")["meta"]["params"]["tau"] == float(m) * unit_tau, m
 
-    # delta_norm of the default scan on the two-sided momentum grid
-    # -kmax..kmax with k = 0 dropped and power-of-two transform lengths
-    PINNED_DELTA_NORM = [0.070581152534225977, 0.09022217005360926, 0.12488359905101681,
-                         0.12885840022502643, 0.14375289047627202, 0.18219274981410921,
-                         0.19585540877415339, 0.19222637469749199, 0.21897297109756728]
+    # delta_norm of the default scan at a step of eps/4 with the saw-tooth's
+    # drops taken one-sidedly, within 1.5e-2 of the converged column
+    # 0.076205 ... 0.212207 (Richardson in the step)
+    PINNED_DELTA_NORM = [0.075147174353916935, 0.095208531403135996, 0.11653401883963178,
+                         0.13447378219071573, 0.14997151082179724, 0.17440599793481221,
+                         0.18832606105641395, 0.19923293051783625, 0.21204442146696267]
 
     def test_delta_norm_is_pinned(self, runner, tmp_path):
-        # sampling k > 0 only, on the grid k = j dk, moves delta_norm by at
-        # most 1.1e-9 relative (at E eps = 0.7); on the two-sided grid,
-        # kmax x 1.5 moves it by up to 2.2e-9 and dk / 2 by up to 9.2e-10,
-        # so the move is within the momentum discretisation error
+        # the momentum grid moves delta_norm by a few 1e-9 (kmax x 1.5 by up
+        # to 2.2e-9, dk / 2 by up to 9.2e-10 on the two-sided grid), so the
+        # pin is held to 2e-9
         out = tmp_path / "pdx.csv"
         res = runner.invoke(main, ["pdx", "--out", str(out)])
         assert res.exit_code == 0, result_output(res)

@@ -1,5 +1,6 @@
 import bisect
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from numpy.testing import assert_allclose
 
 from oracles import QuadratureRule, free_propagator, integrate, quadrature_nodes
 from zenoprop.core import (
+    FIVE_SMOOTH_MAX,
     BoundaryCurve,
     Grid1D,
     ROOT_INV_I,
     five_smooth_at_least,
     half_power_weights,
     heat_kernel,
+    panel_weights,
     pow2_at_least,
 )
 
@@ -161,6 +164,34 @@ class TestHalfPowerWeights:
         u = np.arange(n + 1) * dt
         assert np.dot(w, np.cos(u)) == pytest.approx(target, abs=1e-6)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-3), (1.88, 1.88 + 6.25e-4),
+                                        (2.5, 2.5 + 1e-5), (1e4, 1e4 + 1e-9)])
+    def test_panel_weights_keep_their_digits(self, lo, hi):
+        # the panel's moments of u^-1/2 and u^+1/2 in 50-digit decimals;
+        # differenced in floats they lose about 2 hi / (hi - lo) ulp, which
+        # was 7e-6 relative at the 262,144th node of a 1e-5 grid
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b = Decimal(lo).sqrt(), Decimal(hi).sqrt()
+            m0, m1 = 2 * (b - a), Decimal(2) / 3 * (b**3 - a**3)
+            width = Decimal(hi) - Decimal(lo)
+            want = [(Decimal(hi) * m0 - m1) / width, (m1 - Decimal(lo) * m0) / width]
+        got = panel_weights(lo, hi)
+        for g, w in zip(got, want):
+            assert float(g) == pytest.approx(float(w), rel=4e-16)
+
+    def test_split_panel_sums_to_the_panel(self):
+        # a panel cut anywhere: the two parts' weights on a linear function
+        # add up to the whole panel's
+        lo, hi = 3.0, 3.01
+        for cut in (3.0 + 1e-15, 3.004, 3.01 - 1e-15):
+            whole = panel_weights(lo, hi)
+            first, second = panel_weights(lo, cut), panel_weights(cut, hi)
+            f = lambda u: 2.0 - 5.0 * u
+            parts = (first[0] * f(lo) + first[1] * f(cut) + second[0] * f(cut)
+                     + second[1] * f(hi))
+            assert parts == pytest.approx(whole[0] * f(lo) + whole[1] * f(hi), rel=1e-13)
+
 
 class TestTransformLengths:
     def test_five_smooth_against_brute_force(self):
@@ -172,9 +203,40 @@ class TestTransformLengths:
             assert five_smooth_at_least(n) == want, n
             assert want <= pow2_at_least(n)
 
+    @pytest.mark.slow
+    def test_five_smooth_matches_the_search_it_replaced(self):
+        # the search that the table replaced, run on every n up to 10^6 at
+        # once: the least power of two at or above n, lowered to odd times
+        # the least power of two at or above n / odd for each odd = 3^b 5^c
+        # below it
+        n = np.arange(10**6 + 1)
+        pow2 = lambda q: np.left_shift(1, np.ceil(np.log2(np.maximum(q, 1))).astype(np.int64))
+        best = pow2(n)
+        odd5 = 1
+        while odd5 < best.max():
+            odd = odd5
+            while odd < best.max():
+                best = np.minimum(best, odd * pow2(-(-n // odd)))
+                odd *= 3
+            odd5 *= 5
+        assert [five_smooth_at_least(x) for x in range(10**6 + 1)] == best.tolist()
+
     def test_five_smooth_at_pdx_sizes(self):
         assert five_smooth_at_least(2 * 12_033 - 1) == 24_300
+        assert five_smooth_at_least(2 * 3_009 - 1) == 6_075
         assert five_smooth_at_least(2**21) == 2**21
+
+    def test_five_smooth_range(self):
+        # lengths up to the table's end against brute force, and powers of
+        # two past it
+        smooth = sorted(2**a * 3**b * 5**c for a in range(33) for b in range(21)
+                        for c in range(14) if 2**a * 3**b * 5**c <= 2**32)
+        for n in np.random.default_rng(0).integers(2**20, 2**32, 1000).tolist():
+            assert five_smooth_at_least(n) == smooth[bisect.bisect_left(smooth, n)], n
+        assert five_smooth_at_least(-5) == five_smooth_at_least(0) == 1
+        assert five_smooth_at_least(FIVE_SMOOTH_MAX) == FIVE_SMOOTH_MAX == 2**32
+        assert five_smooth_at_least(2**32 + 1) == 2**33
+        assert five_smooth_at_least(10**400) == pow2_at_least(10**400)
 
     @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
     def test_numpy_integers(self, kind):

@@ -160,6 +160,16 @@ class TestRescaledCounts:
         with counts_dp_only():
             assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
 
+    @pytest.mark.parametrize("r, value", [(127, "0x1.25732e4deb3b2p-19"),
+                                          (4, "0x1.29a23e7a76128p-24")])
+    def test_misaligned_walks_at_the_cap(self, r, value):
+        # projections on steps not divisible by 16, where the window's first
+        # site is rounded down to a cache line (127) or not (4); values
+        # recorded from the DP that started each window at that site
+        with counts_dp_only():
+            got = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, r))
+        assert got == float.fromhex(value)
+
 
 class TestTrimmedWindow:
     """Past about 1,100 steps a walk's tail probabilities fall below the

@@ -16,7 +16,8 @@ from oracles import (
     spearman_rho,
     step_reflection,
 )
-from zenoprop.core import five_smooth_at_least
+from zenoprop import wavepacket
+from zenoprop.core import five_smooth_at_least, half_power_weights, panel_weights
 from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
@@ -135,12 +136,12 @@ class TestBoundaryDerivative:
 
     def test_peak_memory_at_finest_eps(self, packet):
         # the default pdx scan's finest time grid: one reciprocal 1/A and the
-        # factors multiplied in place into three complex arrays, 0.69 MB
-        # (1.17 MB with about six complex arrays alive)
+        # factors multiplied in place into three complex arrays, 0.172 MB
+        # (0.69 MB at the 12,033 points of a step of eps/16)
         tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
         t = np.linspace(0.0, tau, time_points(packet, 0.125 / packet.energy, tau))
-        assert len(t) == 12_033
-        assert traced_peak(packet_boundary_derivative, packet, t) < 0.8e6
+        assert len(t) == 3_009
+        assert traced_peak(packet_boundary_derivative, packet, t) < 0.175e6
 
     def test_crossing_instant_dominated_by_momentum(self, packet):
         # packet centred on the origin: its envelope is stationary there, so
@@ -217,13 +218,51 @@ class TestDeltaG:
         eps, v0, m = 0.5, 8 / 3, 1.0
         t = np.linspace(0.0, 2.0, 201)
         phi = stationary_delta_g(t, eps, v0, m)
-        # spot check one interior point against the definition, with the
-        # u^{-1/2} of g_absorbing peeled off: sqrt(u) S(u) g_absorbing(u)
-        u = t[150]
-        s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
-        gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
-        assert phi[150] == pytest.approx(np.sqrt(u) * s * gv, rel=1e-12)
+        # spot check one interior point away from the drops against the
+        # definition, with the u^{-1/2} of g_absorbing peeled off:
+        # sqrt(u) S(u) g_absorbing(u)
+        def plain(u):
+            s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
+            gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
+            return np.sqrt(u) * s * gv
+        others = np.setdiff1d(np.arange(1, 201), [50, 100, 150, 200])
+        assert_allclose(phi[others], plain(t[others]), rtol=1e-12)
         assert phi[0] == 0
+        # a drop u = k eps on a node ends the panel before it, whose right
+        # weight takes the left value 1/k instead of the trough 1/(2k)
+        weights = half_power_weights(200, 0.01)
+        for k, node in ((1, 50), (2, 100), (3, 150), (4, 200)):
+            right = panel_weights(t[node - 1], t[node])[1]
+            jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (1 / k - 1 / (2 * k))
+            assert phi[node] * weights[node] == pytest.approx(
+                plain(t[node]) * weights[node] + right * jump, rel=1e-12)
+
+    @pytest.mark.parametrize("panels", [4, 5, 200, 203, 1000, 1999])
+    def test_one_sided_rule_is_exact_on_the_sawtooth(self, panels):
+        # at a weak absorption the difference is linear between the drops to
+        # within v0^2, so the product rule must integrate u^{-1/2} times it
+        # exactly, whether the drops fall on nodes (4, 200 and 1000 panels
+        # over four intervals of eps) or between them, and in neighbouring
+        # panels (4 and 5); a line drawn across each drop errs by 6.5e-3
+        # relative at 200 panels and 1.3e-3 at 1,000
+        eps, v0, m = 0.5, 1e-6, 1.0
+        t = np.linspace(0.0, 2.0, panels + 1)
+        rule = half_power_weights(panels, t[1]) @ stationary_delta_g(t, eps, v0, m)
+        # int_0^2 u^{-1/2} (f_p - f_v) du = 2 int_0^sqrt(2) (f_p - f_v)(x^2) dx,
+        # a polynomial of degree 2 in x on each interval of f_p, to within v0^2
+        x, w = np.polynomial.legendre.leggauss(8)
+        want = 0.0
+        for k in range(4):
+            a, b = np.sqrt(k * eps), np.sqrt((k + 1) * eps)
+            u = ((b - a) * x / 2 + (a + b) / 2) ** 2
+            want += (b - a) * np.dot(w, sawtooth_envelope(eps, u) - absorbing_envelope(v0, u))
+        want *= ROOT_INV_I * np.sqrt(m / (2 * np.pi))
+        assert abs(rule - want) < 1e-13 * abs(want)
+
+    def test_rejects_a_step_above_eps(self):
+        # a panel would hold two drops
+        with pytest.raises(ValueError, match="above eps"):
+            stationary_delta_g(np.linspace(0.0, 2.0, 3), 0.5, 1.0)
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
@@ -256,17 +295,18 @@ def traced_peak(fn, *args) -> int:
 
 class TestPdxDeltaPsi:
     def test_peak_memory_at_finest_eps(self, packet):
-        # the default pdx scan's finest eps: 12,033 time points, a 24,300-point
+        # the default pdx scan's finest eps: 3,009 time points, a 6,075-point
         # convolution spectrum multiplied and inverted in place and not held
         # past the convolution, and the crossing term's momenta at k > 0
-        # only, 1.61 MB (2.29 MB with 32,768-point spectra and both signs of
-        # k, 3.7 MB with the spectrum pinned as well)
+        # only, 0.684 MB (1.61 MB at the 12,033 points of a step of eps/16),
+        # after a first call has listed the transform lengths
         tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
         eps = 0.125 / packet.energy
         xs = np.linspace(0.05, abs(packet.q) + packet.p * tau / packet.m + 6.0, 400)
         profile = step_profile(xs, tau, packet.m)
-        assert time_points(packet, eps, tau) == 12_033
-        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 1.7e6
+        assert time_points(packet, eps, tau) == 3_009
+        pdx_delta_psi(packet, eps, tau, xs, profile)
+        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 0.69e6
 
     def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
         t_c = -packet.q * packet.m / packet.p
@@ -289,6 +329,56 @@ class TestPdxDeltaPsi:
         assert norms.tolist() == fresh
 
 
+SCAN = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])  # E eps of pdx
+
+
+def pdx_column(p_sigma: float, refine: int = 1, extra: int = 0) -> np.ndarray:
+    """delta_norm of the default pdx scan at ``p_sigma``, on time grids of
+    ``refine`` times as many steps as ``time_points`` gives, plus ``extra``
+    points."""
+    wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
+    tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
+    xs = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavepacket, "time_points",
+                   lambda *args: (time_points(*args) - 1) * refine + 1 + extra)
+        return delta_norm_scan(wp, SCAN / wp.energy, tau, xs)[0]
+
+
+class TestTimeStep:
+    """The time quadrature is second order in its step at every E eps: the
+    saw-tooth's drops are taken one-sidedly, so no panel draws a line across
+    a jump."""
+
+    @pytest.mark.parametrize("p_sigma", [
+        3.0, 10.0, pytest.param(100.0, marks=pytest.mark.slow)])
+    def test_default_column_converges_at_second_order(self, p_sigma):
+        # against the Richardson (dt^2) value from steps 4 and 8 times finer
+        # than the default (eps/16 and eps/32 where eps/4 sets the step):
+        # within 1.03e-2, 1.46e-2 and 1.49e-2 at p sigma = 3, 10 and 100, and
+        # halving the step shrinks each gap 3.71-4.15 times (7.4e-2 with
+        # first-order gaps at a step of eps/16 before the drops were split)
+        column = {r: pdx_column(p_sigma, r) for r in (1, 2, 4, 8)}
+        converged = (4 * column[8] - column[4]) / 3
+        gap = {r: np.abs(column[r] / converged - 1) for r in (1, 2)}
+        assert gap[1].max() < 2e-2
+        assert np.all((3.5 < gap[1] / gap[2]) & (gap[1] / gap[2] < 4.5)), gap[1] / gap[2]
+
+    def test_grid_missing_every_drop(self, packet):
+        # one point more moves the nodes of the eps/4 grids (E eps <= 0.3)
+        # off all but one of the 1,533 drops before tau; delta_norm moves by
+        # 5.3e-5 relative at most (15.6% when a line was drawn across each
+        # drop)
+        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
+        on_nodes = 0
+        for eps in SCAN[:3] / packet.energy:
+            s = np.linspace(0.0, tau, time_points(packet, eps, tau) + 1)[1:-1] / eps
+            on_nodes += np.count_nonzero(np.abs(s - np.rint(s)) < 1e-9)
+        assert on_nodes == 1
+        moved = pdx_column(packet.p, extra=1) / pdx_column(packet.p) - 1
+        assert np.abs(moved).max() < 5e-3
+
+
 class TestTrigSum:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 1000])
     def test_matches_direct_sum(self, n):
@@ -302,9 +392,10 @@ class TestTrigSum:
 
     @pytest.mark.parametrize("n_coef, n_angles", [(12_033, 8_288), (8_288, 400), (4_144, 800)])
     def test_matches_direct_sum_at_pdx_sizes(self, n_coef, n_angles):
-        # the default pdx scan's time sum (12,033 coefficients at 4,144
-        # angles; 8,288 on a grid of both signs of k) and k -> x transform
-        # (4,144 coefficients at 800 angles; 8,288 at 400 on both signs)
+        # the pdx time sum at p sigma = 40 (12,033 coefficients at 4,144
+        # angles; 8,288 on a grid of both signs of k; 3,009 coefficients at
+        # the default p sigma = 10) and k -> x transform (4,144 coefficients
+        # at 800 angles; 8,288 at 400 on both signs)
         rng = np.random.default_rng(n_coef)
         c = rng.normal(size=n_coef) + 1j * rng.normal(size=n_coef)
         theta = rng.uniform(-9.0, 9.0, n_angles)
