@@ -14,9 +14,6 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import array
-import bisect
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -89,42 +86,21 @@ def pow2_at_least(n: int) -> int:
     return 1 << max(operator.index(n) - 1, 0).bit_length()
 
 
-#: Largest n for which ``five_smooth_at_least`` is the least 5-smooth length,
-#: far past any transform this package can allocate (2^32 complex points
-#: take 64 GiB).
-FIVE_SMOOTH_MAX = 2**32
-
-
-@functools.cache
-def _five_smooth_numbers() -> array.array:
-    """Every 2^a 3^b 5^c up to ``FIVE_SMOOTH_MAX``, ascending: 1,849 numbers
-    in 15 KB, listed on first use in about 2 ms.  Each is the least of
-    twice, three and five times an earlier one (Dijkstra's merge), so no
-    list of them is built and sorted: all 12,692 up to 2^63, listed and
-    sorted so, raised a pdx process's peak RSS by about 0.5 MB."""
-    smooth = array.array("Q", [1])
-    i2 = i3 = i5 = 0
-    while (nxt := min(2 * smooth[i2], 3 * smooth[i3], 5 * smooth[i5])) <= FIVE_SMOOTH_MAX:
-        smooth.append(nxt)
-        i2 += nxt == 2 * smooth[i2]
-        i3 += nxt == 3 * smooth[i3]
-        i5 += nxt == 5 * smooth[i5]
-    return smooth
-
-
 def five_smooth_at_least(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, for any integer n, never above
     ``pow2_at_least(n)``: the transform length of the slice recursion's
-    boundary samples, the walks' spectral segments and the wave-packet
-    convolution and non-uniform FFT, which pocketfft runs about as fast per
-    point as a power of two.  A bisection of the 5-smooth numbers up to
-    ``FIVE_SMOOTH_MAX``, which are listed once; above it, where no
-    transform can be allocated, the power of two."""
+    boundary samples and of the wave-packet convolution and non-uniform
+    FFT, which pocketfft runs about as fast per point as a power of two."""
     n = operator.index(n)
-    if n > FIVE_SMOOTH_MAX:
-        return pow2_at_least(n)
-    smooth = _five_smooth_numbers()
-    return smooth[bisect.bisect_left(smooth, n)]
+    best = pow2_at_least(n)
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:  # odd = 3^b 5^c; the least odd 2^a >= n
+            best = min(best, odd * pow2_at_least(-(-n // odd)))
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def panel_weights(lo, hi):

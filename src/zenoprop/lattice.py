@@ -54,7 +54,7 @@ __all__ = [
 # 30-50 ms.  So the cap's worst case is a walk on the counts DP, which sums
 # at most n/2 + 1 sites a step, about 0.1 n^2 in all once its rescales trim
 # the underflowed tails: at the cap about 0.26-0.31 s with a projection at
-# every step and 0.08 s at 127 steps per interval, on a 2-vCPU VM.  A
+# every step and 0.13 s at 127 steps per interval, on a 2-vCPU VM.  A
 # sweep's finest level has at least 16 steps per interval, so the cap holds
 # a sweep to about 0.2 s.
 MAX_WALK_STEPS = 65_536
@@ -63,13 +63,6 @@ MAX_WALK_STEPS = 65_536
 # most 2^k, so 960 steps keep every count below 2^960, short of the float
 # limit 2^1024.
 _RESCALE_STEPS = 960
-
-# Shortest interval between projections after which the DP's window starts
-# at an aligned index.  Rounding down costs one more slice fill per
-# projection, which on shorter intervals outweighs the faster aligned sums:
-# 65,536 steps took 7-17% longer rounded at 1 step per interval, about the
-# same at 4, and 15% less at 8 and 40-45% less at 125-127 (2-vCPU VM).
-_ALIGN_STEPS = 8
 
 # Shortest segment between checkpoints that advances by one product with the
 # binomial kernel's spectrum rather than one DP step at a time.  On a
@@ -179,11 +172,10 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     # one allocation so that w[2] and v[2] start 64-byte cache lines.  numpy's
     # SIMD sum runs fastest into an aligned output (on a 2-vCPU AVX-512 VM
     # the finest benchmark walk took 0.067 s aligned so, 0.085-0.12 s as
-    # the allocator placed the buffers).  A trim, and a projection after
-    # _ALIGN_STEPS or more steps, round lo down to an aligned index (the
-    # benchmark's sweep took 0.068 s with trims so, 0.092 s with lo at the
-    # first nonzero count; 65,536 steps at 127 per interval take 0.07-0.08 s
-    # so, 0.12-0.15 s with lo at the first site above the projection).
+    # the allocator placed the buffers).  After a projection at a step
+    # divisible by 16 a window that starts at lo = step / 2 + 2 is aligned,
+    # and a trim rounds lo down to an aligned index (the benchmark's sweep
+    # takes 0.068 s so, 0.092 s with lo at the first nonzero count).
     size = -(-(half + 2) // 8) * 8
     buf = np.zeros(2 * size + 8)
     first = -(buf.ctypes.data + 16) % 64 // 8
@@ -191,7 +183,6 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     v = buf[first + size : first + size + half + 2]
     w[1] = 1.0
     lo = 1  # lowest index that may hold a live nonzero count; w[lo - 1] = v[lo - 1] = 0
-    live = 1  # the first site above the last projection; lo is at most live
     top = 1  # highest index that may hold a nonzero count
     rescaled = 0  # binary exponent taken out of the counts so far
     spp, every, spectral = cfg.steps_per_projection, _RESCALE_STEPS, _SPECTRAL_STEPS
@@ -204,13 +195,10 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
         nxt = min(n, (step // spp + 1) * spp)
         a = max(lo, step + 2 - nxt // 2)  # only sites that can still survive nxt
         if nxt - step >= spectral:
-            # the window starts at the first live site, not at the aligned
-            # lo, so its transform length does not depend on the alignment.
             # w[a - 1 : top + 1] sits `reach` points into the transform and
             # out[p] lands at index off + p; the trimmed output replaces the
             # window.  v is next read only by a DP tail, at v[lo - 1], zeroed
             # at the projection, and at entries that tail has written.
-            a = max(a, live)
             end = nxt
             steps = end - step
             b = min(half + 2, top + steps + 1)
@@ -257,16 +245,8 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
             top = b - 1 - int(nonzero[::-1].argmax())
             lo = max(lo, low - (low - 2) % 8)
         if end < n and end % spp == 0:
-            # the first site above the projection, rounded down to an aligned
-            # index on intervals of _ALIGN_STEPS or more; w's dead sites from
-            # lo - 1 on are zeroed, so they sum to +0 and feed nothing, v's
-            # entries from lo on are written before they are read, and
-            # neither buffer writes below lo again
-            live = lo = end // 2 + 2
-            if spp >= _ALIGN_STEPS:
-                lo -= (live - 2) % 8
-                w[lo - 1 : live] = 0.0
-            w[live - 1] = v[lo - 1] = 0.0
+            lo = end // 2 + 2
+            w[lo - 1] = v[lo - 1] = 0.0  # neither buffer writes below lo again
         step = end
     return math.ldexp(float(w[half + 1]), rescaled - n)
 

@@ -28,14 +28,14 @@ already peeled off, sqrt(u) delta_g(u) = (m/2 pi i)^{1/2} (f_p - f_v)(u);
 the inner time convolution restores it with product-integration weights
 and is evaluated as a zero-padded FFT product.  Each panel that holds a
 drop of the saw-tooth is split there and takes the one-sided values on
-either side, with the weights this moves folded into the convolved values
-(``stationary_delta_g``), so the time quadrature is second order in its
-step at every E eps, whether or not the grid meets the drops; a step of
-eps/4 leaves delta_norm within 1.5e-2 of its limit.  The outer integral is
-evaluated in momentum space, where the final free leg is diagonal and
-nothing is singular; the slowly decaying 1/k endpoint tail (a step
-structure at the boundary) is summed analytically via a Fresnel integral
-so the numeric transform only handles an O(1/k^2) remainder.  That step
+either side, with the weights this moves added to the weighted values that
+are convolved (``_weighted_delta_g``), so the time quadrature is second
+order in its step at every E eps, whether or not the grid meets the drops;
+a step of eps/4 leaves delta_norm within 1.5e-2 of its limit.  The outer
+integral is evaluated in momentum space, where the final free leg is
+diagonal and nothing is singular; the slowly decaying 1/k endpoint tail (a
+step structure at the boundary) is summed analytically via a Fresnel
+integral so the numeric transform only handles an O(1/k^2) remainder.  That step
 profile depends on tau, m and the x grid alone, so an eps scan builds it
 once (``step_profile``) and hands it to every crossing term.  The
 momentum integrand is odd in k, so only k > 0 is sampled.  The time sum
@@ -169,44 +169,62 @@ def suppression_factor(exponents) -> np.ndarray:
 
 def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndarray:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
-    on the uniform grid ``t_grid`` from 0, with its u^{-1/2} factor peeled
-    off, as ``inner_boundary_convolution``'s product rule is to see it:
+    on ``t_grid`` with its u^{-1/2} factor peeled off:
 
         sqrt(u) delta_g(u) = (m / 2 pi i)^{1/2} (f_p(u) - f_v(u)),
 
     f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
     at one, so the value at u = 0 is exactly zero.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    fv = np.ones_like(t)
+    pos = t > 0
+    fv[pos] = absorbing_envelope(v0, t[pos])
+    return ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (sawtooth_envelope(eps, t) - fv)
+
+
+def _weighted_delta_g(t: np.ndarray, eps: float, v0: float, m: float) -> np.ndarray:
+    """The values that ``inner_boundary_convolution`` convolves for
+    ``pdx_delta_psi``: ``stationary_delta_g`` on the grid t_j = j dt from 0
+    times ``half_power_weights``, with each saw-tooth drop taken one-sidedly.
 
     The saw-tooth drops from 1/k to 1/(2k) at u = k eps, and a panel rule
     that drew a line across the drop would err by half the jump over a
     panel, a first-order error in the time step.  So each panel that holds
     a drop, or ends at one, is split there: before the drop the rule takes
-    the left value 1/k, after it the trough 1/(2k), and the convolved
-    factor at the drop is taken linearly between the panel's nodes.  Every
-    such panel thus moves weight onto its two nodes, which are returned as
-    the values whose ``half_power_weights`` products carry it; all other
-    nodes hold the plain difference.  A drop on a node (up to rounding)
-    ends the panel before it.  The step may not exceed eps, so that no
-    panel holds two drops.
+    the left value 1/k, after it the trough 1/(2k), and the convolved factor
+    at the drop is taken linearly between the panel's nodes, which moves
+    the drop's weight onto them.  Where a drop falls, at = k eps/dt steps,
+    is snapped once (``core.snap_to_integer``) and decides everything: a
+    drop on a node ends the panel before it, a drop past the last node is
+    left out, and the nodes beside a drop, the last node before the first
+    drop past the grid too, take the saw-tooth's value on their side of it.
+    The step may be at most eps/2, so that no node is beside two drops.
     """
-    t = np.asarray(t_grid, dtype=float)
+    n = len(t)
+    dt = float(t[1])
+    if not 2 * dt <= eps:
+        raise ValueError(f"time step {dt:.6g} above eps/2 = {eps / 2:.6g}")
+    phi = stationary_delta_g(t, eps, v0, m)
+    # the drops in steps, whole on a node, up to the first past the last node
+    k = np.arange(1, int((n - 1) * dt / eps) + 3)
+    at = snap_to_integer(k * (eps / dt))
+    inside = np.count_nonzero(at <= n - 1)
+    k, at = k[: inside + 1], at[: inside + 1]
+    j = np.minimum(np.ceil(at).astype(np.int64), n) - 1  # the last node before each drop
+    lo, drop = j * dt, at * dt
     scale = ROOT_INV_I * np.sqrt(m / (2 * np.pi))
-    fv = np.ones_like(t)
-    pos = t > 0
-    fv[pos] = absorbing_envelope(v0, t[pos])
-    phi = scale * (sawtooth_envelope(eps, t) - fv)
-    del fv, pos
-    n_drops = int(snap_to_integer(t[-1] / eps)) if len(t) > 1 else 0
-    if n_drops < 1:
-        return phi
-    dt = t[1]
-    if not dt <= eps:
-        raise ValueError(f"time step {dt:.6g} above eps {eps:.6g}: a panel holds two drops")
-    k = np.arange(1, n_drops + 1)
-    at = snap_to_integer(k * (eps / dt))  # the drops in steps, whole on a node
-    j = np.ceil(at).astype(np.int64) - 1  # the panel [j dt, (j + 1) dt] of each drop
-    lam = at - j  # its share of the panel before it, in (0, 1]
-    lo, drop, hi = j * dt, k * eps, (j + 1) * dt
+    # the nodes beside each drop take the saw-tooth's value on their side of
+    # it, as `at` places them (sawtooth_envelope snaps t / eps on its own):
+    # after s >= 1 drops it rises (s - 1) / (2 s (s + 1) eps) per unit time
+    # from 1/(2s), and before the first it is flat
+    rise = np.divide(k - 2, 2.0 * (k - 1) * k * eps, out=np.zeros(len(k)), where=k > 1)
+    phi[j] = scale * (1 / k + (lo - drop) * rise - absorbing_envelope(v0, lo))
+    k, at, j, lo, drop = k[:inside], at[:inside], j[:inside], lo[:inside], drop[:inside]
+    hi = (j + 1) * dt
+    rise = (k - 1) / (2.0 * k * (k + 1) * eps)
+    phi[j + 1] = scale * (0.5 / k + (hi - drop) * rise - absorbing_envelope(v0, hi))
+    lam = at - j  # the share of each drop's panel [j dt, (j + 1) dt] before it, in (0, 1]
     fv_drop = absorbing_envelope(v0, drop)
     left, right = panel_weights(lo, hi)
     before_left, before_right = panel_weights(lo, drop)
@@ -214,13 +232,11 @@ def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndar
     # the drop's weight on its one-sided values, split between the nodes as
     # the convolved factor is interpolated there
     at_drop = scale * (before_right * (1 / k - fv_drop) + after_left * (0.5 / k - fv_drop))
-    weights = half_power_weights(len(t) - 1, dt)
-    # both nodes' shares from the plain values, before either is moved (a
-    # node may end one drop's panel and start the next one's)
-    first = ((before_left - left) * phi[j] + (1 - lam) * at_drop) / weights[j]
-    second = ((after_right - right) * phi[j + 1] + lam * at_drop) / weights[j + 1]
-    np.add.at(phi, j, first)
-    np.add.at(phi, j + 1, second)
+    first = (before_left - left) * phi[j] + (1 - lam) * at_drop
+    second = (after_right - right) * phi[j + 1] + lam * at_drop
+    phi *= half_power_weights(n - 1, dt)
+    phi[j] += first
+    phi[j + 1] += second
     return phi
 
 
@@ -306,28 +322,29 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     return np.multiply(np.exp(1j * shift * theta), interp, out=interp)
 
 
-def inner_boundary_convolution(phi: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
-    """G(t2) = int_0^t2 u^{-1/2} phi(u) D(t2 - u) du on a uniform grid.
+def inner_boundary_convolution(weighted: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+    """G(t2) = int_0^t2 u^{-1/2} phi(u) D(t2 - u) du on a uniform grid,
+    as sum_j weighted_j D(t2 - t_j).
 
     ``phi`` carries the boundary kernel with its inverse-square-root factor
-    peeled off (phi(u) = sqrt(u) * kernel(u)), which the product-integration
-    weights then restore exactly panel by panel.  The discrete convolution
-    is a zero-padded FFT product of the smallest 2^a 3^b 5^c length at or
-    above 2n - 1.  Each factor is written into its own zero-padded buffer
-    and transformed in place, the product and its inverse are formed in
-    the first, and the result is a copy of its first n entries.  ``phi``
-    and ``deriv`` are dropped once copied, so arrays that the caller does
-    not hold are freed before the transforms.
+    peeled off (phi(u) = sqrt(u) * kernel(u)), and ``weighted`` is phi times
+    the product-integration weights that restore the factor exactly panel
+    by panel: ``half_power_weights(n - 1, dt) * phi`` for a phi linear on
+    every panel, ``_weighted_delta_g`` for the saw-tooth's difference.  The
+    discrete convolution is a zero-padded FFT product of the smallest
+    2^a 3^b 5^c length at or above 2n - 1.  Each factor is written into its
+    own zero-padded buffer and transformed in place, the product and its
+    inverse are formed in the first, and the result is a copy of its first
+    n entries.  ``weighted`` and ``deriv`` are dropped once copied, so
+    arrays that the caller does not hold are freed before the transforms.
     """
-    if len(phi) != len(deriv):
-        raise ValueError("phi and deriv must share the time grid")
-    n = len(phi)
-    # the weights first, so that their temporaries do not add to the buffers
-    weights = half_power_weights(n - 1, dt)
+    if len(weighted) != len(deriv):
+        raise ValueError("weighted and deriv must share the time grid")
+    n = len(weighted)
     size = five_smooth_at_least(2 * n - 1)
     spec = np.zeros(size, dtype=complex)
-    np.multiply(weights, phi, out=spec[:n])
-    del weights, phi
+    spec[:n] = weighted
+    del weighted
     np.fft.fft(spec, out=spec)
     other = np.zeros(size, dtype=complex)
     other[:n] = deriv
@@ -426,9 +443,9 @@ def crossing_term(
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
 # scan the grid has about 300.8 points per unit of p sigma (3,009 at the
 # default p sigma = 10), and time and memory grow about linearly with it:
-# on a 2-vCPU VM the whole scan takes 0.13-0.16 s and 39 MiB of peak RSS
-# (ru_maxrss / 1024) at p sigma = 100 and 1.2-1.5 s and 93 MiB at
-# p sigma = 871, just under the cap, so the cap holds a scan to about 1.5 s
+# on a 2-vCPU VM the whole scan takes about 0.16 s and 38 MiB of peak RSS
+# (ru_maxrss / 1024) at p sigma = 100 and 1.5-1.8 s and 93 MiB at
+# p sigma = 871, just under the cap, so the cap holds a scan to about 2 s
 # and 100 MiB.
 MAX_TIME_POINTS = 2**18
 
@@ -437,7 +454,7 @@ def time_points(wp: WavePacket, eps: float, tau: float) -> int:
     """Points of the uniform time grid of ``pdx_delta_psi``, from 0 to tau
     with step at most eps/4, 1/32 of the packet's oscillation period
     2 pi/E and tau/1024.  The quadrature is second order in the step
-    (``stationary_delta_g`` takes the saw-tooth's drops one-sidedly): on the
+    (``_weighted_delta_g`` takes the saw-tooth's drops one-sidedly): on the
     default scan the column lies within 1.5e-2 of its limit, and each
     halving of the step cuts that about fourfold.  A grid of more than
     ``MAX_TIME_POINTS`` points is refused with ``ValueError`` before
@@ -460,10 +477,10 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
     """
     v0 = calibrate_absorption(eps)
     t = np.linspace(0.0, tau, time_points(wp, eps, tau))
-    # the peeled boundary difference and the packet derivative are held only
-    # by the convolution, which frees them once it has copied them
-    G = inner_boundary_convolution(stationary_delta_g(t, eps, v0, wp.m),
-                                   packet_boundary_derivative(wp, t), t[1])
+    # the weighted boundary difference and the packet derivative are held
+    # only by the convolution, which frees them once it has copied them
+    G = inner_boundary_convolution(_weighted_delta_g(t, eps, v0, wp.m),
+                                   packet_boundary_derivative(wp, t))
 
     kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
     span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma

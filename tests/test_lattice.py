@@ -163,9 +163,8 @@ class TestRescaledCounts:
     @pytest.mark.parametrize("r, value", [(127, "0x1.25732e4deb3b2p-19"),
                                           (4, "0x1.29a23e7a76128p-24")])
     def test_misaligned_walks_at_the_cap(self, r, value):
-        # projections on steps not divisible by 16, where the window's first
-        # site is rounded down to a cache line (127) or not (4); values
-        # recorded from the DP that started each window at that site
+        # projections on steps not divisible by 16, where the window starts
+        # off a cache line at the first site above the projection
         with counts_dp_only():
             got = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, r))
         assert got == float.fromhex(value)

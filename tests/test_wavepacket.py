@@ -23,6 +23,7 @@ from zenoprop.sawtooth import sawtooth_envelope
 from zenoprop.wavepacket import (
     WavePacket,
     _trig_sum,
+    _weighted_delta_g,
     crossing_term,
     delta_norm_scan,
     inner_boundary_convolution,
@@ -218,51 +219,18 @@ class TestDeltaG:
         eps, v0, m = 0.5, 8 / 3, 1.0
         t = np.linspace(0.0, 2.0, 201)
         phi = stationary_delta_g(t, eps, v0, m)
-        # spot check one interior point away from the drops against the
-        # definition, with the u^{-1/2} of g_absorbing peeled off:
-        # sqrt(u) S(u) g_absorbing(u)
-        def plain(u):
-            s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
-            gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
-            return np.sqrt(u) * s * gv
-        others = np.setdiff1d(np.arange(1, 201), [50, 100, 150, 200])
-        assert_allclose(phi[others], plain(t[others]), rtol=1e-12)
+        # every point against the definition, the drops u = k eps at nodes
+        # 50, 100, 150 and 200 included, with the u^{-1/2} of g_absorbing
+        # peeled off: sqrt(u) S(u) g_absorbing(u)
+        assert_allclose(phi[1:], plain_delta_g(t[1:], eps, v0, m), rtol=1e-12)
         assert phi[0] == 0
-        # a drop u = k eps on a node ends the panel before it, whose right
-        # weight takes the left value 1/k instead of the trough 1/(2k)
-        weights = half_power_weights(200, 0.01)
-        for k, node in ((1, 50), (2, 100), (3, 150), (4, 200)):
-            right = panel_weights(t[node - 1], t[node])[1]
-            jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (1 / k - 1 / (2 * k))
-            assert phi[node] * weights[node] == pytest.approx(
-                plain(t[node]) * weights[node] + right * jump, rel=1e-12)
 
-    @pytest.mark.parametrize("panels", [4, 5, 200, 203, 1000, 1999])
-    def test_one_sided_rule_is_exact_on_the_sawtooth(self, panels):
-        # at a weak absorption the difference is linear between the drops to
-        # within v0^2, so the product rule must integrate u^{-1/2} times it
-        # exactly, whether the drops fall on nodes (4, 200 and 1000 panels
-        # over four intervals of eps) or between them, and in neighbouring
-        # panels (4 and 5); a line drawn across each drop errs by 6.5e-3
-        # relative at 200 panels and 1.3e-3 at 1,000
-        eps, v0, m = 0.5, 1e-6, 1.0
-        t = np.linspace(0.0, 2.0, panels + 1)
-        rule = half_power_weights(panels, t[1]) @ stationary_delta_g(t, eps, v0, m)
-        # int_0^2 u^{-1/2} (f_p - f_v) du = 2 int_0^sqrt(2) (f_p - f_v)(x^2) dx,
-        # a polynomial of degree 2 in x on each interval of f_p, to within v0^2
-        x, w = np.polynomial.legendre.leggauss(8)
-        want = 0.0
-        for k in range(4):
-            a, b = np.sqrt(k * eps), np.sqrt((k + 1) * eps)
-            u = ((b - a) * x / 2 + (a + b) / 2) ** 2
-            want += (b - a) * np.dot(w, sawtooth_envelope(eps, u) - absorbing_envelope(v0, u))
-        want *= ROOT_INV_I * np.sqrt(m / (2 * np.pi))
-        assert abs(rule - want) < 1e-13 * abs(want)
-
-    def test_rejects_a_step_above_eps(self):
-        # a panel would hold two drops
-        with pytest.raises(ValueError, match="above eps"):
-            stationary_delta_g(np.linspace(0.0, 2.0, 3), 0.5, 1.0)
+    def test_values_do_not_depend_on_the_grid(self):
+        # a grid that neither starts at 0 nor is uniform, through the drops
+        # 1 and 1.5: each value is the one its time has alone
+        t = np.sort(np.concatenate([np.linspace(0.1, 2.0, 50), [1.0, 1.5, 1.73]]))
+        phi = stationary_delta_g(t, 0.5, 8 / 3)
+        assert phi.tolist() == [stationary_delta_g(np.array([u]), 0.5, 8 / 3)[0] for u in t]
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
@@ -283,6 +251,79 @@ class TestDeltaG:
         assert drops > 1000
 
 
+def plain_delta_g(u, eps, v0, m):
+    """sqrt(u) S(u) g_absorbing(u), the boundary difference from its
+    definition with the u^{-1/2} of g_absorbing peeled off."""
+    s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
+    gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
+    return np.sqrt(u) * s * gv
+
+
+# a few roundings of 1: a [0, 2] grid stretched by one moves its nodes a
+# few roundings off the drops u = k eps, across the tolerance of
+# core.snap_to_integer (8 roundings)
+ULP = 2.0**-52
+
+
+class TestWeightedDeltaG:
+    """``_weighted_delta_g``: the product rule with each drop one-sided."""
+
+    @pytest.mark.parametrize("panels, stretch", [
+        (9, 0.0), (16, 0.0), (200, 0.0), (203, 0.0), (1000, 0.0), (1999, 0.0),
+        (200, 7 * ULP), (200, 9 * ULP), (200, -7 * ULP), (200, -9 * ULP),
+        (17, -8 * ULP), (36, -8 * ULP), (1724, -9 * ULP)])
+    def test_one_sided_rule_is_exact_on_the_sawtooth(self, panels, stretch):
+        # at a weak absorption the difference is linear between the drops to
+        # within v0^2, so the product rule must integrate u^{-1/2} times it
+        # exactly, whether the drops fall on nodes (16, 200 and 1000 panels
+        # over four intervals of eps), between them, or within a few
+        # roundings of them.  A line drawn across each drop errs by 6.5e-3
+        # relative at 200 panels and 1.3e-3 at 1,000.  On the last three
+        # grids sawtooth_envelope's own snap of t / eps and the snap of
+        # k eps / dt disagree about a node beside a drop: taking the node's
+        # side from the saw-tooth erred by 4.2e-3 (36 panels) and 8.7e-5
+        # (1,724), and counting drops by t / eps placed the last drop of 17
+        # panels past the grid's end
+        eps, v0, m = 0.5, 1e-6, 1.0
+        t = np.linspace(0.0, 2.0 * (1 + stretch), panels + 1)
+        rule = _weighted_delta_g(t, eps, v0, m).sum()
+        # int_0^2 u^{-1/2} (f_p - f_v) du = 2 int_0^sqrt(2) (f_p - f_v)(x^2) dx,
+        # a polynomial of degree 2 in x on each interval of f_p, to within
+        # v0^2; the stretch adds a few roundings of the integrand
+        x, w = np.polynomial.legendre.leggauss(8)
+        want = 0.0
+        for k in range(4):
+            a, b = np.sqrt(k * eps), np.sqrt((k + 1) * eps)
+            u = ((b - a) * x / 2 + (a + b) / 2) ** 2
+            want += (b - a) * np.dot(w, sawtooth_envelope(eps, u) - absorbing_envelope(v0, u))
+        want *= ROOT_INV_I * np.sqrt(m / (2 * np.pi))
+        assert abs(rule - want) < 1e-13 * abs(want)
+
+    def test_drop_on_a_node_ends_the_panel_before_it(self):
+        # the drops u = k eps at nodes 50, 100, 150 and 200: the panel that
+        # ends at one takes the left value 1/k where the node holds the
+        # trough 1/(2k), which the panel after it takes; every other node
+        # holds its plain value times its weight
+        eps, v0, m = 0.5, 8 / 3, 1.0
+        t = np.linspace(0.0, 2.0, 201)
+        weighted = _weighted_delta_g(t, eps, v0, m)
+        plain = half_power_weights(200, 0.01)[1:] * plain_delta_g(t[1:], eps, v0, m)
+        drops = [50, 100, 150, 200]
+        others = np.setdiff1d(np.arange(1, 201), drops)
+        assert_allclose(weighted[others], plain[others - 1], rtol=1e-12)
+        assert weighted[0] == 0
+        for k, node in enumerate(drops, start=1):
+            right = panel_weights(t[node - 1], t[node])[1]
+            jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (1 / k - 1 / (2 * k))
+            assert weighted[node] == pytest.approx(plain[node - 1] + right * jump, rel=1e-12)
+
+    def test_rejects_a_step_above_half_eps(self):
+        # a node would lie beside two drops
+        with pytest.raises(ValueError, match="above eps/2"):
+            _weighted_delta_g(np.linspace(0.0, 2.0, 8), 0.5, 1.0, 1.0)
+        assert _weighted_delta_g(np.linspace(0.0, 2.0, 9), 0.5, 1.0, 1.0).shape == (9,)
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
     tracemalloc.start()
@@ -299,7 +340,7 @@ class TestPdxDeltaPsi:
         # convolution spectrum multiplied and inverted in place and not held
         # past the convolution, and the crossing term's momenta at k > 0
         # only, 0.684 MB (1.61 MB at the 12,033 points of a step of eps/16),
-        # after a first call has listed the transform lengths
+        # after a first call has imported numpy.fft (0.12 MB more)
         tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
         eps = 0.125 / packet.energy
         xs = np.linspace(0.05, abs(packet.q) + packet.p * tau / packet.m + 6.0, 400)
@@ -446,7 +487,7 @@ class TestCrossingTermOracle:
         deriv = packet_boundary_derivative(packet, t)
         phi = np.sqrt(packet.m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(2.0, t[1:])
-        G = inner_boundary_convolution(phi, deriv, tau / nt)
+        G = inner_boundary_convolution(half_power_weights(nt, tau / nt) * phi, deriv)
         xs = np.linspace(0.05, 25.0, 90)
         got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05,
                             profile=step_profile(xs, tau, packet.m))
@@ -474,7 +515,7 @@ class TestFreeReconstruction:
         t = np.linspace(0.0, tau, nt + 1)
         deriv = packet_boundary_derivative(wp, t)
         phi = np.full(nt + 1, np.sqrt(wp.m / (2 * np.pi)) * ROOT_INV_I)
-        inner = inner_boundary_convolution(phi, deriv, dt)
+        inner = inner_boundary_convolution(half_power_weights(nt, dt) * phi, deriv)
         xg = np.linspace(0.01, 30, 600)
         cross = crossing_term(xg, tau, inner, t, wp.m, kmax=40.0, dk=0.02,
                               profile=step_profile(xg, tau, wp.m))
@@ -536,7 +577,7 @@ class TestAbsorbingReconstruction:
         deriv = packet_boundary_derivative(wp, t)
         phi = np.sqrt(m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(v0, t[1:])
-        inner = inner_boundary_convolution(phi, deriv, dt)
+        inner = inner_boundary_convolution(half_power_weights(nt, dt) * phi, deriv)
         cross = crossing_term(x, tau, inner, t, m, kmax=40.0, dk=0.02,
                               profile=step_profile(x, tau, m))
         restricted = free_packet(wp, tau, x, spreading=True) - free_packet(
