@@ -224,7 +224,7 @@ def _recursion_tables(eps, v0, n_max, samples_per_interval):
     oscillation ratio."""
     try:  # refused on the sizes and eps alone, before anything is allocated
         cfg = recursion.RecursionConfig(n_max, samples_per_interval)
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
     _check_scales(eps, v0, 1 / samples_per_interval, n_max + 1)

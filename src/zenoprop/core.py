@@ -72,9 +72,11 @@ def heat_kernel(m: float, t: float, x, y) -> np.ndarray | float:
 def snap_to_integer(x) -> np.ndarray:
     """``x`` with each entry that lies within ``SNAP`` (relative) of a whole
     number replaced by that number.  A ratio that is whole in exact
-    arithmetic, such as a drop instant over its spacing or a duration over
-    its time step, lands within a few roundings of it; one that is not lands
-    many roundings away."""
+    arithmetic lands within a few roundings of it and one that is not many
+    roundings away: a time over the projection spacing at a drop
+    (``sawtooth_envelope``), the spacing over a target time step
+    (``wavepacket.time_grid``'s steps per projection) or a duration over
+    the time step."""
     x = np.asarray(x, dtype=float)
     nearest = np.rint(x)
     return np.where(np.abs(x - nearest) <= SNAP * nearest, nearest, x)

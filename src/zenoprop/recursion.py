@@ -150,12 +150,15 @@ class RecursionConfig:
         if self.samples_per_interval < 2:
             raise ValueError("samples_per_interval must be >= 2")
         samples = max(self.samples_per_interval, 16)
-        h = 1.0 / (16.0 * np.sqrt(float(samples)))
-        # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
-        # spacings
-        n_points = int(np.ceil(160.0 * np.sqrt(float((self.n_max + 1) * samples)))) + 1
-        object.__setattr__(self, "grid", Grid1D(h * (n_points - 1), n_points))
-        work = predicted_work(self)
+        try:
+            h = 1.0 / (16.0 * np.sqrt(float(samples)))
+            # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
+            # spacings
+            n_points = int(np.ceil(160.0 * np.sqrt(float((self.n_max + 1) * samples)))) + 1
+            object.__setattr__(self, "grid", Grid1D(h * (n_points - 1), n_points))
+            work = predicted_work(self)
+        except OverflowError:  # sizes past the floats predict work past them too
+            work = np.inf
         if not work <= MAX_WORK:
             raise ValueError(f"predicted work {work:.3g} exceeds the cap of {MAX_WORK:.3g} "
                              "(MAX_WORK): use fewer projections or samples per interval")

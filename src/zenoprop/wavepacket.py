@@ -26,30 +26,24 @@ timescales well above the projection spacing.
 Numerics: the boundary difference is built with its u^{-1/2} singularity
 already peeled off, sqrt(u) delta_g(u) = (m/2 pi i)^{1/2} (f_p - f_v)(u);
 the inner time convolution restores it with product-integration weights
-and is evaluated as a zero-padded FFT product.  Each panel that holds a
-drop of the saw-tooth is split there and takes the one-sided values on
-either side, with the weights this moves added to the weighted values that
-are convolved (``_weighted_delta_g``), so the time quadrature is second
-order in its step at every E eps, whether or not the grid meets the drops;
-a step of eps/4 leaves delta_norm within 1.5e-2 of its limit.  The outer
-integral is evaluated in momentum space, where the final free leg is
-diagonal and nothing is singular; the slowly decaying 1/k endpoint tail (a
-step structure at the boundary) is summed analytically via a Fresnel
-integral so the numeric transform only handles an O(1/k^2) remainder.  That step
+and is evaluated as a zero-padded FFT product.  The time step is eps/q for
+a whole q, and the grid runs back from tau to its first node at or before
+t = 0 (``time_grid``), so every drop of the saw-tooth, a lag k eps from
+that node, is a node too: the node holds the trough after the drop and the
+panel that ends there the peak before it (``_weighted_delta_g``), so the
+quadrature is second order in its step at every E eps.  The outer integral
+is evaluated in momentum space, where the final free leg is diagonal and
+nothing is singular; the slowly decaying 1/k endpoint tail (a step
+structure at the boundary) is summed analytically via a Fresnel integral
+so the numeric transform only handles an O(1/k^2) remainder.  That step
 profile depends on tau, m and the x grid alone, so an eps scan builds it
-once (``step_profile``) and hands it to every crossing term.  The
-momentum integrand is odd in k, so only k > 0 is sampled.  The time sum
-at the frequencies k^2/2m and the transform from the uniform k grid to x
-are both trigonometric sums at non-uniform angles, evaluated by a
-Gaussian-gridding non-uniform FFT (``_trig_sum``) instead of dense phase
-matrices; it agrees with the dense sums to about 1e-12.  The convolution
-and the non-uniform FFT run at the smallest 2^a 3^b 5^c length they
-need rather than the next power of two.  The non-uniform FFT's 24
-stencil weights per angle come from three exponentials by the fast-gridding
-factorisation of Greengard & Lee, one multiplication per weight; the
-oversampled grid is transformed in place in one buffer with its stencil
-margins, and no other temporary is larger than the coefficients or the
-angles.  A time grid is capped at ``MAX_TIME_POINTS`` points.
+once (``step_profile``) and hands it to every crossing term.  The momentum
+integrand is odd in k, so only k > 0 is sampled.  The time sum at the
+frequencies k^2/2m and the transform from the uniform k grid to x are both
+trigonometric sums at non-uniform angles, evaluated by a Gaussian-gridding
+non-uniform FFT (``_trig_sum``) instead of dense phase matrices; it agrees
+with the dense sums to about 1e-12.  A time grid is capped at
+``MAX_TIME_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from .core import (
     snap_to_integer,
 )
 from .exact import absorbing_envelope
-from .sawtooth import calibrate_absorption, sawtooth_envelope
+from .sawtooth import calibrate_absorption, peak_value, sawtooth_envelope, trough_value
 
 __all__ = [
     "WavePacket",
@@ -78,6 +72,7 @@ __all__ = [
     "crossing_term",
     "MAX_TIME_POINTS",
     "time_points",
+    "time_grid",
     "pdx_delta_psi",
     "delta_norm_scan",
 ]
@@ -174,7 +169,8 @@ def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndar
         sqrt(u) delta_g(u) = (m / 2 pi i)^{1/2} (f_p(u) - f_v(u)),
 
     f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
-    at one, so the value at u = 0 is exactly zero.
+    at one, so the value at u = 0 is exactly zero, and at a drop u = k eps
+    f_p takes its trough 1/(2k) (``sawtooth_envelope``).
     """
     t = np.asarray(t_grid, dtype=float)
     fv = np.ones_like(t)
@@ -183,61 +179,24 @@ def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndar
     return ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (sawtooth_envelope(eps, t) - fv)
 
 
-def _weighted_delta_g(t: np.ndarray, eps: float, v0: float, m: float) -> np.ndarray:
+def _weighted_delta_g(n: int, q: int, eps: float, v0: float, m: float) -> np.ndarray:
     """The values that ``inner_boundary_convolution`` convolves for
-    ``pdx_delta_psi``: ``stationary_delta_g`` on the grid t_j = j dt from 0
+    ``pdx_delta_psi``: ``stationary_delta_g`` at the n lags u_j = j eps/q
     times ``half_power_weights``, with each saw-tooth drop taken one-sidedly.
 
-    The saw-tooth drops from 1/k to 1/(2k) at u = k eps, and a panel rule
-    that drew a line across the drop would err by half the jump over a
-    panel, a first-order error in the time step.  So each panel that holds
-    a drop, or ends at one, is split there: before the drop the rule takes
-    the left value 1/k, after it the trough 1/(2k), and the convolved factor
-    at the drop is taken linearly between the panel's nodes, which moves
-    the drop's weight onto them.  Where a drop falls, at = k eps/dt steps,
-    is snapped once (``core.snap_to_integer``) and decides everything: a
-    drop on a node ends the panel before it, a drop past the last node is
-    left out, and the nodes beside a drop, the last node before the first
-    drop past the grid too, take the saw-tooth's value on their side of it.
-    The step may be at most eps/2, so that no node is beside two drops.
+    Drop k, at u = k eps, is node k q, which holds the trough 1/(2k) that
+    the panel after it starts from.  The panel that ends there meets the
+    peak 1/k instead, so its right weight also carries the jump between
+    the two; a line drawn across the drop would err by half of it over a
+    panel, a first-order error in the time step.
     """
-    n = len(t)
-    dt = float(t[1])
-    if not 2 * dt <= eps:
-        raise ValueError(f"time step {dt:.6g} above eps/2 = {eps / 2:.6g}")
-    phi = stationary_delta_g(t, eps, v0, m)
-    # the drops in steps, whole on a node, up to the first past the last node
-    k = np.arange(1, int((n - 1) * dt / eps) + 3)
-    at = snap_to_integer(k * (eps / dt))
-    inside = np.count_nonzero(at <= n - 1)
-    k, at = k[: inside + 1], at[: inside + 1]
-    j = np.minimum(np.ceil(at).astype(np.int64), n) - 1  # the last node before each drop
-    lo, drop = j * dt, at * dt
-    scale = ROOT_INV_I * np.sqrt(m / (2 * np.pi))
-    # the nodes beside each drop take the saw-tooth's value on their side of
-    # it, as `at` places them (sawtooth_envelope snaps t / eps on its own):
-    # after s >= 1 drops it rises (s - 1) / (2 s (s + 1) eps) per unit time
-    # from 1/(2s), and before the first it is flat
-    rise = np.divide(k - 2, 2.0 * (k - 1) * k * eps, out=np.zeros(len(k)), where=k > 1)
-    phi[j] = scale * (1 / k + (lo - drop) * rise - absorbing_envelope(v0, lo))
-    k, at, j, lo, drop = k[:inside], at[:inside], j[:inside], lo[:inside], drop[:inside]
-    hi = (j + 1) * dt
-    rise = (k - 1) / (2.0 * k * (k + 1) * eps)
-    phi[j + 1] = scale * (0.5 / k + (hi - drop) * rise - absorbing_envelope(v0, hi))
-    lam = at - j  # the share of each drop's panel [j dt, (j + 1) dt] before it, in (0, 1]
-    fv_drop = absorbing_envelope(v0, drop)
-    left, right = panel_weights(lo, hi)
-    before_left, before_right = panel_weights(lo, drop)
-    after_left, after_right = panel_weights(drop, hi)
-    # the drop's weight on its one-sided values, split between the nodes as
-    # the convolved factor is interpolated there
-    at_drop = scale * (before_right * (1 / k - fv_drop) + after_left * (0.5 / k - fv_drop))
-    first = (before_left - left) * phi[j] + (1 - lam) * at_drop
-    second = (after_right - right) * phi[j + 1] + lam * at_drop
-    phi *= half_power_weights(n - 1, dt)
-    phi[j] += first
-    phi[j + 1] += second
-    return phi
+    dt = eps / q
+    u = np.arange(n) * dt
+    weighted = half_power_weights(n - 1, dt) * stationary_delta_g(u, eps, v0, m)
+    k = np.arange(1, (n - 1) // q + 1)
+    jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (peak_value(k - 1) - trough_value(k - 1))
+    weighted[k * q] += panel_weights(u[k * q - 1], u[k * q])[1] * jump
+    return weighted
 
 
 _STENCIL = 12  # half-width, in grid points, of the NUFFT Gaussian stencil
@@ -401,12 +360,13 @@ def crossing_term(
     leaving an O(1/k^2) remainder for the numeric transform.
 
     The momenta are k = j dk for j = -J..J without j = 0, J = kmax/dk
-    rounded up.  The integrand (-i k/m^2) exp(-i w tau) T(w), w = k^2/2m
-    and T the time sum, is odd in k, so only j = 1..J is computed: the
-    time sum at the frequencies w_k, angles w_k dt, and the transform to
-    x1 as sum_j c_j (exp(i j x1 dk) - exp(-i j x1 dk)), one sum over J
-    coefficients at the angles +x1 dk and -x1 dk.  Both are trigonometric
-    sums at non-uniform angles, evaluated by ``_trig_sum``.
+    rounded up.  The integrand (-i k/m^2) exp(-i w (tau - t_0)) T(w),
+    w = k^2/2m and T the time sum over the lags t2 - t_0 from the first
+    node of the uniform ``t_grid``, is odd in k, so only j = 1..J is
+    computed: the time sum at the frequencies w_k, angles w_k dt, and the
+    transform to x1 as sum_j c_j (exp(i j x1 dk) - exp(-i j x1 dk)), one
+    sum over J coefficients at the angles +x1 dk and -x1 dk.  Both are
+    trigonometric sums at non-uniform angles, evaluated by ``_trig_sum``.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
     t = np.asarray(t_grid, dtype=float)
@@ -428,7 +388,7 @@ def crossing_term(
     w = k**2 / (2 * m)
     spectral = _trig_sum(gw, w * dt)
     del gw
-    spectral *= np.exp(-1j * tau * w)
+    spectral *= np.exp(-1j * (tau - t[0]) * w)
     del w
     spectral *= k * (-1j * dk) / m**2  # with the dk of the k -> x sum
     # sum_j c_j (e^{i j theta} - e^{-i j theta}) over j = 1..J, theta = x dk,
@@ -442,45 +402,55 @@ def crossing_term(
 
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
 # scan the grid has about 300.8 points per unit of p sigma (3,009 at the
-# default p sigma = 10), and time and memory grow about linearly with it:
-# on a 2-vCPU VM the whole scan takes about 0.16 s and 38 MiB of peak RSS
-# (ru_maxrss / 1024) at p sigma = 100 and 1.5-1.8 s and 93 MiB at
-# p sigma = 871, just under the cap, so the cap holds a scan to about 2 s
-# and 100 MiB.
+# default p sigma = 10); on a 2-vCPU VM the whole scan takes 0.1-0.15 s and
+# 39 MiB of peak RSS (ru_maxrss / 1024) at p sigma = 100, and 1.0-1.3 s and
+# 94 MiB at p sigma = 871, just under the cap.
 MAX_TIME_POINTS = 2**18
 
 
+def _steps_per_projection(wp: WavePacket, eps: float, tau: float) -> int:
+    """q, the fewest time steps per projection interval whose step eps/q is
+    at most eps/4, 1/32 of the oscillation period 2 pi/E and tau/1024."""
+    target = min(eps / 4.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
+    return int(np.ceil(snap_to_integer(eps / target)))
+
+
 def time_points(wp: WavePacket, eps: float, tau: float) -> int:
-    """Points of the uniform time grid of ``pdx_delta_psi``, from 0 to tau
-    with step at most eps/4, 1/32 of the packet's oscillation period
-    2 pi/E and tau/1024.  The quadrature is second order in the step
-    (``_weighted_delta_g`` takes the saw-tooth's drops one-sidedly): on the
-    default scan the column lies within 1.5e-2 of its limit, and each
-    halving of the step cuts that about fourfold.  A grid of more than
-    ``MAX_TIME_POINTS`` points is refused with ``ValueError`` before
-    anything is allocated."""
-    dt = min(eps / 4.0, 2 * np.pi / wp.energy / 32.0, tau / 1024.0)
+    """Points of the ``time_grid`` of ``pdx_delta_psi``, refused with
+    ``ValueError`` above ``MAX_TIME_POINTS`` before anything is allocated."""
     # tau/dt is the same for every m in exact arithmetic, so a quotient
     # rounded just past a whole number counts as that number
-    steps = np.ceil(snap_to_integer(tau / dt))
+    steps = np.ceil(snap_to_integer(tau / (eps / _steps_per_projection(wp, eps, tau))))
     if not steps < MAX_TIME_POINTS:
         raise ValueError(f"time grid of {steps + 1:.6g} points exceeds the cap of "
                          f"{MAX_TIME_POINTS} (MAX_TIME_POINTS)")
     return int(steps) + 1
 
 
+def time_grid(wp: WavePacket, eps: float, tau: float) -> tuple[np.ndarray, int]:
+    """The time grid of ``pdx_delta_psi`` and its steps per projection q:
+    nodes dt = eps/q apart from tau back to the first at t <= 0, so drop k,
+    a lag k eps from that node, is node k q.  The quadrature is second order
+    in dt: the default column lies within 1.5e-2 of its limit."""
+    q = _steps_per_projection(wp, eps, tau)
+    t = tau - np.arange(time_points(wp, eps, tau) - 1, -1, -1) * (eps / q)
+    t[0] = min(t[0], 0.0)  # tau a whole number of steps starts at 0, not a rounding past it
+    return t, q
+
+
 def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarray) -> np.ndarray:
     """Change of the evolved wave function at (x1, tau) caused by swapping
     the absorbing boundary propagator (v0 = 4/(3 eps)) for the
     pulsed-measurement one with projections every eps, on the time grid of
-    ``time_points``; ``profile`` is ``step_profile(x1, tau, wp.m)``.
+    ``time_grid``, whose node at or before t = 0 takes the packet
+    derivative at t = 0; ``profile`` is ``step_profile(x1, tau, wp.m)``.
     """
     v0 = calibrate_absorption(eps)
-    t = np.linspace(0.0, tau, time_points(wp, eps, tau))
+    t, q = time_grid(wp, eps, tau)
     # the weighted boundary difference and the packet derivative are held
     # only by the convolution, which frees them once it has copied them
-    G = inner_boundary_convolution(_weighted_delta_g(t, eps, v0, wp.m),
-                                   packet_boundary_derivative(wp, t))
+    G = inner_boundary_convolution(_weighted_delta_g(len(t), q, eps, v0, wp.m),
+                                   packet_boundary_derivative(wp, np.maximum(t, 0.0)))
 
     kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
     span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma

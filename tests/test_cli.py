@@ -333,7 +333,9 @@ class TestUsageErrors:
         ["--n-max", "1", "--samples-per-interval", "124009"],
         ["--n-max", "1" + "0" * 40],
         ["--samples-per-interval", "1" + "0" * 400],
-    ], ids=["n-max-over-cap", "samples-over-cap", "n-max-1e40", "samples-1e400"])
+        ["--n-max", "1" + "0" * 399, "--samples-per-interval", "1" + "0" * 399],
+    ], ids=["n-max-over-cap", "samples-over-cap", "n-max-1e40", "samples-1e400",
+            "both-400-digits"])
     def test_work_cap_refuses_before_running(self, runner, tmp_path, monkeypatch,
                                              command, args):
         def refuse(cfg):
@@ -346,6 +348,7 @@ class TestUsageErrors:
         assert isinstance(res.exception, SystemExit)
         last = res.output.splitlines()[-1]
         assert last.startswith("Error: Invalid value for '--n-max' / '--samples-per-interval': ")
+        assert "MAX_WORK" in last
         assert len(last) < 200
         assert not out.exists()
 
@@ -582,12 +585,14 @@ class TestPdxCommand:
             assert [float(r[0]) for r in rows] == [float(m) * float(r[0]) for r in unit], m
             assert table(m, "json")["meta"]["params"]["tau"] == float(m) * unit_tau, m
 
-    # delta_norm of the default scan at a step of eps/4 with the saw-tooth's
-    # drops taken one-sidedly, within 1.5e-2 of the converged column
-    # 0.076205 ... 0.212207 (Richardson in the step)
-    PINNED_DELTA_NORM = [0.075147174353916935, 0.095208531403135996, 0.11653401883963178,
-                         0.13447378219071573, 0.14997151082179724, 0.17440599793481221,
-                         0.18832606105641395, 0.19923293051783625, 0.21204442146696267]
+    # delta_norm of the default scan at a step of eps/q, q the fewest steps
+    # per projection interval within eps/4 (and the other bounds of
+    # wavepacket._steps_per_projection), with the saw-tooth's drops on nodes
+    # taken one-sidedly: within 1.5e-2 of the converged column 0.076205 ...
+    # 0.212207 (Richardson in the step)
+    PINNED_DELTA_NORM = [0.07514717435391985, 0.09520853140313865, 0.11652983877874534,
+                         0.13476294433751645, 0.1501139480558925, 0.1744371247308019,
+                         0.1883718929044952, 0.19923268554973336, 0.21204503237510539]
 
     def test_delta_norm_is_pinned(self, runner, tmp_path):
         # the momentum grid moves delta_norm by a few 1e-9 (kmax x 1.5 by up

@@ -215,6 +215,12 @@ class TestWorkCap:
         with pytest.raises(ValueError, match=r"exceeds the cap of 1e\+10 \(MAX_WORK\)"):
             RecursionConfig(*grown)
 
+    @pytest.mark.parametrize("n_max, spi", [(10**400, 16), (1, 10**400), (10**400, 10**400)])
+    def test_sizes_past_the_floats(self, n_max, spi):
+        # refused by the cap, not by Python's own float conversion
+        with pytest.raises(ValueError, match=r"predicted work inf exceeds the cap .*MAX_WORK"):
+            RecursionConfig(n_max, spi)
+
     def test_benchmark_and_test_shapes_far_below(self):
         # fp20 and fp3_dense sit far below the cap; the finest test grid,
         # 20 projections at 4096 samples per interval (3.6e9), is accepted

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
@@ -17,9 +19,9 @@ from oracles import (
     step_reflection,
 )
 from zenoprop import wavepacket
-from zenoprop.core import five_smooth_at_least, half_power_weights, panel_weights
+from zenoprop.core import SNAP, five_smooth_at_least, half_power_weights, panel_weights
 from zenoprop.exact import absorbing_envelope
-from zenoprop.sawtooth import sawtooth_envelope
+from zenoprop.sawtooth import calibrate_absorption, sawtooth_envelope, trough_value
 from zenoprop.wavepacket import (
     WavePacket,
     _trig_sum,
@@ -33,6 +35,7 @@ from zenoprop.wavepacket import (
     step_profile,
     suppression_exponent,
     suppression_factor,
+    time_grid,
     time_points,
 )
 
@@ -140,7 +143,7 @@ class TestBoundaryDerivative:
         # factors multiplied in place into three complex arrays, 0.172 MB
         # (0.69 MB at the 12,033 points of a step of eps/16)
         tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
-        t = np.linspace(0.0, tau, time_points(packet, 0.125 / packet.energy, tau))
+        t = np.maximum(time_grid(packet, 0.125 / packet.energy, tau)[0], 0.0)
         assert len(t) == 3_009
         assert traced_peak(packet_boundary_derivative, packet, t) < 0.175e6
 
@@ -236,20 +239,6 @@ class TestDeltaG:
         with pytest.raises(ValueError):
             stationary_delta_g(np.linspace(-0.1, 1, 12), 0.5, 1.0)
 
-    def test_troughs_at_every_drop_of_the_pdx_grids(self, packet):
-        # the default pdx scan's time grids put points at the drops k eps up
-        # to rounding; each takes the trough 1/(2k), not the peak 1/k
-        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
-        scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
-        drops = 0
-        for eps in scan / packet.energy:
-            t = np.linspace(0.0, tau, time_points(packet, eps, tau))
-            k = np.rint(t / eps)
-            at = (k >= 1) & (np.abs(t / eps - k) <= 1e-9)
-            drops += at.sum()
-            assert_allclose(sawtooth_envelope(eps, t[at]), 1 / (2 * k[at]), rtol=1e-8)
-        assert drops > 1000
-
 
 def plain_delta_g(u, eps, v0, m):
     """sqrt(u) S(u) g_absorbing(u), the boundary difference from its
@@ -259,37 +248,54 @@ def plain_delta_g(u, eps, v0, m):
     return np.sqrt(u) * s * gv
 
 
-# a few roundings of 1: a [0, 2] grid stretched by one moves its nodes a
-# few roundings off the drops u = k eps, across the tolerance of
-# core.snap_to_integer (8 roundings)
-ULP = 2.0**-52
+class TestTimeGrid:
+    """``time_grid``: a step of eps/q that ends the grid at tau and puts
+    every drop of the saw-tooth on a node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.5, 300.0), st.floats(0.1, 2.0), st.floats(0.2, 2.5))
+    @example(10.0, 0.125, 1.88)  # the default scan's finest grid, 3,009 points
+    # tau a few roundings past 3,008 steps of eps/4: t[0] is 0, not 2.2e-16
+    @example(10.0, 0.125, 1.8800000000000003)
+    def test_every_drop_is_a_trough_node(self, p_sigma, e_eps, crossings):
+        # tau in units of the classical crossing time m |q| / p
+        wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
+        eps, tau = e_eps / wp.energy, crossings * abs(wp.q) * wp.m / wp.p
+        t, q = time_grid(wp, eps, tau)
+        dt = eps / q
+        # the target step; q is snapped (core.SNAP), so dt may exceed it by as much
+        target = min(eps / 4, 2 * np.pi / wp.energy / 32, tau / 1024)
+        assert target / 2 < dt <= target * (1 + SNAP)
+        assert len(t) == time_points(wp, eps, tau)
+        assert t[-1] == tau
+        assert -dt < t[0] <= 0
+        # drop k at the lag k eps from t[0] is node k q, and the lags that
+        # _weighted_delta_g takes there hold the trough 1/(2k)
+        k = np.arange(1, int(tau / eps) + 2)
+        k = k[k * eps <= tau]
+        assert np.all(k * q < len(t))
+        assert_allclose(t[k * q] - t[0], k * eps, rtol=0, atol=16 * SNAP * tau)
+        u = k * q * dt
+        v0 = calibrate_absorption(eps)
+        trough = ROOT_INV_I * np.sqrt(1 / (2 * np.pi)) * (trough_value(k - 1)
+                                                          - absorbing_envelope(v0, u))
+        assert_allclose(stationary_delta_g(u, eps, v0), trough, rtol=1e-9)
 
 
 class TestWeightedDeltaG:
     """``_weighted_delta_g``: the product rule with each drop one-sided."""
 
-    @pytest.mark.parametrize("panels, stretch", [
-        (9, 0.0), (16, 0.0), (200, 0.0), (203, 0.0), (1000, 0.0), (1999, 0.0),
-        (200, 7 * ULP), (200, 9 * ULP), (200, -7 * ULP), (200, -9 * ULP),
-        (17, -8 * ULP), (36, -8 * ULP), (1724, -9 * ULP)])
-    def test_one_sided_rule_is_exact_on_the_sawtooth(self, panels, stretch):
+    @pytest.mark.parametrize("q", [1, 4, 50])
+    def test_one_sided_rule_is_exact_on_the_sawtooth(self, q):
         # at a weak absorption the difference is linear between the drops to
         # within v0^2, so the product rule must integrate u^{-1/2} times it
-        # exactly, whether the drops fall on nodes (16, 200 and 1000 panels
-        # over four intervals of eps), between them, or within a few
-        # roundings of them.  A line drawn across each drop errs by 6.5e-3
-        # relative at 200 panels and 1.3e-3 at 1,000.  On the last three
-        # grids sawtooth_envelope's own snap of t / eps and the snap of
-        # k eps / dt disagree about a node beside a drop: taking the node's
-        # side from the saw-tooth erred by 4.2e-3 (36 panels) and 8.7e-5
-        # (1,724), and counting drops by t / eps placed the last drop of 17
-        # panels past the grid's end
+        # exactly over the four intervals of eps in [0, 2], whose drops are
+        # nodes q, 2q, 3q and 4q; at q = 1 every node is a drop.  A line
+        # drawn across each drop errs by 6.5e-3 relative at q = 50
         eps, v0, m = 0.5, 1e-6, 1.0
-        t = np.linspace(0.0, 2.0 * (1 + stretch), panels + 1)
-        rule = _weighted_delta_g(t, eps, v0, m).sum()
+        rule = _weighted_delta_g(4 * q + 1, q, eps, v0, m).sum()
         # int_0^2 u^{-1/2} (f_p - f_v) du = 2 int_0^sqrt(2) (f_p - f_v)(x^2) dx,
-        # a polynomial of degree 2 in x on each interval of f_p, to within
-        # v0^2; the stretch adds a few roundings of the integrand
+        # a polynomial of degree 2 in x on each interval of f_p, to within v0^2
         x, w = np.polynomial.legendre.leggauss(8)
         want = 0.0
         for k in range(4):
@@ -306,7 +312,7 @@ class TestWeightedDeltaG:
         # holds its plain value times its weight
         eps, v0, m = 0.5, 8 / 3, 1.0
         t = np.linspace(0.0, 2.0, 201)
-        weighted = _weighted_delta_g(t, eps, v0, m)
+        weighted = _weighted_delta_g(201, 50, eps, v0, m)
         plain = half_power_weights(200, 0.01)[1:] * plain_delta_g(t[1:], eps, v0, m)
         drops = [50, 100, 150, 200]
         others = np.setdiff1d(np.arange(1, 201), drops)
@@ -316,12 +322,6 @@ class TestWeightedDeltaG:
             right = panel_weights(t[node - 1], t[node])[1]
             jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (1 / k - 1 / (2 * k))
             assert weighted[node] == pytest.approx(plain[node - 1] + right * jump, rel=1e-12)
-
-    def test_rejects_a_step_above_half_eps(self):
-        # a node would lie beside two drops
-        with pytest.raises(ValueError, match="above eps/2"):
-            _weighted_delta_g(np.linspace(0.0, 2.0, 8), 0.5, 1.0, 1.0)
-        assert _weighted_delta_g(np.linspace(0.0, 2.0, 9), 0.5, 1.0, 1.0).shape == (9,)
 
 
 def traced_peak(fn, *args) -> int:
@@ -369,55 +369,58 @@ class TestPdxDeltaPsi:
             xs)) for eps in eps_values]
         assert norms.tolist() == fresh
 
+    @pytest.mark.parametrize("p_sigma, bound", [(3.0, 1e-6), (10.0, 1e-12)])
+    def test_stretch_before_t0_is_negligible(self, p_sigma, bound):
+        # the grid starts up to a step before t = 0, where the packet
+        # derivative is held at its t = 0 value; the step profile over
+        # tau - t[0] accounts for that stretch of the crossing term exactly.
+        # delta_norm moves by 1.3e-7 relative at p sigma = 3 and 1.1e-13 at
+        # 10 (delta psi itself by 4.8e-4 and 4.3e-7)
+        wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
+        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
+        xs = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
+        norms, _ = delta_norm_scan(wp, SCAN / wp.energy, tau, xs)
+        exact = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(
+            wp, eps, tau, xs, step_profile(xs, tau - time_grid(wp, eps, tau)[0][0], wp.m)))
+            ** 2, xs)) for eps in SCAN / wp.energy]
+        assert np.abs(norms / exact - 1).max() <= bound
+
 
 SCAN = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])  # E eps of pdx
 
 
-def pdx_column(p_sigma: float, refine: int = 1, extra: int = 0) -> np.ndarray:
+def pdx_column(p_sigma: float, refine: int = 1) -> np.ndarray:
     """delta_norm of the default pdx scan at ``p_sigma``, on time grids of
-    ``refine`` times as many steps as ``time_points`` gives, plus ``extra``
-    points."""
+    ``refine`` times as many steps per projection interval as
+    ``time_grid`` takes."""
     wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
     tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
     xs = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
+    steps = wavepacket._steps_per_projection
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wavepacket, "time_points",
-                   lambda *args: (time_points(*args) - 1) * refine + 1 + extra)
+        mp.setattr(wavepacket, "_steps_per_projection", lambda *args: steps(*args) * refine)
         return delta_norm_scan(wp, SCAN / wp.energy, tau, xs)[0]
 
 
 class TestTimeStep:
     """The time quadrature is second order in its step at every E eps: the
-    saw-tooth's drops are taken one-sidedly, so no panel draws a line across
-    a jump."""
+    saw-tooth's drops are nodes taken one-sidedly, so no panel draws a line
+    across a jump."""
 
     @pytest.mark.parametrize("p_sigma", [
         3.0, 10.0, pytest.param(100.0, marks=pytest.mark.slow)])
     def test_default_column_converges_at_second_order(self, p_sigma):
         # against the Richardson (dt^2) value from steps 4 and 8 times finer
         # than the default (eps/16 and eps/32 where eps/4 sets the step):
-        # within 1.03e-2, 1.46e-2 and 1.49e-2 at p sigma = 3, 10 and 100, and
-        # halving the step shrinks each gap 3.71-4.15 times (7.4e-2 with
-        # first-order gaps at a step of eps/16 before the drops were split)
+        # within 9.1e-3, 1.46e-2 and 1.49e-2 at p sigma = 3, 10 and 100, and
+        # halving the step shrinks each gap 3.85-4.26 times (7.4e-2 with
+        # first-order gaps at a step of eps/16 when a line was drawn across
+        # each drop)
         column = {r: pdx_column(p_sigma, r) for r in (1, 2, 4, 8)}
         converged = (4 * column[8] - column[4]) / 3
         gap = {r: np.abs(column[r] / converged - 1) for r in (1, 2)}
         assert gap[1].max() < 2e-2
         assert np.all((3.5 < gap[1] / gap[2]) & (gap[1] / gap[2] < 4.5)), gap[1] / gap[2]
-
-    def test_grid_missing_every_drop(self, packet):
-        # one point more moves the nodes of the eps/4 grids (E eps <= 0.3)
-        # off all but one of the 1,533 drops before tau; delta_norm moves by
-        # 5.3e-5 relative at most (15.6% when a line was drawn across each
-        # drop)
-        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
-        on_nodes = 0
-        for eps in SCAN[:3] / packet.energy:
-            s = np.linspace(0.0, tau, time_points(packet, eps, tau) + 1)[1:-1] / eps
-            on_nodes += np.count_nonzero(np.abs(s - np.rint(s)) < 1e-9)
-        assert on_nodes == 1
-        moved = pdx_column(packet.p, extra=1) / pdx_column(packet.p) - 1
-        assert np.abs(moved).max() < 5e-3
 
 
 class TestTrigSum:
@@ -492,6 +495,20 @@ class TestCrossingTermOracle:
         got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05,
                             profile=step_profile(xs, tau, packet.m))
         want = dense_crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_matches_dense_on_a_grid_from_before_zero(self, packet):
+        # pdx's grids end at tau and may start up to a step before t = 0
+        tau, nt = 1.5, 400
+        t = np.linspace(-0.7 * tau / nt, tau, nt + 1)
+        deriv = packet_boundary_derivative(packet, np.maximum(t, 0.0))
+        phi = np.sqrt(packet.m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
+        phi[1:] *= absorbing_envelope(2.0, t[1:] - t[0])
+        G = inner_boundary_convolution(half_power_weights(nt, t[1] - t[0]) * phi, deriv)
+        xs = np.linspace(0.05, 25.0, 90)
+        got = crossing_term(xs, tau, G, t, packet.m, kmax=30.0, dk=0.05,
+                            profile=step_profile(xs, tau - t[0], packet.m))
+        want = dense_crossing_term(xs, tau - t[0], G, t - t[0], packet.m, kmax=30.0, dk=0.05)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kmax, dk", [(0.0, 0.05), (30.0, -0.05)])
