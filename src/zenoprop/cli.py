@@ -310,22 +310,10 @@ def pdx(m, out, fmt, p_sigma) -> None:
     scans its own eps values and calibrates v0 from each, at m = 1 (the
     scan is scale-free), reporting eps and tau in units of m, times --m."""
 
-    def build():  # in units of sigma
-        wp = wavepacket.WavePacket(q=-10.0, p=p_sigma, sigma=1.0, m=1.0)
-        if not 0 < wp.energy < math.inf:
-            raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
-        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
-        scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
-        eps_values = scan / wp.energy
-        try:  # the smallest eps has the finest time grid
-            wavepacket.time_points(wp, eps_values[0], tau)
-        except ValueError as err:
-            raise click.BadParameter(str(err), param_hint="'--p-sigma'") from err
-        x_grid = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
-        norms, exponents = wavepacket.delta_norm_scan(wp, eps_values, tau, x_grid)
-        return tau, (eps_values, scan, wavepacket.suppression_factor(exponents), norms)
-
-    tau, (eps_values, *columns) = _numerical_guard(build)
+    try:
+        tau, eps_values, *columns = _numerical_guard(wavepacket.delta_norm_scan, p_sigma)
+    except click.UsageError as err:  # the scan's ValueError, from --p-sigma alone
+        raise click.BadParameter(err.message, param_hint="'--p-sigma'") from err
     low, high = m * float(eps_values[0]), m * max(float(eps_values[-1]), tau)  # inf, no error
     if not (sys.float_info.min <= low and high <= sys.float_info.max):
         raise click.BadParameter(f"eps and tau in units of m, from {low:.3g} to {high:.3g}, "

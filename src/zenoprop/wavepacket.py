@@ -1,4 +1,5 @@
-"""Wave-packet diagnostics through the boundary-propagator decomposition.
+"""Wave-packet diagnostics through the boundary-propagator decomposition,
+in units hbar = m = sigma = 1 (sigma the packet's width) throughout.
 
 Any propagator sharing the free dynamics in x > 0 admits a decomposition of
 the evolved wave function, for initial data supported in x > 0, into a part
@@ -6,15 +7,15 @@ that never crosses the origin (method of images) plus a crossing part routed
 through the boundary:
 
     psi(x1, tau) = psi_restricted(x1, tau)
-                   - (1/m^2) int_0^tau dt2 int_0^t2 dt1
+                   - int_0^tau dt2 int_0^t2 dt1
                        dgf/dx(x1, tau | x, t2)|_{x=0}
                        * g(0, t2 | 0, t1)
                        * dpsi_free/dx(0, t1)
 
 with both boundary factors written through free quantities (the restricted
 derivative is exactly twice the free one, absorbing a factor 4 and leaving
-an overall i^2/m^2 = -1/m^2; the sign convention is pinned by reproducing
-exact free evolution, see the tests).  The packet enters only through
+an overall i^2 = -1; the sign convention is pinned by reproducing exact free
+evolution, see the tests).  The packet enters only through
 dpsi_free/dx(0, t1) of the exactly evolved Gaussian, spreading included.
 Replacing the absorbing boundary propagator by the pulsed-measurement one
 therefore perturbs the wave function by the same double integral with the
@@ -24,7 +25,7 @@ one; the difference is treated as stationary in both times, which holds on
 timescales well above the projection spacing.
 
 Numerics: the boundary difference is built with its u^{-1/2} singularity
-already peeled off, sqrt(u) delta_g(u) = (m/2 pi i)^{1/2} (f_p - f_v)(u);
+already peeled off, sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p - f_v)(u);
 the inner time convolution restores it with product-integration weights
 and is evaluated as a zero-padded FFT product.  The time step is eps/q for
 a whole q, and the grid runs back from tau to its first node at or before
@@ -36,10 +37,10 @@ is evaluated in momentum space, where the final free leg is diagonal and
 nothing is singular; the slowly decaying 1/k endpoint tail (a step
 structure at the boundary) is summed analytically via a Fresnel integral
 so the numeric transform only handles an O(1/k^2) remainder.  That step
-profile depends on tau, m and the x grid alone, so an eps scan builds it
+profile depends on tau and the x grid alone, so an eps scan builds it
 once (``step_profile``) and hands it to every crossing term.  The momentum
 integrand is odd in k, so only k > 0 is sampled.  The time sum at the
-frequencies k^2/2m and the transform from the uniform k grid to x are both
+frequencies k^2/2 and the transform from the uniform k grid to x are both
 trigonometric sums at non-uniform angles, evaluated by a Gaussian-gridding
 non-uniform FFT (``_trig_sum``) instead of dense phase matrices; it agrees
 with the dense sums to about 1e-12.  A time grid is capped at
@@ -54,6 +55,7 @@ import numpy as np
 
 from .core import (
     ROOT_INV_I,
+    NumericalFailure,
     five_smooth_at_least,
     half_power_weights,
     panel_weights,
@@ -80,50 +82,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WavePacket:
-    """Gaussian packet parameters: centre q, momentum p, width sigma, mass m.
+    """Gaussian packet of unit width and mass: centre q and momentum p.
 
     A packet that crosses the origin moving right has q < 0 and p > 0; the
-    classical crossing time is m |q| / p.
+    classical crossing time is |q| / p.
     """
 
     q: float
     p: float
-    sigma: float
-    m: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0 or self.m <= 0:
-            raise ValueError("sigma and m must be positive")
+    norm_factor = (2 * np.pi) ** (-0.25)
 
     @property
     def energy(self) -> float:
-        return self.p * self.p / (2 * self.m)
+        return self.p * self.p / 2
 
     @property
     def zeno_time(self) -> float:
-        """m sigma / p, the timescale on which the state changes appreciably
+        """1/p, the timescale on which the state changes appreciably
         (positive for right-movers)."""
-        return self.m * self.sigma / self.p
-
-    @property
-    def norm_factor(self) -> float:
-        return (2 * np.pi * self.sigma**2) ** (-0.25)
+        return 1 / self.p
 
 
 def packet_boundary_derivative(wp: WavePacket, t):
     """d psi / dx at x = 0 of the initial Gaussian under exact free
     evolution (analytic; the t = 0 value is that of the initial packet).
 
-    With A = a - i b, a = 1/4 sigma^2 and b = m/2t, the free propagator's
-    sqrt(m/2 pi t) and the Gaussian integral's sqrt(pi/A) combine into
+    With A = a - i b, a = 1/4 and b = 1/2t, the free propagator's
+    sqrt(1/2 pi t) and the Gaussian integral's sqrt(pi/A) combine into
     sqrt(b/A), so one complex reciprocal 1/A serves every factor, and the
     factors are multiplied in place into three complex arrays of the grid.
     """
     t = np.asarray(t, dtype=float)
-    a = 1.0 / (4 * wp.sigma**2)
+    a = 0.25
     beta0 = 2 * a * wp.q + 1j * wp.p
     at_zero = np.atleast_1d(t == 0)
-    b = np.divide(wp.m / 2, np.where(at_zero, 1.0, t))
+    b = np.divide(0.5, np.where(at_zero, 1.0, t))
     inv_a = b * -1j
     inv_a += a
     np.reciprocal(inv_a, out=inv_a)
@@ -143,8 +136,8 @@ def packet_boundary_derivative(wp: WavePacket, t):
 
 def suppression_exponent(wp: WavePacket, eps: float) -> float:
     """Log of the order-of-magnitude suppression of the boundary
-    perturbation, -(t_Z / eps)^2 (E eps - 1)^2 with t_Z = m sigma / p and
-    E = p^2/2m.  Used only to rank an eps scan: the perturbation is not
+    perturbation, -(t_Z / eps)^2 (E eps - 1)^2 with t_Z = 1/p and
+    E = p^2/2.  Used only to rank an eps scan: the perturbation is not
     suppressed where the packet's internal oscillation period is comparable
     to the projection spacing and collapses rapidly away from it."""
     if not (wp.p > 0 and eps > 0):
@@ -162,11 +155,14 @@ def suppression_factor(exponents) -> np.ndarray:
 # boundary difference and the crossing machinery
 # ---------------------------------------------------------------------------
 
-def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndarray:
+_ROOT_G_FREE = ROOT_INV_I * np.sqrt(1 / (2 * np.pi))  # sqrt(u) g_free(0, u | 0, 0)
+
+
+def stationary_delta_g(t_grid, eps: float, v0: float) -> np.ndarray:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
     on ``t_grid`` with its u^{-1/2} factor peeled off:
 
-        sqrt(u) delta_g(u) = (m / 2 pi i)^{1/2} (f_p(u) - f_v(u)),
+        sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p(u) - f_v(u)),
 
     f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
     at one, so the value at u = 0 is exactly zero, and at a drop u = k eps
@@ -176,10 +172,10 @@ def stationary_delta_g(t_grid, eps: float, v0: float, m: float = 1.0) -> np.ndar
     fv = np.ones_like(t)
     pos = t > 0
     fv[pos] = absorbing_envelope(v0, t[pos])
-    return ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (sawtooth_envelope(eps, t) - fv)
+    return _ROOT_G_FREE * (sawtooth_envelope(eps, t) - fv)
 
 
-def _weighted_delta_g(n: int, q: int, eps: float, v0: float, m: float) -> np.ndarray:
+def _weighted_delta_g(n: int, q: int, eps: float, v0: float) -> np.ndarray:
     """The values that ``inner_boundary_convolution`` convolves for
     ``pdx_delta_psi``: ``stationary_delta_g`` at the n lags u_j = j eps/q
     times ``half_power_weights``, with each saw-tooth drop taken one-sidedly.
@@ -192,9 +188,9 @@ def _weighted_delta_g(n: int, q: int, eps: float, v0: float, m: float) -> np.nda
     """
     dt = eps / q
     u = np.arange(n) * dt
-    weighted = half_power_weights(n - 1, dt) * stationary_delta_g(u, eps, v0, m)
+    weighted = half_power_weights(n - 1, dt) * stationary_delta_g(u, eps, v0)
     k = np.arange(1, (n - 1) // q + 1)
-    jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (peak_value(k - 1) - trough_value(k - 1))
+    jump = _ROOT_G_FREE * (peak_value(k - 1) - trough_value(k - 1))
     weighted[k * q] += panel_weights(u[k * q - 1], u[k * q])[1] * jump
     return weighted
 
@@ -315,18 +311,18 @@ def inner_boundary_convolution(weighted: np.ndarray, deriv: np.ndarray) -> np.nd
     return spec[:n].copy()  # a view would keep the whole spectrum alive
 
 
-def step_profile(x1, tau: float, m: float) -> np.ndarray:
+def step_profile(x1, tau: float) -> np.ndarray:
     """The step that the 1/k endpoint tail of the crossing term makes in x,
 
         (i/2) sgn(x) - J(x)/(2 pi),
-        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2m,
+        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2,
 
     on the points ``x1``, the Fresnel integral by a cumulative trapezoid on
-    20,001 points out to max |x1|.  It depends on tau, m and x1 alone, so
-    one profile serves every eps of a scan.
+    20,001 points out to max |x1|.  It depends on tau and x1 alone, so one
+    profile serves every eps of a scan.
     """
     xs = np.atleast_1d(np.asarray(x1, dtype=float))
-    a = tau / (2 * m)
+    a = tau / 2
     x_hi = float(np.abs(xs).max()) if xs.size else 0.0
     xf = np.linspace(0.0, max(x_hi, 1e-12), 20001)
     integrand = np.exp(1j * xf**2 / (4 * a))
@@ -344,24 +340,23 @@ def crossing_term(
     tau: float,
     G: np.ndarray,
     t_grid: np.ndarray,
-    m: float,
     kmax: float,
     dk: float,
     profile: np.ndarray,
 ) -> np.ndarray:
-    """The crossing part -(1/m^2) int dt2 dgf/dx(x1,tau|0,t2) G(t2).
+    """The crossing part -int dt2 dgf/dx(x1,tau|0,t2) G(t2).
 
     Evaluated in momentum space, where the final free leg is
-    exp(-i k^2 (tau - t2) / 2m) and the boundary-derivative kernel is -ik.
+    exp(-i k^2 (tau - t2) / 2) and the boundary-derivative kernel is -ik.
     The t2 endpoint at tau produces a slowly decaying 1/k tail encoding a
     step at x1 = 0; it is subtracted via G(tau) and added back in closed
-    form as -(2 G(tau)/m) times ``profile``, the ``step_profile(x1, tau,
-    m)`` that the caller builds once for all calls sharing tau, m and x1,
-    leaving an O(1/k^2) remainder for the numeric transform.
+    form as -2 G(tau) times ``profile``, the ``step_profile(x1, tau)`` that
+    the caller builds once for all calls sharing tau and x1, leaving an
+    O(1/k^2) remainder for the numeric transform.
 
     The momenta are k = j dk for j = -J..J without j = 0, J = kmax/dk
-    rounded up.  The integrand (-i k/m^2) exp(-i w (tau - t_0)) T(w),
-    w = k^2/2m and T the time sum over the lags t2 - t_0 from the first
+    rounded up.  The integrand -i k exp(-i w (tau - t_0)) T(w),
+    w = k^2/2 and T the time sum over the lags t2 - t_0 from the first
     node of the uniform ``t_grid``, is odd in k, so only j = 1..J is
     computed: the time sum at the frequencies w_k, angles w_k dt, and the
     transform to x1 as sum_j c_j (exp(i j x1 dk) - exp(-i j x1 dk)), one
@@ -378,26 +373,24 @@ def crossing_term(
     gw[0] *= 0.5
     gw[-1] *= 0.5
 
-    # k = j dk for j = 1..J; kmax/dk is the same at every m in exact
-    # arithmetic, so a quotient rounded just past a whole number counts as
-    # that number
+    # k = j dk for j = 1..J; kmax/dk a rounding past a whole number is that number
     n_k = int(np.ceil(snap_to_integer(kmax / dk)))
     if n_k < 1:
         raise ValueError("kmax and dk must be positive")
     k = np.arange(1, n_k + 1) * dk
-    w = k**2 / (2 * m)
+    w = k**2 / 2
     spectral = _trig_sum(gw, w * dt)
     del gw
     spectral *= np.exp(-1j * (tau - t[0]) * w)
     del w
-    spectral *= k * (-1j * dk) / m**2  # with the dk of the k -> x sum
+    spectral *= k * (-1j * dk)  # with the dk of the k -> x sum
     # sum_j c_j (e^{i j theta} - e^{-i j theta}) over j = 1..J, theta = x dk,
     # from one sum over j - 1 at +theta and -theta
     theta = xs * dk
     angles = np.concatenate([theta, -theta])
     both = np.exp(1j * angles) * _trig_sum(spectral, angles)
     smooth_part = (both[: len(xs)] - both[len(xs) :]) / (2 * np.pi)
-    return -(smooth_part - (2 * g_end / m) * profile)
+    return -(smooth_part - (2 * g_end) * profile)
 
 
 # Most points of a pdx_delta_psi time grid.  At the finest eps of the pdx
@@ -418,8 +411,7 @@ def _steps_per_projection(wp: WavePacket, eps: float, tau: float) -> int:
 def time_points(wp: WavePacket, eps: float, tau: float) -> int:
     """Points of the ``time_grid`` of ``pdx_delta_psi``, refused with
     ``ValueError`` above ``MAX_TIME_POINTS`` before anything is allocated."""
-    # tau/dt is the same for every m in exact arithmetic, so a quotient
-    # rounded just past a whole number counts as that number
+    # tau/dt a rounding past a whole number is that number (3,008 at the default)
     steps = np.ceil(snap_to_integer(tau / (eps / _steps_per_projection(wp, eps, tau))))
     if not steps < MAX_TIME_POINTS:
         raise ValueError(f"time grid of {steps + 1:.6g} points exceeds the cap of "
@@ -443,28 +435,45 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
     the absorbing boundary propagator (v0 = 4/(3 eps)) for the
     pulsed-measurement one with projections every eps, on the time grid of
     ``time_grid``, whose node at or before t = 0 takes the packet
-    derivative at t = 0; ``profile`` is ``step_profile(x1, tau, wp.m)``.
+    derivative at t = 0; ``profile`` is ``step_profile(x1, tau)``.
     """
     v0 = calibrate_absorption(eps)
     t, q = time_grid(wp, eps, tau)
     # the weighted boundary difference and the packet derivative are held
     # only by the convolution, which frees them once it has copied them
-    G = inner_boundary_convolution(_weighted_delta_g(len(t), q, eps, v0, wp.m),
+    G = inner_boundary_convolution(_weighted_delta_g(len(t), q, eps, v0),
                                    packet_boundary_derivative(wp, np.maximum(t, 0.0)))
 
-    kmax = float(np.sqrt(2 * wp.m * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8 / wp.sigma)
-    span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10 * wp.sigma
-    return crossing_term(x1, tau, G, t, wp.m, kmax, np.pi / (2 * span), profile)
+    kmax = float(np.sqrt(2 * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8.0)
+    span = float(np.abs(np.asarray(x1)).max()) + abs(wp.q) + 10.0
+    return crossing_term(x1, tau, G, t, kmax, np.pi / (2 * span), profile)
 
 
-def delta_norm_scan(wp: WavePacket, eps_values, tau: float, x1):
-    """L2 norm of the boundary perturbation over the x1 grid for each eps;
-    the step profile of the crossing term is built once for the whole scan.
+# E eps of the pdx scan, the window where the suppression predictor ranks it
+_SCAN_E_EPS = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
 
-    Returns (norms, suppression exponents).
-    """
-    xs = np.asarray(x1, dtype=float)
-    profile = step_profile(xs, tau, wp.m)
+
+def _scan_geometry(p_sigma: float) -> tuple[WavePacket, float, np.ndarray, np.ndarray]:
+    """The pdx scan's packet, from q = -10; its final time tau, past the
+    classical crossing; its eps values; and its x window, out to 6 past the
+    packet's centre at tau.  An energy that is not finite and positive is a
+    ``NumericalFailure``."""
+    wp = WavePacket(q=-10.0, p=p_sigma)
+    if not 0 < wp.energy < np.inf:
+        raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
+    tau = 1.8 * abs(wp.q) / wp.p + 0.8 * wp.zeno_time
+    return wp, tau, _SCAN_E_EPS / wp.energy, np.linspace(0.05, abs(wp.q) + wp.p * tau + 6.0, 400)
+
+
+def delta_norm_scan(p_sigma: float):
+    """(tau, eps, E eps, predictor, norms) of the pdx scan at ``p_sigma``
+    (``_scan_geometry``): at each eps, the L2 norm of the boundary
+    perturbation over the x window, all from one step profile.  The finest
+    time grid is refused (``time_points``) before anything is allocated."""
+    wp, tau, eps_values, xs = _scan_geometry(p_sigma)
+    time_points(wp, eps_values[0], tau)
+    profile = step_profile(xs, tau)
     norms = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(wp, eps, tau, xs, profile)) ** 2, xs))
              for eps in eps_values]
-    return np.array(norms), np.array([suppression_exponent(wp, eps) for eps in eps_values])
+    predictor = suppression_factor([suppression_exponent(wp, eps) for eps in eps_values])
+    return tau, eps_values, _SCAN_E_EPS, predictor, np.array(norms)

@@ -56,22 +56,21 @@ def dense_crossing_term(
     tau: float,
     G: np.ndarray,
     t_grid: np.ndarray,
-    m: float,
     kmax: float,
     dk: float,
     chunk: int = 512,
 ) -> np.ndarray:
-    """The crossing part -(1/m^2) int dt2 dgf/dx(x1,tau|0,t2) G(t2), with
-    the time sum and the k -> x transform as dense phase matrices (the
+    """The crossing part -int dt2 dgf/dx(x1,tau|0,t2) G(t2) at unit mass,
+    with the time sum and the k -> x transform as dense phase matrices (the
     reference for ``zenoprop.wavepacket.crossing_term``).
 
     Evaluated in momentum space, where the final free leg is
-    exp(-i k^2 (tau - t2) / 2m) and the boundary-derivative kernel is -ik.
+    exp(-i k^2 (tau - t2) / 2) and the boundary-derivative kernel is -ik.
     The t2 endpoint at tau produces a slowly decaying 1/k tail encoding a
     step at x1 = 0; it is subtracted via G(tau) and its transform
 
-        -(2 G(tau)/m) [ (i/2) sgn(x) - J(x)/(2 pi) ],
-        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2m,
+        -2 G(tau) [ (i/2) sgn(x) - J(x)/(2 pi) ],
+        J(x) = i sqrt(pi/(i a)) int_0^x exp(i x'^2 / 4a) dx',  a = tau/2,
 
     added back in closed form (the Fresnel integral is a cheap 1-d
     cumulative quadrature), leaving an O(1/k^2) remainder for the numeric
@@ -96,11 +95,11 @@ def dense_crossing_term(
     spectral = np.zeros(len(k), dtype=complex)
     for i0 in range(0, len(k), chunk):
         kk = k[i0 : i0 + chunk]
-        phase = np.exp(-1j * (kk[:, None] ** 2 / (2 * m)) * (tau - t[None, :]))
-        spectral[i0 : i0 + chunk] = (-1j * kk / m**2) * (phase @ gw)
+        phase = np.exp(-1j * (kk[:, None] ** 2 / 2) * (tau - t[None, :]))
+        spectral[i0 : i0 + chunk] = (-1j * kk) * (phase @ gw)
     smooth_part = (np.exp(1j * np.outer(xs, k)) @ (spectral * dk)) / (2 * np.pi)
 
-    a = tau / (2 * m)
+    a = tau / 2
     x_hi = float(np.abs(xs).max()) if xs.size else 0.0
     xf = np.linspace(0.0, max(x_hi, 1e-12), 20001)
     integrand = np.exp(1j * xf**2 / (4 * a))
@@ -110,7 +109,7 @@ def dense_crossing_term(
     fresnel = np.interp(np.abs(xs), xf, cum.real) + 1j * np.interp(np.abs(xs), xf, cum.imag)
     fresnel = fresnel * np.sign(xs)
     J = 1j * np.sqrt(np.pi / (1j * a)) * fresnel
-    tail_part = -(2 * g_end / m) * (0.5j * np.sign(xs) - J / (2 * np.pi))
+    tail_part = -(2 * g_end) * (0.5j * np.sign(xs) - J / (2 * np.pi))
     return -(smooth_part + tail_part)
 
 
@@ -626,27 +625,27 @@ def half_value_ratio(eps: float, n_proj: int, n_halvings: int = 8) -> tuple[np.n
 
 
 def free_packet(wp: WavePacket, t: float, x, spreading: bool = False):
-    """Freely evolved packet.
+    """Freely evolved packet, in the packet's units (hbar = m = sigma = 1).
 
     The default drags the envelope along the classical trajectory without
-    spreading (adequate for times short against m sigma^2); with
+    spreading (adequate for times short against m sigma^2 / hbar); with
     ``spreading=True`` the exact free evolution of the initial Gaussian is
     returned (used wherever the reconstruction identities are checked at
     full accuracy).
     """
     x = np.asarray(x, dtype=float)
-    a = 1.0 / (4 * wp.sigma**2)
+    a = 0.25
     if not spreading:
-        c = wp.q + wp.p * t / wp.m
+        c = wp.q + wp.p * t
         return wp.norm_factor * np.exp(
             -((x - c) ** 2) * a + 1j * wp.p * x - 1j * wp.energy * t
         )
     if t == 0:
         return wp.norm_factor * np.exp(-a * (x - wp.q) ** 2 + 1j * wp.p * x)
-    b = wp.m / (2 * t)
+    b = 1 / (2 * t)
     A = a - 1j * b
     beta = 2 * a * wp.q + 1j * wp.p - 2j * b * x
-    pref = ROOT_INV_I * np.sqrt(wp.m / (2 * np.pi * t)) * wp.norm_factor
+    pref = ROOT_INV_I * np.sqrt(1 / (2 * np.pi * t)) * wp.norm_factor
     return pref * np.sqrt(np.pi / A) * np.exp(
         1j * b * x**2 - a * wp.q**2 + beta**2 / (4 * A)
     )
@@ -662,43 +661,43 @@ def step_reflection(k, m: float, v0: float):
 
 def absorbing_step_packet(wp: WavePacket, v0: float, tau: float, x) -> np.ndarray:
     """Exact evolution of a Gaussian packet in x > 0 under the complex step
-    potential -i v0 theta(-x), at x > 0 (Allcock 1969; Muga et al. 2004):
+    potential -i v0 theta(-x), at x > 0, in the packet's units (Allcock
+    1969; Muga et al. 2004):
 
         psi(x, tau) = psi_free(x, tau)
-                      + int dk/2pi phi(k) R(|k|) exp(-i k x - i k^2 tau / 2m),
+                      + int dk/2pi phi(k) R(|k|) exp(-i k x - i k^2 tau / 2),
 
-    phi(k) = N sqrt(4 pi sigma^2) exp(-sigma^2 (k-p)^2 - i (k-p) q) the
-    packet's transform.  The k integral is a plain sum over p +- 8/sigma,
-    where phi falls to exp(-64); 257 nodes already converge it to roundoff.
+    phi(k) = N sqrt(4 pi) exp(-(k-p)^2 - i (k-p) q) the packet's transform.
+    The k integral is a plain sum over p +- 8, where phi falls to exp(-64);
+    257 nodes already converge it to roundoff.
     """
     x = np.asarray(x, dtype=float)
-    k, dk = np.linspace(wp.p - 8 / wp.sigma, wp.p + 8 / wp.sigma, 257, retstep=True)
-    phi = wp.norm_factor * np.sqrt(4 * np.pi * wp.sigma**2) * np.exp(
-        -(wp.sigma * (k - wp.p)) ** 2 - 1j * (k - wp.p) * wp.q
-    )
-    spectral = phi * step_reflection(np.abs(k), wp.m, v0) * np.exp(-1j * k**2 * tau / (2 * wp.m))
+    k, dk = np.linspace(wp.p - 8, wp.p + 8, 257, retstep=True)
+    phi = wp.norm_factor * np.sqrt(4 * np.pi) * np.exp(-((k - wp.p) ** 2) - 1j * (k - wp.p) * wp.q)
+    spectral = phi * step_reflection(np.abs(k), 1.0, v0) * np.exp(-1j * k**2 * tau / 2)
     reflected = np.exp(-1j * np.outer(x, k)) @ spectral * (dk / (2 * np.pi))
     return free_packet(wp, tau, x, spreading=True) + reflected
 
 
 def crossing_density(wp: WavePacket, v0: float, tau):
     """Unnormalised crossing-time density in the strong-absorption regime,
+    at unit mass,
 
-        (2 / (m^{3/2} sqrt(v0))) |d psi_free/dx (0, tau)|^2,
+        (2 / sqrt(v0)) |d psi_free/dx (0, tau)|^2,
 
     proportional to the kinetic-energy density at the origin; vanishes as
     v0 -> inf (total reflection) and scales exactly as v0^{-1/2}."""
     if not v0 > 0:
         raise ValueError("v0 must be positive")
     d = packet_boundary_derivative(wp, tau)
-    return 2.0 / (wp.m**1.5 * np.sqrt(v0)) * np.abs(d) ** 2
+    return 2.0 / np.sqrt(v0) * np.abs(d) ** 2
 
 
 def normalized_crossing_density(wp: WavePacket, tau):
-    """Normalised crossing-time density |d psi/dx(0, tau)|^2 / (m p):
+    """Normalised crossing-time density |d psi/dx(0, tau)|^2 / p at unit mass:
     independent of the absorption strength by construction and integrating
     to one for a packet that fully crosses."""
     if wp.p <= 0:
         raise ValueError("normalised crossing density needs mean momentum p > 0")
     d = packet_boundary_derivative(wp, tau)
-    return np.abs(d) ** 2 / (wp.m * wp.p)
+    return np.abs(d) ** 2 / wp.p

@@ -171,9 +171,10 @@ class TestCriterion4:
 class TestCriterion5:
     def test_lattice_continuum_limit(self):
         """Walk refinement extrapolates to the continuum peak law within
-        0.02; tiny lattices match brute-force enumeration exactly."""
+        1e-3 (measured 2.19e-4); tiny lattices match brute-force enumeration
+        exactly."""
         sweep = lattice.continuum_peak_estimate(4.0, 1.0, m=1.0)
-        assert abs(sweep.extrapolated - 1.0) <= 0.02, sweep.extrapolated
+        assert abs(sweep.extrapolated - 1.0) <= 1e-3, sweep.extrapolated
 
         two = lattice.LatticeConfig(2, 1)
         assert lattice.constrained_walk_probability(two) == 0.25
@@ -201,25 +202,20 @@ class TestCriterion6:
 class TestCriterion7:
     @pytest.mark.slow
     def test_timescale_property(self):
-        """Perturbation scan at p sigma = 10, |q| = 10 sigma: the norm falls
-        monotonically as eps shrinks below E eps = 0.5, is not suppressed
-        near E eps = 1, and rank-correlates with the suppression predictor
-        at Spearman rho > 0.9.  The scan is pinned to E eps <= 1.25, the
-        window where the order-of-magnitude predictor resolves the ranking.
+        """The delta_norm column that ``pdx`` writes at its default p sigma =
+        10, |q| = 10 sigma: the norm falls monotonically as eps shrinks below
+        E eps = 0.5, is not suppressed near E eps = 1, and rank-correlates
+        with the suppression predictor at Spearman rho > 0.9.  The scan is
+        pinned to E eps <= 1.25, the window where the order-of-magnitude
+        predictor resolves the ranking.
         """
-        wp = wavepacket.WavePacket(q=-10.0, p=10.0, sigma=1.0, m=1.0)
-        scan = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
-        eps_values = scan / wp.energy
-        t_c = -wp.q * wp.m / wp.p
-        tau = 1.8 * t_c
-        xs = np.linspace(0.05, -wp.q + wp.p * tau / wp.m + 6 * wp.sigma, 400)
-        norms, exponents = wavepacket.delta_norm_scan(wp, eps_values, tau, xs)
+        _, _, scan, predictor, norms = wavepacket.delta_norm_scan(10.0)
 
         low = scan <= 0.5
         assert np.all(np.diff(norms[low]) > 0), norms[low]
         near_one = norms[np.isclose(scan, 1.0)][0]
         assert near_one > 0.5 * norms.max(), (near_one, norms.max())
-        rho = spearman_rho(norms, exponents)
+        rho = spearman_rho(norms, predictor)
         assert rho > 0.9, rho
         report(7, f"timescale suppression scan (rho {rho:.3f})")
 
@@ -229,8 +225,8 @@ class TestCriterion8:
         """Normalised crossing density integrates to one within 0.02 for a
         fully crossing packet; the unnormalised one scales exactly as
         1/sqrt(v0); the normalised one takes no absorption argument."""
-        wp = wavepacket.WavePacket(q=-10.0, p=10.0, sigma=1.0, m=1.0)
-        t_c = -wp.q * wp.m / wp.p
+        wp = wavepacket.WavePacket(q=-10.0, p=10.0)
+        t_c = -wp.q / wp.p
         tau = np.linspace(1e-6, 2.5 * t_c, 6000)
         pn = normalized_crossing_density(wp, tau)
         total = np.trapezoid(pn, tau)

@@ -563,10 +563,9 @@ class TestPdxCommand:
 
     def test_cap_admits_grid_just_below(self):
         # half a step short of a grid one point over the cap
-        wp = wavepacket.WavePacket(q=-10.0, p=(wavepacket.MAX_TIME_POINTS - 1.5) / 300.8,
-                                   sigma=1.0)
-        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
-        assert wavepacket.time_points(wp, 0.125 / wp.energy, tau) == wavepacket.MAX_TIME_POINTS
+        wp, tau, eps_values, _ = wavepacket._scan_geometry(
+            (wavepacket.MAX_TIME_POINTS - 1.5) / 300.8)
+        assert wavepacket.time_points(wp, eps_values[0], tau) == wavepacket.MAX_TIME_POINTS
 
     def test_delta_norm_is_independent_of_mass(self, runner, tmp_path):
         # the scan is the same physics at every m, so it runs at m = 1: every

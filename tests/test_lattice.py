@@ -1,11 +1,13 @@
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from oracles import (
     brute_force_walk_probability,
@@ -276,6 +278,22 @@ class TestSpectralSegments:
         assert peak <= 0.4e6  # measured 0.34 MB; 0.27 MB on the DP alone
 
 
+class TestBinomialSpectrum:
+    """``_binomial_spectrum`` against the transform of the pmf it stands for."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 127, 128, 129, 1000, 1001])
+    @pytest.mark.parametrize("length", [2, 7, 64, 255, 1024, 2025])
+    def test_matches_rfft_of_the_periodised_pmf(self, steps, length):
+        # C(steps, i) / 2^steps at (i - steps // 2) mod length, so lengths
+        # below steps + 1 wrap; measured at most 4.0e-16, where the odd-step
+        # phase scaled by 1 + 1e-9 misses by 1e-12 or more
+        i = np.arange(steps + 1)
+        pmf = np.zeros(length)
+        np.add.at(pmf, (i - steps // 2) % length, [comb(steps, j) / 2**steps for j in i])
+        got = lattice._binomial_spectrum(steps, length)
+        assert np.abs(got - np.fft.rfft(pmf)).max() <= 1e-14
+
+
 class TestExactness:
     """Against exact integer walk counts: exact through step 53, rounded
     by at most about one unit in the last place per step beyond."""
@@ -334,7 +352,28 @@ class TestContinuumSweep:
     def test_ratio_extrapolates_to_one(self):
         sweep = continuum_peak_estimate(4.0, 1.0, m=1.0)
         assert np.all(np.diff(sweep.ratios) > 0)       # O(eta) from below
-        assert sweep.extrapolated == pytest.approx(1.0, abs=0.02)
+        assert sweep.extrapolated == pytest.approx(1.0, abs=1e-3)  # measured 2.19e-4
+
+    @pytest.mark.parametrize("tau, levels", [
+        (4.0, (4, 16, 64, 256)), (8.0, (4, 16, 64, 256, 1024, 4096)),
+    ], ids=["default", "benchmark"])
+    @pytest.mark.parametrize("c1, c2", [(-0.5, 0.0), (0.0, 3.0), (-1.3, 0.7), (2.0, -5.0)])
+    def test_richardson_is_exact_on_its_error_model(self, monkeypatch, tau, levels, c1, c2):
+        # walks whose ratios are exactly 1 + c1 r^(-1/2) + c2 / r, the O(eta)
+        # and O(eta^2) errors that the two stages remove, so the
+        # extrapolation lands on 1 to rounding (measured at most 3.3e-16)
+        n = int(tau)
+        target = np.sqrt(1 / (2 * np.pi * n)) / n  # the continuum peak law at eps = m = 1
+
+        def walk(cfg):
+            r = cfg.steps_per_projection
+            return (1 + c1 / np.sqrt(r) + c2 / r) * target * 2 / np.sqrt(r)
+
+        monkeypatch.setattr(lattice, "constrained_walk_probability", walk)
+        sweep = continuum_peak_estimate(tau, 1.0, levels=levels)
+        r = np.array(levels)
+        assert_allclose(sweep.ratios, 1 + c1 / np.sqrt(r) + c2 / r, rtol=1e-14)
+        assert abs(sweep.extrapolated - 1) <= 1e-14
 
     def test_error_scales_linearly_in_eta(self):
         sweep = continuum_peak_estimate(4.0, 1.0, m=1.0, levels=(16, 64, 256, 1024))
@@ -343,9 +382,13 @@ class TestContinuumSweep:
         assert np.all((rates > 1.7) & (rates < 2.3))   # halving eta halves the error
 
     def test_mass_invariance(self):
-        a = continuum_peak_estimate(4.0, 1.0, m=1.0).extrapolated
-        b = continuum_peak_estimate(8.0, 2.0, m=0.5).extrapolated
-        assert a == pytest.approx(b, abs=5e-3)
+        # the ratios come from the unit walk over tau/eps intervals, so every
+        # (tau, eps, m) with the same tau/eps gives the same bits
+        unit = continuum_peak_estimate(4.0, 1.0, m=1.0)
+        for tau, eps, m in [(8.0, 2.0, 0.5), (0.4, 0.1, 3.0)]:
+            sweep = continuum_peak_estimate(tau, eps, m=m)
+            assert sweep.ratios.tolist() == unit.ratios.tolist()
+            assert sweep.extrapolated == unit.extrapolated
 
     def test_validation(self):
         with pytest.raises(ValueError):

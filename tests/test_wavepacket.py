@@ -24,6 +24,7 @@ from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import calibrate_absorption, sawtooth_envelope, trough_value
 from zenoprop.wavepacket import (
     WavePacket,
+    _scan_geometry,
     _trig_sum,
     _weighted_delta_g,
     crossing_term,
@@ -44,7 +45,7 @@ ROOT_INV_I = np.exp(-1j * np.pi / 4)
 
 @pytest.fixture
 def packet():
-    return WavePacket(q=-10.0, p=10.0, sigma=1.0, m=1.0)
+    return WavePacket(q=-10.0, p=10.0)
 
 
 class TestFreePacket:
@@ -62,7 +63,7 @@ class TestFreePacket:
         for t in (0.5, 1.0):
             psi = free_packet(packet, t, x)
             got = x[np.argmax(np.abs(psi))]
-            assert got == pytest.approx(packet.q + packet.p * t / packet.m, abs=0.01)
+            assert got == pytest.approx(packet.q + packet.p * t, abs=0.01)
 
     def test_spreading_t0_reduces_to_initial(self, packet):
         # t -> 0 limit of the closed form; the residual is the genuine
@@ -79,7 +80,7 @@ class TestFreePacket:
         x_out = np.linspace(-6, 6, 41)
         want = free_evolution_quadrature(
             lambda y: free_packet(packet, 0.0, y, spreading=True),
-            packet.m, t, x_out, packet.q - 14, packet.q + 14, n_nodes=24000,
+            1.0, t, x_out, packet.q - 14, packet.q + 14, n_nodes=24000,
         )
         got = free_packet(packet, t, x_out, spreading=True)
         assert np.max(np.abs(got - want)) < 1e-6
@@ -94,19 +95,14 @@ class TestFreePacket:
             widths.append(np.sqrt(np.trapezoid((x - mean) ** 2 * prob, x)))
         assert widths[1] > widths[0] * 1.3
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            WavePacket(q=0.0, p=1.0, sigma=0.0)
-
     def test_energy_overflows_to_inf(self):
-        # p^2 / 2m of a huge momentum is inf, not an OverflowError
-        assert WavePacket(-10.0, 1e200, 1.0).energy == np.inf
-        assert WavePacket(-10.0, 10.0, 1.0, m=2.0).energy == 25.0
+        # p^2 / 2 of a huge momentum is inf, not an OverflowError
+        assert WavePacket(-10.0, 1e200).energy == np.inf
 
 
 class TestBoundaryDerivative:
     def test_far_packet_negligible(self):
-        wp = WavePacket(q=-50.0, p=1.0, sigma=1.0)
+        wp = WavePacket(q=-50.0, p=1.0)
         assert abs(packet_boundary_derivative(wp, 0.1)) < 1e-12
 
     def test_matches_finite_difference(self, packet):
@@ -123,7 +119,7 @@ class TestBoundaryDerivative:
         # the vectorised closed form against the per-sample formula, t = 0
         # taken from the initial packet
         t = np.linspace(0.0, 2.0, 201)
-        a = 1.0 / (4 * packet.sigma**2)
+        a = 0.25
         beta0 = 2 * a * packet.q + 1j * packet.p
         want = np.empty(len(t), dtype=complex)
         for i, tt in enumerate(t):
@@ -131,26 +127,26 @@ class TestBoundaryDerivative:
             if tt == 0:
                 want[i] = psi0 * beta0
             else:
-                b = packet.m / (2 * tt)
+                b = 1 / (2 * tt)
                 want[i] = psi0 * (-1j * b * beta0 / (a - 1j * b))
         got = packet_boundary_derivative(packet, t)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
         assert packet_boundary_derivative(packet, 0.0) == want[0]
         assert isinstance(packet_boundary_derivative(packet, 0.5), complex)
 
-    def test_peak_memory_at_finest_eps(self, packet):
+    def test_peak_memory_at_finest_eps(self):
         # the default pdx scan's finest time grid: one reciprocal 1/A and the
         # factors multiplied in place into three complex arrays, 0.172 MB
         # (0.69 MB at the 12,033 points of a step of eps/16)
-        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
-        t = np.maximum(time_grid(packet, 0.125 / packet.energy, tau)[0], 0.0)
+        wp, tau, eps_values, _ = _scan_geometry(10.0)
+        t = np.maximum(time_grid(wp, eps_values[0], tau)[0], 0.0)
         assert len(t) == 3_009
-        assert traced_peak(packet_boundary_derivative, packet, t) < 0.175e6
+        assert traced_peak(packet_boundary_derivative, wp, t) < 0.175e6
 
     def test_crossing_instant_dominated_by_momentum(self, packet):
         # packet centred on the origin: its envelope is stationary there, so
         # the derivative is exactly i p psi, spreading included
-        t_c = -packet.q * packet.m / packet.p
+        t_c = -packet.q / packet.p
         d = packet_boundary_derivative(packet, t_c)
         psi0 = free_packet(packet, t_c, np.array(0.0), spreading=True)
         assert d == pytest.approx(1j * packet.p * complex(psi0), rel=1e-12)
@@ -171,7 +167,7 @@ class TestSuppressionFactor:
         assert suppression_factor(suppression_exponent(packet, 0.01)) == pytest.approx(
             np.exp(expo), rel=1e-12)
         # slow packet where E eps << 1 at eps = t_Z/10: essentially e^(-100)
-        slow = WavePacket(q=-10.0, p=0.6, sigma=1.0)
+        slow = WavePacket(q=-10.0, p=0.6)
         assert suppression_factor(suppression_exponent(slow, slow.zeno_time / 10)) < 1e-40
         # held at the least subnormal instead of underflowing to zero
         assert suppression_factor(np.array([-1e4, -745.0])).tolist() == [5e-324, 5e-324]
@@ -180,23 +176,22 @@ class TestSuppressionFactor:
         with pytest.raises(ValueError):
             suppression_exponent(packet, 0.0)
         with pytest.raises(ValueError):
-            suppression_exponent(WavePacket(q=10.0, p=-1.0, sigma=1.0), 0.1)
+            suppression_exponent(WavePacket(q=10.0, p=-1.0), 0.1)
 
 
 class TestCrossingDistributions:
     def test_normalisation(self, packet):
-        t_c = -packet.q * packet.m / packet.p
+        t_c = -packet.q / packet.p
         tau = np.linspace(1e-6, 2.5 * t_c, 4000)
         pn = normalized_crossing_density(packet, tau)
         assert np.all(pn >= 0)
         assert np.trapezoid(pn, tau) == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_near_classical_arrival(self, packet):
-        t_c = -packet.q * packet.m / packet.p
+        t_c = -packet.q / packet.p
         tau = np.linspace(0.5, 1.5, 2001)
         pn = normalized_crossing_density(packet, tau)
-        spread = packet.sigma * packet.m / packet.p
-        assert abs(tau[np.argmax(pn)] - t_c) < spread
+        assert abs(tau[np.argmax(pn)] - t_c) < packet.zeno_time
 
     def test_absorption_scaling_exact(self, packet):
         a = crossing_density(packet, 1.0, 0.9)
@@ -212,20 +207,20 @@ class TestCrossingDistributions:
         assert "v0" not in params
 
     def test_momentum_sign_guard(self):
-        wp = WavePacket(q=10.0, p=-3.0, sigma=1.0)
+        wp = WavePacket(q=10.0, p=-3.0)
         with pytest.raises(ValueError):
             normalized_crossing_density(wp, 1.0)
 
 
 class TestDeltaG:
     def test_model_values(self):
-        eps, v0, m = 0.5, 8 / 3, 1.0
+        eps, v0 = 0.5, 8 / 3
         t = np.linspace(0.0, 2.0, 201)
-        phi = stationary_delta_g(t, eps, v0, m)
+        phi = stationary_delta_g(t, eps, v0)
         # every point against the definition, the drops u = k eps at nodes
         # 50, 100, 150 and 200 included, with the u^{-1/2} of g_absorbing
         # peeled off: sqrt(u) S(u) g_absorbing(u)
-        assert_allclose(phi[1:], plain_delta_g(t[1:], eps, v0, m), rtol=1e-12)
+        assert_allclose(phi[1:], plain_delta_g(t[1:], eps, v0), rtol=1e-12)
         assert phi[0] == 0
 
     def test_values_do_not_depend_on_the_grid(self):
@@ -240,11 +235,11 @@ class TestDeltaG:
             stationary_delta_g(np.linspace(-0.1, 1, 12), 0.5, 1.0)
 
 
-def plain_delta_g(u, eps, v0, m):
+def plain_delta_g(u, eps, v0):
     """sqrt(u) S(u) g_absorbing(u), the boundary difference from its
     definition with the u^{-1/2} of g_absorbing peeled off."""
     s = sawtooth_envelope(eps, u) / absorbing_envelope(v0, u) - 1
-    gv = ROOT_INV_I * np.sqrt(m / (2 * np.pi * u)) * absorbing_envelope(v0, u)
+    gv = ROOT_INV_I * np.sqrt(1 / (2 * np.pi * u)) * absorbing_envelope(v0, u)
     return np.sqrt(u) * s * gv
 
 
@@ -258,9 +253,9 @@ class TestTimeGrid:
     # tau a few roundings past 3,008 steps of eps/4: t[0] is 0, not 2.2e-16
     @example(10.0, 0.125, 1.8800000000000003)
     def test_every_drop_is_a_trough_node(self, p_sigma, e_eps, crossings):
-        # tau in units of the classical crossing time m |q| / p
-        wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
-        eps, tau = e_eps / wp.energy, crossings * abs(wp.q) * wp.m / wp.p
+        # tau in units of the classical crossing time |q| / p
+        wp = WavePacket(q=-10.0, p=p_sigma)
+        eps, tau = e_eps / wp.energy, crossings * abs(wp.q) / wp.p
         t, q = time_grid(wp, eps, tau)
         dt = eps / q
         # the target step; q is snapped (core.SNAP), so dt may exceed it by as much
@@ -292,8 +287,8 @@ class TestWeightedDeltaG:
         # exactly over the four intervals of eps in [0, 2], whose drops are
         # nodes q, 2q, 3q and 4q; at q = 1 every node is a drop.  A line
         # drawn across each drop errs by 6.5e-3 relative at q = 50
-        eps, v0, m = 0.5, 1e-6, 1.0
-        rule = _weighted_delta_g(4 * q + 1, q, eps, v0, m).sum()
+        eps, v0 = 0.5, 1e-6
+        rule = _weighted_delta_g(4 * q + 1, q, eps, v0).sum()
         # int_0^2 u^{-1/2} (f_p - f_v) du = 2 int_0^sqrt(2) (f_p - f_v)(x^2) dx,
         # a polynomial of degree 2 in x on each interval of f_p, to within v0^2
         x, w = np.polynomial.legendre.leggauss(8)
@@ -302,7 +297,7 @@ class TestWeightedDeltaG:
             a, b = np.sqrt(k * eps), np.sqrt((k + 1) * eps)
             u = ((b - a) * x / 2 + (a + b) / 2) ** 2
             want += (b - a) * np.dot(w, sawtooth_envelope(eps, u) - absorbing_envelope(v0, u))
-        want *= ROOT_INV_I * np.sqrt(m / (2 * np.pi))
+        want *= ROOT_INV_I * np.sqrt(1 / (2 * np.pi))
         assert abs(rule - want) < 1e-13 * abs(want)
 
     def test_drop_on_a_node_ends_the_panel_before_it(self):
@@ -310,17 +305,17 @@ class TestWeightedDeltaG:
         # ends at one takes the left value 1/k where the node holds the
         # trough 1/(2k), which the panel after it takes; every other node
         # holds its plain value times its weight
-        eps, v0, m = 0.5, 8 / 3, 1.0
+        eps, v0 = 0.5, 8 / 3
         t = np.linspace(0.0, 2.0, 201)
-        weighted = _weighted_delta_g(201, 50, eps, v0, m)
-        plain = half_power_weights(200, 0.01)[1:] * plain_delta_g(t[1:], eps, v0, m)
+        weighted = _weighted_delta_g(201, 50, eps, v0)
+        plain = half_power_weights(200, 0.01)[1:] * plain_delta_g(t[1:], eps, v0)
         drops = [50, 100, 150, 200]
         others = np.setdiff1d(np.arange(1, 201), drops)
         assert_allclose(weighted[others], plain[others - 1], rtol=1e-12)
         assert weighted[0] == 0
         for k, node in enumerate(drops, start=1):
             right = panel_weights(t[node - 1], t[node])[1]
-            jump = ROOT_INV_I * np.sqrt(m / (2 * np.pi)) * (1 / k - 1 / (2 * k))
+            jump = ROOT_INV_I * np.sqrt(1 / (2 * np.pi)) * (1 / k - 1 / (2 * k))
             assert weighted[node] == pytest.approx(plain[node - 1] + right * jump, rel=1e-12)
 
 
@@ -335,38 +330,30 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestPdxDeltaPsi:
-    def test_peak_memory_at_finest_eps(self, packet):
+    def test_peak_memory_at_finest_eps(self):
         # the default pdx scan's finest eps: 3,009 time points, a 6,075-point
         # convolution spectrum multiplied and inverted in place and not held
         # past the convolution, and the crossing term's momenta at k > 0
         # only, 0.684 MB (1.61 MB at the 12,033 points of a step of eps/16),
         # after a first call has imported numpy.fft (0.12 MB more)
-        tau = 1.8 * abs(packet.q) * packet.m / packet.p + 0.8 * packet.zeno_time
-        eps = 0.125 / packet.energy
-        xs = np.linspace(0.05, abs(packet.q) + packet.p * tau / packet.m + 6.0, 400)
-        profile = step_profile(xs, tau, packet.m)
-        assert time_points(packet, eps, tau) == 3_009
-        pdx_delta_psi(packet, eps, tau, xs, profile)
-        assert traced_peak(pdx_delta_psi, packet, eps, tau, xs, profile) < 0.69e6
+        wp, tau, eps_values, xs = _scan_geometry(10.0)
+        profile = step_profile(xs, tau)
+        assert time_points(wp, eps_values[0], tau) == 3_009
+        pdx_delta_psi(wp, eps_values[0], tau, xs, profile)
+        assert traced_peak(pdx_delta_psi, wp, eps_values[0], tau, xs, profile) < 0.69e6
 
-    def test_norm_decreases_with_eps_in_suppressed_regime(self, packet):
-        t_c = -packet.q * packet.m / packet.p
-        tau = 1.4 * t_c
-        xs = np.linspace(0.05, 25.0, 240)
-        eps_values = np.array([0.2, 0.4]) / packet.energy
-        norms, _ = delta_norm_scan(packet, eps_values, tau, xs)
-        assert norms[0] < norms[1]
+    def test_norm_decreases_with_eps_in_suppressed_regime(self):
+        _, _, e_eps, _, norms = delta_norm_scan(10.0)
+        assert norms[e_eps == 0.2] < norms[e_eps == 0.4]
 
-    def test_scan_profile_is_bit_exact(self, packet):
+    def test_scan_profile_is_bit_exact(self):
         # one step profile for the whole scan gives the same bits as a
         # profile built afresh for every eps
-        tau = 1.4
-        xs = np.linspace(0.05, 25.0, 240)
-        eps_values = np.array([0.2, 0.5, 1.0]) / packet.energy
-        norms, _ = delta_norm_scan(packet, eps_values, tau, xs)
+        wp, tau, eps_values, xs = _scan_geometry(10.0)
+        norms = delta_norm_scan(10.0)[-1]
         fresh = [np.sqrt(np.trapezoid(
-            np.abs(pdx_delta_psi(packet, eps, tau, xs, step_profile(xs, tau, packet.m))) ** 2,
-            xs)) for eps in eps_values]
+            np.abs(pdx_delta_psi(wp, eps, tau, xs, step_profile(xs, tau))) ** 2, xs))
+            for eps in eps_values]
         assert norms.tolist() == fresh
 
     @pytest.mark.parametrize("p_sigma, bound", [(3.0, 1e-6), (10.0, 1e-12)])
@@ -376,30 +363,22 @@ class TestPdxDeltaPsi:
         # tau - t[0] accounts for that stretch of the crossing term exactly.
         # delta_norm moves by 1.3e-7 relative at p sigma = 3 and 1.1e-13 at
         # 10 (delta psi itself by 4.8e-4 and 4.3e-7)
-        wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
-        tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
-        xs = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
-        norms, _ = delta_norm_scan(wp, SCAN / wp.energy, tau, xs)
+        wp, tau, eps_values, xs = _scan_geometry(p_sigma)
+        norms = delta_norm_scan(p_sigma)[-1]
         exact = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(
-            wp, eps, tau, xs, step_profile(xs, tau - time_grid(wp, eps, tau)[0][0], wp.m)))
-            ** 2, xs)) for eps in SCAN / wp.energy]
+            wp, eps, tau, xs, step_profile(xs, tau - time_grid(wp, eps, tau)[0][0])))
+            ** 2, xs)) for eps in eps_values]
         assert np.abs(norms / exact - 1).max() <= bound
-
-
-SCAN = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])  # E eps of pdx
 
 
 def pdx_column(p_sigma: float, refine: int = 1) -> np.ndarray:
     """delta_norm of the default pdx scan at ``p_sigma``, on time grids of
     ``refine`` times as many steps per projection interval as
     ``time_grid`` takes."""
-    wp = WavePacket(q=-10.0, p=p_sigma, sigma=1.0)
-    tau = 1.8 * abs(wp.q) * wp.m / wp.p + 0.8 * wp.zeno_time
-    xs = np.linspace(0.05, abs(wp.q) + wp.p * tau / wp.m + 6.0, 400)
     steps = wavepacket._steps_per_projection
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavepacket, "_steps_per_projection", lambda *args: steps(*args) * refine)
-        return delta_norm_scan(wp, SCAN / wp.energy, tau, xs)[0]
+        return delta_norm_scan(p_sigma)[-1]
 
 
 class TestTimeStep:
@@ -475,7 +454,10 @@ class TestTrigSum:
 
 
 class TestCrossingTermOracle:
-    """The NUFFT crossing term against the dense phase-matrix sums."""
+    """The NUFFT crossing term against the dense phase-matrix sums, on every
+    fourth point of the pdx x window at the default p sigma."""
+
+    xs = _scan_geometry(10.0)[3][::4]
 
     @pytest.mark.parametrize(
         "nt, kmax",
@@ -488,13 +470,12 @@ class TestCrossingTermOracle:
         tau = 1.5
         t = np.linspace(0.0, tau, nt + 1)
         deriv = packet_boundary_derivative(packet, t)
-        phi = np.sqrt(packet.m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
+        phi = np.sqrt(1 / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(2.0, t[1:])
         G = inner_boundary_convolution(half_power_weights(nt, tau / nt) * phi, deriv)
-        xs = np.linspace(0.05, 25.0, 90)
-        got = crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05,
-                            profile=step_profile(xs, tau, packet.m))
-        want = dense_crossing_term(xs, tau, G, t, packet.m, kmax=kmax, dk=0.05)
+        got = crossing_term(self.xs, tau, G, t, kmax=kmax, dk=0.05,
+                            profile=step_profile(self.xs, tau))
+        want = dense_crossing_term(self.xs, tau, G, t, kmax=kmax, dk=0.05)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_matches_dense_on_a_grid_from_before_zero(self, packet):
@@ -502,22 +483,20 @@ class TestCrossingTermOracle:
         tau, nt = 1.5, 400
         t = np.linspace(-0.7 * tau / nt, tau, nt + 1)
         deriv = packet_boundary_derivative(packet, np.maximum(t, 0.0))
-        phi = np.sqrt(packet.m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
+        phi = np.sqrt(1 / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(2.0, t[1:] - t[0])
         G = inner_boundary_convolution(half_power_weights(nt, t[1] - t[0]) * phi, deriv)
-        xs = np.linspace(0.05, 25.0, 90)
-        got = crossing_term(xs, tau, G, t, packet.m, kmax=30.0, dk=0.05,
-                            profile=step_profile(xs, tau - t[0], packet.m))
-        want = dense_crossing_term(xs, tau - t[0], G, t - t[0], packet.m, kmax=30.0, dk=0.05)
+        got = crossing_term(self.xs, tau, G, t, kmax=30.0, dk=0.05,
+                            profile=step_profile(self.xs, tau - t[0]))
+        want = dense_crossing_term(self.xs, tau - t[0], G, t - t[0], kmax=30.0, dk=0.05)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kmax, dk", [(0.0, 0.05), (30.0, -0.05)])
     def test_rejects_empty_momentum_grid(self, packet, kmax, dk):
         t = np.linspace(0.0, 1.5, 11)
-        xs = np.linspace(0.05, 25.0, 9)
         with pytest.raises(ValueError, match="kmax and dk must be positive"):
-            crossing_term(xs, 1.5, np.ones(11, dtype=complex), t, packet.m, kmax, dk,
-                          step_profile(xs, 1.5, packet.m))
+            crossing_term(self.xs, 1.5, np.ones(11, dtype=complex), t, kmax, dk,
+                          step_profile(self.xs, 1.5))
 
 
 class TestFreeReconstruction:
@@ -525,17 +504,17 @@ class TestFreeReconstruction:
     the free boundary propagator: this pins the overall sign and constant."""
 
     def test_free_identity(self):
-        wp = WavePacket(q=8.0, p=-6.0, sigma=1.0, m=1.0)
+        wp = WavePacket(q=8.0, p=-6.0)
         tau = 2.0
         dt = 2e-4
         nt = int(round(tau / dt))
         t = np.linspace(0.0, tau, nt + 1)
         deriv = packet_boundary_derivative(wp, t)
-        phi = np.full(nt + 1, np.sqrt(wp.m / (2 * np.pi)) * ROOT_INV_I)
+        phi = np.full(nt + 1, np.sqrt(1 / (2 * np.pi)) * ROOT_INV_I)
         inner = inner_boundary_convolution(half_power_weights(nt, dt) * phi, deriv)
         xg = np.linspace(0.01, 30, 600)
-        cross = crossing_term(xg, tau, inner, t, wp.m, kmax=40.0, dk=0.02,
-                              profile=step_profile(xg, tau, wp.m))
+        cross = crossing_term(xg, tau, inner, t, kmax=40.0, dk=0.02,
+                              profile=step_profile(xg, tau))
         restricted = free_packet(wp, tau, xg, spreading=True) - free_packet(
             wp, tau, -xg, spreading=True
         )
@@ -549,7 +528,7 @@ class TestAbsorbingStepOracle:
     """The exact complex-step solution against its two closed-form limits
     and the branch of q that makes the step absorb."""
 
-    wp = WavePacket(q=8.0, p=-6.0, sigma=1.0, m=1.0)
+    wp = WavePacket(q=8.0, p=-6.0)
     x = np.linspace(0.005, 30.0, 6000)
 
     def l2(self, values):
@@ -566,7 +545,7 @@ class TestAbsorbingStepOracle:
         )
         gaps = [self.l2(absorbing_step_packet(self.wp, v0, 2.0, self.x) - image)
                 for v0 in (1e6, 1e10, 1e14)]
-        # R(k) = -1 + 2k/q + ..., |q| ~ sqrt(2 m v0): the gap falls as v0^(-1/2)
+        # R(k) = -1 + 2k/q + ..., |q| ~ sqrt(2 v0): the gap falls as v0^(-1/2)
         assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.01)
         assert gaps[1] / gaps[2] == pytest.approx(100.0, rel=0.01)
         assert gaps[2] < 1e-6
@@ -582,8 +561,8 @@ class TestAbsorbingReconstruction:
     must reproduce exact evolution under the complex step potential."""
 
     def test_matches_exact_step_solution(self):
-        wp = WavePacket(q=8.0, p=-6.0, sigma=1.0, m=1.0)
-        v0, tau, m = 2.0, 2.0, 1.0
+        wp = WavePacket(q=8.0, p=-6.0)
+        v0, tau = 2.0, 2.0
         x = np.linspace(-30.0, 30.0, 12001)
         x = x[x > 0]
         reference = absorbing_step_packet(wp, v0, tau, x)
@@ -592,11 +571,11 @@ class TestAbsorbingReconstruction:
         nt = int(round(tau / dt))
         t = np.linspace(0.0, tau, nt + 1)
         deriv = packet_boundary_derivative(wp, t)
-        phi = np.sqrt(m / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
+        phi = np.sqrt(1 / (2 * np.pi)) * ROOT_INV_I * np.ones(nt + 1)
         phi[1:] *= absorbing_envelope(v0, t[1:])
         inner = inner_boundary_convolution(half_power_weights(nt, dt) * phi, deriv)
-        cross = crossing_term(x, tau, inner, t, m, kmax=40.0, dk=0.02,
-                              profile=step_profile(x, tau, m))
+        cross = crossing_term(x, tau, inner, t, kmax=40.0, dk=0.02,
+                              profile=step_profile(x, tau))
         restricted = free_packet(wp, tau, x, spreading=True) - free_packet(
             wp, tau, -x, spreading=True
         )
