@@ -311,13 +311,14 @@ def pdx(m, out, fmt, p_sigma) -> None:
     scan is scale-free), reporting eps and tau in units of m, times --m."""
 
     try:
-        tau, eps_values, *columns = _numerical_guard(wavepacket.delta_norm_scan, p_sigma)
+        _, tau, eps_values, _ = _numerical_guard(wavepacket.scan_geometry, p_sigma)
     except click.UsageError as err:  # the scan's ValueError, from --p-sigma alone
         raise click.BadParameter(err.message, param_hint="'--p-sigma'") from err
     low, high = m * float(eps_values[0]), m * max(float(eps_values[-1]), tau)  # inf, no error
     if not (sys.float_info.min <= low and high <= sys.float_info.max):
         raise click.BadParameter(f"eps and tau in units of m, from {low:.3g} to {high:.3g}, "
                                  "leave the normal floats", param_hint=["--m", "--p-sigma"])
+    tau, eps_values, *columns = _numerical_guard(wavepacket.delta_norm_scan, p_sigma)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": m * tau},
                  ["eps", "E_eps", "predictor", "delta_norm"], (m * eps_values, *columns))
 

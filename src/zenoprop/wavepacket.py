@@ -76,6 +76,7 @@ __all__ = [
     "time_points",
     "time_grid",
     "pdx_delta_psi",
+    "scan_geometry",
     "delta_norm_scan",
 ]
 
@@ -453,25 +454,26 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
 _SCAN_E_EPS = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
 
 
-def _scan_geometry(p_sigma: float) -> tuple[WavePacket, float, np.ndarray, np.ndarray]:
+def scan_geometry(p_sigma: float) -> tuple[WavePacket, float, np.ndarray, np.ndarray]:
     """The pdx scan's packet, from q = -10; its final time tau, past the
     classical crossing; its eps values; and its x window, out to 6 past the
     packet's centre at tau.  An energy that is not finite and positive is a
-    ``NumericalFailure``."""
+    ``NumericalFailure``, and then a finest time grid over the cap a
+    ``ValueError`` (``time_points``), before anything is allocated."""
     wp = WavePacket(q=-10.0, p=p_sigma)
     if not 0 < wp.energy < np.inf:
         raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
     tau = 1.8 * abs(wp.q) / wp.p + 0.8 * wp.zeno_time
-    return wp, tau, _SCAN_E_EPS / wp.energy, np.linspace(0.05, abs(wp.q) + wp.p * tau + 6.0, 400)
+    eps_values = _SCAN_E_EPS / wp.energy
+    time_points(wp, eps_values[0], tau)
+    return wp, tau, eps_values, np.linspace(0.05, abs(wp.q) + wp.p * tau + 6.0, 400)
 
 
 def delta_norm_scan(p_sigma: float):
     """(tau, eps, E eps, predictor, norms) of the pdx scan at ``p_sigma``
-    (``_scan_geometry``): at each eps, the L2 norm of the boundary
-    perturbation over the x window, all from one step profile.  The finest
-    time grid is refused (``time_points``) before anything is allocated."""
-    wp, tau, eps_values, xs = _scan_geometry(p_sigma)
-    time_points(wp, eps_values[0], tau)
+    (``scan_geometry``): at each eps, the L2 norm of the boundary
+    perturbation over the x window, all from one step profile."""
+    wp, tau, eps_values, xs = scan_geometry(p_sigma)
     profile = step_profile(xs, tau)
     norms = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(wp, eps, tau, xs, profile)) ** 2, xs))
              for eps in eps_values]

@@ -320,26 +320,10 @@ def brute_force_walk_probability(cfg: LatticeConfig) -> float:
     return float(ok.sum()) / 2.0**n
 
 
-def full_width_walk_probability(cfg: LatticeConfig) -> float:
-    """The walk DP over all 2 n_steps + 1 sites at every step, allocating a
-    new array per step: the reference for the live-window DP."""
-    n = cfg.n_steps
-    center = n  # site index offset; reachable sites stay within +-n
-    v = np.zeros(2 * n + 1)
-    v[center] = 1.0
-    for step in range(1, n + 1):
-        shifted = np.zeros_like(v)
-        shifted[1:] += 0.5 * v[:-1]
-        shifted[:-1] += 0.5 * v[1:]
-        v = shifted
-        if step < n and step % cfg.steps_per_projection == 0:
-            v[: center + 1] = 0.0
-    return float(v[center])
-
-
 def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
-    """The return probability as an exact fraction: the same DP in integer
-    walk counts, divided by 2**n_steps at the end."""
+    """The return probability as an exact fraction: a DP over the integer
+    walk counts of all 2 n_steps + 1 sites, one step at a time, divided by
+    2**n_steps at the end."""
     n = cfg.n_steps
     counts = np.zeros(2 * n + 1, dtype=object)  # Python ints, no overflow
     counts[n] = 1

@@ -544,6 +544,20 @@ class TestPdxCommand:
         assert len(last) < 200
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--m", "1e-306"], ["--m", "1e308"],
+        # eps from 3.3e-310 at p sigma = 871, a grid just under the cap
+        ["--m", "1e-303", "--p-sigma", "871"],
+    ], ids=["eps-subnormal", "tau-overflows", "m-1e-303-p-sigma-871"])
+    def test_mass_refused_before_the_scan(self, runner, tmp_path, monkeypatch, args):
+        def scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(wavepacket, "pdx_delta_psi", scan)
+        res = runner.invoke(main, ["pdx", *args, "--out", str(tmp_path / "pdx.csv")])
+        assert res.exit_code == 2, result_output(res)
+        assert "Invalid value for '--m' / '--p-sigma': " in res.output.splitlines()[-1]
+
     # the finest pdx time grid has tau / (eps / 4) = 300.8 p sigma steps
     # (tau = 18.8 m sigma / p, eps = 0.125 / E), so this p sigma needs one
     # point more than the cap allows
@@ -563,7 +577,7 @@ class TestPdxCommand:
 
     def test_cap_admits_grid_just_below(self):
         # half a step short of a grid one point over the cap
-        wp, tau, eps_values, _ = wavepacket._scan_geometry(
+        wp, tau, eps_values, _ = wavepacket.scan_geometry(
             (wavepacket.MAX_TIME_POINTS - 1.5) / 300.8)
         assert wavepacket.time_points(wp, eps_values[0], tau) == wavepacket.MAX_TIME_POINTS
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +12,6 @@ from oracles import (
     brute_force_walk_probability,
     catalan_number,
     exact_walk_probability,
-    full_width_walk_probability,
     lattice_envelope,
     unconstrained_return_probability,
 )
@@ -29,15 +27,6 @@ def walks(max_steps: int, r_past_n: int = 0):
     return st.integers(1, max_steps).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, n + r_past_n))
     )
-
-
-@contextmanager
-def counts_dp_only():
-    """Switch the spectral segments off, so every walk runs the counts DP
-    step by step; yields the MonkeyPatch for further patches."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_SPECTRAL_STEPS", lattice.MAX_WALK_STEPS + 1)
-        yield mp
 
 
 # walks of n_steps <= 16 (brute force enumerates 2**n_steps) and 1 <= r <= n_steps
@@ -97,173 +86,105 @@ class TestAgainstBruteForce:
                 )
 
 
-class TestLiveWindow:
-    """The live-window DP against the full-width DP it replaced: the same
-    floating-point operations on every live site, so equal bit for bit.
-    Here and in the two classes below the spectral segments are switched
-    off, so that every walk runs the DP."""
-
-    @pytest.mark.parametrize("r", (4, 16, 64, 256, 1024))
-    def test_bit_identical_at_sweep_levels(self, r):
-        # the benchmark's sweep: 8 intervals at r steps each
-        c = LatticeConfig(8 * r, r)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == full_width_walk_probability(c)
-
-    # brute force stops at 16 steps, before the window edges cut anything
-    # that matters; these walks reach 300 steps and constraints past the end
-    @settings(max_examples=150, deadline=None)
-    @given(walks(300, r_past_n=5))
-    @example((299, 1))
-    @example((300, 1))
-    @example((300, 305))
-    @example((298, 149))
-    def test_bit_identical_random_walks(self, walk):
-        c = LatticeConfig(*walk)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == full_width_walk_probability(c)
-
-
-class TestRescaledCounts:
-    """The counts DP takes 2^-960 out of its counts every 960 steps; each
-    rescale is exact, so the result stays bit-identical to the full-width
-    DP over probabilities."""
-
-    @pytest.mark.parametrize("r", (960, 480, 1280))
-    def test_bit_identical_across_rescales(self, r):
-        # 3,840 steps, four rescales: each on a projection step at r = 960,
-        # with projections between them at r = 480, between projections at
-        # r = 1280
-        c = LatticeConfig(3840, r)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == full_width_walk_probability(c)
-
-    @settings(max_examples=60, deadline=None)
-    @given(walks(300, r_past_n=5), st.integers(1, 9))
-    @example((300, 4), 1)
-    @example((298, 149), 2)
-    def test_bit_identical_with_frequent_rescales(self, walk, every):
-        # a rescale every few steps puts one at every window position
-        c = LatticeConfig(*walk)
-        with counts_dp_only() as mp:
-            mp.setattr(lattice, "_RESCALE_STEPS", every)
-            got = constrained_walk_probability(c)
-        assert got == full_width_walk_probability(c)
-
-    def test_finest_benchmark_walk(self):
-        # the full-width DP's value, recorded when the live window replaced it
-        c = LatticeConfig(32768, 4096)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == float.fromhex("0x1.18919d74e9a40p-11")
-
-    def test_walk_at_the_cap(self):
-        # the probability DP's value at MAX_WALK_STEPS
-        c = LatticeConfig(lattice.MAX_WALK_STEPS, 8192)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == float.fromhex("0x1.9030c2cc5e5cfp-12")
-
-    @pytest.mark.parametrize("r, value", [(127, "0x1.25732e4deb3b2p-19"),
-                                          (4, "0x1.29a23e7a76128p-24")])
-    def test_misaligned_walks_at_the_cap(self, r, value):
-        # projections on steps not divisible by 16, where the window starts
-        # off a cache line at the first site above the projection
-        with counts_dp_only():
-            got = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, r))
-        assert got == float.fromhex(value)
-
-
-class TestTrimmedWindow:
-    """Past about 1,100 steps a walk's tail probabilities fall below the
-    smallest subnormal; the counts DP meets them at its 2^-960 rescales and
-    trims its window to the counts that survive each one, still
-    bit-identical to the full-width DP.  With rescales 960 steps apart the
-    first trim comes at step 1,920, in walks of about 3,500 steps or more."""
-
-    # even step counts (an odd walk returns 0.0 at once), constrained every
-    # r <= n + 5 steps
-    long_walks = st.integers(550, 2000).flatmap(
-        lambda k: st.tuples(st.just(2 * k), st.integers(1, 2 * k + 5))
-    )
-
-    @settings(max_examples=25, deadline=None)
-    @given(long_walks)
-    @example((3840, 960))  # the trim at 1,920 falls on a projection
-    @example((3602, 333))  # 333-step segments and a 39-step one, 960 to 999; trim at 1,920
-    @example((4000, 4005))  # no projection, both tails trimmed
-    @example((4000, 1))  # a projection at every step, the top trimmed
-    def test_bit_identical_long_walks(self, walk):
-        c = LatticeConfig(*walk)
-        with counts_dp_only():
-            assert constrained_walk_probability(c) == full_width_walk_probability(c)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(1100, 2000).flatmap(
-        lambda k: st.tuples(st.just(2 * k), st.integers(1, 2 * k + 5))), st.integers(1, 9))
-    @example((4000, 4005), 1)
-    @example((4000, 7), 3)
-    def test_bit_identical_with_frequent_trims(self, walk, every):
-        # with a rescale every few steps the tails fall below the subnormals
-        # from about step 1,080 on, and walks of 2,200 steps or more trim
-        # their window at hundreds of rescales
-        c = LatticeConfig(*walk)
-        with counts_dp_only() as mp:
-            mp.setattr(lattice, "_RESCALE_STEPS", every)
-            got = constrained_walk_probability(c)
-        assert got == full_width_walk_probability(c)
-
-    def test_unconstrained_walk_at_the_cap(self):
-        # both tails trimmed at every rescale from 1,920 steps on; value
-        # recorded from the untrimmed DP; no entry, dead or live, overflows
-        with counts_dp_only(), np.errstate(over="raise", invalid="raise"):
-            got = constrained_walk_probability(LatticeConfig(65536, 65536))
-            cap = constrained_walk_probability(LatticeConfig(lattice.MAX_WALK_STEPS, 8192))
-        assert got == float.fromhex("0x1.9883ed1c3b5b0p-9")
-        assert cap == float.fromhex("0x1.9030c2cc5e5cfp-12")
-
-
 class TestSpectralSegments:
     """Segments of _SPECTRAL_STEPS or more between checkpoints advance by one
-    product with the binomial kernel's closed-form spectrum; shorter ones,
-    and every walk when they are switched off, run the counts DP."""
+    product with the binomial kernel's closed-form spectrum, shorter ones by
+    the DP's direct convolution with the pmf."""
 
-    # even step counts, constrained every r >= 128 steps, r <= n + 5
-    spectral_walks = st.integers(64, 600).flatmap(
-        lambda k: st.tuples(st.just(2 * k), st.integers(128, 2 * k + 5))
-    )
-
-    @settings(max_examples=40, deadline=None)
-    @given(spectral_walks)
-    @example((1200, 128))  # nine spectral segments, then a 48-step DP tail
+    @settings(max_examples=60, deadline=None)
+    @given(walks(300, r_past_n=5))
+    @example((1200, 128))  # nine spectral segments, then a 48-step direct one
     @example((1200, 1205))  # one segment, no projection
-    @example((1000, 300))  # the DP tail from step 900 crosses step 960
+    @example((1000, 300))  # three spectral segments, then a 100-step direct one
     @example((256, 128))
     @example((258, 129))  # odd segments
+    @example((3840, 960))  # four spectral segments
+    @example((3602, 333))  # 333-step segments and a 272-step one
+    @example((4000, 4005))  # no projection
+    @example((4000, 1))  # a projection at every step; tails below 2^-128 trimmed
+    @example((4000, 7))
     def test_against_exact_counts(self, walk):
         c = LatticeConfig(*walk)
         exact = exact_walk_probability(c)
         got = Fraction(constrained_walk_probability(c))
         assert abs(got - exact) <= exact * Fraction(2e-15)  # measured at most 7e-16
 
+    @pytest.mark.parametrize("walk, value", [
+        pytest.param((n, r), value, id=f"{n}-{r}") for (n, r), value in [
+            # values of the counts DP that this walk replaced, themselves
+            # rounded by up to n 2^-53; measured within 6.6e-15 (at 127
+            # steps per interval)
+            ((32768, 4096), "0x1.18919d74e9a40p-11"),
+            ((65536, 8192), "0x1.9030c2cc5e5cfp-12"),
+            ((65536, 65536), "0x1.9883ed1c3b5b0p-9"),
+            ((65536, 127), "0x1.25732e4deb3b2p-19"),
+            ((65536, 4), "0x1.29a23e7a76128p-24"),
+            # values of a DP in 80-bit long doubles, one halving step at a
+            # time; measured within 6.2e-15 and 4.3e-15.  A pmf of 64 or 80
+            # steps rounded to doubles misses by 1.4e-14 to 3.3e-14, as each
+            # of the 1,024 or 820 segments takes the same rounding of its mass
+            ((65536, 64), "0x1.3b095f14e9fd5p-19"),
+            ((65536, 80), "0x1.f81a98b3bf2a3p-20"),
+        ]
+    ])
+    def test_recorded_long_walks(self, walk, value):
+        # no entry overflows or turns invalid on the way
+        with np.errstate(over="raise", invalid="raise"):
+            got = constrained_walk_probability(LatticeConfig(*walk))
+        assert got == pytest.approx(float.fromhex(value), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("walk", [
-        (32768, 4096), (65536, 8192), (65536, 65536),
-        # a 32-step DP tail after 31 spectral segments, and a 100-step one
-        # after three, which crosses step 960 with no rescale due
-        (4000, 128), (1000, 300),
+        # eight 4,096-step segments, each 78 direct parts when forced, a
+        # 32-step direct segment after 31 spectral ones, a 100-step one
+        # after three, and one 1,200-step segment with no projection
+        (32768, 4096), (4000, 128), (1000, 300), (1200, 1205),
     ], ids=lambda w: f"{w[0]}-{w[1]}")
     def test_against_the_dp(self, walk):
+        # the DP with every segment a direct convolution; measured within
+        # 2.0e-15 (at 32,768 steps)
         c = LatticeConfig(*walk)
-        with counts_dp_only():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_SPECTRAL_STEPS", lattice.MAX_WALK_STEPS + 1)
             dp = constrained_walk_probability(c)
         assert constrained_walk_probability(c) == pytest.approx(dp, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "walk", [(4000, 127), (3602, 111), (65536, 127)], ids=lambda w: f"{w[0]}-{w[1]}"
     )
-    def test_short_segments_stay_on_the_dp(self, walk):
-        c = LatticeConfig(*walk)
-        with counts_dp_only():
-            dp = constrained_walk_probability(c)
-        assert constrained_walk_probability(c) == dp
+    def test_short_segments_stay_on_the_dp(self, walk, monkeypatch):
+        def refuse(steps, length):
+            raise AssertionError(f"a {steps}-step segment took the spectral product")
+
+        monkeypatch.setattr(lattice, "_binomial_spectrum", refuse)
+        assert constrained_walk_probability(LatticeConfig(*walk)) > 0
+
+    @pytest.mark.parametrize("walk, segments", [
+        pytest.param(walk, segments, id=f"{walk[0]}-{walk[1]}") for walk, segments in [
+            ((258, 129), [129, 129]), ((1000, 300), [300, 300, 300]), ((1200, 1205), [1200]),
+        ]
+    ])
+    def test_long_segments_take_the_spectral_product(self, walk, segments, monkeypatch):
+        spectrum, seen = lattice._binomial_spectrum, []
+
+        def record(steps, length):
+            seen.append(steps)
+            return spectrum(steps, length)
+
+        monkeypatch.setattr(lattice, "_binomial_spectrum", record)
+        constrained_walk_probability(LatticeConfig(*walk))
+        assert seen == segments
+
+    def test_long_walk_memory(self):
+        # the window keeps the entries down to 2^-128 only, about 1,600 at
+        # 65,536 steps, not the 32,769 that the walk can reach
+        walk = LatticeConfig(65536, 16)
+        tracemalloc.start()
+        try:
+            constrained_walk_probability(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1e6  # measured 0.027 MB
 
     def test_sweep_memory(self):
         # the benchmark's sweep, after a first call has imported numpy.fft
@@ -275,7 +196,7 @@ class TestSpectralSegments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.4e6  # measured 0.34 MB; 0.27 MB on the DP alone
+        assert peak <= 0.4e6  # measured 0.063 MB
 
 
 class TestBinomialSpectrum:

@@ -24,7 +24,6 @@ from zenoprop.exact import absorbing_envelope
 from zenoprop.sawtooth import calibrate_absorption, sawtooth_envelope, trough_value
 from zenoprop.wavepacket import (
     WavePacket,
-    _scan_geometry,
     _trig_sum,
     _weighted_delta_g,
     crossing_term,
@@ -32,6 +31,7 @@ from zenoprop.wavepacket import (
     inner_boundary_convolution,
     packet_boundary_derivative,
     pdx_delta_psi,
+    scan_geometry,
     stationary_delta_g,
     step_profile,
     suppression_exponent,
@@ -138,7 +138,7 @@ class TestBoundaryDerivative:
         # the default pdx scan's finest time grid: one reciprocal 1/A and the
         # factors multiplied in place into three complex arrays, 0.172 MB
         # (0.69 MB at the 12,033 points of a step of eps/16)
-        wp, tau, eps_values, _ = _scan_geometry(10.0)
+        wp, tau, eps_values, _ = scan_geometry(10.0)
         t = np.maximum(time_grid(wp, eps_values[0], tau)[0], 0.0)
         assert len(t) == 3_009
         assert traced_peak(packet_boundary_derivative, wp, t) < 0.175e6
@@ -336,7 +336,7 @@ class TestPdxDeltaPsi:
         # past the convolution, and the crossing term's momenta at k > 0
         # only, 0.684 MB (1.61 MB at the 12,033 points of a step of eps/16),
         # after a first call has imported numpy.fft (0.12 MB more)
-        wp, tau, eps_values, xs = _scan_geometry(10.0)
+        wp, tau, eps_values, xs = scan_geometry(10.0)
         profile = step_profile(xs, tau)
         assert time_points(wp, eps_values[0], tau) == 3_009
         pdx_delta_psi(wp, eps_values[0], tau, xs, profile)
@@ -349,7 +349,7 @@ class TestPdxDeltaPsi:
     def test_scan_profile_is_bit_exact(self):
         # one step profile for the whole scan gives the same bits as a
         # profile built afresh for every eps
-        wp, tau, eps_values, xs = _scan_geometry(10.0)
+        wp, tau, eps_values, xs = scan_geometry(10.0)
         norms = delta_norm_scan(10.0)[-1]
         fresh = [np.sqrt(np.trapezoid(
             np.abs(pdx_delta_psi(wp, eps, tau, xs, step_profile(xs, tau))) ** 2, xs))
@@ -363,7 +363,7 @@ class TestPdxDeltaPsi:
         # tau - t[0] accounts for that stretch of the crossing term exactly.
         # delta_norm moves by 1.3e-7 relative at p sigma = 3 and 1.1e-13 at
         # 10 (delta psi itself by 4.8e-4 and 4.3e-7)
-        wp, tau, eps_values, xs = _scan_geometry(p_sigma)
+        wp, tau, eps_values, xs = scan_geometry(p_sigma)
         norms = delta_norm_scan(p_sigma)[-1]
         exact = [np.sqrt(np.trapezoid(np.abs(pdx_delta_psi(
             wp, eps, tau, xs, step_profile(xs, tau - time_grid(wp, eps, tau)[0][0])))
@@ -457,7 +457,7 @@ class TestCrossingTermOracle:
     """The NUFFT crossing term against the dense phase-matrix sums, on every
     fourth point of the pdx x window at the default p sigma."""
 
-    xs = _scan_geometry(10.0)[3][::4]
+    xs = scan_geometry(10.0)[3][::4]
 
     @pytest.mark.parametrize(
         "nt, kmax",
