@@ -109,6 +109,25 @@ class TestSpectralSegments:
         got = Fraction(constrained_walk_probability(c))
         assert abs(got - exact) <= exact * Fraction(2e-15)  # measured at most 7e-16
 
+    # long walks, even step counts from 1,100 to 3,000, constrained every
+    # r <= n + 5 steps
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(550, 1500).flatmap(
+        lambda k: st.tuples(st.just(2 * k), st.integers(1, 2 * k + 5))))
+    def test_long_walks_against_exact_counts(self, walk):
+        c = LatticeConfig(*walk)
+        exact = exact_walk_probability(c)
+        got = Fraction(constrained_walk_probability(c))
+        assert abs(got - exact) <= exact * Fraction(2e-15)
+
+    def test_one_segment_at_the_cap(self):
+        # no projection: the central binomial term C(n, n/2) 2^-n, one
+        # spectral product; measured within 3.3e-16
+        n = lattice.MAX_WALK_STEPS
+        exact = Fraction(comb(n, n // 2), 2**n)
+        got = Fraction(constrained_walk_probability(LatticeConfig(n, n)))
+        assert abs(got - exact) <= exact * Fraction(2e-15)
+
     @pytest.mark.parametrize("walk, value", [
         pytest.param((n, r), value, id=f"{n}-{r}") for (n, r), value in [
             # values of the counts DP that this walk replaced, themselves
@@ -134,14 +153,15 @@ class TestSpectralSegments:
         assert got == pytest.approx(float.fromhex(value), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("walk", [
-        # eight 4,096-step segments, each 78 direct parts when forced, a
-        # 32-step direct segment after 31 spectral ones, a 100-step one
-        # after three, and one 1,200-step segment with no projection
-        (32768, 4096), (4000, 128), (1000, 300), (1200, 1205),
+        # eight 4,096-step segments, each 78 direct parts when forced, and
+        # eight 8,192-step ones at the cap, a 32-step direct segment after
+        # 31 spectral ones, a 100-step one after three, and one 1,200-step
+        # segment with no projection
+        (32768, 4096), (65536, 8192), (4000, 128), (1000, 300), (1200, 1205),
     ], ids=lambda w: f"{w[0]}-{w[1]}")
     def test_against_the_dp(self, walk):
         # the DP with every segment a direct convolution; measured within
-        # 2.0e-15 (at 32,768 steps)
+        # 2.0e-15 at 32,768 steps and 7.4e-15 at 65,536
         c = LatticeConfig(*walk)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "_SPECTRAL_STEPS", lattice.MAX_WALK_STEPS + 1)
