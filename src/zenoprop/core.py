@@ -41,12 +41,6 @@ class Grid1D:
     x_max: float
     n_points: int
 
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.x_max > 0:
-            raise ValueError("x_max must be positive")
-
     @property
     def spacing(self) -> float:
         return self.x_max / (self.n_points - 1)
@@ -91,8 +85,9 @@ def pow2_at_least(n: int) -> int:
 def five_smooth_at_least(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, for any integer n, never above
     ``pow2_at_least(n)``: the transform length of the slice recursion's
-    boundary samples and of the wave-packet convolution and non-uniform
-    FFT, which pocketfft runs about as fast per point as a power of two."""
+    boundary samples, the lattice walk's spectral segments and the
+    wave-packet convolution and non-uniform FFT, which pocketfft runs about
+    as fast per point as a power of two."""
     n = operator.index(n)
     best = pow2_at_least(n)
     odd5 = 1
@@ -149,21 +144,9 @@ def half_power_weights(n_panels: int, dt: float) -> np.ndarray:
 
 @dataclass
 class BoundaryCurve:
-    """Sampled curve of boundary data: times, values, and an optional side
-    marker per sample ('-' left limit, '+' right limit, '' interior)."""
+    """Sampled curve of boundary data: times, values, and a side marker per
+    sample ('-' left limit, '+' right limit, '' interior)."""
 
     times: np.ndarray
     values: np.ndarray
-    sides: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values)
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if self.sides is not None:
-            self.sides = np.asarray(self.sides)
-            if len(self.sides) != len(self.times):
-                raise ValueError("sides must match times in length")
-        if len(self.times) > 1 and np.any(np.diff(self.times) < 0):
-            raise ValueError("times must be non-decreasing")
+    sides: np.ndarray

@@ -44,17 +44,16 @@ grid.  The transforms run in a fixed order, so results are deterministic,
 and agree with a direct sum over the kernel cut at kernel_span widths to
 ~1e-15 of the slice maximum (negative roundoff tails are clipped to zero,
 since the exact slice is non-negative).  The boundary
-samples need only F(n + u, 0), the same kernel applied at the origin alone:
-the recursion advances every slice first, keeping each only out to the
-widest kernel's reach, and then takes the samples of all intervals in one
-call (``boundary_amplitude``), which transforms each weighted slice once
-and sums its spectrum times the kernel's, exp(-(u eps / 2m) k^2), out to
-kernel_span widths of that spectrum, for a block of consecutive offsets
-and a chunk of slices at a time.  On the free interval 0 < s <= 1 the
-slice is the heat kernel itself and the envelope is exactly one, so only
-the slice at s = 1 is built.  Samples at offsets whose kernels span fewer than four
-spacings are refused; the recursion's own narrowest step, eps /
-samples_per_interval, spans at least 16.
+samples need only F(n + u, 0) at the run's offsets u = j /
+samples_per_interval, 0 < j < samples_per_interval, the same kernel
+applied at the origin alone: the recursion advances every slice first,
+keeping each only out to the widest kernel's reach, and then takes the
+samples of all intervals in one call (``boundary_amplitude``), which
+transforms each weighted slice once and sums its spectrum times the
+kernel's, exp(-(u eps / 2m) k^2), out to kernel_span widths of that
+spectrum, for a block of consecutive offsets and a chunk of slices at a
+time.  On the free interval 0 < s <= 1 the slice is the heat kernel itself
+and the envelope is exactly one, so only the slice at s = 1 is built.
 
 One-sided limits at the projection instants: the left limit is the ordinary
 sample at the end of an interval; the right limit is the exact coincidence
@@ -94,13 +93,6 @@ class EuclideanSlice:
     values: np.ndarray
 
 
-# Fewest grid spacings the narrowest heat kernel may span.  With n_max = 3
-# and 16 samples per interval the peak error is 8.2e-12 at 16 spacings (the
-# default), 3.1e-8 at 4, 1.5e-6 at 2 and 2.2e-3 at 0.6; the error against
-# the closed forms is 6.6e-10, 8.2e-6, 4.2e-4 and 6.6e-2 (the plain
-# trapezoid: 4.4e-4 and 1.9e-4 at 4 spacings).
-MIN_KERNEL_SPACINGS = 4
-
 # Gregory's end corrections: the trapezoid weights of the first five nodes
 # times these factors cancel the h^2 and h^4 Euler-Maclaurin terms of the
 # y = 0 end, leaving an O(h^6) error, and the weights stay positive.
@@ -116,9 +108,9 @@ _SUM_ENTRIES = 2**14
 # Most work a run may take (``predicted_work``), in units of about one
 # nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, 2,518
 # projections at 16 samples per interval, where the advances dominate, and
-# one projection at 124,008, where the table rows do, took 1.1-4.3 s and at
-# most 128 MB of peak RSS there, as CSV or JSON; the benchmark's shapes
-# predict 2.1e7 (fp20) and 6.7e8 (fp3_dense).
+# one projection at 124,737, where the table rows do, took 0.8-3.5 s and at
+# most 129 MiB of peak RSS there, as CSV or JSON; the benchmark's shapes
+# predict 2.1e7 (fp20) and 6.6e8 (fp3_dense).
 MAX_WORK = 10**10
 
 
@@ -132,7 +124,10 @@ class RecursionConfig:
     ``h = 1 / (16 sqrt(max(samples_per_interval, 16)))`` thermal widths
     sqrt(eps/m).  The spacing is tied to the narrowest kernel, of width
     sqrt(1 / samples_per_interval), which spans 16 spacings (more below 16
-    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.  The
+    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.
+    With n_max = 3 and 16 samples per interval the peak error is 8.2e-12 at
+    16 spacings, 3.1e-8 at 4, 1.5e-6 at 2 and 2.2e-3 at 0.6, and the error
+    against the closed forms 6.6e-10, 8.2e-6, 4.2e-4 and 6.6e-2.  The
     Gaussian tails beyond x_max are below 1e-20.  So every grid has at least
     907 points, and the widest kernel, a step of one interval, ends at least
     266 points short of the grid's far end."""
@@ -179,37 +174,15 @@ class RecursionConfig:
 def predicted_work(cfg: RecursionConfig) -> float:
     """Work of ``run_recursion(cfg)`` and of writing its table, from the
     config alone, in units of about one nanosecond: each of the n_max
-    advances counts 80 per point of its FFT length; the boundary samples
-    (``boundary_amplitude``) 10 per point of the n_max rows they transform
-    and 5 + 2 n_max per mode that their blocks of offsets sum, padding
-    included (``_padded_modes``): 5 to form its decay and 2 for each row's
-    product and sum; and each row of the envelope curve 40,000.  A row
-    written as JSON takes about 18 us but also 1.1 KB, and its weight holds
-    a table at the cap to 250,000 rows.  Nothing is allocated."""
+    advances counts 80 per point of its FFT length, and each row of the
+    envelope curve 40,000.  A row written as JSON takes about 18 us but also
+    1.1 KB, and its weight holds a table at the cap to 250,000 rows.  The
+    boundary samples are not counted: a term for them came to at most 3.3%
+    of the prediction at accepted sizes, well inside the rows' weight, over
+    ten times a row's cost as CSV.  Nothing is allocated."""
     spi = cfg.samples_per_interval
-    # the boundary samples' transform length, set by the widest kernel's reach
-    reach = _taps(cfg, (spi - 1) / spi * cfg.eps) + 1
-    length = five_smooth_at_least(2 * reach - 1)
-    sampling = 10.0 * cfg.n_max * length + (5.0 + 2.0 * cfg.n_max) * _padded_modes(cfg, length)
     rows = spi + cfg.n_max * (spi + 1)
-    return 80.0 * cfg.n_max * _advance_length(cfg) + sampling + 40_000.0 * rows
-
-
-def _padded_modes(cfg: RecursionConfig, length: int) -> float:
-    """Bound on the modes per row that ``boundary_amplitude`` sums at
-    ``run_recursion``'s offsets u = j / spi on a transform of ``length``,
-    padding included.  Offset u has J_u = a / sqrt(u) modes, a =
-    kernel_span sqrt(m / eps) L h / 2 pi, and sum_j sqrt(spi / j) < 2 spi,
-    so the modes themselves are fewer than 2 a spi.  A block pads its w
-    offsets to its first one's J_b modes, w <= _SUM_ENTRIES / J_b, so it
-    sums at most w (J_b - J_b') more than their own modes, J_b' the next
-    block's first (or the last offset's): at most _SUM_ENTRIES ln(J_b /
-    J_b'), and over all blocks _SUM_ENTRIES ln(J_{1/spi} / J_1), about
-    _SUM_ENTRIES ln(spi) / 2.  No block sums more than the first offset's
-    modes, a sqrt(spi), at each of the spi - 1 offsets."""
-    spi = cfg.samples_per_interval
-    a = cfg.kernel_span * math.sqrt(cfg.m / cfg.eps) * length * cfg.grid.spacing / (2 * math.pi)
-    return min((spi - 1) * a * math.sqrt(spi), 2 * a * spi + _SUM_ENTRIES * math.log(spi) / 2)
+    return 80.0 * cfg.n_max * _advance_length(cfg) + 40_000.0 * rows
 
 
 def initial_slice(cfg: RecursionConfig) -> EuclideanSlice:
@@ -261,10 +234,10 @@ def advance_slice(prev: EuclideanSlice, cfg: RecursionConfig, s_next: float) -> 
     return EuclideanSlice(s_next, np.maximum(np.fft.irfft(spectrum, length)[:n], 0.0))
 
 
-def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
-    """F(n + u, 0), one row per slice taken at a projection, s = n, and one
-    column per offset in ``u``, a non-empty ascending 1-D array in (0, 1],
-    without forming the advanced slices.
+def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
+    """F(n + u, 0) at the run's offsets u = j / samples_per_interval, 0 < j
+    < samples_per_interval: one row per slice taken at a projection, s = n,
+    and one column per offset, without forming the advanced slices.
 
     ``values`` holds one slice per row on the first points of the grid, out
     to at least the widest kernel's reach R (the whole grid will do).  Each
@@ -285,28 +258,12 @@ def boundary_amplitude(values, cfg: RecursionConfig, u) -> np.ndarray:
     a chunk at a time: each block's decay factors, each chunk's product
     with them and each chunk's transform take ``_SUM_ENTRIES`` entries or
     fewer, or one offset's or one row's where that alone is more.  The
-    blocks depend on ``u`` and ``cfg`` alone, and each sample is one row's
-    sum, so a row gives the same bits alone as in a batch.  Raises
-    ``ValueError`` for offsets outside (0, 1] or of another shape or order,
-    a row shorter than the widest kernel's reach, or a kernel spanning
-    fewer than ``MIN_KERNEL_SPACINGS`` spacings, which the quadrature does
-    not resolve."""
+    blocks depend on ``cfg`` alone, and each sample is one row's sum, so a
+    row gives the same bits alone as in a batch.  Rows shorter than R
+    would give wrong samples and raise ``ValueError``."""
     values = np.asarray(values, dtype=float)
-    u = np.asarray(u, dtype=float)
-    outside = ~((0 < u) & (u <= 1))
-    if outside.any():
-        raise ValueError(f"offsets must lie in (0, 1], got {u[outside].flat[0]}")
-    if values.ndim != 2 or values.shape[1] > cfg.grid.n_points:
-        raise ValueError("slice values must be rows on the first points of the grid")
-    if u.ndim != 1 or not u.size or np.any(u[1:] < u[:-1]):
-        raise ValueError("offsets must be a non-empty ascending 1-D array")
-    dt = u * cfg.eps
+    dt = np.arange(1, cfg.samples_per_interval) / cfg.samples_per_interval * cfg.eps
     h = cfg.grid.spacing
-    if np.sqrt(dt[0] / cfg.m) < MIN_KERNEL_SPACINGS * h:
-        raise ValueError(
-            f"a step of {dt[0] / cfg.eps:.3g} eps has a kernel narrower than "
-            f"{MIN_KERNEL_SPACINGS} grid spacings of {h:.3g}"
-        )
     reach = _taps(cfg, dt[-1]) + 1
     if values.shape[1] < reach:
         raise ValueError(
@@ -369,7 +326,7 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
         prefixes[n - 1] = prev.values[:reach]
         prev = advance_slice(prev, cfg, float(n + 1))
         origins[n - 1] = prev.values[0]
-    amplitude = boundary_amplitude(prefixes, cfg, interior)
+    amplitude = boundary_amplitude(prefixes, cfg)
     s = np.arange(cfg.n_max + 1)[:, None] + np.concatenate(([0.0], interior, [1.0]))
     times = s * cfg.eps
     envelope = np.ones_like(times)

@@ -322,16 +322,20 @@ def brute_force_walk_probability(cfg: LatticeConfig) -> float:
 
 def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
     """The return probability as an exact fraction: a DP over the integer
-    walk counts of all 2 n_steps + 1 sites, one step at a time, divided by
-    2**n_steps at the end."""
+    walk counts, one step at a time, divided by 2**n_steps at the end.  It
+    keeps only the sites that can still return to the origin, |x| <= the
+    steps left, and after a projection only those above it: ``counts[i]``
+    holds the walks at site lo + i."""
     n = cfg.n_steps
-    counts = np.zeros(2 * n + 1, dtype=object)  # Python ints, no overflow
-    counts[n] = 1
+    lo, counts = 0, np.ones(1, dtype=object)  # Python ints, no overflow
     for step in range(1, n + 1):
-        counts = np.concatenate(([0], counts[:-1])) + np.concatenate((counts[1:], [0]))
+        counts = np.concatenate((counts, [0, 0])) + np.concatenate(([0, 0], counts))
+        lo -= 1
+        keep_lo, keep_hi = max(lo, step - n), min(lo + len(counts) - 1, n - step)
         if step < n and step % cfg.steps_per_projection == 0:
-            counts[: n + 1] = 0
-    return Fraction(int(counts[n]), 2**n)
+            keep_lo = max(keep_lo, 1)
+        counts, lo = counts[keep_lo - lo : keep_hi - lo + 1], keep_lo
+    return Fraction(int(counts.sum()), 2**n)
 
 
 def lattice_envelope(t: float, eps: float, m: float = 1.0,
@@ -374,17 +378,14 @@ def catalan_number(k: int) -> int:
 def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     """Right limit of the envelope just after the projection at the integer
     s of the pre-projection slice ``prev``, without the coincidence formula:
-    the envelope at rescaled-time offsets ``offset`` and ``offset / 4``
-    past the projection, extrapolated in sqrt(offset), the order of the
-    leading correction.  The quadrature resolves the kernels of those
-    offsets only on fine grids: at spacing 1/1024 sqrt(eps/m) the trough
-    error is about 6e-6 (``conftest.fine_config``), at the default spacing
-    ``boundary_amplitude`` refuses them."""
-    d = np.array([offset / 4, offset])
-    s = prev.s + d
-    near, far = boundary_amplitude([prev.values], cfg, d)[0] / heat_kernel(
-        cfg.m, s * cfg.eps, 0.0, 0.0
-    )
+    the envelope at rescaled-time offsets ``offset / 4`` and ``offset``
+    past the projection (``direct_boundary_amplitude``), extrapolated in
+    sqrt(offset), the order of the leading correction.  The quadrature
+    resolves the kernels of those offsets only on fine grids: at spacing
+    1/1024 sqrt(eps/m) (``conftest.fine_config``) the trough error is about
+    6e-6, and the kernel of 1e-4 / 4 spans five spacings."""
+    near, far = (direct_boundary_amplitude(prev, cfg, d) / heat_kernel(
+        cfg.m, (prev.s + d) * cfg.eps, 0.0, 0.0) for d in (offset / 4, offset))
     return 2.0 * near - far
 
 
@@ -425,13 +426,6 @@ def direct_boundary_amplitude(prev, cfg, u: float) -> float:
     return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
 
 
-def interval_boundary_amplitude(prev, cfg, s_next: np.ndarray) -> np.ndarray:
-    """F(s_next, 0) from the one slice at integer s = n for ascending s_next
-    in (n, n+1]: the boundary samples as they were taken one interval at a
-    time, at offsets s_next - n."""
-    return boundary_amplitude([prev.values], cfg, s_next - prev.s)[0]
-
-
 def interval_by_interval_recursion(cfg) -> BoundaryCurve:
     """The envelope curve of ``run_recursion`` with each interval's boundary
     samples taken from its slice before the next advance: the reference for
@@ -444,7 +438,8 @@ def interval_by_interval_recursion(cfg) -> BoundaryCurve:
     prev = initial_slice(cfg)
     for n in range(1, cfg.n_max + 1):
         s = n + interior
-        inner = interval_boundary_amplitude(prev, cfg, s) / heat_kernel(
+        # this interval's samples, from its slice alone
+        inner = boundary_amplitude([prev.values], cfg)[0] / heat_kernel(
             cfg.m, s * cfg.eps, 0.0, 0.0
         )
         prev = advance_slice(prev, cfg, float(n + 1))

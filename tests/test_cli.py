@@ -330,7 +330,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["fp", "compare"])
     @pytest.mark.parametrize("args", [
         ["--n-max", "2519"],
-        ["--n-max", "1", "--samples-per-interval", "124009"],
+        ["--n-max", "1", "--samples-per-interval", "124738"],
         ["--n-max", "1" + "0" * 40],
         ["--samples-per-interval", "1" + "0" * 400],
         ["--n-max", "1" + "0" * 399, "--samples-per-interval", "1" + "0" * 399],

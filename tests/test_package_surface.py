@@ -7,6 +7,7 @@ declared in ``pyproject.toml``.  The slice grid is built in one place,
 package."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -15,11 +16,15 @@ from types import ModuleType
 import pytest
 
 import zenoprop
-from perfbench.spans import LAYERS
+from perfbench.spans import LAYERS, PACKAGE_MODULES
 
 
 def exported_names() -> set[str]:
-    """The package's public names and each submodule's ``__all__``."""
+    """The package's public names and each submodule's ``__all__``, with
+    every submodule imported first, so that the names do not depend on
+    which tests ran before."""
+    for module in PACKAGE_MODULES:
+        importlib.import_module(f"zenoprop.{module}")
     names = set()
     for name, value in vars(zenoprop).items():
         if isinstance(value, ModuleType):

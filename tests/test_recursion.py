@@ -45,11 +45,17 @@ def assert_matches_direct(prev, cfg):
     assert got[0] == pytest.approx(want[0], rel=1e-14), prev.s
 
 
-def offset_blocks(cfg, u):
-    """The modes J_u and the [start, stop) index ranges of the blocks of
-    consecutive offsets that ``boundary_amplitude`` sums at the ascending
-    offsets u: each block sums its first offset's J modes for
-    _SUM_ENTRIES // J offsets."""
+def run_offsets(cfg):
+    """The offsets u = j / samples_per_interval, 0 < j < samples_per_interval,
+    at which ``boundary_amplitude`` samples each interval."""
+    return np.arange(1, cfg.samples_per_interval) / cfg.samples_per_interval
+
+
+def offset_blocks(cfg):
+    """The [start, stop) index ranges of the blocks of consecutive offsets
+    that ``boundary_amplitude`` sums at the run's offsets u: each block
+    sums its first offset's J_u modes for _SUM_ENTRIES // J_u offsets."""
+    u = run_offsets(cfg)
     reach = recursion._taps(cfg, u[-1] * cfg.eps) + 1
     length = five_smooth_at_least(2 * reach - 1)
     dk = 2 * np.pi / (length * cfg.grid.spacing)
@@ -59,7 +65,7 @@ def offset_blocks(cfg, u):
         stop = min(start + max(1, recursion._SUM_ENTRIES // modes[start]), len(u))
         blocks.append((start, stop))
         start = stop
-    return modes, blocks
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -151,23 +157,24 @@ class TestConfig:
     @given(st.integers(1, 2000), st.integers(2, 50_000))
     @example(1, 2)        # the smallest grid, 907 points
     @example(1, 16)
-    @example(1, 124_008)  # the largest accepted sizes
+    @example(1, 124_737)  # the largest accepted sizes
     @example(2518, 16)
     def test_derived_grids_need_no_refusal(self, n_max, spi):
-        # every accepted config resolves its narrowest kernel by at least
-        # MIN_KERNEL_SPACINGS spacings, and its widest kernel, a step of one
-        # interval, ends inside the grid, so no kernel needs cutting there
+        # every accepted config resolves its narrowest kernel by at least 16
+        # spacings (exactly 16, to roundoff, from 16 samples per interval
+        # on), and its widest kernel, a step of one interval, ends inside
+        # the grid, so no kernel needs cutting there
         try:
             cfg = RecursionConfig(n_max, spi)
         except ValueError as err:
             assert "MAX_WORK" in str(err)
             assume(False)
-        assert np.sqrt(1 / spi) >= recursion.MIN_KERNEL_SPACINGS * cfg.grid.spacing
+        assert np.sqrt(1 / spi) / cfg.grid.spacing >= 16 * (1 - 1e-12)
         assert recursion._taps(cfg, 1.0) + 1 < cfg.grid.n_points
         # the boundary samples sum the spectrum of their narrowest kernel,
         # u = 1 / spi, out to J = kernel_span sqrt(spi) / dk modes,
         # dk = 2 pi / (L h), on the transform of length L that the widest
-        # kernel's reach sets: a kernel of MIN_KERNEL_SPACINGS spacings or more
+        # kernel's reach sets: a kernel of four spacings or more (16 here)
         # keeps J <= 10 L / (8 pi), inside the rfft's L / 2 + 1 modes
         reach = recursion._taps(cfg, (spi - 1) / spi) + 1
         length = five_smooth_at_least(2 * reach - 1)
@@ -175,11 +182,6 @@ class TestConfig:
         modes = int(np.floor(cfg.kernel_span * np.sqrt(spi) / dk))
         assert modes <= 10 * length / (8 * np.pi)
         assert modes <= length // 2 - 1
-        # predicted_work counts at least the modes that the blocks of the
-        # run's offsets sum, zero padding included
-        sampled, blocks = offset_blocks(cfg, np.arange(1, spi) / spi)
-        padded = sum((stop - start) * sampled[start] for start, stop in blocks)
-        assert padded <= recursion._padded_modes(cfg, length)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 20), st.integers(60, 3000), st.integers(2, 12),
@@ -187,16 +189,15 @@ class TestConfig:
     def test_rows_alone_and_in_a_batch(self, n_max, spi, rows, seed):
         # wherever the run's offsets span two or more blocks, every row of a
         # batch of positive rows gives the bits it gives alone: the blocks
-        # and the order of each sample's sum depend on the offsets and the
-        # config alone, not on the number of rows
+        # and the order of each sample's sum depend on the config alone, not
+        # on the number of rows
         cfg = RecursionConfig(n_max, spi)
-        u = np.arange(1, spi) / spi
-        assume(len(offset_blocks(cfg, u)[1]) >= 2)
-        reach = recursion._taps(cfg, u[-1] * cfg.eps) + 1
+        assume(len(offset_blocks(cfg)) >= 2)
+        reach = recursion._taps(cfg, run_offsets(cfg)[-1] * cfg.eps) + 1
         values = np.random.default_rng(seed).random((rows, reach))
-        batch = boundary_amplitude(values, cfg, u)
+        batch = boundary_amplitude(values, cfg)
         for row, got in zip(values, batch):
-            assert np.array_equal(got, boundary_amplitude([row], cfg, u)[0])
+            assert np.array_equal(got, boundary_amplitude([row], cfg)[0])
 
 
 class TestWorkCap:
@@ -204,11 +205,11 @@ class TestWorkCap:
     exceeds MAX_WORK."""
 
     # 2,518 projections at 16 samples per interval advance over FFTs of
-    # length 32,768 and 2,519 over 65,536; one projection takes 124,008
-    # samples per interval but not 124,009
+    # length 32,768 and 2,519 over 65,536; one projection takes 124,737
+    # samples per interval but not 124,738
     @pytest.mark.parametrize("n_max, spi, grown", [
         (2518, 16, (2519, 16)),
-        (1, 124_008, (1, 124_009)),
+        (1, 124_737, (1, 124_738)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
         assert recursion.predicted_work(RecursionConfig(n_max, spi)) <= recursion.MAX_WORK
@@ -249,22 +250,23 @@ class TestInitialSlice:
 
 class TestAdvance:
     def test_one_projection_constant_half(self, small_cfg):
+        # at every run offset j / 256 of the interval after one projection
         prev = initial_slice(small_cfg)
-        u = np.array([0.25, 0.5, 0.99])
-        amp = boundary_amplitude([prev.values], small_cfg, u)[0]
+        u = run_offsets(small_cfg)
+        amp = boundary_amplitude([prev.values], small_cfg)[0]
         env = amp / heat_kernel(small_cfg.m, (1 + u) * small_cfg.eps, 0.0, 0.0)
         assert_allclose(env, 0.5, atol=1e-4)
 
     def test_two_projection_arctan_curve(self, small_cfg):
+        # at every run offset j / 256 after two projections, and at the peak
         prev = initial_slice(small_cfg)
         prev = advance_slice(prev, small_cfg, 2.0)
-        for s in (2.2, 2.5, 2.8, 3.0):
-            amp = boundary_amplitude([prev.values], small_cfg, [s - 2])[0, 0] if s < 3 else (
-                advance_slice(prev, small_cfg, s).values[0]
-            )
-            env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
-            want = projected_envelope_exact(small_cfg.eps, s * small_cfg.eps, 2)
-            assert env == pytest.approx(want, abs=1e-4)
+        s = 2 + np.append(run_offsets(small_cfg), 1.0)
+        amp = np.append(boundary_amplitude([prev.values], small_cfg)[0],
+                        advance_slice(prev, small_cfg, 3.0).values[0])
+        env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
+        want = [projected_envelope_exact(small_cfg.eps, t, 2) for t in s * small_cfg.eps]
+        assert_allclose(env, want, rtol=0.0, atol=1e-4)
 
     def test_matches_direct_convolution_on_default_grid(self, default_run):
         # the 20-projection default grid over its first three advances
@@ -293,13 +295,6 @@ class TestAdvance:
         noise = np.random.default_rng(seed).random(cfg.grid.n_points)
         assert_matches_direct(EuclideanSlice(1.0, (1.0 + cfg.grid.points()) * noise), cfg)
 
-    def test_boundary_amplitude_is_advanced_origin_value(self, small_cfg):
-        # both share one truncated kernel; only the summation order differs
-        prev = advance_slice(initial_slice(small_cfg), small_cfg, 2.0)
-        want = advance_slice(prev, small_cfg, 3.0).values[0]
-        got = boundary_amplitude([prev.values], small_cfg, [1.0])[0, 0]
-        assert got == pytest.approx(want, rel=1e-13)
-
     def test_positivity_preserved(self, small_cfg):
         prev = initial_slice(small_cfg)
         for n in (2.0, 3.0):
@@ -316,82 +311,57 @@ class TestAdvance:
 
 
 class TestBoundaryAmplitude:
-    """The batched boundary samples of several slices against the
-    per-sample ``np.dot`` oracle, every slice row to 1e-14 relative."""
+    """The batched boundary samples of several slices at the run's offsets
+    against the per-sample ``np.dot`` oracle, every slice row to 1e-14
+    relative."""
 
     @staticmethod
-    def assert_matches_oracle(slices, cfg, u):
-        got = boundary_amplitude([sl.values for sl in slices], cfg, u)
+    def assert_matches_oracle(slices, cfg, picks=slice(None)):
+        # the oracle at the offsets u[picks]
+        u = run_offsets(cfg)
+        got = boundary_amplitude([sl.values for sl in slices], cfg)
         assert got.shape == (len(slices), len(u))
         for sl, row in zip(slices, got):
-            want = [direct_boundary_amplitude(sl, cfg, d) for d in u]
-            assert_allclose(row, want, rtol=1e-14, atol=0.0)
+            want = [direct_boundary_amplitude(sl, cfg, d) for d in u[picks]]
+            assert_allclose(row[picks], want, rtol=1e-14, atol=0.0)
 
     def test_matches_per_sample_oracle(self, small_cfg):
-        # the slices at s = 1..4; ascending offsets, a repeated one and the
-        # interval end
+        # the slices at s = 1..4, in a batch and one alone
         slices = pre_projection_slices(small_cfg)
-        u = np.array([0.002, 0.01, 0.3, 0.3, 0.55, 0.7, 1.0])
-        self.assert_matches_oracle(slices, small_cfg, u)
-        self.assert_matches_oracle(slices, small_cfg, u[3:4])
+        self.assert_matches_oracle(slices, small_cfg)
+        self.assert_matches_oracle(slices[2:3], small_cfg)
 
-    @pytest.mark.parametrize("n_max, spi, u", [
-        (3, 256, 2.0 ** np.arange(-12, 1)),                # small_cfg, 2^-12 .. 1
-        (20, 16, np.arange(1, 16) / 16),                   # all of fp20's offsets
-        (3, 4096, np.array([1, 2, 3, 17, 64, 255, 1000, 2048, 3333, 4000, 4094, 4095]) / 4096),
+    @pytest.mark.parametrize("n_max, spi, j", [
+        (3, 256, None),                                    # small_cfg, every offset
+        (20, 16, None),                                    # all of fp20's offsets
+        (3, 4096, [1, 2, 3, 17, 64, 255, 1000, 2048, 3333, 4000, 4094, 4095]),
     ], ids=["small", "fp20", "fp3_dense"])
-    def test_matches_per_sample_oracle_at_run_offsets(self, n_max, spi, u):
+    def test_matches_per_sample_oracle_at_run_offsets(self, n_max, spi, j):
         # the slices run_recursion samples, summed over their spectrum,
         # against the kernel cut at ten widths in real space; on fp3_dense
         # its narrowest offset, 1/4096, its widest, 4095/4096, which sets the
         # transform length, and a spread between
         cfg = RecursionConfig(n_max, spi)
-        self.assert_matches_oracle(pre_projection_slices(cfg)[:n_max], cfg, u)
-
-    @pytest.mark.parametrize("u", [
-        [0.7, 0.01, 0.3],        # unsorted
-        [[0.3], [0.7]],          # 2-D
-        np.zeros(0),             # empty
-        0.3,                     # scalar
-    ], ids=["unsorted", "2d", "empty", "scalar"])
-    def test_refuses_offsets_of_another_shape_or_order(self, small_cfg, u):
-        values = [initial_slice(small_cfg).values]
-        with pytest.raises(ValueError, match="non-empty ascending 1-D"):
-            boundary_amplitude(values, small_cfg, u)
+        picks = slice(None) if j is None else np.array(j) - 1
+        self.assert_matches_oracle(pre_projection_slices(cfg)[:n_max], cfg, picks)
 
     def test_rows_need_only_the_widest_reach(self, small_cfg):
         # a prefix out to the widest kernel's reach gives the bits of the
         # whole slice; one point less is refused
         slices = pre_projection_slices(small_cfg)[:2]
-        u = np.array([0.2, 0.9])
-        reach = recursion._taps(small_cfg, 0.9 * small_cfg.eps) + 1
+        reach = recursion._taps(small_cfg, 255 / 256 * small_cfg.eps) + 1
         assert reach < small_cfg.grid.n_points
-        whole = boundary_amplitude([sl.values for sl in slices], small_cfg, u)
-        prefix = boundary_amplitude([sl.values[:reach] for sl in slices], small_cfg, u)
+        whole = boundary_amplitude([sl.values for sl in slices], small_cfg)
+        prefix = boundary_amplitude([sl.values[:reach] for sl in slices], small_cfg)
         assert np.array_equal(prefix, whole)
         with pytest.raises(ValueError, match="fall short"):
-            boundary_amplitude([sl.values[: reach - 1] for sl in slices], small_cfg, u)
-
-    def test_refuses_rows_off_the_grid(self, small_cfg):
-        values = initial_slice(small_cfg).values
-        with pytest.raises(ValueError, match="rows on the first points"):
-            boundary_amplitude(values, small_cfg, 0.5)
-        with pytest.raises(ValueError, match="rows on the first points"):
-            boundary_amplitude([np.append(values, 0.0)], small_cfg, 0.5)
-
-    @pytest.mark.parametrize("u", [0.0, -0.25, 1.0 + 1e-12, 1.5, np.nan])
-    def test_refuses_offsets_outside_the_interval(self, small_cfg, u):
-        values = [initial_slice(small_cfg).values]
-        with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
-            boundary_amplitude(values, small_cfg, u)
-        with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
-            boundary_amplitude(values, small_cfg, np.array([0.5, u, 1.0]))
+            boundary_amplitude([sl.values[: reach - 1] for sl in slices], small_cfg)
 
     @staticmethod
-    def traced_peak(values, cfg, u):
+    def traced_peak(values, cfg):
         tracemalloc.start()
         try:
-            boundary_amplitude(values, cfg, u)
+            boundary_amplitude(values, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,7 +377,7 @@ class TestBoundaryAmplitude:
         cfg = RecursionConfig(3, 4096)
         reach = recursion._taps(cfg, 4095 / 4096) + 1
         prefixes = np.array([sl.values[:reach] for sl in pre_projection_slices(cfg)[:3]])
-        assert self.traced_peak(prefixes, cfg, np.arange(1, 4096) / 4096) <= 0.8e6
+        assert self.traced_peak(prefixes, cfg) <= 0.8e6
 
     def test_peak_memory_of_many_rows(self):
         # the largest accepted projection count, 2,518 rows at 16 samples
@@ -417,35 +387,18 @@ class TestBoundaryAmplitude:
         cfg = RecursionConfig(2518, 16)
         reach = recursion._taps(cfg, 15 / 16) + 1
         rows = np.random.default_rng(2518).random((2518, reach))
-        assert self.traced_peak(rows, cfg, np.arange(1, 16) / 16) <= 5e6
+        assert self.traced_peak(rows, cfg) <= 5e6
 
     def test_matches_per_sample_oracle_at_fp3_dense_block_edges(self):
         # the whole 4,095-offset batch that run_recursion takes on
         # fp3_dense, against the kernel cut at ten widths at the first and
         # last offset of each of its blocks and at every 64th offset
         cfg = RecursionConfig(3, 4096)
-        u = np.arange(1, 4096) / 4096
-        _, blocks = offset_blocks(cfg, u)
+        blocks = offset_blocks(cfg)
         assert len(blocks) >= 10
         picks = sorted({i for start, stop in blocks for i in (start, stop - 1)}
-                       | set(range(0, len(u), 64)))
-        slices = pre_projection_slices(cfg)[:3]
-        got = boundary_amplitude([sl.values for sl in slices], cfg, u)
-        for sl, row in zip(slices, got):
-            want = [direct_boundary_amplitude(sl, cfg, u[i]) for i in picks]
-            assert_allclose(row[picks], want, rtol=1e-14, atol=0.0)
-
-    def test_refuses_unresolved_kernels(self, small_cfg):
-        # at spacing 1/256 a step of 1e-4 eps has a kernel of width 0.01,
-        # fewer than MIN_KERNEL_SPACINGS = 4 spacings; one such sample in a
-        # batch refuses the batch for every slice
-        values = [sl.values for sl in pre_projection_slices(small_cfg)[:2]]
-        with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(values, small_cfg, [1e-4])
-        with pytest.raises(ValueError, match="narrower than 4 grid spacings"):
-            boundary_amplitude(values, small_cfg, np.array([1e-4, 0.5, 0.9]))
-        # a step of 2^-12 eps, of width 1/64, spans exactly four spacings
-        boundary_amplitude(values, small_cfg, [2.0**-12])
+                       | set(range(0, 4095, 64)))
+        self.assert_matches_oracle(pre_projection_slices(cfg)[:3], cfg, picks)
 
 
 class TestRightLimit:
