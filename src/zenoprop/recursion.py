@@ -28,13 +28,13 @@ kernels that way) still works.
 Numerics: slices live on a uniform grid over [0, x_max], derived from
 n_max and samples_per_interval alone (``RecursionConfig``), with x_max
 about ten thermal widths of the total duration and a spacing tied to the
-narrowest kernel, which spans 16 spacings.  The y-integral is the
-trapezoid rule with Gregory's end corrections over the first five nodes at
-y = 0.  The integrand is smooth on y >= 0, so the O(h^2) end term that the
-corrections cancel is the plain trapezoid's whole error; the far end, where
-the slice is negligible, keeps its half weight.  At these grids the peaks
-are exact to about 1e-11 and the envelope with up to three projections
-matches its closed forms to about 1e-9.
+narrowest kernel, which spans 8 spacings.  The y-integral is the
+trapezoid rule with Gregory's end corrections over the first ten nodes at
+y = 0.  The integrand is smooth on y >= 0, so the Euler-Maclaurin end terms
+that the corrections cancel are the plain trapezoid's whole error; the far
+end, where the slice is negligible, keeps its half weight.  At these grids
+the peaks are exact to about 5e-15 and the envelope with up to three
+projections matches its closed forms to about 5e-11.
 
 Every advance spans one whole interval, a step of eps: the weighted slice's
 spectrum times the heat kernel's, exp(-(eps / 2m) k^2) / h in closed form
@@ -93,24 +93,33 @@ class EuclideanSlice:
     values: np.ndarray
 
 
-# Gregory's end corrections: the trapezoid weights of the first five nodes
-# times these factors cancel the h^2 and h^4 Euler-Maclaurin terms of the
-# y = 0 end, leaving an O(h^6) error, and the weights stay positive.
-_END_WEIGHTS = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
+# Gregory's end corrections: the trapezoid weights of the first ten nodes
+# times these factors integrate 1, y, ..., y^9 exactly with the rest of the
+# trapezoid rule, cancelling the y = 0 end's Euler-Maclaurin terms through
+# h^10 (Fornberg, SIAM Rev. 63, 167, 2021).  Two of them are negative; all
+# lie between -1.0 and 2.82.
+_END_WEIGHTS = np.array([
+    26842253 / 95800320, 263465639 / 159667200, -4157443 / 19958400,
+    28050551 / 9979200, -79480853 / 79833600, 41129647 / 15966720,
+    1318591 / 9979200, 26280973 / 19958400, 148655719 / 159667200,
+    482252033 / 479001600,
+])
 
 
 # Entries of the boundary samples' working arrays (128 KiB of floats): the
 # decay factors of a block of offsets, each chunk of rows times them, and
-# each chunk of rows transformed, at least one offset and one row.
+# each chunk of rows transformed, at least one row.  A block holds at least
+# one offset, as the first offset's mode count, about 32 sqrt(samples per
+# interval), stays below it at every size under the work cap.
 _SUM_ENTRIES = 2**14
 
 
 # Most work a run may take (``predicted_work``), in units of about one
-# nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, 2,518
+# nanosecond on a 2-vCPU VM.  The largest accepted `fp` runs, 3,028
 # projections at 16 samples per interval, where the advances dominate, and
-# one projection at 124,737, where the table rows do, took 0.8-3.5 s and at
-# most 129 MiB of peak RSS there, as CSV or JSON; the benchmark's shapes
-# predict 2.1e7 (fp20) and 6.6e8 (fp3_dense).
+# one projection at 124,868, where the table rows do, took 0.6-3.5 s and at
+# most 131 MiB of peak RSS there, as CSV or JSON; the benchmark's shapes
+# predict 1.8e7 (fp20) and 6.6e8 (fp3_dense).
 MAX_WORK = 10**10
 
 
@@ -121,16 +130,17 @@ class RecursionConfig:
     n_max projections, each interval sampled at ``samples_per_interval``
     offsets.  The slice grid is derived from the two, once: it spans ten
     thermal widths of the total duration at spacing
-    ``h = 1 / (16 sqrt(max(samples_per_interval, 16)))`` thermal widths
+    ``h = 1 / (8 sqrt(max(samples_per_interval, 16)))`` thermal widths
     sqrt(eps/m).  The spacing is tied to the narrowest kernel, of width
-    sqrt(1 / samples_per_interval), which spans 16 spacings (more below 16
-    samples per interval): h is 1/64 at 16 samples and 1/1024 at 4096.
-    With n_max = 3 and 16 samples per interval the peak error is 8.2e-12 at
-    16 spacings, 3.1e-8 at 4, 1.5e-6 at 2 and 2.2e-3 at 0.6, and the error
-    against the closed forms 6.6e-10, 8.2e-6, 4.2e-4 and 6.6e-2.  The
-    Gaussian tails beyond x_max are below 1e-20.  So every grid has at least
-    907 points, and the widest kernel, a step of one interval, ends at least
-    266 points short of the grid's far end."""
+    sqrt(1 / samples_per_interval), which spans 8 spacings (more below 16
+    samples per interval): h is 1/32 at 16 samples and 1/512 at 4096.
+    With n_max = 3 and 16 samples per interval the peak error is 2.2e-16 at
+    16 spacings, 4.6e-15 at 8, 1.0e-13 at 6 and 9.5e-12 at 4, and the error
+    against the closed forms 1.1e-13, 4.7e-11, 4.3e-9 and 4.3e-7; below 4
+    spacings the narrowest kernel's modes outrun the boundary samples'
+    transform.  The Gaussian tails beyond x_max are below 1e-20.  So every
+    grid has at least 454 points, and the widest kernel, a step of one
+    interval, ends at least 133 points short of the grid's far end."""
 
     n_max: int
     samples_per_interval: int
@@ -146,10 +156,10 @@ class RecursionConfig:
             raise ValueError("samples_per_interval must be >= 2")
         samples = max(self.samples_per_interval, 16)
         try:
-            h = 1.0 / (16.0 * np.sqrt(float(samples)))
-            # ten thermal widths, 10 sqrt(n_max + 1), are 160 sqrt((n_max + 1) samples)
+            h = 1.0 / (8.0 * np.sqrt(float(samples)))
+            # ten thermal widths, 10 sqrt(n_max + 1), are 80 sqrt((n_max + 1) samples)
             # spacings
-            n_points = int(np.ceil(160.0 * np.sqrt(float((self.n_max + 1) * samples)))) + 1
+            n_points = int(np.ceil(80.0 * np.sqrt(float((self.n_max + 1) * samples)))) + 1
             object.__setattr__(self, "grid", Grid1D(h * (n_points - 1), n_points))
             work = predicted_work(self)
         except OverflowError:  # sizes past the floats predict work past them too
@@ -208,7 +218,7 @@ def _advance_length(cfg: RecursionConfig) -> int:
 def _weighted(values: np.ndarray, cfg: RecursionConfig) -> np.ndarray:
     """Slice values on the first points of the grid (along the last axis)
     times their quadrature weights: the spacing, end-corrected over the
-    first five nodes and halved at the far end of the grid, where the slice
+    first ten nodes and halved at the far end of the grid, where the slice
     is negligible."""
     w = values * cfg.grid.spacing
     w[..., : len(_END_WEIGHTS)] *= _END_WEIGHTS
@@ -257,7 +267,7 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
     offset's own J_u weighted zero, and the rows are transformed and summed
     a chunk at a time: each block's decay factors, each chunk's product
     with them and each chunk's transform take ``_SUM_ENTRIES`` entries or
-    fewer, or one offset's or one row's where that alone is more.  The
+    fewer, or one row's transform where that alone is more.  The
     blocks depend on ``cfg`` alone, and each sample is one row's sum, so a
     row gives the same bits alone as in a batch.  Rows shorter than R
     would give wrong samples and raise ``ValueError``."""
@@ -283,10 +293,10 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
     start = 0
     while start < len(dt):
         top = modes[start]
-        block = slice(start, start + max(1, _SUM_ENTRIES // top))
+        block = slice(start, start + _SUM_ENTRIES // top)
         decay = np.exp(dt[block, None] * minus_k2[:top])
         decay[np.arange(top) >= modes[block, None]] = 0.0   # past each offset's own J_u
-        chunk = max(1, _SUM_ENTRIES // decay.size)
+        chunk = _SUM_ENTRIES // decay.size
         for r in range(0, len(c), chunk):
             rows = slice(r, r + chunk)
             sums[rows, block] = (c[rows, None, 1 : top + 1] * decay).sum(axis=2)

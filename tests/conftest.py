@@ -32,9 +32,9 @@ def pre_projection_slices(cfg):
 
 
 def fine_config(n_max):
-    """n_max projections at 4096 samples per interval, at spacing 1/1024
-    sqrt(eps/m): fine enough for the right-limit oracle, whose smallest
-    offset kernel then spans five spacings."""
+    """n_max projections at 4096 samples per interval, at spacing 1/512
+    sqrt(eps/m): fine enough for the right-limit oracle, whose trough
+    error there is at most 2.5e-5 (``oracles.richardson_right_limit``)."""
     return recursion.RecursionConfig(n_max, 4096)
 
 
@@ -54,7 +54,7 @@ def default_run():
 @pytest.fixture(scope="session")
 def coarse_run():
     """A budget recursion for unit-level checks: 6 projections at 256
-    samples per interval (spacing 1/256).  Yields (config, envelope curve,
+    samples per interval (spacing 1/128).  Yields (config, envelope curve,
     pre-projection slices at s = 1..7)."""
     cfg = recursion.RecursionConfig(6, 256)
     return cfg, recursion.run_recursion(cfg), pre_projection_slices(cfg)

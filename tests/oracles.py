@@ -3,6 +3,7 @@ code paths they check."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -382,19 +383,51 @@ def richardson_right_limit(prev, cfg, offset: float = 1e-4) -> float:
     past the projection (``direct_boundary_amplitude``), extrapolated in
     sqrt(offset), the order of the leading correction.  The quadrature
     resolves the kernels of those offsets only on fine grids: at spacing
-    1/1024 sqrt(eps/m) (``conftest.fine_config``) the trough error is about
-    6e-6, and the kernel of 1e-4 / 4 spans five spacings."""
+    1/512 sqrt(eps/m) (``conftest.fine_config``) the trough error is at
+    most 2.5e-5 over k = 1..20, and the kernels of 1e-4 / 4 and 1e-4 span
+    2.6 and 5.1 spacings."""
     near, far = (direct_boundary_amplitude(prev, cfg, d) / heat_kernel(
         cfg.m, (prev.s + d) * cfg.eps, 0.0, 0.0) for d in (offset / 4, offset))
     return 2.0 * near - far
 
 
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0 .. B_n as exact rationals (B_1 = -1/2), from the recurrence
+    sum_{k <= j} C(j + 1, k) B_k = 0 for j >= 1."""
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(-sum(comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b
+
+
+@functools.cache
+def gregory_end_weights(nodes: int) -> tuple[Fraction, ...]:
+    """Gregory's end weights over the first ``nodes`` nodes of a half-line
+    rule of unit spacing, in exact rationals: w_j = 1 + c_j, where the
+    corrections c_j make the rule with weight one at every later node
+    integrate 1, y, ..., y^(nodes-1) exactly.  By the Euler-Maclaurin
+    formula, sum_j c_j = -1/2 and sum_j c_j j^k = -zeta(-k) = B_(k+1)/(k+1)
+    for k = 1 .. nodes-1; the Vandermonde system is solved by exact
+    Gauss-Jordan elimination."""
+    b = bernoulli_numbers(nodes)
+    rhs = [Fraction(-1, 2)] + [b[k + 1] / (k + 1) for k in range(1, nodes)]
+    rows = [[Fraction(j) ** k for j in range(nodes)] + [rhs[k]] for k in range(nodes)]
+    for i in range(nodes):
+        pivot = next(r for r in range(i, nodes) if rows[r][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [a / rows[i][i] for a in rows[i]]
+        for r in range(nodes):
+            if r != i and rows[r][i]:
+                rows[r] = [a - rows[r][i] * p for a, p in zip(rows[r], rows[i])]
+    return tuple(1 + row[-1] for row in rows)
+
+
 def quadrature_weights(cfg) -> np.ndarray:
     """The slice quadrature weights written out: the spacing, times Gregory's
-    end corrections (95/288, 317/240, 23/30, 793/720, 157/160) over the first
-    five nodes and halved at the far end of the grid."""
+    ten-node end weights (``gregory_end_weights(10)``) over the first ten
+    nodes and halved at the far end of the grid."""
     weights = np.full(cfg.grid.n_points, cfg.grid.spacing)
-    weights[:5] *= (95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160)
+    weights[:10] *= [float(w) for w in gregory_end_weights(10)]
     weights[-1] *= 0.5
     return weights
 

@@ -31,7 +31,7 @@ def report(num: int, label: str) -> None:
 class TestCriterion1:
     def test_exact_few_projection_envelopes(self):
         """Numeric recursion reproduces the closed-form envelopes for 0..3
-        projections within 1e-8 absolute (6.6e-10 measured), in under 10
+        projections within 1e-10 absolute (4.7e-11 measured), in under 10
         seconds of process CPU time, which other load on the machine does
         not inflate."""
         start = time.process_time()
@@ -60,7 +60,7 @@ class TestCriterion1:
                 continue
             worst = max(worst, abs(v - want))
         elapsed = time.process_time() - start
-        assert worst < 1e-8, f"worst envelope deviation {worst:.2e}"
+        assert worst < 1e-10, f"worst envelope deviation {worst:.2e}"
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
         report(1, f"exact few-projection envelopes (worst {worst:.1e}, {elapsed:.1f}s)")
 
@@ -94,8 +94,8 @@ class TestCriterion3:
     @pytest.mark.slow
     def test_sawtooth_peak_law(self, default_run):
         """Recursion peaks equal 1/(k+1), and the troughs it emits
-        1/(2(k+1)), within 1e-10 relative for k = 1..20 at the default grid
-        (8.2e-12 measured), in under 5 minutes.  The troughs also equal half
+        1/(2(k+1)), within 1e-13 relative for k = 1..20 at the default grid
+        (4.6e-15 measured), in under 5 minutes.  The troughs also equal half
         the peaks within 1e-3 as sqrt(offset)-extrapolated right limits,
         found without the coincidence formula the recursion emits, from
         slices on a grid fine enough for the offsets' kernels."""
@@ -114,7 +114,7 @@ class TestCriterion3:
             peak = curve.values[np.isclose(curve.times, n * cfg.eps) & (curve.sides == "-")][0]
             trough = richardson_right_limit(prev, fine)
             worst_trough = max(worst_trough, abs(2 * trough / peak - 1.0))
-        assert worst_peak < 1e-10, f"worst relative peak or trough error {worst_peak:.2e}"
+        assert worst_peak < 1e-13, f"worst relative peak or trough error {worst_peak:.2e}"
         assert worst_trough < 1e-3, f"worst trough/half-peak error {worst_trough:.2e}"
         assert elapsed < 300.0, f"default recursion took {elapsed:.1f}s"
         report(3, f"saw-tooth peak law k=1..20 (peaks {worst_peak:.1e}, "

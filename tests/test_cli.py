@@ -329,8 +329,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["fp", "compare"])
     @pytest.mark.parametrize("args", [
-        ["--n-max", "2519"],
-        ["--n-max", "1", "--samples-per-interval", "124738"],
+        ["--n-max", "3029"],
+        ["--n-max", "1", "--samples-per-interval", "124869"],
         ["--n-max", "1" + "0" * 40],
         ["--samples-per-interval", "1" + "0" * 400],
         ["--n-max", "1" + "0" * 399, "--samples-per-interval", "1" + "0" * 399],

@@ -2,6 +2,7 @@ import functools
 import sys
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from numpy.testing import assert_allclose
 from conftest import fine_config, fp_column, pre_projection_slices
 from oracles import (
     baxter_envelope,
+    bernoulli_numbers,
     direct_advance,
     direct_boundary_amplitude,
+    gregory_end_weights,
     interval_by_interval_recursion,
     numeric_oscillation_curve,
     richardson_right_limit,
@@ -51,18 +54,25 @@ def run_offsets(cfg):
     return np.arange(1, cfg.samples_per_interval) / cfg.samples_per_interval
 
 
-def offset_blocks(cfg):
-    """The [start, stop) index ranges of the blocks of consecutive offsets
-    that ``boundary_amplitude`` sums at the run's offsets u: each block
-    sums its first offset's J_u modes for _SUM_ENTRIES // J_u offsets."""
+def offset_modes(cfg):
+    """The modes J_u that ``boundary_amplitude`` sums at each of the run's
+    offsets u, out to kernel_span widths of the kernel's spectrum, on the
+    transform of length L that the widest kernel's reach sets."""
     u = run_offsets(cfg)
     reach = recursion._taps(cfg, u[-1] * cfg.eps) + 1
     length = five_smooth_at_least(2 * reach - 1)
     dk = 2 * np.pi / (length * cfg.grid.spacing)
-    modes = np.floor(cfg.kernel_span * np.sqrt(cfg.m / (u * cfg.eps)) / dk).astype(int)
+    return np.floor(cfg.kernel_span * np.sqrt(cfg.m / (u * cfg.eps)) / dk).astype(int)
+
+
+def offset_blocks(cfg):
+    """The [start, stop) index ranges of the blocks of consecutive offsets
+    that ``boundary_amplitude`` sums at the run's offsets u: each block
+    sums its first offset's J_u modes for _SUM_ENTRIES // J_u offsets."""
+    u, modes = run_offsets(cfg), offset_modes(cfg)
     blocks, start = [], 0
     while start < len(u):
-        stop = min(start + max(1, recursion._SUM_ENTRIES // modes[start]), len(u))
+        stop = min(start + recursion._SUM_ENTRIES // modes[start], len(u))
         blocks.append((start, stop))
         start = stop
     return blocks
@@ -70,31 +80,58 @@ def offset_blocks(cfg):
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    # fast configuration for unit checks (spacing 1/256); tolerances stay far
+    # fast configuration for unit checks (spacing 1/128); tolerances stay far
     # below targets
     return RecursionConfig(3, 256)
 
 
+class TestEndWeights:
+    """Gregory's end weights, derived in exact rationals from the
+    Euler-Maclaurin conditions (``oracles.gregory_end_weights``)."""
+
+    def test_five_nodes(self):
+        assert gregory_end_weights(5) == (Fraction(95, 288), Fraction(317, 240),
+                                          Fraction(23, 30), Fraction(793, 720),
+                                          Fraction(157, 160))
+
+    def test_recursion_uses_the_ten_node_solution(self):
+        # every weight is its rational rounded once, to the bit
+        want = [float(w) for w in gregory_end_weights(10)]
+        assert recursion._END_WEIGHTS.tolist() == want
+        assert -1.0 < min(want) and max(want) < 2.82
+
+    @pytest.mark.parametrize("nodes", [5, 10])
+    def test_solves_the_euler_maclaurin_conditions(self, nodes):
+        # the corrections c_j = w_j - 1 sum to -1/2, and their k-th moments
+        # are -zeta(-k) = B_(k+1) / (k+1) for k = 1 .. nodes - 1
+        weights = gregory_end_weights(nodes)
+        b = bernoulli_numbers(nodes)
+        assert sum(weights) - nodes == Fraction(-1, 2)
+        for k in range(1, nodes):
+            corrections = sum((w - 1) * j**k for j, w in enumerate(weights))
+            assert corrections == b[k + 1] / (k + 1)
+
+
 class TestConfig:
     def test_default_grid_geometry(self):
-        # the narrowest kernel, of width sqrt(eps / (16 m)), spans 16 spacings
+        # the narrowest kernel, of width sqrt(eps / (16 m)), spans 8 spacings
         g = RecursionConfig(20, 16).grid
         assert g.x_max >= 10 * np.sqrt(21.0)
-        assert g.spacing == 1 / 64
-        assert g.n_points == 2934
+        assert g.spacing == 1 / 32
+        assert g.n_points == 1468
         # at 4096 samples per interval the spacing follows the kernel down
         dense = RecursionConfig(3, 4096).grid
-        assert dense.spacing == 1 / 1024
-        assert dense.n_points == 20481
-        # below 16 samples per interval the spacing stays at 1/64
+        assert dense.spacing == 1 / 512
+        assert dense.n_points == 10241
+        # below 16 samples per interval the spacing stays at 1/32
         assert RecursionConfig(20, 2).grid == g
 
     @pytest.mark.parametrize("n_max, spi, points", [
-        (3, 16, 1281), (8, 16, 1921), (15, 16, 2561), (24, 16, 3201), (20, 16, 2934),
-        (3, 4096, 20481), (3, 100, 3201), (1, 32, 1281),
+        (3, 16, 641), (8, 16, 961), (15, 16, 1281), (24, 16, 1601), (20, 16, 1468),
+        (3, 4096, 10241), (3, 100, 1601), (1, 32, 641),
     ])
     def test_default_point_count_is_scale_free(self, n_max, spi, points):
-        # the extent is a fixed number of spacings, 160 sqrt((n_max + 1) spi)
+        # the extent is a fixed number of spacings, 80 sqrt((n_max + 1) spi)
         # rounded up ((n_max + 1) spi a perfect square is the edge case)
         assert RecursionConfig(n_max, spi).grid.n_points == points
 
@@ -155,13 +192,13 @@ class TestConfig:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 2000), st.integers(2, 50_000))
-    @example(1, 2)        # the smallest grid, 907 points
+    @example(1, 2)        # the smallest grid, 454 points
     @example(1, 16)
-    @example(1, 124_737)  # the largest accepted sizes
-    @example(2518, 16)
+    @example(1, 124_868)  # the largest accepted sizes
+    @example(3028, 16)
     def test_derived_grids_need_no_refusal(self, n_max, spi):
-        # every accepted config resolves its narrowest kernel by at least 16
-        # spacings (exactly 16, to roundoff, from 16 samples per interval
+        # every accepted config resolves its narrowest kernel by at least 8
+        # spacings (exactly 8, to roundoff, from 16 samples per interval
         # on), and its widest kernel, a step of one interval, ends inside
         # the grid, so no kernel needs cutting there
         try:
@@ -169,12 +206,12 @@ class TestConfig:
         except ValueError as err:
             assert "MAX_WORK" in str(err)
             assume(False)
-        assert np.sqrt(1 / spi) / cfg.grid.spacing >= 16 * (1 - 1e-12)
+        assert np.sqrt(1 / spi) / cfg.grid.spacing >= 8 * (1 - 1e-12)
         assert recursion._taps(cfg, 1.0) + 1 < cfg.grid.n_points
         # the boundary samples sum the spectrum of their narrowest kernel,
         # u = 1 / spi, out to J = kernel_span sqrt(spi) / dk modes,
         # dk = 2 pi / (L h), on the transform of length L that the widest
-        # kernel's reach sets: a kernel of four spacings or more (16 here)
+        # kernel's reach sets: a kernel of four spacings or more (8 here)
         # keeps J <= 10 L / (8 pi), inside the rfft's L / 2 + 1 modes
         reach = recursion._taps(cfg, (spi - 1) / spi) + 1
         length = five_smooth_at_least(2 * reach - 1)
@@ -182,6 +219,15 @@ class TestConfig:
         modes = int(np.floor(cfg.kernel_span * np.sqrt(spi) / dk))
         assert modes <= 10 * length / (8 * np.pi)
         assert modes <= length // 2 - 1
+
+    def test_first_offset_modes_fit_one_block(self):
+        # at the cap's largest samples per interval, 124,868 at one
+        # projection, the first offset sums 11,459 modes (about 32
+        # sqrt(spi)), fewer than _SUM_ENTRIES: every block of offsets holds
+        # at least one, and every chunk of rows at least one row
+        modes = offset_modes(RecursionConfig(1, 124_868))
+        assert modes[0] == max(modes) == 11_459
+        assert modes[0] < recursion._SUM_ENTRIES
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 20), st.integers(60, 3000), st.integers(2, 12),
@@ -204,12 +250,12 @@ class TestWorkCap:
     """Sizes are refused from the config alone when their predicted work
     exceeds MAX_WORK."""
 
-    # 2,518 projections at 16 samples per interval advance over FFTs of
-    # length 32,768 and 2,519 over 65,536; one projection takes 124,737
-    # samples per interval but not 124,738
+    # 3,028 and 3,029 projections at 16 samples per interval both advance
+    # over FFTs of length 32,768, and the 3,029th tips the sum past the cap;
+    # one projection takes 124,868 samples per interval but not 124,869
     @pytest.mark.parametrize("n_max, spi, grown", [
-        (2518, 16, (2519, 16)),
-        (1, 124_737, (1, 124_738)),
+        (3028, 16, (3029, 16)),
+        (1, 124_868, (1, 124_869)),
     ])
     def test_cap_between_neighbouring_sizes(self, n_max, spi, grown):
         assert recursion.predicted_work(RecursionConfig(n_max, spi)) <= recursion.MAX_WORK
@@ -224,7 +270,7 @@ class TestWorkCap:
 
     def test_benchmark_and_test_shapes_far_below(self):
         # fp20 and fp3_dense sit far below the cap; the finest test grid,
-        # 20 projections at 4096 samples per interval (3.6e9), is accepted
+        # 20 projections at 4096 samples per interval (3.5e9), is accepted
         for cfg in (RecursionConfig(20, 16), RecursionConfig(3, 4096)):
             assert recursion.predicted_work(cfg) < recursion.MAX_WORK / 10
         fine_config(20)
@@ -278,7 +324,7 @@ class TestAdvance:
         # n_points + taps is exactly 8192, a power of two: the FFT length
         # leaves no padding, the edge of wrap-around.  The slice grows
         # toward the far end, so a wrapped tail would show near x = 0
-        cfg = RecursionConfig(22, 78)   # 6778 points and a kernel of 1414 taps
+        cfg = RecursionConfig(22, 312)  # 6778 points and a kernel of 1414 taps
         prev = EuclideanSlice(1.0, 1.0 + cfg.grid.points())
         assert cfg.grid.n_points + len(truncated_kernel(cfg, cfg.eps)) - 1 == 8192
         assert 2 * (len(cfg.kernel_spectrum) - 1) == 8192
@@ -380,13 +426,13 @@ class TestBoundaryAmplitude:
         assert self.traced_peak(prefixes, cfg) <= 0.8e6
 
     def test_peak_memory_of_many_rows(self):
-        # the largest accepted projection count, 2,518 rows at 16 samples
-        # per interval, is transformed 13 rows at a time: 3.5 MB traced,
-        # where transforming every row at once holds 25 MB of complex
-        # spectra and reads 38 MB
-        cfg = RecursionConfig(2518, 16)
+        # the largest accepted projection count, 3,028 rows at 16 samples
+        # per interval, is transformed 26 rows at a time: 4.2 MB traced,
+        # where transforming every row at once (_SUM_ENTRIES at all rows'
+        # transforms) holds 15 MB of complex spectra and reads 26 MB
+        cfg = RecursionConfig(3028, 16)
         reach = recursion._taps(cfg, 15 / 16) + 1
-        rows = np.random.default_rng(2518).random((2518, reach))
+        rows = np.random.default_rng(3028).random((3028, reach))
         assert self.traced_peak(rows, cfg) <= 5e6
 
     def test_matches_per_sample_oracle_at_fp3_dense_block_edges(self):
@@ -451,13 +497,13 @@ class TestRunRecursion:
         assert np.max(np.abs(curve.values - want)) < tol
 
     def test_every_fp20_row_is_exact(self, default_run):
-        # 6.58e-10 at k = 1, theta = 1/16, the narrowest kernel's sample
+        # 4.70e-11 at k = 2, theta = 1/16, the narrowest kernel's sample
         _, curve, _, _ = default_run
-        self.assert_matches_exact_envelope(curve, 16, 1e-9)
+        self.assert_matches_exact_envelope(curve, 16, 1e-10)
 
     def test_every_dense_row_is_exact(self):
-        # three projections at 256 samples per interval: 5.40e-10
-        self.assert_matches_exact_envelope(run_recursion(RecursionConfig(3, 256)), 256, 1e-9)
+        # three projections at 256 samples per interval: 2.07e-11
+        self.assert_matches_exact_envelope(run_recursion(RecursionConfig(3, 256)), 256, 1e-10)
 
     def test_one_kernel_spectrum_per_run(self, monkeypatch):
         # a config builds its one-interval kernel spectrum once, whatever
@@ -505,13 +551,13 @@ class TestRunRecursion:
 
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
-        # (1.4e-10 measured)
+        # (4.3e-11 measured)
         cfg = RecursionConfig(3, 16)
         curve = run_recursion(cfg)
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
         for t, v in zip(curve.times[sel], curve.values[sel]):
-            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-8), t
+            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-10), t
 
     def test_row_structure(self, small_cfg):
         curve = run_recursion(small_cfg)
@@ -547,7 +593,7 @@ class TestRunRecursion:
     def test_grid_convergence(self):
         # halving the spacing moves the n = 10 peak by far less than 1e-4
         peaks = []
-        for spi in (256, 1024):  # spacings 1/256 and 1/512
+        for spi in (256, 1024):  # spacings 1/128 and 1/256
             cfg = RecursionConfig(10, spi)
             curve = run_recursion(cfg)
             sel = np.isclose(curve.times, 11 * cfg.eps) & (curve.sides == "-")
