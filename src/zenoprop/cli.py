@@ -285,7 +285,7 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 @_with([mass_option, spacing_option, *output_options])
 @click.option("--tau", type=POSITIVE, default=4.0, show_default=True,
               help="Total walk duration (multiple of eps).")
-@click.option("--levels", type=click.IntRange(max=_MAX_LEVELS), default=4, show_default=True,
+@click.option("--levels", type=click.IntRange(max=_MAX_LEVELS), default=5, show_default=True,
               help="Number of refinement levels (quadrupling).")
 def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""

@@ -17,7 +17,7 @@ from zenoprop.core import (
     snap_to_integer,
 )
 from zenoprop.exact import absorbing_envelope, bridge_orthant
-from zenoprop.lattice import LatticeConfig, constrained_walk_probability
+from zenoprop.lattice import LatticeConfig, constrained_walk_probability, richardson_limit
 from zenoprop.recursion import advance_slice, boundary_amplitude, initial_slice
 from zenoprop.sawtooth import oscillation_ratio
 from zenoprop.wavepacket import packet_boundary_derivative
@@ -346,9 +346,9 @@ def lattice_envelope(t: float, eps: float, m: float = 1.0,
 
     The refinement sweep of ``continuum_peak_estimate`` with the free
     return density ``heat_kernel(m, t, 0, 0)`` as the target, so the ratio
-    tends to the envelope itself; the same two Richardson stages remove the
-    O(eta) and O(eta^2) errors.  t / eps times every level must be an
-    integer step count.
+    tends to the envelope itself; the same Richardson stages
+    (``richardson_limit``) remove the errors O(eta) to O(eta^(L-1)) of its
+    L levels.  t / eps times every level must be an integer step count.
     """
     ratios = []
     for r in levels:
@@ -359,9 +359,7 @@ def lattice_envelope(t: float, eps: float, m: float = 1.0,
         eta = np.sqrt(eps / r / m)
         u = constrained_walk_probability(LatticeConfig(n_steps, r))
         ratios.append(u / (2 * eta) / heat_kernel(m, t, 0.0, 0.0))
-    first = [2 * b - a for a, b in zip(ratios, ratios[1:])]
-    second = [(4 * b - a) / 3 for a, b in zip(first, first[1:])]
-    return float(second[-1])
+    return richardson_limit(ratios)
 
 
 def unconstrained_return_probability(n_steps: int) -> float:

@@ -157,8 +157,8 @@ class TestLattice:
         assert res.exit_code == 0
         header, rows = read_rows(out)
         assert header == ["steps_per_projection", "eta", "dtau", "ratio"]
-        assert len(rows) == 5  # 4 levels + extrapolated
-        assert float(rows[-1][3]) == pytest.approx(1.0, abs=0.02)
+        assert len(rows) == 6  # 5 levels + extrapolated
+        assert float(rows[-1][3]) == pytest.approx(1.0, abs=2e-5)  # measured 5.85e-6
         ratios = [float(r[3]) for r in rows[:-1]]
         assert ratios == sorted(ratios)  # monotone convergence recorded
 
@@ -191,7 +191,7 @@ class TestLattice:
             assert float(row[1]) == pytest.approx(root / np.sqrt(float(row[0])), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("args, flags", [
-        # dtau = eps / 256 is subnormal at the finest level
+        # dtau = eps / 1024 is subnormal at the finest level
         (["--eps", "1e-310", "--tau", "4e-310"], "'--eps'"),
         # eta = sqrt(1e300) / sqrt(5e-324) / 2 overflows
         (["--m", "5e-324", "--eps", "1e300", "--tau", "4e300"], "'--eps' / '--m'"),
