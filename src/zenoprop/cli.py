@@ -8,6 +8,11 @@ values and chain-integral identities), ``lattice`` (walk refinement sweep),
 Each subcommand declares only the flags it reads or records in its JSON
 meta.
 
+The library works in s = t/eps and interval counts.  Only this module
+multiplies by eps and m, and it refuses a physical quantity that would
+leave the floats, before anything runs, as a usage error naming the flags
+that set it (``_check_range``).
+
 Output is deterministic for a fixed configuration: floats are written with
 17 significant digits, comma separated, LF line endings.  Exit codes:
 0 success, 2 usage error, 3 numerical failure (including any non-finite
@@ -168,37 +173,16 @@ def _resolve_v0(v0: float | None, eps: float) -> float:
     return v0
 
 
-def _check_scales(eps: float, v0: float, s_first: float, s_last: float) -> None:
-    """Refuse an ``--eps`` whose times t = s eps, s from s_first to s_last,
-    leave the normal floats, or a ``--v0`` whose v0 t at either end leaves
-    the positive finite floats: a usage error naming the flag."""
-    first, last = s_first * eps, s_last * eps
-    if not (first >= sys.float_info.min and last <= sys.float_info.max):
-        raise click.BadParameter(f"{eps!r} puts the times t = s eps, from {first:.3g} to "
-                                 f"{last:.3g}, outside the normal floats", param_hint="'--eps'")
-    low, high = v0 * eps * s_first, v0 * eps * s_last
-    if not (0 < low and high < math.inf):
-        raise click.BadParameter(f"{v0!r} puts v0 t, from {low:.3g} to {high:.3g}, outside "
-                                 "the positive finite floats", param_hint="'--v0'")
-
-
-def _check_walk_scales(m: float, eps: float, levels: tuple[int, ...]) -> None:
-    """Refuse an ``--eps`` whose time step dtau = eps/r, or an ``--eps`` and
-    ``--m`` whose site spacing eta = sqrt(eps)/sqrt(m)/sqrt(r), leaves the
-    normal floats at one of the steps per interval r in ``levels``: a usage
-    error naming the flags.  Both fall as r grows, so the first and last
-    levels bound them."""
-    if not levels:
-        return  # continuum_peak_estimate refuses an empty sweep
-    coarse, fine = levels[0], levels[-1]
-    if not eps / fine >= sys.float_info.min:
-        raise click.BadParameter(f"{eps!r} puts dtau = eps/r at {eps / fine:.3g} for r = "
-                                 f"{fine}, below the normal floats", param_hint="'--eps'")
-    high, low = (math.sqrt(eps) / math.sqrt(m) / math.sqrt(r) for r in (coarse, fine))
-    if not (sys.float_info.min <= low and high <= sys.float_info.max):
-        raise click.BadParameter(f"eta = sqrt(eps)/sqrt(m)/sqrt(r), from {high:.3g} to "
-                                 f"{low:.3g}, leaves the normal floats",
-                                 param_hint=["--eps", "--m"])
+def _check_range(what: str, low: float, high: float, flags: list[str],
+                 normal: bool = True) -> None:
+    """Refuse a quantity ``what`` that runs from ``low`` to ``high`` and
+    leaves the normal floats (or with ``normal=False`` the positive finite
+    floats): a usage error naming ``flags``."""
+    floor = sys.float_info.min if normal else math.ulp(0.0)
+    if not (low >= floor and high <= sys.float_info.max):
+        kind = "normal" if normal else "positive finite"
+        raise click.BadParameter(f"{what} runs from {low:.3g} to {high:.3g}, outside the "
+                                 f"{kind} floats", param_hint=flags)
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -211,7 +195,8 @@ def main() -> None:
 def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
     v0 = _resolve_v0(v0, eps)
-    _check_scales(eps, v0, 0.01, 21.0)
+    _check_range("t = s eps", 0.01 * eps, 21.0 * eps, ["--eps"])
+    _check_range("v0 t", v0 * eps * 0.01, v0 * eps * 21.0, ["--v0"], normal=False)
     t = np.arange(1, 2101) * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, v0, t)
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
@@ -227,10 +212,12 @@ def _recursion_tables(eps, v0, n_max, samples_per_interval):
     except ValueError as err:
         raise click.BadParameter(str(err),
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
-    _check_scales(eps, v0, 1 / samples_per_interval, n_max + 1)
+    s_first, s_last = 1 / samples_per_interval, n_max + 1
+    _check_range("t = s eps", s_first * eps, s_last * eps, ["--eps"])
+    _check_range("v0 t", v0 * eps * s_first, v0 * eps * s_last, ["--v0"], normal=False)
     curve = recursion.run_recursion(cfg)
     s = curve.times
-    model = sawtooth.sawtooth_envelope(1.0, s)
+    model = sawtooth.sawtooth_envelope(s)
     # model is right-continuous; report the peak branch on '-' rows
     minus = curve.sides == "-"
     model[minus] = sawtooth.peak_value(s[minus] - 1)
@@ -258,15 +245,16 @@ def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
 def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
     v0 = _resolve_v0(v0, eps)
-    _check_scales(eps, v0, 0.5, 4.0)
+    _check_range("t = s eps", 0.5 * eps, 4.0 * eps, ["--eps"])
+    _check_range("v0 t", v0 * eps * 0.5, v0 * eps * 4.0, ["--v0"], normal=False)
 
     def build():
         orthant = exact.bridge_orthant
         return [
-            ("envelope_no_projection", exact.projected_envelope_exact(eps, 0.5 * eps, 0)),
-            ("envelope_one_projection", exact.projected_envelope_exact(eps, 1.5 * eps, 1)),
-            ("envelope_two_projection_peak", exact.projected_envelope_exact(eps, 3 * eps, 2)),
-            ("envelope_three_projection", exact.projected_envelope_exact(eps, 4 * eps, 3)),
+            ("envelope_no_projection", exact.projected_envelope_exact(0.5, 0)),
+            ("envelope_one_projection", exact.projected_envelope_exact(1.5, 1)),
+            ("envelope_two_projection_peak", exact.projected_envelope_exact(3.0, 2)),
+            ("envelope_three_projection", exact.projected_envelope_exact(4.0, 3)),
             ("chain_pp_equal", orthant((eps, 2 * eps), 3 * eps) / np.sqrt(3 * eps)),
             ("chain_pm_equal", orthant((eps, 2 * eps), 3 * eps, (1, -1)) / np.sqrt(3 * eps)),
             ("chain_ppp_reconstructed",
@@ -284,19 +272,26 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
 @main.command(name="lattice")
 @_with([mass_option, spacing_option, *output_options])
 @click.option("--tau", type=POSITIVE, default=4.0, show_default=True,
-              help="Total walk duration (multiple of eps).")
-@click.option("--levels", type=click.IntRange(max=_MAX_LEVELS), default=5, show_default=True,
-              help="Number of refinement levels (quadrupling).")
+              help="Total walk duration (a whole number of eps).")
+@click.option("--levels", type=click.IntRange(min=3, max=_MAX_LEVELS), default=5,
+              show_default=True, help="Number of refinement levels (quadrupling).")
 def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
     """Constrained-walk refinement sweep toward the continuum peak law."""
     level_list = tuple(4**j for j in range(1, levels + 1))
-    _check_walk_scales(m, eps, level_list)
+    r = np.array(level_list, dtype=float)
+    dtau = eps / r
+    eta = [math.sqrt(eps) / math.sqrt(m) / math.sqrt(x) for x in r]
+    _check_range("dtau = eps/r", dtau[-1], dtau[0], ["--eps"])
+    _check_range("eta = sqrt(eps)/sqrt(m)/sqrt(r)", eta[-1], eta[0], ["--eps", "--m"])
+    n_intervals = tau / eps
+    if not (n_intervals >= 1 and n_intervals.is_integer()):
+        raise click.BadParameter(f"{tau!r} is not a whole number of eps = {eps!r}: tau/eps = "
+                                 f"{n_intervals!r}", param_hint=["--tau"])
 
-    sweep = _numerical_guard(lattice.continuum_peak_estimate, tau, eps, m=m, levels=level_list)
+    sweep = _numerical_guard(lattice.continuum_peak_estimate, int(n_intervals), level_list)
     # one row per level, then the extrapolated ratio on a row of zeros
-    r = sweep.steps_per_projection.astype(float)
     columns = [np.append(col, last) for col, last in
-               ((r, 0.0), (sweep.etas, 0.0), (eps / r, 0.0), (sweep.ratios, sweep.extrapolated))]
+               ((r, 0.0), (eta, 0.0), (dtau, 0.0), (sweep.ratios, sweep.extrapolated))]
     _write_table(out, fmt, "lattice", {"m": m, "eps": eps, "tau": tau, "levels": levels},
                  ["steps_per_projection", "eta", "dtau", "ratio"], columns)
 
@@ -314,10 +309,8 @@ def pdx(m, out, fmt, p_sigma) -> None:
         _, tau, eps_values, _ = _numerical_guard(wavepacket.scan_geometry, p_sigma)
     except click.UsageError as err:  # the scan's ValueError, from --p-sigma alone
         raise click.BadParameter(err.message, param_hint="'--p-sigma'") from err
-    low, high = m * float(eps_values[0]), m * max(float(eps_values[-1]), tau)  # inf, no error
-    if not (sys.float_info.min <= low and high <= sys.float_info.max):
-        raise click.BadParameter(f"eps and tau in units of m, from {low:.3g} to {high:.3g}, "
-                                 "leave the normal floats", param_hint=["--m", "--p-sigma"])
+    _check_range("m eps to m tau", m * float(eps_values[0]),  # Python floats: inf, no error
+                 m * max(float(eps_values[-1]), tau), ["--m", "--p-sigma"])
     tau, eps_values, *columns = _numerical_guard(wavepacket.delta_norm_scan, p_sigma)
     _write_table(out, fmt, "pdx", {"m": m, "p_sigma": p_sigma, "tau": m * tau},
                  ["eps", "E_eps", "predictor", "delta_norm"], (m * eps_values, *columns))

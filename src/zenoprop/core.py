@@ -67,10 +67,9 @@ def snap_to_integer(x) -> np.ndarray:
     """``x`` with each entry that lies within ``SNAP`` (relative) of a whole
     number replaced by that number.  A ratio that is whole in exact
     arithmetic lands within a few roundings of it and one that is not many
-    roundings away: a time over the projection spacing at a drop
-    (``sawtooth_envelope``), the spacing over a target time step
-    (``wavepacket.time_grid``'s steps per projection) or a duration over
-    the time step."""
+    roundings away: the spacing over a target time step
+    (``wavepacket.time_grid``'s steps per projection), a duration over the
+    time step, or a momentum cut over its step (``wavepacket.crossing_term``)."""
     x = np.asarray(x, dtype=float)
     nearest = np.rint(x)
     return np.where(np.abs(x - nearest) <= SNAP * nearest, nearest, x)

@@ -99,18 +99,17 @@ def bridge_orthant(times, t, signs=None) -> np.ndarray | float:
     return value if value.ndim else float(value)
 
 
-def projected_envelope_exact(eps: float, t: float, n_proj: int) -> float:
-    """Dimensionless boundary envelope after n_proj in {0, 1, 2, 3} equally
-    spaced projections at eps, 2 eps, ..., valid on n_proj eps <= t <=
-    (n_proj + 1) eps (t > 0); the value at the right endpoint is the left
-    limit of the next drop.  Cases: 1, then 1/2, then
-    (1/4)(1 + (2/pi) arctan sqrt((t - 2 eps)/t)), peaking at 1/3."""
-    if not (0 <= n_proj <= 3 and t > 0 and n_proj * eps <= t <= (n_proj + 1) * eps):
-        raise ValueError(
-            f"closed forms need 0 <= n_proj <= 3 and n_proj eps <= t <= (n_proj+1) eps "
-            f"with t > 0, got eps={eps}, n_proj={n_proj}, t={t}"
-        )
-    return bridge_orthant(eps * np.arange(1, n_proj + 1), t)
+def projected_envelope_exact(s: float, n_proj: int) -> float:
+    """Dimensionless boundary envelope at s = t/eps after n_proj in
+    {0, 1, 2, 3} equally spaced projections at s = 1, 2, ..., valid on
+    n_proj <= s <= n_proj + 1 (s > 0, which with more than three
+    projections ``bridge_orthant`` refuses); the value at the right
+    endpoint is the left limit of the next drop.  Cases: 1, then 1/2, then
+    (1/4)(1 + (2/pi) arctan sqrt((s - 2)/s)), peaking at 1/3."""
+    if not n_proj <= s <= n_proj + 1:
+        raise ValueError(f"the envelope after n_proj projections holds on "
+                         f"n_proj <= s <= n_proj + 1, got n_proj={n_proj}, s={s}")
+    return bridge_orthant(np.arange(1, n_proj + 1), s)
 
 
 # ---------------------------------------------------------------------------
@@ -159,5 +158,5 @@ def time_averaged_envelope(n: int) -> float:
         raise ValueError("time-averaged envelope implemented for n in {1, 2}")
     x, w = _tanh_sinh_rule()
     t = x[:, None]
-    inner = bridge_orthant((x * t, t), 1.0) @ w
-    return float(2.0 * (w * x) @ inner)
+    # one reduction, not a matrix product, whose bits would follow the BLAS kernel
+    return float(2.0 * ((w * x)[:, None] * bridge_orthant((x * t, t), 1.0) * w).sum())

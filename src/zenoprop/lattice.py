@@ -180,67 +180,47 @@ def richardson_limit(values) -> float:
 
 @dataclass
 class LatticeSweep:
-    steps_per_projection: np.ndarray
-    etas: np.ndarray
     ratios: np.ndarray
     extrapolated: float
 
 
 def continuum_peak_estimate(
-    tau: float,
-    eps: float,
-    m: float = 1.0,
+    n_intervals: int,
     levels: tuple[int, ...] = (4, 16, 64, 256, 1024),
 ) -> LatticeSweep:
     """Refinement sweep of the walk toward the continuum peak law.
 
-    Holds the physical duration ``tau`` and constraint spacing ``eps``
-    fixed while quadrupling the number of steps per constraint interval
-    (so eta halves level to level), forms the ratio
+    Holds the number of constraint intervals ``n_intervals`` = tau/eps
+    fixed while quadrupling the number r of steps per interval (so eta
+    halves level to level), forms the ratio
 
         [(1/2 eta) u] / [sqrt(m / 2 pi tau) * eps / tau]
 
     at each level, and removes the errors O(eta) to O(eta^(L-1)) of its L
     levels by every Richardson stage (``richardson_limit``).  The ratio is
-    scale-free, so it is formed from the unit walk, m = eps = 1 over
-    N = tau/eps intervals, which no (m, eps) can overflow; the physical
-    eta = sqrt(eps)/sqrt(m)/sqrt(r) is reported alongside, formed from the
-    three roots so that it leaves the floats only where its value does.  The
-    extrapolated ratio is 1 to 5.9e-6 at the default five levels and
-    tau/eps = 4, and to 5.4e-8 at six levels (4 to 4,096) and tau/eps = 8.
-    Fewer than three levels, levels that do not quadruple, and a finest walk
-    of more than ``MAX_WALK_STEPS`` steps are rejected with ``ValueError``.
+    scale-free, so it is formed from the unit walk, m = eps = 1: its value
+    is the same for every physical (m, eps) with tau = n_intervals eps, and
+    the physical eta = sqrt(eps/m/r) and dtau = eps/r enter only the
+    command line's table.  The extrapolated ratio is 1 to 5.9e-6 at the
+    default five levels and four intervals, and to 5.4e-8 at six levels
+    (4 to 4,096) and eight intervals.  No interval, fewer than three
+    levels, levels that do not quadruple, and a finest walk of more than
+    ``MAX_WALK_STEPS`` steps are rejected with ``ValueError``.
     """
-    if not tau > 0 or not eps > 0:
-        raise ValueError("tau and eps must be positive")
+    if n_intervals < 1:
+        raise ValueError("the sweep needs at least one interval")
     if len(levels) < 3:
         raise ValueError("refinement sweep needs at least three levels to extrapolate")
     for a, b in zip(levels, levels[1:]):
         if b != 4 * a:
             raise ValueError("levels must quadruple so that eta halves")
-    n_intervals = tau / eps
-    # the first test keeps a huge level from overflowing the float product
-    if levels[-1] > MAX_WALK_STEPS or not n_intervals * levels[-1] <= MAX_WALK_STEPS:
+    if n_intervals * levels[-1] > MAX_WALK_STEPS:
         raise ValueError(
-            f"finest walk too long: tau/eps = {n_intervals:.6g} intervals at levels "
+            f"finest walk too long: {n_intervals:.6g} intervals at levels "
             f"{levels[0]}..{levels[-1]} steps per interval exceed {MAX_WALK_STEPS} steps"
         )
-    if round(n_intervals) < 1:
-        raise ValueError("tau must be at least eps")
-    if abs(n_intervals - round(n_intervals)) > 1e-9:
-        raise ValueError("tau must be an integer multiple of eps")
-    n_intervals = int(round(n_intervals))
 
     target = np.sqrt(1 / (2 * np.pi * n_intervals)) * (1 / n_intervals)
-    etas, ratios = [], []
-    for r in levels:
-        u = constrained_walk_probability(LatticeConfig(n_intervals * r, r))
-        etas.append(np.sqrt(eps) / np.sqrt(m) / np.sqrt(r))
-        ratios.append(u / (2 * np.sqrt(1 / r)) / target)
-
-    return LatticeSweep(
-        steps_per_projection=np.array(levels),
-        etas=np.array(etas),
-        ratios=np.array(ratios),
-        extrapolated=richardson_limit(ratios),
-    )
+    ratios = [constrained_walk_probability(LatticeConfig(n_intervals * r, r))
+              / (2 * np.sqrt(1 / r)) / target for r in levels]
+    return LatticeSweep(ratios=np.array(ratios), extrapolated=richardson_limit(ratios))

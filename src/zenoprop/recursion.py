@@ -50,10 +50,11 @@ applied at the origin alone: the recursion advances every slice first,
 keeping each only out to the widest kernel's reach, and then takes the
 samples of all intervals in one call (``boundary_amplitude``), which
 transforms each weighted slice once and sums its spectrum times the
-kernel's, exp(-(u eps / 2m) k^2), out to kernel_span widths of that
-spectrum, for a block of consecutive offsets and a chunk of slices at a
-time.  On the free interval 0 < s <= 1 the slice is the heat kernel itself
-and the envelope is exactly one, so only the slice at s = 1 is built.
+kernel's, exp(-(u eps / 2m) k^2), for a block of consecutive offsets and
+a chunk of slices at a time, out to kernel_span widths of the spectrum of
+the block's first offset, the widest in the block.  On the free interval
+0 < s <= 1 the slice is the heat kernel itself and the envelope is
+exactly one, so only the slice at s = 1 is built.
 
 One-sided limits at the projection instants: the left limit is the ordinary
 sample at the end of an interval; the right limit is the exact coincidence
@@ -263,9 +264,10 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
     the kernel's spectrum, kernel_span sqrt(m / u eps): past them the
     spectrum is below exp(-kernel_span^2 / 2) of its peak, as the kernel
     is at its reach.  The offsets are summed in blocks of consecutive ones,
-    each block out to its first offset's modes with every mode past an
-    offset's own J_u weighted zero, and the rows are transformed and summed
-    a chunk at a time: each block's decay factors, each chunk's product
+    each block out to its first offset's J_u, the most of any offset in it
+    (a later offset's modes past its own J_u add terms below
+    exp(-kernel_span^2 / 2) of its peak), and the rows are transformed and
+    summed a chunk at a time: each block's decay factors, each chunk's product
     with them and each chunk's transform take ``_SUM_ENTRIES`` entries or
     fewer, or one row's transform where that alone is more.  The
     blocks depend on ``cfg`` alone, and each sample is one row's sum, so a
@@ -295,7 +297,6 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
         top = modes[start]
         block = slice(start, start + _SUM_ENTRIES // top)
         decay = np.exp(dt[block, None] * minus_k2[:top])
-        decay[np.arange(top) >= modes[block, None]] = 0.0   # past each offset's own J_u
         chunk = _SUM_ENTRIES // decay.size
         for r in range(0, len(c), chunk):
             rows = slice(r, r + chunk)

@@ -1,15 +1,15 @@
 """Piecewise-linear saw-tooth model of the pulsed-measurement boundary envelope.
 
-With projections every ``eps`` (at eps, 2 eps, 3 eps, ...) the boundary
-envelope drops by exactly a factor of two at every projection and recovers
-linearly in between.  Writing ``t_k = (k + 1) eps`` for the drop instants
-(k = 0, 1, 2, ...), the model is
+The model is written in s = t/eps, the time in units of the projection
+spacing: projections at s = 1, 2, 3, ... drop the envelope by exactly a
+factor of two and it recovers linearly in between.  Writing ``s_k = k + 1``
+for the drop instants (k = 0, 1, 2, ...), the model is
 
-    f(t) = 1                                       on [0, t_0)
-    f(t) = (t - t_{k-1}) / ((k+1) eps)
-         + (t_k - t)     / (2 k eps)               on [t_{k-1}, t_k), k >= 1
+    f(s) = 1                                       on [0, s_0)
+    f(s) = (s - s_{k-1}) / (k+1)
+         + (s_k - s)     / (2 k)                   on [s_{k-1}, s_k), k >= 1
 
-so approaching ``t_k`` from below gives the peak ``1/(k+1)`` and just after
+so approaching ``s_k`` from below gives the peak ``1/(k+1)`` and just after
 it the trough ``1/(2(k+1))``.  The k = 1 branch is constant at 1/2, matching
 the exact single-projection amplitude.  The true envelope between peaks is
 not exactly linear; the linear interpolant is kept as the reference model
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NumericalFailure, snap_to_integer
+from .core import NumericalFailure
 
 __all__ = [
     "sawtooth_envelope",
@@ -51,28 +51,18 @@ def trough_value(k) -> np.ndarray | float:
     return 0.5 * peak_value(k)
 
 
-def sawtooth_envelope(eps: float, t) -> np.ndarray | float:
-    """Model envelope f(t) for t >= 0 with projections every eps,
-    right-continuous at the drops (the value at t_k itself is the trough, as
-    the half-open branches dictate; a t within rounding of a drop counts as
-    the drop)."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("envelope is defined for t >= 0")
-    out = np.ones_like(t)
-    # t counts as a drop within core.SNAP: a time grid's drop instants t = k
-    # eps sit within one rounding of k (the default pdx scan's grids), while
-    # a probe 1e-13 eps before the drop at k = 12 is 37 roundings away and
-    # stays on the peak branch
-    s = snap_to_integer(t / eps)
+def sawtooth_envelope(s) -> np.ndarray | float:
+    """Model envelope f(s) for s = t/eps >= 0, right-continuous at the
+    drops: the value at a whole s = k + 1 itself is the trough, as the
+    half-open branches dictate."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("envelope is defined for s >= 0")
+    out = np.ones_like(s)
     past = s >= 1
-    # k = number of projections already applied at time t (>= 1 where past)
-    k = np.floor(s[past]).astype(int)
-    t_lo = eps + (k - 1) * eps
-    t_hi = eps + k * eps
-    out[past] = (t[past] - t_lo) / ((k + 1) * eps) + (t_hi - t[past]) / (2 * k * eps)
+    # k = number of projections already applied at s (>= 1 where past)
+    k = np.floor(s[past])
+    out[past] = (s[past] - k) / (k + 1) + (k + 1 - s[past]) / (2 * k)
     return out if out.shape else float(out)
 
 

@@ -159,40 +159,42 @@ def suppression_factor(exponents) -> np.ndarray:
 _ROOT_G_FREE = ROOT_INV_I * np.sqrt(1 / (2 * np.pi))  # sqrt(u) g_free(0, u | 0, 0)
 
 
-def stationary_delta_g(t_grid, eps: float, v0: float) -> np.ndarray:
+def stationary_delta_g(s) -> np.ndarray:
     """Boundary-propagator difference delta_g(u) = S(u) g_absorbing(0,u|0,0)
-    on ``t_grid`` with its u^{-1/2} factor peeled off:
+    at s = u/eps, with its u^{-1/2} factor peeled off:
 
-        sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p(u) - f_v(u)),
+        sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p(s) - f_v(s)),
 
-    f_p the saw-tooth and f_v the absorbing envelope.  Both envelopes start
-    at one, so the value at u = 0 is exactly zero, and at a drop u = k eps
-    f_p takes its trough 1/(2k) (``sawtooth_envelope``).
+    f_p the saw-tooth and f_v the absorbing envelope at the calibrated
+    v0 eps = 4/3 (``calibrate_absorption``), both functions of s alone.
+    Both envelopes start at one, so the value at s = 0 is exactly zero, and
+    at a drop, s = k, f_p takes its trough 1/(2k) (``sawtooth_envelope``).
     """
-    t = np.asarray(t_grid, dtype=float)
-    fv = np.ones_like(t)
-    pos = t > 0
-    fv[pos] = absorbing_envelope(v0, t[pos])
-    return _ROOT_G_FREE * (sawtooth_envelope(eps, t) - fv)
+    s = np.asarray(s, dtype=float)
+    fv = np.ones_like(s)
+    pos = s > 0
+    fv[pos] = absorbing_envelope(calibrate_absorption(1.0), s[pos])
+    return _ROOT_G_FREE * (sawtooth_envelope(s) - fv)
 
 
-def _weighted_delta_g(n: int, q: int, eps: float, v0: float) -> np.ndarray:
+def _weighted_delta_g(n: int, q: int, eps: float) -> np.ndarray:
     """The values that ``inner_boundary_convolution`` convolves for
-    ``pdx_delta_psi``: ``stationary_delta_g`` at the n lags u_j = j eps/q
-    times ``half_power_weights``, with each saw-tooth drop taken one-sidedly.
+    ``pdx_delta_psi``: ``stationary_delta_g`` at the n lags u_j = j eps/q,
+    s = j/q, times ``half_power_weights``, with each saw-tooth drop taken
+    one-sidedly.
 
-    Drop k, at u = k eps, is node k q, which holds the trough 1/(2k) that
-    the panel after it starts from.  The panel that ends there meets the
-    peak 1/k instead, so its right weight also carries the jump between
-    the two; a line drawn across the drop would err by half of it over a
-    panel, a first-order error in the time step.
+    Drop k, at u = k eps, is node k q, whose s = k q / q is k exactly; it
+    holds the trough 1/(2k) that the panel after it starts from.  The
+    panel that ends there meets the peak 1/k instead, so its right weight
+    also carries the jump between the two; a line drawn across the drop
+    would err by half of it over a panel, a first-order error in the time
+    step.
     """
     dt = eps / q
-    u = np.arange(n) * dt
-    weighted = half_power_weights(n - 1, dt) * stationary_delta_g(u, eps, v0)
+    weighted = half_power_weights(n - 1, dt) * stationary_delta_g(np.arange(n) / q)
     k = np.arange(1, (n - 1) // q + 1)
     jump = _ROOT_G_FREE * (peak_value(k - 1) - trough_value(k - 1))
-    weighted[k * q] += panel_weights(u[k * q - 1], u[k * q])[1] * jump
+    weighted[k * q] += panel_weights((k * q - 1) * dt, k * q * dt)[1] * jump
     return weighted
 
 
@@ -438,11 +440,10 @@ def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarra
     ``time_grid``, whose node at or before t = 0 takes the packet
     derivative at t = 0; ``profile`` is ``step_profile(x1, tau)``.
     """
-    v0 = calibrate_absorption(eps)
     t, q = time_grid(wp, eps, tau)
     # the weighted boundary difference and the packet derivative are held
     # only by the convolution, which frees them once it has copied them
-    G = inner_boundary_convolution(_weighted_delta_g(len(t), q, eps, v0),
+    G = inner_boundary_convolution(_weighted_delta_g(len(t), q, eps),
                                    packet_boundary_derivative(wp, np.maximum(t, 0.0)))
 
     kmax = float(np.sqrt(2 * (wp.energy + 4 * np.pi / eps)) + abs(wp.p) + 8.0)

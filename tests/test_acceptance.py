@@ -53,7 +53,7 @@ class TestCriterion1:
             elif s <= 2.0:
                 want = 0.5
             elif s <= 3.0:
-                want = exact.projected_envelope_exact(cfg.eps, t, 2)
+                want = exact.projected_envelope_exact(s, 2)
             elif np.isclose(s, 4.0) and side == "-":
                 want = 0.25
             else:
@@ -173,7 +173,7 @@ class TestCriterion5:
         """Walk refinement extrapolates to the continuum peak law within
         2e-5 (measured 5.85e-6); tiny lattices match brute-force enumeration
         exactly."""
-        sweep = lattice.continuum_peak_estimate(4.0, 1.0, m=1.0)
+        sweep = lattice.continuum_peak_estimate(4)
         assert abs(sweep.extrapolated - 1.0) <= 2e-5, sweep.extrapolated
 
         two = lattice.LatticeConfig(2, 1)

@@ -2,8 +2,13 @@ import ast
 import inspect
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 import textwrap
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from click.testing import CliRunner
 
 from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
+import zenoprop
 from zenoprop import recursion, wavepacket
 from zenoprop.cli import _write_table, main
 
@@ -134,20 +140,47 @@ class TestExact:
         assert table["time_averaged_two"] == pytest.approx(1 / 3, abs=1e-13)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("eps", ["1e-300", "1e-200", "1e-160", "1e160", "1e300"])
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-200", "1e-160", "0.1", "3", "1e160", "1e300"])
     def test_scale_free_at_extreme_eps(self, runner, tmp_path, eps):
         # the closed forms depend on ratios of instants only, so no eps
         # overflows, underflows or warns down to 4/(3 DBL_MAX), about
         # 7.4e-309, below which the default v0 = 4/(3 eps) overflows
-        # (TestUsageErrors)
-        out = tmp_path / "exact.csv"
-        res = runner.invoke(main, ["exact", "--eps", eps, "--out", str(out)])
-        assert res.exit_code == 0, result_output(res)
-        _, rows = read_rows(out)
+        # (TestUsageErrors).  The envelopes are taken in s = t/eps, so their
+        # rows and the time averages are the eps = 1 bytes; the chain
+        # integrals carry 1/sqrt(eps)
+        def table(*args):
+            out = tmp_path / "exact.csv"
+            res = runner.invoke(main, ["exact", *args, "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            return dict(read_rows(out)[1])
+
+        rows, unit = table("--eps", eps), table()
         want = exact_closed_forms(float(eps))
-        assert [r[0] for r in rows] == list(want)
-        for name, value in rows:
+        assert list(rows) == list(want)
+        for name, value in rows.items():
+            if name.startswith(("envelope_", "time_averaged_")):
+                assert value == unit[name], name
             assert float(value) == pytest.approx(want[name], rel=1e-6), name
+
+    def test_time_average_does_not_follow_the_blas_kernel(self, tmp_path):
+        # the time average is one numpy reduction, not a matrix product, so
+        # the exact table has the same bytes under every OpenBLAS core type
+        # (a product read one ulp below the double nearest 1/3 under Prescott
+        # and one ulp above it under Haswell)
+        def table(coretype):
+            out = tmp_path / f"exact-{coretype}.csv"
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = str(Path(zenoprop.__file__).parents[1])
+            subprocess.run([sys.executable, "-m", "zenoprop.cli", "exact", "--out", str(out)],
+                           env=env, check=True)
+            return out.read_bytes()
+
+        default = table(None)
+        assert b"time_averaged_two,0.33333333333333331\n" in default
+        assert table("Prescott") == default
+        assert table("Haswell") == default
 
 
 class TestLattice:
@@ -162,11 +195,14 @@ class TestLattice:
         ratios = [float(r[3]) for r in rows[:-1]]
         assert ratios == sorted(ratios)  # monotone convergence recorded
 
-    @pytest.mark.parametrize("m, eps", [(2.5, 0.3), (1e300, 1e-10), (1.0, 1e-300)])
+    @pytest.mark.parametrize("m, eps", [(2.5, 0.3), (1e300, 1e-10), (1.0, 1e-300),
+                                        (2.0**1022, 2.0**-1012)])
     def test_ratio_is_the_unit_walks(self, runner, tmp_path, m, eps):
         # the ratio is scale-free: at every (m, eps) the ratio column, the
         # extrapolated row too, is the unit table's (m = eps = 1, tau = 4),
-        # byte for byte, where m / tau or eps / tau would leave the floats
+        # byte for byte, where m / tau or eps / tau would leave the floats.
+        # At m = 2^1022 and eps = 2^-1012 the finest dtau and eta are both
+        # DBL_MIN exactly, the edge of the normal floats
         def ratios(*args):
             out = tmp_path / "lat.csv"
             res = runner.invoke(main, ["lattice", *args, "--out", str(out)])
@@ -195,8 +231,8 @@ class TestLattice:
         (["--eps", "1e-310", "--tau", "4e-310"], "'--eps'"),
         # eta = sqrt(1e300) / sqrt(5e-324) / 2 overflows
         (["--m", "5e-324", "--eps", "1e300", "--tau", "4e300"], "'--eps' / '--m'"),
-        # eta = sqrt(1.6e-307) / sqrt(1.7e308) / 2 is subnormal, dtau is not
-        (["--m", "1.7e308", "--eps", "1.6e-307", "--tau", "6.4e-307", "--levels", "1"],
+        # eta = sqrt(1.6e-306) / sqrt(1.7e308) / 8 is subnormal, dtau is not
+        (["--m", "1.7e308", "--eps", "1.6e-306", "--tau", "6.4e-306", "--levels", "3"],
          "'--eps' / '--m'"),
     ], ids=["dtau-subnormal", "eta-overflows", "eta-subnormal"])
     def test_scales_outside_the_normal_floats_are_refused(self, runner, tmp_path, args, flags):
@@ -206,6 +242,34 @@ class TestLattice:
         last = res.output.splitlines()[-1]
         assert last.startswith(f"Error: Invalid value for {flags}: ")
         assert len(last) < 200
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("args", [
+        ["--tau", "3.5"], ["--tau", "1e-12"], ["--tau", "1e-300"],
+        # tau/eps is taken in floats, where 0.3 / 0.1 is 2.9999999999999996
+        ["--eps", "0.1", "--tau", "0.3"],
+        # and 1e-300 / 1e300 is 0, a whole number but no interval
+        ["--eps", "1e300", "--tau", "1e-300"],
+    ])
+    def test_tau_not_a_whole_number_of_eps_is_refused(self, runner, tmp_path, args):
+        out = tmp_path / "lat.csv"
+        res = runner.invoke(main, ["lattice", *args, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        last = res.output.splitlines()[-1]
+        assert last.startswith("Error: Invalid value for '--tau': ")
+        assert "is not a whole number of eps" in last and len(last) < 200
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("levels", ["0", "2"])
+    def test_fewer_than_three_levels_are_refused(self, runner, tmp_path, levels):
+        # Richardson extrapolation needs three levels; the option's range
+        # refuses fewer before any level is formed
+        out = tmp_path / "lat.csv"
+        res = runner.invoke(main, ["lattice", "--levels", levels, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert res.output.splitlines()[-1].startswith("Error: Invalid value for '--levels': ")
         assert not out.exists()
 
 
@@ -480,9 +544,16 @@ class TestUsageErrors:
         ["exact", "--eps", "4.5e-308"],
         ["exact", "--v0", "1e300", "--eps", "4e7"],
         ["fv", "--v0", "1e-300", "--eps", "1e-6"],
+        # t = eps/2 is DBL_MIN and t = 4 eps DBL_MAX exactly
+        ["exact", "--eps", repr(2 * sys.float_info.min)],
+        ["exact", "--eps", repr(sys.float_info.max / 4)],
+        # v0 t = v0/2 is the least subnormal and 4 v0 is DBL_MAX exactly
+        ["exact", "--v0", repr(2 * math.ulp(0.0)), "--eps", "1"],
+        ["exact", "--v0", repr(sys.float_info.max / 4), "--eps", "1"],
     ])
     def test_scales_at_the_edges_still_run(self, runner, tmp_path, args):
-        # the times and v0 t of these tables stay inside the floats
+        # the times and v0 t of these tables stay inside the floats, at
+        # their edges too
         res = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 0, result_output(res)
 

@@ -319,42 +319,39 @@ class TestChainBruteForce:
 
 class TestExactEnvelopes:
     def test_case_table(self):
-        eps = 1.0
-        assert projected_envelope_exact(eps, 0.5, 0) == 1.0
-        assert projected_envelope_exact(eps, 1.5, 1) == 0.5
+        assert projected_envelope_exact(0.5, 0) == 1.0
+        assert projected_envelope_exact(1.5, 1) == 0.5
         # two-projection peak: arctan(1/sqrt(3)) = pi/6 gives exactly 1/3
-        assert projected_envelope_exact(eps, 3.0, 2) == pytest.approx(1 / 3, rel=1e-14)
-        assert projected_envelope_exact(eps, 2.0, 2) == pytest.approx(0.25, rel=1e-14)
-        assert projected_envelope_exact(eps, 4.0, 3) == 0.25
-        # three projections cover all of [3 eps, 4 eps]: 1/6 just after the drop
-        assert projected_envelope_exact(eps, 3.0, 3) == pytest.approx(1 / 6, rel=1e-14)
-        assert 1 / 6 < projected_envelope_exact(eps, 3.5, 3) < 0.25
+        assert projected_envelope_exact(3.0, 2) == pytest.approx(1 / 3, rel=1e-14)
+        assert projected_envelope_exact(2.0, 2) == pytest.approx(0.25, rel=1e-14)
+        assert projected_envelope_exact(4.0, 3) == 0.25
+        # three projections cover all of 3 <= s <= 4: 1/6 just after the drop
+        assert projected_envelope_exact(3.0, 3) == pytest.approx(1 / 6, rel=1e-14)
+        assert 1 / 6 < projected_envelope_exact(3.5, 3) < 0.25
 
     def test_matches_chain_language(self):
         # two projections at 2 eps <= t < 3 eps equal sqrt(t) T_++(eps, eps, t-2eps),
         # whose arctan form is (1/4)(1 + (2/pi) arctan sqrt((t - 2 eps)/t))
         eps, t = 1.0, 2.6
         arctan_form = 0.25 * (1 + (2 / np.pi) * np.arctan(np.sqrt((t - 2 * eps) / t)))
-        assert projected_envelope_exact(eps, t, 2) == pytest.approx(arctan_form, rel=1e-13)
+        assert projected_envelope_exact(t, 2) == pytest.approx(arctan_form, rel=1e-13)
         oracle = np.sqrt(t) * chain_integral("++", (eps, eps, t - 2 * eps))
-        assert projected_envelope_exact(eps, t, 2) == pytest.approx(oracle, abs=1e-6)
+        assert projected_envelope_exact(t, 2) == pytest.approx(oracle, abs=1e-6)
 
     def test_full_amplitude(self):
         # the real-time amplitude is the envelope times (m / 2 pi i t)^(1/2)
-        got = free_propagator(1.0, 3.0, 0.0, 0.0) * projected_envelope_exact(1.0, 3.0, 2)
+        got = free_propagator(1.0, 3.0, 0.0, 0.0) * projected_envelope_exact(3.0, 2)
         assert got == pytest.approx(np.sqrt(1 / (2j * np.pi * 3.0)) / 3, rel=1e-12)
 
     def test_unsupported_combinations(self):
-        with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 2.5, 1)
-        with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 4.5, 3)
-        with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 4.5, 4)
-        with pytest.raises(ValueError):
-            projected_envelope_exact(1.0, 0.5, -1)
+        # s on either side of its interval, more than three projections, and
+        # s = 0
+        for s, n_proj, message in [
+            (2.5, 1, "holds on"), (4.5, 3, "holds on"), (1.5, 2, "holds on"),
+            (1.0, 4, "holds on"), (0.5, -1, "holds on"), (4.5, 4, "at most 3 instants"), (0.0, 0, "0 < t_1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                projected_envelope_exact(s, n_proj)
 
 
 class TestBaxterEnvelope:
@@ -384,7 +381,7 @@ class TestBaxterEnvelope:
         theta = np.arange(1, 65) / 64
         got = baxter_envelope(3, theta)
         for k in range(4):
-            want = [projected_envelope_exact(1.0, k + th, k) for th in theta]
+            want = [projected_envelope_exact(k + th, k) for th in theta]
             assert_allclose(got[k], want, rtol=0, atol=1e-14)
 
     def test_offsets_must_lie_in_the_interval(self):
@@ -416,11 +413,8 @@ class TestHalfValueDrop:
 
     def test_case_table_drops(self):
         # analytic drops across projections: 1 -> 1/2 and 1/3 -> 1/6
-        eps = 1.0
-        assert projected_envelope_exact(eps, 1.0, 1) / projected_envelope_exact(
-            eps, 1.0, 0
-        ) == pytest.approx(0.5)
-        peak = projected_envelope_exact(eps, 3.0, 2)
+        assert projected_envelope_exact(1.0, 1) / projected_envelope_exact(1.0, 0) == 0.5
+        peak = projected_envelope_exact(3.0, 2)
         assert peak == pytest.approx(1 / 3, rel=1e-12)
         # trough after the drop at 3 eps is half the peak: 1/6
 

@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -15,6 +16,7 @@ from oracles import (
     lattice_envelope,
     unconstrained_return_probability,
 )
+from zenoprop.cli import main
 from zenoprop.core import heat_kernel
 from zenoprop.exact import absorbing_envelope
 from zenoprop import lattice
@@ -208,7 +210,7 @@ class TestSpectralSegments:
 
     def test_sweep_memory(self):
         # the benchmark's sweep, after a first call has imported numpy.fft
-        sweep = lambda: continuum_peak_estimate(8.0, 1.0, levels=(4, 16, 64, 256, 1024, 4096))
+        sweep = lambda: continuum_peak_estimate(8, levels=(4, 16, 64, 256, 1024, 4096))
         sweep()
         tracemalloc.start()
         try:
@@ -291,33 +293,32 @@ class TestBallotStructure:
 
 class TestContinuumSweep:
     def test_ratio_extrapolates_to_one(self):
-        sweep = continuum_peak_estimate(4.0, 1.0, m=1.0)
+        sweep = continuum_peak_estimate(4)
         assert np.all(np.diff(sweep.ratios) > 0)       # O(eta) from below
         assert sweep.extrapolated == pytest.approx(1.0, abs=2e-5)  # measured 5.85e-6
 
     def test_benchmark_sweep(self):
         # six levels over 8 intervals, every stage taken: measured 5.37e-8
         # (two stages left 9.64e-6)
-        sweep = continuum_peak_estimate(8.0, 1.0, levels=(4, 16, 64, 256, 1024, 4096))
+        sweep = continuum_peak_estimate(8, levels=(4, 16, 64, 256, 1024, 4096))
         assert abs(sweep.extrapolated - 1) <= 1e-7
 
     @pytest.mark.parametrize("levels", [(4, 16, 64), (16, 64, 256)])
     def test_three_levels_take_two_stages(self, levels):
         # at three levels the stages reduce to the two fixed ones, to the bit
-        sweep = continuum_peak_estimate(4.0, 1.0, levels=levels)
+        sweep = continuum_peak_estimate(4, levels=levels)
         a, b, c = sweep.ratios.tolist()
         assert sweep.extrapolated == (4 * (2 * c - b) - (2 * b - a)) / 3
 
-    @pytest.mark.parametrize("tau, levels", [
-        (4.0, (4, 16, 64)), (4.0, (4, 16, 64, 256)), (4.0, (4, 16, 64, 256, 1024)),
-        (8.0, (4, 16, 64, 256, 1024, 4096)),
+    @pytest.mark.parametrize("n, levels", [
+        (4, (4, 16, 64)), (4, (4, 16, 64, 256)), (4, (4, 16, 64, 256, 1024)),
+        (8, (4, 16, 64, 256, 1024, 4096)),
     ], ids=["3", "4", "default", "benchmark"])
     @pytest.mark.parametrize("c1, c2", [(-0.5, 0.0), (0.0, 3.0), (-1.3, 0.7), (2.0, -5.0)])
-    def test_richardson_is_exact_on_its_error_model(self, monkeypatch, tau, levels, c1, c2):
+    def test_richardson_is_exact_on_its_error_model(self, monkeypatch, n, levels, c1, c2):
         # walks whose ratios are exactly 1 + sum_i c_i r^(-i/2), i = 1 .. L - 1,
         # the errors O(eta) to O(eta^(L-1)) that the L - 1 stages remove, so
         # the extrapolation lands on 1 to rounding (measured at most 4.4e-16)
-        n = int(tau)
         target = np.sqrt(1 / (2 * np.pi * n)) / n  # the continuum peak law at eps = m = 1
         coeffs = (c1, c2, 2.1, -4.0, 5.5)[: len(levels) - 1]
 
@@ -329,37 +330,47 @@ class TestContinuumSweep:
             return model(r) * target * 2 / np.sqrt(r)
 
         monkeypatch.setattr(lattice, "constrained_walk_probability", walk)
-        sweep = continuum_peak_estimate(tau, 1.0, levels=levels)
+        sweep = continuum_peak_estimate(n, levels=levels)
         assert_allclose(sweep.ratios, model(np.array(levels, float)), rtol=1e-14)
         assert abs(sweep.extrapolated - 1) <= 1e-14
 
     def test_error_scales_linearly_in_eta(self):
-        sweep = continuum_peak_estimate(4.0, 1.0, m=1.0, levels=(16, 64, 256, 1024))
+        sweep = continuum_peak_estimate(4, levels=(16, 64, 256, 1024))
         errs = 1.0 - sweep.ratios
         rates = errs[:-1] / errs[1:]
         assert np.all((rates > 1.7) & (rates < 2.3))   # halving eta halves the error
 
-    def test_mass_invariance(self):
-        # the ratios come from the unit walk over tau/eps intervals, so every
-        # (tau, eps, m) with the same tau/eps gives the same bits
-        unit = continuum_peak_estimate(4.0, 1.0, m=1.0)
+    def test_mass_invariance(self, tmp_path):
+        # the sweep takes no unit: the command line passes it tau/eps alone,
+        # so every (tau, eps, m) with the same tau/eps writes the bits of
+        # the unit sweep
+        unit = continuum_peak_estimate(4)
+        out = tmp_path / "lat.csv"
         for tau, eps, m in [(8.0, 2.0, 0.5), (0.4, 0.1, 3.0)]:
-            sweep = continuum_peak_estimate(tau, eps, m=m)
-            assert sweep.ratios.tolist() == unit.ratios.tolist()
-            assert sweep.extrapolated == unit.extrapolated
+            args = ["lattice", "--tau", repr(tau), "--eps", repr(eps), "--m", repr(m)]
+            assert CliRunner().invoke(main, [*args, "--out", str(out)]).exit_code == 0
+            ratios = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+            assert ratios == unit.ratios.tolist() + [unit.extrapolated]
+
+    def test_finest_walk_at_the_cap_runs(self):
+        # 16 intervals at 4,096 steps each are MAX_WALK_STEPS exactly; one
+        # interval more is refused
+        levels = (4, 16, 64, 256, 1024, 4096)
+        assert 16 * levels[-1] == lattice.MAX_WALK_STEPS
+        assert abs(continuum_peak_estimate(16, levels).extrapolated - 1) <= 1e-6  # 8.3e-8
+        with pytest.raises(ValueError, match="finest walk too long: 17 intervals"):
+            continuum_peak_estimate(17, levels)
 
     def test_validation(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="at least one interval"):
+                continuum_peak_estimate(n)
         with pytest.raises(ValueError):
-            continuum_peak_estimate(4.3, 1.0)
-        with pytest.raises(ValueError):
-            continuum_peak_estimate(4.0, 1.0, levels=(4, 8, 16, 32))
+            continuum_peak_estimate(4, levels=(4, 8, 16, 32))
         with pytest.raises(ValueError, match="three levels"):
-            continuum_peak_estimate(4.0, 1.0, levels=(4, 16))
-        with pytest.raises(ValueError, match=r"tau/eps = 40000 .* levels 4\.\.1024"):
-            continuum_peak_estimate(4.0, 1e-4)
-        for tau in (1e-300, 1e-12):
-            with pytest.raises(ValueError, match="tau must be at least eps"):
-                continuum_peak_estimate(tau, 1.0)
+            continuum_peak_estimate(4, levels=(4, 16))
+        with pytest.raises(ValueError, match=r"40000 intervals at levels 4\.\.1024"):
+            continuum_peak_estimate(40_000)
 
 
 class TestConfigValidation:

@@ -109,3 +109,36 @@ def test_oracles_import_no_private_names():
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zenoprop")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+UNIT_NAMES = {"m", "eps", "tau"}
+
+
+def unit_parameters(module: str) -> list[str]:
+    """``module.function(name)`` for every parameter named m, eps or tau of
+    a public function of ``module``, and ``module.Class.name`` for every such
+    field of a public dataclass."""
+    found = []
+    for node in ast.parse((Path(zenoprop.__file__).parent / f"{module}.py").read_text()).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            found += [f"{module}.{node.name}({a.arg})" for a in args if a.arg in UNIT_NAMES]
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            found += [f"{module}.{node.name}.{s.target.id}" for s in node.body
+                      if isinstance(s, ast.AnnAssign) and s.target.id in UNIT_NAMES]
+    return found
+
+
+def test_the_envelopes_take_no_units():
+    # the envelopes depend on t/eps alone, so they take s = t/eps and
+    # interval counts; only the command line multiplies by eps and m.  The
+    # calibration v0 = 4/(3 eps) is the one function of eps
+    found = [name for module in ("sawtooth", "exact", "lattice")
+             for name in unit_parameters(module)]
+    found += [name for name in unit_parameters("wavepacket")
+              if name.startswith("wavepacket.stationary_delta_g(")]
+    assert found == ["sawtooth.calibrate_absorption(eps)"]

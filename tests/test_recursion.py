@@ -311,7 +311,7 @@ class TestAdvance:
         amp = np.append(boundary_amplitude([prev.values], small_cfg)[0],
                         advance_slice(prev, small_cfg, 3.0).values[0])
         env = amp / heat_kernel(small_cfg.m, s * small_cfg.eps, 0.0, 0.0)
-        want = [projected_envelope_exact(small_cfg.eps, t, 2) for t in s * small_cfg.eps]
+        want = [projected_envelope_exact(x, 2) for x in s]
         assert_allclose(env, want, rtol=0.0, atol=1e-4)
 
     def test_matches_direct_convolution_on_default_grid(self, default_run):
@@ -539,11 +539,11 @@ class TestRunRecursion:
         for t, v, side in zip(curve.times, curve.values, curve.sides):
             s = t / small_cfg.eps
             if s < 1 or (s == 1.0 and side == "-"):
-                want = projected_envelope_exact(small_cfg.eps, max(t, 1e-9), 0)
+                want = projected_envelope_exact(max(s, 1e-9), 0)
             elif s <= 2 - 1e-9 or (s == 2.0 and side == "-"):
-                want = projected_envelope_exact(small_cfg.eps, t, 1)
+                want = projected_envelope_exact(s, 1)
             elif s <= 3 - 1e-9 or (s == 3.0 and side == "-"):
-                want = projected_envelope_exact(small_cfg.eps, t, 2) if side != "+" else 0.25
+                want = projected_envelope_exact(s, 2) if side != "+" else 0.25
             elif np.isclose(s, 4.0) and side == "-":
                 want = 0.25
             else:
@@ -558,7 +558,7 @@ class TestRunRecursion:
         sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
         assert sel.sum() == cfg.samples_per_interval
         for t, v in zip(curve.times[sel], curve.values[sel]):
-            assert v == pytest.approx(projected_envelope_exact(cfg.eps, t, 3), abs=1e-10), t
+            assert v == pytest.approx(projected_envelope_exact(t / cfg.eps, 3), abs=1e-10), t
 
     def test_row_structure(self, small_cfg):
         curve = run_recursion(small_cfg)

@@ -23,53 +23,54 @@ def drop(k):
 
 class TestSchedule:
     def test_projection_times(self):
-        # drops at every multiple of eps, whatever eps is
+        # drops at every whole s = t/eps, whatever eps is: t = k eps over
+        # eps is k exactly
         eps = 0.5
-        assert sawtooth_envelope(eps, eps - 1e-12) == 1.0
+        assert sawtooth_envelope((eps - 1e-12) / eps) == 1.0
         for k in range(1, 6):
-            above = sawtooth_envelope(eps, k * eps)
-            below = sawtooth_envelope(eps, k * eps - 1e-12)
+            above = sawtooth_envelope(k * eps / eps)
+            below = sawtooth_envelope((k * eps - 1e-12) / eps)
             assert below == pytest.approx(1 / k, abs=1e-10)
             assert above / below == pytest.approx(0.5, abs=1e-9)
 
     def test_validation(self):
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError):
-                sawtooth_envelope(bad, 1.0)
+        for bad in (-1.0, -1e-300, -np.inf, [0.5, -0.5]):
+            with pytest.raises(ValueError, match="s >= 0"):
+                sawtooth_envelope(bad)
 
 
 class TestEnvelope:
     def test_unity_before_first_projection(self):
         t = np.array([0.0, 0.3, 0.999])
-        assert_allclose(sawtooth_envelope(EPS, t), 1.0)
+        assert_allclose(sawtooth_envelope(t), 1.0)
 
     def test_constant_half_on_first_interval(self):
         # the k = 1 branch collapses to the exact one-projection value
         t = np.linspace(1.0, 2.0, 50, endpoint=False)
-        assert_allclose(sawtooth_envelope(EPS, t), 0.5, rtol=1e-14)
+        assert_allclose(sawtooth_envelope(t), 0.5, rtol=1e-14)
 
     def test_peaks_and_troughs(self):
         for k in range(1, 15):
             tk = drop(k)
-            assert sawtooth_envelope(EPS, tk - 1e-12) == pytest.approx(
+            assert sawtooth_envelope(tk - 1e-12) == pytest.approx(
                 peak_value(k), abs=1e-10
             )
             # right-continuity: the value at the drop is the trough
-            assert sawtooth_envelope(EPS, tk) == pytest.approx(
+            assert sawtooth_envelope(tk) == pytest.approx(
                 trough_value(k), rel=1e-12
             )
 
     def test_jump_ratio_exactly_half(self):
         for k in range(1, 12):
             tk = drop(k)
-            above = sawtooth_envelope(EPS, tk)
-            below = sawtooth_envelope(EPS, tk - 1e-13)
+            above = sawtooth_envelope(tk)
+            below = sawtooth_envelope(tk - 1e-13)
             assert above / below == pytest.approx(0.5, abs=1e-9)
 
     def test_linear_between_drops(self):
         # second differences vanish inside every branch
         t = np.linspace(3.05, 3.95, 41)
-        vals = sawtooth_envelope(EPS, t)
+        vals = sawtooth_envelope(t)
         assert np.max(np.abs(np.diff(vals, 2))) < 1e-13
 
     def test_peak_sequences_decreasing(self):
@@ -81,7 +82,7 @@ class TestEnvelope:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            sawtooth_envelope(EPS, -0.1)
+            sawtooth_envelope(-0.1)
 
 
 class TestCalibration:
@@ -121,14 +122,14 @@ class TestOscillationRatio:
     def test_small_time_limit(self):
         v0 = calibrate_absorption(EPS)
         t = 1e-6
-        s = oscillation_ratio(sawtooth_envelope(EPS, t), absorbing_envelope(v0, t))
+        s = oscillation_ratio(sawtooth_envelope(t), absorbing_envelope(v0, t))
         assert s == pytest.approx(0.0, abs=1e-5)
 
     def test_band_bound_from_three_eps(self):
         v0 = calibrate_absorption(EPS)
         t = np.linspace(3.0, 30.0, 9000)
         s = oscillation_ratio(
-            sawtooth_envelope(EPS, t), absorbing_envelope(v0, t)
+            sawtooth_envelope(t), absorbing_envelope(v0, t)
         )
         assert np.all(np.abs(s) <= 0.4)
 
@@ -141,14 +142,14 @@ class TestModelCurves:
     def test_single_point_flat_region(self):
         v0 = calibrate_absorption(EPS)
         t = EPS / 2
-        fp = sawtooth_envelope(EPS, t)
+        fp = sawtooth_envelope(t)
         fv = absorbing_envelope(v0, t)
         assert fp == 1.0
         assert oscillation_ratio(fp, fv) == pytest.approx(1 / fv - 1)
 
     def test_one_period_has_one_extreme_pair(self):
         t = np.linspace(5.0, 6.0 - 1e-9, 400)
-        fp = sawtooth_envelope(EPS, t)
+        fp = sawtooth_envelope(t)
         # strictly increasing within the branch: min at left end, max at right
         assert np.argmin(fp) == 0
         assert np.argmax(fp) == len(t) - 1
@@ -158,6 +159,6 @@ class TestModelCurves:
         v0 = calibrate_absorption(EPS)
         rule = QuadratureRule("midpoint", 6000)
         nodes = quadrature_nodes(rule, 5.0, 20.0)
-        s = oscillation_ratio(sawtooth_envelope(EPS, nodes), absorbing_envelope(v0, nodes))
+        s = oscillation_ratio(sawtooth_envelope(nodes), absorbing_envelope(v0, nodes))
         avg = integrate(s, rule, 5.0, 20.0) / 15.0
         assert abs(avg) <= 0.05
