@@ -161,16 +161,18 @@ def _with(options):
 _MAX_LEVELS = (lattice.MAX_WALK_STEPS.bit_length() - 1) // 2
 
 
-def _resolve_v0(v0: float | None, eps: float) -> float:
-    """``v0``, or the calibrated default 4/(3 eps), which overflows for eps
-    below 4/(3 DBL_MAX), about 7.4e-309: a usage error, not a table."""
+def _resolve_v0(v0: float | None, eps: float) -> tuple[float, float]:
+    """``v0`` and the strength v0 eps that the envelopes take, or the
+    calibrated default: v0 eps = ``sawtooth.V0_EPS``, 4/3 exactly, with
+    v0 = 4/(3 eps) reported, which overflows for eps below 4/(3 DBL_MAX),
+    about 7.4e-309: a usage error, not a table."""
     if v0 is not None:
-        return v0
-    v0 = sawtooth.calibrate_absorption(eps)
+        return v0, v0 * eps
+    v0 = 4.0 / (3.0 * eps)
     if not math.isfinite(v0):
         raise click.BadParameter(f"{eps!r} is too small: the default v0 = 4/(3 eps) "
                                  "overflows", param_hint="'--eps'")
-    return v0
+    return v0, sawtooth.V0_EPS
 
 
 def _check_range(what: str, low: float, high: float, flags: list[str],
@@ -194,19 +196,21 @@ def main() -> None:
 @_with(envelope_options)
 def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
-    v0 = _resolve_v0(v0, eps)
+    v0, rate = _resolve_v0(v0, eps)
     _check_range("t = s eps", 0.01 * eps, 21.0 * eps, ["--eps"])
-    _check_range("v0 t", v0 * eps * 0.01, v0 * eps * 21.0, ["--v0"], normal=False)
-    t = np.arange(1, 2101) * (0.01 * eps)
-    vals = _numerical_guard(exact.absorbing_envelope, v0, t)
+    _check_range("v0 t", rate * 0.01, rate * 21.0, ["--v0"], normal=False)
+    j = np.arange(1, 2101)
+    t = j * (0.01 * eps)
+    vals = _numerical_guard(exact.absorbing_envelope, rate, j * 0.01)
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
 
 
-def _recursion_tables(eps, v0, n_max, samples_per_interval):
-    """The columns of an envelope table, built from the unit recursion in
-    s = t/eps (``recursion``): times t = s eps, the model saw-tooth, the
-    numeric envelope, the absorbing envelope at strength v0 eps, and their
-    oscillation ratio."""
+def _recursion_tables(eps, rate, n_max, samples_per_interval):
+    """The unit recursion in s = t/eps (``recursion``) and the model on its
+    grid of intervals n = 0 .. n_max and offsets u = j/samples_per_interval,
+    j = 0 .. samples_per_interval: s = n + u, the numeric envelope and the
+    model saw-tooth, each an (n_max + 1, samples_per_interval + 1) array.
+    The absorbing envelope will be taken at strength ``rate`` = v0 eps."""
     try:  # refused on the sizes and eps alone, before anything is allocated
         cfg = recursion.RecursionConfig(n_max, samples_per_interval)
     except ValueError as err:
@@ -214,39 +218,40 @@ def _recursion_tables(eps, v0, n_max, samples_per_interval):
                                  param_hint=["--n-max", "--samples-per-interval"]) from err
     s_first, s_last = 1 / samples_per_interval, n_max + 1
     _check_range("t = s eps", s_first * eps, s_last * eps, ["--eps"])
-    _check_range("v0 t", v0 * eps * s_first, v0 * eps * s_last, ["--v0"], normal=False)
-    curve = recursion.run_recursion(cfg)
-    s = curve.times
-    model = sawtooth.sawtooth_envelope(s)
-    # model is right-continuous; report the peak branch on '-' rows
-    minus = curve.sides == "-"
-    model[minus] = sawtooth.peak_value(s[minus] - 1)
-    fvv = exact.absorbing_envelope(v0 * eps, s)
-    return s * eps, curve, model, fvv, sawtooth.oscillation_ratio(curve.values, fvv)
+    _check_range("v0 t", rate * s_first, rate * s_last, ["--v0"], normal=False)
+    n = np.arange(n_max + 1)[:, None]
+    u = np.arange(samples_per_interval + 1) / samples_per_interval
+    return n + u, recursion.run_recursion(cfg), sawtooth.sawtooth_envelope(n, u)
 
 
 @main.command()
 @_with(envelope_options + recursion_options)
 def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
-    v0 = _resolve_v0(v0, eps)
-    t, curve, model, fvv, s = _numerical_guard(_recursion_tables, eps, v0, n_max,
-                                               samples_per_interval)
-    sides = np.select([curve.sides == "-", curve.sides == "+"], ["minus", "plus"], "")
+    v0, rate = _resolve_v0(v0, eps)
+
+    def build():
+        s, numeric, model = _recursion_tables(eps, rate, n_max, samples_per_interval)
+        sides = np.full(s.shape, "", dtype="<U5")
+        sides[:, 0], sides[:, -1] = "plus", "minus"
+        # row 0 is the free interval, which starts with no drop
+        s, numeric, model, sides = (col.ravel()[1:] for col in (s, numeric, model, sides))
+        fvv = exact.absorbing_envelope(rate, s)
+        return s * eps, model, numeric, fvv, sawtooth.oscillation_ratio(numeric, fvv), sides
+
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "fp", params,
-                 ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"],
-                 (t, model, curve.values, fvv, s, sides))
+                 ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"], _numerical_guard(build))
 
 
 @main.command(name="exact")
 @_with(envelope_options)
 def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
-    v0 = _resolve_v0(v0, eps)
+    v0, rate = _resolve_v0(v0, eps)
     _check_range("t = s eps", 0.5 * eps, 4.0 * eps, ["--eps"])
-    _check_range("v0 t", v0 * eps * 0.5, v0 * eps * 4.0, ["--v0"], normal=False)
+    _check_range("v0 t", rate * 0.5, rate * 4.0, ["--v0"], normal=False)
 
     def build():
         orthant = exact.bridge_orthant
@@ -261,7 +266,7 @@ def exact_cmd(m, eps, v0, out, fmt) -> None:
              orthant((eps, 2 * eps, 3 * eps), 4 * eps) / np.sqrt(4 * eps)),
             ("time_averaged_one", exact.time_averaged_envelope(1)),
             ("time_averaged_two", exact.time_averaged_envelope(2)),
-            ("absorbing_envelope_at_eps", exact.absorbing_envelope(v0, eps)),
+            ("absorbing_envelope_at_eps", exact.absorbing_envelope(rate, 1.0)),
         ]
 
     rows = _numerical_guard(build)
@@ -320,24 +325,24 @@ def pdx(m, out, fmt, p_sigma) -> None:
 @_with(envelope_options + recursion_options)
 def compare(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
-    v0 = _resolve_v0(v0, eps)
-    t, curve, model, fvv, s = _numerical_guard(_recursion_tables, eps, v0, n_max,
-                                               samples_per_interval)
+    v0, rate = _resolve_v0(v0, eps)
 
-    # '-' rows sit at s = 1..n_max+1 and '+' rows at s = 1..n_max; the peak
-    # of drop k is the '-' row at s = k + 1
-    minus = curve.sides == "-"
-    t_k, peak_n, peak_m, fv_k, s_k = (col[minus][1:] for col in
-                                      (t, curve.values, model, fvv, s))
-    troughs = curve.values[curve.sides == "+"]
-    k = np.arange(1, len(troughs) + 1)
-    trough_m = sawtooth.trough_value(k - 1)
+    def build():
+        # rows k = 1 .. n_max: the peak before the drop at s = k + 1 is the
+        # u = 1 end of interval k, the trough after the drop at s = k its
+        # u = 0 end
+        s, numeric, model = _recursion_tables(eps, rate, n_max, samples_per_interval)
+        at, peak_n, peak_m = s[1:, -1], numeric[1:, -1], model[1:, -1]
+        fv_k = exact.absorbing_envelope(rate, at)
+        return (np.arange(1, n_max + 1), at * eps, peak_n, peak_m, numeric[1:, 0],
+                model[1:, 0], fv_k, sawtooth.oscillation_ratio(peak_n, fv_k))
+
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,
                  ["k", "t_peak", "peak_numeric", "peak_model",
                   "trough_numeric", "trough_model", "f_v_peak", "s_peak"],
-                 (k, t_k, peak_n, peak_m, troughs, trough_m, fv_k, s_k))
+                 _numerical_guard(build))
 
 
 if __name__ == "__main__":

@@ -140,12 +140,3 @@ def half_power_weights(n_panels: int, dt: float) -> np.ndarray:
     weights[1:] += right
     return weights
 
-
-@dataclass
-class BoundaryCurve:
-    """Sampled curve of boundary data: times, values, and a side marker per
-    sample ('-' left limit, '+' right limit, '' interior)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    sides: np.ndarray

@@ -57,8 +57,9 @@ the block's first offset, the widest in the block.  On the free interval
 exactly one, so only the slice at s = 1 is built.
 
 One-sided limits at the projection instants: the left limit is the ordinary
-sample at the end of an interval; the right limit is the exact coincidence
-value, half the left limit.
+sample at the end of an interval, offset u = 1; the right limit, offset
+u = 0 of the next interval, is the exact coincidence value, half the left
+limit.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BoundaryCurve, Grid1D, five_smooth_at_least, heat_kernel, pow2_at_least
+from .core import Grid1D, five_smooth_at_least, heat_kernel, pow2_at_least
 
 __all__ = [
     "EuclideanSlice",
@@ -186,11 +187,12 @@ def predicted_work(cfg: RecursionConfig) -> float:
     """Work of ``run_recursion(cfg)`` and of writing its table, from the
     config alone, in units of about one nanosecond: each of the n_max
     advances counts 80 per point of its FFT length, and each row of the
-    envelope curve 40,000.  A row written as JSON takes about 18 us but also
-    1.1 KB, and its weight holds a table at the cap to 250,000 rows.  The
-    boundary samples are not counted: a term for them came to at most 3.3%
-    of the prediction at accepted sizes, well inside the rows' weight, over
-    ten times a row's cost as CSV.  Nothing is allocated."""
+    ``fp`` table, one per envelope entry but the first, 40,000.  A row
+    written as JSON takes about 18 us but also 1.1 KB, and its weight holds
+    a table at the cap to 250,000 rows.  The boundary samples are not
+    counted: a term for them came to at most 3.3% of the prediction at
+    accepted sizes, well inside the rows' weight, over ten times a row's
+    cost as CSV.  Nothing is allocated."""
     spi = cfg.samples_per_interval
     rows = spi + cfg.n_max * (spi + 1)
     return 80.0 * cfg.n_max * _advance_length(cfg) + 40_000.0 * rows
@@ -305,31 +307,26 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
     return (c[:, :1] + 2 * sums) / (length * h)
 
 
-def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
-    """Boundary envelope curve for n_max projections.
+def run_recursion(cfg: RecursionConfig) -> np.ndarray:
+    """Boundary envelope for n_max projections on the grid of intervals
+    n = 0 .. n_max and offsets u = j / samples_per_interval, j = 0 ..
+    samples_per_interval: an (n_max + 1, samples_per_interval + 1) array
+    whose entry (n, j) is the envelope at s = n + u.
 
-    Sampling per interval (n, n+1]: the exact right limit at s = n (side
-    '+', half the '-' row before it), ``samples_per_interval - 1`` interior
-    points at offsets u = j / samples_per_interval, and the sample at
-    s = n + 1, which is the peak / left limit at the next projection (side
-    '-').  On the free interval (0, 1] the envelope is identically one:
-    every sample there is emitted as 1.0, and only the initial slice at
-    s = 1 is built.
+    Column u = 0 is the exact right limit just after the drop at s = n,
+    half the u = 1 entry of the row before, and column u = 1 the sample at
+    s = n + 1, the peak, the left limit just before the next drop.  On the
+    free interval, row 0, the envelope is identically one: every entry is
+    1.0, and only the initial slice at s = 1 is built.
 
     The slices are advanced first, one ``advance_slice`` per interval, each
     kept only out to the widest interior kernel's reach.  One
     ``boundary_amplitude`` call then takes every interval's interior
-    samples.  The table is filled as one row of samples_per_interval + 1
-    columns per interval, s = n, the interior offsets and s = n + 1, with the
-    free interval as row 0 less its first column, and the samples are
-    divided by the heat kernel at the origin in two array calls, one for the
-    peaks and one for the interior.
-
-    Returns the envelope ``BoundaryCurve``; its times are s = t/eps.
+    samples, and the samples are divided by the heat kernel at the origin
+    in two array calls, one for the peaks and one for the interior.
     """
-    spi = cfg.samples_per_interval
-    interior = np.arange(1, spi) / spi
-    reach = _taps(cfg, interior[-1] * cfg.eps) + 1
+    u = np.arange(cfg.samples_per_interval + 1) / cfg.samples_per_interval
+    reach = _taps(cfg, u[-2] * cfg.eps) + 1
     prefixes = np.empty((cfg.n_max, reach))
     origins = np.empty(cfg.n_max)
     prev = initial_slice(cfg)
@@ -338,12 +335,9 @@ def run_recursion(cfg: RecursionConfig) -> BoundaryCurve:
         prev = advance_slice(prev, cfg, float(n + 1))
         origins[n - 1] = prev.values[0]
     amplitude = boundary_amplitude(prefixes, cfg)
-    s = np.arange(cfg.n_max + 1)[:, None] + np.concatenate(([0.0], interior, [1.0]))
-    times = s * cfg.eps
+    times = (np.arange(cfg.n_max + 1)[:, None] + u) * cfg.eps
     envelope = np.ones_like(times)
     envelope[1:, -1] = origins / heat_kernel(cfg.m, times[1:, -1], 0.0, 0.0)
     envelope[1:, 0] = 0.5 * envelope[:-1, -1]
     envelope[1:, 1:-1] = amplitude / heat_kernel(cfg.m, times[1:, 1:-1], 0.0, 0.0)
-    sides = np.full(times.shape, "")
-    sides[:, 0], sides[:, -1] = "+", "-"
-    return BoundaryCurve(times.ravel()[1:], envelope.ravel()[1:], sides.ravel()[1:])
+    return envelope

@@ -1,23 +1,24 @@
 """Piecewise-linear saw-tooth model of the pulsed-measurement boundary envelope.
 
-The model is written in s = t/eps, the time in units of the projection
-spacing: projections at s = 1, 2, 3, ... drop the envelope by exactly a
-factor of two and it recovers linearly in between.  Writing ``s_k = k + 1``
-for the drop instants (k = 0, 1, 2, ...), the model is
+The model lives on the grid of the slice recursion: interval n = 0, 1, 2,
+... and offset u in [0, 1], at s = n + u = t/eps, the time in units of the
+projection spacing.  Projections at s = 1, 2, 3, ... drop the envelope by
+exactly a factor of two and it recovers linearly in between:
 
-    f(s) = 1                                       on [0, s_0)
-    f(s) = (s - s_{k-1}) / (k+1)
-         + (s_k - s)     / (2 k)                   on [s_{k-1}, s_k), k >= 1
+    f(0, u) = 1
+    f(n, u) = u / (n+1) + (1 - u) / (2n),          n >= 1,
 
-so approaching ``s_k`` from below gives the peak ``1/(k+1)`` and just after
-it the trough ``1/(2(k+1))``.  The k = 1 branch is constant at 1/2, matching
-the exact single-projection amplitude.  The true envelope between peaks is
-not exactly linear; the linear interpolant is kept as the reference model
-and the discrepancy is quantified against the slice recursion in the tests.
+so the u = 1 end of interval n is the peak 1/(n+1), the left limit just
+before the drop at s = n + 1, and the u = 0 end of interval n + 1 the
+trough 1/(2(n+1)) just after it, exactly half the peak.  Interval 1 is
+constant at 1/2, matching the exact single-projection amplitude.  The true
+envelope between peaks is not exactly linear; the linear interpolant is
+kept as the reference model and the discrepancy is quantified against the
+slice recursion in the tests.
 
 Matching the absorbing-potential envelope ``(1 - e^{-v0 t})/(v0 t)`` midway
-between peaks and troughs at large k fixes the absorption strength at
-``v0 * eps ~= 4/3``.
+between peaks and troughs at large n fixes the absorption strength at
+``v0 eps = 4/3`` (``V0_EPS``).
 """
 
 from __future__ import annotations
@@ -27,42 +28,29 @@ import numpy as np
 from .core import NumericalFailure
 
 __all__ = [
+    "V0_EPS",
     "sawtooth_envelope",
-    "peak_value",
-    "trough_value",
     "oscillation_ratio",
-    "calibrate_absorption",
 ]
 
 
-def peak_value(k) -> np.ndarray | float:
-    """Envelope peak 1/(k+1) approached from below at the drop t_k; ``k``
-    may be an array."""
-    k = np.asarray(k)
-    if np.any(k < 0):
-        raise ValueError("drop index must be >= 0")
-    out = 1.0 / (k + 1)
-    return out if out.shape else float(out)
+#: Calibrated absorption strength v0 eps, which puts the absorbing envelope
+#: midway between the saw-tooth's peaks and troughs at large n.
+V0_EPS = 4.0 / 3.0
 
 
-def trough_value(k) -> np.ndarray | float:
-    """Envelope trough 1/(2(k+1)) immediately after the drop t_k; exactly
-    half the corresponding peak."""
-    return 0.5 * peak_value(k)
-
-
-def sawtooth_envelope(s) -> np.ndarray | float:
-    """Model envelope f(s) for s = t/eps >= 0, right-continuous at the
-    drops: the value at a whole s = k + 1 itself is the trough, as the
-    half-open branches dictate."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("envelope is defined for s >= 0")
-    out = np.ones_like(s)
-    past = s >= 1
-    # k = number of projections already applied at s (>= 1 where past)
-    k = np.floor(s[past])
-    out[past] = (s[past] - k) / (k + 1) + (k + 1 - s[past]) / (2 * k)
+def sawtooth_envelope(n, u) -> np.ndarray | float:
+    """Model envelope on interval ``n`` at offset ``u``, s = n + u; the two
+    broadcast.  u = 0 is the right limit just after the drop at s = n and
+    u = 1 the left limit just before the drop at s = n + 1."""
+    n = np.asarray(n, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(n) & (n >= 0) & (n == np.floor(n))):
+        raise ValueError("interval index must be a whole number >= 0")
+    if not np.all((u >= 0) & (u <= 1)):
+        raise ValueError("offset must lie in [0, 1]")
+    past = np.maximum(n, 1)  # the n = 0 entries take 1 instead
+    out = np.where(n > 0, u / (past + 1) + (1 - u) / (2 * past), 1.0)
     return out if out.shape else float(out)
 
 
@@ -75,11 +63,3 @@ def oscillation_ratio(fp, fv) -> np.ndarray | float:
         raise NumericalFailure("absorbing envelope too small to divide by")
     out = fp / fv - 1.0
     return out if out.shape else float(out)
-
-
-def calibrate_absorption(eps: float) -> float:
-    """Absorption strength v0 = 4/(3 eps) placing the absorbing envelope
-    midway between the saw-tooth peaks and troughs at large k."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return 4.0 / (3.0 * eps)

@@ -62,7 +62,7 @@ from .core import (
     snap_to_integer,
 )
 from .exact import absorbing_envelope
-from .sawtooth import calibrate_absorption, peak_value, sawtooth_envelope, trough_value
+from .sawtooth import V0_EPS, sawtooth_envelope
 
 __all__ = [
     "WavePacket",
@@ -165,16 +165,18 @@ def stationary_delta_g(s) -> np.ndarray:
 
         sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p(s) - f_v(s)),
 
-    f_p the saw-tooth and f_v the absorbing envelope at the calibrated
-    v0 eps = 4/3 (``calibrate_absorption``), both functions of s alone.
-    Both envelopes start at one, so the value at s = 0 is exactly zero, and
-    at a drop, s = k, f_p takes its trough 1/(2k) (``sawtooth_envelope``).
+    f_p the saw-tooth on interval floor(s) at offset s - floor(s) and f_v
+    the absorbing envelope at the calibrated v0 eps = 4/3 (``V0_EPS``),
+    both functions of s alone.  Both envelopes start at one, so the value
+    at s = 0 is exactly zero, and at a drop, s = k, f_p takes its trough
+    1/(2k), the u = 0 end of interval k (``sawtooth_envelope``).
     """
     s = np.asarray(s, dtype=float)
     fv = np.ones_like(s)
     pos = s > 0
-    fv[pos] = absorbing_envelope(calibrate_absorption(1.0), s[pos])
-    return _ROOT_G_FREE * (sawtooth_envelope(s) - fv)
+    fv[pos] = absorbing_envelope(V0_EPS, s[pos])
+    n = np.floor(s)
+    return _ROOT_G_FREE * (sawtooth_envelope(n, s - n) - fv)
 
 
 def _weighted_delta_g(n: int, q: int, eps: float) -> np.ndarray:
@@ -193,7 +195,7 @@ def _weighted_delta_g(n: int, q: int, eps: float) -> np.ndarray:
     dt = eps / q
     weighted = half_power_weights(n - 1, dt) * stationary_delta_g(np.arange(n) / q)
     k = np.arange(1, (n - 1) // q + 1)
-    jump = _ROOT_G_FREE * (peak_value(k - 1) - trough_value(k - 1))
+    jump = _ROOT_G_FREE * (sawtooth_envelope(k - 1, 1.0) - sawtooth_envelope(k, 0.0))
     weighted[k * q] += panel_weights((k * q - 1) * dt, k * q * dt)[1] * jump
     return weighted
 
@@ -435,7 +437,7 @@ def time_grid(wp: WavePacket, eps: float, tau: float) -> tuple[np.ndarray, int]:
 
 def pdx_delta_psi(wp: WavePacket, eps: float, tau: float, x1, profile: np.ndarray) -> np.ndarray:
     """Change of the evolved wave function at (x1, tau) caused by swapping
-    the absorbing boundary propagator (v0 = 4/(3 eps)) for the
+    the absorbing boundary propagator (v0 eps = 4/3) for the
     pulsed-measurement one with projections every eps, on the time grid of
     ``time_grid``, whose node at or before t = 0 takes the packet
     derivative at t = 0; ``profile`` is ``step_profile(x1, tau)``.

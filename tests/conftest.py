@@ -42,19 +42,19 @@ def fine_config(n_max):
 def default_run():
     """The full 20-projection recursion at the default grid, shared by the
     saw-tooth acceptance checks (it is the expensive fixture of the suite).
-    Yields (config, envelope curve, pre-projection slices at s = 1..n_max+1,
-    wall-clock seconds of the run)."""
+    Yields (config, envelope table on the (interval, offset) grid,
+    pre-projection slices at s = 1..n_max+1, wall-clock seconds of the run)."""
     cfg = recursion.RecursionConfig(20, 16)
     start = time.monotonic()
-    curve = recursion.run_recursion(cfg)
+    envelope = recursion.run_recursion(cfg)
     elapsed = time.monotonic() - start
-    return cfg, curve, pre_projection_slices(cfg), elapsed
+    return cfg, envelope, pre_projection_slices(cfg), elapsed
 
 
 @pytest.fixture(scope="session")
 def coarse_run():
     """A budget recursion for unit-level checks: 6 projections at 256
-    samples per interval (spacing 1/128).  Yields (config, envelope curve,
+    samples per interval (spacing 1/128).  Yields (config, envelope table,
     pre-projection slices at s = 1..7)."""
     cfg = recursion.RecursionConfig(6, 256)
     return cfg, recursion.run_recursion(cfg), pre_projection_slices(cfg)

@@ -10,12 +10,7 @@ from math import comb
 
 import numpy as np
 
-from zenoprop.core import (
-    ROOT_INV_I,
-    BoundaryCurve,
-    heat_kernel,
-    snap_to_integer,
-)
+from zenoprop.core import ROOT_INV_I, heat_kernel, snap_to_integer
 from zenoprop.exact import absorbing_envelope, bridge_orthant
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability, richardson_limit
 from zenoprop.recursion import advance_slice, boundary_amplitude, initial_slice
@@ -457,15 +452,16 @@ def direct_boundary_amplitude(prev, cfg, u: float) -> float:
     return float(np.dot(half, (prev.values * quadrature_weights(cfg))[: len(half)]))
 
 
-def interval_by_interval_recursion(cfg) -> BoundaryCurve:
-    """The envelope curve of ``run_recursion`` with each interval's boundary
-    samples taken from its slice before the next advance: the reference for
-    the recursion that advances every slice first and then samples all
-    intervals in one ``boundary_amplitude`` call."""
+def interval_by_interval_recursion(cfg) -> np.ndarray:
+    """The envelope table of ``run_recursion``, one row per interval n and
+    one column per offset u = j / samples_per_interval, j = 0 ..
+    samples_per_interval, with each interval's boundary samples taken from
+    its slice before the next advance: the reference for the recursion that
+    advances every slice first and then samples all intervals in one
+    ``boundary_amplitude`` call."""
     spi = cfg.samples_per_interval
     interior = np.arange(1, spi) / spi
-    s_parts = [np.append(interior, 1.0)]
-    env_parts = [np.ones(spi)]
+    rows = [np.ones(spi + 1)]
     prev = initial_slice(cfg)
     for n in range(1, cfg.n_max + 1):
         s = n + interior
@@ -475,11 +471,8 @@ def interval_by_interval_recursion(cfg) -> BoundaryCurve:
         )
         prev = advance_slice(prev, cfg, float(n + 1))
         peak = prev.values[0] / heat_kernel(cfg.m, (n + 1) * cfg.eps, 0.0, 0.0)
-        s_parts.append(np.concatenate(([n], s, [n + 1])))
-        env_parts.append(np.concatenate(([0.5 * env_parts[-1][-1]], inner, [peak])))
-    sides = np.array(([""] * (spi - 1) + ["-"]) + (["+"] + [""] * (spi - 1) + ["-"]) * cfg.n_max)
-    times = np.concatenate(s_parts) * cfg.eps
-    return BoundaryCurve(times, np.concatenate(env_parts), sides)
+        rows.append(np.concatenate(([0.5 * rows[-1][-1]], inner, [peak])))
+    return np.array(rows)
 
 
 # Rybicki's sum for Dawson's function (Rybicki 1989; Numerical Recipes
@@ -552,13 +545,15 @@ def baxter_envelope(k_max: int, theta) -> np.ndarray:
     return np.sqrt(2 * np.pi * (k + theta)) / np.pi * integrals
 
 
-def numeric_oscillation_curve(curve: BoundaryCurve, v0: float) -> BoundaryCurve:
-    """Oscillation ratio S(t) = f(t)/f_absorbing(t) - 1 of a numeric envelope
-    curve against the absorbing envelope at strength v0, as a curve that
-    keeps the times and sides of ``curve``."""
-    fv = absorbing_envelope(v0, curve.times)
-    s = oscillation_ratio(curve.values, fv)
-    return BoundaryCurve(curve.times, np.atleast_1d(s), curve.sides)
+def numeric_oscillation_curve(envelope, v0_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oscillation ratio S(s) = f(s)/f_absorbing(s) - 1 of a numeric envelope
+    table on the (interval n, offset u) grid against the absorbing envelope
+    at strength v0 eps, as s = n + u and S in the row order of the ``fp``
+    table: row by row, without the first entry (s = 0)."""
+    spi = envelope.shape[1] - 1
+    s = (np.arange(len(envelope))[:, None] + np.arange(spi + 1) / spi).ravel()[1:]
+    fv = absorbing_envelope(v0_eps, s)
+    return s, np.atleast_1d(oscillation_ratio(envelope.ravel()[1:], fv))
 
 
 def free_propagator(m: float, t: float, x, y) -> np.ndarray | complex:

@@ -36,29 +36,16 @@ class TestCriterion1:
         not inflate."""
         start = time.process_time()
         cfg = recursion.RecursionConfig(3, 16)
-        curve = recursion.run_recursion(cfg)
-        worst = 0.0
-        for t, v, side in zip(curve.times, curve.values, curve.sides):
-            s = t / cfg.eps
-            if side == "+":
-                # right limits: exact envelope is half the peak there
-                if np.isclose(s, 1.0):
-                    want = 0.5
-                elif np.isclose(s, 2.0):
-                    want = 0.25
-                else:
-                    continue
-            elif s <= 1.0:
-                want = 1.0
-            elif s <= 2.0:
-                want = 0.5
-            elif s <= 3.0:
-                want = exact.projected_envelope_exact(s, 2)
-            elif np.isclose(s, 4.0) and side == "-":
-                want = 0.25
-            else:
-                continue
-            worst = max(worst, abs(v - want))
+        envelope = recursion.run_recursion(cfg)
+        u = np.arange(cfg.samples_per_interval + 1) / cfg.samples_per_interval
+        # interval n at offset u, s = n + u; the u = 0 entries are the right
+        # limits, where the exact envelope is half the peak before
+        want = np.full(envelope.shape, np.nan)
+        want[0], want[1], want[2, 0] = 1.0, 0.5, 0.25
+        want[2, 1:] = [exact.projected_envelope_exact(2 + x, 2) for x in u[1:]]
+        want[3, -1] = 0.25
+        checked = ~np.isnan(want)
+        worst = float(np.max(np.abs(envelope - want)[checked]))
         elapsed = time.process_time() - start
         assert worst < 1e-10, f"worst envelope deviation {worst:.2e}"
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -99,19 +86,18 @@ class TestCriterion3:
         the peaks within 1e-4 (2.5e-5 measured) as sqrt(offset)-extrapolated
         right limits, found without the coincidence formula the recursion
         emits, from slices on a grid fine enough for the offsets' kernels."""
-        cfg, curve, _, elapsed = default_run
+        cfg, envelope, _, elapsed = default_run
         worst_peak = worst_trough = 0.0
+        # the peak before the drop at s = k + 1 ends interval k, and the
+        # trough after it starts interval k + 1
         for k in range(1, cfg.n_max + 1):
-            at_drop = np.isclose(curve.times, (k + 1) * cfg.eps)
-            peak = curve.values[at_drop & (curve.sides == "-")][0]
-            worst_peak = max(worst_peak, abs(peak * (k + 1) - 1.0))
+            worst_peak = max(worst_peak, abs(envelope[k, -1] * (k + 1) - 1.0))
             if k < cfg.n_max:
-                trough = curve.values[at_drop & (curve.sides == "+")][0]
-                worst_peak = max(worst_peak, abs(trough * 2 * (k + 1) - 1.0))
+                worst_peak = max(worst_peak, abs(envelope[k + 1, 0] * 2 * (k + 1) - 1.0))
         # the trough after the drop at s = n against the peak before it (n = 1: peak 1)
         fine = fine_config(cfg.n_max)
         for n, prev in enumerate(pre_projection_slices(fine)[:-1], start=1):
-            peak = curve.values[np.isclose(curve.times, n * cfg.eps) & (curve.sides == "-")][0]
+            peak = envelope[n - 1, -1]
             trough = richardson_right_limit(prev, fine)
             worst_trough = max(worst_trough, abs(2 * trough / peak - 1.0))
         assert worst_peak < 1e-13, f"worst relative peak or trough error {worst_peak:.2e}"
@@ -126,11 +112,9 @@ class TestCriterion4:
     def test_oscillation_band(self, default_run):
         """With the calibrated absorption, numeric S(t) stays within +-0.40
         for t >= 5 eps."""
-        cfg, curve, _, _ = default_run
-        v0 = sawtooth.calibrate_absorption(cfg.eps)
-        s_curve = numeric_oscillation_curve(curve, v0)
-        t = s_curve.times
-        late = s_curve.values[(t >= 5 * cfg.eps) & (t <= (cfg.n_max + 1) * cfg.eps)]
+        cfg, envelope, _, _ = default_run
+        s, ratio = numeric_oscillation_curve(envelope, sawtooth.V0_EPS)
+        late = ratio[(s >= 5) & (s <= cfg.n_max + 1)]
         assert np.all(np.abs(late) <= 0.40), f"S range [{late.min():.3f}, {late.max():.3f}]"
         report(4, "oscillation band |S| <= 0.40 for t >= 5 eps "
                   f"(range [{late.min():+.3f}, {late.max():+.3f}])")
@@ -152,11 +136,10 @@ class TestCriterion4:
         curve instead averages to ~+0.088.  The assertion is kept at the
         stated tolerance deliberately.
         """
-        cfg, curve, _, _ = default_run
-        v0 = sawtooth.calibrate_absorption(cfg.eps)
-        s_curve = numeric_oscillation_curve(curve, v0)
-        win = (s_curve.times >= 5 * cfg.eps) & (s_curve.times <= 20 * cfg.eps)
-        avg = np.trapezoid(s_curve.values[win], s_curve.times[win]) / (15 * cfg.eps)
+        _, envelope, _, _ = default_run
+        s, ratio = numeric_oscillation_curve(envelope, sawtooth.V0_EPS)
+        win = (s >= 5) & (s <= 20)
+        avg = np.trapezoid(ratio[win], s[win]) / 15
         ok = abs(avg) <= 0.05
         verdict = "PASS" if ok else f"FAIL (measured {avg:+.4f}, stated 0 +- 0.05)"
         print(f"[ACCEPTANCE 4b] zero running average of S: {verdict}")

@@ -73,6 +73,28 @@ class TestFv:
         res = runner.invoke(main, ["fv", "--out", str(tmp_path / "nope" / "fv.csv")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["fv", "fp"])
+    def test_default_absorption_is_four_thirds_per_eps(self, runner, tmp_path, command):
+        # the default strength is v0 eps = 4/3 exactly, reported as
+        # v0 = 4/(3 eps), and f_v is taken on s = t/eps: at every eps the
+        # f_v column is the eps = 1 column byte for byte
+        def table(eps):
+            out = tmp_path / f"{command}-{eps}.json"
+            res = runner.invoke(main, [command, "--eps", eps, "--format", "json",
+                                       "--out", str(out)])
+            assert res.exit_code == 0, result_output(res)
+            doc = json.loads(out.read_text())
+            j = doc["columns"].index("f_v")
+            return doc["meta"]["params"]["v0"], [row[j] for row in doc["rows"]]
+
+        v0, unit = table("1")
+        assert v0 == 4 / 3
+        for eps in ("0.5", "0.3", "7", "1e-200"):
+            v0, column = table(eps)
+            assert v0 == 4 / (3 * float(eps))
+            assert column == unit, eps
+        assert table("0.5")[0] == pytest.approx(8 / 3)
+
 
 class TestFp:
     def test_columns_and_breakpoint_rows(self, runner, tmp_path):
@@ -145,9 +167,10 @@ class TestExact:
         # the closed forms depend on ratios of instants only, so no eps
         # overflows, underflows or warns down to 4/(3 DBL_MAX), about
         # 7.4e-309, below which the default v0 = 4/(3 eps) overflows
-        # (TestUsageErrors).  The envelopes are taken in s = t/eps, so their
-        # rows and the time averages are the eps = 1 bytes; the chain
-        # integrals carry 1/sqrt(eps)
+        # (TestUsageErrors).  The envelopes are taken in s = t/eps, the
+        # absorbing one at the default v0 eps = 4/3 exactly, so their rows
+        # and the time averages are the eps = 1 bytes; the chain integrals
+        # carry 1/sqrt(eps)
         def table(*args):
             out = tmp_path / "exact.csv"
             res = runner.invoke(main, ["exact", *args, "--out", str(out)])
@@ -158,7 +181,7 @@ class TestExact:
         want = exact_closed_forms(float(eps))
         assert list(rows) == list(want)
         for name, value in rows.items():
-            if name.startswith(("envelope_", "time_averaged_")):
+            if name.startswith(("envelope_", "time_averaged_", "absorbing_envelope_")):
                 assert value == unit[name], name
             assert float(value) == pytest.approx(want[name], rel=1e-6), name
 
@@ -759,3 +782,52 @@ def test_every_option_is_read(name):
     command = main.commands[name]
     declared = {p.name for p in command.params if p.expose_value}
     assert sorted(declared - names_read(command.callback)) == []
+
+
+def avx512_dispatch() -> bool:
+    """Whether numpy runs its AVX-512 (X86_V4) loop of float64 ``exp``
+    here, the dispatch level the reduced settings of
+    ``test_tables_agree_across_dispatch_levels`` step down from."""
+    from numpy.lib.introspect import opt_func_info
+
+    targets = opt_func_info(func_name="^exp$", signature="float64").get("exp", {})
+    return any(target["current"] == "X86_V4" for target in targets.values())
+
+
+@pytest.mark.skipif(not avx512_dispatch(), reason="numpy dispatches no AVX-512 loops here")
+def test_tables_agree_across_dispatch_levels(tmp_path):
+    # the bytes hold for one numpy build at one CPU dispatch level: numpy's
+    # SIMD loops of exp, expm1, log, arctan and others round differently at
+    # each level.  Across levels every numeric cell of every subcommand at
+    # its defaults agrees to 4 ulps relative, or 1e-15 absolute near zero
+    # and in the oscillation ratios S = f_p/f_v - 1, which carry the
+    # absolute error of a quotient near one (largest move measured with
+    # AVX2 or SSE4.2 alone: 6.7e-16, 9 ulps of a compare s_peak of 1/3)
+    commands = sorted(main.commands)
+    script = ("import sys\nfrom zenoprop.cli import main\nfor cmd in sys.argv[2:]:\n"
+              "    main([cmd, '--out', f'{sys.argv[1]}/{cmd}.csv'], standalone_mode=False)\n")
+
+    def tables(features):
+        out = tmp_path / (features or "default").replace(" ", "-")
+        out.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+        if features:
+            env["NPY_ENABLE_CPU_FEATURES"] = features
+        env["PYTHONPATH"] = str(Path(zenoprop.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script, str(out), *commands], env=env, check=True)
+        return {cmd: read_rows(out / f"{cmd}.csv") for cmd in commands}
+
+    default = tables(None)
+    for features in ("X86_V2 X86_V3", "X86_V2"):
+        for cmd, (header, rows) in tables(features).items():
+            want_header, want_rows = default[cmd]
+            assert header == want_header and len(rows) == len(want_rows), (features, cmd)
+            for row, want_row in zip(rows, want_rows):
+                for name, got, want in zip(header, row, want_row):
+                    try:
+                        got, want = float(got), float(want)
+                    except ValueError:  # a text cell: the side or the row name
+                        assert got == want, (features, cmd, name)
+                        continue
+                    bound = max(4 * np.finfo(float).eps * abs(want), 1e-15)
+                    assert abs(got - want) <= bound, (features, cmd, name, got, want)

@@ -15,6 +15,7 @@ from zenoprop.core import (
     heat_kernel,
     panel_weights,
     pow2_at_least,
+    snap_to_integer,
 )
 
 
@@ -147,6 +148,12 @@ class TestHalfPowerWeights:
         assert np.dot(w, u) == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert np.dot(w, np.ones_like(u)) == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n_panels, dt", [(0, 0.1), (-1, 0.1), (1, 0.0), (1, -0.1),
+                                              (1, float("nan"))])
+    def test_rejects_no_panel_and_no_step(self, n_panels, dt):
+        with pytest.raises(ValueError):
+            half_power_weights(n_panels, dt)
+
     def test_smooth_integrand(self):
         # int_0^1 u^{-1/2} cos(u) du  (series oracle: sum (-1)^k / (2k)! / (2k+1/2))
         target = sum((-1) ** k / math.factorial(2 * k) / (2 * k + 0.5) for k in range(30))
@@ -182,6 +189,22 @@ class TestHalfPowerWeights:
             parts = (first[0] * f(lo) + first[1] * f(cut) + second[0] * f(cut)
                      + second[1] * f(hi))
             assert parts == pytest.approx(whole[0] * f(lo) + whole[1] * f(hi), rel=1e-13)
+
+
+class TestSnapToInteger:
+    @pytest.mark.parametrize("k", [1.0, 3.0, 5.0, 1000.0, 12345.0, 2.0**40 + 1])
+    def test_eight_roundings(self, k):
+        # an ulp of k is between k eps / 2 and k eps, so 8 ulps lie inside
+        # SNAP = 8 eps relative and 17 ulps outside it, at every k
+        ulp = math.ulp(k)
+        near = np.array([k - 8 * ulp, k + 8 * ulp, k])
+        far = np.array([k - 17 * ulp, k + 17 * ulp, k + 0.25])
+        assert snap_to_integer(near).tolist() == [k, k, k]
+        assert snap_to_integer(far).tolist() == far.tolist()
+
+    def test_nothing_snaps_to_zero_but_zero(self):
+        x = np.array([0.0, 5e-324, 1e-300, -1e-300, 1e-17])
+        assert snap_to_integer(x).tolist() == x.tolist()
 
 
 class TestTransformLengths:

@@ -21,7 +21,7 @@ from zenoprop.core import heat_kernel
 from zenoprop.exact import absorbing_envelope
 from zenoprop import lattice
 from zenoprop.lattice import LatticeConfig, constrained_walk_probability, continuum_peak_estimate
-from zenoprop.sawtooth import calibrate_absorption, oscillation_ratio
+from zenoprop.sawtooth import V0_EPS, oscillation_ratio
 
 
 def walks(max_steps: int, r_past_n: int = 0):
@@ -385,10 +385,12 @@ class TestConfigValidation:
             brute_force_walk_probability(LatticeConfig(22, 1))
 
 
-def interior_values(curve) -> dict[float, float]:
-    """The recursion's envelope at its interior samples, keyed by time."""
-    inside = curve.sides == ""
-    return dict(zip(curve.times[inside], curve.values[inside]))
+def interior_values(envelope) -> dict[float, float]:
+    """The recursion's envelope at its interior samples, offsets 0 < u < 1,
+    keyed by s = n + u."""
+    spi = envelope.shape[1] - 1
+    s = np.arange(len(envelope))[:, None] + np.arange(1, spi) / spi
+    return dict(zip(s.ravel(), envelope[:, 1:-1].ravel()))
 
 
 class TestInteriorEnvelope:
@@ -398,8 +400,8 @@ class TestInteriorEnvelope:
     @pytest.mark.slow
     @pytest.mark.parametrize("s", (5.25, 5.5, 10.25, 10.5, 10.75, 15.5))
     def test_matches_recursion_between_drops(self, default_run, s):
-        cfg, curve, _, _ = default_run
-        want = interior_values(curve)[s * cfg.eps]
+        cfg, envelope, _, _ = default_run
+        want = interior_values(envelope)[s]
         got = lattice_envelope(s * cfg.eps, cfg.eps, cfg.m)
         assert got == pytest.approx(want, rel=1e-5)  # measured at most 1.5e-6
 
@@ -407,11 +409,11 @@ class TestInteriorEnvelope:
     def test_positive_mean_of_s_is_not_a_recursion_artefact(self, default_run):
         # the criterion 4b finding from the walk: the 60-point midpoint mean
         # of S over [5 eps, 20 eps] is positive, as the recursion says
-        cfg, curve, _, _ = default_run
+        cfg, envelope, _, _ = default_run
         t = cfg.eps * (5 + (np.arange(60) + 0.5) * 0.25)
-        fv = absorbing_envelope(calibrate_absorption(cfg.eps), t)
-        interior = interior_values(curve)
-        rec = np.array([interior[ti] for ti in t])
+        fv = absorbing_envelope(V0_EPS, t / cfg.eps)
+        interior = interior_values(envelope)
+        rec = np.array([interior[ti / cfg.eps] for ti in t])
         lat = np.array([lattice_envelope(ti, cfg.eps, cfg.m, levels=(16, 64, 256)) for ti in t])
         rec_mean = float(np.mean(oscillation_ratio(rec, fv)))
         lat_mean = float(np.mean(oscillation_ratio(lat, fv)))

@@ -136,9 +136,9 @@ def unit_parameters(module: str) -> list[str]:
 def test_the_envelopes_take_no_units():
     # the envelopes depend on t/eps alone, so they take s = t/eps and
     # interval counts; only the command line multiplies by eps and m.  The
-    # calibration v0 = 4/(3 eps) is the one function of eps
+    # calibration is the dimensionless constant v0 eps = 4/3
     found = [name for module in ("sawtooth", "exact", "lattice")
              for name in unit_parameters(module)]
     found += [name for name in unit_parameters("wavepacket")
               if name.startswith("wavepacket.stationary_delta_g(")]
-    assert found == ["sawtooth.calibrate_absorption(eps)"]
+    assert found == []

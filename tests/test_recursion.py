@@ -36,7 +36,7 @@ from zenoprop.recursion import (
     initial_slice,
     run_recursion,
 )
-from zenoprop.sawtooth import calibrate_absorption
+from zenoprop.sawtooth import V0_EPS
 
 
 def assert_matches_direct(prev, cfg):
@@ -465,16 +465,16 @@ class TestRunRecursion:
     # match wherever n + j / samples_per_interval - n is exactly
     # j / samples_per_interval, which holds at a power of two
     def test_matches_interval_by_interval_fp20(self, default_run):
-        cfg, curve, _, _ = default_run
-        self.assert_identical(curve, interval_by_interval_recursion(cfg))
+        cfg, envelope, _, _ = default_run
+        self.assert_identical(envelope, interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_dense(self):
         cfg = RecursionConfig(3, 4096)
         self.assert_identical(run_recursion(cfg), interval_by_interval_recursion(cfg))
 
     def test_matches_interval_by_interval_coarse(self, coarse_run):
-        cfg, curve, _ = coarse_run
-        self.assert_identical(curve, interval_by_interval_recursion(cfg))
+        cfg, envelope, _ = coarse_run
+        self.assert_identical(envelope, interval_by_interval_recursion(cfg))
 
     @pytest.mark.parametrize("n_max, spi", [(7, 37), (4, 100)])
     def test_matches_interval_by_interval_elsewhere(self, n_max, spi):
@@ -482,25 +482,23 @@ class TestRunRecursion:
         # differ in the last bit and move the envelope by up to 2e-15
         cfg = RecursionConfig(n_max, spi)
         got, want = run_recursion(cfg), interval_by_interval_recursion(cfg)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.sides, want.sides)
-        assert_allclose(got.values, want.values, rtol=2e-15, atol=0.0)
+        assert got.shape == want.shape == (n_max + 1, spi + 1)
+        assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
     @staticmethod
-    def assert_matches_exact_envelope(curve, spi, tol):
-        # every row against the grid-free envelope: the interior samples and
-        # the '-' rows are f(k + j/spi), a '+' row half the '-' row before it
-        s, plus = curve.times, curve.sides == "+"
-        k = np.where(curve.sides == "-", s - 1, np.floor(s)).astype(int)
-        j = np.rint((s - k) * spi).astype(int)
-        exact = baxter_envelope(k.max(), np.arange(1, spi + 1) / spi)
-        want = np.where(plus, 0.5 * exact[k - 1, -1], exact[k, j - 1])
-        assert np.max(np.abs(curve.values - want)) < tol
+    def assert_matches_exact_envelope(envelope, spi, tol):
+        # every entry against the grid-free envelope: the interior samples
+        # and the peaks, u = j/spi > 0 of interval n, are f(n + u), an entry
+        # at u = 0 half the peak of the interval before it
+        exact = baxter_envelope(len(envelope) - 1, np.arange(1, spi + 1) / spi)
+        assert envelope.shape == (len(exact), spi + 1)
+        assert np.max(np.abs(envelope[:, 1:] - exact)) < tol
+        assert np.max(np.abs(envelope[1:, 0] - 0.5 * exact[:-1, -1])) < tol
 
     def test_every_fp20_row_is_exact(self, default_run):
         # 4.70e-11 at k = 2, theta = 1/16, the narrowest kernel's sample
-        _, curve, _, _ = default_run
-        self.assert_matches_exact_envelope(curve, 16, 1e-10)
+        _, envelope, _, _ = default_run
+        self.assert_matches_exact_envelope(envelope, 16, 1e-10)
 
     def test_every_dense_row_is_exact(self):
         # three projections at 256 samples per interval: 2.07e-11
@@ -530,47 +528,51 @@ class TestRunRecursion:
 
     @staticmethod
     def assert_identical(got, want):
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.sides, want.sides)
-        assert np.array_equal(got.values, want.values)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_exact_agreement_first_intervals(self, small_cfg):
-        curve = run_recursion(small_cfg)
-        for t, v, side in zip(curve.times, curve.values, curve.sides):
-            s = t / small_cfg.eps
-            if s < 1 or (s == 1.0 and side == "-"):
-                want = projected_envelope_exact(max(s, 1e-9), 0)
-            elif s <= 2 - 1e-9 or (s == 2.0 and side == "-"):
-                want = projected_envelope_exact(s, 1)
-            elif s <= 3 - 1e-9 or (s == 3.0 and side == "-"):
-                want = projected_envelope_exact(s, 2) if side != "+" else 0.25
-            elif np.isclose(s, 4.0) and side == "-":
-                want = 0.25
-            else:
-                continue
-            assert v == pytest.approx(want, abs=1e-4), (t, side)
+        # intervals 0, 1 and 2 against the closed forms with 0, 1 and 2
+        # projections at every offset, the u = 0 entries included (the right
+        # limits after the drops at s = 1 and 2, 1/2 and 1/4), and the peak
+        # of interval 3
+        envelope = run_recursion(small_cfg)
+        u = np.arange(small_cfg.samples_per_interval + 1) / small_cfg.samples_per_interval
+        for n in range(3):
+            for x, v in zip(u, envelope[n]):
+                want = 0.25 if (n, x) == (2, 0.0) else projected_envelope_exact(
+                    max(n + x, 1e-9), n)
+                assert v == pytest.approx(want, abs=1e-4), (n, x)
+        assert envelope[3, -1] == pytest.approx(0.25, abs=1e-4)
 
     def test_three_projection_segment(self):
         # the n = 3 closed form over (3 eps, 4 eps] at the default spacing
         # (4.3e-11 measured)
         cfg = RecursionConfig(3, 16)
-        curve = run_recursion(cfg)
-        sel = (curve.times > 3 * cfg.eps) & (curve.times <= 4 * cfg.eps) & (curve.sides != "+")
-        assert sel.sum() == cfg.samples_per_interval
-        for t, v in zip(curve.times[sel], curve.values[sel]):
-            assert v == pytest.approx(projected_envelope_exact(t / cfg.eps, 3), abs=1e-10), t
+        envelope = run_recursion(cfg)
+        u = np.arange(1, cfg.samples_per_interval + 1) / cfg.samples_per_interval
+        assert len(envelope[3, 1:]) == cfg.samples_per_interval
+        for x, v in zip(u, envelope[3, 1:]):
+            assert v == pytest.approx(projected_envelope_exact(3 + x, 3), abs=1e-10), x
 
-    def test_row_structure(self, small_cfg):
-        curve = run_recursion(small_cfg)
+    def test_row_structure(self, small_cfg, tmp_path):
+        # one row per interval and one column per offset, and the fp table
+        # written from it: (n_max + 1) spi + n_max rows in time order, with
+        # a minus and a plus row at every drop but the last, which has a
+        # minus row alone
         spi, n_max = small_cfg.samples_per_interval, small_cfg.n_max
-        assert len(curve.times) == (n_max + 1) * spi + n_max
-        # every breakpoint carries a minus and a plus row except the last
+        assert run_recursion(small_cfg).shape == (n_max + 1, spi + 1)
+        out = tmp_path / "fp.csv"
+        args = ["fp", "--n-max", str(n_max), "--samples-per-interval", str(spi), "--out", str(out)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        s = np.array([float(r[0]) for r in rows])
+        sides = np.array([r[5] for r in rows])
+        assert len(s) == (n_max + 1) * spi + n_max
         for k in range(1, n_max + 1):
-            at_k = curve.sides[np.isclose(curve.times, k * small_cfg.eps)]
-            assert set(at_k) == {"-", "+"}
-        final = curve.sides[np.isclose(curve.times, (n_max + 1) * small_cfg.eps)]
-        assert set(final) == {"-"}
-        assert np.all(np.diff(curve.times) >= 0)
+            assert set(sides[s == k]) == {"minus", "plus"}
+        assert set(sides[s == n_max + 1]) == {"minus"}
+        assert np.all(np.diff(s) >= 0)
 
     def test_monotone_mass_loss(self, small_cfg):
         masses = [np.trapezoid(sl.values, small_cfg.grid.points())
@@ -578,16 +580,15 @@ class TestRunRecursion:
         assert np.all(np.diff(masses) < 0)
 
     def test_half_value_at_breakpoints(self, coarse_run):
-        # the '+' rows are the coincidence limit, exactly half the '-' rows;
+        # the u = 0 entries are the coincidence limit, exactly half the u = 1
+        # entries of the interval before;
         # the sqrt(offset)-extrapolated right limit, from slices on a grid
         # fine enough for its offsets, confirms the half drop
-        cfg, curve, _ = coarse_run
+        cfg, envelope, _ = coarse_run
         fine = fine_config(cfg.n_max)
         slices = pre_projection_slices(fine)
         for k in range(1, cfg.n_max + 1):
-            at_k = np.isclose(curve.times, k * cfg.eps)
-            peak = curve.values[at_k & (curve.sides == "-")][0]
-            trough = curve.values[at_k & (curve.sides == "+")][0]
+            peak, trough = envelope[k - 1, -1], envelope[k, 0]
             assert trough == peak / 2
             # measured at most 2.1e-5
             assert richardson_right_limit(slices[k - 1], fine) == pytest.approx(peak / 2, rel=1e-4)
@@ -596,10 +597,7 @@ class TestRunRecursion:
         # halving the spacing moves the n = 10 peak by far less than 1e-4
         peaks = []
         for spi in (256, 1024):  # spacings 1/128 and 1/256
-            cfg = RecursionConfig(10, spi)
-            curve = run_recursion(cfg)
-            sel = np.isclose(curve.times, 11 * cfg.eps) & (curve.sides == "-")
-            peaks.append(curve.values[sel][0])
+            peaks.append(run_recursion(RecursionConfig(10, spi))[10, -1])
         assert abs(peaks[1] - peaks[0]) < 1e-4
 
     @settings(max_examples=20, deadline=None)
@@ -625,16 +623,17 @@ class TestRunRecursion:
 
 class TestOscillationCurve:
     def test_matches_definition(self, coarse_run):
-        cfg, curve, _ = coarse_run
-        v0 = calibrate_absorption(cfg.eps)
-        s_curve = numeric_oscillation_curve(curve, v0)
+        # row 12 of the fp table is interval 0 at offset 13/256
+        _, envelope, _ = coarse_run
+        s, ratio = numeric_oscillation_curve(envelope, V0_EPS)
         k = 12
         from zenoprop.exact import absorbing_envelope
 
-        want = curve.values[k] / absorbing_envelope(v0, curve.times[k]) - 1
-        assert s_curve.values[k] == pytest.approx(want, rel=1e-12)
+        assert s[k] == 13 / 256
+        want = envelope[0, 13] / absorbing_envelope(V0_EPS, s[k]) - 1
+        assert ratio[k] == pytest.approx(want, rel=1e-12)
 
     def test_guard(self, coarse_run):
-        _, curve, _ = coarse_run
+        _, envelope, _ = coarse_run
         with pytest.raises(NumericalFailure):
-            numeric_oscillation_curve(curve, 1e14)
+            numeric_oscillation_curve(envelope, 1e14)

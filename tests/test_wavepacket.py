@@ -21,7 +21,7 @@ from oracles import (
 from zenoprop import wavepacket
 from zenoprop.core import SNAP, five_smooth_at_least, half_power_weights, panel_weights
 from zenoprop.exact import absorbing_envelope
-from zenoprop.sawtooth import calibrate_absorption, sawtooth_envelope, trough_value
+from zenoprop.sawtooth import V0_EPS, sawtooth_envelope
 from zenoprop.wavepacket import (
     WavePacket,
     _trig_sum,
@@ -235,10 +235,16 @@ class TestDeltaG:
             stationary_delta_g(np.linspace(-0.2, 2, 12))
 
 
+def sawtooth(s):
+    """The saw-tooth at s, on interval floor(s) at offset s - floor(s)."""
+    n = np.floor(s)
+    return sawtooth_envelope(n, s - n)
+
+
 def plain_delta_g(u, eps, v0):
     """sqrt(u) S(u) g_absorbing(u), the boundary difference from its
     definition with the u^{-1/2} of g_absorbing peeled off."""
-    s = sawtooth_envelope(u / eps) / absorbing_envelope(v0, u) - 1
+    s = sawtooth(u / eps) / absorbing_envelope(v0, u) - 1
     gv = ROOT_INV_I * np.sqrt(1 / (2 * np.pi * u)) * absorbing_envelope(v0, u)
     return np.sqrt(u) * s * gv
 
@@ -273,9 +279,8 @@ class TestTimeGrid:
         assert_allclose(t[k * q] - t[0], k * eps, rtol=0, atol=16 * SNAP * tau)
         s = np.arange(len(t))[k * q] / q
         assert np.array_equal(s, k)
-        v0 = calibrate_absorption(eps)
-        trough = ROOT_INV_I * np.sqrt(1 / (2 * np.pi)) * (trough_value(k - 1)
-                                                          - absorbing_envelope(v0, k * eps))
+        trough = ROOT_INV_I * np.sqrt(1 / (2 * np.pi)) * (sawtooth_envelope(k, 0.0)
+                                                          - absorbing_envelope(V0_EPS, k))
         assert_allclose(stationary_delta_g(s), trough, rtol=1e-9)
 
 
@@ -303,7 +308,7 @@ class TestWeightedDeltaG:
         for k in range(4):
             a, b = np.sqrt(k * eps), np.sqrt((k + 1) * eps)
             u = ((b - a) * x / 2 + (a + b) / 2) ** 2
-            want += (b - a) * np.dot(w, sawtooth_envelope(u / eps) - line(4 / 3, u / eps))
+            want += (b - a) * np.dot(w, sawtooth(u / eps) - line(4 / 3, u / eps))
         want *= ROOT_INV_I * np.sqrt(1 / (2 * np.pi))
         assert abs(rule - want) < 1e-13 * abs(want)
 
