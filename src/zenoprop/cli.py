@@ -11,7 +11,11 @@ meta.
 The library works in s = t/eps and interval counts.  Only this module
 multiplies by eps and m, and it refuses a physical quantity that would
 leave the floats, before anything runs, as a usage error naming the flags
-that set it (``_check_range``).
+that set it (``_check_range``; each envelope table resolves v0 and checks
+its range of s in one call, ``_strength``).  Every library call runs
+under one guard, ``_numerical_guard``: a ``ValueError`` is a usage error
+naming the flags the call was given, and a ``NumericalFailure`` or float
+error exits 3.
 
 Output is deterministic for a fixed configuration: floats are written with
 17 significant digits, comma separated, LF line endings.  Exit codes:
@@ -112,11 +116,16 @@ class _FinitePositive(click.ParamType):
 POSITIVE = _FinitePositive()
 
 
-def _numerical_guard(fn, *args, **kwargs):
+def _numerical_guard(fn, *args, flags=None):
+    """``fn(*args)`` with numpy's float errors raised.  A library
+    ``ValueError`` is bad input: a usage error naming ``flags``, or a plain
+    one without them.  A ``NumericalFailure`` or float error exits 3."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return fn(*args, **kwargs)
+            return fn(*args)
     except ValueError as err:
+        if flags:
+            raise click.BadParameter(str(err), param_hint=flags) from err
         raise click.UsageError(str(err)) from err
     except (NumericalFailure, ArithmeticError) as err:
         _fail(str(err))
@@ -161,20 +170,6 @@ def _with(options):
 _MAX_LEVELS = (lattice.MAX_WALK_STEPS.bit_length() - 1) // 2
 
 
-def _resolve_v0(v0: float | None, eps: float) -> tuple[float, float]:
-    """``v0`` and the strength v0 eps that the envelopes take, or the
-    calibrated default: v0 eps = ``sawtooth.V0_EPS``, 4/3 exactly, with
-    v0 = 4/(3 eps) reported, which overflows for eps below 4/(3 DBL_MAX),
-    about 7.4e-309: a usage error, not a table."""
-    if v0 is not None:
-        return v0, v0 * eps
-    v0 = 4.0 / (3.0 * eps)
-    if not math.isfinite(v0):
-        raise click.BadParameter(f"{eps!r} is too small: the default v0 = 4/(3 eps) "
-                                 "overflows", param_hint="'--eps'")
-    return v0, sawtooth.V0_EPS
-
-
 def _check_range(what: str, low: float, high: float, flags: list[str],
                  normal: bool = True) -> None:
     """Refuse a quantity ``what`` that runs from ``low`` to ``high`` and
@@ -187,6 +182,26 @@ def _check_range(what: str, low: float, high: float, flags: list[str],
                                  f"{kind} floats", param_hint=flags)
 
 
+def _strength(v0: float | None, eps: float, s_first: float, s_last: float
+              ) -> tuple[float, float]:
+    """``v0`` and the strength v0 eps that the envelopes take, for a table
+    on s = t/eps from ``s_first`` to ``s_last``.  The calibrated default is
+    v0 eps = ``sawtooth.V0_EPS``, 4/3 exactly, with v0 = 4/(3 eps)
+    reported, which overflows for eps below 4/(3 DBL_MAX), about 7.4e-309:
+    a usage error, not a table.  The times t = s eps must be normal floats
+    and v0 t positive finite ones (``_check_range``)."""
+    if v0 is not None:
+        rate = v0 * eps
+    else:
+        v0, rate = 4.0 / (3.0 * eps), sawtooth.V0_EPS
+        if not math.isfinite(v0):
+            raise click.BadParameter(f"{eps!r} is too small: the default v0 = 4/(3 eps) "
+                                     "overflows", param_hint="'--eps'")
+    _check_range("t = s eps", s_first * eps, s_last * eps, ["--eps"])
+    _check_range("v0 t", rate * s_first, rate * s_last, ["--v0"], normal=False)
+    return v0, rate
+
+
 @click.group(context_settings=CONTEXT_SETTINGS)
 def main() -> None:
     """Boundary propagators for pulsed position measurements."""
@@ -196,62 +211,57 @@ def main() -> None:
 @_with(envelope_options)
 def fv(m, eps, v0, out, fmt) -> None:
     """Absorbing-potential boundary envelope on a fine time grid."""
-    v0, rate = _resolve_v0(v0, eps)
-    _check_range("t = s eps", 0.01 * eps, 21.0 * eps, ["--eps"])
-    _check_range("v0 t", rate * 0.01, rate * 21.0, ["--v0"], normal=False)
+    v0, rate = _strength(v0, eps, 0.01, 21.0)
     j = np.arange(1, 2101)
     t = j * (0.01 * eps)
     vals = _numerical_guard(exact.absorbing_envelope, rate, j * 0.01)
     _write_table(out, fmt, "fv", {"m": m, "eps": eps, "v0": v0}, ["t", "f_v"], (t, vals))
 
 
-def _recursion_tables(eps, rate, n_max, samples_per_interval):
-    """The unit recursion in s = t/eps (``recursion``) and the model on its
-    grid of intervals n = 0 .. n_max and offsets u = j/samples_per_interval,
+def _recursion_tables(v0, eps, n_max, samples_per_interval):
+    """``v0`` and the strength v0 eps (``_strength``), then the unit
+    recursion in s = t/eps (``recursion``) and the model on its grid of
+    intervals n = 0 .. n_max and offsets u = j/samples_per_interval,
     j = 0 .. samples_per_interval: s = n + u, the numeric envelope and the
     model saw-tooth, each an (n_max + 1, samples_per_interval + 1) array.
-    The absorbing envelope will be taken at strength ``rate`` = v0 eps."""
-    try:  # refused on the sizes and eps alone, before anything is allocated
-        cfg = recursion.RecursionConfig(n_max, samples_per_interval)
-    except ValueError as err:
-        raise click.BadParameter(str(err),
-                                 param_hint=["--n-max", "--samples-per-interval"]) from err
-    s_first, s_last = 1 / samples_per_interval, n_max + 1
-    _check_range("t = s eps", s_first * eps, s_last * eps, ["--eps"])
-    _check_range("v0 t", rate * s_first, rate * s_last, ["--v0"], normal=False)
+    The sizes are refused first, before anything is allocated."""
+    cfg = _numerical_guard(recursion.RecursionConfig, n_max, samples_per_interval,
+                           flags=["--n-max", "--samples-per-interval"])
+    v0, rate = _strength(v0, eps, 1 / samples_per_interval, n_max + 1)
     n = np.arange(n_max + 1)[:, None]
     u = np.arange(samples_per_interval + 1) / samples_per_interval
-    return n + u, recursion.run_recursion(cfg), sawtooth.sawtooth_envelope(n, u)
+    return (v0, rate, n + u, _numerical_guard(recursion.run_recursion, cfg),
+            sawtooth.sawtooth_envelope(n, u))
+
+
+def _against_fv(rate, s, f_p):
+    """The absorbing envelope at strength ``rate`` on s, and the
+    oscillation ratio of ``f_p`` about it."""
+    f_v = exact.absorbing_envelope(rate, s)
+    return f_v, sawtooth.oscillation_ratio(f_p, f_v)
 
 
 @main.command()
 @_with(envelope_options + recursion_options)
 def fp(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Numeric + model saw-tooth envelopes with the oscillation ratio."""
-    v0, rate = _resolve_v0(v0, eps)
-
-    def build():
-        s, numeric, model = _recursion_tables(eps, rate, n_max, samples_per_interval)
-        sides = np.full(s.shape, "", dtype="<U5")
-        sides[:, 0], sides[:, -1] = "plus", "minus"
-        # row 0 is the free interval, which starts with no drop
-        s, numeric, model, sides = (col.ravel()[1:] for col in (s, numeric, model, sides))
-        fvv = exact.absorbing_envelope(rate, s)
-        return s * eps, model, numeric, fvv, sawtooth.oscillation_ratio(numeric, fvv), sides
-
+    v0, rate, s, numeric, model = _recursion_tables(v0, eps, n_max, samples_per_interval)
+    sides = np.full(s.shape, "", dtype="<U5")
+    sides[:, 0], sides[:, -1] = "plus", "minus"
+    # row 0 is the free interval, which starts with no drop
+    s, numeric, model, sides = (col.ravel()[1:] for col in (s, numeric, model, sides))
+    f_v, ratio = _numerical_guard(_against_fv, rate, s, numeric)
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
-    _write_table(out, fmt, "fp", params,
-                 ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"], _numerical_guard(build))
+    _write_table(out, fmt, "fp", params, ["t", "f_p_model", "f_p_numeric", "f_v", "s", "side"],
+                 (s * eps, model, numeric, f_v, ratio, sides))
 
 
 @main.command(name="exact")
 @_with(envelope_options)
 def exact_cmd(m, eps, v0, out, fmt) -> None:
     """Closed-form boundary values and chain-integral identities."""
-    v0, rate = _resolve_v0(v0, eps)
-    _check_range("t = s eps", 0.5 * eps, 4.0 * eps, ["--eps"])
-    _check_range("v0 t", rate * 0.5, rate * 4.0, ["--v0"], normal=False)
+    v0, rate = _strength(v0, eps, 0.5, 4.0)
 
     def build():
         orthant = exact.bridge_orthant
@@ -293,7 +303,8 @@ def lattice_cmd(m, eps, out, fmt, tau, levels) -> None:
         raise click.BadParameter(f"{tau!r} is not a whole number of eps = {eps!r}: tau/eps = "
                                  f"{n_intervals!r}", param_hint=["--tau"])
 
-    sweep = _numerical_guard(lattice.continuum_peak_estimate, int(n_intervals), level_list)
+    sweep = _numerical_guard(lattice.continuum_peak_estimate, int(n_intervals), level_list,
+                             flags=["--tau", "--levels"])
     # one row per level, then the extrapolated ratio on a row of zeros
     columns = [np.append(col, last) for col, last in
                ((r, 0.0), (eta, 0.0), (dtau, 0.0), (sweep.ratios, sweep.extrapolated))]
@@ -309,11 +320,8 @@ def pdx(m, out, fmt, p_sigma) -> None:
     """Wave-packet perturbation scan against the suppression predictor; it
     scans its own eps values and calibrates v0 from each, at m = 1 (the
     scan is scale-free), reporting eps and tau in units of m, times --m."""
-
-    try:
-        _, tau, eps_values, _ = _numerical_guard(wavepacket.scan_geometry, p_sigma)
-    except click.UsageError as err:  # the scan's ValueError, from --p-sigma alone
-        raise click.BadParameter(err.message, param_hint="'--p-sigma'") from err
+    _, tau, eps_values, _ = _numerical_guard(wavepacket.scan_geometry, p_sigma,
+                                             flags=["--p-sigma"])
     _check_range("m eps to m tau", m * float(eps_values[0]),  # Python floats: inf, no error
                  m * max(float(eps_values[-1]), tau), ["--m", "--p-sigma"])
     tau, eps_values, *columns = _numerical_guard(wavepacket.delta_norm_scan, p_sigma)
@@ -325,24 +333,18 @@ def pdx(m, out, fmt, p_sigma) -> None:
 @_with(envelope_options + recursion_options)
 def compare(m, eps, v0, out, fmt, n_max, samples_per_interval) -> None:
     """Peak/trough summary: numeric recursion vs model vs absorbing envelope."""
-    v0, rate = _resolve_v0(v0, eps)
-
-    def build():
-        # rows k = 1 .. n_max: the peak before the drop at s = k + 1 is the
-        # u = 1 end of interval k, the trough after the drop at s = k its
-        # u = 0 end
-        s, numeric, model = _recursion_tables(eps, rate, n_max, samples_per_interval)
-        at, peak_n, peak_m = s[1:, -1], numeric[1:, -1], model[1:, -1]
-        fv_k = exact.absorbing_envelope(rate, at)
-        return (np.arange(1, n_max + 1), at * eps, peak_n, peak_m, numeric[1:, 0],
-                model[1:, 0], fv_k, sawtooth.oscillation_ratio(peak_n, fv_k))
-
+    v0, rate, s, numeric, model = _recursion_tables(v0, eps, n_max, samples_per_interval)
+    # rows k = 1 .. n_max: the peak before the drop at s = k + 1 is the
+    # u = 1 end of interval k, the trough after the drop at s = k its u = 0 end
+    at, peak_n = s[1:, -1], numeric[1:, -1]
+    f_v, ratio = _numerical_guard(_against_fv, rate, at, peak_n)
     params = {"m": m, "eps": eps, "v0": v0, "n_max": n_max,
               "samples_per_interval": samples_per_interval}
     _write_table(out, fmt, "compare", params,
                  ["k", "t_peak", "peak_numeric", "peak_model",
                   "trough_numeric", "trough_model", "f_v_peak", "s_peak"],
-                 _numerical_guard(build))
+                 (np.arange(1, n_max + 1), at * eps, peak_n, model[1:, -1], numeric[1:, 0],
+                  model[1:, 0], f_v, ratio))
 
 
 if __name__ == "__main__":

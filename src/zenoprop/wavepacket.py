@@ -55,7 +55,6 @@ import numpy as np
 
 from .core import (
     ROOT_INV_I,
-    NumericalFailure,
     five_smooth_at_least,
     half_power_weights,
     panel_weights,
@@ -460,12 +459,12 @@ _SCAN_E_EPS = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
 def scan_geometry(p_sigma: float) -> tuple[WavePacket, float, np.ndarray, np.ndarray]:
     """The pdx scan's packet, from q = -10; its final time tau, past the
     classical crossing; its eps values; and its x window, out to 6 past the
-    packet's centre at tau.  An energy that is not finite and positive is a
-    ``NumericalFailure``, and then a finest time grid over the cap a
-    ``ValueError`` (``time_points``), before anything is allocated."""
+    packet's centre at tau.  An energy that is not finite and positive, and
+    then a finest time grid over the cap (``time_points``), is a
+    ``ValueError``, before anything is allocated."""
     wp = WavePacket(q=-10.0, p=p_sigma)
     if not 0 < wp.energy < np.inf:
-        raise NumericalFailure(f"packet energy {wp.energy:.6g} is not finite and positive")
+        raise ValueError(f"packet energy {wp.energy:.6g} is not finite and positive")
     tau = 1.8 * abs(wp.q) / wp.p + 0.8 * wp.zeno_time
     eps_values = _SCAN_E_EPS / wp.energy
     time_points(wp, eps_values[0], tau)

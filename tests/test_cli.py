@@ -10,6 +10,7 @@ import textwrap
 from importlib import resources
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -18,7 +19,7 @@ from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
 import zenoprop
 from zenoprop import recursion, wavepacket
-from zenoprop.cli import _write_table, main
+from zenoprop.cli import _numerical_guard, _write_table, main
 
 
 @pytest.fixture
@@ -545,8 +546,17 @@ class TestUsageErrors:
         (["fp", "--v0", "1e308", "--n-max", "2"], "--v0"),
         (["fv", "--v0", "1e-300", "--eps", "1e-300"], "--v0"),
         (["fv", "--eps", "1e-323", "--v0", "1"], "--eps"),
+        # v0 t = 1e-322 s underflows to zero at s = 0.01 alone
+        (["fv", "--v0", "1e-322", "--eps", "1"], "--v0"),
+        # just past the ends of each table's s range: fv's t = 0.01 eps
+        # under DBL_MIN and 21 eps over DBL_MAX, exact's t = eps/2 under
+        # DBL_MIN, where 0.02 eps, 20 eps and eps would pass
+        (["fv", "--eps", "2.2e-306"], "--eps"),
+        (["fv", "--eps", "8.7e306"], "--eps"),
+        (["exact", "--eps", "4.45e-308"], "--eps"),
     ], ids=["fv-eps-1e307", "exact-eps-5e307", "fv-v0-1e308", "exact-v0-1e308",
-            "fp-v0-1e308-n-max-2", "fv-v0-eps-1e-300", "fv-eps-1e-323"])
+            "fp-v0-1e308-n-max-2", "fv-v0-eps-1e-300", "fv-eps-1e-323", "fv-v0-1e-322",
+            "fv-eps-2.2e-306", "fv-eps-8.7e306", "exact-eps-4.45e-308"])
     def test_scales_outside_the_floats_name_their_flag(self, runner, tmp_path, args, flag):
         # every envelope subcommand refuses an eps whose times t = s eps leave
         # the normal floats, and a v0 whose v0 t leaves the positive finite
@@ -606,35 +616,26 @@ class TestPdxCommand:
         assert res.exit_code == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("args, message", [
-        # the packet energy p^2/2 overflows while the scan is set up
-        pytest.param(["--p-sigma", "1e200"], "packet energy inf", id="p-sigma-1e200"),
-        pytest.param(["--p-sigma", "1e300"], "packet energy inf", id="p-sigma-1e300"),
-    ])
-    def test_extreme_mass_is_numerical_failure(self, runner, tmp_path, args, message):
-        out = tmp_path / "pdx.csv"
-        res = runner.invoke(main, ["pdx", *args, "--out", str(out)])
-        assert res.exit_code == 3, result_output(res)
-        assert len(res.output.splitlines()) == 1, res.output
-        assert res.output.startswith("numerical failure: ")
-        assert message in res.output, res.output
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("args, flags", [
+    @pytest.mark.parametrize("args, flags, message", [
         # eps from 2.5e-309 to 2.5e-308 at m = 1e-306: subnormal at the start
-        (["--m", "1e-306"], "'--m' / '--p-sigma'"),
+        (["--m", "1e-306"], "'--m' / '--p-sigma'", "m eps to m tau runs from 2.5e-309"),
         # tau = 1.88 m overflows at m = 1e308
-        (["--m", "1e308"], "'--m' / '--p-sigma'"),
+        (["--m", "1e308"], "'--m' / '--p-sigma'", "m eps to m tau runs from 2.5e+305 to inf"),
         # the scan runs at m = 1, where p sigma = 1e10 needs 3.0e12 time points
-        (["--m", "1e-300", "--p-sigma", "1e10"], "'--p-sigma'"),
-    ], ids=["eps-subnormal", "tau-overflows", "m-1e-300-p-sigma-1e10"])
-    def test_extreme_mass_is_usage_error(self, runner, tmp_path, args, flags):
+        (["--m", "1e-300", "--p-sigma", "1e10"], "'--p-sigma'", "time grid of 3.008e+12"),
+        # the packet energy p^2/2 overflows, or underflows to zero, while the
+        # scan is set up: bad input, like the mass whose tau overflows
+        (["--p-sigma", "1e200"], "'--p-sigma'", "packet energy inf is not finite and positive"),
+        (["--p-sigma", "1e300"], "'--p-sigma'", "packet energy inf is not finite and positive"),
+        (["--p-sigma", "1e-200"], "'--p-sigma'", "packet energy 0 is not finite and positive"),
+    ], ids=["eps-subnormal", "tau-overflows", "m-1e-300-p-sigma-1e10", "p-sigma-1e200",
+            "p-sigma-1e300", "p-sigma-1e-200"])
+    def test_extreme_mass_is_usage_error(self, runner, tmp_path, args, flags, message):
         out = tmp_path / "pdx.csv"
         res = runner.invoke(main, ["pdx", *args, "--out", str(out)])
         assert res.exit_code == 2, result_output(res)
         last = res.output.splitlines()[-1]
-        assert last.startswith(f"Error: Invalid value for {flags}: ")
+        assert last.startswith(f"Error: Invalid value for {flags}: {message}"), last
         assert len(last) < 200
         assert not out.exists()
 
@@ -724,6 +725,74 @@ class TestPdxCommand:
         assert norms[0] < norms[-1]  # suppression deepens as eps shrinks
 
 
+SIZES = "'--n-max' / '--samples-per-interval'"
+WALK = "'--tau' / '--levels'"
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["fp", "--n-max", "0"], SIZES),
+    (["fp", "--samples-per-interval", "1"], SIZES),
+    (["fp", "--n-max", "3029"], SIZES),  # predicted work just over MAX_WORK
+    (["pdx", "--p-sigma", repr(TestPdxCommand.OVER_CAP)], "'--p-sigma'"),
+    (["lattice", "--tau", "40000"], WALK),  # 40,000 x 4^5 steps
+    (["lattice", "--tau", "2", "--levels", "8"], WALK),  # 2 x 4^8 steps
+], ids=["n-max-0", "samples-1", "work-over-cap", "time-points-over-cap", "walk-tau",
+        "walk-levels"])
+def test_library_refusals_name_their_flags(runner, tmp_path, args, flags):
+    # a value the library refuses is one line of usage error naming the
+    # flags that set it, and writes nothing
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2, result_output(res)
+    assert isinstance(res.exception, SystemExit)
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert errors == [res.output.splitlines()[-1]], res.output
+    assert errors[0].startswith(f"Error: Invalid value for {flags}: "), errors[0]
+    assert len(errors[0]) < 200
+    assert not out.exists()
+
+
+# flags and the JSON params they record: v0 resolved (4/(3 eps) by default),
+# pdx's tau in units of m, times --m
+ENVELOPE = ["--m", "2", "--eps", "0.3"]
+RECURSION = ["--n-max", "2", "--samples-per-interval", "4"]
+META_CASES = {
+    "fv": [(ENVELOPE, {"m": 2.0, "eps": 0.3, "v0": 4 / (3 * 0.3)}),
+           ([*ENVELOPE, "--v0", "0.7"], {"m": 2.0, "eps": 0.3, "v0": 0.7})],
+    "exact": [(ENVELOPE, {"m": 2.0, "eps": 0.3, "v0": 4 / (3 * 0.3)}),
+              ([*ENVELOPE, "--v0", "0.7"], {"m": 2.0, "eps": 0.3, "v0": 0.7})],
+    "fp": [([*ENVELOPE, *RECURSION], {"m": 2.0, "eps": 0.3, "v0": 4 / (3 * 0.3), "n_max": 2,
+                                      "samples_per_interval": 4}),
+           ([*ENVELOPE, *RECURSION, "--v0", "0.7"],
+            {"m": 2.0, "eps": 0.3, "v0": 0.7, "n_max": 2, "samples_per_interval": 4})],
+    "compare": [([*ENVELOPE, *RECURSION], {"m": 2.0, "eps": 0.3, "v0": 4 / (3 * 0.3),
+                                           "n_max": 2, "samples_per_interval": 4}),
+                ([*ENVELOPE, *RECURSION, "--v0", "0.7"],
+                 {"m": 2.0, "eps": 0.3, "v0": 0.7, "n_max": 2, "samples_per_interval": 4})],
+    "lattice": [(["--m", "2", "--eps", "0.5", "--tau", "2", "--levels", "3"],
+                 {"m": 2.0, "eps": 0.5, "tau": 2.0, "levels": 3})],
+    "pdx": [(["--m", "2", "--p-sigma", "3"],
+             {"m": 2.0, "p_sigma": 3.0, "tau": 2.0 * wavepacket.scan_geometry(3.0)[1]})],
+}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_json_meta_records_every_flag(runner, tmp_path, name):
+    # meta names the subcommand, and params holds exactly its flags but
+    # --out and --format (and pdx's tau, which no flag sets), at the values
+    # the table was made with
+    declared = {p.name for p in main.commands[name].params if p.expose_value}
+    declared = declared - {"out", "fmt"} | ({"tau"} if name == "pdx" else set())
+    for args, params in META_CASES[name]:
+        out = tmp_path / f"{name}.json"
+        res = runner.invoke(main, [name, *args, "--format", "json", "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["command"] == name
+        assert set(meta["params"]) == declared
+        assert meta["params"] == params, args
+
+
 class TestWriteTable:
     NAMES = ["x", "label", "y"]
     COLUMNS = (np.array([0.1, 2.0]), ["a", ""], [1 / 3, np.float64(4.0)])
@@ -767,6 +836,35 @@ class TestWriteTable:
         assert exit_info.value.code == 3
         assert capsys.readouterr().err == "numerical failure: non-finite value in the t table\n"
         assert not out.exists()
+
+
+class TestNumericalGuard:
+    @staticmethod
+    def refuse(*args):
+        raise ValueError("refused")
+
+    def test_value_error_names_the_flags_it_is_given(self):
+        with pytest.raises(click.BadParameter) as info:
+            _numerical_guard(self.refuse, 1.0, flags=["--a", "--b"])
+        assert info.value.format_message() == "Invalid value for '--a' / '--b': refused"
+
+    def test_value_error_without_flags_is_a_plain_usage_error(self):
+        with pytest.raises(click.UsageError) as info:
+            _numerical_guard(self.refuse, 1.0)
+        assert type(info.value) is click.UsageError
+        assert info.value.format_message() == "refused"
+
+    @pytest.mark.parametrize("fn, args", [
+        (np.multiply, (np.float64(1e308), 10.0)),  # overflow
+        (np.divide, (np.float64(1.0), 0.0)),  # division by zero
+        (np.divide, (np.float64(0.0), 0.0)),  # invalid
+        (math.exp, (1000.0,)),  # a Python OverflowError
+    ], ids=["over", "divide", "invalid", "python-overflow"])
+    def test_float_errors_are_numerical_failures(self, capsys, fn, args):
+        with pytest.raises(SystemExit) as exit_info:
+            _numerical_guard(fn, *args, flags=["--a"])
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def names_read(fn) -> set[str]:
