@@ -1,32 +1,33 @@
 """Constrained random walks on a space-time lattice.
 
 A walker starts at the origin, takes steps of +-eta with probability 1/2
-each per time slice dtau, and must sit strictly on the positive axis at the
-intermediate constraint instants (every ``steps_per_projection`` slices).
-The return probability u(0, tau | 0, 0) under these constraints comes from
-a dynamic program over the probabilities of the live sites, exact up to
-rounding: each free stretch between checkpoints is one convolution with
-the binomial pmf, direct below 128 steps and by the pmf's closed-form
-spectrum from 128 on (``constrained_walk_probability``).  Mapped to a
-density through the factor 1/(2 eta) (reachable sites alternate parity, so
-the effective site spacing is 2 eta) it converges, as the lattice under
-each projection interval is refined at fixed physical tau and eps, to the
-continuum boundary amplitude with that many projections:
+each per time slice dtau, and is projected onto the positive axis at the
+intermediate constraint instants (every ``steps_per_projection`` slices):
+the sites left of the origin go, and the origin itself keeps half its
+probability, theta(0) = 1/2.  The return probability u(0, tau | 0, 0)
+under these constraints comes from a dynamic program over the
+probabilities of the live sites, exact up to rounding: each free stretch
+between checkpoints is one convolution with the binomial pmf, direct below
+128 steps and by the pmf's closed-form spectrum from 128 on
+(``constrained_walk_probability``).  Mapped to a density through the
+factor 1/(2 eta) (reachable sites alternate parity, so the effective site
+spacing is 2 eta) it converges, as the lattice under each projection
+interval is refined at fixed physical tau and eps, to the continuum
+boundary amplitude with that many projections:
 
     (1/2 eta) u  ->  sqrt(m / 2 pi tau) * eps / tau,
 
-the peak law, with m = dtau / eta^2.  The finite-lattice error runs in
-powers of eta, led by the O(eta) of the site-based boundary cutoff, so a
-refinement sweep that halves eta level to level extrapolates cleanly, one
-Richardson stage per power (``richardson_limit``).
+the peak law, with m = dtau / eta^2.  The half weight is the trapezoid
+rule's end weight, which the recursion's half-line quadrature (Gregory's
+corrected trapezoid rule) starts from.  It leaves the finite-lattice error in even powers of eta, where dropping
+the origin would leave an O(eta) term, so a refinement sweep that halves
+eta level to level extrapolates cleanly, one Richardson stage per power of
+eta^2 (``richardson_limit``).
 
-A site counts as positive only when it lies above the origin.  With a
-constraint at every step the walk therefore probes the restricted
-(absorbing-boundary) propagator through an O(eta) boundary layer, as if an
-absorbing wall stood half a site above the origin, and (1/2 eta) u tends to
-one HALF of the expression above.  With many steps per projection interval
-the convention only shifts the O(eta) term, which the refinement sweep at
-fixed physical constraint spacing removes.
+With a constraint at every step the walk instead probes the restricted
+(absorbing-boundary) propagator through a boundary layer of about a site:
+it matches the image-method form two thirds of a site off an absorbing
+wall, and (1/2 eta) u tends to 8/9 of the expression above.
 """
 
 from __future__ import annotations
@@ -94,15 +95,18 @@ class LatticeConfig:
 
 
 def constrained_walk_probability(cfg: LatticeConfig) -> float:
-    """Probability of returning to the origin after n_steps while
-    satisfying the positivity constraint at every intermediate multiple of
-    steps_per_projection.
+    """Probability of returning to the origin after n_steps, projected onto
+    the positive axis at every intermediate multiple of steps_per_projection:
+    a walk counts with weight 2^-k, k its checkpoints at the origin, or not
+    at all if one of them lies left of it.
 
     The walk runs in segments that end at the next checkpoint (projection
     or last step).  It keeps the probabilities of the live sites, ``p[j]``
     at site x = 2 (base + j) - step, and a segment of l free steps replaces
     them by their convolution with the binomial pmf C(l, i) 2^-l; a
-    projection then drops the sites at or left of the origin.  Below
+    projection then drops the sites left of the origin and halves the
+    origin's probability (after an odd step count the origin is no site, and
+    only the cut remains).  Below
     ``_SPECTRAL_STEPS`` = 128 steps the convolution is direct, one
     ``np.convolve`` per part of at most 53 steps, whose pmf is exact in
     binary floating point: a rounded pmf would bias every segment alike
@@ -119,19 +123,20 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
     entries below 2^-128 are dropped from the window's right end: a dropped
     entry could add at most its own value to the result, so a walk at the
     65,536-step cap (at most 2^16 segments of at most 2^16 sites) moves by
-    less than 2^-96, where its return probability is at least 2.4e-8 (a
+    less than 2^-96, where its return probability is at least 4.2e-8 (a
     projection at every step).  The left end needs no such trim: each
     projection cuts it at the origin, a first direct segment leaves no
     entry below 2^-127, a spectral one is trimmed already, and the last
     segment's tail takes no further step.  The pmf of a part is at least
     2^-53, so no product comes near the subnormals.
 
-    Through step 53 every probability is a dyadic rational k 2^-step, and
-    each product with the pmf and each sum fits the 53-bit significand, so
-    the result matches brute-force enumeration bit for bit on small
-    lattices.  Longer walks round: against exact counts the result stays
-    within 1e-15 relative through 4,000 steps, and against a long-double
-    DP within 1e-14 through 65,536.
+    After t steps and h halvings every probability is a dyadic rational
+    k 2^-(t + h) in [0, 1].  While n_steps + h <= 53, which holds for every
+    walk of up to 36 steps, each product with the pmf and each sum fits the
+    53-bit significand, so the result matches exact counts, and brute-force
+    enumeration on small lattices, bit for bit.  Longer walks round: against
+    exact counts the result stays within 2e-15 relative through 4,000
+    steps, and against a long-double DP within 1e-14 through 65,536.
     """
     n = cfg.n_steps
     if n % 2:
@@ -157,9 +162,11 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
             kept = np.flatnonzero(out > out.max() * 2.0**-50)
             p = out[kept[0] : kept[-1] + 1]
             base += steps // 2 - reach + kept[0]
-        if step + steps < n:  # a projection: the sites at or left of the origin go
-            cut = (step + steps) // 2 + 1 - base  # >= 1, as the segment reached x <= 0
+        if step + steps < n:  # a projection: the sites left of the origin go
+            cut = (step + steps + 1) // 2 - base  # >= 0, as the segment reached x <= 0
             p, base = p[cut:], base + cut
+            if (step + steps) % 2 == 0:
+                p[0] *= 0.5  # the origin: theta(0) = 1/2
         if not p[-1] >= tiny:
             # the segment added `steps` entries, so twice as many are scanned
             p = p[: p.size - int((p[: -2 * steps - 3 : -1] >= tiny).argmax())]
@@ -168,13 +175,14 @@ def constrained_walk_probability(cfg: LatticeConfig) -> float:
 
 def richardson_limit(values) -> float:
     """The limit eta -> 0 of ``values`` taken at an eta that halves from each
-    to the next, with errors in powers of eta: stage j = 1 ... len - 1 maps
-    T to (2^j T[1:] - T[:-1]) / (2^j - 1), which removes the eta^j term and
-    leaves one value after the last stage (Richardson's deferred approach to
-    the limit).  At three values it is (4 (2c - b) - (2b - a)) / 3."""
+    to the next, with errors in even powers of eta: stage j = 1 ... len - 1
+    maps T to (4^j T[1:] - T[:-1]) / (4^j - 1), which removes the eta^(2j)
+    term and leaves one value after the last stage (Richardson's deferred
+    approach to the limit; Romberg's table).  At three values it is
+    (64 c - 20 b + a) / 45."""
     table = np.asarray(values, dtype=float)
     for j in range(1, table.size):
-        table = (2.0**j * table[1:] - table[:-1]) / (2.0**j - 1)
+        table = (4.0**j * table[1:] - table[:-1]) / (4.0**j - 1)
     return float(table[0])
 
 
@@ -196,13 +204,13 @@ def continuum_peak_estimate(
 
         [(1/2 eta) u] / [sqrt(m / 2 pi tau) * eps / tau]
 
-    at each level, and removes the errors O(eta) to O(eta^(L-1)) of its L
-    levels by every Richardson stage (``richardson_limit``).  The ratio is
+    at each level, and removes the errors O(eta^2) to O(eta^(2L-2)) of its
+    L levels by every Richardson stage (``richardson_limit``).  The ratio is
     scale-free, so it is formed from the unit walk, m = eps = 1: its value
     is the same for every physical (m, eps) with tau = n_intervals eps, and
     the physical eta = sqrt(eps/m/r) and dtau = eps/r enter only the
-    command line's table.  The extrapolated ratio is 1 to 5.9e-6 at the
-    default five levels and four intervals, and to 5.4e-8 at six levels
+    command line's table.  The extrapolated ratio is 1 to 2.8e-11 at the
+    default five levels and four intervals, and to 2.4e-15 at six levels
     (4 to 4,096) and eight intervals.  No interval, fewer than three
     levels, levels that do not quadruple, and a finest walk of more than
     ``MAX_WALK_STEPS`` steps are rejected with ``ValueError``.

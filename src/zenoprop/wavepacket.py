@@ -459,14 +459,22 @@ _SCAN_E_EPS = np.array([0.125, 0.2, 0.3, 0.4, 0.5, 0.7, 0.85, 1.0, 1.25])
 def scan_geometry(p_sigma: float) -> tuple[WavePacket, float, np.ndarray, np.ndarray]:
     """The pdx scan's packet, from q = -10; its final time tau, past the
     classical crossing; its eps values; and its x window, out to 6 past the
-    packet's centre at tau.  An energy that is not finite and positive, and
-    then a finest time grid over the cap (``time_points``), is a
-    ``ValueError``, before anything is allocated."""
+    packet's centre at tau.  Each of these is a ``ValueError``, before
+    anything is allocated: an energy that is not finite and positive, or is
+    subnormal (the eps values E eps / E would overflow); more time steps per
+    projection at the coarsest eps, the most of the scan, than an int64
+    index holds (below p sigma of about 1.5e-17); and a finest time grid
+    over the cap (``time_points``)."""
     wp = WavePacket(q=-10.0, p=p_sigma)
     if not 0 < wp.energy < np.inf:
         raise ValueError(f"packet energy {wp.energy:.6g} is not finite and positive")
+    if wp.energy < np.finfo(float).tiny:
+        raise ValueError(f"packet energy {wp.energy:.6g} is subnormal")
     tau = 1.8 * abs(wp.q) / wp.p + 0.8 * wp.zeno_time
     eps_values = _SCAN_E_EPS / wp.energy
+    steps = _steps_per_projection(wp, eps_values[-1], tau)
+    if steps > np.iinfo(np.int64).max:
+        raise ValueError(f"{steps:.6g} time steps per projection exceed an int64 index")
     time_points(wp, eps_values[0], tau)
     return wp, tau, eps_values, np.linspace(0.05, abs(wp.q) + wp.p * tau + 6.0, 400)
 

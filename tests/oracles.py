@@ -301,7 +301,9 @@ def chain_integral(
 
 
 def brute_force_walk_probability(cfg: LatticeConfig) -> float:
-    """Enumerate all 2**n_steps walks (n_steps <= 20)."""
+    """Enumerate all 2**n_steps walks (n_steps <= 20): each walk that returns
+    and sits at or above the origin at every checkpoint counts 2^-n_steps,
+    halved for each checkpoint at the origin (theta(0) = 1/2)."""
     n = cfg.n_steps
     if n > 20:
         raise ValueError("brute force capped at 20 steps")
@@ -310,28 +312,65 @@ def brute_force_walk_probability(cfg: LatticeConfig) -> float:
         (codes[:, None] >> np.arange(n)[None, :]) & 1, 1, -1
     ).astype(np.int32)
     pos = np.cumsum(steps, axis=1)
-    ok = pos[:, -1] == 0
-    for step in range(cfg.steps_per_projection, n, cfg.steps_per_projection):
-        ok &= pos[:, step - 1] > 0
-    return float(ok.sum()) / 2.0**n
+    checks = pos[:, cfg.steps_per_projection - 1 : n - 1 : cfg.steps_per_projection]
+    ok = (pos[:, -1] == 0) & (checks >= 0).all(axis=1)
+    weight = 0.5 ** (checks == 0).sum(axis=1)
+    return float(weight[ok].sum()) / 2.0**n
 
 
 def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
-    """The return probability as an exact fraction: a DP over the integer
-    walk counts, one step at a time, divided by 2**n_steps at the end.  It
-    keeps only the sites that can still return to the origin, |x| <= the
-    steps left, and after a projection only those above it: ``counts[i]``
-    holds the walks at site lo + i."""
+    """The return probability as an exact fraction: a DP over integer walk
+    counts, one step at a time.  At each projection the sites left of the
+    origin go and those above it are doubled, so the origin keeps half the
+    weight of the others; the counts are divided by 2**(n_steps +
+    projections) at the end.  It keeps only the sites that can still return
+    to the origin, |x| <= the steps left: ``counts[i]`` holds the weighted
+    walks at site lo + i."""
     n = cfg.n_steps
     lo, counts = 0, np.ones(1, dtype=object)  # Python ints, no overflow
+    projections = 0
     for step in range(1, n + 1):
         counts = np.concatenate((counts, [0, 0])) + np.concatenate(([0, 0], counts))
         lo -= 1
         keep_lo, keep_hi = max(lo, step - n), min(lo + len(counts) - 1, n - step)
-        if step < n and step % cfg.steps_per_projection == 0:
-            keep_lo = max(keep_lo, 1)
+        projection = step < n and step % cfg.steps_per_projection == 0
+        if projection:
+            keep_lo = max(keep_lo, 0)
         counts, lo = counts[keep_lo - lo : keep_hi - lo + 1], keep_lo
-    return Fraction(int(counts.sum()), 2**n)
+        if projection:
+            counts[int(lo == 0) :] *= 2  # every kept site but the origin
+            projections += 1
+    return Fraction(int(counts.sum()), 2 ** (n + projections))
+
+
+def longdouble_walk_probability(cfg: LatticeConfig) -> float:
+    """The return probability from a DP in ``np.longdouble``, one step at a
+    time: each step moves half of every site's probability to either
+    neighbour, and each projection drops the sites left of the origin and
+    halves the origin's.  Where ``np.longdouble`` is the x87 80-bit format
+    (a 64-bit significand) the rounding over a walk of n steps stays near
+    n 2^-64, about 4e-15 at 65,536 steps: the reference for walks too long
+    for ``exact_walk_probability``, rounded to the nearest double at the
+    end.  An entry below 2^-160 at either end of the window is dropped; it
+    could add at most its own value to the result, so the at most 2^17
+    dropped move a walk of 65,536 steps by less than 2^-143."""
+    n, spp = cfg.n_steps, cfg.steps_per_projection
+    half, tiny = np.longdouble(0.5), np.longdouble(2.0) ** -160
+    base, p = 0, np.ones(1, dtype=np.longdouble)  # after t steps, p[j] at 2 (base + j) - t
+    for step in range(1, n + 1):
+        p *= half
+        p = np.concatenate((p, [0])) + np.concatenate(([0], p))
+        if p[0] < tiny:
+            p, base = p[1:], base + 1
+        if p[-1] < tiny:
+            p = p[:-1]
+        if step < n and step % spp == 0:  # a projection
+            cut = max((step + 1) // 2 - base, 0)
+            p, base = p[cut:], base + cut
+            if 2 * base == step:
+                p[0] *= half  # the origin, theta(0) = 1/2
+    at = n // 2 - base  # the origin, if n is even and it was not dropped
+    return float(p[at]) if n % 2 == 0 and 0 <= at < p.size else 0.0
 
 
 def lattice_envelope(t: float, eps: float, m: float = 1.0,
@@ -342,8 +381,8 @@ def lattice_envelope(t: float, eps: float, m: float = 1.0,
     The refinement sweep of ``continuum_peak_estimate`` with the free
     return density ``heat_kernel(m, t, 0, 0)`` as the target, so the ratio
     tends to the envelope itself; the same Richardson stages
-    (``richardson_limit``) remove the errors O(eta) to O(eta^(L-1)) of its
-    L levels.  t / eps times every level must be an integer step count.
+    (``richardson_limit``) remove the errors O(eta^2) to O(eta^(2L-2)) of
+    its L levels.  t / eps times every level must be an integer step count.
     """
     ratios = []
     for r in levels:
@@ -513,7 +552,7 @@ def _baxter_nodes(k_max: int, theta_min: float) -> tuple[np.ndarray, np.ndarray]
     return (lo + half * (x + 1)).ravel(), (half * w).ravel()
 
 
-def baxter_envelope(k_max: int, theta) -> np.ndarray:
+def baxter_envelope(k_max: int, theta, mu: float = 0.0) -> np.ndarray:
     """Exact boundary envelope f(k + theta) after k projections, for
     k = 0..k_max and offsets theta in (0, 1], in units of eps: an array of
     shape (k_max + 1, len(theta)).  The peaks are theta = 1.
@@ -529,13 +568,28 @@ def baxter_envelope(k_max: int, theta) -> np.ndarray:
     ch. XII) gives k a_k = sum_{n=1..k} g_n a_{k-n} with a_0 = 1 and
     g_n(u) = E[exp(i u S_n); S_n > 0]
            = exp(-n u^2 / 2) / 2 + (i / sqrt(pi)) D(u sqrt(n / 2)).
-    Grid-free and independent of the slice recursion."""
+    Grid-free and independent of the slice recursion.
+
+    With ``mu`` each projection is the partial one theta(x) + mu theta(-x),
+    0 <= mu < 1: a path counts mu^j for its j negative checkpoints, and
+    a_k(u) = E[exp(i u S_k) mu^j].  Sparre Andersen's form of the identity
+    then takes h_n = g_n + mu^n (exp(-n u^2 / 2) - g_n) for g_n: the
+    negative half-line's part of the n-step transform carries mu^n
+    (``weighted_baxter_envelope``)."""
+    return weighted_baxter_envelope(k_max, theta, float(mu) ** np.arange(1, k_max + 1))
+
+
+def weighted_baxter_envelope(k_max: int, theta, negative_weights) -> np.ndarray:
+    """``baxter_envelope`` with h_n = g_n + w_n (exp(-n u^2 / 2) - g_n) for
+    the given weights w_1 .. w_k_max of the negative half-line."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all((0 < theta) & (theta <= 1)):
         raise ValueError("offsets must lie in (0, 1]")
     u, w = _baxter_nodes(k_max, theta.min())
     n = np.arange(1, k_max + 1)[:, None]
-    g = 0.5 * np.exp(-n * u * u / 2) + 1j / np.sqrt(np.pi) * dawson(u * np.sqrt(n / 2))
+    free = np.exp(-n * u * u / 2)
+    g = 0.5 * free + 1j / np.sqrt(np.pi) * dawson(u * np.sqrt(n / 2))
+    g += np.asarray(negative_weights, dtype=float)[:, None] * (free - g)
     a = np.empty((k_max + 1, len(u)), dtype=complex)
     a[0] = 1.0
     for k in range(1, k_max + 1):

@@ -154,10 +154,10 @@ class TestCriterion4:
 class TestCriterion5:
     def test_lattice_continuum_limit(self):
         """Walk refinement extrapolates to the continuum peak law within
-        2e-5 (measured 5.85e-6); tiny lattices match brute-force enumeration
+        3e-10 (measured 2.83e-11); tiny lattices match brute-force enumeration
         exactly."""
         sweep = lattice.continuum_peak_estimate(4)
-        assert abs(sweep.extrapolated - 1.0) <= 2e-5, sweep.extrapolated
+        assert abs(sweep.extrapolated - 1.0) <= 3e-10, sweep.extrapolated
 
         two = lattice.LatticeConfig(2, 1)
         assert lattice.constrained_walk_probability(two) == 0.25
@@ -169,7 +169,7 @@ class TestCriterion5:
             assert lattice.constrained_walk_probability(c) == (
                 brute_force_walk_probability(c)
             )
-        report(5, f"lattice continuum limit (extrapolated {sweep.extrapolated:.4f})")
+        report(5, f"lattice continuum limit (extrapolated {sweep.extrapolated - 1:+.1e} from 1)")
 
 
 class TestCriterion6:

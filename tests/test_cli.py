@@ -215,7 +215,7 @@ class TestLattice:
         header, rows = read_rows(out)
         assert header == ["steps_per_projection", "eta", "dtau", "ratio"]
         assert len(rows) == 6  # 5 levels + extrapolated
-        assert float(rows[-1][3]) == pytest.approx(1.0, abs=2e-5)  # measured 5.85e-6
+        assert float(rows[-1][3]) == pytest.approx(1.0, abs=3e-10)  # measured 2.83e-11
         ratios = [float(r[3]) for r in rows[:-1]]
         assert ratios == sorted(ratios)  # monotone convergence recorded
 
@@ -652,6 +652,32 @@ class TestPdxCommand:
         res = runner.invoke(main, ["pdx", *args, "--out", str(tmp_path / "pdx.csv")])
         assert res.exit_code == 2, result_output(res)
         assert "Invalid value for '--m' / '--p-sigma': " in res.output.splitlines()[-1]
+
+    @pytest.mark.parametrize("p_sigma, message", [
+        # q = 109 / p sigma steps per projection at the coarsest eps of the
+        # scan outgrow an int64 index below p sigma of about 1.5e-17
+        ("1e-20", "1.3617e+22 time steps per projection exceed an int64 index"),
+        ("1e-71", "1.3617e+73 time steps per projection exceed an int64 index"),
+        # the energy p^2 / 2 = 5e-309 is subnormal, and 1.25 / E overflows
+        ("1e-154", "packet energy 5e-309 is subnormal"),
+    ])
+    def test_tiny_p_sigma_is_refused_before_the_scan(self, runner, tmp_path, monkeypatch,
+                                                     p_sigma, message):
+        def scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(wavepacket, "pdx_delta_psi", scan)
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", "--p-sigma", p_sigma, "--out", str(out)])
+        assert res.exit_code == 2, result_output(res)
+        assert res.output.splitlines()[-1] == f"Error: Invalid value for '--p-sigma': {message}"
+        assert not out.exists()
+
+    def test_small_p_sigma_above_the_floor_runs(self, runner, tmp_path):
+        out = tmp_path / "pdx.csv"
+        res = runner.invoke(main, ["pdx", "--p-sigma", "1e-12", "--out", str(out)])
+        assert res.exit_code == 0, result_output(res)
+        assert len(read_rows(out)[1]) == 9
 
     # the finest pdx time grid has tau / (eps / 4) = 300.8 p sigma steps
     # (tau = 18.8 m sigma / p, eps = 0.125 / E), so this p sigma needs one

@@ -15,6 +15,7 @@ from oracles import (
     free_propagator_boundary_derivative,
     half_value_ratio,
     restricted_propagator,
+    weighted_baxter_envelope,
 )
 from zenoprop.exact import (
     _tanh_sinh_rule,
@@ -388,6 +389,69 @@ class TestBaxterEnvelope:
         for theta in (0.0, 1.5, np.nan):
             with pytest.raises(ValueError, match=r"offsets must lie in \(0, 1\]"):
                 baxter_envelope(2, [0.5, theta])
+
+
+def sign_weighted_envelope(k: int, s: float, mu: float) -> float:
+    """The envelope at s = t/eps after partial projections theta(x) +
+    mu theta(-x) at s = 1 .. k <= 3: the Brownian bridge's orthant
+    probabilities summed over sign patterns, each weighted mu^(negatives)."""
+    times = np.arange(1.0, k + 1)
+    return sum(mu ** signs.count(-1) * bridge_orthant(times, s, signs)
+               for signs in product((1, -1), repeat=k))
+
+
+def partial_peak_law(k, mu):
+    """The peak before drop k + 1 under partial projections: the number of
+    negative checkpoints there is uniform on 0..k (Sparre Andersen), so the
+    peak is the mean of mu^j, (1 - mu^(k+1)) / ((k+1)(1 - mu))."""
+    return (1 - mu ** (k + 1)) / ((k + 1) * (1 - mu))
+
+
+class TestPartialProjections:
+    """Each projection replaced by theta(x) + mu theta(-x): the
+    Spitzer-Baxter envelope with mu^n on the negative half-line's part."""
+
+    MUS = (0.0, 0.3, 0.5, 0.9)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_peak_law(self, mu):
+        # measured at most 1.1e-15
+        peaks = baxter_envelope(40, 1.0, mu)[:, 0]
+        assert_allclose(peaks, partial_peak_law(np.arange(41), mu), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_sign_weighted_orthants(self, mu):
+        # measured at most 3.3e-16
+        theta = np.array([0.25, 0.5, 1.0])
+        got = baxter_envelope(3, theta, mu)
+        for k in range(4):
+            want = [sign_weighted_envelope(k, k + th, mu) for th in theta]
+            assert_allclose(got[k], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_each_drop_keeps_one_plus_mu_over_two(self, mu):
+        # at a coincident checkpoint the bridge's sign is fair: the sign
+        # sums give the right limit exactly (measured within 1.1e-16), and
+        # the Spitzer-Baxter envelope at offsets 1e-6 and 4e-6, extrapolated
+        # in sqrt(offset), within 2.6e-7 through k = 40
+        for k in (1, 2, 3):
+            before = sign_weighted_envelope(k - 1, k, mu)
+            assert sign_weighted_envelope(k, k, mu) == pytest.approx((1 + mu) / 2 * before,
+                                                                     rel=0, abs=1e-15)
+        for k in (5, 20, 40):
+            envelope = baxter_envelope(k, [1e-6, 4e-6, 1.0], mu)
+            (near, far), before = envelope[k, :2], envelope[k - 1, 2]
+            assert (2 * near - far) / before == pytest.approx((1 + mu) / 2, rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("mu", MUS[1:])
+    def test_weight_mu_per_checkpoint_misses_the_law(self, mu):
+        # the weight mu on every n-step transform, in place of mu^n, agrees
+        # at k = 1, where the two coincide, and then misses the peak law by
+        # 0.14, 0.25 and 0.56 at the worst k <= 40
+        law = partial_peak_law(np.arange(41), mu)
+        naive = weighted_baxter_envelope(40, 1.0, np.full(40, mu))[:, 0]
+        assert naive[1] == pytest.approx(law[1], abs=1e-14)
+        assert np.abs(naive - law).max() >= 0.05
 
 
 class TestHalfValueDrop:

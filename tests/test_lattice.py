@@ -14,6 +14,7 @@ from oracles import (
     catalan_number,
     exact_walk_probability,
     lattice_envelope,
+    longdouble_walk_probability,
     unconstrained_return_probability,
 )
 from zenoprop.cli import main
@@ -41,9 +42,10 @@ class TestSmallCases:
         assert constrained_walk_probability(LatticeConfig(2, 1)) == 0.25
 
     def test_four_steps_all_constraints(self):
-        # only up,up,down,down stays strictly positive at steps 1..3
+        # up,up,down,down stays positive at steps 1..3 and counts whole;
+        # up,down,up,down sits at the origin at step 2 and counts half
         got = constrained_walk_probability(LatticeConfig(4, 1))
-        assert got == 1.0 / 16.0
+        assert got == 1.5 / 16.0 == 3.0 / 32.0
         assert got == brute_force_walk_probability(LatticeConfig(4, 1))
 
     def test_unconstrained_central_binomial(self):
@@ -55,7 +57,8 @@ class TestSmallCases:
         assert constrained_walk_probability(LatticeConfig(5, 2)) == 0.0
 
 
-# (n_steps, steps_per_projection) cases, labelled by the strict site > 0 convention
+# (n_steps, steps_per_projection) cases, each with a checkpoint strictly
+# inside the walk, some of them at the origin
 STRICT_CASES = [(6, 1), (8, 2), (10, 3), (12, 4), (14, 7), (16, 5)]
 
 
@@ -64,7 +67,8 @@ class TestAgainstBruteForce:
         "n_steps, r", STRICT_CASES, ids=[f"strict-{n}-{r}" for n, r in STRICT_CASES]
     )
     def test_exact_match(self, n_steps, r):
-        # dyadic probabilities: DP and enumeration agree bit for bit
+        # dyadic probabilities, the origin's halved at each checkpoint: DP
+        # and enumeration agree bit for bit
         c = LatticeConfig(n_steps, r)
         assert constrained_walk_probability(c) == brute_force_walk_probability(c)
 
@@ -88,6 +92,23 @@ class TestAgainstBruteForce:
                 )
 
 
+long_double = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                                 reason="np.longdouble has only a 53-bit significand here")
+
+# walks at and near the 65,536-step cap and their return probabilities from
+# ``longdouble_walk_probability``, a DP in 80-bit long doubles one step at a
+# time, as the nearest double
+RECORDED_WALKS = {
+    (32768, 4096): "0x1.20cf5d2219e68p-11",
+    (65536, 8192): "0x1.987a5be008aaap-12",
+    (65536, 65536): "0x1.9883ed1c3b59fp-9",
+    (65536, 127): "0x1.d02ca5addc29ap-19",
+    (65536, 4): "0x1.3fd2941477204p-23",
+    (65536, 64): "0x1.91b44336725dcp-19",
+    (65536, 80): "0x1.636a770f4df98p-19",
+}
+
+
 class TestSpectralSegments:
     """Segments of _SPECTRAL_STEPS or more between checkpoints advance by one
     product with the binomial kernel's closed-form spectrum, shorter ones by
@@ -109,7 +130,7 @@ class TestSpectralSegments:
         c = LatticeConfig(*walk)
         exact = exact_walk_probability(c)
         got = Fraction(constrained_walk_probability(c))
-        assert abs(got - exact) <= exact * Fraction(2e-15)  # measured at most 7e-16
+        assert abs(got - exact) <= exact * Fraction(2e-15)  # examples: at most 6.5e-16
 
     # long walks, even step counts from 1,100 to 3,000, constrained every
     # r <= n + 5 steps
@@ -130,29 +151,32 @@ class TestSpectralSegments:
         got = Fraction(constrained_walk_probability(LatticeConfig(n, n)))
         assert abs(got - exact) <= exact * Fraction(2e-15)
 
-    @pytest.mark.parametrize("walk, value", [
-        pytest.param((n, r), value, id=f"{n}-{r}") for (n, r), value in [
-            # values of the counts DP that this walk replaced, themselves
-            # rounded by up to n 2^-53; measured within 6.6e-15 (at 127
-            # steps per interval)
-            ((32768, 4096), "0x1.18919d74e9a40p-11"),
-            ((65536, 8192), "0x1.9030c2cc5e5cfp-12"),
-            ((65536, 65536), "0x1.9883ed1c3b5b0p-9"),
-            ((65536, 127), "0x1.25732e4deb3b2p-19"),
-            ((65536, 4), "0x1.29a23e7a76128p-24"),
-            # values of a DP in 80-bit long doubles, one halving step at a
-            # time; measured within 6.2e-15 and 4.3e-15.  A pmf of 64 or 80
-            # steps rounded to doubles misses by 1.4e-14 to 3.3e-14, as each
-            # of the 1,024 or 820 segments takes the same rounding of its mass
-            ((65536, 64), "0x1.3b095f14e9fd5p-19"),
-            ((65536, 80), "0x1.f81a98b3bf2a3p-20"),
-        ]
-    ])
-    def test_recorded_long_walks(self, walk, value):
-        # no entry overflows or turns invalid on the way
+    @pytest.mark.parametrize("walk", RECORDED_WALKS, ids=lambda w: f"{w[0]}-{w[1]}")
+    def test_recorded_long_walks(self, walk):
+        # measured within 6.7e-15 (at 127 steps per interval).  A pmf of 64
+        # or 80 steps rounded to doubles would miss by 1.8e-14 and 3.4e-14, as
+        # each of the 1,024 or 820 segments took the same rounding of its mass.
+        # No entry overflows or turns invalid on the way
         with np.errstate(over="raise", invalid="raise"):
             got = constrained_walk_probability(LatticeConfig(*walk))
-        assert got == pytest.approx(float.fromhex(value), rel=1e-14, abs=0)
+        assert got == pytest.approx(float.fromhex(RECORDED_WALKS[walk]), rel=1e-14, abs=0)
+
+    @pytest.mark.slow
+    @long_double
+    @pytest.mark.parametrize("walk", RECORDED_WALKS, ids=lambda w: f"{w[0]}-{w[1]}")
+    def test_recorded_values_from_the_long_double_oracle(self, walk):
+        # about 1 s a walk: the recorded values are the oracle's, rounded
+        # to the nearest double
+        assert longdouble_walk_probability(LatticeConfig(*walk)).hex() == RECORDED_WALKS[walk]
+
+    @long_double
+    @pytest.mark.parametrize("walk", [(2000, 1), (2000, 7), (1000, 300), (1200, 1205)],
+                             ids=lambda w: f"{w[0]}-{w[1]}")
+    def test_long_double_oracle_against_exact_counts(self, walk):
+        # the oracle's own rounding, about n 2^-64, stays below half an ulp
+        # of a double here, so it lands on the nearest double to the count
+        c = LatticeConfig(*walk)
+        assert longdouble_walk_probability(c) == float(exact_walk_probability(c))
 
     @pytest.mark.parametrize("walk", [
         # eight 4,096-step segments, each 78 direct parts when forced, and
@@ -237,14 +261,23 @@ class TestBinomialSpectrum:
         assert np.abs(got - np.fft.rfft(pmf)).max() <= 1e-14
 
 
+def halvings(walk) -> int:
+    """The projections at an even step count, each of which halves the
+    origin's probability."""
+    n, r = walk
+    return sum(1 for step in range(r, n, r) if step % 2 == 0)
+
+
 class TestExactness:
-    """Against exact integer walk counts: exact through step 53, rounded
-    by at most about one unit in the last place per step beyond."""
+    """Against exact integer walk counts: exact while the steps and the
+    halvings at the origin number at most 53, rounded by at most about one
+    unit in the last place per step beyond."""
 
     @settings(max_examples=80, deadline=None)
-    @given(walks(53, r_past_n=5))
-    @example((52, 1))
-    @example((52, 3))
+    @given(walks(53, r_past_n=5).filter(lambda w: w[0] + halvings(w) <= 53))
+    @example((36, 1))  # 17 halvings
+    @example((44, 5))  # 4 halvings
+    @example((52, 26))  # 1 halving
     @example((52, 52))
     def test_exact_through_53_steps(self, walk):
         c = LatticeConfig(*walk)
@@ -265,14 +298,19 @@ class TestExactness:
 
 class TestBallotStructure:
     def test_catalan_counts_every_step(self):
-        # 2n steps constrained strictly positive at 1..2n-1: C_{n-1} walks
-        for n in (2, 3, 4, 5, 6):
-            got = constrained_walk_probability(LatticeConfig(2 * n, 1))
-            assert got == catalan_number(n - 1) / 4.0**n
+        # 2n steps constrained at 1..2n-1 are the Dyck paths, each weighted
+        # 2^-(k - 1) for its k returns to the origin.  The paths with k
+        # returns are the ballot number k / (2n - k) C(2n - k, n); with one
+        # return there are C_{n-1}
+        for n in (2, 3, 4, 5, 6, 12):
+            ballot = [Fraction(k, 2 * n - k) * comb(2 * n - k, n) for k in range(1, n + 1)]
+            assert ballot[0] == catalan_number(n - 1)
+            weighted = sum(b / 2 ** (k - 1) for k, b in enumerate(ballot, start=1))
+            assert constrained_walk_probability(LatticeConfig(2 * n, 1)) == weighted / 4**n
 
     def test_every_step_walk_scales_like_restricted_propagator(self):
         # the every-step constrained walk probes the absorbing-boundary
-        # propagator through a half-site boundary layer: the image-method
+        # propagator through a boundary layer of a site: the image-method
         # Euclidean form near the wall scales as tau^(-3/2), so doubling the
         # duration divides the density by ~2^1.5
         vals = {n: constrained_walk_probability(LatticeConfig(n, 1)) for n in (64, 128, 256, 512)}
@@ -280,35 +318,38 @@ class TestBallotStructure:
             ratio = vals[n] / vals[2 * n]
             assert ratio == pytest.approx(2.0**1.5, rel=0.08)
 
-    def test_half_site_offset_matches_images(self):
-        # quantitative version: (1/2 eta) u  ~=  g_restricted(eta/2, tau | eta/2)
-        # in the continuum, with g_r built from heat kernels; on the unit
-        # lattice eta = dtau = 1, so m = dtau / eta^2 = 1 and tau = n
-        n = 1024
+    def test_two_thirds_site_offset_matches_images(self):
+        # quantitative version: (1/2 eta) u = g_restricted(x, tau | x), the
+        # image-method form x off an absorbing wall, with g_r built from heat
+        # kernels; on the unit lattice eta = dtau = 1, so m = 1 and tau = n.
+        # Solved for x it is 2/3 of a site, to 2.8e-4 at 1,024 steps and
+        # 7.0e-5 at 4,096 (about 0.29 / n); a strict cut at the origin put
+        # the wall half a site off
+        n = 4096
         lhs = constrained_walk_probability(LatticeConfig(n, 1)) / 2
-        x = 0.5
-        g_r = heat_kernel(1.0, n, x, x) - heat_kernel(1.0, n, x, -x)
-        assert lhs == pytest.approx(g_r, rel=0.05)
+        x = np.sqrt(-n / 2 * np.log1p(-lhs / heat_kernel(1.0, n, 0.0, 0.0)))
+        assert abs(x - 2 / 3) <= 0.5 / n
+        assert heat_kernel(1.0, n, x, x) - heat_kernel(1.0, n, x, -x) == pytest.approx(lhs, rel=1e-12)
 
 
 class TestContinuumSweep:
     def test_ratio_extrapolates_to_one(self):
         sweep = continuum_peak_estimate(4)
-        assert np.all(np.diff(sweep.ratios) > 0)       # O(eta) from below
-        assert sweep.extrapolated == pytest.approx(1.0, abs=2e-5)  # measured 5.85e-6
+        assert np.all(np.diff(sweep.ratios) > 0)       # O(eta^2) from below
+        assert sweep.extrapolated == pytest.approx(1.0, abs=3e-10)  # measured 2.83e-11
 
     def test_benchmark_sweep(self):
-        # six levels over 8 intervals, every stage taken: measured 5.37e-8
-        # (two stages left 9.64e-6)
+        # six levels over 8 intervals, every stage taken: measured 2.44e-15
         sweep = continuum_peak_estimate(8, levels=(4, 16, 64, 256, 1024, 4096))
-        assert abs(sweep.extrapolated - 1) <= 1e-7
+        assert abs(sweep.extrapolated - 1) <= 2.5e-14
 
     @pytest.mark.parametrize("levels", [(4, 16, 64), (16, 64, 256)])
     def test_three_levels_take_two_stages(self, levels):
-        # at three levels the stages reduce to the two fixed ones, to the bit
+        # at three levels the two stages are (64 c - 20 b + a) / 45, to an ulp
         sweep = continuum_peak_estimate(4, levels=levels)
         a, b, c = sweep.ratios.tolist()
-        assert sweep.extrapolated == (4 * (2 * c - b) - (2 * b - a)) / 3
+        want = (64 * c - 20 * b + a) / 45
+        assert abs(sweep.extrapolated - want) <= np.spacing(want)
 
     @pytest.mark.parametrize("n, levels", [
         (4, (4, 16, 64)), (4, (4, 16, 64, 256)), (4, (4, 16, 64, 256, 1024)),
@@ -316,14 +357,14 @@ class TestContinuumSweep:
     ], ids=["3", "4", "default", "benchmark"])
     @pytest.mark.parametrize("c1, c2", [(-0.5, 0.0), (0.0, 3.0), (-1.3, 0.7), (2.0, -5.0)])
     def test_richardson_is_exact_on_its_error_model(self, monkeypatch, n, levels, c1, c2):
-        # walks whose ratios are exactly 1 + sum_i c_i r^(-i/2), i = 1 .. L - 1,
-        # the errors O(eta) to O(eta^(L-1)) that the L - 1 stages remove, so
-        # the extrapolation lands on 1 to rounding (measured at most 4.4e-16)
+        # walks whose ratios are exactly 1 + sum_i c_i r^(-i), i = 1 .. L - 1,
+        # the errors O(eta^2) to O(eta^(2L-2)) that the L - 1 stages remove,
+        # so the extrapolation lands on 1 to rounding (measured at most 2.2e-16)
         target = np.sqrt(1 / (2 * np.pi * n)) / n  # the continuum peak law at eps = m = 1
         coeffs = (c1, c2, 2.1, -4.0, 5.5)[: len(levels) - 1]
 
         def model(r):
-            return 1 + sum(c * r ** (-i / 2) for i, c in enumerate(coeffs, start=1))
+            return 1 + sum(c * r ** -i for i, c in enumerate(coeffs, start=1))
 
         def walk(cfg):
             r = cfg.steps_per_projection
@@ -334,11 +375,11 @@ class TestContinuumSweep:
         assert_allclose(sweep.ratios, model(np.array(levels, float)), rtol=1e-14)
         assert abs(sweep.extrapolated - 1) <= 1e-14
 
-    def test_error_scales_linearly_in_eta(self):
+    def test_error_scales_quadratically_in_eta(self):
         sweep = continuum_peak_estimate(4, levels=(16, 64, 256, 1024))
         errs = 1.0 - sweep.ratios
-        rates = errs[:-1] / errs[1:]
-        assert np.all((rates > 1.7) & (rates < 2.3))   # halving eta halves the error
+        rates = errs[:-1] / errs[1:]   # measured 3.90, 3.97 and 3.99
+        assert np.all((rates > 3.6) & (rates < 4.4))   # halving eta quarters the error
 
     def test_mass_invariance(self, tmp_path):
         # the sweep takes no unit: the command line passes it tau/eps alone,
@@ -357,7 +398,7 @@ class TestContinuumSweep:
         # interval more is refused
         levels = (4, 16, 64, 256, 1024, 4096)
         assert 16 * levels[-1] == lattice.MAX_WALK_STEPS
-        assert abs(continuum_peak_estimate(16, levels).extrapolated - 1) <= 1e-6  # 8.3e-8
+        assert abs(continuum_peak_estimate(16, levels).extrapolated - 1) <= 1e-13  # 1.0e-14
         with pytest.raises(ValueError, match="finest walk too long: 17 intervals"):
             continuum_peak_estimate(17, levels)
 
@@ -403,7 +444,10 @@ class TestInteriorEnvelope:
         cfg, envelope, _, _ = default_run
         want = interior_values(envelope)[s]
         got = lattice_envelope(s * cfg.eps, cfg.eps, cfg.m)
-        assert got == pytest.approx(want, rel=1e-5)  # measured at most 1.5e-6
+        # measured at most 6.6e-12: against baxter_envelope the walk errs by
+        # at most 6.9e-12 here (at a quarter interval, where the coarsest
+        # level ends on a 4-step segment) and the recursion by 4.1e-13
+        assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.slow
     def test_positive_mean_of_s_is_not_a_recursion_artefact(self, default_run):
@@ -418,4 +462,4 @@ class TestInteriorEnvelope:
         rec_mean = float(np.mean(oscillation_ratio(rec, fv)))
         lat_mean = float(np.mean(oscillation_ratio(lat, fv)))
         assert lat_mean > 0.05
-        assert abs(lat_mean - rec_mean) <= 0.005
+        assert abs(lat_mean - rec_mean) <= 5e-6  # measured 4.2e-7
