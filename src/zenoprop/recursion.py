@@ -50,11 +50,11 @@ applied at the origin alone: the recursion advances every slice first,
 keeping each only out to the widest kernel's reach, and then takes the
 samples of all intervals in one call (``boundary_amplitude``), which
 transforms each weighted slice once and sums its spectrum times the
-kernel's, exp(-(u eps / 2m) k^2), for a block of consecutive offsets and
-a chunk of slices at a time, out to kernel_span widths of the spectrum of
-the block's first offset, the widest in the block.  On the free interval
-0 < s <= 1 the slice is the heat kernel itself and the envelope is
-exactly one, so only the slice at s = 1 is built.
+kernel's, exp(-(u eps / 2m) k^2), for a block of consecutive offsets at
+a time, out to kernel_span widths of the spectrum of the block's first
+offset, the widest in the block, in one ``np.einsum`` contraction.  On the
+free interval 0 < s <= 1 the slice is the heat kernel itself and the
+envelope is exactly one, so only the slice at s = 1 is built.
 
 One-sided limits at the projection instants: the left limit is the ordinary
 sample at the end of an interval, offset u = 1; the right limit, offset
@@ -109,10 +109,10 @@ _END_WEIGHTS = np.array([
 
 
 # Entries of the boundary samples' working arrays (128 KiB of floats): the
-# decay factors of a block of offsets, each chunk of rows times them, and
-# each chunk of rows transformed, at least one row.  A block holds at least
-# one offset, as the first offset's mode count, about 32 sqrt(samples per
-# interval), stays below it at every size under the work cap.
+# decay factors of a block of offsets, and each chunk of rows transformed,
+# at least one row.  A block holds at least one offset, as the first
+# offset's mode count, about 32 sqrt(samples per interval), stays below it
+# at every size under the work cap.
 _SUM_ENTRIES = 2**14
 
 
@@ -268,12 +268,13 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
     is at its reach.  The offsets are summed in blocks of consecutive ones,
     each block out to its first offset's J_u, the most of any offset in it
     (a later offset's modes past its own J_u add terms below
-    exp(-kernel_span^2 / 2) of its peak), and the rows are transformed and
-    summed a chunk at a time: each block's decay factors, each chunk's product
-    with them and each chunk's transform take ``_SUM_ENTRIES`` entries or
-    fewer, or one row's transform where that alone is more.  The
-    blocks depend on ``cfg`` alone, and each sample is one row's sum, so a
-    row gives the same bits alone as in a batch.  Rows shorter than R
+    exp(-kernel_span^2 / 2) of its peak), each block's sums one
+    ``np.einsum`` contraction of every row with the block's decay factors,
+    without BLAS.  The rows are transformed a chunk at a time, and each
+    block's decay factors and each chunk's transform take ``_SUM_ENTRIES``
+    entries or fewer, or one row's transform where that alone is more.
+    The blocks depend on ``cfg`` alone, and each sample is one row's sum,
+    so a row gives the same bits alone as in a batch.  Rows shorter than R
     would give wrong samples and raise ``ValueError``."""
     values = np.asarray(values, dtype=float)
     dt = np.arange(1, cfg.samples_per_interval) / cfg.samples_per_interval * cfg.eps
@@ -299,10 +300,7 @@ def boundary_amplitude(values, cfg: RecursionConfig) -> np.ndarray:
         top = modes[start]
         block = slice(start, start + _SUM_ENTRIES // top)
         decay = np.exp(dt[block, None] * minus_k2[:top])
-        chunk = _SUM_ENTRIES // decay.size
-        for r in range(0, len(c), chunk):
-            rows = slice(r, r + chunk)
-            sums[rows, block] = (c[rows, None, 1 : top + 1] * decay).sum(axis=2)
+        sums[:, block] = np.einsum("bj,rj->rb", decay, c[:, 1 : top + 1])
         start = block.stop
     return (c[:, :1] + 2 * sums) / (length * h)
 

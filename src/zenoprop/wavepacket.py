@@ -27,12 +27,13 @@ timescales well above the projection spacing.
 Numerics: the boundary difference is built with its u^{-1/2} singularity
 already peeled off, sqrt(u) delta_g(u) = (2 pi i)^{-1/2} (f_p - f_v)(u);
 the inner time convolution restores it with product-integration weights
-and is evaluated as a zero-padded FFT product.  The time step is eps/q for
-a whole q, and the grid runs back from tau to its first node at or before
-t = 0 (``time_grid``), so every drop of the saw-tooth, a lag k eps from
-that node, is a node too: the node holds the trough after the drop and the
-panel that ends there the peak before it (``_weighted_delta_g``), so the
-quadrature is second order in its step at every E eps.  The outer integral
+and is evaluated as an FFT product, the transforms' length argument doing
+the zero padding.  The time step is eps/q for a whole q, and the grid runs
+back from tau to its first node at or before t = 0 (``time_grid``), so
+every drop of the saw-tooth, a lag k eps from that node, is a node too:
+the node holds the trough after the drop and the panel that ends there the
+peak before it (``_weighted_delta_g``), so the quadrature is second order
+in its step at every E eps.  The outer integral
 is evaluated in momentum space, where the final free leg is diagonal and
 nothing is singular; the slowly decaying 1/k endpoint tail (a step
 structure at the boundary) is summed analytically via a Fresnel integral
@@ -42,9 +43,9 @@ once (``step_profile``) and hands it to every crossing term.  The momentum
 integrand is odd in k, so only k > 0 is sampled.  The time sum at the
 frequencies k^2/2 and the transform from the uniform k grid to x are both
 trigonometric sums at non-uniform angles, evaluated by a Gaussian-gridding
-non-uniform FFT (``_trig_sum``) instead of dense phase matrices; it agrees
-with the dense sums to about 1e-12.  A time grid is capped at
-``MAX_TIME_POINTS`` points.
+non-uniform FFT (``_trig_sum``) instead of dense phase matrices, whose
+stencil reads the uniform grid modulo its length; it agrees with the dense
+sums to about 1e-12.  A time grid is capped at ``MAX_TIME_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
 
     h = 2 pi / M, so three exponentials per angle and one multiplication per
     node give every weight, and the stencil is read one node offset at a
-    time.  The grid is transformed in place in one buffer of M + 24 points
-    that also holds its wrapped stencil margins, so no other temporary is
-    larger than the coefficients or theta.
+    time.  The grid is one array of M points, transformed in place, and the
+    stencil reads node l + j as node (l + j) mod M (``take`` with
+    ``mode="wrap"``), which also covers a node at M, where mod 2 pi of an
+    angle just below 0 rounds up, and grids of fewer than 13 nodes.  No
+    other temporary is larger than the coefficients or theta.
     """
     c = np.asarray(c, dtype=complex)
     theta = np.asarray(theta, dtype=float)
@@ -237,30 +240,20 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
     ratio = n_grid / n_coef
     width = np.pi * _STENCIL / (n_coef**2 * ratio * (ratio - 0.5))
     n = np.arange(n_coef) - shift
-    # the smoothed grid with 11 nodes wrapped in before it and 13 after, so
-    # wrapped[l + j + 11] is node (l + j) mod M for j = -11..12 and l = 0..M
-    # (mod 2 pi of an angle just below 0 can round to 2 pi itself); the
-    # deconvolved coefficients are transformed in place in the middle
-    wrapped = np.zeros(n_grid + 2 * _STENCIL, dtype=complex)
-    grid = wrapped[_STENCIL - 1 : n_grid + _STENCIL - 1]
+    grid = np.zeros(n_grid, dtype=complex)
     grid[n % n_grid] = c * np.exp(n**2 * width)
     del n
     np.fft.ifft(grid, out=grid)
-    # the margins by wrapped indices, which go round a grid of fewer than 13
-    # nodes more than once
-    wrapped[: _STENCIL - 1] = grid.take(np.arange(1 - _STENCIL, 0), mode="wrap")
-    wrapped[n_grid + _STENCIL - 1 :] = grid.take(np.arange(_STENCIL + 1), mode="wrap")
     step = 2 * np.pi / n_grid
     offset = np.mod(theta, 2 * np.pi)
     node = np.floor(offset / step)
     offset -= node * step
     index = node.astype(np.int64)
     del node
-    index += _STENCIL - 1
     centre = np.exp(-(offset**2) / (4 * width))
     rise = np.exp(offset * (step / (2 * width)))
     del offset
-    interp = wrapped.take(index, mode="clip")
+    interp = grid.take(index, mode="wrap")
     interp *= centre
     column = np.empty_like(interp)
     # nodes l + 1 .. l + 12 by powers of rise, then l - 1 .. l - 11 by 1/rise
@@ -273,7 +266,7 @@ def _trig_sum(c: np.ndarray, theta) -> np.ndarray:
         for j in range(1, count + 1):
             gauss *= rise
             index += sign
-            wrapped.take(index, out=column, mode="clip")
+            grid.take(index, out=column, mode="wrap")
             column *= gauss * np.exp(-((j * step) ** 2) / (4 * width))
             interp += column
     del column, gauss, centre, rise, index
@@ -290,27 +283,21 @@ def inner_boundary_convolution(weighted: np.ndarray, deriv: np.ndarray) -> np.nd
     the product-integration weights that restore the factor exactly panel
     by panel: ``half_power_weights(n - 1, dt) * phi`` for a phi linear on
     every panel, ``_weighted_delta_g`` for the saw-tooth's difference.  The
-    discrete convolution is a zero-padded FFT product of the smallest
-    2^a 3^b 5^c length at or above 2n - 1.  Each factor is written into its
-    own zero-padded buffer and transformed in place, the product and its
-    inverse are formed in the first, and the result is a copy of its first
-    n entries.  ``weighted`` and ``deriv`` are dropped once copied, so
-    arrays that the caller does not hold are freed before the transforms.
+    discrete convolution is an FFT product of the smallest 2^a 3^b 5^c
+    length at or above 2n - 1, which the FFT's length argument pads with
+    zeros.  The product and its inverse are formed in place in the first
+    factor's spectrum, and the result is a copy of its first n entries.
+    ``weighted`` and ``deriv`` are dropped once transformed, so arrays that
+    the caller does not hold are freed before the next transform.
     """
     if len(weighted) != len(deriv):
         raise ValueError("weighted and deriv must share the time grid")
     n = len(weighted)
     size = five_smooth_at_least(2 * n - 1)
-    spec = np.zeros(size, dtype=complex)
-    spec[:n] = weighted
+    spec = np.fft.fft(weighted, size)
     del weighted
-    np.fft.fft(spec, out=spec)
-    other = np.zeros(size, dtype=complex)
-    other[:n] = deriv
+    spec *= np.fft.fft(deriv, size)
     del deriv
-    np.fft.fft(other, out=other)
-    spec *= other
-    del other
     np.fft.ifft(spec, out=spec)
     return spec[:n].copy()  # a view would keep the whole spectrum alive
 

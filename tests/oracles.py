@@ -321,14 +321,15 @@ def brute_force_walk_probability(cfg: LatticeConfig) -> float:
 def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
     """The return probability as an exact fraction: a DP over integer walk
     counts, one step at a time.  At each projection the sites left of the
-    origin go and those above it are doubled, so the origin keeps half the
-    weight of the others; the counts are divided by 2**(n_steps +
-    projections) at the end.  It keeps only the sites that can still return
-    to the origin, |x| <= the steps left: ``counts[i]`` holds the weighted
-    walks at site lo + i."""
+    origin go and the origin keeps half its weight: an even origin count is
+    halved, and an odd one stays while every site above it is doubled, one
+    more factor of 2 in the denominator, 2**(n_steps + doublings), by which
+    the counts are divided at the end.  It keeps only the sites that can
+    still return to the origin, |x| <= the steps left: ``counts[i]`` holds
+    the weighted walks at site lo + i, and lo is 0 after a projection."""
     n = cfg.n_steps
     lo, counts = 0, np.ones(1, dtype=object)  # Python ints, no overflow
-    projections = 0
+    doublings = 0
     for step in range(1, n + 1):
         counts = np.concatenate((counts, [0, 0])) + np.concatenate(([0, 0], counts))
         lo -= 1
@@ -337,10 +338,12 @@ def exact_walk_probability(cfg: LatticeConfig) -> Fraction:
         if projection:
             keep_lo = max(keep_lo, 0)
         counts, lo = counts[keep_lo - lo : keep_hi - lo + 1], keep_lo
-        if projection:
-            counts[int(lo == 0) :] *= 2  # every kept site but the origin
-            projections += 1
-    return Fraction(int(counts.sum()), 2 ** (n + projections))
+        if projection and counts[0] % 2:
+            counts[1:] *= 2
+            doublings += 1
+        elif projection:
+            counts[0] //= 2
+    return Fraction(int(counts.sum()), 2 ** (n + doublings))
 
 
 def longdouble_walk_probability(cfg: LatticeConfig) -> float:

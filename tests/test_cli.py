@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from importlib import resources
 from pathlib import Path
@@ -14,6 +15,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import validate_table_schema
 from perfbench.checks import exact_closed_forms
@@ -955,3 +958,79 @@ def test_tables_agree_across_dispatch_levels(tmp_path):
                         continue
                     bound = max(4 * np.finfo(float).eps * abs(want), 1e-15)
                     assert abs(got - want) <= bound, (features, cmd, name, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the command line's contract over random flags
+# ---------------------------------------------------------------------------
+
+# float flag values: log-uniform magnitudes over the positive doubles, from
+# the least subnormal to 1.78e308, and the edges that have broken flags before
+FLOAT_FLAG = st.one_of(
+    st.floats(-323.3, 308.25).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310, 1.7e308]),
+)
+# small sizes, the refused ones among them; every other flag takes FLOAT_FLAG
+SIZE_FLAGS = {"--n-max": st.integers(-1, 20), "--samples-per-interval": st.integers(-1, 16),
+              "--levels": st.integers(0, 4)}
+# the columns and exact rows that are envelopes, which lie in (0, 1]
+ENVELOPE_NAMES = ("f_p_", "f_v", "peak_", "trough_", "envelope_", "time_averaged_")
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand and a random value, or none, for each flag it declares
+    but --out and --format; lattice's --tau is a whole number of --eps half
+    the time, so that its sweep runs."""
+    command = draw(st.sampled_from(sorted(main.commands)))
+    flags = {p.opts[0]: draw(st.none() | SIZE_FLAGS.get(p.opts[0], FLOAT_FLAG))
+             for p in main.commands[command].params
+             if p.expose_value and p.name not in ("out", "fmt")}
+    if command == "lattice" and draw(st.booleans()):
+        flags["--tau"] = draw(st.integers(1, 8)) * (flags["--eps"] or 1.0)
+    args = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, value in flags.items():
+        if value is not None:
+            args += [flag, repr(value)]
+    return args
+
+
+def numeric_cells(out: Path, fmt: str) -> dict[str, list[float]]:
+    """The numeric cells of a table, by column name or, for ``exact``'s
+    (name, value) rows, by row name."""
+    if fmt == "csv":
+        header, rows = read_rows(out)
+    else:
+        doc = json.loads(out.read_text())
+        header, rows = doc["columns"], doc["rows"]
+    if header == ["name", "value"]:
+        return {name: [float(value)] for name, value in rows}
+    cells = dict(zip(header, zip(*rows)))
+    cells.pop("side", None)
+    return {name: [float(x) for x in col] for name, col in cells.items()}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(invocations())
+def test_every_subcommand_keeps_the_contract(args):
+    # exit 0 writes a finite table whose envelopes lie in (0, 1]; exit 2
+    # (bad input) or 3 (an untrustworthy number) ends in one error line
+    # and writes nothing; nothing ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table"
+        res = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code in (0, 2, 3), result_output(res)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            result_output(res)
+        assert "Traceback" not in res.output
+        if res.exit_code:
+            lines = res.output.splitlines()
+            errors = [line for line in lines
+                      if line.startswith(("Error:", "numerical failure:"))]
+            assert errors == lines[-1:], res.output
+            assert not out.exists()
+            return
+        for name, cells in numeric_cells(out, args[2]).items():
+            assert all(map(math.isfinite, cells)), (name, args)
+            if name.startswith(ENVELOPE_NAMES):
+                assert all(0 < x <= 1 for x in cells), (name, args)

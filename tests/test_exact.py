@@ -443,6 +443,30 @@ class TestPartialProjections:
             (near, far), before = envelope[k, :2], envelope[k - 1, 2]
             assert (2 * near - far) / before == pytest.approx((1 + mu) / 2, rel=0, abs=1e-6)
 
+    @pytest.mark.parametrize("mu", MUS)
+    def test_two_projection_time_average(self, mu):
+        # the average over two projection instants on the unit interval is
+        # the mean of mu^j over j uniform on 0, 1, 2, (1 + mu + mu^2)/3
+        # (measured within 2.2e-16), by the sign sums on the tanh-sinh
+        # simplex rule of time_averaged_envelope, whose 1/3 is mu = 0
+        x, w = _tanh_sinh_rule()
+        t = x[:, None]
+        values = sum(mu ** signs.count(-1) * bridge_orthant((x * t, t), 1.0, signs)
+                     for signs in product((1, -1), repeat=2))
+        average = 2.0 * ((w * x)[:, None] * values * w).sum()
+        assert average == pytest.approx((1 + mu + mu * mu) / 3, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", (0.9, 0.99, 0.999))
+    def test_absorbing_envelope_is_the_limit_mu_to_one(self, mu):
+        # at v0 eps = -ln mu the envelope over s <= 21 lies within about
+        # (1 - mu)/2 of the absorbing one, relatively: measured 0.0536,
+        # 0.00503 and 0.000500, rates 0.536, 0.5034 and 0.50033 of 1 - mu
+        theta = np.arange(1, 65) / 64
+        s = np.arange(21)[:, None] + theta
+        ratio = baxter_envelope(20, theta, mu) / absorbing_envelope(-np.log(mu), s)
+        rate = np.abs(ratio - 1).max() / (1 - mu)
+        assert 0.5 <= rate <= 0.5 + 0.4 * (1 - mu)
+
     @pytest.mark.parametrize("mu", MUS[1:])
     def test_weight_mu_per_checkpoint_misses_the_law(self, mu):
         # the weight mu on every n-step transform, in place of mu^n, agrees

@@ -224,7 +224,7 @@ class TestConfig:
         # at the cap's largest samples per interval, 124,868 at one
         # projection, the first offset sums 11,459 modes (about 32
         # sqrt(spi)), fewer than _SUM_ENTRIES: every block of offsets holds
-        # at least one, and every chunk of rows at least one row
+        # at least one
         modes = offset_modes(RecursionConfig(1, 124_868))
         assert modes[0] == max(modes) == 11_459
         assert modes[0] < recursion._SUM_ENTRIES
@@ -414,12 +414,12 @@ class TestBoundaryAmplitude:
         return peak
 
     def test_peak_memory_on_fp3_dense(self):
-        # the samples keep only the real parts of the modes they sum, and
-        # transform one row and sum one block of offsets for one row at a
-        # time: fp3_dense's 3 x 4,095 samples trace 0.63 MB of numpy
-        # allocations at their peak.  Holding one row's complex spectrum
-        # through the sums reads 0.79 MB, and one offset at a time against
-        # all rows' complex spectra 0.94 MB
+        # the samples keep only the real parts of the modes they sum,
+        # transform one row at a time and contract one block of offsets
+        # with every row at a time: fp3_dense's 3 x 4,095 samples trace
+        # 0.63 MB of numpy allocations at their peak.  Holding one row's
+        # complex spectrum through the sums reads 0.79 MB, and one offset at
+        # a time against all rows' complex spectra 0.94 MB
         cfg = RecursionConfig(3, 4096)
         reach = recursion._taps(cfg, 4095 / 4096) + 1
         prefixes = np.array([sl.values[:reach] for sl in pre_projection_slices(cfg)[:3]])

@@ -454,11 +454,11 @@ class TestTrigSum:
         assert np.max(np.abs(_trig_sum(c, theta) - want)) <= 1e-11 * np.sum(np.abs(c))
 
     def test_peak_memory_at_pdx_size(self):
-        # the 24,300-point grid is transformed in place in one buffer with its
-        # stencil margins, the index array is dropped once gridded, and the
-        # stencil is gridded one node offset at a time: 1.12 MB (1.35 MB on
-        # a 32,768-point grid; an N x 24 stencil matrix would peak near 9 MB
-        # here, a separate FFT output, index array and wrapped copy at 1.9 MB)
+        # the 24,300-point grid is transformed in place and read modulo its
+        # length, the index array is dropped once gridded, and the stencil is
+        # gridded one node offset at a time: 1.12 MB (an N x 24 stencil
+        # matrix would peak near 9 MB here, a separate FFT output, index
+        # array and wrapped copy at 1.9 MB)
         rng = np.random.default_rng(1)
         c = rng.normal(size=12_033) + 1j * rng.normal(size=12_033)
         theta = rng.uniform(0.0, 4.5, 8_288)
